@@ -1,9 +1,11 @@
 #include "dataflow/access_model.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 
 #include "common/check.hpp"
+#include "common/math_util.hpp"
 
 namespace fusecu {
 
@@ -17,36 +19,58 @@ int AccessBreakdown::non_redundant_tensors(const TensorOp& op) const {
   return count;
 }
 
+AccessCount nest_access(std::span<const Index> extents, std::span<const int> loop_order,
+                        std::span<const Index> tiles, std::span<const std::uint32_t> dim_masks,
+                        std::span<AccessCount> per_tensor) {
+  const std::size_t n = loop_order.size();
+  std::uint32_t effective = 0;  // dims whose tile loop runs more than once
+  for (std::size_t d = 0; d < n; ++d) {
+    if (tiles[d] < extents[d]) effective |= 1u << d;
+  }
+
+  AccessCount total = 0;
+  for (std::size_t t = 0; t < dim_masks.size(); ++t) {
+    const std::uint32_t mask = dim_masks[t];
+    AccessCount accesses = 1;
+    for (std::size_t d = 0; d < n; ++d) {
+      if ((mask >> d) & 1u) accesses *= extents[d];
+    }
+    // An outer loop d (not indexing the tensor) multiplies accesses iff some
+    // effective loop of the tensor's dimension set sits inside it: every
+    // effective foreign loop outside the tensor's innermost effective loop.
+    std::size_t inner = n;
+    while (inner > 0 && !(mask & effective & (1u << loop_order[inner - 1]))) --inner;
+    for (std::size_t pos = 0; pos + 1 < inner; ++pos) {
+      const int d = loop_order[pos];
+      if (effective & ~mask & (1u << d)) {
+        const auto sd = static_cast<std::size_t>(d);
+        accesses *= ceil_div(extents[sd], tiles[sd]);
+      }
+    }
+    per_tensor[t] = accesses;
+    total += accesses;
+  }
+  return total;
+}
+
 AccessBreakdown evaluate_access(const TensorOp& op, const Dataflow& df) {
   validate_dataflow(op, df);
-  const int n = op.num_dims();
+  const auto n = static_cast<std::size_t>(op.num_dims());
+  const auto num_tensors = static_cast<std::size_t>(op.num_tensors());
+  FCU_CHECK(n <= kMaxNestDims && num_tensors <= kMaxNestDims,
+            "the access model prices at most 32 dimensions and 32 tensors");
+  std::array<Index, kMaxNestDims> extents{};
+  std::array<std::uint32_t, kMaxNestDims> masks{};
+  for (std::size_t d = 0; d < n; ++d) extents[d] = op.extent(static_cast<int>(d));
+  for (std::size_t t = 0; t < num_tensors; ++t) {
+    for (int d : op.tensor(static_cast<int>(t)).dims) masks[t] |= 1u << d;
+  }
 
   AccessBreakdown out;
-  out.per_tensor.resize(static_cast<std::size_t>(op.num_tensors()));
+  out.per_tensor.resize(num_tensors);
   out.buffer_footprint = df.buffer_footprint(op);
-
-  for (int t = 0; t < op.num_tensors(); ++t) {
-    AccessCount accesses = op.tensor_size(t);
-    // Walk loops outermost -> innermost; an outer loop d (not indexing the
-    // tensor) multiplies accesses iff some effective loop of the tensor's
-    // dimension set sits inside it.
-    for (int pos = 0; pos < n; ++pos) {
-      int d = df.loop_order[static_cast<std::size_t>(pos)];
-      if (op.tensor_has_dim(t, d)) continue;
-      if (df.trips(op, d) <= 1) continue;
-      bool tensor_loop_inside = false;
-      for (int inner = pos + 1; inner < n; ++inner) {
-        int di = df.loop_order[static_cast<std::size_t>(inner)];
-        if (op.tensor_has_dim(t, di) && df.trips(op, di) > 1) {
-          tensor_loop_inside = true;
-          break;
-        }
-      }
-      if (tensor_loop_inside) accesses *= df.trips(op, d);
-    }
-    out.per_tensor[static_cast<std::size_t>(t)] = accesses;
-    out.total += accesses;
-  }
+  out.total = nest_access(std::span(extents).first(n), df.loop_order, df.tile,
+                          std::span(masks).first(num_tensors), out.per_tensor);
   return out;
 }
 

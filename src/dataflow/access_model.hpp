@@ -1,5 +1,7 @@
 #pragma once
 
+#include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -43,6 +45,20 @@ struct AccessBreakdown {
 
 /// Evaluate memory accesses for \p df on \p op.  Validates the dataflow.
 AccessBreakdown evaluate_access(const TensorOp& op, const Dataflow& df);
+
+/// Widest nest nest_access() prices: dimension masks are 32-bit.
+inline constexpr int kMaxNestDims = 32;
+
+/// Allocation-free core of evaluate_access(), for callers that hold the nest
+/// in flat form: per-dimension \p extents and \p tiles, the \p loop_order
+/// (outermost first) and one mask per tensor with bit d set when dimension d
+/// indexes it.  Writes each tensor's accesses to \p per_tensor (one slot per
+/// mask) and returns their sum.  The nest is trusted: evaluate_access()
+/// validates it first, and the principle optimizers build theirs valid by
+/// construction.
+AccessCount nest_access(std::span<const Index> extents, std::span<const int> loop_order,
+                        std::span<const Index> tiles, std::span<const std::uint32_t> dim_masks,
+                        std::span<AccessCount> per_tensor);
 
 /// True when the dataflow's live tiles fit into \p buffer_size elements.
 bool fits_buffer(const TensorOp& op, const Dataflow& df, BufferSize buffer_size);

@@ -1,6 +1,7 @@
 #include "fusion/fused_pair.hpp"
 
 #include <algorithm>
+#include <array>
 #include <sstream>
 
 #include "common/check.hpp"
@@ -77,40 +78,66 @@ FusedAccess evaluate_phased(const FusedPair& pair, const PhasedFusedDataflow& df
 
   // op1 sub-nest (M, L, K) with the producer reduction innermost — required
   // so each C tile is complete before the consumer phase runs.
-  Dataflow d1;
-  d1.loop_order = df.l_outer ? std::vector<int>{mm::kDimL, mm::kDimM, mm::kDimK}
-                             : std::vector<int>{mm::kDimM, mm::kDimL, mm::kDimK};
-  d1.tile = {df.t_m, df.t_k, df.t_l};
-  AccessBreakdown b1 = evaluate_access(pair.op1(), d1);
+  const std::array<int, 3> order1 =
+      df.l_outer ? std::array{mm::kDimL, mm::kDimM, mm::kDimK}
+                 : std::array{mm::kDimM, mm::kDimL, mm::kDimK};
+  std::array<AccessCount, 3> b1{};
+  nest_access(std::array{pair.m(), pair.k(), pair.l()}, order1,
+              std::array{df.t_m, df.t_k, df.t_l}, mm::kTensorMasks, b1);
 
   // op2 sub-nest (M, L, N): in op2's dimension space M=0, L=1 (reduction),
   // N=2.  The shared (M, L) loops keep the producer's order.
-  Dataflow d2;
-  d2.loop_order = df.l_outer ? std::vector<int>{1, 0, 2} : std::vector<int>{0, 1, 2};
-  d2.tile = {df.t_m, df.t_l, df.t_n};
-  AccessBreakdown b2 = evaluate_access(pair.op2(), d2);
+  const std::array<int, 3> order2 = df.l_outer ? std::array{1, 0, 2} : std::array{0, 1, 2};
+  std::array<AccessCount, 3> b2{};
+  nest_access(std::array{pair.m(), pair.l(), pair.n()}, order2,
+              std::array{df.t_m, df.t_l, df.t_n}, mm::kTensorMasks, b2);
 
   FusedAccess out;
-  out.op1_external = b1.per_tensor[mm::kTensorA] + b1.per_tensor[mm::kTensorB];
-  out.op2_external = b2.per_tensor[1] + b2.per_tensor[2];  // D, E
+  out.op1_external = b1[mm::kTensorA] + b1[mm::kTensorB];
+  out.op2_external = b2[1] + b2[2];  // D, E
   out.total = out.op1_external + out.op2_external;
   out.buffer_footprint = df.t_m * df.t_k + df.t_k * df.t_l + df.t_m * df.t_l +
                          df.t_l * df.t_n + df.t_m * df.t_n;
   return out;
 }
 
-FusedAccess evaluate_resident(const FusedPair& pair, const ResidentFusedDataflow& df) {
-  AccessBreakdown b1 = evaluate_access(pair.op1(), df.df1);
-  AccessBreakdown b2 = evaluate_access(pair.op2(), df.df2);
+Dataflow FlatNest::to_dataflow() const {
+  Dataflow df;
+  df.loop_order.assign(loop_order.begin(), loop_order.end());
+  df.tile.assign(tile.begin(), tile.end());
+  return df;
+}
 
-  const Index op1_tiles = df.df1.tensor_tile_size(pair.op1(), mm::kTensorA) +
-                          df.df1.tensor_tile_size(pair.op1(), mm::kTensorB);
-  const Index op2_tiles = df.df2.tensor_tile_size(pair.op2(), 1) +
-                          df.df2.tensor_tile_size(pair.op2(), 2);
+FusedAccess evaluate_resident(const FusedPair& pair, const ResidentFusedDataflow& df) {
+  validate_dataflow(pair.op1(), df.df1);
+  validate_dataflow(pair.op2(), df.df2);
+  auto flat = [](const Dataflow& d) {
+    FlatNest nest;
+    std::copy_n(d.loop_order.begin(), 3, nest.loop_order.begin());
+    std::copy_n(d.tile.begin(), 3, nest.tile.begin());
+    return nest;
+  };
+  return evaluate_resident(pair, flat(df.df1), flat(df.df2));
+}
+
+FusedAccess evaluate_resident(const FusedPair& pair, const FlatNest& side1, const FlatNest& side2) {
+  std::array<AccessCount, 3> b1{};
+  nest_access(std::array{pair.m(), pair.k(), pair.l()}, side1.loop_order, side1.tile,
+              mm::kTensorMasks, b1);
+  std::array<AccessCount, 3> b2{};
+  nest_access(std::array{pair.m(), pair.l(), pair.n()}, side2.loop_order, side2.tile,
+              mm::kTensorMasks, b2);
+
+  // Tile element counts of the external tensors: A{M,K} + B{K,L} of op1,
+  // D{L,N} + E{M,N} of op2 (op2's dims are M, L, N).
+  const auto& t1 = side1.tile;
+  const auto& t2 = side2.tile;
+  const Index op1_tiles = t1[0] * t1[1] + t1[1] * t1[2];
+  const Index op2_tiles = t2[1] * t2[2] + t2[0] * t2[2];
 
   FusedAccess out;
-  out.op1_external = b1.per_tensor[mm::kTensorA] + b1.per_tensor[mm::kTensorB];
-  out.op2_external = b2.per_tensor[1] + b2.per_tensor[2];
+  out.op1_external = b1[mm::kTensorA] + b1[mm::kTensorB];
+  out.op2_external = b2[1] + b2[2];
   out.total = out.op1_external + out.op2_external;
   // The ops run sequentially, so only the larger working set coexists with
   // the fully-resident intermediate.

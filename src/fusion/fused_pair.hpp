@@ -1,5 +1,6 @@
 #pragma once
 
+#include <array>
 #include <optional>
 #include <string>
 
@@ -79,6 +80,16 @@ struct ResidentFusedDataflow {
   Dataflow df2;  ///< op2 dataflow (likewise)
 };
 
+/// One op's three-loop nest held inline: loop order (outermost first) and
+/// per-dimension tiles over that op's dimensions.  The fused optimizer
+/// builds and prices these without allocating.
+struct FlatNest {
+  std::array<int, 3> loop_order{};
+  std::array<Index, 3> tile{1, 1, 1};
+
+  Dataflow to_dataflow() const;
+};
+
 /// MA/footprint result for a fused configuration.
 struct FusedAccess {
   AccessCount op1_external = 0;  ///< A + B accesses
@@ -90,7 +101,10 @@ struct FusedAccess {
 /// Price a phased configuration.  Validates tile ranges.
 FusedAccess evaluate_phased(const FusedPair& pair, const PhasedFusedDataflow& df);
 
-/// Price a resident configuration.
+/// Price a resident configuration.  Validates both dataflows.
 FusedAccess evaluate_resident(const FusedPair& pair, const ResidentFusedDataflow& df);
+
+/// The same pricing for nests given inline; trusted (tiles within extents).
+FusedAccess evaluate_resident(const FusedPair& pair, const FlatNest& side1, const FlatNest& side2);
 
 }  // namespace fusecu

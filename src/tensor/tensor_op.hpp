@@ -1,5 +1,7 @@
 #pragma once
 
+#include <array>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -157,6 +159,9 @@ inline constexpr int kDimL = 2;
 inline constexpr int kTensorA = 0;
 inline constexpr int kTensorB = 1;
 inline constexpr int kTensorC = 2;
+/// Per-tensor dimension masks (bit d set when dim d indexes the tensor):
+/// A{M,K}, B{K,L}, C{M,L} — the flat form nest_access() prices.
+inline constexpr std::array<std::uint32_t, 3> kTensorMasks = {0b011, 0b110, 0b101};
 }  // namespace mm
 
 }  // namespace fusecu
