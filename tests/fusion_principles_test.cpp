@@ -126,6 +126,46 @@ INSTANTIATE_TEST_SUITE_P(Seeds, FusedOptimalityRandom,
                          ::testing::Values(201ull, 202ull, 203ull, 204ull, 205ull, 206ull,
                                            207ull, 208ull));
 
+// --- optimize_fused_pair is exactly the argmin of the public candidate
+// set: smallest total among those that fit, first on ties, with the
+// regime tags of the two ops' intra-operator optima.
+TEST(FusionPrinciples, OptimizeFusedIsTheArgminOfTheCandidates) {
+  Rng rng(303);
+  for (int trial = 0; trial < 200; ++trial) {
+    FusedPair p = FusedPair::make(rng.uniform(1, 300), rng.uniform(1, 300), rng.uniform(1, 300),
+                                  rng.uniform(1, 300));
+    const BufferSize bs = rng.uniform(3, 64 * 1024);
+    const FusedCandidate* best = nullptr;
+    FusedAccess best_access;
+    const std::vector<FusedCandidate> candidates = fused_principle_candidates(p, bs);
+    for (const FusedCandidate& c : candidates) {
+      FusedAccess a = c.phased ? evaluate_phased(p, *c.phased) : evaluate_resident(p, *c.resident);
+      if (a.buffer_footprint > bs) continue;
+      if (!best || a.total < best_access.total) {
+        best = &c;
+        best_access = a;
+      }
+    }
+    auto r = optimize_fused_pair(p, bs);
+    ASSERT_EQ(r.has_value(), best != nullptr) << "bs=" << bs;
+    if (!r) continue;
+    EXPECT_EQ(r->access.total, best_access.total);
+    EXPECT_EQ(r->access.buffer_footprint, best_access.buffer_footprint);
+    EXPECT_EQ(r->chosen.rule, best->rule);
+    ASSERT_EQ(r->chosen.phased.has_value(), best->phased.has_value());
+    if (r->chosen.phased) {
+      EXPECT_EQ(r->chosen.phased->to_string(), best->phased->to_string());
+    } else {
+      EXPECT_EQ(r->chosen.resident->df1.to_string(p.op1()),
+                best->resident->df1.to_string(p.op1()));
+      EXPECT_EQ(r->chosen.resident->df2.to_string(p.op2()),
+                best->resident->df2.to_string(p.op2()));
+    }
+    EXPECT_EQ(r->regime1, optimize_intra(p.op1(), bs).nra);
+    EXPECT_EQ(r->regime2, optimize_intra(p.op2(), bs).nra);
+  }
+}
+
 // --- Principle 4: same-regime fusion never loses from D_min^2/4 upward and
 // wins strictly once the buffer clears the Single/Two shift band.
 //

@@ -179,6 +179,19 @@ TEST(PlanService, FusedPlansAndNegativeAnswersAreCached) {
   EXPECT_EQ(counter_value("principles/optimize_fused_pair/calls") - calls_before, 1);
 }
 
+TEST(PlanService, FusedMissesLeaveTheIntraCacheAlone) {
+  // The fused plan's regime tags come from the closed form directly, so a
+  // fused miss probes and fills only the fused tier.
+  PlanService service(ServeOptions{.threads = 1});
+  const CacheStats before = service.stats().intra;
+  FusedPlanned planned = service.plan_fused(FusedPair::make(512, 64, 512, 64), kBs);
+  ASSERT_TRUE(planned.result.has_value());
+  EXPECT_FALSE(planned.cached);
+  const CacheStats after = service.stats().intra;
+  EXPECT_EQ(after.hits + after.misses, before.hits + before.misses);
+  EXPECT_EQ(after.insertions, before.insertions);
+}
+
 TEST(PlanService, DestructionRestoresInterceptors) {
   TensorOp op = TensorOp::matmul("m", 256, 128, 256);
   {

@@ -191,6 +191,90 @@ INSTANTIATE_TEST_SUITE_P(Seeds, PrincipleOptimalityRandom,
                          ::testing::Values(101ull, 102ull, 103ull, 104ull, 105ull, 106ull,
                                            107ull, 108ull, 109ull, 110ull));
 
+// --- Shapes where Principle 1's optimum sits on a trip-count breakpoint of
+// the second stationary dimension that d1's breakpoints miss: the two-tile
+// construction must seed the mirrored probe from d2's own neighbourhood.
+// Each case pins the exhaustive optimum, which the principles must reach.
+struct PinnedCase {
+  Index m, k, l;
+  BufferSize bs;
+  AccessCount optimum;
+};
+
+class TwoSidedSeeding : public ::testing::TestWithParam<PinnedCase> {};
+
+TEST_P(TwoSidedSeeding, ReachesTheExhaustiveOptimum) {
+  const auto& p = GetParam();
+  TensorOp op = TensorOp::matmul("mm", p.m, p.k, p.l);
+  auto searched = exhaustive_intra(op, p.bs);
+  ASSERT_TRUE(searched.has_value());
+  ASSERT_EQ(searched->access.total, p.optimum);
+  IntraOptResult principled = optimize_intra(op, p.bs);
+  EXPECT_EQ(principled.access.total, p.optimum) << "rule " << principled.rule;
+}
+
+INSTANTIATE_TEST_SUITE_P(Census, TwoSidedSeeding,
+                         ::testing::Values(PinnedCase{76, 67, 23, 45, 46303},
+                                           PinnedCase{75, 33, 21, 39, 22167},
+                                           PinnedCase{64, 38, 86, 44, 82240},
+                                           PinnedCase{96, 64, 21, 40, 52032},
+                                           PinnedCase{82, 67, 18, 36, 42780}));
+
+// --- Seeded sweep of small shapes, one buffer drawn from each of the four
+// buffer bands per shape (tiny, small, medium, large).
+TEST(PrincipleOptimality, SmallShapesInEveryBufferBand) {
+  Rng rng(4242);
+  for (int trial = 0; trial < 150; ++trial) {
+    const Index m = rng.uniform(2, 64), k = rng.uniform(2, 64), l = rng.uniform(2, 64);
+    TensorOp op = TensorOp::matmul("mm", m, k, l);
+    const Index d2 = op.min_extent() * op.min_extent();
+    const Index tmin = op.tensor_size(op.smallest_tensor());
+    const BufferSize bands[] = {
+        rng.uniform(3, std::max<Index>(3, d2 / 4)),
+        rng.uniform(std::max<Index>(3, d2 / 4), std::max<Index>(3, d2 / 2)),
+        rng.uniform(std::max<Index>(3, d2 / 2), std::max<Index>(3, tmin)),
+        rng.uniform(std::max<Index>(3, tmin), std::max<Index>(3, 2 * tmin)),
+    };
+    for (BufferSize bs : bands) {
+      IntraOptResult principled = optimize_intra(op, bs);
+      auto searched = exhaustive_intra(op, bs);
+      ASSERT_TRUE(searched.has_value());
+      EXPECT_LE(principled.access.total, searched->access.total)
+          << "shape " << op.to_string() << " bs=" << bs << " rule " << principled.rule;
+    }
+  }
+}
+
+// --- optimize_intra is exactly the argmin of the public candidate set:
+// total, then footprint, then first in principle_candidates() order.
+TEST(PrincipleCandidates, OptimizeIntraIsTheArgminOfTheCandidates) {
+  Rng rng(77);
+  for (int trial = 0; trial < 300; ++trial) {
+    TensorOp op = test_util::random_matmul(rng, 200);
+    const BufferSize bs = gen_buffer_size(rng, op);
+    const PrincipleCandidate* best = nullptr;
+    AccessBreakdown best_access;
+    const std::vector<PrincipleCandidate> candidates = principle_candidates(op, bs);
+    for (const PrincipleCandidate& c : candidates) {
+      AccessBreakdown b = evaluate_access(op, c.dataflow);
+      if (!best || b.total < best_access.total ||
+          (b.total == best_access.total && b.buffer_footprint < best_access.buffer_footprint)) {
+        best = &c;
+        best_access = b;
+      }
+    }
+    ASSERT_NE(best, nullptr);
+    IntraOptResult r = optimize_intra(op, bs);
+    EXPECT_EQ(r.dataflow.loop_order, best->dataflow.loop_order) << op.to_string() << " bs=" << bs;
+    EXPECT_EQ(r.dataflow.tile, best->dataflow.tile) << op.to_string() << " bs=" << bs;
+    EXPECT_EQ(r.access.per_tensor, best_access.per_tensor);
+    EXPECT_EQ(r.access.buffer_footprint, best_access.buffer_footprint);
+    EXPECT_EQ(r.rule, best->rule);
+    EXPECT_EQ(r.nra, static_cast<NraKind>(best_access.non_redundant_tensors(op)));
+    EXPECT_EQ(r.nra, optimal_regime(op, bs));
+  }
+}
+
 // --- Buffer classification predicts the winning regime (Sec. III-A4),
 // with the paper's own caveats: the Single/Two shift point floats inside
 // the "small" band, and Three-NRA needs slack above |Tensor_min| for the
