@@ -127,7 +127,7 @@ int main(int argc, char** argv) {
   fusecu::ObsSession obs(argc, argv);
   try {
     fusecu::ArgParser args({}, {"--seed"});
-    args.parse(argc, argv);
+    args.parse_or_exit(argc, argv, "usage: fig9_validation [--seed N]\n");
     fusecu::run(args.option_uint64("--seed", 0x5eed));
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());

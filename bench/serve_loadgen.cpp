@@ -447,7 +447,12 @@ int main(int argc, char** argv) {
     ArgParser args({"--retry-sheds"},
                    {"--connect", "--connections", "--threads", "--requests", "--qps",
                     "--distinct", "--recv-timeout-ms", "--port-file"});
-    args.parse(argc, argv);
+    args.parse_or_exit(
+        argc, argv,
+        "usage: serve_loadgen --connect HOST:PORT [--connections N] [--threads T]\n"
+        "                     [--requests N] [--qps TARGET] [--distinct N]\n"
+        "                     [--retry-sheds] [--recv-timeout-ms MS] [--port-file FILE]\n"
+        "                     [--bench-out FILE]\n");
     signal(SIGPIPE, SIG_IGN);
 
     std::string host = "127.0.0.1";

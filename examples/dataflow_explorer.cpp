@@ -42,17 +42,21 @@ using namespace fusecu;
 
 namespace {
 
+const char* const kUsage =
+    "usage: dataflow_explorer --op M K L [--buffer SIZE] [--elem BYTES] [--arch NAME]\n"
+    "                         [--fuse N] [--two-level N] [--validate] [--seed N]\n"
+    "                         [--trace FILE]\n";
+
 int run(int argc, char** argv) {
   ArgParser args({"--validate"}, {"--op", "--buffer", "--elem", "--arch", "--fuse", "--two-level",
                                   "--trace", "--seed"});
-  args.parse(argc, argv);
+  args.parse_or_exit(argc, argv, kUsage);
 
   // --op consumes one value via the parser plus two positionals.
   auto op_first = args.option("--op");
   if (!op_first || args.positional().size() != 2) {
-    std::fprintf(stderr, "usage: dataflow_explorer --op M K L [--buffer SIZE] [--arch NAME]\n"
-                         "                         [--fuse N] [--two-level N] [--validate]\n");
-    return 1;
+    std::fputs(kUsage, stderr);
+    return 2;
   }
   const Index m = std::atoll(op_first->c_str());
   const Index k = std::atoll(args.positional()[0].c_str());

@@ -17,7 +17,8 @@ int main(int argc, char** argv) {
   try {
     fusecu::ObsSession obs(argc, argv);
     ArgParser args({}, {"--n", "--data-width", "--acc-width"});
-    args.parse(argc, argv);
+    args.parse_or_exit(argc, argv,
+                       "usage: emit_rtl [--n SIZE] [--data-width W] [--acc-width W] > fusecu.v\n");
     RtlParams params;
     params.unit_size = args.option_int("--n", 8);
     params.data_width = static_cast<int>(args.option_int("--data-width", 16));

@@ -47,17 +47,14 @@ using namespace fusecu;
 
 namespace {
 
-int usage(const char* argv0) {
-  std::cerr << "usage: " << argv0
-            << " [--trials N] [--seed S] [--max-extent N] [--jobs N]\n"
-               "       [--repro-out FILE] [--replay FILE]\n"
-               "       [--chaos-trials N] [--chaos-max-events N] [--chaos-bug reorder]\n"
-               "       [--chaos-reactors N] [--chaos-repro-out FILE] [--chaos-replay FILE]\n"
-               "       [--no-exec] [--no-serve] [--no-arch] [--no-shrink]\n"
-               "       [--metrics-out FILE] [--trace-out FILE] [--log-out FILE]\n"
-               "       [--log-level LEVEL] [--flight-out FILE]\n";
-  return 2;
-}
+const char* const kUsage =
+    "usage: fusecu_check [--trials N] [--seed S] [--max-extent N] [--jobs N]\n"
+    "       [--repro-out FILE] [--replay FILE]\n"
+    "       [--chaos-trials N] [--chaos-max-events N] [--chaos-bug reorder]\n"
+    "       [--chaos-reactors N] [--chaos-repro-out FILE] [--chaos-replay FILE]\n"
+    "       [--no-exec] [--no-serve] [--no-arch] [--no-shrink]\n"
+    "       [--metrics-out FILE] [--trace-out FILE] [--log-out FILE]\n"
+    "       [--log-level LEVEL] [--flight-out FILE]\n";
 
 void print_coverage(std::ostream& os) {
   MetricsRegistry& reg = MetricsRegistry::global();
@@ -161,17 +158,11 @@ int run_replay(const std::string& path, const CheckOptions& check, const ObsSess
 
 int main(int argc, char** argv) {
   ObsSession obs(argc, argv);
-  ArgParser parser({"--no-exec", "--no-serve", "--no-arch", "--no-shrink", "--help"},
+  ArgParser parser({"--no-exec", "--no-serve", "--no-arch", "--no-shrink"},
                    {"--trials", "--seed", "--max-extent", "--jobs", "--repro-out", "--replay",
                     "--chaos-trials", "--chaos-max-events", "--chaos-bug", "--chaos-reactors",
                     "--chaos-repro-out", "--chaos-replay"});
-  try {
-    parser.parse(argc, argv);
-  } catch (const std::exception& e) {
-    std::cerr << "fusecu_check: " << e.what() << "\n";
-    return usage(argv[0]);
-  }
-  if (parser.has_flag("--help")) return usage(argv[0]);
+  parser.parse_or_exit(argc, argv, kUsage);
 
   HarnessOptions opts;
   opts.seed = parser.option_uint64("--seed", 1);
@@ -192,8 +183,9 @@ int main(int argc, char** argv) {
   if (auto bug_name = parser.option("--chaos-bug")) {
     const std::optional<fault::TestBug> bug = parse_chaos_bug(*bug_name);
     if (!bug) {
-      std::cerr << "fusecu_check: unknown --chaos-bug " << *bug_name << " (try: reorder)\n";
-      return usage(argv[0]);
+      std::cerr << "fusecu_check: unknown --chaos-bug " << *bug_name << " (try: reorder)\n"
+                << kUsage;
+      return 2;
     }
     chaos.bug = *bug;
   }

@@ -71,7 +71,9 @@ int main(int argc, char** argv) {
   try {
     ObsSession obs(argc, argv);
     ArgParser args({}, {"--config", "--format", "--decode"});
-    args.parse(argc, argv);
+    args.parse_or_exit(argc, argv,
+                       "usage: fusecu_eval [--config FILE] [--format csv|json] [--decode CONTEXT]\n"
+                       "                   [--metrics-out FILE] [--trace-out FILE]\n");
 
     RunConfig config;
     if (auto path = args.option("--config")) {

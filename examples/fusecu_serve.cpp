@@ -90,6 +90,18 @@ using namespace fusecu;
 
 namespace {
 
+const char* const kUsage =
+    "usage: fusecu_serve [--input FILE] [--threads N] [--cache-mb MB] [--shards N]\n"
+    "                    [--listen HOST:PORT] [--reactors N] [--accept auto|reuseport|handoff]\n"
+    "                    [--max-conns N] [--queue-depth N]\n"
+    "                    [--request-timeout-ms MS] [--idle-timeout-ms MS]\n"
+    "                    [--watchdog-ms MS] [--target-delay-ms MS]\n"
+    "                    [--max-line-bytes BYTES] [--port-file FILE] [--fault-plan FILE]\n"
+    "                    [--stats] [--stats-interval SEC] [--stats-out FILE]\n"
+    "                    [--metrics-out FILE] [--trace-out FILE] [--log-out FILE]\n"
+    "                    [--log-level LEVEL] [--flight-out FILE]\n"
+    "Reads JSONL planning requests (stdin by default) and answers one JSON line each.\n";
+
 /// Signal-handler target: handlers may only do async-signal-safe work, and
 /// NetServer::request_drain (atomic bump + pipe write) qualifies.
 std::atomic<NetServer*> g_net_server{nullptr};
@@ -122,7 +134,7 @@ int main(int argc, char** argv) {
                     "--queue-depth", "--request-timeout-ms", "--idle-timeout-ms",
                     "--watchdog-ms", "--target-delay-ms",
                     "--max-line-bytes", "--port-file", "--fault-plan"});
-    args.parse(argc, argv);
+    args.parse_or_exit(argc, argv, kUsage);
 
     // Armed before the service exists so pool-stall events cover the whole
     // serving lifetime; disarmed implicitly at process exit.

@@ -29,15 +29,16 @@ using namespace fusecu;
 int main(int argc, char** argv) {
   fusecu::ObsSession obs(argc, argv);
   try {
+    const char* const usage =
+        "usage: llama_sweep [max_seq >= 256] [--threads N] [--cache-mb MB] [--stats]\n";
     ArgParser args({"--stats"}, {"--threads", "--cache-mb"});
-    args.parse(argc, argv);
+    args.parse_or_exit(argc, argv, usage);
     Index max_seq = 16384;
     if (!args.positional().empty()) {
       max_seq = std::atoll(args.positional()[0].c_str());
       if (max_seq < 256) {
-        std::fprintf(stderr, "usage: %s [max_seq >= 256] [--threads N] [--cache-mb MB]\n",
-                     argv[0]);
-        return 1;
+        std::fputs(usage, stderr);
+        return 2;
       }
     }
 

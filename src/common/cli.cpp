@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <iostream>
+#include <stdexcept>
+#include <string_view>
 
 #include "common/check.hpp"
 #include "common/units.hpp"
@@ -23,11 +26,26 @@ void ArgParser::parse(int argc, const char* const* argv) {
       continue;
     }
     if (std::find(known_options_.begin(), known_options_.end(), arg) != known_options_.end()) {
-      FCU_CHECK(i + 1 < argc, "option " + arg + " expects a value");
+      if (i + 1 >= argc) throw std::invalid_argument("option " + arg + " expects a value");
       values_[arg] = argv[++i];
       continue;
     }
-    FCU_CHECK(false, "unknown option: " + arg);
+    throw std::invalid_argument("unknown option: " + arg);
+  }
+}
+
+void ArgParser::parse_or_exit(int argc, const char* const* argv, const std::string& usage) {
+  for (int i = 1; i < argc; ++i) {
+    if (std::string_view(argv[i]) == "--help") {
+      std::cout << usage;
+      std::exit(0);
+    }
+  }
+  try {
+    parse(argc, argv);
+  } catch (const std::invalid_argument& e) {
+    std::cerr << "error: " << e.what() << "\n" << usage;
+    std::exit(2);
   }
 }
 

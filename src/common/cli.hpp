@@ -24,6 +24,11 @@ class ArgParser {
   /// options.
   void parse(int argc, const char* const* argv);
 
+  /// parse() with the command-line contract every tool shares: `--help`
+  /// prints \p usage to stdout and exits 0; an unknown option or a missing
+  /// value prints the error and \p usage to stderr and exits 2.
+  void parse_or_exit(int argc, const char* const* argv, const std::string& usage);
+
   bool has_flag(const std::string& name) const;
   std::optional<std::string> option(const std::string& name) const;
 

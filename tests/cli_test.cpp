@@ -38,6 +38,23 @@ TEST(ArgParser, RejectsUnknownAndMalformed) {
   EXPECT_THROW(r.option_int("--n", 0), std::invalid_argument);
 }
 
+TEST(ArgParser, HelpPrintsUsageAndExitsZero) {
+  ArgParser p({"--f"}, {"--o"});
+  const char* argv[] = {"prog", "--o", "1", "--help"};
+  EXPECT_EXIT(p.parse_or_exit(4, argv, "usage: prog [--f] [--o V]\n"),
+              ::testing::ExitedWithCode(0), "");
+}
+
+TEST(ArgParser, UnknownOrValuelessOptionPrintsUsageAndExitsTwo) {
+  ArgParser p({"--f"}, {"--o"});
+  const char* unknown[] = {"prog", "--bogus"};
+  EXPECT_EXIT(p.parse_or_exit(2, unknown, "usage: prog [--f] [--o V]\n"),
+              ::testing::ExitedWithCode(2), "unknown option: --bogus\nusage: prog");
+  const char* missing_value[] = {"prog", "--o"};
+  EXPECT_EXIT(p.parse_or_exit(2, missing_value, "usage: prog [--f] [--o V]\n"),
+              ::testing::ExitedWithCode(2), "option --o expects a value\nusage: prog");
+}
+
 TEST(ArgParser, OptionUint64) {
   ArgParser p({}, {"--seed"});
   const char* decimal[] = {"prog", "--seed", "12345"};

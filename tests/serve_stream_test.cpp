@@ -1,4 +1,5 @@
 #include <gtest/gtest.h>
+#include <sys/wait.h>
 
 #include <cstdlib>
 #include <fstream>
@@ -87,6 +88,28 @@ TEST(ServeStream, InProcessRoundTrip) {
   std::vector<JsonValuePtr> docs = parse_lines(replies);
   check_responses(docs);
   EXPECT_NE(docs[4]->get("error")->as_string().find("requests.jsonl:6:"), std::string::npos);
+}
+
+TEST(ServeStream, BinaryPrintsUsageOnHelpAndUnknownOption) {
+  const std::string out_path = testing::TempDir() + "serve_usage.txt";
+  auto run = [&](const std::string& args) {
+    const std::string cmd =
+        std::string(FUSECU_SERVE_BIN) + " " + args + " > " + out_path + " 2>&1 < /dev/null";
+    const int status = std::system(cmd.c_str());
+    std::ifstream in(out_path);
+    std::stringstream text;
+    text << in.rdbuf();
+    return std::make_pair(WIFEXITED(status) ? WEXITSTATUS(status) : -1, text.str());
+  };
+  const auto [help_code, help_text] = run("--help");
+  EXPECT_EQ(help_code, 0);
+  EXPECT_EQ(help_text.rfind("usage: fusecu_serve", 0), 0u) << help_text;
+
+  const auto [bogus_code, bogus_text] = run("--bogus");
+  EXPECT_EQ(bogus_code, 2);
+  EXPECT_NE(bogus_text.find("unknown option: --bogus"), std::string::npos) << bogus_text;
+  EXPECT_NE(bogus_text.find("usage: fusecu_serve"), std::string::npos) << bogus_text;
+  EXPECT_EQ(bogus_text.find("FCU_CHECK"), std::string::npos) << bogus_text;
 }
 
 TEST(ServeStream, BinaryEndToEnd) {
