@@ -6,9 +6,8 @@
 ///                     (the pre-service baseline every tool used to pay);
 ///   * pooled-warm/T — PlanService::plan_batch on T worker threads with the
 ///                     sharded cache warm (the steady state of a server);
-///   * pooled-warm obs-disabled / obs-armed — the same warm batch with the
-///                     observability layer idle (CI guards this within 5% of
-///                     pooled-warm) and with the flight recorder armed.
+///   * pooled-warm obs-armed — the same warm batch with the flight recorder
+///                     armed.
 ///
 /// The batch mixes 16 distinct transformer-derived shapes x 4 repeats, so
 /// even the cold pass has intra-batch repetition — exactly the workload the
@@ -20,7 +19,6 @@
 #include <vector>
 
 #include "obs/flight_recorder.hpp"
-#include "obs/log.hpp"
 #include "obs/obs_session.hpp"
 #include "principles/principle_optimizer.hpp"
 #include "serve/plan_service.hpp"
@@ -80,26 +78,6 @@ void BM_PooledWarm(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(batch.size()));
 }
 BENCHMARK(BM_PooledWarm)->Arg(1)->Arg(2)->Arg(4)->Arg(8)->UseRealTime();
-
-/// Warm pooled batch with the observability layer compiled in but idle:
-/// no span sink, logger below threshold, flight recorder disarmed.  This is
-/// the configuration every production run pays, so CI guards it against
-/// BM_PooledWarm — the instrumented warm path must stay within 5%.
-void BM_PooledWarmObsDisabled(benchmark::State& state) {
-  Logger::global().reset();
-  FlightRecorder::global().disarm();
-  ServeOptions options;
-  options.threads = static_cast<int>(state.range(0));
-  PlanService service(options);
-  const std::vector<PlanRequest> batch = mixed_batch();
-  service.plan_batch(batch);  // warm the cache
-  for (auto _ : state) {
-    std::vector<PlanResponse> responses = service.plan_batch(batch);
-    benchmark::DoNotOptimize(responses.data());
-  }
-  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(batch.size()));
-}
-BENCHMARK(BM_PooledWarmObsDisabled)->Arg(4)->UseRealTime();
 
 /// Same warm batch with everything armed: spans recorded into the flight
 /// recorder rings, logger mirroring at info.  Bounds what --flight-out
