@@ -218,17 +218,9 @@ FusedPlanInterceptor* set_fused_plan_interceptor(FusedPlanInterceptor* intercept
   return g_fused_interceptor.exchange(interceptor, std::memory_order_acq_rel);
 }
 
-std::optional<FusedOptResult> optimize_fused_pair(const FusedPair& pair, BufferSize bs) {
+std::optional<FusedOptResult> optimize_fused_pair_closed_form(const FusedPair& pair,
+                                                             BufferSize bs) {
   ScopedTimer timer("optimize_fused_pair");
-  FusedPlanInterceptor* hook = g_fused_interceptor.load(std::memory_order_acquire);
-  if (hook) {
-    if (auto cached = hook->lookup(pair, bs)) {
-      MetricsRegistry::global().counter("principles/optimize_fused_pair/intercepted").add();
-      return *std::move(cached);
-    }
-  }
-  // Span opens only past the interceptor, so a cache hit never shows an
-  // optimize span in its request tree.
   ScopedSpan span("optimize/fused_pair");
   MetricsRegistry::global().counter("principles/optimize_fused_pair/calls").add();
   std::optional<FusedConstruction> best;
@@ -254,6 +246,18 @@ std::optional<FusedOptResult> optimize_fused_pair(const FusedPair& pair, BufferS
   } else {
     span.note("not_fusable");
   }
+  return result;
+}
+
+std::optional<FusedOptResult> optimize_fused_pair(const FusedPair& pair, BufferSize bs) {
+  FusedPlanInterceptor* hook = g_fused_interceptor.load(std::memory_order_acquire);
+  if (hook) {
+    if (auto cached = hook->lookup(pair, bs)) {
+      MetricsRegistry::global().counter("principles/optimize_fused_pair/intercepted").add();
+      return *std::move(cached);
+    }
+  }
+  std::optional<FusedOptResult> result = optimize_fused_pair_closed_form(pair, bs);
   if (hook) hook->store(pair, bs, result);
   return result;
 }

@@ -50,7 +50,15 @@ std::vector<FusedCandidate> fused_principle_candidates(const FusedPair& pair, Bu
 
 /// Best fused dataflow by construction; nullopt when no candidate fits the
 /// buffer (e.g. BS too small to co-locate both ops' minimal tiles).
+/// While a FusedPlanInterceptor is installed, the interceptor may answer
+/// instead; the closed form runs only when it does not.
 std::optional<FusedOptResult> optimize_fused_pair(const FusedPair& pair, BufferSize bs);
+
+/// The closed form behind optimize_fused_pair(), with its timer, span and
+/// counters, never consulting the interceptor.  The serving layer calls it
+/// on a cache miss it has already keyed and counted.
+std::optional<FusedOptResult> optimize_fused_pair_closed_form(const FusedPair& pair,
+                                                              BufferSize bs);
 
 /// Interceptor consulted by optimize_fused_pair(); mirrors
 /// IntraPlanInterceptor (see principles/principle_optimizer.hpp).  The outer

@@ -352,17 +352,8 @@ IntraPlanInterceptor* set_intra_plan_interceptor(IntraPlanInterceptor* intercept
   return g_intra_interceptor.exchange(interceptor, std::memory_order_acq_rel);
 }
 
-IntraOptResult optimize_intra(const TensorOp& op, BufferSize bs) {
+IntraOptResult optimize_intra_closed_form(const TensorOp& op, BufferSize bs) {
   ScopedTimer timer("optimize_intra");
-  IntraPlanInterceptor* hook = g_intra_interceptor.load(std::memory_order_acquire);
-  if (hook) {
-    if (std::optional<IntraOptResult> cached = hook->lookup(op, bs)) {
-      MetricsRegistry::global().counter("principles/optimize_intra/intercepted").add();
-      return *std::move(cached);
-    }
-  }
-  // Span opens only past the interceptor, so a cache hit never shows an
-  // optimize span in its request tree.
   ScopedSpan span("optimize/intra");
   const MatmulShape s = flatten_matmul(op);
   const IntraWinner best = closed_form_winner(s, bs);
@@ -384,6 +375,18 @@ IntraOptResult optimize_intra(const TensorOp& op, BufferSize bs) {
       "principles/optimize_intra/winner_nra_3"};
   reg.counter(kWinnerCounters[nra]).add();
   span.note(result.rule.c_str());
+  return result;
+}
+
+IntraOptResult optimize_intra(const TensorOp& op, BufferSize bs) {
+  IntraPlanInterceptor* hook = g_intra_interceptor.load(std::memory_order_acquire);
+  if (hook) {
+    if (std::optional<IntraOptResult> cached = hook->lookup(op, bs)) {
+      MetricsRegistry::global().counter("principles/optimize_intra/intercepted").add();
+      return *std::move(cached);
+    }
+  }
+  IntraOptResult result = optimize_intra_closed_form(op, bs);
   if (hook) hook->store(op, bs, result);
   return result;
 }

@@ -85,7 +85,15 @@ std::vector<PrincipleCandidate> principle_candidates(const TensorOp& op, BufferS
 /// principle_candidates() by total MA, then footprint, then first.  Throws
 /// std::invalid_argument when the buffer cannot hold even the minimal
 /// working set (one element of each tensor, i.e. bs < 3 for matmul).
+///
+/// While an IntraPlanInterceptor is installed, the interceptor may answer
+/// instead (see below); the closed form runs only when it does not.
 IntraOptResult optimize_intra(const TensorOp& op, BufferSize bs);
+
+/// The closed form behind optimize_intra(), with its timer, span and
+/// counters, never consulting the interceptor.  The serving layer calls it
+/// on a cache miss it has already keyed and counted.
+IntraOptResult optimize_intra_closed_form(const TensorOp& op, BufferSize bs);
 
 /// The NRA regime of optimize_intra(op, bs)'s plan, from the closed form
 /// alone: no plan interceptor, timer, span or counter.  Other optimizers use

@@ -7,6 +7,7 @@
 #include "dataflow/access_model.hpp"
 #include "fusion/fused_pair.hpp"
 #include "fusion/graph_planner.hpp"  // is_matmul_shaped
+#include "serve/plan_request.hpp"
 
 /// \file canonical.hpp
 /// Workload canonicalization for the plan cache (src/serve).
@@ -37,6 +38,12 @@
 /// Distinct workloads never share a key: every extent, every dimension and
 /// tensor name, and the (clamped) buffer size are all spelled into the key
 /// text with unambiguous separators.
+///
+/// Keys are spelled either from a TensorOp / FusedPair (the typed API and
+/// the optimizer interceptors) or straight from a wire request's fields
+/// (the request core, which then never builds the operator on a hit).  Both
+/// spellings share one appender and produce the same text, so typed and
+/// wire requests share cache entries.
 
 namespace fusecu {
 
@@ -62,6 +69,18 @@ std::optional<CanonicalIntraKey> try_canonical_intra_key(const TensorOp& op, Buf
 /// no buffer clamp) — it still folds the request-level equivalences (operator
 /// names) away by spelling only extents and operand names.
 std::string canonical_fused_key(const FusedPair& pair, BufferSize bs);
+
+/// try_canonical_intra_key(request.to_op(), request.buffer_elems), spelled
+/// from the request's fields without building the operator (batch folded
+/// into M, as to_op() folds it).  nullopt when the request is out of scope
+/// for the cache: an extent below 1 or a buffer below the minimal working
+/// set; to_op() or the optimizer then reports the error.
+std::optional<CanonicalIntraKey> try_request_intra_key(const PlanRequest& request);
+
+/// canonical_fused_key(request.to_pair(), request.buffer_elems), spelled from
+/// the request's fields.  nullopt when an extent is below 1 (to_pair() then
+/// reports the error).
+std::optional<std::string> try_request_fused_key(const PlanRequest& request);
 
 /// Canonical key for optimize_intra_for_arch(op, arch): the intra key
 /// ingredients plus every ArchSpec field that influences plan construction

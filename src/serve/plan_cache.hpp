@@ -6,6 +6,7 @@
 #include <mutex>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -72,18 +73,32 @@ class ShardedLruCache {
     shard_capacity_ = options_.capacity_bytes / static_cast<std::size_t>(options_.shards);
   }
 
-  /// Copy of the cached value, refreshing its recency; nullopt on miss.
-  std::optional<Value> get(const std::string& key) {
+  /// The one counted probe.  Under the shard lock, \p pick reads the
+  /// stored value and returns what the caller needs from it (a pointer or
+  /// an optional).  A non-empty result counts one hit and refreshes the
+  /// entry's recency; an absent key, or an empty result — an entry that
+  /// exists but does not answer this request, such as a transpose class
+  /// whose other orientation is cached — counts one miss.  \p pick runs
+  /// under the shard mutex, so it must be quick and must only read.
+  template <typename Pick>
+  auto find(const std::string& key, Pick&& pick) {
     Shard& shard = shard_for(key);
     std::lock_guard<std::mutex> lock(shard.mu);
     auto it = shard.index.find(key);
-    if (it == shard.index.end()) {
+    decltype(pick(std::declval<const Value&>())) found{};
+    if (it != shard.index.end()) found = pick(static_cast<const Value&>(it->second->value));
+    if (!found) {
       misses_.add();
-      return std::nullopt;
+      return found;
     }
     shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
     hits_.add();
-    return it->second->value;
+    return found;
+  }
+
+  /// Copy of the cached value (a find() that picks the whole value).
+  std::optional<Value> get(const std::string& key) {
+    return find(key, [](const Value& v) { return std::optional<Value>(v); });
   }
 
   /// Insert or overwrite; evicts LRU entries until the shard fits.
@@ -110,7 +125,7 @@ class ShardedLruCache {
     } else {
       shard.lru.push_front(Entry{key, Value{}, entry_cost(key, cost_bytes)});
       mutate(shard.lru.front().value, false);
-      shard.index.emplace(key, shard.lru.begin());
+      shard.index.emplace(shard.lru.front().key, shard.lru.begin());
       shard.bytes += shard.lru.front().cost;
       insertions_.add();
     }
@@ -121,47 +136,6 @@ class ShardedLruCache {
       shard.lru.pop_back();
       evictions_.add();
     }
-  }
-
-  /// Run \p fn on the cached value under the shard lock, *without* counting
-  /// a hit/miss or refreshing recency.  Returns false on miss.  This is the
-  /// read half of the serialized-response fast path: the logical cache hit
-  /// was already counted by the plan lookup, and a second stats-bearing
-  /// get() here would double-count it.  \p fn must be quick (it runs under
-  /// the shard mutex) and must only read.
-  template <typename Fn>
-  bool peek(const std::string& key, Fn&& fn) {
-    Shard& shard = shard_for(key);
-    std::lock_guard<std::mutex> lock(shard.mu);
-    auto it = shard.index.find(key);
-    if (it == shard.index.end()) return false;
-    fn(static_cast<const Value&>(it->second->value));
-    return true;
-  }
-
-  /// Mutate an existing entry in place, growing its recorded cost by
-  /// \p add_cost_bytes; a no-op on an absent key (returns false).  Unlike
-  /// upsert this never creates an entry — attaching derived data (a
-  /// serialized response body) to a key that was evicted in the meantime
-  /// must not resurrect it as an empty shell.  Recency and hit/miss stats
-  /// are left untouched for the same reason as peek().
-  template <typename Fn>
-  bool update(const std::string& key, Fn&& mutate, std::size_t add_cost_bytes) {
-    Shard& shard = shard_for(key);
-    std::lock_guard<std::mutex> lock(shard.mu);
-    auto it = shard.index.find(key);
-    if (it == shard.index.end()) return false;
-    mutate(it->second->value);
-    it->second->cost += add_cost_bytes;
-    shard.bytes += add_cost_bytes;
-    while (shard.bytes > shard_capacity_ && shard.lru.size() > 1) {
-      const Entry& victim = shard.lru.back();
-      shard.bytes -= victim.cost;
-      shard.index.erase(victim.key);
-      shard.lru.pop_back();
-      evictions_.add();
-    }
-    return true;
   }
 
   /// Aggregate statistics across all shards (counters are process totals for
@@ -193,7 +167,9 @@ class ShardedLruCache {
   struct Shard {
     mutable std::mutex mu;
     std::list<Entry> lru;  ///< front = most recently used
-    std::unordered_map<std::string, typename std::list<Entry>::iterator> index;
+    /// Keys view the list nodes' own key strings (list nodes never move),
+    /// so each key is stored once.
+    std::unordered_map<std::string_view, typename std::list<Entry>::iterator> index;
     std::size_t bytes = 0;
   };
 

@@ -5,6 +5,7 @@
 #include <future>
 #include <istream>
 #include <ostream>
+#include <string_view>
 #include <thread>
 #include <utility>
 
@@ -54,53 +55,50 @@ std::size_t approx_bytes(const ArchIntraOpt& r) {
 
 }  // namespace
 
-/// Serves optimize_intra() from the sharded cache.  One transpose class maps
+/// Serves optimize_intra() from the sharded cache, through the same key,
+/// probe and insert helpers as the request core.  One transpose class maps
 /// to one key; each orientation owns a slot, so cached plans are the exact
 /// bytes the optimizer produced for that orientation (never transformed).
 class PlanService::IntraInterceptor : public IntraPlanInterceptor {
  public:
-  explicit IntraInterceptor(ShardedLruCache<IntraEntry>& cache) : cache_(cache) {}
+  explicit IntraInterceptor(PlanService& service) : service_(service) {}
 
   std::optional<IntraOptResult> lookup(const TensorOp& op, BufferSize bs) override {
     std::optional<CanonicalIntraKey> key = try_canonical_intra_key(op, bs);
     if (!key) return std::nullopt;
-    std::optional<IntraEntry> entry = cache_.get(key->text);
-    if (!entry) return std::nullopt;
-    return entry->slots[key->swapped ? 1 : 0];
+    auto hit = service_.probe(service_.intra_cache_, key->text, key->swapped ? 1 : 0);
+    if (!hit) return std::nullopt;
+    return hit->plan;
   }
 
   void store(const TensorOp& op, BufferSize bs, const IntraOptResult& result) override {
     std::optional<CanonicalIntraKey> key = try_canonical_intra_key(op, bs);
     if (!key) return;
-    const int slot = key->swapped ? 1 : 0;
-    cache_.upsert(
-        key->text,
-        [&](IntraEntry& entry, bool) { entry.slots[static_cast<std::size_t>(slot)] = result; },
-        2 * approx_bytes(result));
+    service_.insert(service_.intra_cache_, key->text, key->swapped ? 1 : 0, result);
   }
 
  private:
-  ShardedLruCache<IntraEntry>& cache_;
+  PlanService& service_;
 };
 
 class PlanService::FusedInterceptor : public FusedPlanInterceptor {
  public:
-  explicit FusedInterceptor(ShardedLruCache<FusedEntry>& cache) : cache_(cache) {}
+  explicit FusedInterceptor(PlanService& service) : service_(service) {}
 
   std::optional<std::optional<FusedOptResult>> lookup(const FusedPair& pair,
                                                       BufferSize bs) override {
-    std::optional<FusedEntry> entry = cache_.get(canonical_fused_key(pair, bs));
-    if (!entry) return std::nullopt;
-    return entry->result;
+    auto hit = service_.probe(service_.fused_cache_, canonical_fused_key(pair, bs), 0);
+    if (!hit) return std::nullopt;
+    return hit->plan;
   }
 
   void store(const FusedPair& pair, BufferSize bs,
              const std::optional<FusedOptResult>& result) override {
-    cache_.put(canonical_fused_key(pair, bs), FusedEntry{result}, approx_bytes(result));
+    service_.insert(service_.fused_cache_, canonical_fused_key(pair, bs), 0, result);
   }
 
  private:
-  ShardedLruCache<FusedEntry>& cache_;
+  PlanService& service_;
 };
 
 class PlanService::ArchInterceptor : public ArchPlanInterceptor {
@@ -127,11 +125,10 @@ class PlanService::ArchInterceptor : public ArchPlanInterceptor {
 
 namespace {
 
-template <typename Entry>
-typename ShardedLruCache<Entry>::Options cache_options(const ServeOptions& o,
-                                                       std::size_t capacity,
-                                                       const std::string& prefix) {
-  typename ShardedLruCache<Entry>::Options opts;
+template <typename Cache>
+typename Cache::Options cache_options(const ServeOptions& o, std::size_t capacity,
+                                      const std::string& prefix) {
+  typename Cache::Options opts;
   opts.shards = o.shards;
   opts.capacity_bytes = capacity;
   opts.metric_prefix = prefix;
@@ -142,12 +139,12 @@ typename ShardedLruCache<Entry>::Options cache_options(const ServeOptions& o,
 
 PlanService::PlanService(ServeOptions options)
     : options_(options),
-      intra_cache_(cache_options<IntraEntry>(options_, options_.cache_bytes / 2,
-                                             "serve/cache/intra")),
-      fused_cache_(cache_options<FusedEntry>(options_, options_.cache_bytes / 4,
-                                             "serve/cache/fused")),
-      arch_cache_(cache_options<ArchEntry>(options_, options_.cache_bytes / 4,
-                                           "serve/cache/arch")),
+      intra_cache_(cache_options<decltype(intra_cache_)>(options_, options_.cache_bytes / 2,
+                                                         "serve/cache/intra")),
+      fused_cache_(cache_options<decltype(fused_cache_)>(options_, options_.cache_bytes / 4,
+                                                         "serve/cache/fused")),
+      arch_cache_(cache_options<decltype(arch_cache_)>(options_, options_.cache_bytes / 4,
+                                                       "serve/cache/arch")),
       pool_(options_.threads),
       shared_flights_(MetricsRegistry::global().counter("serve/single_flight/shared")),
       requests_(MetricsRegistry::global().counter("serve/requests")),
@@ -156,22 +153,18 @@ PlanService::PlanService(ServeOptions options)
       latency_fused_us_(MetricsRegistry::global().histogram("serve/latency_us/fused_pair")),
       latency_hit_us_(MetricsRegistry::global().histogram("serve/latency_us/hit")),
       latency_miss_us_(MetricsRegistry::global().histogram("serve/latency_us/miss")) {
-  if (options_.install_interceptors) {
-    intra_hook_ = std::make_unique<IntraInterceptor>(intra_cache_);
-    fused_hook_ = std::make_unique<FusedInterceptor>(fused_cache_);
-    arch_hook_ = std::make_unique<ArchInterceptor>(arch_cache_);
-    prev_intra_hook_ = set_intra_plan_interceptor(intra_hook_.get());
-    prev_fused_hook_ = set_fused_plan_interceptor(fused_hook_.get());
-    prev_arch_hook_ = set_arch_plan_interceptor(arch_hook_.get());
-  }
+  intra_hook_ = std::make_unique<IntraInterceptor>(*this);
+  fused_hook_ = std::make_unique<FusedInterceptor>(*this);
+  arch_hook_ = std::make_unique<ArchInterceptor>(arch_cache_);
+  prev_intra_hook_ = set_intra_plan_interceptor(intra_hook_.get());
+  prev_fused_hook_ = set_fused_plan_interceptor(fused_hook_.get());
+  prev_arch_hook_ = set_arch_plan_interceptor(arch_hook_.get());
 }
 
 PlanService::~PlanService() {
-  if (options_.install_interceptors) {
-    set_intra_plan_interceptor(prev_intra_hook_);
-    set_fused_plan_interceptor(prev_fused_hook_);
-    set_arch_plan_interceptor(prev_arch_hook_);
-  }
+  set_intra_plan_interceptor(prev_intra_hook_);
+  set_fused_plan_interceptor(prev_fused_hook_);
+  set_arch_plan_interceptor(prev_arch_hook_);
   // ThreadPool's destructor joins the workers, so no planning call can
   // outlive the interceptor targets above.
 }
@@ -209,116 +202,158 @@ void PlanService::end_flight(const std::string& key) {
   flight->cv.notify_all();
 }
 
+namespace {
+
+/// The {"id":"" prefix and "cached":false} tail of an ok response rendered
+/// with an empty id; the body is everything between them.
+constexpr std::string_view kEmptyIdPrefix = "{\"id\":\"\"";
+constexpr std::string_view kMissTail = "\"cached\":false}";
+constexpr std::string_view kHitTail = "\"cached\":true}";
+
+std::string body_of(const PlanResponse& response) {
+  const std::string line = response.to_json();
+  return line.substr(kEmptyIdPrefix.size(),
+                     line.size() - kEmptyIdPrefix.size() - kMissTail.size());
+}
+
+}  // namespace
+
+PlanService::IntraAnswer PlanService::render(IntraOptResult plan) {
+  PlanResponse response;
+  response.ok = true;
+  response.kind = PlanRequest::Kind::kMatmul;
+  response.intra = std::move(plan);
+  std::string body = body_of(response);
+  return IntraAnswer{*std::move(response.intra), std::move(body)};
+}
+
+PlanService::FusedAnswer PlanService::render(std::optional<FusedOptResult> plan) {
+  PlanResponse response;
+  response.ok = true;
+  response.kind = PlanRequest::Kind::kFusedPair;
+  response.fusable = plan.has_value();
+  response.fused = std::move(plan);
+  std::string body = body_of(response);
+  return FusedAnswer{std::move(response.fused), std::move(body)};
+}
+
+template <typename Answer, std::size_t N>
+std::shared_ptr<const Answer> PlanService::probe(SlotCache<Answer, N>& cache,
+                                                 const std::string& key, std::size_t slot) {
+  ScopedSpan span("cache_lookup");
+  std::shared_ptr<const Answer> hit =
+      cache.find(key, [slot](const auto& entry) { return entry[slot]; });
+  span.note(hit ? "hit" : "miss");
+  return hit;
+}
+
+template <typename Answer, std::size_t N, typename Plan>
+std::shared_ptr<const Answer> PlanService::insert(SlotCache<Answer, N>& cache,
+                                                  const std::string& key, std::size_t slot,
+                                                  Plan plan) {
+  auto answer = std::make_shared<const Answer>(render(std::move(plan)));
+  // An entry's allocations (shared block, plan vectors and strings, body,
+  // allocator rounding) measure about twice the plan-plus-body estimate.
+  const std::size_t cost = 2 * (approx_bytes(answer->plan) + answer->body.size());
+  cache.upsert(key, [&](auto& entry, bool) { entry[slot] = answer; }, cost);
+  return answer;
+}
+
+template <typename Answer, std::size_t N, typename ClosedForm>
+std::shared_ptr<const Answer> PlanService::lookup_or_plan(SlotCache<Answer, N>& cache,
+                                                          const std::string& key,
+                                                          std::size_t slot,
+                                                          ClosedForm&& closed_form,
+                                                          bool* cached) {
+  *cached = true;
+  if (auto hit = probe(cache, key, slot)) return hit;
+  const std::string flight_key = N == 1 ? key : key + (slot == 0 ? "#0" : "#1");
+  const bool recording = span_recording_enabled();
+  const std::int64_t flight_start_us = recording ? span_clock_us() : 0;
+  const bool leader = begin_flight(flight_key);
+  if (!leader) {
+    if (recording) record_span("single_flight_join", flight_start_us, span_clock_us(), "joined");
+    // A leader finished this exact computation while we waited; its answer
+    // is in the cache unless it was evicted or the leader threw — fall
+    // through to compute (idempotent) in those rare cases.
+    if (auto hit = probe(cache, key, slot)) return hit;
+  }
+  *cached = false;
+  try {
+    auto answer = insert(cache, key, slot, closed_form());
+    if (leader) end_flight(flight_key);
+    return answer;
+  } catch (...) {
+    if (leader) end_flight(flight_key);
+    throw;
+  }
+}
+
 IntraPlanned PlanService::plan_intra(const TensorOp& op, BufferSize bs) {
   std::optional<CanonicalIntraKey> key;
   {
     ScopedSpan canon("canonicalize");
     key = try_canonical_intra_key(op, bs);
   }
-  if (key && intra_hook_) {
-    {
-      ScopedSpan lookup("cache_lookup");
-      std::optional<IntraOptResult> hit = intra_hook_->lookup(op, bs);
-      lookup.note(hit ? "hit" : "miss");
-      if (hit) return IntraPlanned{*std::move(hit), true};
-    }
-    const std::string flight_key = key->text + (key->swapped ? "#1" : "#0");
-    const bool recording = span_recording_enabled();
-    const std::int64_t flight_start_us = recording ? span_clock_us() : 0;
-    if (!begin_flight(flight_key)) {
-      if (recording) {
-        record_span("single_flight_join", flight_start_us, span_clock_us(), "joined");
-      }
-      // A leader finished this exact computation while we waited; its plan
-      // is in the cache unless it was evicted or the leader threw — fall
-      // through to compute (idempotent) in those rare cases.
-      {
-        ScopedSpan lookup("cache_lookup");
-        std::optional<IntraOptResult> hit = intra_hook_->lookup(op, bs);
-        lookup.note(hit ? "hit" : "miss");
-        if (hit) return IntraPlanned{*std::move(hit), true};
-      }
-      return IntraPlanned{optimize_intra(op, bs), false};
-    }
-    try {
-      // The interceptor inside optimize_intra stores the fresh plan.
-      IntraOptResult result = optimize_intra(op, bs);
-      end_flight(flight_key);
-      return IntraPlanned{std::move(result), false};
-    } catch (...) {
-      end_flight(flight_key);
-      throw;
-    }
-  }
-  return IntraPlanned{optimize_intra(op, bs), false};
+  if (!key) return IntraPlanned{optimize_intra_closed_form(op, bs), false};
+  bool cached = false;
+  auto answer = lookup_or_plan(
+      intra_cache_, key->text, key->swapped ? 1 : 0,
+      [&] { return optimize_intra_closed_form(op, bs); }, &cached);
+  return IntraPlanned{answer->plan, cached};
 }
 
 FusedPlanned PlanService::plan_fused(const FusedPair& pair, BufferSize bs) {
-  if (fused_hook_) {
-    std::string flight_key;
-    {
-      ScopedSpan canon("canonicalize");
-      flight_key = canonical_fused_key(pair, bs);
-    }
-    {
-      ScopedSpan lookup("cache_lookup");
-      auto hit = fused_hook_->lookup(pair, bs);
-      lookup.note(hit ? "hit" : "miss");
-      if (hit) return FusedPlanned{*std::move(hit), true};
-    }
-    const bool recording = span_recording_enabled();
-    const std::int64_t flight_start_us = recording ? span_clock_us() : 0;
-    if (!begin_flight(flight_key)) {
-      if (recording) {
-        record_span("single_flight_join", flight_start_us, span_clock_us(), "joined");
-      }
-      {
-        ScopedSpan lookup("cache_lookup");
-        auto hit = fused_hook_->lookup(pair, bs);
-        lookup.note(hit ? "hit" : "miss");
-        if (hit) return FusedPlanned{*std::move(hit), true};
-      }
-      return FusedPlanned{optimize_fused_pair(pair, bs), false};
-    }
-    try {
-      FusedPlanned planned{optimize_fused_pair(pair, bs), false};
-      end_flight(flight_key);
-      return planned;
-    } catch (...) {
-      end_flight(flight_key);
-      throw;
-    }
+  std::string key;
+  {
+    ScopedSpan canon("canonicalize");
+    key = canonical_fused_key(pair, bs);
   }
-  return FusedPlanned{optimize_fused_pair(pair, bs), false};
+  bool cached = false;
+  auto answer = lookup_or_plan(
+      fused_cache_, key, 0, [&] { return optimize_fused_pair_closed_form(pair, bs); }, &cached);
+  return FusedPlanned{answer->plan, cached};
 }
 
-PlanResponse PlanService::plan(const PlanRequest& request) {
+PlanService::Served PlanService::serve(const PlanRequest& request) {
   const bool matmul = request.kind == PlanRequest::Kind::kMatmul;
-  // Root the span tree here only for direct calls; plan_batch/serve_stream
-  // open the request root inside the pool task (anchored at enqueue time,
-  // with a queue_wait child), and this call inherits it as ambient.
+  // Root the span tree here only for direct calls; pooled requests open the
+  // request root inside the pool task (anchored at enqueue time, with a
+  // queue_wait child), and this call inherits it as ambient.
   std::optional<ScopedSpan> root;
   if (span_recording_enabled() && !current_span().valid()) {
     root.emplace(matmul ? "request/matmul" : "request/fused_pair");
   }
   const auto wall_start = std::chrono::steady_clock::now();
-  PlanResponse response;
-  response.id = request.id;
-  response.kind = request.kind;
+  const BufferSize bs = request.buffer_elems;
+  Served served;
   try {
     if (matmul) {
-      IntraPlanned planned = plan_intra(request.to_op(), request.buffer_elems);
-      response.intra = std::move(planned.result);
-      response.cached = planned.cached;
+      std::optional<CanonicalIntraKey> key;
+      {
+        ScopedSpan canon("canonicalize");
+        key = try_request_intra_key(request);
+      }
+      const auto closed_form = [&] { return optimize_intra_closed_form(request.to_op(), bs); };
+      // Out of the cache's scope means malformed: the closed form throws.
+      served.intra = key ? lookup_or_plan(intra_cache_, key->text, key->swapped ? 1 : 0,
+                                          closed_form, &served.cached)
+                         : std::make_shared<const IntraAnswer>(render(closed_form()));
     } else {
-      FusedPlanned planned = plan_fused(request.to_pair(), request.buffer_elems);
-      response.fusable = planned.result.has_value();
-      response.fused = std::move(planned.result);
-      response.cached = planned.cached;
+      std::optional<std::string> key;
+      {
+        ScopedSpan canon("canonicalize");
+        key = try_request_fused_key(request);
+      }
+      const auto closed_form = [&] {
+        return optimize_fused_pair_closed_form(request.to_pair(), bs);
+      };
+      served.fused = key ? lookup_or_plan(fused_cache_, *key, 0, closed_form, &served.cached)
+                         : std::make_shared<const FusedAnswer>(render(closed_form()));
     }
-    response.ok = true;
   } catch (const std::exception& e) {
-    response = error_response(request.id, e.what());
+    served = Served{};
+    served.error = e.what();
     request_errors_.add();
     log_error("serve", e.what(), {{"id", request.id}});
   }
@@ -327,9 +362,41 @@ PlanResponse PlanService::plan(const PlanRequest& request) {
                         .count();
   requests_.add();
   (matmul ? latency_matmul_us_ : latency_fused_us_).observe(us);
-  (response.cached ? latency_hit_us_ : latency_miss_us_).observe(us);
-  if (root) root->note(response.ok ? (response.cached ? "ok cached" : "ok") : "error");
+  (served.cached ? latency_hit_us_ : latency_miss_us_).observe(us);
+  if (root) root->note(served.ok() ? (served.cached ? "ok cached" : "ok") : "error");
+  return served;
+}
+
+PlanResponse PlanService::to_response(const PlanRequest& request, const Served& served) {
+  if (!served.ok()) return error_response(request.id, served.error);
+  PlanResponse response;
+  response.id = request.id;
+  response.ok = true;
+  response.kind = request.kind;
+  response.cached = served.cached;
+  if (served.intra) {
+    response.intra = served.intra->plan;
+  } else {
+    response.fused = served.fused->plan;
+    response.fusable = response.fused.has_value();
+  }
   return response;
+}
+
+std::string PlanService::response_line(const std::string& id, const Served& served) {
+  if (!served.ok()) return error_response(id, served.error).to_json();
+  const std::string& body = served.intra ? served.intra->body : served.fused->body;
+  const std::string escaped = JsonWriter::escape(id);
+  const std::string_view tail = served.cached ? kHitTail : kMissTail;
+  std::string line;
+  // +1: room for the caller's newline framing without a reallocation.
+  line.reserve(kEmptyIdPrefix.size() + escaped.size() + body.size() + tail.size() + 1);
+  line.append("{\"id\":\"").append(escaped).append("\"").append(body).append(tail);
+  return line;
+}
+
+PlanResponse PlanService::plan(const PlanRequest& request) {
+  return to_response(request, serve(request));
 }
 
 std::vector<PlanResponse> PlanService::plan_batch(const std::vector<PlanRequest>& requests) {
@@ -351,7 +418,7 @@ void PlanService::open_request_root(std::optional<ScopedSpan>& root, const PlanR
                                     std::int64_t enqueue_us) {
   // Pool workers run the whole request on one thread, so opening the root
   // here (anchored at enqueue time) makes every span below it — including
-  // the interceptor-level optimize spans — part of one connected tree.
+  // the closed-form optimize spans — part of one connected tree.
   if (!span_recording_enabled()) return;
   const bool matmul = request.kind == PlanRequest::Kind::kMatmul;
   // Recording may have been armed after the request was enqueued; fall
@@ -368,91 +435,42 @@ PlanResponse PlanService::plan_enqueued(const PlanRequest& request, std::int64_t
   return plan(request);
 }
 
-std::string PlanService::plan_enqueued_json(const PlanRequest& request, std::int64_t enqueue_us) {
-  maybe_inject_pool_stall();
+std::optional<PlanRequest> PlanService::parse_line(const std::string& line,
+                                                   const std::string& source, int lineno,
+                                                   std::string& error_line) {
+  try {
+    return parse_plan_request(line, source, lineno);
+  } catch (const std::exception& e) {
+    requests_.add();
+    request_errors_.add();
+    log_warn("serve", "malformed request line", {{"source", source}, {"error", e.what()}});
+    error_line = error_response("", e.what()).to_json();
+    return std::nullopt;
+  }
+}
+
+std::string PlanService::answer_line(const PlanRequest& request, std::int64_t enqueue_us) {
   std::optional<ScopedSpan> root;
   open_request_root(root, request, enqueue_us);
-  PlanResponse response = plan(request);
+  const Served served = serve(request);
   ScopedSpan serialize("serialize");
-  return serialize_response(request, response);
+  return response_line(request.id, served);
 }
 
 std::string PlanService::plan_line_json(const std::string& line, const std::string& source,
                                         int lineno, std::int64_t enqueue_us, bool* parse_error) {
   maybe_inject_pool_stall();
-  if (parse_error != nullptr) *parse_error = false;
-  PlanRequest request;
-  try {
-    request = parse_plan_request(line, source, lineno);
-  } catch (const std::exception& e) {
-    if (parse_error != nullptr) *parse_error = true;
-    request_errors_.add();
-    log_warn("serve", "malformed request line", {{"source", source}, {"error", e.what()}});
-    return error_response("", e.what()).to_json();
-  }
-  std::optional<ScopedSpan> root;
-  open_request_root(root, request, enqueue_us);
-  PlanResponse response = plan(request);
-  ScopedSpan serialize("serialize");
-  return serialize_response(request, response);
-}
-
-std::string PlanService::serialize_response(const PlanRequest& request,
-                                            const PlanResponse& response) {
-  // Only warm hits have a cacheable body: the response payload is exactly
-  // the cached plan's rendering, invariant across request ids (batch
-  // folding and transpose canonicalization land on the same entry and the
-  // same bytes).  Everything else — cold misses, errors, uncached service —
-  // takes the full serializer.
-  if (!response.ok || !response.cached || !options_.install_interceptors) {
-    return response.to_json();
-  }
-  // The id is the only request-specific part of the line and always leads:
-  // to_json emits {"id":"<escaped>",...}.  The suffix cached alongside the
-  // plan is every byte after that prefix.
-  const std::string prefix = "{\"id\":\"" + JsonWriter::escape(response.id) + "\"";
-  std::string suffix;
-  if (response.kind == PlanRequest::Kind::kMatmul) {
-    const std::optional<CanonicalIntraKey> key =
-        try_canonical_intra_key(request.to_op(), request.buffer_elems);
-    if (!key) return response.to_json();
-    const std::size_t slot = key->swapped ? 1 : 0;
-    intra_cache_.peek(key->text, [&](const IntraEntry& e) { suffix = e.json_suffix[slot]; });
-    if (!suffix.empty()) return prefix + suffix;
-    std::string full = response.to_json();
-    if (full.compare(0, prefix.size(), prefix) == 0) {
-      intra_cache_.update(
-          key->text,
-          [&](IntraEntry& e) { e.json_suffix[slot].assign(full, prefix.size(), std::string::npos); },
-          full.size() - prefix.size());
-    }
-    return full;
-  }
-  const std::string key = canonical_fused_key(request.to_pair(), request.buffer_elems);
-  fused_cache_.peek(key, [&](const FusedEntry& e) { suffix = e.json_suffix; });
-  if (!suffix.empty()) return prefix + suffix;
-  std::string full = response.to_json();
-  if (full.compare(0, prefix.size(), prefix) == 0) {
-    fused_cache_.update(
-        key, [&](FusedEntry& e) { e.json_suffix.assign(full, prefix.size(), std::string::npos); },
-        full.size() - prefix.size());
-  }
-  return full;
-}
-
-void PlanService::plan_async(PlanRequest request, std::function<void(std::string&&)> done) {
-  const std::int64_t enqueue_us = span_recording_enabled() ? span_clock_us() : 0;
-  pool_.submit([this, request = std::move(request), done = std::move(done), enqueue_us]() {
-    done(plan_enqueued_json(request, enqueue_us));
-  });
+  std::string error_line;
+  const std::optional<PlanRequest> request = parse_line(line, source, lineno, error_line);
+  if (parse_error != nullptr) *parse_error = !request;
+  return request ? answer_line(*request, enqueue_us) : error_line;
 }
 
 int PlanService::serve_stream(std::istream& in, std::ostream& out, const std::string& source) {
-  // Workers return the serialized response line so the serialize span is a
-  // child of the request root on the same thread (the writer loop below
-  // only concatenates).
+  // Lines are parsed here, in input order, so an earlier line reaches the
+  // pool (and leads the single flight of a repeated shape) first.
   struct Slot {
-    std::optional<std::string> immediate;
+    std::string immediate;
     std::future<std::string> pending;
   };
   std::vector<Slot> slots;
@@ -460,10 +478,10 @@ int PlanService::serve_stream(std::istream& in, std::ostream& out, const std::st
   int lineno = 0;
   const auto handle_line = [&](LineDecoder::DecodedLine&& line) {
     ++lineno;
+    Slot slot;
     if (line.oversized) {
       request_errors_.add();
       log_warn("serve", "oversized request line", {{"line", std::to_string(lineno)}});
-      Slot slot;
       slot.immediate = error_response("", oversized_line_message(source, lineno,
                                                                 options_.max_line_bytes))
                            .to_json();
@@ -471,16 +489,12 @@ int PlanService::serve_stream(std::istream& in, std::ostream& out, const std::st
       return;
     }
     if (line.text.find_first_not_of(" \t\r") == std::string::npos) return;
-    Slot slot;
-    try {
-      PlanRequest request = parse_plan_request(line.text, source, lineno);
+    if (std::optional<PlanRequest> request = parse_line(line.text, source, lineno, slot.immediate)) {
       const std::int64_t enqueue_us = span_recording_enabled() ? span_clock_us() : 0;
-      slot.pending = pool_.submit(
-          [this, request, enqueue_us]() { return plan_enqueued_json(request, enqueue_us); });
-    } catch (const std::exception& e) {
-      request_errors_.add();
-      log_warn("serve", "malformed request line", {{"error", e.what()}});
-      slot.immediate = error_response("", e.what()).to_json();
+      slot.pending = pool_.submit([this, request = *std::move(request), enqueue_us]() {
+        maybe_inject_pool_stall();
+        return answer_line(request, enqueue_us);
+      });
     }
     slots.push_back(std::move(slot));
   };
@@ -492,7 +506,7 @@ int PlanService::serve_stream(std::istream& in, std::ostream& out, const std::st
   }
   if (decoder.finish(line)) handle_line(std::move(line));
   for (Slot& slot : slots) {
-    out << (slot.immediate ? *slot.immediate : slot.pending.get()) << '\n';
+    out << (slot.pending.valid() ? slot.pending.get() : slot.immediate) << '\n';
   }
   return static_cast<int>(slots.size());
 }

@@ -3,7 +3,6 @@
 #include <array>
 #include <condition_variable>
 #include <cstdint>
-#include <functional>
 #include <iosfwd>
 #include <map>
 #include <memory>
@@ -25,8 +24,14 @@
 /// cache + canonicalization, wired into the optimizers via the interceptor
 /// hooks (see principles/principle_optimizer.hpp).
 ///
-/// Construction installs the process-wide interceptors, so *every* planning
-/// path in the process — optimize_intra, optimize_fused_pair,
+/// Every request — typed, JSONL stream or TCP line — goes through one core:
+/// its canonical key is spelled once from the request's fields, the cache is
+/// probed once (one hit or one miss), and a hit splices the response bytes
+/// rendered when the plan was inserted.  A miss single-flights on the same
+/// key and calls the closed form directly.
+///
+/// Construction also installs the process-wide interceptors, so *every*
+/// planning path in the process — optimize_intra, optimize_fused_pair,
 /// optimize_intra_for_arch and everything layered on them (plan_chain,
 /// evaluate_model) — transparently reuses cached plans while the service is
 /// alive.  Destruction restores the previously installed interceptors.  At
@@ -42,9 +47,6 @@ struct ServeOptions {
   int threads = static_cast<int>(std::thread::hardware_concurrency());
   std::size_t cache_bytes = 64ull * 1024 * 1024;
   int shards = 8;
-  /// Install the optimizer interceptors (disable for benchmarking the pool
-  /// without caching).
-  bool install_interceptors = true;
   /// Longest accepted JSONL request line; an overlong line yields a
   /// structured ok=false ParseError response instead of unbounded
   /// buffering.  Shared by the stdin stream and the TCP path.
@@ -83,23 +85,15 @@ class PlanService {
   /// stream never aborts.  Returns the number of responses written.
   int serve_stream(std::istream& in, std::ostream& out, const std::string& source = "<stdin>");
 
-  /// Submit one request to the worker pool; \p done runs on the worker
-  /// thread with the serialized JSONL response line.  The request travels
-  /// exactly like a serve_stream line — same request/* span root anchored
-  /// at enqueue time, same per-class latency histograms, same serializer —
-  /// so TCP-served responses are byte-identical to the stdin path.  Used by
-  /// the net/ event loop, whose completion callback hands the line back to
-  /// the loop thread through its wakeup pipe.
-  void plan_async(PlanRequest request, std::function<void(std::string&&)> done);
-
-  /// The whole pool-side body of one TCP request, from raw line to
+  /// The whole pool-side body of one request line, from raw line to
   /// serialized response: inject a scheduled pool stall, parse, open the
-  /// request span root anchored at \p enqueue_us, plan, serialize.  A parse
-  /// failure returns the same ok=false line serve_stream would emit (and
-  /// sets *\p parse_error so the reactor can bump its connection-level
-  /// stats); planning failures come back as ok=false responses as usual.
-  /// Runs on a pool worker — the net/ reactors post the raw line here so
-  /// their own threads never parse or serialize.
+  /// request span root anchored at \p enqueue_us, plan, splice the
+  /// response.  A parse failure returns an ok=false line (and sets
+  /// *\p parse_error so the reactor can bump its connection-level stats);
+  /// planning failures come back as ok=false responses as usual.  Runs on a
+  /// pool worker — the net/ reactors post raw lines here so their own
+  /// threads never parse or serialize.  serve_stream shares everything
+  /// after the parse, so TCP responses are byte-identical to the stdin path.
   std::string plan_line_json(const std::string& line, const std::string& source, int lineno,
                              std::int64_t enqueue_us, bool* parse_error);
 
@@ -129,23 +123,34 @@ class PlanService {
   Stats stats() const;
 
  private:
-  /// Cached value for one transpose class: slot[0] holds the m <= l
-  /// orientation's plan, slot[1] the swapped one (see canonical.hpp).
-  /// json_suffix[i] caches slot i's serialized response body — every byte
-  /// after the `{"id":"..."` prefix of the cached=true rendering — filled
-  /// lazily on the first warm hit, so later hits splice the request id in
-  /// front of it instead of re-serializing the plan (see
-  /// serialize_response).
-  struct IntraEntry {
-    std::array<std::optional<IntraOptResult>, 2> slots;
-    std::array<std::string, 2> json_suffix;
+  /// A cached answer: the typed plan plus its rendered response body — every
+  /// byte after the `{"id":"..."` prefix up to, not including, the "cached"
+  /// field.  Rendered once, at insert, by PlanResponse::to_json itself.
+  template <typename Plan>
+  struct Rendered {
+    Plan plan;
+    std::string body;
   };
-  struct FusedEntry {
-    std::optional<FusedOptResult> result;
-    std::string json_suffix;  ///< same contract as IntraEntry::json_suffix
-  };
+  using IntraAnswer = Rendered<IntraOptResult>;
+  using FusedAnswer = Rendered<std::optional<FusedOptResult>>;
+  /// A cache whose entries hold N answer slots.  Intra entries hold one
+  /// transpose class (see canonical.hpp): slot[0] answers the m <= l
+  /// orientation, slot[1] the swapped one.  Fused entries hold one slot.
+  template <typename Answer, std::size_t N>
+  using SlotCache = ShardedLruCache<std::array<std::shared_ptr<const Answer>, N>>;
   struct ArchEntry {
     ArchIntraOpt result;
+  };
+
+  /// The core's answer to one request: exactly one of intra/fused is set on
+  /// success, neither on failure.
+  struct Served {
+    std::shared_ptr<const IntraAnswer> intra;
+    std::shared_ptr<const FusedAnswer> fused;
+    bool cached = false;
+    std::string error;
+
+    bool ok() const { return intra || fused; }
   };
 
   class IntraInterceptor;
@@ -164,6 +169,34 @@ class PlanService {
   bool begin_flight(const std::string& key);
   void end_flight(const std::string& key);
 
+  static IntraAnswer render(IntraOptResult plan);
+  static FusedAnswer render(std::optional<FusedOptResult> plan);
+
+  /// The one counted probe of \p key's orientation \p slot, in a
+  /// cache_lookup span.
+  template <typename Answer, std::size_t N>
+  std::shared_ptr<const Answer> probe(SlotCache<Answer, N>& cache, const std::string& key,
+                                      std::size_t slot);
+  /// Render \p plan and store it in \p key's orientation \p slot.
+  template <typename Answer, std::size_t N, typename Plan>
+  std::shared_ptr<const Answer> insert(SlotCache<Answer, N>& cache, const std::string& key,
+                                       std::size_t slot, Plan plan);
+  /// probe(); on a miss, single-flight on the key, call \p closed_form and
+  /// insert its plan.  *\p cached tells which happened.
+  template <typename Answer, std::size_t N, typename ClosedForm>
+  std::shared_ptr<const Answer> lookup_or_plan(SlotCache<Answer, N>& cache,
+                                               const std::string& key, std::size_t slot,
+                                               ClosedForm&& closed_form, bool* cached);
+
+  /// The request core: key once from the request's fields, probe once, plan
+  /// on a miss.  Never throws; counts the request and its latency.
+  Served serve(const PlanRequest& request);
+  /// The typed response for \p served (copies the plan).
+  static PlanResponse to_response(const PlanRequest& request, const Served& served);
+  /// The JSONL response line for \p served: the escaped id spliced in front
+  /// of the rendered body, byte-identical to to_response(...).to_json().
+  static std::string response_line(const std::string& id, const Served& served);
+
   /// Opens the "request/<class>" span root anchored at \p enqueue_us (span
   /// clock) plus a queue_wait child — called at the top of a pool task so
   /// the whole tree of a pooled request lives on the worker thread.  No-op
@@ -172,17 +205,17 @@ class PlanService {
                          std::int64_t enqueue_us);
   /// plan() under a pool-side request root.
   PlanResponse plan_enqueued(const PlanRequest& request, std::int64_t enqueue_us);
-  /// plan() under a pool-side request root, serialized to the JSONL
-  /// response line inside a "serialize" child span.
-  std::string plan_enqueued_json(const PlanRequest& request, std::int64_t enqueue_us);
-  /// Serialize \p response, splicing the serialized suffix cached alongside
-  /// the plan when this is a warm hit (byte-identical to to_json(), just
-  /// without re-walking the plan); stores the suffix on the first warm hit.
-  std::string serialize_response(const PlanRequest& request, const PlanResponse& response);
+  /// serve() under a pool-side request root, spliced into the response line
+  /// inside a "serialize" child span.
+  std::string answer_line(const PlanRequest& request, std::int64_t enqueue_us);
+  /// Parse one request line; a malformed line is counted as a failed
+  /// request and its ok=false response line is left in \p error_line.
+  std::optional<PlanRequest> parse_line(const std::string& line, const std::string& source,
+                                        int lineno, std::string& error_line);
 
   ServeOptions options_;
-  ShardedLruCache<IntraEntry> intra_cache_;
-  ShardedLruCache<FusedEntry> fused_cache_;
+  SlotCache<IntraAnswer, 2> intra_cache_;
+  SlotCache<FusedAnswer, 1> fused_cache_;
   ShardedLruCache<ArchEntry> arch_cache_;
   ThreadPool pool_;
 

@@ -209,6 +209,23 @@ TEST(PlanService, DestructionRestoresInterceptors) {
       << "destroying the service must uninstall the interceptors";
 }
 
+TEST(PlanService, OtherOrientationSlotCountsAsAMiss) {
+  // a and b share a transpose class, so they share a cache key; with only
+  // a's orientation slot filled, b's probe must count a miss, not a hit.
+  PlanService service(ServeOptions{.threads = 1});
+  const CacheStats before = service.stats().intra;
+  const PlanResponse a = service.plan(matmul_request("a", 64, 32, 128, 1000));
+  const PlanResponse b = service.plan(matmul_request("b", 128, 32, 64, 1000));
+  const CacheStats after = service.stats().intra;
+  ASSERT_TRUE(a.ok) << a.error;
+  ASSERT_TRUE(b.ok) << b.error;
+  EXPECT_FALSE(a.cached);
+  EXPECT_FALSE(b.cached);
+  EXPECT_EQ(after.hits - before.hits, 0);
+  EXPECT_EQ(after.misses - before.misses, 2);
+  EXPECT_EQ(after.insertions - before.insertions, 1) << "both orientations share one entry";
+}
+
 TEST(PlanService, BadRequestsBecomeErrorResponsesWithTheirId) {
   PlanService service(ServeOptions{.threads = 1});
   PlanRequest bad = matmul_request("oops", 0, 64, 64);
@@ -221,15 +238,13 @@ TEST(PlanService, BadRequestsBecomeErrorResponsesWithTheirId) {
   EXPECT_NE(json.find("\"id\":\"oops\""), std::string::npos);
 }
 
-// --- Cached response serialization (the json_suffix fast path) ------------
+// --- Response splicing -----------------------------------------------------
 //
-// Warm hits are serialized by splicing the request id into a suffix cached
-// alongside the plan instead of re-rendering the whole response.  The
-// contract is strict byte identity with the full serializer: the first warm
-// hit (which renders fully and stores the suffix) and every later spliced
-// hit must produce the same bytes for the same id, and a spliced hit with a
-// *different* id must match what a fresh service's full serializer emits
-// for that id — including ids that need JSON escaping.
+// Every ok response line is the request's escaped id spliced in front of a
+// body rendered once, when the plan was inserted.  The contract is strict
+// byte identity with PlanResponse::to_json: a miss, every later hit, and a
+// hit with a *different* id (including ids that need JSON escaping) must all
+// match what the full serializer emits for that id and cached flag.
 
 std::string line_json(PlanService& service, const std::string& line, int lineno) {
   bool parse_error = false;
@@ -245,11 +260,13 @@ std::string matmul_line(const std::string& raw_id, int m, int k, int l) {
 
 TEST(PlanService, WarmHitSpliceIsByteIdenticalToFullSerializer) {
   const std::string line = matmul_line("steady", 384, 256, 320);
+  const IntraOptResult direct = optimize_intra(TensorOp::matmul("x", 384, 256, 320), kBs);
   PlanService a(ServeOptions{.threads = 1});
   const std::string miss = line_json(a, line, 1);
-  const std::string hit_full = line_json(a, line, 2);     // renders fully, stores the suffix
-  const std::string hit_spliced = line_json(a, line, 3);  // spliced from the cached suffix
-  EXPECT_NE(miss.find("\"cached\":false"), std::string::npos);
+  const std::string hit_full = line_json(a, line, 2);
+  const std::string hit_spliced = line_json(a, line, 3);
+  EXPECT_EQ(miss, intra_json("steady", direct, false));
+  EXPECT_EQ(hit_full, intra_json("steady", direct, true));
   EXPECT_NE(hit_full.find("\"cached\":true"), std::string::npos);
   EXPECT_EQ(hit_full, hit_spliced);
   // The only byte-level difference between miss and hit is the cached flag.
@@ -269,27 +286,29 @@ TEST(PlanService, SplicedHitWithEscapedIdMatchesFreshFullSerialization) {
 
   PlanService a(ServeOptions{.threads = 1});
   (void)line_json(a, warm_line, 1);    // cold miss
-  (void)line_json(a, warm_line, 2);    // warm hit: stores the suffix
+  (void)line_json(a, warm_line, 2);    // warm hit
   const std::string spliced = line_json(a, tricky_line, 3);  // spliced, tricky id
 
   PlanService b(ServeOptions{.threads = 1});
   (void)line_json(b, warm_line, 1);                            // cold miss
-  const std::string full = line_json(b, tricky_line, 2);       // first warm hit: full render
+  const std::string full = line_json(b, tricky_line, 2);       // first warm hit
   EXPECT_EQ(spliced, full);
+  const PlanResponse typed = b.plan(matmul_request("q\"uo\\te", 384, 256, 320));
+  EXPECT_EQ(spliced, typed.to_json()) << "splice must escape the id like to_json";
   EXPECT_NE(spliced.find("\"id\":\"q\\\"uo\\\\te\""), std::string::npos) << spliced;
 }
 
 TEST(PlanService, TransposedHitsSpliceFromTheirOwnOrientationSlot) {
   // (m,k,l) and (l,k,m) land on the same canonical cache entry, which holds
-  // one suffix slot per orientation; warm hits of either orientation must
-  // splice their own slot's bytes, never the sibling's.
+  // one answer slot per orientation; hits of either orientation must splice
+  // their own slot's bytes, never the sibling's.
   const std::string fwd = matmul_line("f", 384, 256, 320);
   const std::string swapped = matmul_line("f", 320, 256, 384);
   PlanService a(ServeOptions{.threads = 1});
   (void)line_json(a, fwd, 1);                             // plans the forward orientation
   (void)line_json(a, swapped, 2);                         // plans the swapped orientation
-  const std::string fwd_full = line_json(a, fwd, 3);      // warm hit: stores its suffix slot
-  const std::string swp_full = line_json(a, swapped, 4);  // warm hit: stores the other slot
+  const std::string fwd_full = line_json(a, fwd, 3);
+  const std::string swp_full = line_json(a, swapped, 4);
   EXPECT_NE(fwd_full.find("\"cached\":true"), std::string::npos) << fwd_full;
   EXPECT_NE(swp_full.find("\"cached\":true"), std::string::npos) << swp_full;
   const std::string fwd_spliced = line_json(a, fwd, 5);
@@ -309,6 +328,54 @@ TEST(PlanService, FusedPairHitsSpliceByteIdentically) {
   const std::string hit_spliced = line_json(a, line, 3);
   EXPECT_NE(hit_full.find("\"cached\":true"), std::string::npos);
   EXPECT_EQ(hit_full, hit_spliced);
+}
+
+TEST(PlanService, CacheLedgerReconcilesWithTheTraffic) {
+  // One probe per request: every answered line counts exactly one hit or one
+  // miss (a sequential stream never joins a flight), and every hit — and
+  // only a hit — comes back "cached":true.
+  const std::vector<std::string> lines = {
+      matmul_line("cold", 384, 256, 320),
+      matmul_line("warm", 384, 256, 320),
+      matmul_line("transposed", 320, 256, 384),
+      matmul_line("transposed-warm", 320, 256, 384),
+      "{\"id\":\"batched\",\"op\":\"matmul\",\"m\":96,\"k\":64,\"l\":80,\"batch\":4,"
+      "\"buffer_elems\":4096}",
+      "{\"id\":\"batched-warm\",\"op\":\"matmul\",\"m\":96,\"k\":64,\"l\":80,\"batch\":4,"
+      "\"buffer_elems\":4096}",
+      "{\"id\":\"fused\",\"op\":\"fused_pair\",\"m\":512,\"k\":64,\"l\":512,\"n\":64,"
+      "\"buffer\":\"512KB\"}",
+      "{\"id\":\"fused-warm\",\"op\":\"fused_pair\",\"m\":512,\"k\":64,\"l\":512,\"n\":64,"
+      "\"buffer\":\"512KB\"}",
+      "{\"id\":\"unfusable\",\"op\":\"fused_pair\",\"m\":512,\"k\":64,\"l\":512,\"n\":64,"
+      "\"buffer_elems\":4}",
+      "{\"id\":\"unfusable-warm\",\"op\":\"fused_pair\",\"m\":512,\"k\":64,\"l\":512,"
+      "\"n\":64,\"buffer_elems\":4}",
+      "{\"id\":\"malformed\",\"op\":",
+      matmul_line("warm-again", 384, 256, 320),
+  };
+  PlanService service(ServeOptions{.threads = 1});
+  const std::int64_t requests_before = counter_value("serve/requests");
+  const CacheStats before = service.stats().combined();
+  int parse_errors = 0;
+  int cached_true = 0;
+  for (std::size_t i = 0; i < lines.size(); ++i) {
+    bool parse_error = false;
+    const std::string out = service.plan_line_json(lines[i], "ledger.jsonl",
+                                                   static_cast<int>(i) + 1, 0, &parse_error);
+    parse_errors += parse_error ? 1 : 0;
+    cached_true += out.find("\"cached\":true") != std::string::npos ? 1 : 0;
+  }
+  const CacheStats after = service.stats().combined();
+  const std::int64_t requests = counter_value("serve/requests") - requests_before;
+  const std::int64_t hits = after.hits - before.hits;
+  const std::int64_t misses = after.misses - before.misses;
+  EXPECT_EQ(parse_errors, 1);
+  EXPECT_EQ(requests, static_cast<std::int64_t>(lines.size()));
+  EXPECT_EQ(hits + misses, requests - parse_errors);
+  EXPECT_EQ(hits, cached_true);
+  EXPECT_EQ(hits, 6);
+  EXPECT_EQ(misses, 5);
 }
 
 }  // namespace

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <random>
 #include <set>
 #include <string>
 #include <vector>
@@ -135,6 +137,96 @@ TEST(CanonicalArchKey, ArchitectureAttributesAreSpelledIn) {
 
   TensorOp gelu = TensorOp::elementwise("gelu", 128, 128, "X", "Y");
   EXPECT_FALSE(try_canonical_arch_key(gelu, fusecu).has_value());
+}
+
+PlanRequest request(PlanRequest::Kind kind, Index m, Index k, Index l, Index n, Index batch,
+                    BufferSize bs) {
+  PlanRequest r;
+  r.id = "sweep";
+  r.kind = kind;
+  r.m = m;
+  r.k = k;
+  r.l = l;
+  r.n = n;
+  r.batch = batch;
+  r.buffer_elems = bs;
+  return r;
+}
+
+TEST(RequestKey, GoldenTexts) {
+  const auto intra = try_request_intra_key(
+      request(PlanRequest::Kind::kMatmul, 64, 32, 128, 0, 1, 1000));
+  ASSERT_TRUE(intra.has_value());
+  EXPECT_EQ(intra->text, "i1|1000|64,32,128|1:M|1:K|1:L|1:A|1:B|1:C|");
+  EXPECT_FALSE(intra->swapped);
+
+  // batch 4 folds into M = 64 > L, and the buffer clamps to the full fit
+  // 64*32 + 32*8 + 64*8 = 2816.
+  const auto folded = try_request_intra_key(
+      request(PlanRequest::Kind::kMatmul, 16, 32, 8, 0, 4, 1 << 20));
+  ASSERT_TRUE(folded.has_value());
+  EXPECT_EQ(folded->text, "i1|2816|8,32,64|1:M|1:K|1:L|1:A|1:W|1:C|");
+  EXPECT_TRUE(folded->swapped);
+
+  const auto fused = try_request_fused_key(
+      request(PlanRequest::Kind::kFusedPair, 512, 64, 512, 64, 1, 262144));
+  ASSERT_TRUE(fused.has_value());
+  EXPECT_EQ(*fused, "f2|262144|512,64,512,64|1:M|1:K|1:L|1:A|1:B|1:C|1:M|1:K|1:L|1:C|1:D|1:E|");
+}
+
+TEST(RequestKey, MatchesTheOperatorKeyOverASeededSweep) {
+  std::mt19937_64 rng(20261017);
+  const auto draw = [&rng](Index lo, Index hi) {
+    return std::uniform_int_distribution<Index>(lo, hi)(rng);
+  };
+  int swapped = 0, unswapped = 0, batched = 0, clamped = 0, below = 0;
+  for (int i = 0; i < 4000; ++i) {
+    const Index m = draw(1, 3000), k = draw(1, 3000), l = draw(1, 3000);
+    const Index batch = draw(0, 3) == 0 ? draw(2, 16) : 1;
+    const Index rows = batch * m;
+    const BufferSize full = rows * k + k * l + rows * l;
+    // Straddle the full-fit clamp: exactly at it, above it, and below it
+    // down to the minimal working set.
+    const BufferSize bs = i % 4 == 0 ? full : i % 4 == 1 ? full + draw(1, full) : draw(3, full);
+    const PlanRequest req = request(PlanRequest::Kind::kMatmul, m, k, l, 0, batch, bs);
+    const std::optional<CanonicalIntraKey> from_fields = try_request_intra_key(req);
+    const std::optional<CanonicalIntraKey> from_op = try_canonical_intra_key(req.to_op(), bs);
+    ASSERT_TRUE(from_fields.has_value());
+    ASSERT_TRUE(from_op.has_value());
+    ASSERT_EQ(from_fields->text, from_op->text) << "m=" << m << " k=" << k << " l=" << l
+                                                << " batch=" << batch << " bs=" << bs;
+    ASSERT_EQ(from_fields->swapped, from_op->swapped);
+    (from_op->swapped ? swapped : unswapped) += 1;
+    batched += batch > 1 ? 1 : 0;
+    clamped += bs > full ? 1 : 0;
+    below += bs < full ? 1 : 0;
+  }
+  EXPECT_GT(swapped, 100);
+  EXPECT_GT(unswapped, 100);
+  EXPECT_GT(batched, 100);
+  EXPECT_GT(clamped, 100);
+  EXPECT_GT(below, 100);
+
+  for (int i = 0; i < 2000; ++i) {
+    const Index m = draw(1, 4096), k = draw(1, 4096), l = draw(1, 4096), n = draw(1, 4096);
+    const BufferSize bs = draw(1, 1 << 22);
+    const PlanRequest req = request(PlanRequest::Kind::kFusedPair, m, k, l, n, 1, bs);
+    const std::optional<std::string> from_fields = try_request_fused_key(req);
+    ASSERT_TRUE(from_fields.has_value());
+    ASSERT_EQ(*from_fields, canonical_fused_key(req.to_pair(), bs));
+  }
+}
+
+TEST(RequestKey, OutOfScopeRequestsReturnNullopt) {
+  // Both spellings agree on the minimal working set.
+  const PlanRequest tiny = request(PlanRequest::Kind::kMatmul, 8, 8, 8, 0, 1, 2);
+  EXPECT_FALSE(try_request_intra_key(tiny).has_value());
+  EXPECT_FALSE(try_canonical_intra_key(tiny.to_op(), 2).has_value());
+  // Extents to_op() / to_pair() would reject, and the other family's kind.
+  EXPECT_FALSE(try_request_intra_key(request(PlanRequest::Kind::kMatmul, 0, 8, 8, 0, 1, 64)));
+  EXPECT_FALSE(try_request_fused_key(request(PlanRequest::Kind::kFusedPair, 8, 8, 8, 0, 1, 64)));
+  EXPECT_FALSE(try_request_intra_key(request(PlanRequest::Kind::kFusedPair, 8, 8, 8, 8, 1, 64)));
+  EXPECT_FALSE(try_request_fused_key(request(PlanRequest::Kind::kMatmul, 8, 8, 8, 8, 1, 64)));
 }
 
 }  // namespace
