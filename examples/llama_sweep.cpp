@@ -4,12 +4,10 @@
 /// long-context configuration and watch FuseCU's memory-access advantage
 /// grow with the quadratic attention intermediate.
 ///
-/// The sweep runs through the plan service: each (seq, platform) evaluation
-/// is a job on the worker pool, and the service's interceptors cache every
-/// intra-op / fused-pair / arch plan — across sequence lengths most
-/// projection shapes repeat, so later rows plan almost entirely from cache.
+/// Each (seq, platform) evaluation is a job on a worker pool; rows print in
+/// sequence order.
 ///
-/// Usage: llama_sweep [max_seq] [--threads N] [--cache-mb MB] [--stats]
+/// Usage: llama_sweep [max_seq] [--threads N]
 
 #include <cstdio>
 #include <cstdlib>
@@ -19,7 +17,7 @@
 #include "common/cli.hpp"
 #include "common/table.hpp"
 #include "obs/obs_session.hpp"
-#include "serve/plan_service.hpp"
+#include "serve/thread_pool.hpp"
 #include "workloads/model_eval.hpp"
 
 #include <iostream>
@@ -30,8 +28,8 @@ int main(int argc, char** argv) {
   fusecu::ObsSession obs(argc, argv);
   try {
     const char* const usage =
-        "usage: llama_sweep [max_seq >= 256] [--threads N] [--cache-mb MB] [--stats]\n";
-    ArgParser args({"--stats"}, {"--threads", "--cache-mb"});
+        "usage: llama_sweep [max_seq >= 256] [--threads N]\n";
+    ArgParser args({}, {"--threads"});
     args.parse_or_exit(argc, argv, usage);
     Index max_seq = 16384;
     if (!args.positional().empty()) {
@@ -42,11 +40,7 @@ int main(int argc, char** argv) {
       }
     }
 
-    ServeOptions options;
-    options.threads = static_cast<int>(args.option_int("--threads", 4));
-    options.cache_bytes =
-        static_cast<std::size_t>(args.option_int("--cache-mb", 64)) * 1024 * 1024;
-    PlanService service(options);
+    ThreadPool pool(static_cast<int>(args.option_int("--threads", 4)));
 
     struct Row {
       Index seq;
@@ -57,10 +51,10 @@ int main(int argc, char** argv) {
     for (Index seq = 256; seq <= max_seq; seq *= 2) {
       Row row;
       row.seq = seq;
-      row.tpu = service.pool().submit(
-          [seq]() { return evaluate_model(llama2_at_seq(seq), make_tpu_v4i()); });
-      row.fcu = service.pool().submit(
-          [seq]() { return evaluate_model(llama2_at_seq(seq), make_fusecu()); });
+      row.tpu =
+          pool.submit([seq]() { return evaluate_model(llama2_at_seq(seq), make_tpu_v4i()); });
+      row.fcu =
+          pool.submit([seq]() { return evaluate_model(llama2_at_seq(seq), make_fusecu()); });
       rows.push_back(std::move(row));
     }
 
@@ -83,12 +77,6 @@ int main(int argc, char** argv) {
     std::printf("LLaMA2 (32 heads, hidden 4096, batch 16), one layer, FuseCU vs TPUv4i:\n");
     t.print(std::cout);
     std::printf("\nLonger sequences -> larger attention intermediates -> bigger fusion wins.\n");
-    if (args.has_flag("--stats")) {
-      const CacheStats all = service.stats().combined();
-      std::fprintf(stderr, "plan cache: %lld hits, %lld misses, %lld evictions\n",
-                   static_cast<long long>(all.hits), static_cast<long long>(all.misses),
-                   static_cast<long long>(all.evictions));
-    }
     return 0;
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());

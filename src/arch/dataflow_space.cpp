@@ -1,7 +1,6 @@
 #include "arch/dataflow_space.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <limits>
 
 #include "common/check.hpp"
@@ -141,26 +140,9 @@ Index legalize_tile(Index tile, Index extent, Index granularity) {
   return std::max<Index>(1, round_down(tile, granularity));
 }
 
-namespace {
-std::atomic<ArchPlanInterceptor*> g_arch_interceptor{nullptr};
-}  // namespace
-
-ArchPlanInterceptor* set_arch_plan_interceptor(ArchPlanInterceptor* interceptor) {
-  return g_arch_interceptor.exchange(interceptor, std::memory_order_acq_rel);
-}
-
 ArchIntraOpt optimize_intra_for_arch(const TensorOp& op, const ArchSpec& arch) {
   require_matmul_shape(op);
   ScopedTimer timer("optimize_intra_for_arch");
-  ArchPlanInterceptor* hook = g_arch_interceptor.load(std::memory_order_acquire);
-  if (hook) {
-    if (std::optional<ArchIntraOpt> cached = hook->lookup(op, arch)) {
-      MetricsRegistry::global().counter("arch/optimize_intra/intercepted").add();
-      return *std::move(cached);
-    }
-  }
-  // Span opens only past the interceptor, so a cache hit never shows an
-  // optimize span in its request tree.
   ScopedSpan span("optimize/intra_for_arch");
   const BufferSize bs = arch.buffer_elements();
   FCU_CHECK(bs >= 3, "platform buffer cannot hold the minimal working set");
@@ -201,7 +183,6 @@ ArchIntraOpt optimize_intra_for_arch(const TensorOp& op, const ArchSpec& arch) {
     best.spatial_cols = cidx;
   }
   span.note(best.rule.c_str());
-  if (hook) hook->store(op, arch, best);
   return best;
 }
 

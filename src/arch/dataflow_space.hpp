@@ -55,22 +55,6 @@ struct ArchIntraOpt {
 /// minimal working set exceeds the platform buffer.
 ArchIntraOpt optimize_intra_for_arch(const TensorOp& op, const ArchSpec& arch);
 
-/// Interceptor consulted by optimize_intra_for_arch(); mirrors
-/// IntraPlanInterceptor (principles/principle_optimizer.hpp) one layer up so
-/// plan_chain_for_arch / evaluate_model call sites also benefit from the
-/// serving cache.  Implementations must be thread-safe and non-throwing on
-/// unsupported shapes.
-class ArchPlanInterceptor {
- public:
-  virtual ~ArchPlanInterceptor() = default;
-  virtual std::optional<ArchIntraOpt> lookup(const TensorOp& op, const ArchSpec& arch) = 0;
-  virtual void store(const TensorOp& op, const ArchSpec& arch, const ArchIntraOpt& result) = 0;
-};
-
-/// Install the process-wide interceptor (nullptr clears); returns the
-/// previous one.
-ArchPlanInterceptor* set_arch_plan_interceptor(ArchPlanInterceptor* interceptor);
-
 /// One scheduled group on a platform.
 struct ArchPlanStep {
   std::vector<int> op_indices;  ///< 1 op, or 2 for a fused pair

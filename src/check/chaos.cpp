@@ -318,9 +318,8 @@ ChaosTrialReport run_chaos_trial(std::uint64_t trial_seed, const fault::FaultPla
   }
 
   // 4 + 5. Byte identity and overload shape.  The reference runs on a fresh
-  // PlanService *after* teardown — at most one service may be alive (it
-  // installs process-global planner interceptors) and the injector is
-  // disarmed by now, so the reference stream is the clean stdin-path output.
+  // PlanService after teardown, when the injector is disarmed, so the
+  // reference stream is the clean stdin-path output.
   std::map<std::string, std::string> expected;
   {
     ServeOptions ref_opts;

@@ -48,8 +48,7 @@
 /// candidate exactly when the re-run still violates the same invariant) and
 /// packaged as a self-contained JSON repro replayable with --chaos-replay.
 ///
-/// Trials run strictly serially: a PlanService installs process-global
-/// planner interceptors, and the fault injector is process-global too.
+/// Trials run strictly serially: the fault injector is process-global.
 
 namespace fusecu {
 

@@ -101,46 +101,39 @@ Index tile_visits(const TensorOp& op, const Dataflow& df) {
 // ---------------------------------------------------------------------------
 // Intra-operator checks.
 
-/// Serve path: byte-identity of cached / canonicalized plans.  Installs a
-/// PlanService (process-global interceptors) — must never run concurrently
-/// with any other planning, hence its own CheckPhase.
+/// A small private service: one worker, one shard, 1 MiB of cache.
+ServeOptions serve_check_options() {
+  ServeOptions so;
+  so.threads = 1;
+  so.cache_bytes = 1 << 20;
+  so.shards = 1;
+  return so;
+}
+
+/// Serve path: byte-identity of cached / canonicalized plans, on a private
+/// PlanService.
 void check_intra_serve(Checker& c, const TensorOp& op, BufferSize bs) {
   MetricsRegistry::global().counter("check/serve_checks").add();
   const std::string direct = intra_plan_signature(optimize_intra(op, bs));
   TensorOp transposed = TensorOp::matmul("wl", op.extent(mm::kDimL), op.extent(mm::kDimK),
                                          op.extent(mm::kDimM));
   const std::string direct_t = intra_plan_signature(optimize_intra(transposed, bs));
-  {
-    ServeOptions so;
-    so.threads = 1;
-    so.cache_bytes = 1 << 20;
-    so.shards = 1;
-    PlanService service(so);
-    IntraPlanned cold = service.plan_intra(op, bs);
-    c.expect_true("serve/cold_uncached", !cold.cached, "first lookup claimed a cache hit");
-    c.expect_eq("serve/byte_identity", intra_plan_signature(cold.result), direct,
-                "served plan vs direct optimize_intra");
-    IntraPlanned warm = service.plan_intra(op, bs);
-    c.expect_true("serve/warm_cached", warm.cached, "second lookup missed the cache");
-    c.expect_eq("serve/byte_identity", intra_plan_signature(warm.result), direct,
-                "cached plan vs direct optimize_intra");
-    IntraPlanned trans = service.plan_intra(transposed, bs);
-    c.expect_eq("serve/transpose_identity", intra_plan_signature(trans.result), direct_t,
-                "transpose-class plan vs direct optimize_intra of the transposed op");
-  }
-  // Interceptor teardown: after the service dies, planning is direct again
-  // and still produces the same bytes.
-  c.expect_eq("serve/teardown", intra_plan_signature(optimize_intra(op, bs)), direct,
-              "post-service plan vs pre-service plan");
+  PlanService service(serve_check_options());
+  IntraPlanned cold = service.plan_intra(op, bs);
+  c.expect_true("serve/cold_uncached", !cold.cached, "first lookup claimed a cache hit");
+  c.expect_eq("serve/byte_identity", intra_plan_signature(cold.result), direct,
+              "served plan vs direct optimize_intra");
+  IntraPlanned warm = service.plan_intra(op, bs);
+  c.expect_true("serve/warm_cached", warm.cached, "second lookup missed the cache");
+  c.expect_eq("serve/byte_identity", intra_plan_signature(warm.result), direct,
+              "cached plan vs direct optimize_intra");
+  IntraPlanned trans = service.plan_intra(transposed, bs);
+  c.expect_eq("serve/transpose_identity", intra_plan_signature(trans.result), direct_t,
+              "transpose-class plan vs direct optimize_intra of the transposed op");
 }
 
 void check_intra_workload(Checker& c, const TensorOp& op, BufferSize bs) {
   MetricsRegistry& reg = MetricsRegistry::global();
-  if (c.opts_.phase == CheckPhase::kServeOnly) {
-    if (c.opts_.with_serve) check_intra_serve(c, op, bs);
-    return;
-  }
-
   IntraOptResult principled = optimize_intra(op, bs);
   if (c.opts_.intra_mutator) c.opts_.intra_mutator(op, principled);
 
@@ -271,42 +264,27 @@ void check_intra_workload(Checker& c, const TensorOp& op, BufferSize bs) {
                 "unconstrained MA above " + arch.name + "'s constrained MA");
   }
 
-  if (c.opts_.with_serve && c.opts_.phase != CheckPhase::kCore) {
-    check_intra_serve(c, op, bs);
-  }
+  if (c.opts_.with_serve) check_intra_serve(c, op, bs);
 }
 
 // ---------------------------------------------------------------------------
 // Fused-pair checks.
 
-/// Serve path byte-identity for fused plans (see check_intra_serve for the
-/// phase rationale).
+/// Serve path byte-identity for fused plans, on a private PlanService.
 void check_fused_serve(Checker& c, const FusedPair& pair, BufferSize bs) {
   MetricsRegistry::global().counter("check/serve_checks").add();
   const std::string direct = fused_plan_signature(optimize_fused_pair(pair, bs));
-  {
-    ServeOptions so;
-    so.threads = 1;
-    so.cache_bytes = 1 << 20;
-    so.shards = 1;
-    PlanService service(so);
-    FusedPlanned cold = service.plan_fused(pair, bs);
-    c.expect_eq("serve/fused_byte_identity", fused_plan_signature(cold.result), direct,
-                "served fused plan vs direct optimize_fused_pair");
-    FusedPlanned warm = service.plan_fused(pair, bs);
-    c.expect_true("serve/warm_cached", warm.cached, "second fused lookup missed the cache");
-    c.expect_eq("serve/fused_byte_identity", fused_plan_signature(warm.result), direct,
-                "cached fused plan vs direct optimize_fused_pair");
-  }
-  c.expect_eq("serve/teardown", fused_plan_signature(optimize_fused_pair(pair, bs)), direct,
-              "post-service fused plan vs pre-service plan");
+  PlanService service(serve_check_options());
+  FusedPlanned cold = service.plan_fused(pair, bs);
+  c.expect_eq("serve/fused_byte_identity", fused_plan_signature(cold.result), direct,
+              "served fused plan vs direct optimize_fused_pair");
+  FusedPlanned warm = service.plan_fused(pair, bs);
+  c.expect_true("serve/warm_cached", warm.cached, "second fused lookup missed the cache");
+  c.expect_eq("serve/fused_byte_identity", fused_plan_signature(warm.result), direct,
+              "cached fused plan vs direct optimize_fused_pair");
 }
 
 void check_fused_workload(Checker& c, const FusedPair& pair, BufferSize bs) {
-  if (c.opts_.phase == CheckPhase::kServeOnly) {
-    if (c.opts_.with_serve) check_fused_serve(c, pair, bs);
-    return;
-  }
   auto fopt = optimize_fused_pair(pair, bs);
   auto fexh = exhaustive_fused(pair, bs);
   c.expect_eq("fused/feasibility_agreement", fopt.has_value(), fexh.has_value(),
@@ -368,16 +346,13 @@ void check_fused_workload(Checker& c, const FusedPair& pair, BufferSize bs) {
                   "fused execution differs from reference (A*B)*D");
   }
 
-  if (c.opts_.with_serve && c.opts_.phase != CheckPhase::kCore) {
-    check_fused_serve(c, pair, bs);
-  }
+  if (c.opts_.with_serve) check_fused_serve(c, pair, bs);
 }
 
 // ---------------------------------------------------------------------------
 // Chain checks.
 
 void check_chain_workload(Checker& c, const ChainSpec& chain, BufferSize bs) {
-  if (c.opts_.phase == CheckPhase::kServeOnly) return;  // chains have no serve path
   OperatorGraph direct = chain.direct();
   OperatorGraph with_ew = chain.with_elementwise();
 
@@ -475,11 +450,7 @@ CheckReport check_workload(const Workload& w, const CheckOptions& opts) {
   ScopedSpan trial_span("check/trial");
   trial_span.note(w.to_string().c_str());
 
-  // Per-trial coverage counters are charged once per trial, in the phase
-  // that runs the core checks — a kServeOnly call is the second half of a
-  // trial already counted by its kCore half.
-  const bool count_trial = opts.phase != CheckPhase::kServeOnly;
-  if (count_trial) reg.counter("check/trials").add();
+  reg.counter("check/trials").add();
   try {
     switch (w.kind) {
       case WorkloadKind::kIntra: {
@@ -504,7 +475,7 @@ CheckReport check_workload(const Workload& w, const CheckOptions& opts) {
     c.fail("exception", std::string("unexpected throw: ") + e.what());
   }
 
-  if (count_trial && report.buffer_class) {
+  if (report.buffer_class) {
     reg.counter(std::string("check/regime/") + to_string(*report.buffer_class)).add();
   }
   reg.counter("check/checks_run").add(report.checks_run);

@@ -52,25 +52,11 @@ struct CheckReport {
   std::string summary() const;
 };
 
-/// Which slice of a trial's checks to run.  The parallel harness splits
-/// every trial into a thread-safe core phase (floors, exhaustive, executor,
-/// arch) and a serial serve phase: PlanService installs *process-global*
-/// planner interceptors, so no other optimization may run concurrently with
-/// a live service.  kAll (replay, shrinking, tests) runs both in one call —
-/// core checks first, serve checks last, the same order the two-phase split
-/// produces.
-enum class CheckPhase {
-  kAll,
-  kCore,       ///< everything except the serve-path checks
-  kServeOnly,  ///< only the serve-path checks
-};
-
 /// Knobs for the expensive cross-checks.
 struct CheckOptions {
   bool with_executor = true;  ///< functional-simulator traffic cross-check
   bool with_serve = true;     ///< serve-path byte-identity cross-check
   bool with_arch = true;      ///< arch-constrained optimizer determinism
-  CheckPhase phase = CheckPhase::kAll;
   Index array_n = 8;          ///< simulated systolic array edge
   /// Skip simulator runs whose tile-visit count exceeds this (keeps a trial
   /// in the low milliseconds; skipped runs are counted in the metrics).
@@ -90,8 +76,11 @@ AccessCount fused_traffic_lower_bound(const FusedPair& pair);
 std::string intra_plan_signature(const IntraOptResult& r);
 std::string fused_plan_signature(const std::optional<FusedOptResult>& r);
 
-/// Run every applicable check for \p w.  Updates the "check/..." counters in
-/// the global metrics registry (trials, per-regime coverage, failures).
+/// Run every applicable check for \p w — core checks first, serve checks
+/// last.  The serve checks use a private PlanService, so calls may run
+/// concurrently as long as \p opts.intra_mutator (when set) is thread-safe.
+/// Updates the "check/..." counters in the global metrics registry (trials,
+/// per-regime coverage, failures).
 CheckReport check_workload(const Workload& w, const CheckOptions& opts = {});
 
 }  // namespace fusecu

@@ -26,33 +26,9 @@ Workload workload_for_trial(std::uint64_t seed, int trial, const GenLimits& limi
   return w;
 }
 
-namespace {
-
-/// Append the serve-phase outcome to the core-phase outcome.  Core checks
-/// run before serve checks in a kAll call too, so the merged report is
-/// byte-identical to a single-phase run.
-CheckReport merge_reports(CheckReport core, CheckReport serve) {
-  core.checks_run += serve.checks_run;
-  for (CheckFailure& f : serve.failures) core.failures.push_back(std::move(f));
-  if (!core.buffer_class) core.buffer_class = serve.buffer_class;
-  return core;
-}
-
-}  // namespace
-
 HarnessResult run_conformance(const HarnessOptions& opts, std::ostream* progress) {
   HarnessResult result;
   const int jobs = std::max(1, opts.jobs);
-
-  // Every trial is split into a thread-safe core phase and a serve phase.
-  // The core phases fan out over the pool; the serve phases run strictly
-  // serially afterwards, because a live PlanService intercepts *every*
-  // planning call in the process.  The same split runs at jobs=1, so
-  // counters and reports do not depend on the worker count.
-  CheckOptions core_opts = opts.check;
-  core_opts.phase = CheckPhase::kCore;
-  CheckOptions serve_opts = opts.check;
-  serve_opts.phase = CheckPhase::kServeOnly;
 
   std::vector<Workload> workloads;
   workloads.reserve(static_cast<std::size_t>(std::max(0, opts.trials)));
@@ -60,27 +36,25 @@ HarnessResult run_conformance(const HarnessOptions& opts, std::ostream* progress
     workloads.push_back(workload_for_trial(opts.seed, trial, opts.limits));
   }
 
-  std::vector<CheckReport> core_reports(workloads.size());
+  std::vector<CheckReport> reports(workloads.size());
   if (jobs > 1) {
     ThreadPool pool(jobs);
     std::vector<std::future<CheckReport>> futures;
     futures.reserve(workloads.size());
     for (const Workload& w : workloads) {
-      futures.push_back(
-          pool.submit([&core_opts, &w]() { return check_workload(w, core_opts); }));
+      futures.push_back(pool.submit([&opts, &w]() { return check_workload(w, opts.check); }));
     }
     // Ordered collection: worker completion order never leaks into results.
-    for (std::size_t i = 0; i < futures.size(); ++i) core_reports[i] = futures[i].get();
+    for (std::size_t i = 0; i < futures.size(); ++i) reports[i] = futures[i].get();
   } else {
     for (std::size_t i = 0; i < workloads.size(); ++i) {
-      core_reports[i] = check_workload(workloads[i], core_opts);
+      reports[i] = check_workload(workloads[i], opts.check);
     }
   }
 
   for (std::size_t i = 0; i < workloads.size(); ++i) {
     const Workload& w = workloads[i];
-    CheckReport report =
-        merge_reports(std::move(core_reports[i]), check_workload(w, serve_opts));
+    const CheckReport& report = reports[i];
     ++result.trials_run;
     result.checks_run += report.checks_run;
     if (report.ok()) continue;

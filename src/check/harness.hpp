@@ -19,13 +19,10 @@
 /// regenerates the workload — `trial_seed()` is a pure function, so a single
 /// failing trial replays without re-running the preceding ones.
 ///
-/// Parallelism: with jobs > 1 the trials' core phases (CheckPhase::kCore)
-/// fan out over a serve ThreadPool; the serve phases (which install
-/// process-global planner interceptors) then run serially, and results
-/// merge back in trial order.  Every trial always runs to completion and
-/// the split is applied for every jobs value, so the report, the printed
-/// coverage counters and any repro artifact are byte-identical no matter
-/// how many workers ran.
+/// Parallelism: with jobs > 1 whole trials fan out over a serve ThreadPool
+/// and their reports are collected in trial order.  Every trial always runs
+/// to completion, so the report, the printed coverage counters and any
+/// repro artifact are byte-identical no matter how many workers ran.
 
 namespace fusecu {
 
@@ -40,7 +37,7 @@ struct HarnessOptions {
   /// still counted, so the aggregate result does not depend on where the
   /// cap fell.
   int max_failures = 8;
-  int jobs = 1;            ///< worker threads for the trials' core phases
+  int jobs = 1;            ///< worker threads for the trials
 };
 
 /// One failing trial with its minimized form.

@@ -1,7 +1,6 @@
 #include "fusion/fusion_principles.hpp"
 
 #include <array>
-#include <atomic>
 #include <utility>
 
 #include "common/check.hpp"
@@ -210,16 +209,7 @@ std::vector<FusedCandidate> fused_principle_candidates(const FusedPair& pair, Bu
   return out;
 }
 
-namespace {
-std::atomic<FusedPlanInterceptor*> g_fused_interceptor{nullptr};
-}  // namespace
-
-FusedPlanInterceptor* set_fused_plan_interceptor(FusedPlanInterceptor* interceptor) {
-  return g_fused_interceptor.exchange(interceptor, std::memory_order_acq_rel);
-}
-
-std::optional<FusedOptResult> optimize_fused_pair_closed_form(const FusedPair& pair,
-                                                             BufferSize bs) {
+std::optional<FusedOptResult> optimize_fused_pair(const FusedPair& pair, BufferSize bs) {
   ScopedTimer timer("optimize_fused_pair");
   ScopedSpan span("optimize/fused_pair");
   MetricsRegistry::global().counter("principles/optimize_fused_pair/calls").add();
@@ -246,19 +236,6 @@ std::optional<FusedOptResult> optimize_fused_pair_closed_form(const FusedPair& p
   } else {
     span.note("not_fusable");
   }
-  return result;
-}
-
-std::optional<FusedOptResult> optimize_fused_pair(const FusedPair& pair, BufferSize bs) {
-  FusedPlanInterceptor* hook = g_fused_interceptor.load(std::memory_order_acquire);
-  if (hook) {
-    if (auto cached = hook->lookup(pair, bs)) {
-      MetricsRegistry::global().counter("principles/optimize_fused_pair/intercepted").add();
-      return *std::move(cached);
-    }
-  }
-  std::optional<FusedOptResult> result = optimize_fused_pair_closed_form(pair, bs);
-  if (hook) hook->store(pair, bs, result);
   return result;
 }
 

@@ -50,32 +50,8 @@ std::vector<FusedCandidate> fused_principle_candidates(const FusedPair& pair, Bu
 
 /// Best fused dataflow by construction; nullopt when no candidate fits the
 /// buffer (e.g. BS too small to co-locate both ops' minimal tiles).
-/// While a FusedPlanInterceptor is installed, the interceptor may answer
-/// instead; the closed form runs only when it does not.
+/// A pure function of (pair, bs); the serving layer calls it on a cache miss.
 std::optional<FusedOptResult> optimize_fused_pair(const FusedPair& pair, BufferSize bs);
-
-/// The closed form behind optimize_fused_pair(), with its timer, span and
-/// counters, never consulting the interceptor.  The serving layer calls it
-/// on a cache miss it has already keyed and counted.
-std::optional<FusedOptResult> optimize_fused_pair_closed_form(const FusedPair& pair,
-                                                              BufferSize bs);
-
-/// Interceptor consulted by optimize_fused_pair(); mirrors
-/// IntraPlanInterceptor (see principles/principle_optimizer.hpp).  The outer
-/// optional distinguishes "no cached entry" (nullopt — compute) from a cached
-/// answer, which may itself be "this pair is unfusable" (inner nullopt).
-class FusedPlanInterceptor {
- public:
-  virtual ~FusedPlanInterceptor() = default;
-  virtual std::optional<std::optional<FusedOptResult>> lookup(const FusedPair& pair,
-                                                              BufferSize bs) = 0;
-  virtual void store(const FusedPair& pair, BufferSize bs,
-                     const std::optional<FusedOptResult>& result) = 0;
-};
-
-/// Install the process-wide interceptor (nullptr clears); returns the
-/// previous one.
-FusedPlanInterceptor* set_fused_plan_interceptor(FusedPlanInterceptor* interceptor);
 
 /// The fuse-or-not decision for a pair, comparing the best fused dataflow
 /// against independently optimized unfused ops (which pay the intermediate's

@@ -5,10 +5,10 @@
 
 /// \file span.hpp
 /// Request-scoped span tracing: a 64-bit (trace id, span id, parent) context
-/// threaded through the planning service, the optimizer interceptors and the
-/// simulator fast path, so one JSONL request can be followed end to end —
-/// queue wait, canonicalize, cache lookup, single-flight join, optimize,
-/// serialize — as a properly nested tree.
+/// threaded through the planning service, the optimizers and the simulator
+/// fast path, so one JSONL request can be followed end to end — queue wait,
+/// canonicalize, cache lookup, single-flight join, optimize, serialize — as
+/// a properly nested tree.
 ///
 /// The design is the usual tracing-context one: each thread carries an
 /// *ambient* current span; `ScopedSpan` opens a child of the ambient span

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <atomic>
 #include <cmath>
 
 #include "common/check.hpp"
@@ -344,15 +343,7 @@ NraKind optimal_regime(const TensorOp& op, BufferSize bs) {
   return static_cast<NraKind>(winner_nra(op, s, closed_form_winner(s, bs)));
 }
 
-namespace {
-std::atomic<IntraPlanInterceptor*> g_intra_interceptor{nullptr};
-}  // namespace
-
-IntraPlanInterceptor* set_intra_plan_interceptor(IntraPlanInterceptor* interceptor) {
-  return g_intra_interceptor.exchange(interceptor, std::memory_order_acq_rel);
-}
-
-IntraOptResult optimize_intra_closed_form(const TensorOp& op, BufferSize bs) {
+IntraOptResult optimize_intra(const TensorOp& op, BufferSize bs) {
   ScopedTimer timer("optimize_intra");
   ScopedSpan span("optimize/intra");
   const MatmulShape s = flatten_matmul(op);
@@ -375,19 +366,6 @@ IntraOptResult optimize_intra_closed_form(const TensorOp& op, BufferSize bs) {
       "principles/optimize_intra/winner_nra_3"};
   reg.counter(kWinnerCounters[nra]).add();
   span.note(result.rule.c_str());
-  return result;
-}
-
-IntraOptResult optimize_intra(const TensorOp& op, BufferSize bs) {
-  IntraPlanInterceptor* hook = g_intra_interceptor.load(std::memory_order_acquire);
-  if (hook) {
-    if (std::optional<IntraOptResult> cached = hook->lookup(op, bs)) {
-      MetricsRegistry::global().counter("principles/optimize_intra/intercepted").add();
-      return *std::move(cached);
-    }
-  }
-  IntraOptResult result = optimize_intra_closed_form(op, bs);
-  if (hook) hook->store(op, bs, result);
   return result;
 }
 

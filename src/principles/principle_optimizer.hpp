@@ -85,39 +85,13 @@ std::vector<PrincipleCandidate> principle_candidates(const TensorOp& op, BufferS
 /// principle_candidates() by total MA, then footprint, then first.  Throws
 /// std::invalid_argument when the buffer cannot hold even the minimal
 /// working set (one element of each tensor, i.e. bs < 3 for matmul).
-///
-/// While an IntraPlanInterceptor is installed, the interceptor may answer
-/// instead (see below); the closed form runs only when it does not.
+/// A pure function of (op, bs); the serving layer calls it on a cache miss.
 IntraOptResult optimize_intra(const TensorOp& op, BufferSize bs);
 
-/// The closed form behind optimize_intra(), with its timer, span and
-/// counters, never consulting the interceptor.  The serving layer calls it
-/// on a cache miss it has already keyed and counted.
-IntraOptResult optimize_intra_closed_form(const TensorOp& op, BufferSize bs);
-
 /// The NRA regime of optimize_intra(op, bs)'s plan, from the closed form
-/// alone: no plan interceptor, timer, span or counter.  Other optimizers use
-/// it to tag their results without touching the serving cache.
+/// alone: no timer, span or counter.  Other optimizers use it to tag their
+/// results without counting an optimize_intra() call.
 NraKind optimal_regime(const TensorOp& op, BufferSize bs);
-
-/// Interceptor consulted by optimize_intra(): lookup() runs before the
-/// closed-form construction and may short-circuit it; store() observes every
-/// freshly computed result.  This is how the serving layer (src/serve) reuses
-/// plans transparently for call sites that never heard of a cache — the
-/// fusion planner, the arch evaluator, the examples.  Implementations must be
-/// thread-safe and must never throw from lookup() for shapes they do not
-/// understand (return nullopt instead).
-class IntraPlanInterceptor {
- public:
-  virtual ~IntraPlanInterceptor() = default;
-  virtual std::optional<IntraOptResult> lookup(const TensorOp& op, BufferSize bs) = 0;
-  virtual void store(const TensorOp& op, BufferSize bs, const IntraOptResult& result) = 0;
-};
-
-/// Install the process-wide interceptor (nullptr clears); returns the
-/// previous one.  The object must outlive every optimize_intra() call made
-/// while it is installed.
-IntraPlanInterceptor* set_intra_plan_interceptor(IntraPlanInterceptor* interceptor);
 
 /// Output of two_tile_candidates(): ascending, duplicate-free (t1, t2)
 /// pairs held inline, so building one allocates nothing.

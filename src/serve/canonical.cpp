@@ -127,24 +127,4 @@ std::optional<std::string> try_request_fused_key(const PlanRequest& request) {
   return text.take();
 }
 
-std::optional<std::string> try_canonical_arch_key(const TensorOp& op, const ArchSpec& arch) {
-  if (!is_matmul_shaped(op)) return std::nullopt;
-  if (arch.buffer_elements() < 3) return std::nullopt;
-
-  // Arch candidate construction is orientation-sensitive (the PE array has
-  // distinct row/column roles), so the key is exact: no transpose class, no
-  // buffer clamp.
-  KeyText text(128);
-  text.put("a1|").num(op.extent(mm::kDimM)).put(',').num(op.extent(mm::kDimK)).put(',');
-  text.num(op.extent(mm::kDimL)).put('|').names(op).name(arch.name);
-  text.num(arch.unit_rows).put('x').num(arch.unit_cols).put('x').num(arch.num_units).put('|');
-  text.num(arch.buffer_elements()).put('|').num(arch.tile_granularity()).put('|');
-  text.num(static_cast<int>(arch.tiling_flex)).put('|').put(arch.supports_fusion ? 'F' : '-');
-  text.put('|');
-  for (Stationarity s : {Stationarity::kWeight, Stationarity::kOutput, Stationarity::kInput}) {
-    text.put(arch.supports(s) ? '1' : '0');
-  }
-  return text.take();
-}
-
 }  // namespace fusecu

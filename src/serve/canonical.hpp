@@ -3,7 +3,6 @@
 #include <optional>
 #include <string>
 
-#include "arch/arch_spec.hpp"
 #include "dataflow/access_model.hpp"
 #include "fusion/fused_pair.hpp"
 #include "fusion/graph_planner.hpp"  // is_matmul_shaped
@@ -39,11 +38,10 @@
 /// tensor name, and the (clamped) buffer size are all spelled into the key
 /// text with unambiguous separators.
 ///
-/// Keys are spelled either from a TensorOp / FusedPair (the typed API and
-/// the optimizer interceptors) or straight from a wire request's fields
-/// (the request core, which then never builds the operator on a hit).  Both
-/// spellings share one appender and produce the same text, so typed and
-/// wire requests share cache entries.
+/// Keys are spelled either from a TensorOp / FusedPair (the typed API) or
+/// straight from a wire request's fields (the request core, which then never
+/// builds the operator on a hit).  Both spellings share one appender and
+/// produce the same text, so typed and wire requests share cache entries.
 
 namespace fusecu {
 
@@ -58,7 +56,7 @@ BufferSize clamp_buffer_for_intra(const TensorOp& op, BufferSize bs);
 
 /// Canonical key for optimize_intra(op, bs).  Throws std::invalid_argument
 /// when \p op is not matmul-shaped; use try_canonical_intra_key from
-/// never-throw contexts (the interceptor).
+/// never-throw contexts.
 CanonicalIntraKey canonical_intra_key(const TensorOp& op, BufferSize bs);
 
 /// Non-throwing variant: nullopt when \p op is out of scope for the cache.
@@ -81,13 +79,5 @@ std::optional<CanonicalIntraKey> try_request_intra_key(const PlanRequest& reques
 /// the request's fields.  nullopt when an extent is below 1 (to_pair() then
 /// reports the error).
 std::optional<std::string> try_request_fused_key(const PlanRequest& request);
-
-/// Canonical key for optimize_intra_for_arch(op, arch): the intra key
-/// ingredients plus every ArchSpec field that influences plan construction
-/// (array shape, buffer, granularity, flexibility, stationarities, fusion
-/// support).  Bandwidth, frequency and energy parameters are deliberately
-/// excluded — they price plans but never change them.  nullopt when \p op is
-/// not matmul-shaped.
-std::optional<std::string> try_canonical_arch_key(const TensorOp& op, const ArchSpec& arch);
 
 }  // namespace fusecu

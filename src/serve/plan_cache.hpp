@@ -96,6 +96,16 @@ class ShardedLruCache {
     return found;
   }
 
+  /// Whether \p pick finds something for \p key: find() without counting
+  /// a hit or a miss and without refreshing recency.
+  template <typename Pick>
+  bool contains(const std::string& key, Pick&& pick) {
+    Shard& shard = shard_for(key);
+    std::lock_guard<std::mutex> lock(shard.mu);
+    auto it = shard.index.find(key);
+    return it != shard.index.end() && pick(static_cast<const Value&>(it->second->value));
+  }
+
   /// Copy of the cached value (a find() that picks the whole value).
   std::optional<Value> get(const std::string& key) {
     return find(key, [](const Value& v) { return std::optional<Value>(v); });

@@ -48,83 +48,6 @@ std::size_t approx_bytes(const std::optional<FusedOptResult>& r) {
   return n;
 }
 
-std::size_t approx_bytes(const ArchIntraOpt& r) {
-  return sizeof(ArchIntraOpt) + r.rule.size() + r.dataflow.loop_order.size() * sizeof(int) +
-         r.dataflow.tile.size() * sizeof(Index) + r.access.per_tensor.size() * sizeof(AccessCount);
-}
-
-}  // namespace
-
-/// Serves optimize_intra() from the sharded cache, through the same key,
-/// probe and insert helpers as the request core.  One transpose class maps
-/// to one key; each orientation owns a slot, so cached plans are the exact
-/// bytes the optimizer produced for that orientation (never transformed).
-class PlanService::IntraInterceptor : public IntraPlanInterceptor {
- public:
-  explicit IntraInterceptor(PlanService& service) : service_(service) {}
-
-  std::optional<IntraOptResult> lookup(const TensorOp& op, BufferSize bs) override {
-    std::optional<CanonicalIntraKey> key = try_canonical_intra_key(op, bs);
-    if (!key) return std::nullopt;
-    auto hit = service_.probe(service_.intra_cache_, key->text, key->swapped ? 1 : 0);
-    if (!hit) return std::nullopt;
-    return hit->plan;
-  }
-
-  void store(const TensorOp& op, BufferSize bs, const IntraOptResult& result) override {
-    std::optional<CanonicalIntraKey> key = try_canonical_intra_key(op, bs);
-    if (!key) return;
-    service_.insert(service_.intra_cache_, key->text, key->swapped ? 1 : 0, result);
-  }
-
- private:
-  PlanService& service_;
-};
-
-class PlanService::FusedInterceptor : public FusedPlanInterceptor {
- public:
-  explicit FusedInterceptor(PlanService& service) : service_(service) {}
-
-  std::optional<std::optional<FusedOptResult>> lookup(const FusedPair& pair,
-                                                      BufferSize bs) override {
-    auto hit = service_.probe(service_.fused_cache_, canonical_fused_key(pair, bs), 0);
-    if (!hit) return std::nullopt;
-    return hit->plan;
-  }
-
-  void store(const FusedPair& pair, BufferSize bs,
-             const std::optional<FusedOptResult>& result) override {
-    service_.insert(service_.fused_cache_, canonical_fused_key(pair, bs), 0, result);
-  }
-
- private:
-  PlanService& service_;
-};
-
-class PlanService::ArchInterceptor : public ArchPlanInterceptor {
- public:
-  explicit ArchInterceptor(ShardedLruCache<ArchEntry>& cache) : cache_(cache) {}
-
-  std::optional<ArchIntraOpt> lookup(const TensorOp& op, const ArchSpec& arch) override {
-    std::optional<std::string> key = try_canonical_arch_key(op, arch);
-    if (!key) return std::nullopt;
-    std::optional<ArchEntry> entry = cache_.get(*key);
-    if (!entry) return std::nullopt;
-    return entry->result;
-  }
-
-  void store(const TensorOp& op, const ArchSpec& arch, const ArchIntraOpt& result) override {
-    std::optional<std::string> key = try_canonical_arch_key(op, arch);
-    if (!key) return;
-    cache_.put(*key, ArchEntry{result}, approx_bytes(result));
-  }
-
- private:
-  ShardedLruCache<ArchEntry>& cache_;
-};
-
-namespace {
-
 template <typename Cache>
 typename Cache::Options cache_options(const ServeOptions& o, std::size_t capacity,
                                       const std::string& prefix) {
@@ -143,8 +66,6 @@ PlanService::PlanService(ServeOptions options)
                                                          "serve/cache/intra")),
       fused_cache_(cache_options<decltype(fused_cache_)>(options_, options_.cache_bytes / 4,
                                                          "serve/cache/fused")),
-      arch_cache_(cache_options<decltype(arch_cache_)>(options_, options_.cache_bytes / 4,
-                                                       "serve/cache/arch")),
       pool_(options_.threads),
       shared_flights_(MetricsRegistry::global().counter("serve/single_flight/shared")),
       requests_(MetricsRegistry::global().counter("serve/requests")),
@@ -152,22 +73,7 @@ PlanService::PlanService(ServeOptions options)
       latency_matmul_us_(MetricsRegistry::global().histogram("serve/latency_us/matmul")),
       latency_fused_us_(MetricsRegistry::global().histogram("serve/latency_us/fused_pair")),
       latency_hit_us_(MetricsRegistry::global().histogram("serve/latency_us/hit")),
-      latency_miss_us_(MetricsRegistry::global().histogram("serve/latency_us/miss")) {
-  intra_hook_ = std::make_unique<IntraInterceptor>(*this);
-  fused_hook_ = std::make_unique<FusedInterceptor>(*this);
-  arch_hook_ = std::make_unique<ArchInterceptor>(arch_cache_);
-  prev_intra_hook_ = set_intra_plan_interceptor(intra_hook_.get());
-  prev_fused_hook_ = set_fused_plan_interceptor(fused_hook_.get());
-  prev_arch_hook_ = set_arch_plan_interceptor(arch_hook_.get());
-}
-
-PlanService::~PlanService() {
-  set_intra_plan_interceptor(prev_intra_hook_);
-  set_fused_plan_interceptor(prev_fused_hook_);
-  set_arch_plan_interceptor(prev_arch_hook_);
-  // ThreadPool's destructor joins the workers, so no planning call can
-  // outlive the interceptor targets above.
-}
+      latency_miss_us_(MetricsRegistry::global().histogram("serve/latency_us/miss")) {}
 
 bool PlanService::begin_flight(const std::string& key) {
   std::shared_ptr<Flight> flight;
@@ -270,12 +176,19 @@ std::shared_ptr<const Answer> PlanService::lookup_or_plan(SlotCache<Answer, N>& 
   const std::string flight_key = N == 1 ? key : key + (slot == 0 ? "#0" : "#1");
   const bool recording = span_recording_enabled();
   const std::int64_t flight_start_us = recording ? span_clock_us() : 0;
-  const bool leader = begin_flight(flight_key);
+  bool leader = begin_flight(flight_key);
   if (!leader) {
     if (recording) record_span("single_flight_join", flight_start_us, span_clock_us(), "joined");
-    // A leader finished this exact computation while we waited; its answer
-    // is in the cache unless it was evicted or the leader threw — fall
-    // through to compute (idempotent) in those rare cases.
+  } else if (cache.contains(key, [slot](const auto& entry) { return entry[slot] != nullptr; })) {
+    // Another leader inserted this answer and ended its flight between our
+    // probe and begin_flight: take its answer as a joiner would.
+    end_flight(flight_key);
+    leader = false;
+  }
+  if (!leader) {
+    // A leader finished this exact computation; its answer is in the cache
+    // unless it was evicted or the leader threw — fall through to compute
+    // (idempotent) in those rare cases.
     if (auto hit = probe(cache, key, slot)) return hit;
   }
   *cached = false;
@@ -295,11 +208,11 @@ IntraPlanned PlanService::plan_intra(const TensorOp& op, BufferSize bs) {
     ScopedSpan canon("canonicalize");
     key = try_canonical_intra_key(op, bs);
   }
-  if (!key) return IntraPlanned{optimize_intra_closed_form(op, bs), false};
+  if (!key) return IntraPlanned{optimize_intra(op, bs), false};
   bool cached = false;
   auto answer = lookup_or_plan(
       intra_cache_, key->text, key->swapped ? 1 : 0,
-      [&] { return optimize_intra_closed_form(op, bs); }, &cached);
+      [&] { return optimize_intra(op, bs); }, &cached);
   return IntraPlanned{answer->plan, cached};
 }
 
@@ -311,7 +224,7 @@ FusedPlanned PlanService::plan_fused(const FusedPair& pair, BufferSize bs) {
   }
   bool cached = false;
   auto answer = lookup_or_plan(
-      fused_cache_, key, 0, [&] { return optimize_fused_pair_closed_form(pair, bs); }, &cached);
+      fused_cache_, key, 0, [&] { return optimize_fused_pair(pair, bs); }, &cached);
   return FusedPlanned{answer->plan, cached};
 }
 
@@ -334,7 +247,7 @@ PlanService::Served PlanService::serve(const PlanRequest& request) {
         ScopedSpan canon("canonicalize");
         key = try_request_intra_key(request);
       }
-      const auto closed_form = [&] { return optimize_intra_closed_form(request.to_op(), bs); };
+      const auto closed_form = [&] { return optimize_intra(request.to_op(), bs); };
       // Out of the cache's scope means malformed: the closed form throws.
       served.intra = key ? lookup_or_plan(intra_cache_, key->text, key->swapped ? 1 : 0,
                                           closed_form, &served.cached)
@@ -345,9 +258,7 @@ PlanService::Served PlanService::serve(const PlanRequest& request) {
         ScopedSpan canon("canonicalize");
         key = try_request_fused_key(request);
       }
-      const auto closed_form = [&] {
-        return optimize_fused_pair_closed_form(request.to_pair(), bs);
-      };
+      const auto closed_form = [&] { return optimize_fused_pair(request.to_pair(), bs); };
       served.fused = key ? lookup_or_plan(fused_cache_, *key, 0, closed_form, &served.cached)
                          : std::make_shared<const FusedAnswer>(render(closed_form()));
     }
@@ -515,7 +426,6 @@ PlanService::Stats PlanService::stats() const {
   Stats s;
   s.intra = intra_cache_.stats();
   s.fused = fused_cache_.stats();
-  s.arch = arch_cache_.stats();
   s.single_flight_shared = shared_flights_.value();
   return s;
 }

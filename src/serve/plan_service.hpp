@@ -12,7 +12,6 @@
 #include <thread>
 #include <vector>
 
-#include "arch/dataflow_space.hpp"
 #include "obs/span.hpp"
 #include "serve/canonical.hpp"
 #include "serve/plan_cache.hpp"
@@ -21,21 +20,18 @@
 
 /// \file plan_service.hpp
 /// Concurrent planning front-end: thread-pool batch planner + sharded plan
-/// cache + canonicalization, wired into the optimizers via the interceptor
-/// hooks (see principles/principle_optimizer.hpp).
+/// cache + canonicalization in front of the closed-form optimizers.
 ///
 /// Every request — typed, JSONL stream or TCP line — goes through one core:
 /// its canonical key is spelled once from the request's fields, the cache is
 /// probed once (one hit or one miss), and a hit splices the response bytes
 /// rendered when the plan was inserted.  A miss single-flights on the same
-/// key and calls the closed form directly.
+/// key and calls optimize_intra / optimize_fused_pair directly.
 ///
-/// Construction also installs the process-wide interceptors, so *every*
-/// planning path in the process — optimize_intra, optimize_fused_pair,
-/// optimize_intra_for_arch and everything layered on them (plan_chain,
-/// evaluate_model) — transparently reuses cached plans while the service is
-/// alive.  Destruction restores the previously installed interceptors.  At
-/// most one PlanService should be alive at a time.
+/// A service caches only what is asked of it: the free optimizers (and
+/// plan_chain, evaluate_model and everything else layered on them) never
+/// consult a service.  Any number of services may be alive at once, each
+/// with its own cache.
 ///
 /// Identical concurrent requests are single-flighted: the first thread in
 /// computes, the rest wait on its completion and then read the cached plan,
@@ -68,7 +64,6 @@ struct FusedPlanned {
 class PlanService {
  public:
   explicit PlanService(ServeOptions options = {});
-  ~PlanService();
 
   PlanService(const PlanService&) = delete;
   PlanService& operator=(const PlanService&) = delete;
@@ -107,16 +102,17 @@ class PlanService {
   ThreadPool& pool() { return pool_; }
   const ServeOptions& options() const { return options_; }
 
+  /// Cache and single-flight statistics.  Hit, miss, insertion, eviction
+  /// and shared-flight counts are process totals per metric prefix, shared
+  /// by every live service; entries and bytes are this service's own.
   struct Stats {
     CacheStats intra;
     CacheStats fused;
-    CacheStats arch;
     std::int64_t single_flight_shared = 0;  ///< requests that waited on a leader
 
     CacheStats combined() const {
       CacheStats all = intra;
       all += fused;
-      all += arch;
       return all;
     }
   };
@@ -138,9 +134,6 @@ class PlanService {
   /// orientation, slot[1] the swapped one.  Fused entries hold one slot.
   template <typename Answer, std::size_t N>
   using SlotCache = ShardedLruCache<std::array<std::shared_ptr<const Answer>, N>>;
-  struct ArchEntry {
-    ArchIntraOpt result;
-  };
 
   /// The core's answer to one request: exactly one of intra/fused is set on
   /// success, neither on failure.
@@ -152,10 +145,6 @@ class PlanService {
 
     bool ok() const { return intra || fused; }
   };
-
-  class IntraInterceptor;
-  class FusedInterceptor;
-  class ArchInterceptor;
 
   /// In-flight computation other threads can wait on.
   struct Flight {
@@ -182,7 +171,8 @@ class PlanService {
   std::shared_ptr<const Answer> insert(SlotCache<Answer, N>& cache, const std::string& key,
                                        std::size_t slot, Plan plan);
   /// probe(); on a miss, single-flight on the key, call \p closed_form and
-  /// insert its plan.  *\p cached tells which happened.
+  /// insert its plan.  *\p cached is false only for the request that ran
+  /// the closed form; concurrent copies served its answer report true.
   template <typename Answer, std::size_t N, typename ClosedForm>
   std::shared_ptr<const Answer> lookup_or_plan(SlotCache<Answer, N>& cache,
                                                const std::string& key, std::size_t slot,
@@ -216,15 +206,7 @@ class PlanService {
   ServeOptions options_;
   SlotCache<IntraAnswer, 2> intra_cache_;
   SlotCache<FusedAnswer, 1> fused_cache_;
-  ShardedLruCache<ArchEntry> arch_cache_;
   ThreadPool pool_;
-
-  std::unique_ptr<IntraInterceptor> intra_hook_;
-  std::unique_ptr<FusedInterceptor> fused_hook_;
-  std::unique_ptr<ArchInterceptor> arch_hook_;
-  IntraPlanInterceptor* prev_intra_hook_ = nullptr;
-  FusedPlanInterceptor* prev_fused_hook_ = nullptr;
-  ArchPlanInterceptor* prev_arch_hook_ = nullptr;
 
   std::mutex flights_mu_;
   std::map<std::string, std::shared_ptr<Flight>> flights_;

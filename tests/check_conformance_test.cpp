@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "check/harness.hpp"
+#include "obs/metrics.hpp"
 #include "principles/principle_optimizer.hpp"
 #include "search/exhaustive.hpp"
 
@@ -106,6 +107,45 @@ TEST(Harness, ShortRunIsCleanAndDeterministic) {
 
   HarnessResult b = run_conformance(opts);
   EXPECT_EQ(a.checks_run, b.checks_run);  // same seed, same trial stream
+
+  // Whole trials, serve checks included, fan out over the pool.
+  Counter& serve_checks = MetricsRegistry::global().counter("check/serve_checks");
+  const std::int64_t serial_before = serve_checks.value();
+  HarnessResult serial = run_conformance(opts);
+  const std::int64_t serial_serve_checks = serve_checks.value() - serial_before;
+  opts.jobs = 4;
+  const std::int64_t parallel_before = serve_checks.value();
+  HarnessResult parallel = run_conformance(opts);
+  EXPECT_EQ(parallel.trials_run, serial.trials_run);
+  EXPECT_EQ(parallel.checks_run, serial.checks_run);
+  EXPECT_EQ(parallel.failed_trials, serial.failed_trials);
+  EXPECT_GT(serial_serve_checks, 0);
+  EXPECT_EQ(serve_checks.value() - parallel_before, serial_serve_checks);
+}
+
+TEST(Harness, InjectedFailuresAreIdenticalAcrossJobs) {
+  HarnessOptions opts;
+  opts.seed = 7;
+  opts.trials = 40;
+  opts.shrink = false;
+  // Flip the principled M tile to its other extreme: the plan no longer
+  // re-evaluates to its reported cost.  Pure, so safe on any thread.
+  opts.check.intra_mutator = [](const TensorOp& op, IntraOptResult& r) {
+    Index& t_m = r.dataflow.tile[static_cast<std::size_t>(mm::kDimM)];
+    t_m = (t_m == op.extent(mm::kDimM)) ? 1 : op.extent(mm::kDimM);
+  };
+  HarnessResult serial = run_conformance(opts);
+  opts.jobs = 4;
+  HarnessResult parallel = run_conformance(opts);
+
+  ASSERT_GT(serial.failed_trials, 0) << "the injected bug must be detected";
+  EXPECT_EQ(parallel.failed_trials, serial.failed_trials);
+  EXPECT_EQ(parallel.checks_run, serial.checks_run);
+  ASSERT_EQ(parallel.failures.size(), serial.failures.size());
+  for (std::size_t i = 0; i < serial.failures.size(); ++i) {
+    EXPECT_EQ(parallel.failures[i].workload.to_string(), serial.failures[i].workload.to_string());
+    EXPECT_EQ(parallel.failures[i].report.summary(), serial.failures[i].report.summary());
+  }
 }
 
 TEST(Harness, ReplayReproMatchesDirectCheck) {

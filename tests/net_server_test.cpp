@@ -152,6 +152,14 @@ std::string id_of(const std::string& response_line) {
   return response_line.substr(at + needle.size(), end - at - needle.size());
 }
 
+/// \p response_line with its "cached" flag forced to false.
+std::string uncached(std::string response_line) {
+  const std::string hot = "\"cached\":true";
+  const std::size_t at = response_line.find(hot);
+  if (at != std::string::npos) response_line.replace(at, hot.size(), "\"cached\":false");
+  return response_line;
+}
+
 NetServerOptions loopback_options() {
   NetServerOptions options;
   options.host = "127.0.0.1";
@@ -175,9 +183,12 @@ INSTANTIATE_TEST_SUITE_P(Reactors, NetServerAt, ::testing::Values(0, 1, 2),
                          });
 
 TEST_P(NetServerAt, RoundTripMatchesServeStreamByteForByte) {
-  // Mixed stream with repeats: the repeats must come back cached and every
-  // response byte must match the stdin path on an identically configured
-  // fresh service.
+  // Mixed stream with repeats: every response must match the stdin path on
+  // an identically configured fresh service byte for byte, except for the
+  // "cached" flag — which copy of a repeated shape leads its single flight
+  // is up to the pool's scheduling.  Either way, each distinct shape misses
+  // exactly once.
+  constexpr int kDistinctShapes = 3;
   std::string stream;
   for (int i = 0; i < 8; ++i) stream += make_req("q" + std::to_string(i), 256 + 64 * (i % 3), 192, 320);
   for (int i = 0; i < 8; ++i) stream += make_req("q" + std::to_string(8 + i), 256 + 64 * (i % 3), 192, 320);
@@ -199,12 +210,17 @@ TEST_P(NetServerAt, RoundTripMatchesServeStreamByteForByte) {
   ASSERT_EQ(reference.serve_stream(in, out, "<stdin>"), 16);
   std::istringstream ref_lines_in(out.str());
   std::string ref_line;
+  int tcp_misses = 0;
+  int ref_misses = 0;
   for (int i = 0; i < 16; ++i) {
     ASSERT_TRUE(std::getline(ref_lines_in, ref_line));
-    EXPECT_EQ(tcp_lines[static_cast<std::size_t>(i)], ref_line) << "response " << i;
+    const std::string& tcp_line = tcp_lines[static_cast<std::size_t>(i)];
+    EXPECT_EQ(uncached(tcp_line), uncached(ref_line)) << "response " << i;
+    tcp_misses += tcp_line.find("\"cached\":false") != std::string::npos ? 1 : 0;
+    ref_misses += ref_line.find("\"cached\":false") != std::string::npos ? 1 : 0;
   }
-  EXPECT_NE(out.str().find("\"cached\":true"), std::string::npos)
-      << "the repeats must exercise the cache-hit path";
+  EXPECT_EQ(tcp_misses, kDistinctShapes);
+  EXPECT_EQ(ref_misses, kDistinctShapes);
 }
 
 TEST_P(NetServerAt, PipelinedRequestsAnswerInOrderPerConnection) {

@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <barrier>
 #include <cstring>
 #include <map>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -45,7 +47,7 @@ PlanRequest matmul_request(const std::string& id, Index m, Index k, Index l,
 TEST(PlanService, ByteIdenticalToDirectOptimizer) {
   TensorOp op = TensorOp::matmul("matmul", 2048, 512, 512);
   TensorOp opT = TensorOp::matmul("matmul", 512, 512, 2048);
-  // Direct answers, computed while no service (and hence no cache) exists.
+  // Direct answers from the free optimizer.
   const IntraOptResult direct = optimize_intra(op, kBs);
   const IntraOptResult directT = optimize_intra(opT, kBs);
 
@@ -115,8 +117,7 @@ TEST(PlanService, ConcurrentHammerProducesIdenticalPlans) {
       matmul_request("c", 512, 512, 2048),  matmul_request("d", 2048, 512, 512),
       matmul_request("e", 768, 3072, 768),
   };
-  // Expected plans from the direct optimizer, computed before the service
-  // (and its process-wide interceptors) exists.
+  // Expected plans from the direct optimizer.
   std::map<std::string, std::string> expected;
   for (const PlanRequest& r : shapes) {
     expected[r.id] = intra_json(r.id, optimize_intra(r.to_op(), r.buffer_elems), false);
@@ -150,6 +151,34 @@ TEST(PlanService, ConcurrentHammerProducesIdenticalPlans) {
   for (int t = 0; t < kThreads; ++t) {
     EXPECT_TRUE(failures[t].empty()) << failures[t][0];
   }
+}
+
+TEST(PlanService, ConcurrentTwinsMissExactlyOnce) {
+  // Two threads ask for the same never-seen shape at the same moment, for
+  // many shapes.  However their probes and flights interleave, one of them
+  // plans and the other is served that plan: exactly one miss per shape.
+  PlanService service(ServeOptions{.threads = 1});
+  constexpr int kShapes = 400;
+  std::barrier sync(2);
+  bool cached[2][kShapes] = {};
+  std::vector<std::thread> twins;
+  for (int t = 0; t < 2; ++t) {
+    twins.emplace_back([&, t] {
+      for (int i = 0; i < kShapes; ++i) {
+        sync.arrive_and_wait();
+        cached[t][i] = service.plan(matmul_request("twin", 64 + i, 48, 40, 4096)).cached;
+      }
+    });
+  }
+  for (std::thread& th : twins) th.join();
+  int double_misses = 0;
+  int double_hits = 0;
+  for (int i = 0; i < kShapes; ++i) {
+    double_misses += !cached[0][i] && !cached[1][i] ? 1 : 0;
+    double_hits += cached[0][i] && cached[1][i] ? 1 : 0;
+  }
+  EXPECT_EQ(double_misses, 0) << "both twins planned the same shape";
+  EXPECT_EQ(double_hits, 0);
 }
 
 TEST(PlanService, FusedPlansAndNegativeAnswersAreCached) {
@@ -192,21 +221,15 @@ TEST(PlanService, FusedMissesLeaveTheIntraCacheAlone) {
   EXPECT_EQ(after.insertions, before.insertions);
 }
 
-TEST(PlanService, DestructionRestoresInterceptors) {
+TEST(PlanService, FreeOptimizersNeverConsultAService) {
   TensorOp op = TensorOp::matmul("m", 256, 128, 256);
-  {
-    PlanService service(ServeOptions{.threads = 1});
-    optimize_intra(op, kBs);
-    const std::int64_t before = counter_value("principles/optimize_intra/intercepted");
-    optimize_intra(op, kBs);
-    EXPECT_EQ(counter_value("principles/optimize_intra/intercepted") - before, 1)
-        << "while the service is alive, repeats are served by the cache";
-  }
-  const std::int64_t after_dtor = counter_value("principles/optimize_intra/intercepted");
-  optimize_intra(op, kBs);
-  optimize_intra(op, kBs);
-  EXPECT_EQ(counter_value("principles/optimize_intra/intercepted"), after_dtor)
-      << "destroying the service must uninstall the interceptors";
+  PlanService service(ServeOptions{.threads = 1});
+  (void)service.plan_intra(op, kBs);
+  ASSERT_TRUE(service.plan_intra(op, kBs).cached);
+  const std::int64_t before = counter_value("principles/optimize_intra/calls");
+  (void)optimize_intra(op, kBs);
+  EXPECT_EQ(counter_value("principles/optimize_intra/calls") - before, 1)
+      << "a live service must not answer a free optimize_intra call";
 }
 
 TEST(PlanService, OtherOrientationSlotCountsAsAMiss) {
@@ -376,6 +399,77 @@ TEST(PlanService, CacheLedgerReconcilesWithTheTraffic) {
   EXPECT_EQ(hits, cached_true);
   EXPECT_EQ(hits, 6);
   EXPECT_EQ(misses, 5);
+}
+
+/// \p line with its "cached" flag forced to false.
+std::string uncached(std::string line) {
+  const std::string hot = "\"cached\":true";
+  const std::size_t at = line.find(hot);
+  if (at != std::string::npos) line.replace(at, hot.size(), "\"cached\":false");
+  return line;
+}
+
+int count_misses(const std::vector<std::string>& lines) {
+  int misses = 0;
+  for (const std::string& line : lines) {
+    misses += line.find("\"cached\":false") != std::string::npos ? 1 : 0;
+  }
+  return misses;
+}
+
+TEST(PlanService, TwoServicesAliveAtOnce) {
+  // Three distinct shapes, each asked three times, interleaved.
+  const std::vector<std::string> shapes = {
+      matmul_line("mm", 384, 256, 320),
+      "{\"id\":\"fp\",\"op\":\"fused_pair\",\"m\":512,\"k\":64,\"l\":512,\"n\":64,"
+      "\"buffer\":\"512KB\"}",
+      "{\"id\":\"bt\",\"op\":\"matmul\",\"m\":96,\"k\":64,\"l\":80,\"batch\":4,"
+      "\"buffer_elems\":4096}",
+  };
+  std::vector<std::string> lines;
+  for (int round = 0; round < 3; ++round) lines.insert(lines.end(), shapes.begin(), shapes.end());
+
+  std::vector<std::string> reference;
+  {
+    PlanService service(ServeOptions{.threads = 1});
+    std::stringstream in, out;
+    for (const std::string& line : lines) in << line << '\n';
+    service.serve_stream(in, out, "two_services.jsonl");
+    for (std::string line; std::getline(out, line);) reference.push_back(line);
+  }
+  ASSERT_EQ(reference.size(), lines.size());
+  ASSERT_EQ(count_misses(reference), static_cast<int>(shapes.size()));
+
+  PlanService first(ServeOptions{.threads = 1});
+  PlanService second(ServeOptions{.threads = 1});
+  const std::int64_t misses_before = first.stats().combined().misses;
+  std::vector<std::string> answers[2];
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 2; ++t) {
+    threads.emplace_back([&, t] {
+      PlanService& service = t == 0 ? first : second;
+      for (std::size_t i = 0; i < lines.size(); ++i) {
+        bool parse_error = false;
+        answers[t].push_back(service.plan_line_json(lines[i], "two_services.jsonl",
+                                                    static_cast<int>(i) + 1, 0, &parse_error));
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+
+  for (int t = 0; t < 2; ++t) {
+    ASSERT_EQ(answers[t].size(), reference.size());
+    for (std::size_t i = 0; i < reference.size(); ++i) {
+      EXPECT_EQ(uncached(answers[t][i]), uncached(reference[i]))
+          << "service " << t << " line " << i;
+    }
+    EXPECT_EQ(count_misses(answers[t]), static_cast<int>(shapes.size()))
+        << "service " << t << " must miss once per distinct shape in its own cache";
+  }
+  // Miss counts are process totals shared by every live service: one miss
+  // per shape per service.
+  EXPECT_EQ(first.stats().combined().misses - misses_before,
+            2 * static_cast<std::int64_t>(shapes.size()));
 }
 
 }  // namespace

@@ -6,7 +6,6 @@
 #include <string>
 #include <vector>
 
-#include "arch/dataflow_space.hpp"
 #include "serve/canonical.hpp"
 
 namespace fusecu {
@@ -109,34 +108,6 @@ TEST(CanonicalFusedKey, ExactInAllFourExtentsAndBuffer) {
             canonical_fused_key(FusedPair::make(512, 64, 1024, 64), kBs));
   EXPECT_NE(canonical_fused_key(FusedPair::make(1024, 64, 1024, 64), kBs),
             canonical_fused_key(FusedPair::make(1024, 64, 1024, 64), kBs + 1));
-}
-
-TEST(CanonicalArchKey, ArchitectureAttributesAreSpelledIn) {
-  TensorOp op = TensorOp::matmul("m", 1024, 768, 768);
-  ArchSpec fusecu = make_fusecu();
-  ArchSpec tpu = make_tpu_v4i();
-  auto a = try_canonical_arch_key(op, fusecu);
-  auto b = try_canonical_arch_key(op, tpu);
-  ASSERT_TRUE(a.has_value());
-  ASSERT_TRUE(b.has_value());
-  EXPECT_NE(*a, *b) << "different dataflow spaces must never share plans";
-
-  // Bandwidth and frequency price plans but never change them: excluded.
-  ArchSpec faster = fusecu;
-  faster.bandwidth_bytes_per_cycle *= 2;
-  faster.frequency_ghz *= 2;
-  EXPECT_EQ(*a, *try_canonical_arch_key(op, faster));
-
-  // Buffer size and flexibility DO change plans: included.
-  ArchSpec bigger = fusecu;
-  bigger.buffer_bytes *= 2;
-  EXPECT_NE(*a, *try_canonical_arch_key(op, bigger));
-  ArchSpec rigid = fusecu;
-  rigid.tiling_flex = TilingFlexibility::kLow;
-  EXPECT_NE(*a, *try_canonical_arch_key(op, rigid));
-
-  TensorOp gelu = TensorOp::elementwise("gelu", 128, 128, "X", "Y");
-  EXPECT_FALSE(try_canonical_arch_key(gelu, fusecu).has_value());
 }
 
 PlanRequest request(PlanRequest::Kind kind, Index m, Index k, Index l, Index n, Index batch,
