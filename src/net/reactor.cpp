@@ -449,7 +449,7 @@ void Reactor::handle_line(Conn& conn, LineDecoder::DecodedLine& line) {
     stats_.shed.fetch_add(1, std::memory_order_relaxed);
     shed_counter_.add();
     std::string id;
-    extract_request_id(line.text, key_scratch_, id);
+    extract_request_id(line.text, id);
     std::string json = admission != nullptr
                            ? overload_response_json(id, message, admission->retry_after_ms())
                            : error_response(id, message).to_json();
@@ -466,9 +466,7 @@ void Reactor::handle_line(Conn& conn, LineDecoder::DecodedLine& line) {
   // lands.  slot.request_id is only meaningful (and only assigned) when
   // deadlines or the hang guard are armed.
   if (config_.request_timeout_ms > 0 || config_.watchdog_ms > 0) {
-    if (!extract_request_id(line.text, key_scratch_, slot.request_id)) {
-      slot.request_id.clear();
-    }
+    extract_request_id(line.text, slot.request_id);  // cleared when absent
   }
   if (config_.request_timeout_ms > 0) {
     Deadline& deadline = deadlines_.push_slot();

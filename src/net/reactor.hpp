@@ -325,7 +325,6 @@ class Reactor {
   std::vector<ReactorShared::Completion> completions_scratch_;
   std::vector<int> handoff_scratch_;
   LineDecoder::DecodedLine line_scratch_;
-  std::string key_scratch_;  ///< extract_request_id member-key buffer
 
   // Hot-path obs counters cached once (MetricsRegistry hands out stable
   // references).  Global counters are shared by all reactors; the

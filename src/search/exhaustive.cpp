@@ -1,6 +1,10 @@
 #include "search/exhaustive.hpp"
 
 #include <algorithm>
+#include <array>
+#include <cstdint>
+#include <span>
+#include <vector>
 
 #include "common/check.hpp"
 #include "common/math_util.hpp"
@@ -10,15 +14,55 @@ namespace fusecu {
 
 namespace {
 
-const std::vector<std::vector<int>>& all_orders3() {
-  static const std::vector<std::vector<int>> orders = {
-      {0, 1, 2}, {0, 2, 1}, {1, 0, 2}, {1, 2, 0}, {2, 0, 1}, {2, 1, 0}};
-  return orders;
-}
+constexpr std::array<std::array<int, 3>, 6> kOrders3 = {
+    {{0, 1, 2}, {0, 2, 1}, {1, 0, 2}, {1, 2, 0}, {2, 0, 1}, {2, 1, 0}}};
 
 Counter& pruned_evals_counter() {
   return MetricsRegistry::global().counter("search/exhaustive_pruned_evals");
 }
+
+/// A 3-dim operator in the flat form nest_access() prices, held on the
+/// stack: its extents and one dimension mask per tensor, built from
+/// op.tensor(t).dims so permuted layouts price like the op itself.  The
+/// oracle prices every candidate here and builds a Dataflow for the winner
+/// only.
+struct FlatOp {
+  std::array<Index, 3> extents{};
+  std::array<std::uint32_t, kMaxNestDims> masks{};
+  std::size_t num_tensors = 0;
+
+  explicit FlatOp(const TensorOp& op) : num_tensors(static_cast<std::size_t>(op.num_tensors())) {
+    FCU_CHECK(op.num_dims() == 3, "the exhaustive oracle targets 3-dim operators");
+    FCU_CHECK(num_tensors <= masks.size(), "the access model prices at most 32 tensors");
+    for (int d = 0; d < 3; ++d) extents[static_cast<std::size_t>(d)] = op.extent(d);
+    for (std::size_t t = 0; t < num_tensors; ++t) {
+      for (int d : op.tensor(static_cast<int>(t)).dims) masks[t] |= 1u << d;
+    }
+  }
+
+  /// Dataflow::tensor_tile_size of tensor \p t under \p tile.
+  Index tile_size(std::size_t t, const std::array<Index, 3>& tile) const {
+    Index size = 1;
+    for (std::size_t d = 0; d < 3; ++d) {
+      if ((masks[t] >> d) & 1u) size *= std::min(tile[d], extents[d]);
+    }
+    return size;
+  }
+
+  /// Dataflow::buffer_footprint: monotone non-decreasing in every tile axis
+  /// and independent of the loop order.
+  Index footprint(const std::array<Index, 3>& tile) const {
+    Index total = 0;
+    for (std::size_t t = 0; t < num_tensors; ++t) total += tile_size(t, tile);
+    return total;
+  }
+
+  /// nest_access() of \p nest; per-tensor accesses land in \p per_tensor.
+  AccessCount price(const FlatNest& nest, std::span<AccessCount> per_tensor) const {
+    return nest_access(extents, nest.loop_order, nest.tile,
+                       std::span(masks).first(num_tensors), per_tensor.first(num_tensors));
+  }
+};
 
 /// Best dataflow on one side of a resident fusion: minimize MA excluding the
 /// intermediate, with the intermediate's full size already reserved.
@@ -37,24 +81,27 @@ std::optional<Dataflow> exhaustive_side(const TensorOp& op, BufferSize budget,
     }
   }
 
-  std::optional<Dataflow> best;
+  const FlatOp flat(op);
+  const auto excluded = static_cast<std::size_t>(exclude_tensor);
+  std::array<std::vector<Index>, 3> cands;
+  for (int d = 0; d < 3; ++d) cands[static_cast<std::size_t>(d)] = tile_candidates(op.extent(d));
+  std::optional<FlatNest> best;
   AccessCount best_ma = 0;
-  std::vector<std::vector<Index>> cands;
-  for (int d = 0; d < 3; ++d) cands.push_back(tile_candidates(op.extent(d)));
-  Dataflow df;
-  df.tile.assign(3, 1);
+  FlatNest nest;
+  std::array<AccessCount, kMaxNestDims> per_tensor{};
   // The live footprint (intermediate excluded) is monotone non-decreasing
   // in every tile axis; probing with the remaining axes at their minimum
   // candidate makes each over-budget hit a whole-level break.
   auto side_fp = [&](Index t0, Index t1, Index t2) {
-    df.tile = {t0, t1, t2};
-    return df.tensor_tile_size(op, other_a) + df.tensor_tile_size(op, other_b);
+    const std::array<Index, 3> tile = {t0, t1, t2};
+    return flat.tile_size(static_cast<std::size_t>(other_a), tile) +
+           flat.tile_size(static_cast<std::size_t>(other_b), tile);
   };
   auto at_floor = [&]() { return prune && best && best_ma <= floor; };
 
-  for (const auto& order : all_orders3()) {
+  for (const auto& order : kOrders3) {
     if (at_floor()) break;
-    df.loop_order = order;
+    nest.loop_order = order;
     for (Index t0 : cands[0]) {
       if (at_floor()) break;
       if (prune && side_fp(t0, cands[1].front(), cands[2].front()) > budget) break;
@@ -62,15 +109,14 @@ std::optional<Dataflow> exhaustive_side(const TensorOp& op, BufferSize budget,
         if (at_floor()) break;
         if (prune && side_fp(t0, t1, cands[2].front()) > budget) break;
         for (Index t2 : cands[2]) {
-          const Index fp = side_fp(t0, t1, t2);
-          if (fp > budget) {
+          if (side_fp(t0, t1, t2) > budget) {
             if (prune) break;  // ascending t2, monotone footprint
             continue;
           }
-          AccessBreakdown b = evaluate_access(op, df);
-          AccessCount ma = b.total - b.per_tensor[static_cast<std::size_t>(exclude_tensor)];
+          nest.tile = {t0, t1, t2};
+          const AccessCount ma = flat.price(nest, per_tensor) - per_tensor[excluded];
           if (!best || ma < best_ma) {
-            best = df;
+            best = nest;
             best_ma = ma;
           }
           if (at_floor()) break;
@@ -78,7 +124,13 @@ std::optional<Dataflow> exhaustive_side(const TensorOp& op, BufferSize budget,
       }
     }
   }
-  return best;
+  if (!best) return std::nullopt;
+  // The winner alone goes through the validating model.
+  Dataflow df = best->to_dataflow();
+  const AccessBreakdown b = evaluate_access(op, df);
+  FCU_CHECK(b.total - b.per_tensor[excluded] == best_ma,
+            "flat side pricing disagrees with evaluate_access");
+  return df;
 }
 
 }  // namespace
@@ -90,48 +142,47 @@ std::optional<IntraSearchResult> exhaustive_intra(const TensorOp& op, BufferSize
   const bool prune = mode == ExhaustiveMode::kPruned;
   std::int64_t evaluations = 0;
   std::int64_t visited = 0;  // inner-loop tuples actually reached
-  std::vector<std::vector<Index>> cands;
-  for (int d = 0; d < 3; ++d) cands.push_back(tile_candidates(op.extent(d)));
+  const FlatOp flat(op);
+  std::array<std::vector<Index>, 3> cands;
+  for (int d = 0; d < 3; ++d) cands[static_cast<std::size_t>(d)] = tile_candidates(op.extent(d));
   const std::int64_t tuples_total = 6 * static_cast<std::int64_t>(cands[0].size()) *
                                     static_cast<std::int64_t>(cands[1].size()) *
                                     static_cast<std::int64_t>(cands[2].size());
   const AccessCount floor = prune ? intra_traffic_lower_bound(op, bs) : 0;
 
-  std::optional<IntraSearchResult> best;
-  Dataflow df;
-  df.tile.assign(3, 1);
-  // buffer_footprint is independent of loop order and monotone
-  // non-decreasing in every tile axis (it sums tensor tile sizes).
-  auto footprint = [&](Index t0, Index t1, Index t2) {
-    df.tile = {t0, t1, t2};
-    return df.buffer_footprint(op);
-  };
+  // The incumbent, kept flat: (total, footprint, tiles, order).
+  bool found = false;
+  AccessCount best_total = 0;
+  Index best_fp = 0;
+  FlatNest best;
+  FlatNest nest;
+  std::array<AccessCount, kMaxNestDims> per_tensor{};
+  auto footprint = [&](Index t0, Index t1, Index t2) { return flat.footprint({t0, t1, t2}); };
   const Index fp_min = footprint(cands[0].front(), cands[1].front(), cands[2].front());
   // True once no remaining candidate can have a strictly smaller total; the
   // only way left to win is the footprint tie-break (strict <, first-wins).
-  auto at_floor = [&]() { return prune && best && best->access.total <= floor; };
+  auto at_floor = [&]() { return prune && found && best_total <= floor; };
 
-  for (const auto& order : all_orders3()) {
+  for (const auto& order : kOrders3) {
     // Nothing anywhere can beat an incumbent already at the floor *and* at
     // the minimum possible footprint.
-    if (at_floor() && best->access.buffer_footprint <= fp_min) break;
-    df.loop_order = order;
+    if (at_floor() && best_fp <= fp_min) break;
+    nest.loop_order = order;
     for (Index t0 : cands[0]) {
       if (prune) {
         const Index fp0 = footprint(t0, cands[1].front(), cands[2].front());
         if (fp0 > bs) break;  // every (t1, t2) and every later t0 overflows
-        if (at_floor() && fp0 >= best->access.buffer_footprint) break;
+        if (at_floor() && fp0 >= best_fp) break;
       }
       for (Index t1 : cands[1]) {
         if (prune) {
           const Index fp1 = footprint(t0, t1, cands[2].front());
           if (fp1 > bs) break;
-          if (at_floor() && fp1 >= best->access.buffer_footprint) break;
+          if (at_floor() && fp1 >= best_fp) break;
         }
         for (Index t2 : cands[2]) {
           ++visited;
-          df.tile = {t0, t1, t2};
-          const Index fp = df.buffer_footprint(op);
+          const Index fp = footprint(t0, t1, t2);
           if (fp > bs) {
             if (prune) break;
             continue;
@@ -139,13 +190,15 @@ std::optional<IntraSearchResult> exhaustive_intra(const TensorOp& op, BufferSize
           // At the floor a candidate can only win the footprint tie-break;
           // fp is monotone in t2, so the first non-improving footprint ends
           // the level.
-          if (at_floor() && fp >= best->access.buffer_footprint) break;
+          if (at_floor() && fp >= best_fp) break;
           ++evaluations;
-          AccessBreakdown b = evaluate_access(op, df);
-          if (!best || b.total < best->access.total ||
-              (b.total == best->access.total &&
-               b.buffer_footprint < best->access.buffer_footprint)) {
-            best = IntraSearchResult{df, b};
+          nest.tile = {t0, t1, t2};
+          const AccessCount total = flat.price(nest, per_tensor);
+          if (!found || total < best_total || (total == best_total && fp < best_fp)) {
+            found = true;
+            best_total = total;
+            best_fp = fp;
+            best = nest;
           }
         }
       }
@@ -160,7 +213,13 @@ std::optional<IntraSearchResult> exhaustive_intra(const TensorOp& op, BufferSize
     reg.gauge("search/exhaustive_intra/evaluations_per_sec")
         .set(static_cast<double>(evaluations) / elapsed);
   }
-  return best;
+  if (!found) return std::nullopt;
+  // The winner alone goes through the validating model.
+  IntraSearchResult result{best.to_dataflow(), {}};
+  result.access = evaluate_access(op, result.dataflow);
+  FCU_CHECK(result.access.total == best_total && result.access.buffer_footprint == best_fp,
+            "flat oracle pricing disagrees with evaluate_access");
+  return result;
 }
 
 std::optional<FusedSearchResult> exhaustive_fused(const FusedPair& pair, BufferSize bs,

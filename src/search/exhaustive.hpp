@@ -33,6 +33,13 @@
 /// under the exact iteration order, so kPruned returns byte-identical plans
 /// to kFull (enforced by tests/search_prune_test.cpp).  Skipped tuples are
 /// counted in the "search/exhaustive_pruned_evals" metric.
+///
+/// Pricing is flat in both modes: the intra search and the resident side
+/// searches hold the operator as stack arrays (extents, one dimension mask
+/// per tensor from op.tensor(t).dims) and price each candidate order and
+/// tile tuple with nest_access(), building no Dataflow.  Only the winner
+/// becomes a Dataflow; it is validated and priced again through
+/// evaluate_access(), which must agree with the flat total (and footprint).
 
 namespace fusecu {
 

@@ -120,20 +120,20 @@ PlanRequest parse_plan_request(const std::string& line, const std::string& sourc
 namespace {
 
 /// Scan one JSON string starting at text[pos] == '"'; advances \p pos past
-/// the closing quote.  When \p out is non-null it receives the unescaped
-/// payload (cleared first), byte-for-byte what parse_string() in
-/// common/json_parse.cpp would produce.  Returns false on malformed input.
-bool scan_json_string(const std::string& text, std::size_t& pos, std::string* out) {
+/// the closing quote and hands each unescaped payload byte to \p emit —
+/// byte-for-byte what parse_string() in common/json_parse.cpp would
+/// produce.  Returns false on malformed input.
+template <typename Emit>
+bool scan_json_string(const std::string& text, std::size_t& pos, Emit&& emit) {
   if (pos >= text.size() || text[pos] != '"') return false;
   ++pos;
-  if (out != nullptr) out->clear();
   while (true) {
     if (pos >= text.size()) return false;
     const char c = text[pos++];
     if (c == '"') return true;
     if (c != '\\') {
       if (static_cast<unsigned char>(c) < 0x20) return false;
-      if (out != nullptr) out->push_back(c);
+      emit(c);
       continue;
     }
     if (pos >= text.size()) return false;
@@ -157,31 +157,33 @@ bool scan_json_string(const std::string& text, std::size_t& pos, std::string* ou
           code = code * 16 +
                  static_cast<unsigned>(h <= '9' ? h - '0' : (std::tolower(h) - 'a' + 10));
         }
-        if (out != nullptr) {
-          if (code < 0x80) {
-            out->push_back(static_cast<char>(code));
-          } else if (code < 0x800) {
-            out->push_back(static_cast<char>(0xC0 | (code >> 6)));
-            out->push_back(static_cast<char>(0x80 | (code & 0x3F)));
-          } else {
-            out->push_back(static_cast<char>(0xE0 | (code >> 12)));
-            out->push_back(static_cast<char>(0x80 | ((code >> 6) & 0x3F)));
-            out->push_back(static_cast<char>(0x80 | (code & 0x3F)));
-          }
+        if (code < 0x80) {
+          emit(static_cast<char>(code));
+        } else if (code < 0x800) {
+          emit(static_cast<char>(0xC0 | (code >> 6)));
+          emit(static_cast<char>(0x80 | (code & 0x3F)));
+        } else {
+          emit(static_cast<char>(0xE0 | (code >> 12)));
+          emit(static_cast<char>(0x80 | ((code >> 6) & 0x3F)));
+          emit(static_cast<char>(0x80 | (code & 0x3F)));
         }
         continue;
       }
       default: return false;
     }
-    if (out != nullptr) out->push_back(decoded);
+    emit(decoded);
   }
 }
 
+bool skip_json_string(const std::string& text, std::size_t& pos) {
+  return scan_json_string(text, pos, [](char) {});
+}
+
+/// The parser's whitespace (std::isspace, as in common/json_parse.cpp).
+bool is_json_ws(char c) { return std::isspace(static_cast<unsigned char>(c)) != 0; }
+
 void skip_json_ws(const std::string& text, std::size_t& pos) {
-  while (pos < text.size() && (text[pos] == ' ' || text[pos] == '\t' || text[pos] == '\n' ||
-                               text[pos] == '\r')) {
-    ++pos;
-  }
+  while (pos < text.size() && is_json_ws(text[pos])) ++pos;
 }
 
 /// Skip one JSON value (string, nested container, or scalar token) without
@@ -190,13 +192,13 @@ bool skip_json_value(const std::string& text, std::size_t& pos) {
   skip_json_ws(text, pos);
   if (pos >= text.size()) return false;
   const char c = text[pos];
-  if (c == '"') return scan_json_string(text, pos, nullptr);
+  if (c == '"') return skip_json_string(text, pos);
   if (c == '{' || c == '[') {
     int depth = 0;
     while (pos < text.size()) {
       const char d = text[pos];
       if (d == '"') {
-        if (!scan_json_string(text, pos, nullptr)) return false;
+        if (!skip_json_string(text, pos)) return false;
         continue;
       }
       ++pos;
@@ -211,17 +213,20 @@ bool skip_json_value(const std::string& text, std::size_t& pos) {
   // Number / true / false / null: consume up to the next separator.
   const std::size_t start = pos;
   while (pos < text.size() && text[pos] != ',' && text[pos] != '}' && text[pos] != ']' &&
-         text[pos] != ' ' && text[pos] != '\t' && text[pos] != '\n' && text[pos] != '\r') {
+         !is_json_ws(text[pos])) {
     ++pos;
   }
   return pos > start;
 }
 
-}  // namespace
-
-bool extract_request_id(const std::string& line, std::string& key_scratch,
-                        std::string& id_out) {
-  id_out.clear();
+/// Locate the raw byte span [begin, end) of the value of the request
+/// object's *last* "id" member — the one the parser keeps when a key
+/// repeats (common/json_parse.cpp assigns members in order).  Keys are
+/// compared unescaped, as the parser reads them, so "\u0069d" is "id" too;
+/// nothing is materialized.  Returns false when the line is not one
+/// well-formed object or has no "id" member.
+bool find_last_id_span(const std::string& line, std::size_t& begin, std::size_t& end) {
+  bool found = false;
   std::size_t pos = 0;
   skip_json_ws(line, pos);
   if (pos >= line.size() || line[pos] != '{') return false;
@@ -230,70 +235,55 @@ bool extract_request_id(const std::string& line, std::string& key_scratch,
   if (pos < line.size() && line[pos] == '}') return false;  // empty object
   while (true) {
     skip_json_ws(line, pos);
-    if (!scan_json_string(line, pos, &key_scratch)) return false;
+    std::size_t key_len = 0;
+    bool key_is_id = true;
+    if (!scan_json_string(line, pos, [&](char c) {
+          key_is_id = key_is_id && key_len < 2 && c == "id"[key_len];
+          ++key_len;
+        })) {
+      return false;
+    }
+    key_is_id = key_is_id && key_len == 2;
     skip_json_ws(line, pos);
     if (pos >= line.size() || line[pos] != ':') return false;
     ++pos;
-    if (key_scratch == "id") {
-      skip_json_ws(line, pos);
-      return scan_json_string(line, pos, &id_out);
-    }
+    skip_json_ws(line, pos);
+    const std::size_t value_begin = pos;
     if (!skip_json_value(line, pos)) return false;
-    skip_json_ws(line, pos);
-    if (pos >= line.size()) return false;
-    if (line[pos] == ',') {
-      ++pos;
-      continue;
-    }
-    return false;  // '}' — object ended without an "id" member
-  }
-}
-
-namespace {
-
-/// Locate the raw byte span of the "id" member's value (quotes included).
-/// Returns false when the line is malformed or has no string id.
-bool find_id_value_span(const std::string& line, std::size_t& begin, std::size_t& end) {
-  std::size_t pos = 0;
-  skip_json_ws(line, pos);
-  if (pos >= line.size() || line[pos] != '{') return false;
-  ++pos;
-  skip_json_ws(line, pos);
-  if (pos < line.size() && line[pos] == '}') return false;
-  while (true) {
-    skip_json_ws(line, pos);
-    const std::size_t key_start = pos;
-    if (!scan_json_string(line, pos, nullptr)) return false;
-    // Raw compare avoids materializing the key: the literal `"id"` has no
-    // escapes worth honoring in practice.
-    const bool is_id = pos - key_start == 4 && line.compare(key_start, 4, "\"id\"") == 0;
-    skip_json_ws(line, pos);
-    if (pos >= line.size() || line[pos] != ':') return false;
-    ++pos;
-    if (is_id) {
-      skip_json_ws(line, pos);
-      begin = pos;
-      if (!scan_json_string(line, pos, nullptr)) return false;
+    if (key_is_id) {
+      found = true;
+      begin = value_begin;
       end = pos;
-      return true;
     }
-    if (!skip_json_value(line, pos)) return false;
     skip_json_ws(line, pos);
     if (pos >= line.size()) return false;
     if (line[pos] == ',') {
       ++pos;
       continue;
     }
-    return false;
+    if (line[pos] != '}') return false;
+    ++pos;
+    skip_json_ws(line, pos);
+    return found && pos == line.size();  // nothing may follow the object
   }
 }
 
 }  // namespace
 
+bool extract_request_id(const std::string& line, std::string& id_out) {
+  id_out.clear();
+  std::size_t begin = 0;
+  std::size_t end = 0;
+  if (!find_last_id_span(line, begin, end) || line[begin] != '"') return false;
+  std::size_t pos = begin;  // the walk already validated this string
+  scan_json_string(line, pos, [&](char c) { id_out.push_back(c); });
+  return true;
+}
+
 std::uint64_t request_shape_hash(const std::string& line) {
   std::size_t skip_begin = 0;
   std::size_t skip_end = 0;
-  find_id_value_span(line, skip_begin, skip_end);  // on failure both stay 0
+  if (!find_last_id_span(line, skip_begin, skip_end)) skip_begin = skip_end = 0;
   std::uint64_t h = 14695981039346656037ull;  // FNV-1a 64-bit offset basis
   for (std::size_t i = 0; i < line.size(); ++i) {
     if (i >= skip_begin && i < skip_end) continue;

@@ -71,24 +71,27 @@ PlanRequest parse_plan_request(const std::string& line, const std::string& sourc
 PlanRequest plan_request_from_json(const JsonValue& doc);
 
 /// Allocation-light scan for the top-level "id" string field of a request
-/// line, used by the net/ reactors to label deadline-expiry responses
-/// without running the full JSON parser on the event-loop thread (parsing
-/// happens pool-side).  Unescapes exactly like the real parser (common
-/// escapes plus \uXXXX as UTF-8), writing into \p id_out and using
-/// \p key_scratch for member keys — both are caller-owned so steady-state
-/// calls reuse their capacity and never allocate.  Returns false (leaving
-/// \p id_out cleared) when the line is malformed, has no "id", or its id
-/// is not a string; the pool-side parse still produces the authoritative
-/// error response in those cases.
-bool extract_request_id(const std::string& line, std::string& key_scratch, std::string& id_out);
+/// line, used by the net/ reactors to label shed, timed-out and cancelled
+/// responses without running the full JSON parser on the event-loop thread
+/// (parsing happens pool-side).  Agrees with the parser wherever the parse
+/// succeeds: the *last* member whose unescaped key is "id" wins, as in
+/// json_parse, and the value is unescaped exactly like the real parser
+/// (common escapes plus \uXXXX as UTF-8).  Writes into the caller-owned
+/// \p id_out, so steady-state calls reuse its capacity and never allocate.
+/// Returns false (leaving \p id_out cleared) when the line is not one
+/// well-formed object, has no "id", or its id is not a string; the
+/// pool-side parse still produces the authoritative error response in
+/// those cases.
+bool extract_request_id(const std::string& line, std::string& id_out);
 
-/// FNV-1a hash of a request line with the "id" *value* bytes masked out, so
-/// two requests that differ only in their id — the shape the plan cache
-/// keys on — hash identically.  Used by the net/ reactors' brownout path to
-/// predict suffix-splice cache hits without parsing on the loop thread:
-/// a shape seen completing successfully before is "warm".  Falls back to
-/// hashing the whole line when the id cannot be located (the authoritative
-/// parse happens pool-side either way).  Allocation-free.
+/// FNV-1a hash of a request line with the value bytes of the id
+/// extract_request_id() reads masked out, so two requests that differ only
+/// in their id — the shape the plan cache keys on — hash identically.  Used
+/// by the net/ reactors' brownout path to predict suffix-splice cache hits
+/// without parsing on the loop thread: a shape seen completing successfully
+/// before is "warm".  Falls back to hashing the whole line when the id
+/// cannot be located (the authoritative parse happens pool-side either
+/// way).  Allocation-free.
 std::uint64_t request_shape_hash(const std::string& line);
 
 /// A planning answer, ready to serialize.

@@ -7,12 +7,7 @@ namespace fusecu {
 ThreadPool::ThreadPool(int threads) {
   const int n = std::max(1, threads);
   heartbeats_.reserve(static_cast<std::size_t>(n));
-  workers_.reserve(static_cast<std::size_t>(n));
-  for (int i = 0; i < n; ++i) {
-    heartbeats_.push_back(std::make_unique<Heartbeat>());
-    Heartbeat* hb = heartbeats_.back().get();
-    workers_.emplace_back([this, hb]() { worker_loop(hb); });
-  }
+  for (int i = 0; i < n; ++i) heartbeats_.push_back(std::make_unique<Heartbeat>());
 }
 
 ThreadPool::~ThreadPool() {
@@ -22,6 +17,14 @@ ThreadPool::~ThreadPool() {
   }
   cv_.notify_all();
   for (std::thread& t : workers_) t.join();
+}
+
+void ThreadPool::spawn_workers() {
+  workers_.reserve(heartbeats_.size());
+  for (const std::unique_ptr<Heartbeat>& hb : heartbeats_) {
+    Heartbeat* heartbeat = hb.get();
+    workers_.emplace_back([this, heartbeat]() { worker_loop(heartbeat); });
+  }
 }
 
 void ThreadPool::worker_loop(Heartbeat* heartbeat) {

@@ -22,15 +22,20 @@
 /// each), so queue contention is negligible and work stealing would be
 /// over-engineering.
 ///
+/// The workers start on the first queued job, not at construction: a pool
+/// whose owner never queues anything (a PlanService used only through its
+/// typed plan_intra / plan_fused calls) never creates a thread.  Every
+/// later job finds the full set of workers running.
+///
 /// Two submission paths share the queue:
 ///
 ///   * submit(fn) — std::function + future plumbing for batch/stream
 ///     callers that want the return value;
 ///   * post(fn, arg) — a bare function pointer + context pointer for the
 ///     net/ reactors, whose hot path must not allocate.  The queue is a
-///     capacity-preserving ring (common/ring_buffer.hpp), so after warm-up
-///     a post() costs one mutex acquisition and a condition-variable
-///     signal, zero heap traffic.
+///     capacity-preserving ring (common/ring_buffer.hpp), so after the
+///     first job (which starts the workers) and warm-up a post() costs one
+///     mutex acquisition and a condition-variable signal, zero heap traffic.
 
 namespace fusecu {
 
@@ -39,26 +44,28 @@ class ThreadPool {
   /// Per-worker liveness signal for the net/ Supervisor: the worker bumps
   /// `epoch` (relaxed) before and after every job and raises `busy` for the
   /// job's duration.  A worker whose epoch stalls while busy is hung inside
-  /// a task; an idle worker (busy=false) is never flagged.  Heap-allocated
-  /// once per worker so the atomics have stable addresses the supervisor
-  /// can sample after the pool started.
+  /// a task; an idle or not yet started worker (busy=false) is never
+  /// flagged.  Heap-allocated once per worker at construction so the
+  /// atomics have stable addresses the supervisor can sample at any time.
   struct Heartbeat {
     std::atomic<std::uint64_t> epoch{0};
     std::atomic<bool> busy{false};
   };
 
-  /// \p threads is clamped to >= 1.
+  /// \p threads is clamped to >= 1.  Starts no thread: the workers are
+  /// spawned by the first submit() or post().
   explicit ThreadPool(int threads);
-  /// Drains nothing: pending jobs still run, then workers exit.
+  /// Drains nothing: pending jobs still run, then the started workers exit.
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  int size() const { return static_cast<int>(workers_.size()); }
+  /// The configured worker count, whether or not the workers started yet.
+  int size() const { return static_cast<int>(heartbeats_.size()); }
 
-  /// One heartbeat per worker, index-aligned with the worker threads.
-  /// Stable for the pool's lifetime.
+  /// One heartbeat per configured worker, index-aligned with the worker
+  /// threads.  Stable for the pool's lifetime.
   const std::vector<std::unique_ptr<Heartbeat>>& heartbeats() const { return heartbeats_; }
 
   /// Enqueue \p fn; the future carries its return value or exception.
@@ -69,6 +76,7 @@ class ThreadPool {
     std::future<Result> future = task->get_future();
     {
       std::lock_guard<std::mutex> lock(mu_);
+      if (workers_.empty()) spawn_workers();
       Job& job = queue_.push_slot();
       job.fn = nullptr;
       job.arg = nullptr;
@@ -85,6 +93,7 @@ class ThreadPool {
   void post(void (*fn)(void*), void* arg) {
     {
       std::lock_guard<std::mutex> lock(mu_);
+      if (workers_.empty()) spawn_workers();
       Job& job = queue_.push_slot();
       job.fn = fn;
       job.arg = arg;
@@ -101,6 +110,9 @@ class ThreadPool {
     std::function<void()> boxed;
   };
 
+  /// Starts one worker per heartbeat.  Caller holds mu_ and has seen no
+  /// worker running.
+  void spawn_workers();
   void worker_loop(Heartbeat* heartbeat);
 
   std::mutex mu_;
@@ -108,7 +120,7 @@ class ThreadPool {
   RingBuffer<Job> queue_;
   bool stopping_ = false;
   std::vector<std::unique_ptr<Heartbeat>> heartbeats_;
-  std::vector<std::thread> workers_;
+  std::vector<std::thread> workers_;  ///< guarded by mu_; empty until the first job
 };
 
 }  // namespace fusecu

@@ -2,6 +2,7 @@
 
 #include <barrier>
 #include <cstring>
+#include <filesystem>
 #include <map>
 #include <sstream>
 #include <string>
@@ -11,6 +12,7 @@
 #include "obs/metrics.hpp"
 #include "principles/principle_optimizer.hpp"
 #include "serve/plan_service.hpp"
+#include "serve/thread_pool.hpp"
 
 namespace fusecu {
 namespace {
@@ -470,6 +472,43 @@ TEST(PlanService, TwoServicesAliveAtOnce) {
   // per shape per service.
   EXPECT_EQ(first.stats().combined().misses - misses_before,
             2 * static_cast<std::int64_t>(shapes.size()));
+}
+
+/// Threads of this process, from the kernel's own list.
+int live_threads() {
+  int n = 0;
+  for ([[maybe_unused]] const auto& entry : std::filesystem::directory_iterator("/proc/self/task")) {
+    ++n;
+  }
+  return n;
+}
+
+TEST(ThreadPool, NoWorkerBeforeFirstJob) {
+  // A sanitizer runtime starts its helper thread on the process's first
+  // thread creation; get that out of the way before counting.
+  std::thread([] {}).join();
+  const int before = live_threads();
+  ThreadPool pool(3);
+  EXPECT_EQ(live_threads(), before) << "construction must not spawn workers";
+  EXPECT_EQ(pool.size(), 3);
+  EXPECT_EQ(pool.heartbeats().size(), 3u);
+
+  EXPECT_EQ(pool.submit([] { return 7; }).get(), 7);
+  EXPECT_EQ(live_threads(), before + 3) << "the first job starts every configured worker";
+  EXPECT_EQ(pool.size(), 3);
+  EXPECT_EQ(pool.heartbeats().size(), 3u);
+
+  EXPECT_EQ(pool.submit([] { return 8; }).get(), 8);
+  EXPECT_EQ(live_threads(), before + 3) << "later jobs reuse the running workers";
+}
+
+TEST(PlanService, TypedPlanningStartsNoThread) {
+  const int before = live_threads();
+  PlanService service(ServeOptions{.threads = 2});
+  service.plan_intra(TensorOp::matmul("typed", 384, 256, 320), kBs);
+  service.plan_fused(FusedPair::make(256, 64, 256, 64), kBs);
+  EXPECT_EQ(live_threads(), before) << "typed planning runs on the caller's thread";
+  EXPECT_EQ(service.pool().size(), 2);
 }
 
 }  // namespace
