@@ -1,6 +1,7 @@
-// Fuzz target for common/json_parse.hpp — the parser behind every request
-// line the server accepts from the network (via plan_request_from_json) and
-// every repro/fault-plan artifact the tools load.  Malformed input must
+// Fuzz target for common/json_parse.hpp's value tree — the parse behind
+// every repro/fault-plan artifact the tools load.  Request lines from the
+// network go through the same walker with a typed sink instead; that path
+// has its own differential target, fuzz_plan_request.  Malformed input must
 // throw ParseError (a std::invalid_argument), never crash, hang or leak;
 // well-formed input must produce a value tree that walks cleanly.
 

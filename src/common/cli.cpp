@@ -105,7 +105,9 @@ std::int64_t parse_bytes(const std::string& text) {
   } else {
     FCU_CHECK(false, "unknown byte suffix: " + text);
   }
-  return static_cast<std::int64_t>(value * scale);
+  const double bytes = value * scale;
+  FCU_CHECK(bytes < 9223372036854775808.0, "byte size out of range: " + text);  // 2^63
+  return static_cast<std::int64_t>(bytes);
 }
 
 }  // namespace fusecu

@@ -22,7 +22,7 @@ ParseError::ParseError(std::string source, int line, int column, std::string exp
       column_(column),
       expected_(std::move(expected)) {}
 
-std::pair<int, int> line_column_at(const std::string& text, std::size_t offset) {
+std::pair<int, int> line_column_at(std::string_view text, std::size_t offset) {
   int line = 1;
   int column = 1;
   const std::size_t end = offset < text.size() ? offset : text.size();

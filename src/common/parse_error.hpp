@@ -3,6 +3,7 @@
 #include <cstddef>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <utility>
 
 /// \file parse_error.hpp
@@ -48,6 +49,6 @@ class ParseError : public std::invalid_argument {
 /// 1-based (line, column) of byte \p offset within \p text, counting '\n'
 /// line breaks.  Offsets past the end report the position just after the
 /// last character.
-std::pair<int, int> line_column_at(const std::string& text, std::size_t offset);
+std::pair<int, int> line_column_at(std::string_view text, std::size_t offset);
 
 }  // namespace fusecu

@@ -1,7 +1,8 @@
 #include "serve/plan_request.hpp"
 
-#include <cctype>
+#include <cmath>
 #include <sstream>
+#include <string_view>
 
 #include "common/check.hpp"
 #include "common/cli.hpp"
@@ -13,20 +14,218 @@ namespace fusecu {
 
 namespace {
 
+/// 2^63, the first double past the Index range.  Every conversion below
+/// range-checks the double before it casts.
+constexpr double kIndexLimit = 9223372036854775808.0;
+
+bool is_positive_index(double d) { return d >= 1 && d < kIndexLimit && d == std::floor(d); }
+
+/// A numeric "buffer" as bytes; anything outside [1, 2^63) becomes 0, which
+/// the caller rejects as not positive.
+std::int64_t buffer_bytes(double d) {
+  return d >= 1 && d < kIndexLimit ? static_cast<std::int64_t>(d) : 0;
+}
+
 Index require_index(const JsonValue& doc, const std::string& field) {
   JsonValuePtr v = doc.get(field);
   FCU_CHECK(v != nullptr, "request is missing required field \"" + field + "\"");
   FCU_CHECK(v->is_number(), "request field \"" + field + "\" must be a number");
   const double d = v->as_number();
-  const Index i = static_cast<Index>(d);
-  FCU_CHECK(static_cast<double>(i) == d && i >= 1,
-            "request field \"" + field + "\" must be a positive integer");
-  return i;
+  FCU_CHECK(is_positive_index(d), "request field \"" + field + "\" must be a positive integer");
+  return static_cast<Index>(d);
 }
 
 Index optional_index(const JsonValue& doc, const std::string& field, Index fallback) {
   if (!doc.has(field)) return fallback;
   return require_index(doc, field);
+}
+
+/// The request members the decoder reads, in the order of kFieldNames.
+enum Field { kId, kOp, kM, kK, kL, kN, kBatch, kSharedWeight, kBufferElems, kBuffer, kElemBytes,
+             kFieldCount };
+
+constexpr std::string_view kFieldNames[kFieldCount] = {
+    "id", "op", "m", "k", "l", "n", "batch", "shared_weight", "buffer_elems", "buffer",
+    "elem_bytes"};
+
+/// The last value of one top-level member, as views into the line.
+struct Member {
+  bool present = false;
+  JsonValue::Kind kind = JsonValue::Kind::kNull;
+  bool boolean = false;
+  JsonNumber number;
+  JsonString text;
+};
+
+/// The typed sink: keeps the last value of each known top-level member of
+/// the request object and skips everything else, then applies the field
+/// rules once the walk has validated the whole line.  The rules and their
+/// messages are plan_request_from_json's, in the same order.
+class RequestDecoder final : public JsonSink {
+ public:
+  void null_value() override { set(JsonValue::Kind::kNull); }
+  void bool_value(bool b) override {
+    if (Member* m = set(JsonValue::Kind::kBool)) m->boolean = b;
+  }
+  void number_value(const JsonNumber& n) override {
+    if (Member* m = set(JsonValue::Kind::kNumber)) m->number = n;
+  }
+  void string_value(const JsonString& s) override {
+    if (Member* m = set(JsonValue::Kind::kString)) m->text = s;
+  }
+  void begin_object() override {
+    if (depth_ == 0) is_object_ = true;
+    set(JsonValue::Kind::kObject);
+    ++depth_;
+  }
+  void key(const JsonString& k) override {
+    if (depth_ == 1) current_ = match(k);
+  }
+  void end_object() override { --depth_; }
+  void begin_array() override {
+    set(JsonValue::Kind::kArray);
+    ++depth_;
+  }
+  void end_array() override { --depth_; }
+
+  PlanRequest request() const {
+    FCU_CHECK(is_object_, "request must be a JSON object");
+    PlanRequest req;
+    if (const Member& id = members_[kId]; id.present) {
+      FCU_CHECK(id.kind == JsonValue::Kind::kString, "request field \"id\" must be a string");
+      id.text.append_to(req.id);
+    }
+    if (const Member& op = members_[kOp]; op.present) {
+      FCU_CHECK(op.kind == JsonValue::Kind::kString, "request field \"op\" must be a string");
+      if (op.text.equals("fused_pair")) {
+        req.kind = PlanRequest::Kind::kFusedPair;
+      } else {
+        FCU_CHECK(op.text.equals("matmul"),
+                  "request field \"op\" must be \"matmul\" or \"fused_pair\", got \"" +
+                      op.text.str() + "\"");
+      }
+    }
+
+    req.m = index(kM);
+    req.k = index(kK);
+    req.l = index(kL);
+    if (req.kind == PlanRequest::Kind::kFusedPair) {
+      req.n = index(kN);
+      FCU_CHECK(!members_[kBatch].present, "fused_pair requests do not take \"batch\"");
+    } else {
+      if (members_[kBatch].present) req.batch = index(kBatch);
+      if (const Member& sw = members_[kSharedWeight]; sw.present) {
+        FCU_CHECK(sw.kind == JsonValue::Kind::kBool,
+                  "request field \"shared_weight\" must be a boolean");
+        FCU_CHECK(sw.boolean || req.batch == 1,
+                  "per-slice-weight batched matmuls cannot be folded; "
+                  "plan the slices as individual requests");
+      }
+    }
+
+    if (const Member& be = members_[kBufferElems]; be.present) {
+      const double d = be.kind == JsonValue::Kind::kNumber ? be.number.value() : 0;
+      FCU_CHECK(d >= 1 && d < kIndexLimit,
+                "request field \"buffer_elems\" must be a positive number");
+      req.buffer_elems = static_cast<BufferSize>(d);
+    } else if (const Member& b = members_[kBuffer]; b.present) {
+      std::int64_t bytes = 0;
+      if (b.kind == JsonValue::Kind::kString) {
+        bytes = parse_bytes(b.text.str());
+      } else if (b.kind == JsonValue::Kind::kNumber) {
+        bytes = buffer_bytes(b.number.value());
+      } else {
+        FCU_CHECK(false, "request field \"buffer\" must be a byte size string or number");
+      }
+      const Index elem_bytes = members_[kElemBytes].present ? index(kElemBytes) : 2;
+      FCU_CHECK(bytes >= 1, "request field \"buffer\" must be positive");
+      req.buffer_elems = bytes / elem_bytes;
+    } else {
+      FCU_CHECK(false, "request needs \"buffer\" (bytes) or \"buffer_elems\" (elements)");
+    }
+    FCU_CHECK(req.buffer_elems >= 1, "request buffer resolves to zero elements");
+    return req;
+  }
+
+ private:
+  /// The member a value at this depth belongs to, reset to \p kind (a
+  /// repeated key keeps its last value, as in parse_json); nullptr for the
+  /// document itself, unknown members and anything nested deeper.
+  Member* set(JsonValue::Kind kind) {
+    if (depth_ != 1 || current_ == nullptr) return nullptr;
+    *current_ = Member{true, kind, false, {}, {}};
+    return current_;
+  }
+
+  Member* match(const JsonString& k) {
+    for (int f = 0; f < kFieldCount; ++f) {
+      if (k.equals(kFieldNames[f])) return &members_[f];
+    }
+    return nullptr;
+  }
+
+  Index index(Field f) const {
+    const Member& v = members_[f];
+    const auto name = [f] { return "\"" + std::string(kFieldNames[f]) + "\""; };
+    FCU_CHECK(v.present, "request is missing required field " + name());
+    FCU_CHECK(v.kind == JsonValue::Kind::kNumber, "request field " + name() + " must be a number");
+    const double d = v.number.value();
+    FCU_CHECK(is_positive_index(d), "request field " + name() + " must be a positive integer");
+    return static_cast<Index>(d);
+  }
+
+  Member members_[kFieldCount];
+  Member* current_ = nullptr;
+  int depth_ = 0;
+  bool is_object_ = false;
+};
+
+/// Keeps the last top-level "id" member of an object, as parse_json does.
+class IdFinder final : public JsonSink {
+ public:
+  /// The id's raw string when the document was an object whose last "id"
+  /// member is a string.
+  const std::optional<JsonString>& id() const { return id_; }
+
+  void null_value() override { other(); }
+  void bool_value(bool) override { other(); }
+  void number_value(const JsonNumber&) override { other(); }
+  void string_value(const JsonString& s) override {
+    if (at_id()) id_ = s;
+  }
+  void begin_object() override {
+    other();
+    ++depth_;
+  }
+  void key(const JsonString& k) override {
+    if (depth_ == 1) id_key_ = k.equals("id");
+  }
+  void end_object() override { --depth_; }
+  void begin_array() override {
+    other();
+    ++depth_;
+  }
+  void end_array() override { --depth_; }
+
+ private:
+  /// Keys only come at depth 1 when the document is an object.
+  bool at_id() const { return depth_ == 1 && id_key_; }
+  void other() {
+    if (at_id()) id_.reset();
+  }
+
+  std::optional<JsonString> id_;
+  int depth_ = 0;
+  bool id_key_ = false;
+};
+
+/// The last "id" member of \p line when the line is one well-formed object
+/// and that member is a string.
+std::optional<JsonString> find_request_id(const std::string& line) {
+  IdFinder finder;
+  JsonError error;
+  if (!walk_json(line, finder, error)) return std::nullopt;
+  return finder.id();
 }
 
 }  // namespace
@@ -84,7 +283,7 @@ PlanRequest plan_request_from_json(const JsonValue& doc) {
   }
 
   if (JsonValuePtr be = doc.get("buffer_elems")) {
-    FCU_CHECK(be->is_number() && be->as_number() >= 1,
+    FCU_CHECK(be->is_number() && be->as_number() >= 1 && be->as_number() < kIndexLimit,
               "request field \"buffer_elems\" must be a positive number");
     req.buffer_elems = static_cast<BufferSize>(be->as_number());
   } else if (JsonValuePtr b = doc.get("buffer")) {
@@ -92,7 +291,7 @@ PlanRequest plan_request_from_json(const JsonValue& doc) {
     if (b->is_string()) {
       bytes = parse_bytes(b->as_string());
     } else if (b->is_number()) {
-      bytes = static_cast<std::int64_t>(b->as_number());
+      bytes = buffer_bytes(b->as_number());
     } else {
       FCU_CHECK(false, "request field \"buffer\" must be a byte size string or number");
     }
@@ -107,183 +306,31 @@ PlanRequest plan_request_from_json(const JsonValue& doc) {
 }
 
 PlanRequest parse_plan_request(const std::string& line, const std::string& source, int lineno) {
-  JsonValuePtr doc;
-  try {
-    doc = parse_json(line, source);
-  } catch (const ParseError& e) {
-    // parse_json saw a single line; re-anchor at the stream's line number.
-    throw ParseError(source, lineno, e.column(), e.expected());
+  RequestDecoder decoder;
+  JsonError error;
+  if (!walk_json(line, decoder, error)) {
+    // Re-anchor at the stream's line number; the column is within the line.
+    throw ParseError(source, lineno, line_column_at(line, error.offset).second,
+                     error.expected);
   }
-  return plan_request_from_json(*doc);
+  return decoder.request();
 }
-
-namespace {
-
-/// Scan one JSON string starting at text[pos] == '"'; advances \p pos past
-/// the closing quote and hands each unescaped payload byte to \p emit —
-/// byte-for-byte what parse_string() in common/json_parse.cpp would
-/// produce.  Returns false on malformed input.
-template <typename Emit>
-bool scan_json_string(const std::string& text, std::size_t& pos, Emit&& emit) {
-  if (pos >= text.size() || text[pos] != '"') return false;
-  ++pos;
-  while (true) {
-    if (pos >= text.size()) return false;
-    const char c = text[pos++];
-    if (c == '"') return true;
-    if (c != '\\') {
-      if (static_cast<unsigned char>(c) < 0x20) return false;
-      emit(c);
-      continue;
-    }
-    if (pos >= text.size()) return false;
-    const char esc = text[pos++];
-    char decoded = 0;
-    switch (esc) {
-      case '"': decoded = '"'; break;
-      case '\\': decoded = '\\'; break;
-      case '/': decoded = '/'; break;
-      case 'b': decoded = '\b'; break;
-      case 'f': decoded = '\f'; break;
-      case 'n': decoded = '\n'; break;
-      case 'r': decoded = '\r'; break;
-      case 't': decoded = '\t'; break;
-      case 'u': {
-        if (pos + 4 > text.size()) return false;
-        unsigned code = 0;
-        for (int i = 0; i < 4; ++i) {
-          const char h = text[pos++];
-          if (!std::isxdigit(static_cast<unsigned char>(h))) return false;
-          code = code * 16 +
-                 static_cast<unsigned>(h <= '9' ? h - '0' : (std::tolower(h) - 'a' + 10));
-        }
-        if (code < 0x80) {
-          emit(static_cast<char>(code));
-        } else if (code < 0x800) {
-          emit(static_cast<char>(0xC0 | (code >> 6)));
-          emit(static_cast<char>(0x80 | (code & 0x3F)));
-        } else {
-          emit(static_cast<char>(0xE0 | (code >> 12)));
-          emit(static_cast<char>(0x80 | ((code >> 6) & 0x3F)));
-          emit(static_cast<char>(0x80 | (code & 0x3F)));
-        }
-        continue;
-      }
-      default: return false;
-    }
-    emit(decoded);
-  }
-}
-
-bool skip_json_string(const std::string& text, std::size_t& pos) {
-  return scan_json_string(text, pos, [](char) {});
-}
-
-/// The parser's whitespace (std::isspace, as in common/json_parse.cpp).
-bool is_json_ws(char c) { return std::isspace(static_cast<unsigned char>(c)) != 0; }
-
-void skip_json_ws(const std::string& text, std::size_t& pos) {
-  while (pos < text.size() && is_json_ws(text[pos])) ++pos;
-}
-
-/// Skip one JSON value (string, nested container, or scalar token) without
-/// materializing it.  Returns false on malformed input.
-bool skip_json_value(const std::string& text, std::size_t& pos) {
-  skip_json_ws(text, pos);
-  if (pos >= text.size()) return false;
-  const char c = text[pos];
-  if (c == '"') return skip_json_string(text, pos);
-  if (c == '{' || c == '[') {
-    int depth = 0;
-    while (pos < text.size()) {
-      const char d = text[pos];
-      if (d == '"') {
-        if (!skip_json_string(text, pos)) return false;
-        continue;
-      }
-      ++pos;
-      if (d == '{' || d == '[') {
-        ++depth;
-      } else if (d == '}' || d == ']') {
-        if (--depth == 0) return true;
-      }
-    }
-    return false;
-  }
-  // Number / true / false / null: consume up to the next separator.
-  const std::size_t start = pos;
-  while (pos < text.size() && text[pos] != ',' && text[pos] != '}' && text[pos] != ']' &&
-         !is_json_ws(text[pos])) {
-    ++pos;
-  }
-  return pos > start;
-}
-
-/// Locate the raw byte span [begin, end) of the value of the request
-/// object's *last* "id" member — the one the parser keeps when a key
-/// repeats (common/json_parse.cpp assigns members in order).  Keys are
-/// compared unescaped, as the parser reads them, so "\u0069d" is "id" too;
-/// nothing is materialized.  Returns false when the line is not one
-/// well-formed object or has no "id" member.
-bool find_last_id_span(const std::string& line, std::size_t& begin, std::size_t& end) {
-  bool found = false;
-  std::size_t pos = 0;
-  skip_json_ws(line, pos);
-  if (pos >= line.size() || line[pos] != '{') return false;
-  ++pos;
-  skip_json_ws(line, pos);
-  if (pos < line.size() && line[pos] == '}') return false;  // empty object
-  while (true) {
-    skip_json_ws(line, pos);
-    std::size_t key_len = 0;
-    bool key_is_id = true;
-    if (!scan_json_string(line, pos, [&](char c) {
-          key_is_id = key_is_id && key_len < 2 && c == "id"[key_len];
-          ++key_len;
-        })) {
-      return false;
-    }
-    key_is_id = key_is_id && key_len == 2;
-    skip_json_ws(line, pos);
-    if (pos >= line.size() || line[pos] != ':') return false;
-    ++pos;
-    skip_json_ws(line, pos);
-    const std::size_t value_begin = pos;
-    if (!skip_json_value(line, pos)) return false;
-    if (key_is_id) {
-      found = true;
-      begin = value_begin;
-      end = pos;
-    }
-    skip_json_ws(line, pos);
-    if (pos >= line.size()) return false;
-    if (line[pos] == ',') {
-      ++pos;
-      continue;
-    }
-    if (line[pos] != '}') return false;
-    ++pos;
-    skip_json_ws(line, pos);
-    return found && pos == line.size();  // nothing may follow the object
-  }
-}
-
-}  // namespace
 
 bool extract_request_id(const std::string& line, std::string& id_out) {
   id_out.clear();
-  std::size_t begin = 0;
-  std::size_t end = 0;
-  if (!find_last_id_span(line, begin, end) || line[begin] != '"') return false;
-  std::size_t pos = begin;  // the walk already validated this string
-  scan_json_string(line, pos, [&](char c) { id_out.push_back(c); });
+  const std::optional<JsonString> id = find_request_id(line);
+  if (!id) return false;
+  id->append_to(id_out);
   return true;
 }
 
 std::uint64_t request_shape_hash(const std::string& line) {
   std::size_t skip_begin = 0;
   std::size_t skip_end = 0;
-  if (!find_last_id_span(line, skip_begin, skip_end)) skip_begin = skip_end = 0;
+  if (const std::optional<JsonString> id = find_request_id(line)) {
+    skip_begin = static_cast<std::size_t>(id->raw().data() - line.data()) - 1;  // the quotes too
+    skip_end = skip_begin + id->raw().size() + 2;
+  }
   std::uint64_t h = 14695981039346656037ull;  // FNV-1a 64-bit offset basis
   for (std::size_t i = 0; i < line.size(); ++i) {
     if (i >= skip_begin && i < skip_end) continue;

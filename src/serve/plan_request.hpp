@@ -24,7 +24,11 @@
 ///
 /// `buffer` takes a byte size with KB/MB suffixes and is divided by
 /// `elem_bytes` (default 2, the bf16 datapath); `buffer_elems` gives the
-/// element count directly and wins when both are present.  Batched matmuls
+/// element count directly and wins when both are present.  A fractional
+/// `buffer_elems` is truncated (65536.7 plans 65536 elements); integer
+/// fields (m, k, l, n, batch, elem_bytes) must be whole numbers in
+/// [1, 2^63), and every numeric field is range-checked before it is
+/// converted.  A repeated key keeps its last value.  Batched matmuls
 /// must be shared-weight (the projection case) — they fold exactly into the
 /// 3-dim view the principles optimize; per-slice weights are rejected.
 ///
@@ -61,37 +65,41 @@ struct PlanRequest {
   FusedPair to_pair() const;
 };
 
-/// Parse one JSONL request line.  Throws ParseError carrying \p source and
-/// \p lineno for malformed JSON, and std::invalid_argument for well-formed
-/// JSON with bad fields.
+/// Parse one JSONL request line in one pass of the common/json_parse
+/// walker: the typed sink keeps the last value of each known top-level
+/// member as a view into \p line and builds no tree; the only allocation is
+/// the id string.  Throws ParseError carrying \p source and \p lineno for
+/// malformed JSON (the walker's column and expected text, the same as
+/// parse_json's), and std::invalid_argument for well-formed JSON with bad
+/// fields.
 PlanRequest parse_plan_request(const std::string& line, const std::string& source = "<request>",
                                int lineno = 1);
 
-/// Same, from an already parsed JSON object.
+/// The reference decoder: the same field rules and messages over a
+/// parse_json tree.  No server path calls it; the differential test and the
+/// fuzz_plan_request target check parse_plan_request against it.
 PlanRequest plan_request_from_json(const JsonValue& doc);
 
-/// Allocation-light scan for the top-level "id" string field of a request
-/// line, used by the net/ reactors to label shed, timed-out and cancelled
-/// responses without running the full JSON parser on the event-loop thread
-/// (parsing happens pool-side).  Agrees with the parser wherever the parse
-/// succeeds: the *last* member whose unescaped key is "id" wins, as in
-/// json_parse, and the value is unescaped exactly like the real parser
-/// (common escapes plus \uXXXX as UTF-8).  Writes into the caller-owned
-/// \p id_out, so steady-state calls reuse its capacity and never allocate.
-/// Returns false (leaving \p id_out cleared) when the line is not one
-/// well-formed object, has no "id", or its id is not a string; the
-/// pool-side parse still produces the authoritative error response in
-/// those cases.
+/// The id a request line is served under, read on the net/ reactor thread
+/// to label shed, timed-out and cancelled responses without decoding the
+/// request (that happens pool-side).  A walk of the same json_parse walker
+/// that only watches the top-level "id" member: it returns true exactly
+/// when parse_json accepts \p line as one object whose *last* "id" member
+/// (keys compared unescaped) is a string, and writes that string, unescaped,
+/// into the caller-owned \p id_out.  Steady-state calls reuse its capacity
+/// and never allocate.  Otherwise returns false with \p id_out cleared; the
+/// pool-side parse still produces the authoritative error response.
 bool extract_request_id(const std::string& line, std::string& id_out);
 
-/// FNV-1a hash of a request line with the value bytes of the id
-/// extract_request_id() reads masked out, so two requests that differ only
-/// in their id — the shape the plan cache keys on — hash identically.  Used
-/// by the net/ reactors' brownout path to predict suffix-splice cache hits
-/// without parsing on the loop thread: a shape seen completing successfully
-/// before is "warm".  Falls back to hashing the whole line when the id
-/// cannot be located (the authoritative parse happens pool-side either
-/// way).  Allocation-free.
+/// FNV-1a hash of a request line with the bytes of the id that
+/// extract_request_id() reads (its quotes included) masked out, so two
+/// requests that differ only in their id — the shape the plan cache keys
+/// on — hash identically.  Used by the net/ reactors' brownout path to
+/// predict suffix-splice cache hits without decoding on the loop thread: a
+/// shape seen completing successfully before is "warm".  Hashes the whole
+/// line when extract_request_id() would return false: a line with no id
+/// has nothing to mask, and one whose id is not a string never completes
+/// successfully.  Allocation-free.
 std::uint64_t request_shape_hash(const std::string& line);
 
 /// A planning answer, ready to serialize.

@@ -70,6 +70,10 @@ std::vector<ScanCase> scan_cases() {
       {"trailing garbage", with_shape(R"("id":"t")") + " x", std::nullopt},
       {"truncated", R"({"id":"t","op":"matmul")", std::nullopt},
       {"not an object", R"(["id","t"])", std::nullopt},
+      {"malformed literal before the id", with_shape(R"("x":tru,"id":"a")"), std::nullopt},
+      {"empty array item before the id", with_shape(R"("x":[1,,2],"id":"a")"), std::nullopt},
+      {"member without a value before the id", with_shape(R"("x":{"y"},"id":"a")"),
+       std::nullopt},
   };
 }
 
