@@ -31,10 +31,11 @@
 /// --reactors N sharded event loops (src/net/server.hpp; default = hardware
 /// threads, 0 = the legacy single inline loop) with SO_REUSEPORT kernel
 /// accept distribution when available (--accept auto|reuseport|handoff):
-/// pipelined requests per connection answered in order, a bounded
-/// per-reactor admission queue (--queue-depth)
-/// in front of the worker pool with ok=false "overloaded" shedding past the
-/// high-water mark, per-request deadlines (--request-timeout-ms),
+/// pipelined requests per connection answered in order, plan-cache hits
+/// answered by the reactor itself, a bounded per-reactor admission queue
+/// for cache misses (--queue-depth) in front of the worker pool with
+/// ok=false "overloaded" shedding past the high-water mark, per-request
+/// deadlines (--request-timeout-ms),
 /// idle-connection timeouts (--idle-timeout-ms) and SIGINT/SIGTERM graceful
 /// drain (stop accepting, finish in-flight, flush stats/metrics/trace; a
 /// second signal hard-stops).  Port 0 picks a free port; the bound address
@@ -46,10 +47,10 @@
 /// flight-recorder dump), and any request unanswered 2x the budget after
 /// admission is cancelled with an in-order ok=false "timed_out" response.
 /// --target-delay-ms MS (0 = off) replaces the fixed-depth-only shed with
-/// CoDel-style adaptive admission: when the standing (window-minimum)
-/// pool-queue delay exceeds the target for an interval the server enters
-/// brownout — cold request shapes are shed with a retry_after_ms hint while
-/// plan-cache-warm shapes keep being served — and recovers with hysteresis
+/// CoDel-style adaptive admission of cache misses: when the standing
+/// (window-minimum) pool-queue delay exceeds the target for an interval the
+/// server enters brownout — misses are shed with a retry_after_ms hint
+/// while plan-cache hits keep being served — and recovers with hysteresis
 /// once the standing delay halves.
 ///
 ///   $ fusecu_serve --listen 127.0.0.1:7411 --threads 8 --queue-depth 256 &
@@ -100,7 +101,9 @@ const char* const kUsage =
     "                    [--stats] [--stats-interval SEC] [--stats-out FILE]\n"
     "                    [--metrics-out FILE] [--trace-out FILE] [--log-out FILE]\n"
     "                    [--log-level LEVEL] [--flight-out FILE]\n"
-    "Reads JSONL planning requests (stdin by default) and answers one JSON line each.\n";
+    "Reads JSONL planning requests (stdin by default) and answers one JSON line each.\n"
+    "With --listen, plan-cache hits are answered at once; --queue-depth (misses in\n"
+    "flight per reactor) and --target-delay-ms (brownout) govern cache misses only.\n";
 
 /// Signal-handler target: handlers may only do async-signal-safe work, and
 /// NetServer::request_drain (atomic bump + pipe write) qualifies.

@@ -6,7 +6,8 @@
 // parse_plan_request decodes a line in one pass of the json_parse walker
 // with a typed sink; the reference is parse_json's value tree fed to
 // plan_request_from_json.  On every line both must end the same way, and
-// extract_request_id must name exactly the id the tree holds.
+// decode_plan_request into an already used request must assign every
+// field, as the reactors reuse one request across lines.
 
 #include <cstddef>
 #include <exception>
@@ -111,29 +112,27 @@ inline Outcome reference(const std::string& line, const std::string& source = "<
 }
 
 /// Empty when the decoder and the reference agree on \p line and
-/// extract_request_id keeps its contract; otherwise what differs.
+/// decode_plan_request over a used request agrees with both; otherwise
+/// what differs.
 inline std::string mismatch(const std::string& line) {
   const Outcome got = decoded(line);
   const Outcome want = reference(line);
   if (!same_outcome(got, want)) {
     return "decoder " + describe(got) + " vs reference " + describe(want);
   }
+  if (got.kind != Outcome::Kind::kOk) return {};
 
-  JsonValuePtr doc;
-  try {
-    doc = parse_json(line);
-  } catch (const ParseError&) {
-  }
-  const JsonValuePtr id = doc != nullptr && doc->is_object() ? doc->get("id") : nullptr;
-  const bool want_id = id != nullptr && id->is_string();
-  std::string got_id = "stale";
-  const bool found = extract_request_id(line, got_id);
-  if (found != want_id) {
-    return std::string("extract_request_id returned ") + (found ? "true" : "false") +
-           ", the tree says " + (want_id ? "true" : "false");
-  }
-  if (got_id != (want_id ? id->as_string() : std::string())) {
-    return "extract_request_id wrote \"" + got_id + "\"";
+  PlanRequest used;
+  used.id = "a stale id longer than any small-string buffer";
+  used.kind = PlanRequest::Kind::kFusedPair;
+  used.m = used.k = used.l = used.n = used.batch = used.buffer_elems = 99;
+  const Outcome reused = run([&] {
+    decode_plan_request(line, used, "<diff>", 7);
+    return used;
+  });
+  if (!same_outcome(reused, got)) {
+    return "decode_plan_request over a used request " + describe(reused) + " vs " +
+           describe(got);
   }
   return {};
 }

@@ -14,6 +14,11 @@ JsonWriter::~JsonWriter() = default;
 std::string JsonWriter::escape(const std::string& raw) {
   std::string out;
   out.reserve(raw.size() + 2);
+  append_escaped(out, raw);
+  return out;
+}
+
+void JsonWriter::append_escaped(std::string& out, std::string_view raw) {
   for (char c : raw) {
     switch (c) {
       case '"':
@@ -41,7 +46,6 @@ std::string JsonWriter::escape(const std::string& raw) {
         }
     }
   }
-  return out;
 }
 
 void JsonWriter::before_value() {

@@ -2,6 +2,7 @@
 
 #include <ostream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/types.hpp"
@@ -51,6 +52,8 @@ class JsonWriter {
   bool complete() const { return stack_.empty() && root_written_; }
 
   static std::string escape(const std::string& raw);
+  /// escape() appended to \p out, reusing its capacity.
+  static void append_escaped(std::string& out, std::string_view raw);
 
  private:
   void before_value();

@@ -41,15 +41,13 @@ std::string reactor_metric(int index, const char* name) {
 
 }  // namespace
 
-void ReactorShared::post(std::uint64_t conn_id, std::uint64_t seq, bool parse_error,
-                         std::string&& json) {
+void ReactorShared::post(std::uint64_t conn_id, std::uint64_t seq, std::string&& json) {
   std::lock_guard<std::mutex> lock(mu);
   if (wakeup_w < 0) return;  // reactor already gone; drop the response
   const bool was_empty = items.empty() && handoff_fds.empty();
   Completion item;
   item.conn_id = conn_id;
   item.seq = seq;
-  item.parse_error = parse_error;
   item.json = std::move(json);
   items.push_back(std::move(item));
   if (was_empty) {
@@ -109,18 +107,15 @@ void NetRequest::run_on_pool(void* arg) {
     const std::int64_t dequeue_us = span_clock_us();
     req->admission->record(dequeue_us - req->enqueue_us, dequeue_us);
   }
-  bool parse_error = false;
-  std::string json =
-      req->service->plan_line_json(req->line, req->peer, req->lineno, req->enqueue_us,
-                                   &parse_error);
-  json.push_back('\n');  // Pending.json carries its own framing
+  std::string json;
+  req->service->finish_line(req->keyed, req->enqueue_us, json);
   // Keep the shared state alive past release(): after release the slot may
   // be re-acquired and overwritten by the reactor at any moment.
   std::shared_ptr<ReactorShared> owner = std::move(req->owner);
   const std::uint64_t conn_id = req->conn_id;
   const std::uint64_t seq = req->seq;
   owner->release(req);
-  owner->post(conn_id, seq, parse_error, std::move(json));
+  owner->post(conn_id, seq, std::move(json));
 }
 
 Reactor::Reactor(PlanService& service, const ReactorConfig& config)
@@ -172,6 +167,7 @@ Reactor::Reactor(PlanService& service, const ReactorConfig& config)
   completions_scratch_.reserve(static_cast<std::size_t>(config_.queue_depth));
   iovs_.reserve(kWritevBatchSlots);
   iov_slots_.reserve(kWritevBatchSlots);
+  dirty_.reserve(64);
 
   if (listener_fd_ >= 0) poller_.add(listener_fd_, /*want_read=*/true, /*want_write=*/false);
   poller_.add(wakeup_r_, true, false);
@@ -233,6 +229,9 @@ void Reactor::run() {
     // beats well inside the missed-beat budget.
     const std::int64_t idle_cap =
         config_.watchdog_ms > 0 ? std::max<std::int64_t>(1, config_.watchdog_ms / 2) : 1000;
+    // Deadline and watchdog answers made above wait for this turn's flush,
+    // so the poll must not block them.
+    if (!dirty_.empty()) timeout = 0;
     poller_.wait(events_, static_cast<int>(std::min<std::int64_t>(
                               timeout < 0 ? idle_cap : timeout, idle_cap)));
     epoll_waits_.add();
@@ -254,6 +253,7 @@ void Reactor::run() {
       }
     }
     process_inbox();
+    flush_dirty();
     const int drains = config_.drain_requests->load(std::memory_order_relaxed);
     if (drains > drain_requests_seen_) {
       drain_requests_seen_ = drains;
@@ -377,10 +377,7 @@ void Reactor::on_readable(Conn& conn) {
       conn.last_activity_ms = now_ms();
       bytes_in_counter_.add(n);
       conn.decoder.feed(buf, static_cast<std::size_t>(n));
-      while (conn.decoder.next(line_scratch_)) {
-        handle_line(conn, line_scratch_);
-        if (conn_by_fd(fd) != &conn) return;  // write error closed it
-      }
+      while (conn.decoder.next(line_scratch_)) handle_line(conn, line_scratch_);
       // Deferred reads: past either high-water mark, leave the rest of the
       // socket buffer to the kernel so TCP flow control pushes back.
       if (reads_paused_ || conn.queued_bytes >= config_.write_high_water) break;
@@ -390,10 +387,7 @@ void Reactor::on_readable(Conn& conn) {
       conn.read_eof = true;
       // Same contract as the stdin stream: a final newline-less partial
       // line is still one request (half-closed clients read its response).
-      if (conn.decoder.finish(line_scratch_)) {
-        handle_line(conn, line_scratch_);
-        if (conn_by_fd(fd) != &conn) return;
-      }
+      if (conn.decoder.finish(line_scratch_)) handle_line(conn, line_scratch_);
       break;
     }
     if (errno == EINTR) continue;
@@ -401,77 +395,79 @@ void Reactor::on_readable(Conn& conn) {
     close_conn(conn, "read error");
     return;
   }
+  if (conn.dirty) return;  // this turn's flush settles interest and close
   update_interest(conn);
   maybe_close(conn);
 }
 
-void Reactor::handle_line(Conn& conn, LineDecoder::DecodedLine& line) {
+void Reactor::handle_line(Conn& conn, const LineDecoder::DecodedLine& line) {
   ++conn.lineno;
   if (line.oversized) {
     stats_.oversized_lines.fetch_add(1, std::memory_order_relaxed);
     stats_.requests.fetch_add(1, std::memory_order_relaxed);
     oversized_counter_.add();
-    push_done_response(
-        conn, error_response("", oversized_line_message(conn.peer, conn.lineno,
-                                                        config_.max_line_bytes))
-                  .to_json());
+    Pending& slot = push_slot(conn);
+    service_.reject_oversized_line(conn.peer, conn.lineno, config_.max_line_bytes, slot.json);
+    mark_done(conn, slot);
     return;
   }
   if (line.text.find_first_not_of(" \t\r") == std::string::npos) return;
   stats_.requests.fetch_add(1, std::memory_order_relaxed);
+  Pending& slot = push_slot(conn);
+  switch (service_.begin_line(line.text, conn.peer, conn.lineno, keyed_scratch_, slot.json)) {
+    case LineOutcome::kMalformed:
+      stats_.parse_errors.fetch_add(1, std::memory_order_relaxed);
+      parse_errors_counter_.add();
+      mark_done(conn, slot);
+      return;
+    case LineOutcome::kHit:
+      mark_done(conn, slot);
+      return;
+    case LineOutcome::kMiss:
+      admit_miss(conn, slot);
+      return;
+  }
+}
+
+void Reactor::admit_miss(Conn& conn, Pending& slot) {
   AdmissionController* admission =
       config_.admission != nullptr && config_.admission->enabled() ? config_.admission : nullptr;
-  const std::uint64_t line_hash = admission != nullptr ? request_shape_hash(line.text) : 0;
   // Two shed triggers, checked in order: the hard depth bound (the pool
-  // queue stays bounded no matter what), then brownout — adaptive
-  // admission says the standing queue delay is past target, so cold shapes
-  // (no successful completion seen → a planner miss) are shed while warm
-  // ones (suffix-splice cache hits, nearly free) keep flowing.  A request
-  // already admitted is never shed retroactively by either trigger.
-  bool shed = false;
+  // queue stays bounded no matter what), then brownout — adaptive admission
+  // says the standing queue delay is past target, so misses are shed while
+  // hits, answered above from the cache, keep flowing.  Brownout still
+  // admits a miss when none of this reactor's is in flight: its dequeue is
+  // the fresh queue-delay sample that lets the brownout end, which hits can
+  // never provide.  A request already admitted is never shed retroactively
+  // by either trigger.
   std::string message;
   if (inflight_ >= config_.queue_depth) {
-    shed = true;
     message = "overloaded: admission queue full (queue-depth " +
               std::to_string(config_.queue_depth) + ")";
-  } else if (admission != nullptr && admission->overloaded() &&
-             warm_keys_.find(line_hash) == warm_keys_.end()) {
-    shed = true;
+  } else if (admission != nullptr && admission->overloaded() && inflight_ > 0) {
     message = "overloaded: brownout, cold request shed (target-delay-ms " +
               std::to_string(admission->target_delay_ms()) + ")";
   }
-  if (shed) {
+  const std::string& id = keyed_scratch_.request.id;
+  if (!message.empty()) {
     // Past the high-water mark reads are already deferred; lines that were
     // decoded before the pause took effect are shed, keeping the pool
-    // queue bounded.  The response still occupies its ordered slot.  The
-    // id is recovered with the allocation-light scanner (full parsing is
-    // pool-side now and a shed line never reaches the pool).
+    // queue bounded.  The response still occupies its ordered slot.
     stats_.shed.fetch_add(1, std::memory_order_relaxed);
     shed_counter_.add();
-    std::string id;
-    extract_request_id(line.text, id);
-    std::string json = admission != nullptr
-                           ? overload_response_json(id, message, admission->retry_after_ms())
-                           : error_response(id, message).to_json();
-    push_done_response(conn, std::move(json));
+    slot.json = admission != nullptr
+                    ? overload_response_json(id, message, admission->retry_after_ms())
+                    : error_response(id, message).to_json();
+    mark_done(conn, slot);
     return;
   }
-  const std::uint64_t seq = next_seq_++;
-  Pending& slot = conn.pending.push_slot();
-  slot.seq = seq;
-  slot.line_hash = line_hash;
-  slot.done = false;
-  slot.written_bytes = 0;
-  // slot.json keeps its recycled capacity; overwritten when the completion
-  // lands.  slot.request_id is only meaningful (and only assigned) when
-  // deadlines or the hang guard are armed.
-  if (config_.request_timeout_ms > 0 || config_.watchdog_ms > 0) {
-    extract_request_id(line.text, slot.request_id);  // cleared when absent
-  }
+  // slot.request_id is only meaningful (and only assigned) when deadlines
+  // or the hang guard are armed.
+  if (config_.request_timeout_ms > 0 || config_.watchdog_ms > 0) slot.request_id.assign(id);
   if (config_.request_timeout_ms > 0) {
     Deadline& deadline = deadlines_.push_slot();
     deadline.conn_id = conn.id;
-    deadline.seq = seq;
+    deadline.seq = slot.seq;
     deadline.deadline_ms = now_ms() + config_.request_timeout_ms;
   }
   if (config_.watchdog_ms > 0) {
@@ -479,7 +475,7 @@ void Reactor::handle_line(Conn& conn, LineDecoder::DecodedLine& line) {
     // flags a stall at 1x, the hang guard cancels at 2x.
     Deadline& guard = hang_guard_.push_slot();
     guard.conn_id = conn.id;
-    guard.seq = seq;
+    guard.seq = slot.seq;
     guard.deadline_ms = now_ms() + 2 * config_.watchdog_ms;
   }
   ++inflight_;
@@ -487,26 +483,41 @@ void Reactor::handle_line(Conn& conn, LineDecoder::DecodedLine& line) {
   req->service = &service_;
   req->admission = admission;
   req->conn_id = conn.id;
-  req->seq = seq;
-  req->lineno = conn.lineno;
+  req->seq = slot.seq;
   req->enqueue_us = span_clock_us();
-  req->line.swap(line.text);  // line_scratch_ inherits the old capacity
-  req->peer = conn.peer;
+  std::swap(req->keyed, keyed_scratch_);  // keyed_scratch_ inherits the node's capacity
   service_.pool().post(&NetRequest::run_on_pool, req);
   if (inflight_ >= config_.queue_depth && !reads_paused_) pause_reads();
 }
 
-void Reactor::push_done_response(Conn& conn, std::string&& json) {
-  json.push_back('\n');
+Reactor::Pending& Reactor::push_slot(Conn& conn) {
   Pending& slot = conn.pending.push_slot();
   slot.seq = next_seq_++;
-  slot.request_id.clear();
-  slot.line_hash = 0;
+  slot.done = false;
+  slot.written_bytes = 0;
+  return slot;
+}
+
+void Reactor::mark_done(Conn& conn, Pending& slot) {
+  slot.json.push_back('\n');  // Pending.json carries its own framing
   slot.done = true;
   slot.written_bytes = 0;
-  slot.json = std::move(json);
   conn.queued_bytes += slot.json.size();
-  flush_ready(conn);
+  if (conn.dirty) return;
+  conn.dirty = true;
+  dirty_.push_back(conn.id);
+}
+
+void Reactor::flush_dirty() {
+  for (std::uint64_t id : dirty_) {
+    Conn* conn = find_conn(id);
+    if (conn == nullptr) continue;  // closed after it was marked
+    conn->dirty = false;
+    if (has_writable(*conn) && !try_write(*conn)) continue;  // died mid-write
+    update_interest(*conn);
+    maybe_close(*conn);
+  }
+  dirty_.clear();
 }
 
 bool Reactor::has_writable(const Conn& conn) const {
@@ -520,13 +531,6 @@ bool Reactor::has_writable(const Conn& conn) const {
   }
   const Pending& front = conn.pending.front();
   return front.done && front.written_bytes < front.json.size();
-}
-
-void Reactor::flush_ready(Conn& conn) {
-  if (!has_writable(conn)) return;
-  if (!try_write(conn)) return;
-  update_interest(conn);
-  maybe_close(conn);
 }
 
 bool Reactor::try_write(Conn& conn) {
@@ -654,22 +658,8 @@ void Reactor::process_inbox() {
       Pending& slot = conn->pending[i];
       if (slot.seq != item.seq) continue;
       if (slot.done) break;  // deadline answered first; drop the pool result
-      if (item.parse_error) {
-        stats_.parse_errors.fetch_add(1, std::memory_order_relaxed);
-        parse_errors_counter_.add();
-      } else if (slot.line_hash != 0) {
-        // A shape that completed successfully is warm from now on: the plan
-        // cache holds its entry, so brownout keeps admitting it.  Bounded
-        // by wholesale clearing — losing warmth only sheds a few extra
-        // colds until shapes re-complete.
-        if (warm_keys_.size() >= 65536) warm_keys_.clear();
-        warm_keys_.insert(slot.line_hash);
-      }
-      slot.done = true;
-      slot.written_bytes = 0;
       slot.json = std::move(item.json);
-      conn->queued_bytes += slot.json.size();
-      flush_ready(*conn);  // may close conn; nothing touches it afterwards
+      mark_done(*conn, slot);
       break;
     }
   }
@@ -692,17 +682,13 @@ void Reactor::on_deadline(std::uint64_t conn_id, std::uint64_t seq) {
     Pending& slot = conn->pending[i];
     if (slot.seq != seq) continue;
     if (slot.done) return;  // completed (or already expired) — nothing to do
-    slot.done = true;
-    slot.written_bytes = 0;
     slot.json = error_response(slot.request_id,
                                "deadline exceeded after " +
                                    std::to_string(config_.request_timeout_ms) + "ms")
                     .to_json();
-    slot.json.push_back('\n');
-    conn->queued_bytes += slot.json.size();
+    mark_done(*conn, slot);
     stats_.deadline_expired.fetch_add(1, std::memory_order_relaxed);
     deadline_counter_.add();
-    flush_ready(*conn);
     return;
   }
   // Slot already popped: the pool answered and the response was written.
@@ -728,15 +714,12 @@ void Reactor::on_hang_guard(std::uint64_t conn_id, std::uint64_t seq) {
     // a worker hung inside this request can never leak the slot or stall
     // the connection's response order.  inflight_ stays up — the worker's
     // eventual completion decrements it and is dropped at slot.done above.
-    slot.done = true;
-    slot.written_bytes = 0;
     slot.json = error_response(slot.request_id,
                                "timed_out: cancelled by watchdog after " +
                                    std::to_string(2 * config_.watchdog_ms) +
                                    "ms (watchdog-ms " + std::to_string(config_.watchdog_ms) + ")")
                     .to_json();
-    slot.json.push_back('\n');
-    conn->queued_bytes += slot.json.size();
+    mark_done(*conn, slot);
     stats_.timed_out.fetch_add(1, std::memory_order_relaxed);
     watchdog_cancelled_counter_.add();
     log_warn("net", "watchdog: request cancelled past hard deadline",
@@ -744,7 +727,6 @@ void Reactor::on_hang_guard(std::uint64_t conn_id, std::uint64_t seq) {
               {"peer", conn->peer},
               {"id", slot.request_id},
               {"budget_ms", std::to_string(config_.watchdog_ms)}});
-    flush_ready(*conn);
     return;
   }
   // Slot already popped: the response left the server before the guard fired.

@@ -8,7 +8,6 @@
 #include <mutex>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "common/ring_buffer.hpp"
@@ -40,22 +39,36 @@
 /// deterministic mode tests use) reactor 0 owns the single listener and
 /// round-robins accepted fds to all reactors through their inboxes.
 ///
-/// Hot-path allocation discipline.  Steady-state request handling on the
-/// reactor thread performs **zero heap allocations** (asserted by
-/// tests/net_alloc_test.cpp): response slots live in capacity-preserving
-/// rings, pool jobs are raw-pointer posts into a pre-allocated request
-/// arena, request lines move by swap, per-request deadlines ride a FIFO
-/// ring instead of per-request timer-wheel closures, and every scratch
-/// buffer (iovec gather list, completion swap vectors, decoded line) is a
-/// reused member.  Parsing and serialization happen pool-side
-/// (PlanService::plan_line_json).  Paths that are *not* steady state —
-/// accept, close, overload shedding, deadline expiry, oversized lines —
-/// may allocate.
+/// Request path.  The reactor runs step 1 of the line core
+/// (PlanService::begin_line) on every line it reads: decode, key, one
+/// counted cache probe.  A cache hit is answered right there — the escaped
+/// id spliced onto the cached body, in the connection's next response slot
+/// — and so is a malformed line.  Only a miss meets admission (the depth
+/// bound, then brownout) and, if admitted, goes to the pool carrying its
+/// decoded request and key; the pool runs step 2 (finish_line) and posts
+/// the response back through the completion inbox.
 ///
-/// Write path: each flush gathers the contiguous prefix of completed
-/// response slots (up to kWritevBatchSlots) into one writev, so a
-/// pipelined burst of K cached responses leaves in ceil(K/slots) syscalls
-/// instead of K.
+/// Hot-path allocation discipline.  Steady-state request handling on the
+/// reactor thread performs **zero heap allocations** on both paths
+/// (asserted by tests/net_alloc_test.cpp).  A hit decodes into a reused
+/// KeyedRequest (its key reserved to the longest key a request can spell,
+/// its id keeping its capacity) and splices its response into the slot's
+/// recycled string.  A miss swaps that KeyedRequest into a pre-allocated
+/// request arena node (pool jobs are raw-pointer posts), and its completion
+/// moves into the slot.  Response slots live in capacity-preserving rings,
+/// per-request deadlines ride a FIFO ring instead of per-request timer-wheel
+/// closures, and every scratch buffer (iovec gather list, completion swap
+/// vectors, decoded line, dirty list) is a reused member.  Paths that are
+/// *not* steady state — accept, close, overload shedding, deadline expiry,
+/// malformed and oversized lines — may allocate.
+///
+/// Write path: every response — a hit, a pool completion, a shed, a parse
+/// error, an oversized line, a deadline or watchdog answer — only marks
+/// its slot done and puts its connection on the per-turn dirty list.  Once
+/// per loop turn, after the events and the inbox, run() flushes each dirty
+/// connection once: one writev gathers its contiguous prefix of done slots
+/// (up to kWritevBatchSlots), so a pipelined burst of K responses leaves
+/// in about ceil(K/slots) syscalls instead of K.
 
 namespace fusecu {
 
@@ -92,10 +105,11 @@ struct NetStats {
 
 struct ReactorShared;
 
-/// One pooled TCP request, arena-allocated so the reactor's submit path
-/// never touches the heap: the reactor fills the fields (line and peer
-/// reuse their capacity across requests), posts run_on_pool to the worker
-/// pool, and the worker returns the slot after posting its completion.
+/// One pooled TCP request (a cache miss), arena-allocated so the reactor's
+/// submit path never touches the heap: the reactor fills the fields
+/// (swapping in its decoded KeyedRequest, so both keep their capacity),
+/// posts run_on_pool to the worker pool, and the worker returns the slot
+/// after posting its completion.
 /// `owner` keeps the reactor's shared state alive until the worker is done
 /// with it — a worker finishing after a hard-stopped server posts into a
 /// shut-down queue instead of freed memory.
@@ -105,13 +119,11 @@ struct NetRequest {
   AdmissionController* admission = nullptr;  ///< queue-delay sink; may be null
   std::uint64_t conn_id = 0;
   std::uint64_t seq = 0;
-  int lineno = 0;
   std::int64_t enqueue_us = 0;
-  std::string line;
-  std::string peer;
+  KeyedRequest keyed;  ///< decoded and keyed on the reactor
 
-  /// Pool trampoline: parse + plan + serialize via plan_line_json, post
-  /// the completion, release the arena slot.
+  /// Pool trampoline: record the queue delay, plan + serialize via
+  /// PlanService::finish_line, post the completion, release the arena slot.
   static void run_on_pool(void* arg);
 };
 
@@ -122,7 +134,6 @@ struct ReactorShared {
   struct Completion {
     std::uint64_t conn_id = 0;
     std::uint64_t seq = 0;
-    bool parse_error = false;
     std::string json;  ///< full response line, trailing '\n' included
   };
 
@@ -137,7 +148,7 @@ struct ReactorShared {
   std::deque<NetRequest> arena;
   std::vector<NetRequest*> free_list;
 
-  void post(std::uint64_t conn_id, std::uint64_t seq, bool parse_error, std::string&& json);
+  void post(std::uint64_t conn_id, std::uint64_t seq, std::string&& json);
   /// Queue an accepted fd for adoption; false once shut down (the caller
   /// closes the fd).
   bool post_fd(int fd);
@@ -153,7 +164,7 @@ struct ReactorConfig {
   bool acceptor = false;     ///< handoff mode: accept + round-robin to peers
   int conn_limit = 256;      ///< local accept-pause threshold (reuseport)
   int max_conns_total = 256; ///< global cap (handoff acceptor's threshold)
-  int queue_depth = 128;     ///< per-reactor admission high-water mark
+  int queue_depth = 128;     ///< per-reactor high-water mark of misses in flight
   std::int64_t request_timeout_ms = 0;
   std::int64_t idle_timeout_ms = 60'000;
   /// Watchdog budget (--watchdog-ms); > 0 arms the per-request hang guard
@@ -167,7 +178,8 @@ struct ReactorConfig {
   std::atomic<int>* total_conns = nullptr;
   std::atomic<int>* drain_requests = nullptr;
   /// Adaptive admission (--target-delay-ms), owned by NetServer and shared
-  /// by all reactors; nullptr or disabled = fixed-depth shed only.
+  /// by all reactors; nullptr or disabled = fixed-depth shed only.  Like
+  /// queue_depth it governs cache misses only: a hit never waits on the pool.
   AdmissionController* admission = nullptr;
 };
 
@@ -187,6 +199,8 @@ class Reactor {
   void set_peers(std::vector<Reactor*> peers);
 
   /// Event loop; returns once a requested drain completes on this reactor.
+  /// Each turn: due deadlines, poll, the events, the inbox, then one flush
+  /// per dirty connection.
   void run();
 
   /// Write end of this reactor's drain pipe (NetServer::request_drain
@@ -210,7 +224,6 @@ class Reactor {
   struct Pending {
     std::uint64_t seq = 0;
     std::string request_id;  ///< for deadline / hang-guard error responses
-    std::uint64_t line_hash = 0;  ///< request shape hash (admission on), else 0
     bool done = false;
     std::size_t written_bytes = 0;
     std::string json;  ///< response line including trailing '\n'
@@ -225,6 +238,7 @@ class Reactor {
     std::size_t queued_bytes = 0;  ///< completed-response bytes not yet written
     int lineno = 0;
     bool read_eof = false;
+    bool dirty = false;  ///< on dirty_: has a newly done slot to flush this turn
     std::int64_t last_activity_ms = 0;
     TimerWheel::TimerId idle_timer = 0;
 
@@ -246,10 +260,17 @@ class Reactor {
   void adopt_conn(int fd);
   void on_readable(Conn& conn);
   void on_writable(Conn& conn);
-  void handle_line(Conn& conn, LineDecoder::DecodedLine& line);
-  void push_done_response(Conn& conn, std::string&& json);
+  void handle_line(Conn& conn, const LineDecoder::DecodedLine& line);
+  /// Admit a missed request to the pool, or shed it into \p slot.
+  void admit_miss(Conn& conn, Pending& slot);
+  /// The next response slot, not yet done (seq assigned, json untouched).
+  Pending& push_slot(Conn& conn);
+  /// \p slot's json is its response line: frame it, mark it done and
+  /// queue its connection for this turn's flush.
+  void mark_done(Conn& conn, Pending& slot);
+  /// Flush every connection on dirty_ once, then clear it.
+  void flush_dirty();
   bool has_writable(const Conn& conn) const;
-  void flush_ready(Conn& conn);
   /// Writes what the socket accepts (one writev per gathered batch);
   /// returns false when the connection died (and was closed) mid-write.
   bool try_write(Conn& conn);
@@ -308,11 +329,6 @@ class Reactor {
   /// result is dropped because the slot is already done.
   RingBuffer<Deadline> hang_guard_;
 
-  /// Request shapes seen completing successfully — the brownout warm set.
-  /// Only populated while adaptive admission is on; bounded by clearing at
-  /// 64k entries (losing warmth is safe, it only sheds a few extra colds).
-  std::unordered_set<std::uint64_t> warm_keys_;
-
   /// Supervisor heartbeat (see loop_epoch()/loop_live()).
   std::atomic<std::uint64_t> loop_epoch_{0};
   std::atomic<bool> loop_live_{false};
@@ -325,6 +341,8 @@ class Reactor {
   std::vector<ReactorShared::Completion> completions_scratch_;
   std::vector<int> handoff_scratch_;
   LineDecoder::DecodedLine line_scratch_;
+  KeyedRequest keyed_scratch_;        ///< the line being served; swapped into the arena on a miss
+  std::vector<std::uint64_t> dirty_;  ///< connections with responses to flush this turn
 
   // Hot-path obs counters cached once (MetricsRegistry hands out stable
   // references).  Global counters are shared by all reactors; the

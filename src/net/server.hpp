@@ -18,10 +18,11 @@
 /// protocol as the stdin path, in front of the PlanService worker pool.
 ///
 /// Threading model.  Each reactor thread owns its connections, poller,
-/// timer wheel and deadline queue; planning (parse + plan + serialize) runs
-/// on the PlanService pool, and each completed response line crosses back
-/// to its owning reactor via a mutex-guarded completion queue plus a wakeup
-/// pipe (pool workers never touch connection state).  `request_drain()` is
+/// timer wheel and deadline queue.  It decodes every line it reads, probes
+/// the plan cache once and answers a hit itself; only a cache miss is
+/// planned (and serialized) on the PlanService pool, and its response line
+/// crosses back to the owning reactor via a mutex-guarded completion queue
+/// plus a wakeup pipe (pool workers never touch connection state).  `request_drain()` is
 /// the only other entry point and is async-signal-safe (an atomic bump plus
 /// one write(2) per reactor drain pipe), so it can be called straight from
 /// SIGINT/SIGTERM handlers.
@@ -36,15 +37,16 @@
 /// `reactors = 0` (the default) keeps the pre-sharding behavior: one
 /// reactor, run inline on the caller's thread.
 ///
-/// Backpressure and admission control.  In-flight requests (submitted to
-/// the pool, not yet completed) are bounded **per reactor** by
-/// `queue_depth`:
+/// Backpressure and admission control.  Admission governs cache misses
+/// only: a hit is answered from the cache before admission is consulted,
+/// so it is never shed.  In-flight misses (submitted to the pool, not yet
+/// completed) are bounded **per reactor** by `queue_depth`:
 ///
 ///   * at the high-water mark (`inflight >= queue_depth`) a reactor stops
 ///     reading its connections — deferred reads let the kernel's TCP flow
 ///     control push back on clients;
-///   * request lines that were already decoded when the mark was crossed
-///     are *shed*: an immediate `ok=false` "overloaded" response in their
+///   * misses that were already decoded when the mark was crossed are
+///     *shed*: an immediate `ok=false` "overloaded" response in their
 ///     response slot, never queued to the pool;
 ///   * reads resume at the low-water mark (queue_depth / 2).
 ///
@@ -56,11 +58,12 @@
 ///
 /// Adaptive admission and brownout.  With `target_delay_ms > 0` a shared
 /// AdmissionController watches the standing (continuously above-target) queue
-/// delay of admitted requests; past the target for a full interval the
-/// server enters *brownout*: cold request shapes are shed with a
-/// `retry_after_ms` backoff hint while warm shapes (plan-cache hits) keep
-/// being served, and the state clears with hysteresis once the standing
-/// delay halves.  See serve/admission.hpp and DESIGN.md §7.
+/// delay of admitted misses; past the target for a full interval the
+/// server enters *brownout*: cache misses are shed with a `retry_after_ms`
+/// backoff hint while plan-cache hits keep being served, and the state
+/// clears with hysteresis once the standing delay halves.  A reactor with
+/// no miss in flight still admits one, so the delay signal never goes
+/// stale.  See serve/admission.hpp and DESIGN.md §7.
 ///
 /// Supervision.  With `watchdog_ms > 0` a Supervisor thread samples
 /// per-reactor loop heartbeats and per-pool-worker task heartbeats; a
@@ -72,10 +75,11 @@
 /// connection's response slot.  See net/supervisor.hpp.
 ///
 /// Ordering.  Each connection keeps a ring of response slots in request
-/// order; a response (planned, shed, parse error, or deadline-expired) is
-/// written only when every earlier slot on that connection has been
+/// order; a response (hit, planned, shed, parse error, or deadline-expired)
+/// is written only when every earlier slot on that connection has been
 /// written, so pipelined clients get responses exactly in request order.
-/// Contiguous completed slots are flushed with a single writev (see
+/// Each loop turn flushes every connection with new responses once:
+/// contiguous completed slots leave in a single writev (see
 /// Reactor::kWritevBatchSlots).
 ///
 /// Deadlines ride a per-reactor FIFO ring; idle connections ride the timer
@@ -98,11 +102,11 @@ struct NetServerOptions {
   std::string host = "127.0.0.1";
   std::uint16_t port = 0;  ///< 0 binds a free port (see NetServer::port())
   int max_conns = 256;     ///< accept pauses at this many live connections
-  int queue_depth = 128;   ///< per-reactor admission high-water mark
+  int queue_depth = 128;   ///< per-reactor high-water mark of misses in flight
   std::int64_t request_timeout_ms = 0;    ///< 0 = no per-request deadline
   std::int64_t idle_timeout_ms = 60'000;  ///< 0 = never close idle conns
   std::int64_t watchdog_ms = 0;           ///< heartbeat budget; 0 = no supervision
-  std::int64_t target_delay_ms = 0;       ///< CoDel target; 0 = fixed-depth shed only
+  std::int64_t target_delay_ms = 0;       ///< CoDel target for misses; 0 = fixed-depth shed only
   std::size_t max_line_bytes = 1 << 20;   ///< shared with ServeOptions
   std::size_t write_high_water = 1 << 20; ///< slow-reader read deferral
   PollBackend poll_backend = PollBackend::kAuto;

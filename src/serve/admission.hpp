@@ -32,12 +32,15 @@
 /// at once — admission is never revoked, so time spent deliberating is
 /// served-tail latency for every request admitted meanwhile.
 ///
-/// In BROWNOUT the reactor sheds *cold* requests (shapes never completed
-/// before — planner misses) while still admitting *warm* ones (suffix-splice
-/// cache hits), and every shed response carries a `retry_after_ms` hint so
-/// well-behaved clients back off instead of hammering.  The controller
-/// never revokes admission: a request that entered the queue is always
-/// served or answered by the watchdog, never shed retroactively.
+/// Only plan-cache misses are admitted to the queue — the reactor answers a
+/// hit from the cache itself — so only misses are observed here and only
+/// misses are shed.  In BROWNOUT the reactor sheds a miss unless none of
+/// its own misses is in flight (that one is admitted: its dequeue is the
+/// sample that lets BROWNOUT end), and every shed response carries a
+/// `retry_after_ms` hint so well-behaved clients back off instead of
+/// hammering.  The controller never revokes admission: a request that
+/// entered the queue is always served or answered by the watchdog, never
+/// shed retroactively.
 ///
 /// Threading.  `record()` is called by every pool worker at dequeue;
 /// `overloaded()` is a single relaxed atomic load on the reactor hot path.
@@ -70,8 +73,8 @@ class AdmissionController {
   /// `serve/queue_delay_us` histogram and the brownout state machine.
   void record(std::int64_t delay_us, std::int64_t now_us);
 
-  /// True while the controller is in BROWNOUT — the reactor sheds cold
-  /// requests.  A single relaxed load; safe on the hot path.
+  /// True while the controller is in BROWNOUT — the reactor sheds cache
+  /// misses.  A single relaxed load; safe on the hot path.
   bool overloaded() const { return overloaded_.load(std::memory_order_relaxed); }
 
   /// The backoff hint attached to shed responses: 2x the target delay,

@@ -14,10 +14,10 @@ namespace {
 
 /// The one key appender: integers through std::to_chars, names with a
 /// length prefix so concatenated names can never collide ("AB"+"C" vs
-/// "A"+"BC").
+/// "A"+"BC").  Appends to a caller-owned string.
 class KeyText {
  public:
-  explicit KeyText(std::size_t reserve) { text_.reserve(reserve); }
+  explicit KeyText(std::string& text) : text_(text) {}
 
   KeyText& num(std::int64_t v) {
     char buf[20];
@@ -41,10 +41,8 @@ class KeyText {
     return *this;
   }
 
-  std::string take() { return std::move(text_); }
-
  private:
-  std::string text_;
+  std::string& text_;
 };
 
 /// Labels of the operators PlanRequest::to_op() / to_pair() build, in the
@@ -61,16 +59,17 @@ BufferSize full_fit(Index m, Index k, Index l) { return m * k + k * l + m * l; }
 /// fixed positional order — they identify the *labeling*, which both
 /// orientations share; the orientation itself is resolved by the entry's
 /// plan slots, not by the key.
-KeyText intra_key_head(Index m, Index k, Index l, BufferSize bs, CanonicalIntraKey& key) {
-  key.swapped = m > l;
-  KeyText text(64);
+KeyText intra_key_head(Index m, Index k, Index l, BufferSize bs, std::string& out,
+                       bool& swapped) {
+  swapped = m > l;
+  KeyText text(out);
   text.put("i1|").num(std::min(bs, full_fit(m, k, l))).put('|');
-  text.num(key.swapped ? l : m).put(',').num(k).put(',').num(key.swapped ? m : l).put('|');
+  text.num(swapped ? l : m).put(',').num(k).put(',').num(swapped ? m : l).put('|');
   return text;
 }
 
-KeyText fused_key_head(Index m, Index k, Index l, Index n, BufferSize bs) {
-  KeyText text(96);
+KeyText fused_key_head(Index m, Index k, Index l, Index n, BufferSize bs, std::string& out) {
+  KeyText text(out);
   text.put("f2|").num(bs).put('|');
   text.num(m).put(',').num(k).put(',').num(l).put(',').num(n).put('|');
   return text;
@@ -85,10 +84,10 @@ BufferSize clamp_buffer_for_intra(const TensorOp& op, BufferSize bs) {
 CanonicalIntraKey canonical_intra_key(const TensorOp& op, BufferSize bs) {
   FCU_CHECK(is_matmul_shaped(op), "canonical_intra_key expects a matmul-shaped operator");
   CanonicalIntraKey key;
-  key.text = intra_key_head(op.extent(mm::kDimM), op.extent(mm::kDimK), op.extent(mm::kDimL),
-                            bs, key)
-                 .names(op)
-                 .take();
+  key.text.reserve(64);
+  intra_key_head(op.extent(mm::kDimM), op.extent(mm::kDimK), op.extent(mm::kDimL), bs, key.text,
+                 key.swapped)
+      .names(op);
   return key;
 }
 
@@ -98,33 +97,31 @@ std::optional<CanonicalIntraKey> try_canonical_intra_key(const TensorOp& op, Buf
   return canonical_intra_key(op, bs);
 }
 
-std::optional<CanonicalIntraKey> try_request_intra_key(const PlanRequest& request) {
-  if (request.kind != PlanRequest::Kind::kMatmul) return std::nullopt;
-  if (request.m < 1 || request.k < 1 || request.l < 1) return std::nullopt;
-  if (request.buffer_elems < 3) return std::nullopt;
+bool spell_request_key(const PlanRequest& request, std::string& key, bool& swapped) {
+  key.clear();
+  key.reserve(kMaxRequestKeyBytes);
+  swapped = false;
+  if (request.m < 1 || request.k < 1 || request.l < 1) return false;
+  if (request.kind == PlanRequest::Kind::kFusedPair) {
+    if (request.n < 1) return false;
+    KeyText text =
+        fused_key_head(request.m, request.k, request.l, request.n, request.buffer_elems, key);
+    for (std::string_view label : kFusedPairLabels) text.name(label);
+    return true;
+  }
+  if (request.buffer_elems < 3) return false;
   const bool folded = request.batch > 1;
   const Index m = folded ? request.batch * request.m : request.m;
-  CanonicalIntraKey key;
-  KeyText text = intra_key_head(m, request.k, request.l, request.buffer_elems, key);
+  KeyText text = intra_key_head(m, request.k, request.l, request.buffer_elems, key, swapped);
   for (std::string_view label : folded ? kFoldedLabels : kMatmulLabels) text.name(label);
-  key.text = text.take();
-  return key;
+  return true;
 }
 
 std::string canonical_fused_key(const FusedPair& pair, BufferSize bs) {
-  return fused_key_head(pair.m(), pair.k(), pair.l(), pair.n(), bs)
-      .names(pair.op1())
-      .names(pair.op2())
-      .take();
-}
-
-std::optional<std::string> try_request_fused_key(const PlanRequest& request) {
-  if (request.kind != PlanRequest::Kind::kFusedPair) return std::nullopt;
-  if (request.m < 1 || request.k < 1 || request.l < 1 || request.n < 1) return std::nullopt;
-  KeyText text =
-      fused_key_head(request.m, request.k, request.l, request.n, request.buffer_elems);
-  for (std::string_view label : kFusedPairLabels) text.name(label);
-  return text.take();
+  std::string key;
+  key.reserve(96);
+  fused_key_head(pair.m(), pair.k(), pair.l(), pair.n(), bs, key).names(pair.op1()).names(pair.op2());
+  return key;
 }
 
 }  // namespace fusecu

@@ -68,16 +68,20 @@ std::optional<CanonicalIntraKey> try_canonical_intra_key(const TensorOp& op, Buf
 /// names) away by spelling only extents and operand names.
 std::string canonical_fused_key(const FusedPair& pair, BufferSize bs);
 
-/// try_canonical_intra_key(request.to_op(), request.buffer_elems), spelled
-/// from the request's fields without building the operator (batch folded
-/// into M, as to_op() folds it).  nullopt when the request is out of scope
-/// for the cache: an extent below 1 or a buffer below the minimal working
-/// set; to_op() or the optimizer then reports the error.
-std::optional<CanonicalIntraKey> try_request_intra_key(const PlanRequest& request);
+/// The request's key, spelled from its fields without building the operator:
+/// for a matmul, try_canonical_intra_key(request.to_op(), buffer_elems) with
+/// the orientation in \p swapped (batch folded into M, as to_op() folds
+/// it); for a fused pair, canonical_fused_key(request.to_pair(),
+/// buffer_elems) with \p swapped false.  \p key is cleared and reserved to
+/// kMaxRequestKeyBytes, which no key exceeds, so a string reused across
+/// requests allocates at most once.  Returns false, with \p key empty, when
+/// the request is out of scope for the cache: an extent below 1, or a
+/// matmul buffer below the minimal working set; to_op() / to_pair() or the
+/// optimizer then reports the error.
+bool spell_request_key(const PlanRequest& request, std::string& key, bool& swapped);
 
-/// canonical_fused_key(request.to_pair(), request.buffer_elems), spelled from
-/// the request's fields.  nullopt when an extent is below 1 (to_pair() then
-/// reports the error).
-std::optional<std::string> try_request_fused_key(const PlanRequest& request);
+/// Upper bound on a spell_request_key() text: a fused key of four 19-digit
+/// extents and a 19-digit buffer is 151 bytes.
+constexpr std::size_t kMaxRequestKeyBytes = 160;
 
 }  // namespace fusecu

@@ -96,14 +96,17 @@ class ShardedLruCache {
     return found;
   }
 
-  /// Whether \p pick finds something for \p key: find() without counting
-  /// a hit or a miss and without refreshing recency.
+  /// find() without counting a hit or a miss and without refreshing
+  /// recency: for a second look at a key whose request already made its
+  /// one counted probe.
   template <typename Pick>
-  bool contains(const std::string& key, Pick&& pick) {
+  auto peek(const std::string& key, Pick&& pick) {
     Shard& shard = shard_for(key);
     std::lock_guard<std::mutex> lock(shard.mu);
     auto it = shard.index.find(key);
-    return it != shard.index.end() && pick(static_cast<const Value&>(it->second->value));
+    decltype(pick(std::declval<const Value&>())) found{};
+    if (it != shard.index.end()) found = pick(static_cast<const Value&>(it->second->value));
+    return found;
   }
 
   /// Copy of the cached value (a find() that picks the whole value).

@@ -88,9 +88,13 @@ class RequestDecoder final : public JsonSink {
   }
   void end_array() override { --depth_; }
 
-  PlanRequest request() const {
+  /// Fill every field of \p req (its id keeps its capacity).
+  void fill(PlanRequest& req) const {
     FCU_CHECK(is_object_, "request must be a JSON object");
-    PlanRequest req;
+    req.id.clear();
+    req.kind = PlanRequest::Kind::kMatmul;
+    req.n = 0;
+    req.batch = 1;
     if (const Member& id = members_[kId]; id.present) {
       FCU_CHECK(id.kind == JsonValue::Kind::kString, "request field \"id\" must be a string");
       id.text.append_to(req.id);
@@ -144,7 +148,6 @@ class RequestDecoder final : public JsonSink {
       FCU_CHECK(false, "request needs \"buffer\" (bytes) or \"buffer_elems\" (elements)");
     }
     FCU_CHECK(req.buffer_elems >= 1, "request buffer resolves to zero elements");
-    return req;
   }
 
  private:
@@ -179,54 +182,6 @@ class RequestDecoder final : public JsonSink {
   int depth_ = 0;
   bool is_object_ = false;
 };
-
-/// Keeps the last top-level "id" member of an object, as parse_json does.
-class IdFinder final : public JsonSink {
- public:
-  /// The id's raw string when the document was an object whose last "id"
-  /// member is a string.
-  const std::optional<JsonString>& id() const { return id_; }
-
-  void null_value() override { other(); }
-  void bool_value(bool) override { other(); }
-  void number_value(const JsonNumber&) override { other(); }
-  void string_value(const JsonString& s) override {
-    if (at_id()) id_ = s;
-  }
-  void begin_object() override {
-    other();
-    ++depth_;
-  }
-  void key(const JsonString& k) override {
-    if (depth_ == 1) id_key_ = k.equals("id");
-  }
-  void end_object() override { --depth_; }
-  void begin_array() override {
-    other();
-    ++depth_;
-  }
-  void end_array() override { --depth_; }
-
- private:
-  /// Keys only come at depth 1 when the document is an object.
-  bool at_id() const { return depth_ == 1 && id_key_; }
-  void other() {
-    if (at_id()) id_.reset();
-  }
-
-  std::optional<JsonString> id_;
-  int depth_ = 0;
-  bool id_key_ = false;
-};
-
-/// The last "id" member of \p line when the line is one well-formed object
-/// and that member is a string.
-std::optional<JsonString> find_request_id(const std::string& line) {
-  IdFinder finder;
-  JsonError error;
-  if (!walk_json(line, finder, error)) return std::nullopt;
-  return finder.id();
-}
 
 }  // namespace
 
@@ -305,7 +260,8 @@ PlanRequest plan_request_from_json(const JsonValue& doc) {
   return req;
 }
 
-PlanRequest parse_plan_request(const std::string& line, const std::string& source, int lineno) {
+void decode_plan_request(const std::string& line, PlanRequest& out, const std::string& source,
+                         int lineno) {
   RequestDecoder decoder;
   JsonError error;
   if (!walk_json(line, decoder, error)) {
@@ -313,31 +269,13 @@ PlanRequest parse_plan_request(const std::string& line, const std::string& sourc
     throw ParseError(source, lineno, line_column_at(line, error.offset).second,
                      error.expected);
   }
-  return decoder.request();
+  decoder.fill(out);
 }
 
-bool extract_request_id(const std::string& line, std::string& id_out) {
-  id_out.clear();
-  const std::optional<JsonString> id = find_request_id(line);
-  if (!id) return false;
-  id->append_to(id_out);
-  return true;
-}
-
-std::uint64_t request_shape_hash(const std::string& line) {
-  std::size_t skip_begin = 0;
-  std::size_t skip_end = 0;
-  if (const std::optional<JsonString> id = find_request_id(line)) {
-    skip_begin = static_cast<std::size_t>(id->raw().data() - line.data()) - 1;  // the quotes too
-    skip_end = skip_begin + id->raw().size() + 2;
-  }
-  std::uint64_t h = 14695981039346656037ull;  // FNV-1a 64-bit offset basis
-  for (std::size_t i = 0; i < line.size(); ++i) {
-    if (i >= skip_begin && i < skip_end) continue;
-    h ^= static_cast<unsigned char>(line[i]);
-    h *= 1099511628211ull;  // FNV prime
-  }
-  return h;
+PlanRequest parse_plan_request(const std::string& line, const std::string& source, int lineno) {
+  PlanRequest request;
+  decode_plan_request(line, request, source, lineno);
+  return request;
 }
 
 namespace {

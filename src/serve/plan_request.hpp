@@ -75,32 +75,17 @@ struct PlanRequest {
 PlanRequest parse_plan_request(const std::string& line, const std::string& source = "<request>",
                                int lineno = 1);
 
+/// parse_plan_request() into a caller-owned request, so a thread that
+/// decodes every line (a net/ reactor) reuses the id's capacity instead of
+/// allocating one per request.  Every field of \p out is assigned on
+/// success; on a throw its contents are unspecified.
+void decode_plan_request(const std::string& line, PlanRequest& out,
+                         const std::string& source = "<request>", int lineno = 1);
+
 /// The reference decoder: the same field rules and messages over a
 /// parse_json tree.  No server path calls it; the differential test and the
 /// fuzz_plan_request target check parse_plan_request against it.
 PlanRequest plan_request_from_json(const JsonValue& doc);
-
-/// The id a request line is served under, read on the net/ reactor thread
-/// to label shed, timed-out and cancelled responses without decoding the
-/// request (that happens pool-side).  A walk of the same json_parse walker
-/// that only watches the top-level "id" member: it returns true exactly
-/// when parse_json accepts \p line as one object whose *last* "id" member
-/// (keys compared unescaped) is a string, and writes that string, unescaped,
-/// into the caller-owned \p id_out.  Steady-state calls reuse its capacity
-/// and never allocate.  Otherwise returns false with \p id_out cleared; the
-/// pool-side parse still produces the authoritative error response.
-bool extract_request_id(const std::string& line, std::string& id_out);
-
-/// FNV-1a hash of a request line with the bytes of the id that
-/// extract_request_id() reads (its quotes included) masked out, so two
-/// requests that differ only in their id — the shape the plan cache keys
-/// on — hash identically.  Used by the net/ reactors' brownout path to
-/// predict suffix-splice cache hits without decoding on the loop thread: a
-/// shape seen completing successfully before is "warm".  Hashes the whole
-/// line when extract_request_id() would return false: a line with no id
-/// has nothing to mask, and one whose id is not a string never completes
-/// successfully.  Allocation-free.
-std::uint64_t request_shape_hash(const std::string& line);
 
 /// A planning answer, ready to serialize.
 struct PlanResponse {

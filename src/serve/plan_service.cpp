@@ -166,30 +166,26 @@ std::shared_ptr<const Answer> PlanService::insert(SlotCache<Answer, N>& cache,
 }
 
 template <typename Answer, std::size_t N, typename ClosedForm>
-std::shared_ptr<const Answer> PlanService::lookup_or_plan(SlotCache<Answer, N>& cache,
-                                                          const std::string& key,
-                                                          std::size_t slot,
-                                                          ClosedForm&& closed_form,
-                                                          bool* cached) {
-  *cached = true;
-  if (auto hit = probe(cache, key, slot)) return hit;
+std::shared_ptr<const Answer> PlanService::plan_after_miss(SlotCache<Answer, N>& cache,
+                                                           const std::string& key,
+                                                           std::size_t slot,
+                                                           ClosedForm&& closed_form,
+                                                           bool* cached) {
   const std::string flight_key = N == 1 ? key : key + (slot == 0 ? "#0" : "#1");
   const bool recording = span_recording_enabled();
   const std::int64_t flight_start_us = recording ? span_clock_us() : 0;
-  bool leader = begin_flight(flight_key);
-  if (!leader) {
-    if (recording) record_span("single_flight_join", flight_start_us, span_clock_us(), "joined");
-  } else if (cache.contains(key, [slot](const auto& entry) { return entry[slot] != nullptr; })) {
-    // Another leader inserted this answer and ended its flight between our
-    // probe and begin_flight: take its answer as a joiner would.
-    end_flight(flight_key);
-    leader = false;
+  const bool leader = begin_flight(flight_key);
+  if (!leader && recording) {
+    record_span("single_flight_join", flight_start_us, span_clock_us(), "joined");
   }
-  if (!leader) {
-    // A leader finished this exact computation; its answer is in the cache
-    // unless it was evicted or the leader threw — fall through to compute
-    // (idempotent) in those rare cases.
-    if (auto hit = probe(cache, key, slot)) return hit;
+  // A leader that finished this exact computation — the one we waited on,
+  // or one that inserted and ended its flight between our probe and
+  // begin_flight — left its answer in the cache.  It is missing only if it
+  // was evicted or the leader threw; then compute (idempotent).
+  if (auto answer = cache.peek(key, [slot](const auto& entry) { return entry[slot]; })) {
+    if (leader) end_flight(flight_key);
+    *cached = true;
+    return answer;
   }
   *cached = false;
   try {
@@ -200,6 +196,17 @@ std::shared_ptr<const Answer> PlanService::lookup_or_plan(SlotCache<Answer, N>& 
     if (leader) end_flight(flight_key);
     throw;
   }
+}
+
+template <typename Answer, std::size_t N, typename ClosedForm>
+std::shared_ptr<const Answer> PlanService::lookup_or_plan(SlotCache<Answer, N>& cache,
+                                                          const std::string& key,
+                                                          std::size_t slot,
+                                                          ClosedForm&& closed_form,
+                                                          bool* cached) {
+  *cached = true;
+  if (auto hit = probe(cache, key, slot)) return hit;
+  return plan_after_miss(cache, key, slot, std::forward<ClosedForm>(closed_form), cached);
 }
 
 IntraPlanned PlanService::plan_intra(const TensorOp& op, BufferSize bs) {
@@ -228,52 +235,87 @@ FusedPlanned PlanService::plan_fused(const FusedPair& pair, BufferSize bs) {
   return FusedPlanned{answer->plan, cached};
 }
 
+namespace {
+
+const char* root_name(const PlanRequest& request) {
+  return request.kind == PlanRequest::Kind::kMatmul ? "request/matmul" : "request/fused_pair";
+}
+
+/// Spell \p keyed's key in a canonicalize span.
+void spell_key(KeyedRequest& keyed) {
+  ScopedSpan canon("canonicalize");
+  spell_request_key(keyed.request, keyed.key, keyed.swapped);
+}
+
+}  // namespace
+
+PlanService::Served PlanService::probe(const KeyedRequest& keyed) {
+  Served served;
+  if (keyed.key.empty()) return served;
+  if (keyed.request.kind == PlanRequest::Kind::kMatmul) {
+    served.intra = probe(intra_cache_, keyed.key, keyed.swapped ? 1 : 0);
+  } else {
+    served.fused = probe(fused_cache_, keyed.key, 0);
+  }
+  served.cached = served.ok();
+  return served;
+}
+
+PlanService::Served PlanService::plan_missed(const KeyedRequest& keyed) {
+  const PlanRequest& request = keyed.request;
+  const BufferSize bs = request.buffer_elems;
+  Served served;
+  // Out of the cache's scope means malformed: the closed form throws.
+  if (request.kind == PlanRequest::Kind::kMatmul) {
+    const auto closed_form = [&] { return optimize_intra(request.to_op(), bs); };
+    served.intra = keyed.key.empty()
+                       ? std::make_shared<const IntraAnswer>(render(closed_form()))
+                       : plan_after_miss(intra_cache_, keyed.key, keyed.swapped ? 1 : 0,
+                                         closed_form, &served.cached);
+  } else {
+    const auto closed_form = [&] { return optimize_fused_pair(request.to_pair(), bs); };
+    served.fused = keyed.key.empty()
+                       ? std::make_shared<const FusedAnswer>(render(closed_form()))
+                       : plan_after_miss(fused_cache_, keyed.key, 0, closed_form, &served.cached);
+  }
+  return served;
+}
+
+PlanService::Served PlanService::failed(const PlanRequest& request, const std::exception& e) {
+  Served served;
+  served.error = e.what();
+  request_errors_.add();
+  log_error("serve", e.what(), {{"id", request.id}});
+  return served;
+}
+
+void PlanService::count(const PlanRequest& request, const Served& served,
+                        std::chrono::steady_clock::time_point start) {
+  const double us =
+      std::chrono::duration<double, std::micro>(std::chrono::steady_clock::now() - start).count();
+  requests_.add();
+  (request.kind == PlanRequest::Kind::kMatmul ? latency_matmul_us_ : latency_fused_us_).observe(us);
+  (served.cached ? latency_hit_us_ : latency_miss_us_).observe(us);
+}
+
 PlanService::Served PlanService::serve(const PlanRequest& request) {
-  const bool matmul = request.kind == PlanRequest::Kind::kMatmul;
   // Root the span tree here only for direct calls; pooled requests open the
   // request root inside the pool task (anchored at enqueue time, with a
   // queue_wait child), and this call inherits it as ambient.
   std::optional<ScopedSpan> root;
-  if (span_recording_enabled() && !current_span().valid()) {
-    root.emplace(matmul ? "request/matmul" : "request/fused_pair");
-  }
-  const auto wall_start = std::chrono::steady_clock::now();
-  const BufferSize bs = request.buffer_elems;
+  if (span_recording_enabled() && !current_span().valid()) root.emplace(root_name(request));
+  const auto start = std::chrono::steady_clock::now();
+  KeyedRequest keyed;
+  keyed.request = request;
+  spell_key(keyed);
   Served served;
   try {
-    if (matmul) {
-      std::optional<CanonicalIntraKey> key;
-      {
-        ScopedSpan canon("canonicalize");
-        key = try_request_intra_key(request);
-      }
-      const auto closed_form = [&] { return optimize_intra(request.to_op(), bs); };
-      // Out of the cache's scope means malformed: the closed form throws.
-      served.intra = key ? lookup_or_plan(intra_cache_, key->text, key->swapped ? 1 : 0,
-                                          closed_form, &served.cached)
-                         : std::make_shared<const IntraAnswer>(render(closed_form()));
-    } else {
-      std::optional<std::string> key;
-      {
-        ScopedSpan canon("canonicalize");
-        key = try_request_fused_key(request);
-      }
-      const auto closed_form = [&] { return optimize_fused_pair(request.to_pair(), bs); };
-      served.fused = key ? lookup_or_plan(fused_cache_, *key, 0, closed_form, &served.cached)
-                         : std::make_shared<const FusedAnswer>(render(closed_form()));
-    }
+    served = probe(keyed);
+    if (!served.ok()) served = plan_missed(keyed);
   } catch (const std::exception& e) {
-    served = Served{};
-    served.error = e.what();
-    request_errors_.add();
-    log_error("serve", e.what(), {{"id", request.id}});
+    served = failed(request, e);
   }
-  const double us = std::chrono::duration<double, std::micro>(std::chrono::steady_clock::now() -
-                                                              wall_start)
-                        .count();
-  requests_.add();
-  (matmul ? latency_matmul_us_ : latency_fused_us_).observe(us);
-  (served.cached ? latency_hit_us_ : latency_miss_us_).observe(us);
+  count(request, served, start);
   if (root) root->note(served.ok() ? (served.cached ? "ok cached" : "ok") : "error");
   return served;
 }
@@ -294,16 +336,19 @@ PlanResponse PlanService::to_response(const PlanRequest& request, const Served& 
   return response;
 }
 
-std::string PlanService::response_line(const std::string& id, const Served& served) {
-  if (!served.ok()) return error_response(id, served.error).to_json();
+void PlanService::response_line(const std::string& id, const Served& served, std::string& line) {
+  if (!served.ok()) {
+    line = error_response(id, served.error).to_json();
+    return;
+  }
   const std::string& body = served.intra ? served.intra->body : served.fused->body;
-  const std::string escaped = JsonWriter::escape(id);
   const std::string_view tail = served.cached ? kHitTail : kMissTail;
-  std::string line;
+  line.clear();
   // +1: room for the caller's newline framing without a reallocation.
-  line.reserve(kEmptyIdPrefix.size() + escaped.size() + body.size() + tail.size() + 1);
-  line.append("{\"id\":\"").append(escaped).append("\"").append(body).append(tail);
-  return line;
+  line.reserve(kEmptyIdPrefix.size() + id.size() + body.size() + tail.size() + 1);
+  line.append("{\"id\":\"");
+  JsonWriter::append_escaped(line, id);
+  line.append("\"").append(body).append(tail);
 }
 
 PlanResponse PlanService::plan(const PlanRequest& request) {
@@ -327,15 +372,14 @@ std::vector<PlanResponse> PlanService::plan_batch(const std::vector<PlanRequest>
 
 void PlanService::open_request_root(std::optional<ScopedSpan>& root, const PlanRequest& request,
                                     std::int64_t enqueue_us) {
-  // Pool workers run the whole request on one thread, so opening the root
-  // here (anchored at enqueue time) makes every span below it — including
-  // the closed-form optimize spans — part of one connected tree.
+  // Pool workers run the whole pool-side request on one thread, so opening
+  // the root here (anchored at enqueue time) makes every span below it —
+  // including the closed-form optimize spans — part of one connected tree.
   if (!span_recording_enabled()) return;
-  const bool matmul = request.kind == PlanRequest::Kind::kMatmul;
   // Recording may have been armed after the request was enqueued; fall
   // back to "now" rather than anchoring at the clock origin.
   const std::int64_t anchor_us = enqueue_us > 0 ? enqueue_us : span_clock_us();
-  root.emplace(matmul ? "request/matmul" : "request/fused_pair", anchor_us);
+  root.emplace(root_name(request), anchor_us);
   record_span("queue_wait", anchor_us, span_clock_us());
 }
 
@@ -346,40 +390,76 @@ PlanResponse PlanService::plan_enqueued(const PlanRequest& request, std::int64_t
   return plan(request);
 }
 
-std::optional<PlanRequest> PlanService::parse_line(const std::string& line,
-                                                   const std::string& source, int lineno,
-                                                   std::string& error_line) {
+LineOutcome PlanService::begin_line(const std::string& line, const std::string& source,
+                                    int lineno, KeyedRequest& keyed, std::string& response) {
   try {
-    return parse_plan_request(line, source, lineno);
+    decode_plan_request(line, keyed.request, source, lineno);
   } catch (const std::exception& e) {
     requests_.add();
     request_errors_.add();
     log_warn("serve", "malformed request line", {{"source", source}, {"error", e.what()}});
-    error_line = error_response("", e.what()).to_json();
-    return std::nullopt;
+    response = error_response("", e.what()).to_json();
+    return LineOutcome::kMalformed;
   }
+  // The reading thread's half of the request's spans: a hit's whole tree,
+  // or a miss's canonicalize and cache_lookup (the pool roots the rest).
+  std::optional<ScopedSpan> root;
+  if (span_recording_enabled() && !current_span().valid()) root.emplace(root_name(keyed.request));
+  const auto start = std::chrono::steady_clock::now();
+  spell_key(keyed);
+  const Served served = probe(keyed);
+  if (!served.ok()) {
+    if (root) root->note("miss");
+    return LineOutcome::kMiss;
+  }
+  count(keyed.request, served, start);
+  if (root) root->note("ok cached");
+  ScopedSpan serialize("serialize");
+  response_line(keyed.request.id, served, response);
+  return LineOutcome::kHit;
 }
 
-std::string PlanService::answer_line(const PlanRequest& request, std::int64_t enqueue_us) {
+void PlanService::finish_line(const KeyedRequest& keyed, std::int64_t enqueue_us,
+                              std::string& response) {
+  maybe_inject_pool_stall();
   std::optional<ScopedSpan> root;
-  open_request_root(root, request, enqueue_us);
-  const Served served = serve(request);
+  open_request_root(root, keyed.request, enqueue_us);
+  const auto start = std::chrono::steady_clock::now();
+  Served served;
+  try {
+    served = plan_missed(keyed);
+  } catch (const std::exception& e) {
+    served = failed(keyed.request, e);
+  }
+  count(keyed.request, served, start);
+  if (root) root->note(served.ok() ? (served.cached ? "ok cached" : "ok") : "error");
   ScopedSpan serialize("serialize");
-  return response_line(request.id, served);
+  response_line(keyed.request.id, served, response);
+}
+
+void PlanService::reject_oversized_line(const std::string& source, int lineno,
+                                        std::size_t max_line_bytes, std::string& response) {
+  requests_.add();
+  request_errors_.add();
+  log_warn("serve", "oversized request line",
+           {{"source", source}, {"line", std::to_string(lineno)}});
+  response = error_response("", oversized_line_message(source, lineno, max_line_bytes)).to_json();
 }
 
 std::string PlanService::plan_line_json(const std::string& line, const std::string& source,
                                         int lineno, std::int64_t enqueue_us, bool* parse_error) {
-  maybe_inject_pool_stall();
-  std::string error_line;
-  const std::optional<PlanRequest> request = parse_line(line, source, lineno, error_line);
-  if (parse_error != nullptr) *parse_error = !request;
-  return request ? answer_line(*request, enqueue_us) : error_line;
+  KeyedRequest keyed;
+  std::string response;
+  const LineOutcome outcome = begin_line(line, source, lineno, keyed, response);
+  if (parse_error != nullptr) *parse_error = outcome == LineOutcome::kMalformed;
+  if (outcome == LineOutcome::kMiss) finish_line(keyed, enqueue_us, response);
+  return response;
 }
 
 int PlanService::serve_stream(std::istream& in, std::ostream& out, const std::string& source) {
-  // Lines are parsed here, in input order, so an earlier line reaches the
-  // pool (and leads the single flight of a repeated shape) first.
+  // Lines are decoded and probed here, in input order, so a hit is answered
+  // at once and an earlier miss reaches the pool (and leads the single
+  // flight of a repeated shape) first.
   struct Slot {
     std::string immediate;
     std::future<std::string> pending;
@@ -387,24 +467,22 @@ int PlanService::serve_stream(std::istream& in, std::ostream& out, const std::st
   std::vector<Slot> slots;
   LineDecoder decoder(options_.max_line_bytes);
   int lineno = 0;
-  const auto handle_line = [&](LineDecoder::DecodedLine&& line) {
+  const auto handle_line = [&](const LineDecoder::DecodedLine& line) {
     ++lineno;
     Slot slot;
     if (line.oversized) {
-      request_errors_.add();
-      log_warn("serve", "oversized request line", {{"line", std::to_string(lineno)}});
-      slot.immediate = error_response("", oversized_line_message(source, lineno,
-                                                                options_.max_line_bytes))
-                           .to_json();
+      reject_oversized_line(source, lineno, options_.max_line_bytes, slot.immediate);
       slots.push_back(std::move(slot));
       return;
     }
     if (line.text.find_first_not_of(" \t\r") == std::string::npos) return;
-    if (std::optional<PlanRequest> request = parse_line(line.text, source, lineno, slot.immediate)) {
+    KeyedRequest keyed;
+    if (begin_line(line.text, source, lineno, keyed, slot.immediate) == LineOutcome::kMiss) {
       const std::int64_t enqueue_us = span_recording_enabled() ? span_clock_us() : 0;
-      slot.pending = pool_.submit([this, request = *std::move(request), enqueue_us]() {
-        maybe_inject_pool_stall();
-        return answer_line(request, enqueue_us);
+      slot.pending = pool_.submit([this, keyed = std::move(keyed), enqueue_us]() {
+        std::string response;
+        finish_line(keyed, enqueue_us, response);
+        return response;
       });
     }
     slots.push_back(std::move(slot));
@@ -413,9 +491,9 @@ int PlanService::serve_stream(std::istream& in, std::ostream& out, const std::st
   LineDecoder::DecodedLine line;
   while (in.read(chunk, sizeof(chunk)), in.gcount() > 0) {
     decoder.feed(chunk, static_cast<std::size_t>(in.gcount()));
-    while (decoder.next(line)) handle_line(std::move(line));
+    while (decoder.next(line)) handle_line(line);
   }
-  if (decoder.finish(line)) handle_line(std::move(line));
+  if (decoder.finish(line)) handle_line(line);
   for (Slot& slot : slots) {
     out << (slot.pending.valid() ? slot.pending.get() : slot.immediate) << '\n';
   }

@@ -1,8 +1,10 @@
 #pragma once
 
 #include <array>
+#include <chrono>
 #include <condition_variable>
 #include <cstdint>
+#include <exception>
 #include <iosfwd>
 #include <map>
 #include <memory>
@@ -28,6 +30,13 @@
 /// rendered when the plan was inserted.  A miss single-flights on the same
 /// key and calls optimize_intra / optimize_fused_pair directly.
 ///
+/// Request lines take the core in two steps.  begin_line runs on the thread
+/// that read the line — a net/ reactor, or serve_stream's reader — and
+/// decodes, keys and probes: a hit or a malformed line is answered right
+/// there.  Only a miss reaches the pool, where finish_line plans it without
+/// decoding or probing again.  Both front ends call the same two steps, so
+/// TCP and stdin answers are byte-identical.
+///
 /// A service caches only what is asked of it: the free optimizers (and
 /// plan_chain, evaluate_model and everything else layered on them) never
 /// consult a service.  Any number of services may be alive at once, each
@@ -47,6 +56,23 @@ struct ServeOptions {
   /// structured ok=false ParseError response instead of unbounded
   /// buffering.  Shared by the stdin stream and the TCP path.
   std::size_t max_line_bytes = 1 << 20;
+};
+
+/// A decoded request and its canonical cache key: what the first step of the
+/// line core hands the second.  Reusable: decoding and key spelling
+/// overwrite it in place, and spelling reserves the key to the longest key
+/// a request can spell, so neither string reallocates across requests.
+struct KeyedRequest {
+  PlanRequest request;
+  std::string key;       ///< canonical key; empty when out of the cache's scope
+  bool swapped = false;  ///< intra orientation slot (see canonical.hpp)
+};
+
+/// What the first step of the line core did with a line.
+enum class LineOutcome {
+  kHit,        ///< answered from the plan cache
+  kMalformed,  ///< answered with a parse-error response
+  kMiss,       ///< decoded and keyed, not answered: finish_line() plans it
 };
 
 /// A typed intra-op answer: the plan plus whether the cache served it.
@@ -80,15 +106,32 @@ class PlanService {
   /// stream never aborts.  Returns the number of responses written.
   int serve_stream(std::istream& in, std::ostream& out, const std::string& source = "<stdin>");
 
-  /// The whole pool-side body of one request line, from raw line to
-  /// serialized response: inject a scheduled pool stall, parse, open the
-  /// request span root anchored at \p enqueue_us, plan, splice the
-  /// response.  A parse failure returns an ok=false line (and sets
-  /// *\p parse_error so the reactor can bump its connection-level stats);
-  /// planning failures come back as ok=false responses as usual.  Runs on a
-  /// pool worker — the net/ reactors post raw lines here so their own
-  /// threads never parse or serialize.  serve_stream shares everything
-  /// after the parse, so TCP responses are byte-identical to the stdin path.
+  /// Step 1 of the line core, on the thread that read \p line: decode it
+  /// into \p keyed, spell its key once and make the request's one counted
+  /// cache probe.  A hit, or a line that does not decode, is answered on
+  /// the spot: its response line (no trailing newline) replaces
+  /// \p response.  A miss leaves \p response untouched and \p keyed ready
+  /// for finish_line().  A steady-state hit allocates nothing: \p keyed and
+  /// \p response keep their capacity.
+  LineOutcome begin_line(const std::string& line, const std::string& source, int lineno,
+                         KeyedRequest& keyed, std::string& response);
+
+  /// Step 2, on a pool worker: inject a scheduled pool stall, open the
+  /// request span root anchored at \p enqueue_us, plan the request
+  /// begin_line() missed (single flight, the post-flight recheck, the
+  /// closed form, insert) and write its response line into \p response.
+  /// Never decodes or probes again; planning failures come back as
+  /// ok=false lines.
+  void finish_line(const KeyedRequest& keyed, std::int64_t enqueue_us, std::string& response);
+
+  /// The response to a line longer than \p max_line_bytes, counted as a
+  /// failed request: ok=false with oversized_line_message().
+  void reject_oversized_line(const std::string& source, int lineno, std::size_t max_line_bytes,
+                             std::string& response);
+
+  /// One request line, from raw line to serialized response, on the
+  /// calling thread: begin_line(), then finish_line() on a miss.  A parse
+  /// failure returns an ok=false line and sets *\p parse_error.
   std::string plan_line_json(const std::string& line, const std::string& source, int lineno,
                              std::int64_t enqueue_us, bool* parse_error);
 
@@ -170,38 +213,52 @@ class PlanService {
   template <typename Answer, std::size_t N, typename Plan>
   std::shared_ptr<const Answer> insert(SlotCache<Answer, N>& cache, const std::string& key,
                                        std::size_t slot, Plan plan);
-  /// probe(); on a miss, single-flight on the key, call \p closed_form and
-  /// insert its plan.  *\p cached is false only for the request that ran
-  /// the closed form; concurrent copies served its answer report true.
+  /// What follows a missed probe: single-flight on the key, take the answer
+  /// a finished leader left in the cache (an uncounted peek), else call
+  /// \p closed_form and insert its plan.  *\p cached is false only for the
+  /// request that ran the closed form.
+  template <typename Answer, std::size_t N, typename ClosedForm>
+  std::shared_ptr<const Answer> plan_after_miss(SlotCache<Answer, N>& cache,
+                                                const std::string& key, std::size_t slot,
+                                                ClosedForm&& closed_form, bool* cached);
+  /// probe(), then plan_after_miss() on a miss.
   template <typename Answer, std::size_t N, typename ClosedForm>
   std::shared_ptr<const Answer> lookup_or_plan(SlotCache<Answer, N>& cache,
                                                const std::string& key, std::size_t slot,
                                                ClosedForm&& closed_form, bool* cached);
 
-  /// The request core: key once from the request's fields, probe once, plan
-  /// on a miss.  Never throws; counts the request and its latency.
+  /// The request core's two halves.  probe(keyed) is the one counted probe
+  /// (nothing when the request is out of the cache's scope);
+  /// plan_missed(keyed) is plan_after_miss() for the request, or the bare
+  /// closed form when it has no key.  plan_missed throws what the closed
+  /// form throws.
+  Served probe(const KeyedRequest& keyed);
+  Served plan_missed(const KeyedRequest& keyed);
+  /// A failed answer carrying \p e's message, counted as a request error.
+  Served failed(const PlanRequest& request, const std::exception& e);
+  /// Count one answered request and its latency since \p start, by class
+  /// and by hit or miss.
+  void count(const PlanRequest& request, const Served& served,
+             std::chrono::steady_clock::time_point start);
+
+  /// The whole core for a typed request: key once, probe once, plan on a
+  /// miss.  Never throws.
   Served serve(const PlanRequest& request);
   /// The typed response for \p served (copies the plan).
   static PlanResponse to_response(const PlanRequest& request, const Served& served);
-  /// The JSONL response line for \p served: the escaped id spliced in front
-  /// of the rendered body, byte-identical to to_response(...).to_json().
-  static std::string response_line(const std::string& id, const Served& served);
+  /// The JSONL response line for \p served, written over \p line (its
+  /// capacity reused): the escaped id spliced in front of the rendered
+  /// body, byte-identical to to_response(...).to_json().
+  static void response_line(const std::string& id, const Served& served, std::string& line);
 
   /// Opens the "request/<class>" span root anchored at \p enqueue_us (span
   /// clock) plus a queue_wait child — called at the top of a pool task so
-  /// the whole tree of a pooled request lives on the worker thread.  No-op
+  /// the pool-side tree of a request lives on the worker thread.  No-op
   /// (root stays empty) when span recording is off.
   void open_request_root(std::optional<ScopedSpan>& root, const PlanRequest& request,
                          std::int64_t enqueue_us);
   /// plan() under a pool-side request root.
   PlanResponse plan_enqueued(const PlanRequest& request, std::int64_t enqueue_us);
-  /// serve() under a pool-side request root, spliced into the response line
-  /// inside a "serialize" child span.
-  std::string answer_line(const PlanRequest& request, std::int64_t enqueue_us);
-  /// Parse one request line; a malformed line is counted as a failed
-  /// request and its ok=false response line is left in \p error_line.
-  std::optional<PlanRequest> parse_line(const std::string& line, const std::string& source,
-                                        int lineno, std::string& error_line);
 
   ServeOptions options_;
   SlotCache<IntraAnswer, 2> intra_cache_;

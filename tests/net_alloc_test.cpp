@@ -26,12 +26,18 @@
 #include "serve/plan_service.hpp"
 
 /// Zero-allocation contract of the reactor hot path (net/reactor.hpp):
-/// once warmed up, steady-state request handling on the reactor thread —
-/// read, decode, admit, post to the pool, receive the completion, write —
-/// performs no heap allocations.  Verified the only way that can't rot: a
-/// replaced global operator new counts allocations made by one registered
-/// thread while armed, and the armed window covers a full pipelined
-/// request burst on the loop thread.
+/// once warmed up, steady-state request handling on the reactor thread
+/// performs no heap allocations on either of its two paths —
+///
+///   * a cache hit: read, decode, key, probe, splice the response into its
+///     slot, write;
+///   * a cache miss: read, decode, key, probe, admit, post to the pool,
+///     receive the completion, write.
+///
+/// Verified the only way that can't rot: a replaced global operator new
+/// counts allocations made by one registered thread while armed, and each
+/// armed window covers a full pipelined request burst on the loop thread —
+/// one of cached shapes, one of never-seen shapes.
 ///
 /// This test gets its own binary because replacing ::operator new is
 /// process-global; keep it out of the TSan job (the sanitizer interposes
@@ -133,15 +139,18 @@ class Client {
   int fd_ = -1;
 };
 
-std::string burst(int n) {
+/// \p n requests, of the 96^3 shape when \p first_m is 0, else of the
+/// distinct shapes (first_m + i, 96, 96).
+std::string burst(int n, int first_m = 0) {
   std::string out;
   for (int i = 0; i < n; ++i) {
     // Fixed-width ids: every warmup/armed burst reuses identical request
     // and response byte lengths, so recycled buffer capacities line up.
     char id[8];
     std::snprintf(id, sizeof(id), "r%02d", i);
-    out += "{\"id\":\"" + std::string(id) +
-           "\",\"op\":\"matmul\",\"m\":96,\"k\":96,\"l\":96,\"buffer\":\"512KB\"}\n";
+    const int m = first_m == 0 ? 96 : first_m + i;
+    out += "{\"id\":\"" + std::string(id) + "\",\"op\":\"matmul\",\"m\":" + std::to_string(m) +
+           ",\"k\":96,\"l\":96,\"buffer\":\"512KB\"}\n";
   }
   return out;
 }
@@ -191,22 +200,23 @@ TEST(NetAlloc, SteadyStateReactorThreadMakesZeroHeapAllocations) {
   Client client(server.port());
 
   // Warmup pass 1 runs with both pool workers stalled (the plan armed
-  // above) so the decode loop acquires its full kBurst-node working set
-  // from the arena before any completion can recycle a node.  Without the
+  // above).  Every request of the cold burst misses the cache, so the
+  // decode loop acquires its full kBurst-node working set from the arena
+  // before any completion can recycle a node.  Without the
   // stall, how deep a burst dips into the never-touched (capacity-zero)
   // tail of the LIFO free list depends on pool/reactor interleaving, and
   // first-touch of a virgin node is a legitimate one-time warmup
   // allocation, not a steady-state one.  With depth kBurst warmed, LIFO
   // order guarantees any later burst with <= kBurst requests outstanding
   // only ever pops warm nodes.  Pass 2 (the stall events are one-shot and
-  // spent) settles every other reused buffer (decoder, pending ring,
-  // completion scratch) at its steady-state capacity and leaves the plan
-  // cache warm.
+  // spent) is all cache hits: it settles the hit path's reused buffers
+  // (decoder, pending ring, response slots) at their steady-state capacity.
   client.send_all(requests);
   ASSERT_EQ(client.read_lines(kBurst), kBurst) << "stalled warmup pass";
   client.send_all(requests);
   ASSERT_EQ(client.read_lines(kBurst), kBurst) << "settle warmup pass";
 
+  // Armed pass 3: cache hits, answered on the reactor.
   g_allocs.store(0, std::memory_order_relaxed);
   g_armed.store(true, std::memory_order_relaxed);
   client.send_all(requests);
@@ -214,11 +224,26 @@ TEST(NetAlloc, SteadyStateReactorThreadMakesZeroHeapAllocations) {
   g_armed.store(false, std::memory_order_relaxed);
 
   EXPECT_EQ(g_allocs.load(std::memory_order_relaxed), 0)
-      << "the reactor thread allocated on the steady-state request path";
+      << "the reactor thread allocated on the steady-state hit path";
+
+  // Armed pass 4: never-seen shapes, so every request misses and takes the
+  // pool round trip through nodes pass 1 warmed.  Two-digit extents keep
+  // every line the warm burst's length, as the fixed-width ids do.
+  const std::string cold = burst(kBurst, 10);
+  g_allocs.store(0, std::memory_order_relaxed);
+  g_armed.store(true, std::memory_order_relaxed);
+  client.send_all(cold);
+  ASSERT_EQ(client.read_lines(kBurst), kBurst);
+  g_armed.store(false, std::memory_order_relaxed);
+
+  EXPECT_EQ(g_allocs.load(std::memory_order_relaxed), 0)
+      << "the reactor thread allocated on the steady-state miss path";
 
   server.request_drain();
   loop.join();
-  EXPECT_EQ(server.stats().responses, 3 * kBurst);
+  EXPECT_EQ(server.stats().responses, 4 * kBurst);
+  EXPECT_EQ(service.stats().combined().misses, 2 * kBurst)
+      << "pass 1 and pass 4 miss; passes 2 and 3 are all hits";
 }
 
 }  // namespace

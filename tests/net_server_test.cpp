@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "common/fault.hpp"
+#include "common/json_parse.hpp"
 #include "net/socket.hpp"
 #include "obs/metrics.hpp"
 #include "serve/plan_service.hpp"
@@ -30,6 +31,9 @@
 ///
 /// The serving contracts are parameterized over the reactor count (0 = the
 /// legacy inline loop, 1, 2): sharding must be invisible to every client.
+/// So are the request ledger (one cache probe per well-formed request, every
+/// response a request or a shed) and write batching (one flush per
+/// connection per loop turn).
 /// The multi-reactor-specific behaviors — accept distribution, the
 /// cross-reactor drain barrier, writev coalescing — get their own tests
 /// below the matrix.
@@ -378,6 +382,162 @@ TEST_P(NetServerAt, OverloadShedsWithExplicitResponsesInOrder) {
   EXPECT_EQ(ts.server.stats().shed, shed);
 }
 
+TEST_P(NetServerAt, ShedAndParseErrorResponsesCarryTheParsersId) {
+  // The reactor decodes every line once, and a shed response is labelled
+  // with that decode's id: the last of duplicate "id" members, keys and
+  // values unescaped.  A line the parser rejects is answered with id ""
+  // even when an "id" member follows the error.  With queue_depth=1 behind
+  // a stalled first miss, every later miss in the burst is shed.
+  fault::FaultPlan plan;
+  plan.events.push_back({fault::Kind::kPoolStall, 0, 50'000});
+  fault::ScopedFaultPlan armed(plan);
+  NetServerOptions net = options();
+  net.queue_depth = 1;
+  TestServer ts(ServeOptions{.threads = 1}, net);
+  Client client(ts.server.port());
+  ASSERT_TRUE(client.connected());
+
+  const auto line_with = [](int m, const std::string& members) {
+    return "{" + members + ",\"op\":\"matmul\",\"m\":" + std::to_string(m) +
+           ",\"k\":64,\"l\":64,\"buffer\":\"512KB\"}";
+  };
+  struct Case {
+    std::string line;
+    std::string id;  ///< the id the response must carry
+    bool shed;       ///< else a parse error
+  };
+  const std::vector<Case> cases = {
+      {line_with(301, R"("id":"first","id":"last")"), "last", true},
+      {line_with(302, R"("id":"first","\u0069\u0064":"escaped key")"), "escaped key", true},
+      {line_with(303, R"("id":"q\"u\\o\/te\n\t")"), "q\"u\\o/te\n\t", true},
+      {line_with(304, R"("id":"\u0041\u00e9\u20AC")"), "A\xC3\xA9\xE2\x82\xAC", true},
+      {line_with(305, R"("note":"\"id\":\"fake\"")"), "", true},
+      {line_with(306, R"("x":tru,"id":"a")"), "", false},
+      {line_with(307, R"("x":[1,,2],"id":"a")"), "", false},
+      {line_with(308, R"("x":{"y"},"id":"a")"), "", false},
+  };
+  std::string burst = line_with(300, R"("id":"head")") + "\n";  // admitted, stalled
+  for (const Case& c : cases) burst += c.line + "\n";
+  client.send_all(burst);
+
+  std::vector<std::string> lines = client.read_lines(static_cast<int>(cases.size()) + 1);
+  ASSERT_EQ(lines.size(), cases.size() + 1);
+  EXPECT_EQ(id_of(lines[0]), "head");
+  EXPECT_NE(lines[0].find("\"ok\":true"), std::string::npos) << lines[0];
+  for (std::size_t i = 0; i < cases.size(); ++i) {
+    const Case& c = cases[i];
+    const std::string& line = lines[i + 1];
+    const JsonValuePtr doc = parse_json(line);
+    EXPECT_EQ(doc->get("id")->as_string(), c.id) << c.line << "\n -> " << line;
+    EXPECT_NE(line.find(c.shed ? "overloaded" : "expected"), std::string::npos)
+        << c.line << "\n -> " << line;
+    if (c.shed) {
+      EXPECT_EQ(parse_plan_request(c.line).id, c.id) << c.line;
+    }
+  }
+  ts.stop();
+  EXPECT_EQ(ts.server.stats().shed, 5);
+  EXPECT_EQ(ts.server.stats().parse_errors, 3);
+}
+
+TEST_P(NetServerAt, LedgerReconcilesAMixedPipelinedBurst) {
+  // Each well-formed request makes exactly one counted cache probe,
+  // whatever becomes of it — answered from the cache, planned, or shed;
+  // malformed and oversized lines make none.  Every response is a counted
+  // request or a shed.
+  NetServerOptions net = options();
+  net.queue_depth = 2;
+  net.max_line_bytes = 512;
+  TestServer ts(ServeOptions{.threads = 1}, net);
+  MetricsRegistry& reg = MetricsRegistry::global();
+  const CacheStats cache_before = ts.service.stats().combined();
+  const std::int64_t requests_before = reg.counter("serve/requests").value();
+  const std::int64_t shed_before = reg.counter("net/shed").value();
+  const std::int64_t responses_before = reg.counter("net/responses").value();
+
+  Client client(ts.server.port());
+  ASSERT_TRUE(client.connected());
+  for (int i = 0; i < 3; ++i) {  // one at a time: queue_depth=2 would shed a third
+    client.send_all(make_req("warm" + std::to_string(i), 96 + i, 64, 64));
+    const auto line = client.read_line();
+    ASSERT_TRUE(line.has_value());
+    ASSERT_NE(line->find("\"ok\":true"), std::string::npos) << *line;
+  }
+
+  int well_formed = 3;
+  std::string burst;
+  for (int i = 0; i < 24; ++i) {
+    burst += i % 2 == 0 ? make_req("hit" + std::to_string(i), 96 + i % 3, 64, 64)
+                        : make_req("miss" + std::to_string(i), 200 + i, 64, 64);
+    ++well_formed;
+    if (i == 8) burst += R"({"id":"bad","m":)" "\n";
+    if (i == 16) burst += std::string(1024, 'x') + "\n";
+  }
+  client.send_all(burst);
+  const int burst_lines = 24 + 2;
+  std::vector<std::string> lines = client.read_lines(burst_lines);
+  ASSERT_EQ(lines.size(), static_cast<std::size_t>(burst_lines));
+  int shed = 0;
+  int cached = 0;
+  for (const std::string& line : lines) {
+    shed += line.find("overloaded") != std::string::npos ? 1 : 0;
+    cached += line.find("\"cached\":true") != std::string::npos ? 1 : 0;
+  }
+  EXPECT_GE(shed, 1) << "twelve misses past queue_depth=2 must shed";
+  EXPECT_EQ(cached, 12) << "every repeat of a warm shape is a hit, even behind sheds";
+  ts.stop();
+
+  const CacheStats cache = ts.service.stats().combined();
+  const std::int64_t lookups = cache.hits + cache.misses - cache_before.hits - cache_before.misses;
+  EXPECT_EQ(lookups, well_formed);
+  EXPECT_EQ(cache.hits - cache_before.hits, cached);
+  const std::int64_t requests = reg.counter("serve/requests").value() - requests_before;
+  const std::int64_t sheds = reg.counter("net/shed").value() - shed_before;
+  const std::int64_t responses = reg.counter("net/responses").value() - responses_before;
+  EXPECT_EQ(sheds, shed);
+  EXPECT_EQ(responses, 3 + burst_lines);
+  EXPECT_EQ(requests + sheds, responses);
+}
+
+TEST_P(NetServerAt, AllHitBurstLeavesInBatchedWrites) {
+  // Responses are written once per connection per loop turn: a pipelined
+  // burst of cache hits read in one turn leaves in a handful of gathered
+  // writes, not one write per response.
+  TestServer ts(ServeOptions{.threads = 2}, options());
+  MetricsRegistry& reg = MetricsRegistry::global();
+  const auto total = [&](const char* name) {
+    std::int64_t sum = 0;
+    for (int r = 0; r < 2; ++r) {
+      sum += reg.counter("net/reactor." + std::to_string(r) + "/" + name).value();
+    }
+    return sum;
+  };
+  const std::int64_t writes_before = total("write_calls") + total("writev_calls");
+  const std::int64_t slots_before = total("writev_slots");
+
+  Client client(ts.server.port());
+  ASSERT_TRUE(client.connected());
+  client.send_all(make_req("warm", 64, 64, 64));
+  ASSERT_TRUE(client.read_line().has_value());
+  constexpr int kBurst = 64;
+  std::string burst;
+  for (int i = 0; i < kBurst; ++i) burst += make_req("h" + std::to_string(i), 64, 64, 64);
+  client.send_all(burst);  // one send(): the reactor reads the whole burst in one turn
+  std::vector<std::string> lines = client.read_lines(kBurst);
+  ASSERT_EQ(lines.size(), static_cast<std::size_t>(kBurst));
+  for (int i = 0; i < kBurst; ++i) {
+    EXPECT_EQ(id_of(lines[static_cast<std::size_t>(i)]), "h" + std::to_string(i));
+    EXPECT_NE(lines[static_cast<std::size_t>(i)].find("\"cached\":true"), std::string::npos);
+  }
+  ts.stop();
+
+  const std::int64_t writes = total("write_calls") + total("writev_calls") - writes_before;
+  const std::int64_t slots = total("writev_slots") - slots_before;
+  ASSERT_GT(writes, 0);
+  EXPECT_GE(static_cast<double>(slots) / static_cast<double>(writes), 4.0)
+      << slots << " responses in " << writes << " writes";
+}
+
 TEST_P(NetServerAt, DeadlineExpiryAnswersInOrderWithoutLosingSlots) {
   NetServerOptions net = options();
   net.request_timeout_ms = 1;
@@ -644,19 +804,16 @@ TEST(NetServerReactors, GracefulDrainBarriersAcrossReactors) {
 // --- Writev coalescing ----------------------------------------------------
 
 TEST(NetServerReactors, PipelinedBurstCoalescesResponsesIntoFewWritevs) {
-  // Head-of-line blocking on purpose: a kPoolStall fault holds one of the
-  // first two burst requests on its worker for 50 ms while the other
-  // worker churns the remaining warm cache hits in microseconds.  Those
-  // responses fill their slots behind the stalled head, so nothing can
-  // flush until the stall ends — then the whole backlog is writable at
-  // once and must leave in gathered writev batches, ceil(64/16) syscalls
-  // instead of 64 single writes.  (Pool-site invocation order between the
-  // two workers is racy, but both outcomes — slot 0 stalled with 63
-  // behind it, or slot 0 flushing alone with 62 behind slot 1 — satisfy
-  // every assertion below.)  Order must survive the batching.
+  // Head-of-line blocking on purpose: the burst opens with a cache miss
+  // that a kPoolStall fault holds on its worker for 50 ms, and the 63 warm
+  // cache hits behind it are answered by the reactor in microseconds.
+  // Their slots fill behind the stalled head, so nothing can flush until
+  // the stall ends — then the whole backlog is writable at once and must
+  // leave in gathered writev batches, ceil(64/16) syscalls instead of 64
+  // single writes.  Order must survive the batching.
   fault::FaultPlan plan;
   // Invocation 0 is the cache-warming request below; invocation 1 is the
-  // first burst request to reach a worker.
+  // burst's head, the only burst request that reaches the pool.
   plan.events.push_back({fault::Kind::kPoolStall, 1, 50'000});
   fault::ScopedFaultPlan armed(plan);
 
@@ -685,7 +842,8 @@ TEST(NetServerReactors, PipelinedBurstCoalescesResponsesIntoFewWritevs) {
   for (int i = 0; i < kBurst; ++i) {
     char id[8];
     std::snprintf(id, sizeof(id), "c%02d", i);
-    burst += make_req(id, 64, 64, 64);  // warm hits: finish in microseconds
+    // The stalled miss, then warm hits that finish in microseconds.
+    burst += i == 0 ? make_req(id, 96, 64, 96) : make_req(id, 64, 64, 64);
   }
   client.send_all(burst);
   client.half_close();
@@ -706,8 +864,8 @@ TEST(NetServerReactors, PipelinedBurstCoalescesResponsesIntoFewWritevs) {
   const std::int64_t slots = reg.counter("net/reactor.0/writev_slots").value() - slots_before;
   EXPECT_GE(slots, 64) << "every response slot must pass through the gather path";
   EXPECT_GE(writevs, 1) << "at least one flush must gather multiple slots";
-  // ceil(64/kWritevBatchSlots) = 4 gathered flushes, plus slack for the
-  // possible lone pre-stall flush and partial writes.
+  // ceil(64/kWritevBatchSlots) = 4 gathered flushes, plus slack for
+  // partial writes.
   EXPECT_LE(flushes, 12) << "a 64-response backlog must not take ~64 write syscalls";
 }
 

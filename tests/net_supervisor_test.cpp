@@ -28,8 +28,9 @@
 /// "timed_out" cancellation without leaking the slot, a reactor-loop stall
 /// must be detected without disturbing service, and a sustained
 /// pool-stall storm must push the adaptive admission controller into
-/// brownout — cold shapes shed with a retry_after_ms hint, warm shapes
-/// still served — and out again once the standing delay recovers.
+/// brownout — cache misses shed with a retry_after_ms hint, cache hits
+/// still served, whatever order their fields come in — and out again once
+/// the standing delay recovers.
 
 namespace fusecu {
 namespace {
@@ -269,35 +270,49 @@ TEST(Watchdog, ReactorLoopStallIsDetectedAndServiceSurvives) {
 // ---------------------------------------------------------------------------
 // E2E: brownout under a sustained pool-stall storm.
 
-TEST(Brownout, ColdShapesShedWithHintWarmShapesServeThenRecovers) {
-  MetricsRegistry& reg = MetricsRegistry::global();
-  const std::int64_t entries_before = reg.counter("serve/brownout_entries").value();
-
+/// Every one of the first 20 pool dequeues stalls the (single) worker 50ms:
+/// the standing queue delay quickly exceeds the 1ms target.
+fault::FaultPlan storm_stalls() {
   fault::FaultPlan plan;
-  // Every one of the first 20 pool dequeues stalls the (single) worker
-  // 50ms: the standing queue delay quickly exceeds the 1ms target.
   for (std::uint64_t i = 0; i < 20; ++i) {
     plan.events.push_back(event(fault::Kind::kPoolStall, i, 50'000));
   }
-  fault::ScopedFaultPlan armed(plan);
+  return plan;
+}
 
+NetServerOptions brownout_options() {
   NetServerOptions net;
   net.host = "127.0.0.1";
   net.port = 0;
   net.reactors = 1;
   net.queue_depth = 128;  // depth never trips: only brownout sheds here
   net.target_delay_ms = 1;
+  return net;
+}
+
+/// 25 pipelined copies of the 64^3 shape.  All of them miss (none has
+/// finished when the burst is read), so all queue behind the stalls; the
+/// first to finish caches the shape before the brownout begins.
+std::string storm_burst() {
+  std::string burst;
+  for (int i = 0; i < 25; ++i) burst += make_req("w" + std::to_string(i), 64, 64, 64);
+  return burst;
+}
+
+TEST(Brownout, ColdShapesShedWithHintWarmShapesServeThenRecovers) {
+  MetricsRegistry& reg = MetricsRegistry::global();
+  const std::int64_t entries_before = reg.counter("serve/brownout_entries").value();
+  fault::ScopedFaultPlan armed(storm_stalls());
   NetServer::Stats stats;
   {
-    TestServer ts(ServeOptions{.threads = 1}, net);
+    TestServer ts(ServeOptions{.threads = 1}, brownout_options());
     Client storm(ts.server.port());
-    std::string burst;
-    for (int i = 0; i < 25; ++i) burst += make_req("w" + std::to_string(i), 64, 64, 64);
-    storm.send_all(burst);
+    storm.send_all(storm_burst());
     ASSERT_TRUE(wait_until([&] { return ts.server.admission().overloaded(); }, 10'000))
         << "the standing 50ms queue delay never tripped the 1ms target";
 
-    // Cold shape (never completed): shed immediately with the backoff hint.
+    // Cold shape (a cache miss, queued work ahead of it): shed immediately
+    // with the backoff hint.
     Client probe(ts.server.port());
     probe.send_all(make_req("cold", 192, 96, 192));
     const auto shed = probe.read_line();
@@ -307,22 +322,25 @@ TEST(Brownout, ColdShapesShedWithHintWarmShapesServeThenRecovers) {
     EXPECT_NE(shed->find("brownout"), std::string::npos) << *shed;
     EXPECT_NE(shed->find("\"retry_after_ms\":"), std::string::npos) << *shed;
 
-    // Warm shape (the storm's, already completed at least once): admitted
-    // and served even in brownout — it queues behind the storm, so give it
-    // the long timeout.
+    // Warm shape (the storm's, already cached): answered from the cache by
+    // the reactor even in brownout, without queueing behind the storm.
     probe.send_all(make_req("warm", 64, 64, 64));
-    const auto served = probe.read_line(30'000);
+    const auto served = probe.read_line();
     ASSERT_TRUE(served.has_value());
     EXPECT_NE(served->find("\"id\":\"warm\""), std::string::npos) << *served;
     EXPECT_NE(served->find("\"ok\":true"), std::string::npos) << *served;
+    EXPECT_NE(served->find("\"cached\":true"), std::string::npos) << *served;
 
     // Recovery: once the stalls are exhausted fresh requests dequeue
     // immediately, and an interval of near-zero standing delay clears the
-    // brownout with hysteresis.
+    // brownout with hysteresis.  Hits never reach the pool, so the probes
+    // are fresh shapes: brownout sheds them while the storm is still queued
+    // and admits one once nothing of the reactor's is in flight.
     const auto deadline = Clock::now() + std::chrono::seconds(20);
     int recover_seq = 0;
     while (ts.server.admission().overloaded() && Clock::now() < deadline) {
-      probe.send_all(make_req("r" + std::to_string(recover_seq++), 64, 64, 64));
+      probe.send_all(make_req("r" + std::to_string(recover_seq), 80 + recover_seq, 64, 64));
+      ++recover_seq;
       ASSERT_TRUE(probe.read_line(30'000).has_value());
       std::this_thread::sleep_for(std::chrono::milliseconds(10));
     }
@@ -333,6 +351,28 @@ TEST(Brownout, ColdShapesShedWithHintWarmShapesServeThenRecovers) {
   }
   EXPECT_GE(stats.shed, 1);
   EXPECT_GE(reg.counter("serve/brownout_entries").value(), entries_before + 1);
+}
+
+TEST(Brownout, CachedShapeWithReorderedFieldsIsServedFromTheCache) {
+  // Brownout asks the plan cache, not the request bytes: the storm's shape
+  // with its members in another order is the same key, so it is a hit and
+  // is never shed.
+  fault::ScopedFaultPlan armed(storm_stalls());
+  TestServer ts(ServeOptions{.threads = 1}, brownout_options());
+  Client storm(ts.server.port());
+  storm.send_all(storm_burst());
+  ASSERT_TRUE(wait_until([&] { return ts.server.admission().overloaded(); }, 10'000))
+      << "the standing 50ms queue delay never tripped the 1ms target";
+
+  Client probe(ts.server.port());
+  probe.send_all(R"({"buffer":"512KB","l":64,"k":64,"m":64,"op":"matmul","id":"reordered"})"
+                 "\n");
+  const auto line = probe.read_line();
+  ASSERT_TRUE(line.has_value());
+  EXPECT_NE(line->find("\"id\":\"reordered\""), std::string::npos) << *line;
+  EXPECT_NE(line->find("\"ok\":true"), std::string::npos) << *line;
+  EXPECT_NE(line->find("\"cached\":true"), std::string::npos) << *line;
+  EXPECT_TRUE(ts.server.admission().overloaded()) << "the hit must be answered inside the brownout";
 }
 
 }  // namespace

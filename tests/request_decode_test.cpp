@@ -1,7 +1,7 @@
 // parse_plan_request's one-pass typed decoder against the reference
 // (parse_json's value tree fed to plan_request_from_json), and
-// extract_request_id against the tree, on a table of request lines and on
-// seeded byte-level mutations of them.  The oracle is shared with the
+// decode_plan_request over a used request against both, on a table of
+// request lines and on seeded byte-level mutations of them.  The oracle is shared with the
 // fuzz_plan_request target (fuzz/plan_request_diff.hpp).
 
 #include <gtest/gtest.h>

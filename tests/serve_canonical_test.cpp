@@ -124,25 +124,32 @@ PlanRequest request(PlanRequest::Kind kind, Index m, Index k, Index l, Index n, 
   return r;
 }
 
+/// spell_request_key's answer, nullopt when the request is out of scope.
+std::optional<CanonicalIntraKey> request_key(const PlanRequest& r) {
+  CanonicalIntraKey key;
+  if (!spell_request_key(r, key.text, key.swapped)) return std::nullopt;
+  return key;
+}
+
 TEST(RequestKey, GoldenTexts) {
-  const auto intra = try_request_intra_key(
-      request(PlanRequest::Kind::kMatmul, 64, 32, 128, 0, 1, 1000));
+  const auto intra = request_key(request(PlanRequest::Kind::kMatmul, 64, 32, 128, 0, 1, 1000));
   ASSERT_TRUE(intra.has_value());
   EXPECT_EQ(intra->text, "i1|1000|64,32,128|1:M|1:K|1:L|1:A|1:B|1:C|");
   EXPECT_FALSE(intra->swapped);
 
   // batch 4 folds into M = 64 > L, and the buffer clamps to the full fit
   // 64*32 + 32*8 + 64*8 = 2816.
-  const auto folded = try_request_intra_key(
-      request(PlanRequest::Kind::kMatmul, 16, 32, 8, 0, 4, 1 << 20));
+  const auto folded = request_key(request(PlanRequest::Kind::kMatmul, 16, 32, 8, 0, 4, 1 << 20));
   ASSERT_TRUE(folded.has_value());
   EXPECT_EQ(folded->text, "i1|2816|8,32,64|1:M|1:K|1:L|1:A|1:W|1:C|");
   EXPECT_TRUE(folded->swapped);
 
-  const auto fused = try_request_fused_key(
-      request(PlanRequest::Kind::kFusedPair, 512, 64, 512, 64, 1, 262144));
+  const auto fused =
+      request_key(request(PlanRequest::Kind::kFusedPair, 512, 64, 512, 64, 1, 262144));
   ASSERT_TRUE(fused.has_value());
-  EXPECT_EQ(*fused, "f2|262144|512,64,512,64|1:M|1:K|1:L|1:A|1:B|1:C|1:M|1:K|1:L|1:C|1:D|1:E|");
+  EXPECT_EQ(fused->text,
+            "f2|262144|512,64,512,64|1:M|1:K|1:L|1:A|1:B|1:C|1:M|1:K|1:L|1:C|1:D|1:E|");
+  EXPECT_FALSE(fused->swapped);
 }
 
 TEST(RequestKey, MatchesTheOperatorKeyOverASeededSweep) {
@@ -160,7 +167,7 @@ TEST(RequestKey, MatchesTheOperatorKeyOverASeededSweep) {
     // down to the minimal working set.
     const BufferSize bs = i % 4 == 0 ? full : i % 4 == 1 ? full + draw(1, full) : draw(3, full);
     const PlanRequest req = request(PlanRequest::Kind::kMatmul, m, k, l, 0, batch, bs);
-    const std::optional<CanonicalIntraKey> from_fields = try_request_intra_key(req);
+    const std::optional<CanonicalIntraKey> from_fields = request_key(req);
     const std::optional<CanonicalIntraKey> from_op = try_canonical_intra_key(req.to_op(), bs);
     ASSERT_TRUE(from_fields.has_value());
     ASSERT_TRUE(from_op.has_value());
@@ -182,22 +189,25 @@ TEST(RequestKey, MatchesTheOperatorKeyOverASeededSweep) {
     const Index m = draw(1, 4096), k = draw(1, 4096), l = draw(1, 4096), n = draw(1, 4096);
     const BufferSize bs = draw(1, 1 << 22);
     const PlanRequest req = request(PlanRequest::Kind::kFusedPair, m, k, l, n, 1, bs);
-    const std::optional<std::string> from_fields = try_request_fused_key(req);
+    const std::optional<CanonicalIntraKey> from_fields = request_key(req);
     ASSERT_TRUE(from_fields.has_value());
-    ASSERT_EQ(*from_fields, canonical_fused_key(req.to_pair(), bs));
+    ASSERT_EQ(from_fields->text, canonical_fused_key(req.to_pair(), bs));
   }
 }
 
 TEST(RequestKey, OutOfScopeRequestsReturnNullopt) {
   // Both spellings agree on the minimal working set.
   const PlanRequest tiny = request(PlanRequest::Kind::kMatmul, 8, 8, 8, 0, 1, 2);
-  EXPECT_FALSE(try_request_intra_key(tiny).has_value());
+  EXPECT_FALSE(request_key(tiny).has_value());
   EXPECT_FALSE(try_canonical_intra_key(tiny.to_op(), 2).has_value());
-  // Extents to_op() / to_pair() would reject, and the other family's kind.
-  EXPECT_FALSE(try_request_intra_key(request(PlanRequest::Kind::kMatmul, 0, 8, 8, 0, 1, 64)));
-  EXPECT_FALSE(try_request_fused_key(request(PlanRequest::Kind::kFusedPair, 8, 8, 8, 0, 1, 64)));
-  EXPECT_FALSE(try_request_intra_key(request(PlanRequest::Kind::kFusedPair, 8, 8, 8, 8, 1, 64)));
-  EXPECT_FALSE(try_request_fused_key(request(PlanRequest::Kind::kMatmul, 8, 8, 8, 8, 1, 64)));
+  // Extents to_op() / to_pair() would reject.
+  EXPECT_FALSE(request_key(request(PlanRequest::Kind::kMatmul, 0, 8, 8, 0, 1, 64)));
+  EXPECT_FALSE(request_key(request(PlanRequest::Kind::kFusedPair, 8, 8, 8, 0, 1, 64)));
+  // The kind picks the family; the other family's fields are ignored.
+  EXPECT_EQ(request_key(request(PlanRequest::Kind::kFusedPair, 8, 8, 8, 8, 1, 2))->text.substr(0, 3),
+            "f2|");
+  EXPECT_EQ(request_key(request(PlanRequest::Kind::kMatmul, 8, 8, 8, 8, 1, 64))->text.substr(0, 3),
+            "i1|");
 }
 
 }  // namespace
