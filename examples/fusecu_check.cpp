@@ -178,7 +178,14 @@ int main(int argc, char** argv) {
   chaos.seed = opts.seed;
   chaos.trials = static_cast<int>(parser.option_int("--chaos-trials", 0));
   chaos.max_events = static_cast<int>(parser.option_int("--chaos-max-events", chaos.max_events));
-  chaos.reactors = static_cast<int>(parser.option_int("--chaos-reactors", chaos.reactors));
+  const Index chaos_reactors = parser.option_int("--chaos-reactors", chaos.reactors);
+  if (chaos_reactors < 1) {
+    std::cerr << "fusecu_check: --chaos-reactors must be at least 1, got " << chaos_reactors
+              << "\n"
+              << kUsage;
+    return 2;
+  }
+  chaos.reactors = static_cast<int>(chaos_reactors);
   chaos.shrink = opts.shrink;
   if (auto bug_name = parser.option("--chaos-bug")) {
     const std::optional<fault::TestBug> bug = parse_chaos_bug(*bug_name);

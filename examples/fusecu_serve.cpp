@@ -29,8 +29,8 @@
 ///
 /// With --listen HOST:PORT the same JSONL protocol is served over TCP by
 /// --reactors N sharded event loops (src/net/server.hpp; default = hardware
-/// threads, 0 = the legacy single inline loop) with SO_REUSEPORT kernel
-/// accept distribution when available (--accept auto|reuseport|handoff):
+/// threads, at least 1; reactor 0 runs on the main thread) with SO_REUSEPORT
+/// kernel accept distribution when available (--accept auto|reuseport|handoff):
 /// pipelined requests per connection answered in order, plan-cache hits
 /// answered by the reactor itself, a bounded per-reactor admission queue
 /// for cache misses (--queue-depth) in front of the worker pool with
@@ -138,6 +138,12 @@ int main(int argc, char** argv) {
                     "--watchdog-ms", "--target-delay-ms",
                     "--max-line-bytes", "--port-file", "--fault-plan"});
     args.parse_or_exit(argc, argv, kUsage);
+    const int hw = static_cast<int>(std::thread::hardware_concurrency());
+    const Index reactors = args.option_int("--reactors", std::max(1, hw));
+    if (reactors < 1) {
+      std::cerr << "error: --reactors must be at least 1, got " << reactors << "\n" << kUsage;
+      return 2;
+    }
 
     // Armed before the service exists so pool-stall events cover the whole
     // serving lifetime; disarmed implicitly at process exit.
@@ -201,8 +207,7 @@ int main(int argc, char** argv) {
       net.watchdog_ms = args.option_int("--watchdog-ms", 0);
       net.target_delay_ms = args.option_int("--target-delay-ms", 0);
       net.max_line_bytes = options.max_line_bytes;
-      const int hw = static_cast<int>(std::thread::hardware_concurrency());
-      net.reactors = static_cast<int>(args.option_int("--reactors", std::max(1, hw)));
+      net.reactors = static_cast<int>(reactors);
       if (auto accept_mode = args.option("--accept")) {
         if (*accept_mode == "auto") {
           net.accept_mode = NetServerOptions::AcceptMode::kAuto;

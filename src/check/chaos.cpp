@@ -6,6 +6,7 @@
 #include <atomic>
 #include <cerrno>
 #include <chrono>
+#include <cmath>
 #include <cstring>
 #include <map>
 #include <sstream>
@@ -585,7 +586,14 @@ ChaosFailure chaos_repro_from_json(const std::string& text, const std::string& s
                                     : static_cast<std::uint64_t>(seed->as_number());
   }
   if (const JsonValuePtr reactors = doc->get("reactors")) {
-    failure.reactors = static_cast<int>(reactors->as_number());
+    const double n = reactors->is_number() ? reactors->as_number() : 0.0;
+    if (!(n >= 1.0 && n <= 256.0 && n == std::floor(n))) {
+      throw std::invalid_argument(source +
+                                  ": \"reactors\" must be an integer from 1 to 256; use 1 "
+                                  "to replay a repro recorded at 0, which ran the same "
+                                  "one-reactor server");
+    }
+    failure.reactors = static_cast<int>(n);
   }
   if (const JsonValuePtr plan = doc->get("plan")) {
     failure.plan = fault::FaultPlan::from_json_value(*plan);

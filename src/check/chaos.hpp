@@ -71,11 +71,10 @@ struct ChaosOptions {
   /// (100-300 ms) always cross the 80 ms hang-guard deadline, so the
   /// watchdog-fires invariant is decidable from the plan.  0 = unsupervised.
   std::int64_t server_watchdog_ms = 40;
-  /// Reactor shards for the trial server (NetServerOptions::reactors):
-  /// 0 = the legacy single inline loop, N = N reactor threads.  The
-  /// invariants are reactor-count-independent, so the same trials double as
-  /// the multi-reactor drain/order suite.
-  int reactors = 0;
+  /// Reactor shards for the trial server (NetServerOptions::reactors, at
+  /// least 1).  The invariants are reactor-count-independent, so the same
+  /// trials double as the multi-reactor drain/order suite.
+  int reactors = 1;
 };
 
 /// One violated serving invariant.
@@ -103,7 +102,7 @@ struct ChaosShrinkResult {
 struct ChaosFailure {
   int trial = 0;
   std::uint64_t seed = 0;  ///< derived trial seed (regenerates the scripts)
-  int reactors = 0;        ///< server shards the failure was found at
+  int reactors = 1;        ///< server shards the failure was found at
   fault::FaultPlan plan;
   ChaosShrinkResult shrunk;
   std::vector<ChaosViolation> violations;

@@ -1,47 +1,17 @@
 #include "net/poller.hpp"
 
-#include <poll.h>
-#include <unistd.h>
+#include <sys/epoll.h>
 
-#include <cerrno>
 #include <cstdint>
 #include <stdexcept>
 #include <string>
 #include <utility>
 
 #include "common/fault.hpp"
-
-#if defined(__linux__)
-#include <sys/epoll.h>
-#define FUSECU_HAVE_EPOLL 1
-#endif
-
 #include "net/socket.hpp"
 
 namespace fusecu {
 
-Poller::Poller(PollBackend backend) : backend_(backend) {
-#if FUSECU_HAVE_EPOLL
-  if (backend_ == PollBackend::kAuto) backend_ = PollBackend::kEpoll;
-#else
-  if (backend_ == PollBackend::kEpoll) {
-    throw std::runtime_error("epoll backend requested on a platform without epoll");
-  }
-  if (backend_ == PollBackend::kAuto) backend_ = PollBackend::kPoll;
-#endif
-#if FUSECU_HAVE_EPOLL
-  if (backend_ == PollBackend::kEpoll) {
-    epoll_fd_ = epoll_create1(EPOLL_CLOEXEC);
-    if (epoll_fd_ < 0) throw std::runtime_error("epoll_create1 failed");
-  }
-#endif
-}
-
-Poller::~Poller() {
-  if (epoll_fd_ >= 0) close_fd(epoll_fd_);
-}
-
-#if FUSECU_HAVE_EPOLL
 namespace {
 
 std::uint32_t epoll_mask(bool want_read, bool want_write) {
@@ -53,21 +23,22 @@ std::uint32_t epoll_mask(bool want_read, bool want_write) {
 }
 
 }  // namespace
-#endif
+
+Poller::Poller() : epoll_fd_(epoll_create1(EPOLL_CLOEXEC)) {
+  if (epoll_fd_ < 0) throw std::runtime_error("epoll_create1 failed");
+}
+
+Poller::~Poller() { close_fd(epoll_fd_); }
 
 void Poller::add(int fd, bool want_read, bool want_write) {
   interest_[fd] = {want_read, want_write};
-#if FUSECU_HAVE_EPOLL
-  if (backend_ == PollBackend::kEpoll) {
-    epoll_event ev = {};
-    ev.events = epoll_mask(want_read, want_write);
-    ev.data.fd = fd;
-    if (epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, fd, &ev) != 0) {
-      interest_.erase(fd);
-      throw std::runtime_error("epoll_ctl(ADD) failed for fd " + std::to_string(fd));
-    }
+  epoll_event ev = {};
+  ev.events = epoll_mask(want_read, want_write);
+  ev.data.fd = fd;
+  if (epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, fd, &ev) != 0) {
+    interest_.erase(fd);
+    throw std::runtime_error("epoll_ctl(ADD) failed for fd " + std::to_string(fd));
   }
-#endif
 }
 
 void Poller::set(int fd, bool want_read, bool want_write) {
@@ -75,23 +46,15 @@ void Poller::set(int fd, bool want_read, bool want_write) {
   if (it == interest_.end()) return;
   if (it->second == std::make_pair(want_read, want_write)) return;
   it->second = {want_read, want_write};
-#if FUSECU_HAVE_EPOLL
-  if (backend_ == PollBackend::kEpoll) {
-    epoll_event ev = {};
-    ev.events = epoll_mask(want_read, want_write);
-    ev.data.fd = fd;
-    epoll_ctl(epoll_fd_, EPOLL_CTL_MOD, fd, &ev);
-  }
-#endif
+  epoll_event ev = {};
+  ev.events = epoll_mask(want_read, want_write);
+  ev.data.fd = fd;
+  epoll_ctl(epoll_fd_, EPOLL_CTL_MOD, fd, &ev);
 }
 
 void Poller::remove(int fd) {
   if (interest_.erase(fd) == 0) return;
-#if FUSECU_HAVE_EPOLL
-  if (backend_ == PollBackend::kEpoll) {
-    epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, fd, nullptr);
-  }
-#endif
+  epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, fd, nullptr);
 }
 
 int Poller::wait(std::vector<PollEvent>& out, int timeout_ms) {
@@ -100,45 +63,19 @@ int Poller::wait(std::vector<PollEvent>& out, int timeout_ms) {
   // loop must tolerate poll returning early with no events (real kernels do
   // this); disarmed cost is one relaxed load.
   if (fault::armed() && fault::on_poll()) return 0;
-#if FUSECU_HAVE_EPOLL
-  if (backend_ == PollBackend::kEpoll) {
-    epoll_event events[128];
-    const int n = epoll_wait(epoll_fd_, events, 128, timeout_ms);
-    if (n <= 0) return 0;  // timeout or EINTR
-    out.reserve(static_cast<std::size_t>(n));
-    for (int i = 0; i < n; ++i) {
-      PollEvent ev;
-      ev.fd = events[i].data.fd;
-      ev.readable = (events[i].events & EPOLLIN) != 0;
-      ev.writable = (events[i].events & EPOLLOUT) != 0;
-      ev.hangup = (events[i].events & (EPOLLHUP | EPOLLERR)) != 0;
-      out.push_back(ev);
-    }
-    return n;
-  }
-#endif
-  std::vector<pollfd>& fds = poll_scratch_;
-  fds.clear();
-  fds.reserve(interest_.size());
-  for (const auto& [fd, want] : interest_) {
-    pollfd p = {};
-    p.fd = fd;
-    if (want.first) p.events |= POLLIN;
-    if (want.second) p.events |= POLLOUT;
-    fds.push_back(p);
-  }
-  const int n = ::poll(fds.data(), fds.size(), timeout_ms);
-  if (n <= 0) return 0;
-  for (const pollfd& p : fds) {
-    if (p.revents == 0) continue;
+  epoll_event events[128];
+  const int n = epoll_wait(epoll_fd_, events, 128, timeout_ms);
+  if (n <= 0) return 0;  // timeout or EINTR
+  out.reserve(static_cast<std::size_t>(n));
+  for (int i = 0; i < n; ++i) {
     PollEvent ev;
-    ev.fd = p.fd;
-    ev.readable = (p.revents & POLLIN) != 0;
-    ev.writable = (p.revents & POLLOUT) != 0;
-    ev.hangup = (p.revents & (POLLHUP | POLLERR | POLLNVAL)) != 0;
+    ev.fd = events[i].data.fd;
+    ev.readable = (events[i].events & EPOLLIN) != 0;
+    ev.writable = (events[i].events & EPOLLOUT) != 0;
+    ev.hangup = (events[i].events & (EPOLLHUP | EPOLLERR)) != 0;
     out.push_back(ev);
   }
-  return static_cast<int>(out.size());
+  return n;
 }
 
 }  // namespace fusecu

@@ -1,19 +1,15 @@
 #pragma once
 
-#include <poll.h>
-
 #include <map>
 #include <vector>
 
 /// \file poller.hpp
-/// Readiness notification for the net/ event loop: epoll on Linux, with a
-/// poll(2) fallback for portability (and so the fallback is testable on the
-/// platform that would never otherwise exercise it — the backend is a
-/// runtime choice, not an #ifdef maze).
+/// Readiness notification for the net/ event loop: a thin wrapper over
+/// Linux epoll.
 ///
-/// Level-triggered on both backends: the loop re-arms interest explicitly
-/// via set(), which keeps the deferred-read backpressure logic trivial —
-/// "stop reading" is just dropping the read bit until the queue drains.
+/// Level-triggered: the loop re-arms interest explicitly via set(), which
+/// keeps the deferred-read backpressure logic trivial — "stop reading" is
+/// just dropping the read bit until the queue drains.
 
 namespace fusecu {
 
@@ -26,15 +22,10 @@ struct PollEvent {
   bool hangup = false;
 };
 
-enum class PollBackend {
-  kAuto,   ///< epoll where available, else poll
-  kEpoll,  ///< Linux only; construction throws elsewhere
-  kPoll,
-};
-
 class Poller {
  public:
-  explicit Poller(PollBackend backend = PollBackend::kAuto);
+  /// Throws std::runtime_error when epoll_create1 fails.
+  Poller();
   ~Poller();
 
   Poller(const Poller&) = delete;
@@ -51,22 +42,14 @@ class Poller {
   /// fds.  Returns the number of events (0 on timeout); EINTR reports as 0.
   int wait(std::vector<PollEvent>& out, int timeout_ms);
 
-  /// The backend actually in use (kAuto resolves at construction).
-  PollBackend backend() const { return backend_; }
-
   int size() const { return static_cast<int>(interest_.size()); }
 
  private:
-  PollBackend backend_;
   int epoll_fd_ = -1;
-  /// fd -> (want_read, want_write); the poll backend rebuilds its pollfd
-  /// array from this each wait, the epoll backend keeps it for set() deltas
-  /// and size().
+  /// fd -> (want_read, want_write), kept so set() skips the epoll_ctl when
+  /// the interest is unchanged (the reactor calls it on every flush) and
+  /// for size().
   std::map<int, std::pair<bool, bool>> interest_;
-  /// Reused poll(2) scratch: rebuilt (not reallocated) each wait so the
-  /// fallback backend is as allocation-free per turn as the epoll one —
-  /// the reactor hot path asserts zero steady-state heap allocations.
-  std::vector<struct pollfd> poll_scratch_;
 };
 
 }  // namespace fusecu

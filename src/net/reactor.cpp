@@ -121,7 +121,6 @@ void NetRequest::run_on_pool(void* arg) {
 Reactor::Reactor(PlanService& service, const ReactorConfig& config)
     : service_(service),
       config_(config),
-      poller_(config.poll_backend),
       listener_fd_(config.listener_fd),
       bytes_in_counter_(MetricsRegistry::global().counter("net/bytes_in")),
       bytes_out_counter_(MetricsRegistry::global().counter("net/bytes_out")),

@@ -173,7 +173,6 @@ struct ReactorConfig {
   std::int64_t watchdog_ms = 0;
   std::size_t max_line_bytes = 1 << 20;
   std::size_t write_high_water = 1 << 20;
-  PollBackend poll_backend = PollBackend::kAuto;
   std::chrono::steady_clock::time_point epoch{};
   std::atomic<int>* total_conns = nullptr;
   std::atomic<int>* drain_requests = nullptr;

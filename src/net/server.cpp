@@ -14,8 +14,11 @@ NetServer::NetServer(PlanService& service, NetServerOptions options)
     : service_(service), options_(std::move(options)) {
   options_.max_conns = std::max(1, options_.max_conns);
   options_.queue_depth = std::max(1, options_.queue_depth);
-  inline_run_ = options_.reactors <= 0;
-  const int n = inline_run_ ? 1 : std::min(options_.reactors, 256);
+  if (options_.reactors < 1) {
+    throw std::invalid_argument("NetServerOptions::reactors must be at least 1, got " +
+                                std::to_string(options_.reactors));
+  }
+  const int n = std::min(options_.reactors, 256);
   admission_ = std::make_unique<AdmissionController>(
       AdmissionConfig{.target_delay_ms = options_.target_delay_ms});
 
@@ -82,7 +85,6 @@ NetServer::NetServer(PlanService& service, NetServerOptions options)
       cfg.admission = admission_.get();
       cfg.max_line_bytes = options_.max_line_bytes;
       cfg.write_high_water = options_.write_high_water;
-      cfg.poll_backend = options_.poll_backend;
       cfg.epoch = epoch;
       cfg.total_conns = &total_conns_;
       cfg.drain_requests = &drain_requests_;
@@ -143,16 +145,12 @@ void NetServer::request_drain() {
 
 void NetServer::run() {
   supervisor_->start();  // no-op when watchdog_ms == 0
-  if (inline_run_) {
-    reactors_[0]->run();
-    supervisor_->stop();
-    return;
-  }
   std::vector<std::thread> threads;
-  threads.reserve(reactors_.size());
-  for (auto& reactor : reactors_) {
-    threads.emplace_back([&reactor] { reactor->run(); });
+  threads.reserve(reactors_.size() - 1);
+  for (std::size_t i = 1; i < reactors_.size(); ++i) {
+    threads.emplace_back([reactor = reactors_[i].get()] { reactor->run(); });
   }
+  reactors_[0]->run();
   // Joining every reactor is the drain barrier: run() returns only once
   // all shards have flushed and closed their connections.
   for (std::thread& t : threads) t.join();

@@ -33,9 +33,9 @@
 /// user-space coordination.  Where that bind fails (or with
 /// `AcceptMode::kHandoff`), reactor 0 owns the single listener and
 /// round-robins accepted fds to the others through their inboxes — fully
-/// deterministic, which is what the distribution tests use.
-/// `reactors = 0` (the default) keeps the pre-sharding behavior: one
-/// reactor, run inline on the caller's thread.
+/// deterministic, which is what the distribution tests use.  Reactor 0
+/// always runs on the thread that calls run(); reactors 1..N-1 get their
+/// own threads.
 ///
 /// Backpressure and admission control.  Admission governs cache misses
 /// only: a hit is answered from the cache before admission is consulted,
@@ -109,12 +109,11 @@ struct NetServerOptions {
   std::int64_t target_delay_ms = 0;       ///< CoDel target for misses; 0 = fixed-depth shed only
   std::size_t max_line_bytes = 1 << 20;   ///< shared with ServeOptions
   std::size_t write_high_water = 1 << 20; ///< slow-reader read deferral
-  PollBackend poll_backend = PollBackend::kAuto;
 
-  /// Number of reactor shards.  0 = one reactor run inline on the run()
-  /// caller's thread (the pre-sharding single-loop behavior); N >= 1 runs
-  /// N reactors on their own threads.
-  int reactors = 0;
+  /// Number of reactor shards (at least 1; the constructor throws
+  /// std::invalid_argument below that).  Reactor 0 runs on the run()
+  /// caller's thread, the other N-1 on their own threads.
+  int reactors = 1;
 
   /// How accepted connections reach the reactors.  kAuto prefers
   /// SO_REUSEPORT when there are 2+ reactors and falls back to handoff;
@@ -127,7 +126,8 @@ struct NetServerOptions {
 class NetServer {
  public:
   /// Binds and listens immediately; throws std::runtime_error when the
-  /// address cannot be bound.  \p service must outlive the server.
+  /// address cannot be bound and std::invalid_argument when
+  /// `options.reactors < 1`.  \p service must outlive the server.
   NetServer(PlanService& service, NetServerOptions options);
   ~NetServer();
 
@@ -138,10 +138,10 @@ class NetServer {
   const HostPort& bound() const { return bound_; }
   std::uint16_t port() const { return bound_.port; }
 
-  /// Serve until a requested drain completes on every reactor.  With
-  /// `reactors = 0` the single reactor runs on this thread; otherwise this
-  /// thread starts the reactor threads and joins them (the drain barrier).
-  /// Call from exactly one thread.
+  /// Serve until a requested drain completes on every reactor.  Starts
+  /// reactors 1..N-1 on their own threads, runs reactor 0 on this thread,
+  /// then joins the others (the drain barrier).  Call from exactly one
+  /// thread.
   void run();
 
   /// Begin graceful drain (second call hard-stops).  Thread-safe and
@@ -171,7 +171,6 @@ class NetServer {
   PlanService& service_;
   NetServerOptions options_;
   HostPort bound_;
-  bool inline_run_ = false;  ///< reactors == 0: run reactor 0 on run()'s thread
   bool reuseport_ = false;
 
   std::atomic<int> total_conns_{0};

@@ -9,7 +9,7 @@
 
 #include "obs/log.hpp"
 #include "obs/metrics.hpp"
-#include "sim/trace.hpp"
+#include "obs/trace.hpp"
 
 /// \file obs_session.hpp
 /// Shared observability CLI surface for every tool binary.

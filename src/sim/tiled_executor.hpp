@@ -4,7 +4,7 @@
 #include "fusion/fused_pair.hpp"
 #include "sim/compute_unit.hpp"
 #include "sim/fusecu_quad.hpp"
-#include "sim/trace.hpp"
+#include "obs/trace.hpp"
 
 /// \file tiled_executor.hpp
 /// Schedule interpreters: execute a *complete* dataflow — every tile loop,

@@ -3,7 +3,7 @@
 #include "arch/arch_spec.hpp"
 #include "dataflow/access_model.hpp"
 #include "fusion/fused_pair.hpp"
-#include "sim/trace.hpp"
+#include "obs/trace.hpp"
 
 /// \file timeline.hpp
 /// Tile-resolved double-buffered execution timeline.
@@ -42,7 +42,7 @@ struct TimelineResult {
 /// Compute time per iteration uses the full array at the given spatial
 /// utilization (pass 1.0 for an ideally mapped tile).  When \p trace is
 /// non-null, per-iteration DMA (track 0) and compute (track 1) events are
-/// recorded for chrome-tracing export (sim/trace.hpp).
+/// recorded for chrome-tracing export (obs/trace.hpp).
 TimelineResult simulate_timeline(const TensorOp& op, const Dataflow& df, const ArchSpec& arch,
                                  double spatial_utilization = 1.0,
                                  TraceRecorder* trace = nullptr);

@@ -89,5 +89,32 @@ INSTANTIATE_TEST_SUITE_P(Shapes, BufferClassBoundary,
                                            BoundaryShape{16, 100, 16},    // thin reduction
                                            BoundaryShape{100, 16, 100})); // small middle
 
+/// Known exceptions to the regime prediction, pinned from a 60,000-matmul
+/// census (EXPERIMENTS.md, "Documented deviations"): Single-NRA wins 8.2%
+/// of medium-class cases and Two-NRA wins 7.2% of large-class cases.  The
+/// class is a prediction only; optimize_intra prices every regime, so the
+/// plan still matches exhaustive search.
+void expect_census_exception(Index m, Index k, Index l, BufferSize bs, BufferClass cls,
+                             NraKind nra, AccessCount total) {
+  const TensorOp op = TensorOp::matmul("census", m, k, l);
+  EXPECT_EQ(classify_buffer(op, bs), cls) << op.to_string() << " bs=" << bs;
+  const IntraOptResult principled = optimize_intra(op, bs);
+  EXPECT_EQ(principled.nra, nra) << op.to_string() << " bs=" << bs;
+  EXPECT_EQ(principled.access.total, total) << op.to_string() << " bs=" << bs;
+  const auto searched = exhaustive_intra(op, bs);
+  ASSERT_TRUE(searched.has_value());
+  EXPECT_EQ(principled.access.total, searched->access.total) << op.to_string() << " bs=" << bs;
+}
+
+TEST(BufferClassCensus, MediumBufferWonBySingleNra) {
+  // D_min^2/2 = 50 < 52 <= |T_min| = 210.
+  expect_census_exception(25, 10, 21, 52, BufferClass::kMedium, NraKind::kSingle, 2010);
+}
+
+TEST(BufferClassCensus, LargeBufferWonByTwoNra) {
+  // 201 > |T_min| = 198.
+  expect_census_exception(18, 86, 11, 201, BufferClass::kLarge, NraKind::kTwo, 3638);
+}
+
 }  // namespace
 }  // namespace fusecu

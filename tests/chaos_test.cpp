@@ -112,6 +112,28 @@ TEST(Chaos, ReproArtifactRoundTripsThroughJson) {
   EXPECT_THROW(chaos_repro_from_json("{\"schema\":\"other/1\"}"), std::invalid_argument);
 }
 
+TEST(Chaos, ReproRejectsAReactorCountBelowOneOrNotAnInteger) {
+  ChaosFailure failure;
+  failure.reactors = 1;
+  const std::string json = chaos_repro_to_json(failure);
+  const std::string field = "\"reactors\":1";
+  const std::size_t at = json.find(field);
+  ASSERT_NE(at, std::string::npos) << json;
+  for (const char* bad : {"0", "-2", "1.5", "\"2\""}) {
+    std::string text = json;
+    text.replace(at, field.size(), std::string("\"reactors\":") + bad);
+    try {
+      chaos_repro_from_json(text, "old.json");
+      ADD_FAILURE() << "accepted \"reactors\":" << bad;
+    } catch (const std::invalid_argument& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("old.json: \"reactors\""), std::string::npos) << what;
+      EXPECT_NE(what.find("use 1"), std::string::npos) << what;
+      EXPECT_NE(what.find("same one-reactor server"), std::string::npos) << what;
+    }
+  }
+}
+
 TEST(Chaos, ReplayRunsTheShrunkPlanOnTheHealthyServer) {
   // A repro whose plan is benign on the fixed server: replay reports no
   // violations (the bug was in the server build that produced it).

@@ -3,7 +3,6 @@
 #include "check/gen.hpp"
 #include "common/rng.hpp"
 #include "fusion/graph_planner.hpp"
-#include "sim/buffer_plan.hpp"
 #include "sim/tiled_executor.hpp"
 #include "test_util.hpp"
 
@@ -13,7 +12,7 @@ namespace {
 /// Randomized cross-component checks: every seed drives several trials of
 /// (a) fused-schedule execution vs the fused analytical model, (b) graph
 /// planning with interleaved pointwise elementwise ops vs the equivalent
-/// direct chain, and (c) buffer planning bounds on random schedules.
+/// direct chain.
 ///
 /// Workloads come from the conformance-harness generators (src/check/gen),
 /// so the suite inherits their adversarial bias toward unit dims, primes and
@@ -54,32 +53,6 @@ TEST_P(GraphPlannerFuzz, PointwiseOpsNeverChangeChainCost) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, GraphPlannerFuzz, ::testing::Range<std::uint64_t>(600, 612));
-
-class BufferPlanFuzz : public ::testing::TestWithParam<std::uint64_t> {};
-
-TEST_P(BufferPlanFuzz, LayoutBoundsAndDisjointness) {
-  Rng rng(GetParam());
-  static const std::vector<std::vector<int>> orders = {
-      {0, 1, 2}, {0, 2, 1}, {1, 0, 2}, {1, 2, 0}, {2, 0, 1}, {2, 1, 0}};
-  for (int trial = 0; trial < 20; ++trial) {
-    TensorOp op = test_util::random_matmul(rng, 64);
-    Dataflow df;
-    df.loop_order = orders[rng.pick(orders.size())];
-    df.tile = {rng.uniform(1, op.extent(mm::kDimM)), rng.uniform(1, op.extent(mm::kDimK)),
-               rng.uniform(1, op.extent(mm::kDimL))};
-    BufferPlan plan = plan_buffer(op, df);
-    const Index footprint = df.buffer_footprint(op);
-    EXPECT_GE(plan.total_elements, footprint);
-    EXPECT_LE(plan.total_elements, 2 * footprint);
-    Index expected = 0;
-    for (const BufferRegion& r : plan.regions) {
-      EXPECT_EQ(r.offset, expected);
-      expected += r.extent();
-    }
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, BufferPlanFuzz, ::testing::Range<std::uint64_t>(700, 708));
 
 }  // namespace
 }  // namespace fusecu

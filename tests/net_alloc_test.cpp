@@ -184,9 +184,10 @@ TEST(NetAlloc, SteadyStateReactorThreadMakesZeroHeapAllocations) {
   NetServerOptions options;
   options.host = "127.0.0.1";
   options.port = 0;
-  // reactors=0 runs the same Reactor hot path inline on the thread that
-  // calls run(), which is the thread we register with the counting hook.
-  options.reactors = 0;
+  // Reactor 0 always runs on the thread that calls run(), so at
+  // reactors=1 the whole hot path is on the thread registered with the
+  // counting hook.
+  options.reactors = 1;
   options.idle_timeout_ms = 0;   // keep the timer wheel empty (cascades may allocate)
   options.request_timeout_ms = 0;
   NetServer server(service, options);

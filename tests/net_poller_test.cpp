@@ -8,15 +8,12 @@
 
 #include "net/socket.hpp"
 
-/// Poller: readiness notification behind the event loop, exercised on BOTH
-/// backends — epoll (the production path on Linux) and poll (the fallback
-/// that would otherwise never run where it is developed).  The suite is
-/// parameterized so every case runs twice.
+/// Poller: the epoll readiness notification behind the event loop.
 
 namespace fusecu {
 namespace {
 
-class PollerTest : public testing::TestWithParam<PollBackend> {
+class PollerTest : public testing::Test {
  protected:
   void SetUp() override {
     ASSERT_EQ(::pipe(fds_), 0);
@@ -31,16 +28,16 @@ class PollerTest : public testing::TestWithParam<PollBackend> {
   int fds_[2] = {-1, -1};
 };
 
-TEST_P(PollerTest, TimeoutWithNothingReady) {
-  Poller poller(GetParam());
+TEST_F(PollerTest, TimeoutWithNothingReady) {
+  Poller poller;
   poller.add(read_fd(), /*want_read=*/true, /*want_write=*/false);
   std::vector<PollEvent> events;
   EXPECT_EQ(poller.wait(events, 0), 0);
   EXPECT_TRUE(events.empty());
 }
 
-TEST_P(PollerTest, ReportsReadable) {
-  Poller poller(GetParam());
+TEST_F(PollerTest, ReportsReadable) {
+  Poller poller;
   poller.add(read_fd(), true, false);
   ASSERT_EQ(::write(write_fd(), "x", 1), 1);
 
@@ -51,8 +48,8 @@ TEST_P(PollerTest, ReportsReadable) {
   EXPECT_FALSE(events[0].writable);
 }
 
-TEST_P(PollerTest, LevelTriggeredUntilDrained) {
-  Poller poller(GetParam());
+TEST_F(PollerTest, LevelTriggeredUntilDrained) {
+  Poller poller;
   poller.add(read_fd(), true, false);
   ASSERT_EQ(::write(write_fd(), "x", 1), 1);
 
@@ -65,8 +62,8 @@ TEST_P(PollerTest, LevelTriggeredUntilDrained) {
   EXPECT_EQ(poller.wait(events, 0), 0);
 }
 
-TEST_P(PollerTest, SetDropsAndRestoresInterest) {
-  Poller poller(GetParam());
+TEST_F(PollerTest, SetDropsAndRestoresInterest) {
+  Poller poller;
   poller.add(read_fd(), true, false);
   ASSERT_EQ(::write(write_fd(), "x", 1), 1);
 
@@ -79,8 +76,8 @@ TEST_P(PollerTest, SetDropsAndRestoresInterest) {
   EXPECT_EQ(poller.wait(events, 1000), 1);
 }
 
-TEST_P(PollerTest, ReportsWritable) {
-  Poller poller(GetParam());
+TEST_F(PollerTest, ReportsWritable) {
+  Poller poller;
   poller.add(write_fd(), false, true);
   std::vector<PollEvent> events;
   ASSERT_EQ(poller.wait(events, 1000), 1);
@@ -88,8 +85,8 @@ TEST_P(PollerTest, ReportsWritable) {
   EXPECT_TRUE(events[0].writable);
 }
 
-TEST_P(PollerTest, RemoveStopsReporting) {
-  Poller poller(GetParam());
+TEST_F(PollerTest, RemoveStopsReporting) {
+  Poller poller;
   poller.add(read_fd(), true, false);
   EXPECT_EQ(poller.size(), 1);
   ASSERT_EQ(::write(write_fd(), "x", 1), 1);
@@ -99,8 +96,8 @@ TEST_P(PollerTest, RemoveStopsReporting) {
   EXPECT_EQ(poller.wait(events, 0), 0);
 }
 
-TEST_P(PollerTest, HangupOnClosedWriteEnd) {
-  Poller poller(GetParam());
+TEST_F(PollerTest, HangupOnClosedWriteEnd) {
+  Poller poller;
   poller.add(read_fd(), true, false);
   ::close(fds_[1]);
   fds_[1] = -1;
@@ -111,10 +108,10 @@ TEST_P(PollerTest, HangupOnClosedWriteEnd) {
       << "peer close must surface as hangup or EOF-readable";
 }
 
-TEST_P(PollerTest, MultipleFdsReportIndependently) {
+TEST_F(PollerTest, MultipleFdsReportIndependently) {
   int other[2];
   ASSERT_EQ(::pipe(other), 0);
-  Poller poller(GetParam());
+  Poller poller;
   poller.add(read_fd(), true, false);
   poller.add(other[0], true, false);
   ASSERT_EQ(::write(other[1], "y", 1), 1);
@@ -124,17 +121,6 @@ TEST_P(PollerTest, MultipleFdsReportIndependently) {
   EXPECT_EQ(events[0].fd, other[0]);
   ::close(other[0]);
   ::close(other[1]);
-}
-
-INSTANTIATE_TEST_SUITE_P(Backends, PollerTest,
-                         testing::Values(PollBackend::kEpoll, PollBackend::kPoll),
-                         [](const testing::TestParamInfo<PollBackend>& info) {
-                           return info.param == PollBackend::kEpoll ? "Epoll" : "Poll";
-                         });
-
-TEST(PollerAuto, AutoResolvesToAConcreteBackend) {
-  Poller poller(PollBackend::kAuto);
-  EXPECT_NE(poller.backend(), PollBackend::kAuto);
 }
 
 }  // namespace

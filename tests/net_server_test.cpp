@@ -11,6 +11,7 @@
 #include <memory>
 #include <optional>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -29,8 +30,8 @@
 /// byte-identity of the socket path with serve_stream on the same request
 /// stream.
 ///
-/// The serving contracts are parameterized over the reactor count (0 = the
-/// legacy inline loop, 1, 2): sharding must be invisible to every client.
+/// The serving contracts are parameterized over the reactor count (1 and
+/// 2): sharding must be invisible to every client.
 /// So are the request ledger (one cache probe per well-formed request, every
 /// response a request or a shed) and write batching (one flush per
 /// connection per loop turn).
@@ -181,7 +182,7 @@ class NetServerAt : public ::testing::TestWithParam<int> {
   }
 };
 
-INSTANTIATE_TEST_SUITE_P(Reactors, NetServerAt, ::testing::Values(0, 1, 2),
+INSTANTIATE_TEST_SUITE_P(Reactors, NetServerAt, ::testing::Values(1, 2),
                          [](const ::testing::TestParamInfo<int>& info) {
                            return "reactors" + std::to_string(info.param);
                          });
@@ -701,6 +702,16 @@ TEST_P(NetServerAt, IdleTimeoutClosesQuietConnections) {
 
 // --- Multi-reactor topology -----------------------------------------------
 
+TEST(NetServerReactors, ReactorCountBelowOneIsRejected) {
+  PlanService service(ServeOptions{.threads = 1});
+  for (int reactors : {0, -1}) {
+    NetServerOptions net = loopback_options();
+    net.reactors = reactors;
+    EXPECT_THROW({ NetServer server(service, net); }, std::invalid_argument)
+        << "reactors " << reactors;
+  }
+}
+
 TEST(NetServerReactors, HandoffRoundRobinSpreadsConnectionsEvenly) {
   NetServerOptions net = loopback_options();
   net.reactors = 2;
@@ -873,8 +884,8 @@ TEST(NetServerReactors, PipelinedBurstCoalescesResponsesIntoFewWritevs) {
 // EINTR exactly like kernel EINTR — retry, not close — and an injected
 // mid-response ECONNRESET/EPIPE must reap only the victim connection.
 // Plans are armed before the server starts and disarmed after it stopped,
-// per the fault.hpp threading contract.  These stay on the legacy inline
-// loop: fault events are invocation-indexed, so a deterministic schedule
+// per the fault.hpp threading contract.  These stay at the default single
+// reactor: fault events are invocation-indexed, so a deterministic schedule
 // needs a single reactor thread issuing the syscalls.
 
 TEST(NetServer, InjectedReadEintrAndShortReadAreRetriedTransparently) {

@@ -128,6 +128,13 @@ TEST(ServeStream, BinaryPrintsUsageOnHelpAndUnknownOption) {
   EXPECT_NE(bogus_text.find("unknown option: --bogus"), std::string::npos) << bogus_text;
   EXPECT_NE(bogus_text.find("usage: fusecu_serve"), std::string::npos) << bogus_text;
   EXPECT_EQ(bogus_text.find("FCU_CHECK"), std::string::npos) << bogus_text;
+
+  for (const char* count : {"0", "-1"}) {
+    const auto [code, text] = run(std::string("--reactors ") + count);
+    EXPECT_EQ(code, 2) << count;
+    EXPECT_NE(text.find("--reactors must be at least 1"), std::string::npos) << text;
+    EXPECT_NE(text.find("usage: fusecu_serve"), std::string::npos) << text;
+  }
 }
 
 TEST(ServeStream, BinaryEndToEnd) {

@@ -7,7 +7,7 @@
 #include "fusion/fusion_principles.hpp"
 #include "principles/principle_optimizer.hpp"
 #include "sim/timeline.hpp"
-#include "sim/trace.hpp"
+#include "obs/trace.hpp"
 
 namespace fusecu {
 namespace {

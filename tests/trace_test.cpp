@@ -4,7 +4,7 @@
 
 #include "common/json_parse.hpp"
 #include "sim/timeline.hpp"
-#include "sim/trace.hpp"
+#include "obs/trace.hpp"
 
 namespace fusecu {
 namespace {
