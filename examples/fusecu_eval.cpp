@@ -32,8 +32,9 @@
 
 #include "common/cli.hpp"
 #include "fusion/graph_planner.hpp"
+#include "obs/metrics.hpp"
 #include "obs/obs_session.hpp"
-#include "obs/timer.hpp"
+#include "obs/span.hpp"
 #include "principles/principle_optimizer.hpp"
 #include "sim/timeline.hpp"
 #include "workloads/report.hpp"
@@ -91,8 +92,9 @@ int main(int argc, char** argv) {
 
     std::vector<ModelEval> evals;
     for (const ArchSpec& arch : resolve_platforms(config)) {
+      Histogram& timing = MetricsRegistry::global().histogram("time/evaluate/" + arch.name);
       for (const ModelConfig& model : config.models) {
-        ScopedTimer timer("evaluate/" + arch.name);
+        ScopedSpan span("evaluate", timing);
         evals.push_back(decode_context > 0 ? evaluate_decode(model, decode_context, arch)
                                            : evaluate_model(model, arch));
         // Gate on engine events, not empty(): request spans flow into the

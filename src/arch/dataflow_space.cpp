@@ -8,7 +8,6 @@
 #include "fusion/fusion_principles.hpp"
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
-#include "obs/timer.hpp"
 
 namespace fusecu {
 
@@ -142,8 +141,7 @@ Index legalize_tile(Index tile, Index extent, Index granularity) {
 
 ArchIntraOpt optimize_intra_for_arch(const TensorOp& op, const ArchSpec& arch) {
   require_matmul_shape(op);
-  ScopedTimer timer("optimize_intra_for_arch");
-  ScopedSpan span("optimize/intra_for_arch");
+  ScopedSpan span("optimize/intra_for_arch", FCU_HISTOGRAM("time/optimize/intra_for_arch"));
   const BufferSize bs = arch.buffer_elements();
   FCU_CHECK(bs >= 3, "platform buffer cannot hold the minimal working set");
 
@@ -171,9 +169,8 @@ ArchIntraOpt optimize_intra_for_arch(const TensorOp& op, const ArchSpec& arch) {
     }
   }
   FCU_ASSERT_INTERNAL(have, "fallback candidate must always fit");
-  MetricsRegistry& reg = MetricsRegistry::global();
-  reg.counter("arch/optimize_intra/calls").add();
-  reg.counter("arch/optimize_intra/candidates").add(static_cast<std::int64_t>(candidates.size()));
+  FCU_COUNTER("arch/optimize_intra/calls").add();
+  FCU_COUNTER("arch/optimize_intra/candidates").add(static_cast<std::int64_t>(candidates.size()));
   if (best_spatial_rows > 0 && best_spatial_cols > 0) {
     best.spatial_rows = best_spatial_rows;
     best.spatial_cols = best_spatial_cols;
@@ -200,8 +197,8 @@ namespace {
 /// tiles legalized to the platform granularity.
 std::optional<ArchPlanStep> optimize_fused_for_arch(const FusedPair& pair, const ArchSpec& arch,
                                                     int first_op_index) {
-  ScopedTimer timer("optimize_fused_for_arch");
-  MetricsRegistry::global().counter("arch/optimize_fused/calls").add();
+  ScopedSpan span("optimize_fused_for_arch", FCU_HISTOGRAM("time/optimize_fused_for_arch"));
+  FCU_COUNTER("arch/optimize_fused/calls").add();
   const BufferSize bs = arch.buffer_elements();
   const Index g = arch.tile_granularity();
   std::optional<FusedAccess> best;
@@ -276,10 +273,9 @@ std::optional<ArchPlanStep> optimize_fused_for_arch(const FusedPair& pair, const
 ArchPlan plan_chain_for_arch(const OperatorGraph& graph, const ArchSpec& arch) {
   FCU_CHECK(graph.num_ops() >= 1, "empty chain");
   FCU_CHECK(graph.is_linear_chain(), "platform planner requires a linear chain");
-  ScopedTimer timer("plan_chain_for_arch");
-  MetricsRegistry& reg = MetricsRegistry::global();
-  reg.counter("arch/plan_chain/calls").add();
-  reg.counter("arch/plan_chain/ops").add(graph.num_ops());
+  ScopedSpan span("plan_chain_for_arch", FCU_HISTOGRAM("time/plan_chain_for_arch"));
+  FCU_COUNTER("arch/plan_chain/calls").add();
+  FCU_COUNTER("arch/plan_chain/ops").add(graph.num_ops());
 
   const int n = graph.num_ops();
   constexpr AccessCount kInf = std::numeric_limits<AccessCount>::max() / 4;
@@ -337,7 +333,7 @@ ArchPlan plan_chain_for_arch(const OperatorGraph& graph, const ArchSpec& arch) {
   }
   plan.steps.assign(reversed.rbegin(), reversed.rend());
   for (const ArchPlanStep& s : plan.steps) plan.total_macs += s.macs;
-  reg.counter("arch/plan_chain/pairs_fused").add(plan.fused_pair_count());
+  FCU_COUNTER("arch/plan_chain/pairs_fused").add(plan.fused_pair_count());
   return plan;
 }
 

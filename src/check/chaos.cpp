@@ -420,6 +420,7 @@ ChaosResult run_chaos(const ChaosOptions& opts, std::ostream* progress) {
   ChaosResult result;
   Counter& trials_counter = MetricsRegistry::global().counter("chaos/trials");
   Counter& violations_counter = MetricsRegistry::global().counter("chaos/violations");
+  static CounterFamily<fault::kNumKinds> fired_counters("chaos/fired/");
   for (int trial = 0; trial < opts.trials; ++trial) {
     const std::uint64_t seed = trial_seed(opts.seed, trial);
     const fault::FaultPlan plan = fault::FaultPlan::generate(seed, opts.max_events);
@@ -432,9 +433,7 @@ ChaosResult run_chaos(const ChaosOptions& opts, std::ostream* progress) {
     for (int k = 0; k < fault::kNumKinds; ++k) {
       const auto kind = static_cast<fault::Kind>(k);
       if (const std::int64_t fired = fault::fired_count(kind)) {
-        MetricsRegistry::global()
-            .counter(std::string("chaos/fired/") + fault::to_string(kind))
-            .add(fired);
+        fired_counters.at(static_cast<std::size_t>(k), fault::to_string(kind)).add(fired);
       }
     }
     ++result.trials_run;

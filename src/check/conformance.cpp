@@ -113,7 +113,7 @@ ServeOptions serve_check_options() {
 /// Serve path: byte-identity of cached / canonicalized plans, on a private
 /// PlanService.
 void check_intra_serve(Checker& c, const TensorOp& op, BufferSize bs) {
-  MetricsRegistry::global().counter("check/serve_checks").add();
+  FCU_COUNTER("check/serve_checks").add();
   const std::string direct = intra_plan_signature(optimize_intra(op, bs));
   TensorOp transposed = TensorOp::matmul("wl", op.extent(mm::kDimL), op.extent(mm::kDimK),
                                          op.extent(mm::kDimM));
@@ -133,7 +133,6 @@ void check_intra_serve(Checker& c, const TensorOp& op, BufferSize bs) {
 }
 
 void check_intra_workload(Checker& c, const TensorOp& op, BufferSize bs) {
-  MetricsRegistry& reg = MetricsRegistry::global();
   IntraOptResult principled = optimize_intra(op, bs);
   if (c.opts_.intra_mutator) c.opts_.intra_mutator(op, principled);
 
@@ -199,7 +198,7 @@ void check_intra_workload(Checker& c, const TensorOp& op, BufferSize bs) {
     Rng sub(mix64(c.w_.seed ^ 0x5eedf00dull));
     Dataflow df = gen_executor_dataflow(op, sub, c.opts_.array_n);
     if (tile_visits(op, df) <= c.opts_.max_tile_visits) {
-      reg.counter("check/executor_runs").add();
+      FCU_COUNTER("check/executor_runs").add();
       Matrix a = make_test_matrix(op.extent(mm::kDimM), op.extent(mm::kDimK),
                                   mix64(c.w_.seed) ^ 1);
       Matrix b = make_test_matrix(op.extent(mm::kDimK), op.extent(mm::kDimL),
@@ -236,7 +235,7 @@ void check_intra_workload(Checker& c, const TensorOp& op, BufferSize bs) {
                     "functional vs stepper preload traffic");
       }
     } else {
-      reg.counter("check/executor_skips").add();
+      FCU_COUNTER("check/executor_skips").add();
     }
   }
 
@@ -272,7 +271,7 @@ void check_intra_workload(Checker& c, const TensorOp& op, BufferSize bs) {
 
 /// Serve path byte-identity for fused plans, on a private PlanService.
 void check_fused_serve(Checker& c, const FusedPair& pair, BufferSize bs) {
-  MetricsRegistry::global().counter("check/serve_checks").add();
+  FCU_COUNTER("check/serve_checks").add();
   const std::string direct = fused_plan_signature(optimize_fused_pair(pair, bs));
   PlanService service(serve_check_options());
   FusedPlanned cold = service.plan_fused(pair, bs);
@@ -330,7 +329,7 @@ void check_fused_workload(Checker& c, const FusedPair& pair, BufferSize bs) {
     df.t_l = sub.uniform(1, std::min(pair.l(), c.opts_.array_n));
     df.t_n = sub.uniform(1, pair.n());
     df.l_outer = sub.chance(0.5);
-    MetricsRegistry::global().counter("check/executor_runs").add();
+    FCU_COUNTER("check/executor_runs").add();
     Matrix a = make_test_matrix(pair.m(), pair.k(), mix64(c.w_.seed) ^ 3);
     Matrix b = make_test_matrix(pair.k(), pair.l(), mix64(c.w_.seed) ^ 4);
     Matrix dmat = make_test_matrix(pair.l(), pair.n(), mix64(c.w_.seed) ^ 5);
@@ -440,7 +439,7 @@ std::string fused_plan_signature(const std::optional<FusedOptResult>& r) {
 }
 
 CheckReport check_workload(const Workload& w, const CheckOptions& opts) {
-  MetricsRegistry& reg = MetricsRegistry::global();
+  static CounterFamily<4> regimes("check/regime/");
   CheckReport report;
   Checker c(w, opts, &report);
 
@@ -450,7 +449,7 @@ CheckReport check_workload(const Workload& w, const CheckOptions& opts) {
   ScopedSpan trial_span("check/trial");
   trial_span.note(w.to_string().c_str());
 
-  reg.counter("check/trials").add();
+  FCU_COUNTER("check/trials").add();
   try {
     switch (w.kind) {
       case WorkloadKind::kIntra: {
@@ -476,12 +475,13 @@ CheckReport check_workload(const Workload& w, const CheckOptions& opts) {
   }
 
   if (report.buffer_class) {
-    reg.counter(std::string("check/regime/") + to_string(*report.buffer_class)).add();
+    const BufferClass cls = *report.buffer_class;
+    regimes.at(static_cast<std::size_t>(cls), to_string(cls)).add();
   }
-  reg.counter("check/checks_run").add(report.checks_run);
+  FCU_COUNTER("check/checks_run").add(report.checks_run);
   if (!report.ok()) {
-    reg.counter("check/failed_trials").add();
-    reg.counter("check/failures").add(static_cast<std::int64_t>(report.failures.size()));
+    FCU_COUNTER("check/failed_trials").add();
+    FCU_COUNTER("check/failures").add(static_cast<std::int64_t>(report.failures.size()));
     for (const CheckFailure& f : report.failures) {
       log_error("check", f.detail, {{"check", f.check}, {"workload", w.to_string()}});
     }

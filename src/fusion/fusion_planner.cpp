@@ -3,7 +3,8 @@
 #include <limits>
 
 #include "common/check.hpp"
-#include "obs/timer.hpp"
+#include "obs/metrics.hpp"
+#include "obs/span.hpp"
 
 namespace fusecu {
 
@@ -26,10 +27,9 @@ std::optional<FusedPair> try_make_fused_pair(const TensorOp& producer, const Ten
 FusionPlan plan_chain(const OperatorGraph& graph, BufferSize bs, PlannerPolicy policy) {
   FCU_CHECK(graph.num_ops() >= 1, "empty chain");
   FCU_CHECK(graph.is_linear_chain(), "planner requires a linear operator chain");
-  ScopedTimer timer("plan_chain");
-  MetricsRegistry& reg = MetricsRegistry::global();
-  reg.counter("fusion/plan_chain/calls").add();
-  reg.counter("fusion/plan_chain/ops").add(graph.num_ops());
+  ScopedSpan span("plan_chain", FCU_HISTOGRAM("time/plan_chain"));
+  FCU_COUNTER("fusion/plan_chain/calls").add();
+  FCU_COUNTER("fusion/plan_chain/ops").add(graph.num_ops());
 
   const int n = graph.num_ops();
   constexpr AccessCount kInf = std::numeric_limits<AccessCount>::max() / 4;
@@ -50,16 +50,16 @@ FusionPlan plan_chain(const OperatorGraph& graph, BufferSize bs, PlannerPolicy p
   }
   if (policy != PlannerPolicy::kNoFusion) {
     for (int i = 0; i + 1 < n; ++i) {
-      reg.counter("fusion/plan_chain/pairs_considered").add();
+      FCU_COUNTER("fusion/plan_chain/pairs_considered").add();
       std::optional<FusedPair> pair = try_make_fused_pair(graph.op(i), graph.op(i + 1));
       if (!pair) continue;
       if (policy == PlannerPolicy::kPrinciple4 && !same_nra_regime(*pair, bs)) {
-        reg.counter("fusion/plan_chain/pairs_rejected_principle4").add();
+        FCU_COUNTER("fusion/plan_chain/pairs_rejected_principle4").add();
         continue;
       }
       std::optional<FusedOptResult> fused = optimize_fused_pair(*pair, bs);
       if (!fused) continue;
-      reg.counter("fusion/plan_chain/pairs_planned").add();
+      FCU_COUNTER("fusion/plan_chain/pairs_planned").add();
       pair_cost[static_cast<std::size_t>(i)] = fused->access.total;
       pair_rule[static_cast<std::size_t>(i)] = fused->chosen.rule;
     }
@@ -95,7 +95,7 @@ FusionPlan plan_chain(const OperatorGraph& graph, BufferSize bs, PlannerPolicy p
     }
   }
   plan.steps.assign(reversed.rbegin(), reversed.rend());
-  reg.counter("fusion/plan_chain/pairs_fused").add(plan.fused_pair_count());
+  FCU_COUNTER("fusion/plan_chain/pairs_fused").add(plan.fused_pair_count());
   return plan;
 }
 

@@ -5,8 +5,8 @@
 
 #include "common/check.hpp"
 #include "common/math_util.hpp"
+#include "obs/metrics.hpp"
 #include "obs/span.hpp"
-#include "obs/timer.hpp"
 
 namespace fusecu {
 
@@ -210,9 +210,8 @@ std::vector<FusedCandidate> fused_principle_candidates(const FusedPair& pair, Bu
 }
 
 std::optional<FusedOptResult> optimize_fused_pair(const FusedPair& pair, BufferSize bs) {
-  ScopedTimer timer("optimize_fused_pair");
-  ScopedSpan span("optimize/fused_pair");
-  MetricsRegistry::global().counter("principles/optimize_fused_pair/calls").add();
+  ScopedSpan span("optimize/fused_pair", FCU_HISTOGRAM("time/optimize/fused_pair"));
+  FCU_COUNTER("principles/optimize_fused_pair/calls").add();
   std::optional<FusedConstruction> best;
   FusedAccess best_access;
   for_each_fused_construction(pair, bs, [&](const FusedConstruction& c) {

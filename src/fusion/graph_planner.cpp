@@ -5,7 +5,8 @@
 #include <set>
 
 #include "common/check.hpp"
-#include "obs/timer.hpp"
+#include "obs/metrics.hpp"
+#include "obs/span.hpp"
 
 namespace fusecu {
 
@@ -96,9 +97,9 @@ bool chained_through_first_input(const OperatorGraph& g, int producer,
 GraphPlan plan_graph(const OperatorGraph& graph, BufferSize bs, PlannerPolicy policy,
                      int max_group) {
   FCU_CHECK(graph.num_ops() >= 1, "empty graph");
-  ScopedTimer timer("plan_graph");
-  MetricsRegistry::global().counter("fusion/plan_graph/calls").add();
-  MetricsRegistry::global().counter("fusion/plan_graph/ops").add(graph.num_ops());
+  ScopedSpan span("plan_graph", FCU_HISTOGRAM("time/plan_graph"));
+  FCU_COUNTER("fusion/plan_graph/calls").add();
+  FCU_COUNTER("fusion/plan_graph/ops").add(graph.num_ops());
 
   GraphPlan result;
   std::vector<int> matmuls;
@@ -211,11 +212,10 @@ GraphPlan plan_graph(const OperatorGraph& graph, BufferSize bs, PlannerPolicy po
     }
   }
   result.total_access += result.elementwise_access;
-  MetricsRegistry& reg = MetricsRegistry::global();
-  reg.counter("fusion/plan_graph/chains").add(static_cast<std::int64_t>(result.chains.size()));
-  reg.counter("fusion/plan_graph/absorbed_pointwise").add(result.absorbed_pointwise);
-  reg.counter("fusion/plan_graph/absorbed_rowwise").add(result.absorbed_rowwise);
-  reg.counter("fusion/plan_graph/spilled_rowwise").add(result.spilled_rowwise);
+  FCU_COUNTER("fusion/plan_graph/chains").add(static_cast<std::int64_t>(result.chains.size()));
+  FCU_COUNTER("fusion/plan_graph/absorbed_pointwise").add(result.absorbed_pointwise);
+  FCU_COUNTER("fusion/plan_graph/absorbed_rowwise").add(result.absorbed_rowwise);
+  FCU_COUNTER("fusion/plan_graph/spilled_rowwise").add(result.spilled_rowwise);
   return result;
 }
 

@@ -292,7 +292,6 @@ void FlightRecorder::refresh_metrics_index() {
 void FlightRecorder::refresh_metrics_index_locked() {
   MetricsRegistry& reg = MetricsRegistry::global();
   auto index = std::make_shared<MetricsIndex>();
-  index->epoch = reg.clear_epoch();
   for (const std::string& name : reg.counter_names()) {
     index->counters.emplace_back(name, static_cast<const void*>(&reg.counter(name)));
   }
@@ -351,33 +350,28 @@ void FlightRecorder::dump_signal_safe(int fd) const {
     }
   }
 
-  // Metrics: only the pre-captured counter/gauge index, and only when the
-  // registry has not been cleared since capture (stale pointers otherwise).
+  // Metrics: only the pre-captured counter/gauge index.
   const MetricsIndex* index = metrics_index_raw_.load(std::memory_order_acquire);
-  if (index != nullptr && index->epoch == MetricsRegistry::global().clear_epoch()) {
-    for (const auto& [name, ptr] : index->counters) {
-      line.clear();
-      line.str("counter ");
-      line.str(name.c_str());
-      line.str("=");
-      line.i64(static_cast<const Counter*>(ptr)->value());
-      line.str("\n");
-      write_all(fd, line.data(), line.size());
-    }
-    for (const auto& [name, ptr] : index->gauges) {
-      line.clear();
-      line.str("gauge ");
-      line.str(name.c_str());
-      line.str("=");
-      // Gauges are doubles; integer-truncate rather than pulling printf
-      // into the signal path.
-      line.i64(static_cast<std::int64_t>(static_cast<const Gauge*>(ptr)->value()));
-      line.str("\n");
-      write_all(fd, line.data(), line.size());
-    }
-  } else {
-    const char* note = "metrics skipped (registry cleared since capture)\n";
-    write_all(fd, note, std::strlen(note));
+  if (index == nullptr) return;
+  for (const auto& [name, ptr] : index->counters) {
+    line.clear();
+    line.str("counter ");
+    line.str(name.c_str());
+    line.str("=");
+    line.i64(static_cast<const Counter*>(ptr)->value());
+    line.str("\n");
+    write_all(fd, line.data(), line.size());
+  }
+  for (const auto& [name, ptr] : index->gauges) {
+    line.clear();
+    line.str("gauge ");
+    line.str(name.c_str());
+    line.str("=");
+    // Gauges are doubles; integer-truncate rather than pulling printf
+    // into the signal path.
+    line.i64(static_cast<std::int64_t>(static_cast<const Gauge*>(ptr)->value()));
+    line.str("\n");
+    write_all(fd, line.data(), line.size());
   }
 }
 

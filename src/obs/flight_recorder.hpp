@@ -36,10 +36,9 @@
 ///   * formatting uses a local integer formatter into a stack buffer and
 ///     write(2) only (no stdio, no locks);
 ///   * the metrics index holds direct pointers to registry counters and
-///     gauges (relaxed atomics) captured under `MetricsRegistry::
-///     clear_epoch()`; if the registry was cleared after capture the
-///     handler skips the metrics section instead of dereferencing stale
-///     pointers.  Histograms are mutex-guarded and therefore excluded from
+///     gauges (relaxed atomics), captured when armed; the registry never
+///     removes a metric, so the pointers stay valid for the process
+///     lifetime.  Histograms are mutex-guarded and therefore excluded from
 ///     the signal path (the JSON dump includes them).
 ///
 /// Arming also tells the Logger to mirror kInfo+ lines into the rings, so
@@ -129,12 +128,10 @@ class FlightRecorder {
   std::unique_ptr<ThreadRing[]> rings_;  ///< kMaxThreads entries when armed
   mutable std::mutex arm_mu_;            ///< guards arm/disarm/index rebuild
 
-  /// Signal-path metrics index: raw pointers + the registry epoch they
-  /// were captured under.
+  /// Signal-path metrics index: raw pointers captured at arm time.
   struct MetricsIndex {
     std::vector<std::pair<std::string, const void*>> counters;  ///< Counter*
     std::vector<std::pair<std::string, const void*>> gauges;    ///< Gauge*
-    std::uint64_t epoch = 0;
   };
   std::shared_ptr<const MetricsIndex> metrics_index_;
   std::atomic<const MetricsIndex*> metrics_index_raw_{nullptr};

@@ -133,14 +133,6 @@ Histogram& MetricsRegistry::histogram(const std::string& name) {
   return *slot;
 }
 
-void MetricsRegistry::clear() {
-  std::lock_guard<std::mutex> lock(mu_);
-  counters_.clear();
-  gauges_.clear();
-  histograms_.clear();
-  clear_epoch_.fetch_add(1, std::memory_order_acq_rel);
-}
-
 std::vector<std::string> MetricsRegistry::counter_names() const {
   std::lock_guard<std::mutex> lock(mu_);
   std::vector<std::string> out;

@@ -21,8 +21,10 @@
 /// layer of the library — the principle constructors, the fusion planners,
 /// the searching baselines and the simulators — reports what it did through
 /// this registry instead of ad-hoc printf timing.  Tools opt in via
-/// `--metrics-out` (see obs/obs_session.hpp); instrumentation left enabled
-/// costs one relaxed atomic or one short critical section per event.
+/// `--metrics-out` (see obs/obs_session.hpp).  Each instrumentation site
+/// resolves its metrics by name once — FCU_COUNTER and friends, a
+/// constructor member, or a CounterFamily slot — so instrumentation left
+/// enabled costs one relaxed atomic or one short critical section per event.
 ///
 /// Histograms use fixed geometric buckets (8 per octave, ~9% relative
 /// resolution) so two histograms — e.g. from sharded evaluation runs — merge
@@ -97,8 +99,9 @@ class Histogram {
 
 /// Named metric store.  `global()` is the process-wide instance every
 /// instrumented component reports into; tests can build private instances.
-/// Metric objects live as long as the registry and are returned by
-/// reference, so hot paths can cache the pointer.
+/// Metrics are never removed: a returned reference stays valid for the
+/// registry's lifetime (the global one is never destroyed), so hot paths
+/// resolve a name once and keep the reference.
 class MetricsRegistry {
  public:
   static MetricsRegistry& global();
@@ -106,15 +109,6 @@ class MetricsRegistry {
   Counter& counter(const std::string& name);
   Gauge& gauge(const std::string& name);
   Histogram& histogram(const std::string& name);
-
-  /// Drop every metric (between test cases / evaluation phases).  Bumps
-  /// clear_epoch() so pointer caches (the flight recorder's signal-path
-  /// index) can detect they went stale.
-  void clear();
-
-  /// Monotonic count of clear() calls; metric references obtained before
-  /// the epoch changed must not be dereferenced.
-  std::uint64_t clear_epoch() const { return clear_epoch_.load(std::memory_order_acquire); }
 
   std::vector<std::string> counter_names() const;
   std::vector<std::string> gauge_names() const;
@@ -131,10 +125,47 @@ class MetricsRegistry {
 
  private:
   mutable std::mutex mu_;
-  std::atomic<std::uint64_t> clear_epoch_{0};
   std::map<std::string, std::unique_ptr<Counter>> counters_;
   std::map<std::string, std::unique_ptr<Gauge>> gauges_;
   std::map<std::string, std::unique_ptr<Histogram>> histograms_;
+};
+
+/// The global counter, gauge or histogram named \p name (a string
+/// literal), resolved on this call site's first pass and then held in a
+/// function-local static, so a per-call site pays no name lookup:
+///
+///   FCU_COUNTER("fusion/plan_chain/calls").add();
+#define FCU_COUNTER(name) FCU_GLOBAL_METRIC_(counter, name)
+#define FCU_GAUGE(name) FCU_GLOBAL_METRIC_(gauge, name)
+#define FCU_HISTOGRAM(name) FCU_GLOBAL_METRIC_(histogram, name)
+#define FCU_GLOBAL_METRIC_(kind, name)                                    \
+  ([]() -> auto& {                                                        \
+    static auto& metric = ::fusecu::MetricsRegistry::global().kind(name); \
+    return metric;                                                        \
+  }())
+
+/// Global counters `<prefix><suffix>` for a value drawn from a small fixed
+/// set (one per buffer class, say), indexed by that value.  Each member is
+/// resolved on its first use, so an export lists only the members that
+/// fired.  Thread-safe: racing first uses resolve the same counter.
+template <std::size_t N>
+class CounterFamily {
+ public:
+  explicit CounterFamily(const char* prefix) : prefix_(prefix) {}
+
+  /// Member \p index, named with \p suffix (the same suffix every time).
+  Counter& at(std::size_t index, const char* suffix) {
+    Counter* c = slots_[index].load(std::memory_order_acquire);
+    if (c == nullptr) {
+      c = &MetricsRegistry::global().counter(prefix_ + suffix);
+      slots_[index].store(c, std::memory_order_release);
+    }
+    return *c;
+  }
+
+ private:
+  std::string prefix_;
+  std::array<std::atomic<Counter*>, N> slots_{};
 };
 
 }  // namespace fusecu

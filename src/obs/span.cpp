@@ -4,6 +4,7 @@
 #include <chrono>
 
 #include "obs/flight_recorder.hpp"
+#include "obs/metrics.hpp"
 
 namespace fusecu {
 
@@ -33,6 +34,29 @@ std::chrono::steady_clock::time_point span_epoch() {
   return epoch;
 }
 
+/// The steady clock, read after the span epoch is fixed, so no reading
+/// precedes the epoch.
+std::chrono::steady_clock::time_point span_now() {
+  span_epoch();
+  return std::chrono::steady_clock::now();
+}
+
+/// \p t (not before the epoch) on the span clock, in microseconds.
+std::int64_t span_us(std::chrono::steady_clock::time_point t) {
+  return std::chrono::duration_cast<std::chrono::microseconds>(t - span_epoch()).count();
+}
+
+/// Context of a new span under the calling thread's ambient span: its
+/// child, or the root of a fresh trace when there is none.
+SpanContext child_of_ambient() {
+  const SpanContext parent = t_current_span;
+  SpanContext context;
+  context.span_id = next_id();
+  context.trace_id = parent.valid() ? parent.trace_id : next_id();
+  context.parent_span_id = parent.span_id;
+  return context;
+}
+
 void dispatch(SpanRecord&& record) {
   FlightRecorder& flight = FlightRecorder::global();
   if (flight.armed()) flight.record_span(record);
@@ -50,11 +74,7 @@ bool span_recording_enabled() {
          FlightRecorder::global().armed();
 }
 
-std::int64_t span_clock_us() {
-  return std::chrono::duration_cast<std::chrono::microseconds>(std::chrono::steady_clock::now() -
-                                                               span_epoch())
-      .count();
-}
+std::int64_t span_clock_us() { return span_us(span_now()); }
 
 int obs_thread_index() {
   thread_local const int index = g_next_thread_index.fetch_add(1, std::memory_order_relaxed);
@@ -64,32 +84,15 @@ int obs_thread_index() {
 SpanContext current_span() { return t_current_span; }
 
 void ScopedSpan::open(const char* name, std::int64_t start_us) {
-  if (!span_recording_enabled()) return;
-  const SpanContext parent = t_current_span;
-  context_.span_id = next_id();
-  if (parent.valid()) {
-    context_.trace_id = parent.trace_id;
-    context_.parent_span_id = parent.span_id;
-  } else {
-    context_.trace_id = next_id();
-    context_.parent_span_id = 0;
-  }
-  saved_ambient_ = parent;
+  context_ = child_of_ambient();
+  saved_ambient_ = t_current_span;
   t_current_span = context_;
   name_ = name;
   start_us_ = start_us;
   active_ = true;
 }
 
-ScopedSpan::ScopedSpan(const char* name) {
-  if (span_recording_enabled()) open(name, span_clock_us());
-}
-
-ScopedSpan::ScopedSpan(const char* name, std::int64_t start_us) { open(name, start_us); }
-
-ScopedSpan::~ScopedSpan() {
-  if (!active_) return;
-  const std::int64_t end_us = span_clock_us();
+void ScopedSpan::close(std::int64_t end_us) {
   t_current_span = saved_ambient_;
   SpanRecord record;
   record.name = name_;
@@ -101,25 +104,45 @@ ScopedSpan::~ScopedSpan() {
   dispatch(std::move(record));
 }
 
+ScopedSpan::ScopedSpan(const char* name) {
+  if (span_recording_enabled()) open(name, span_clock_us());
+}
+
+ScopedSpan::ScopedSpan(const char* name, Histogram& timing)
+    : timing_(&timing), timing_start_(span_now()) {
+  if (span_recording_enabled()) open(name, span_us(timing_start_));
+}
+
+ScopedSpan::ScopedSpan(const char* name, std::int64_t start_us) {
+  if (span_recording_enabled()) open(name, start_us);
+}
+
+ScopedSpan::~ScopedSpan() {
+  if (timing_ == nullptr) {
+    if (active_) close(span_clock_us());
+    return;
+  }
+  const auto end = std::chrono::steady_clock::now();
+  timing_->observe(std::chrono::duration<double>(end - timing_start_).count());
+  if (active_) close(span_us(end));
+}
+
 void ScopedSpan::note(const char* detail) {
   if (active_) detail_ = detail;
+}
+
+double ScopedSpan::elapsed_seconds() const {
+  if (timing_ == nullptr) return 0.0;
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() - timing_start_).count();
 }
 
 void record_span(const char* name, std::int64_t start_us, std::int64_t end_us,
                  const char* detail) {
   if (!span_recording_enabled()) return;
-  const SpanContext parent = t_current_span;
   SpanRecord record;
   record.name = name;
   if (detail != nullptr) record.detail = detail;
-  record.context.span_id = next_id();
-  if (parent.valid()) {
-    record.context.trace_id = parent.trace_id;
-    record.context.parent_span_id = parent.span_id;
-  } else {
-    record.context.trace_id = next_id();
-    record.context.parent_span_id = 0;
-  }
+  record.context = child_of_ambient();
   record.thread_index = obs_thread_index();
   record.start_us = start_us;
   record.duration_us = end_us - start_us;

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <chrono>
 #include <cstdint>
 #include <string>
 
@@ -19,12 +20,19 @@
 /// root there unless the submitting code opens the root inside the posted
 /// task, which is exactly what the plan service does.
 ///
+/// A *timed* span (constructed with a Histogram) is also the library's one
+/// scope timer: it reads the clock when it opens and when it closes and
+/// always observes that duration, in seconds, into its histogram — by
+/// convention `time/<span name>`, resolved once per site.  Its span record,
+/// when one is emitted, carries the same two clock reads.
+///
 /// Cost model: when no sink is installed and the flight recorder is not
-/// armed, a ScopedSpan is inert — no clock read, no id allocation, two
-/// relaxed atomic loads total — so instrumentation can stay on hot paths
-/// permanently.  Ids are allocated from a process-wide counter mixed
-/// through splitmix64 (never zero), so they are unique without needing a
-/// randomness source.
+/// armed, an untimed ScopedSpan is inert — no clock read, no id
+/// allocation, two relaxed atomic loads total — and a timed one costs its
+/// two clock reads and one histogram observe, so instrumentation can stay
+/// on hot paths permanently.  Ids are allocated from a process-wide
+/// counter mixed through splitmix64 (never zero), so they are unique
+/// without needing a randomness source.
 ///
 /// Timestamps are steady-clock microseconds since the first use of the
 /// span clock in the process ("span epoch"); log lines share the same
@@ -32,6 +40,8 @@
 /// and in exported traces.
 
 namespace fusecu {
+
+class Histogram;
 
 /// Identity of one span: which trace it belongs to, its own id, and its
 /// parent's id (0 for a trace root).
@@ -87,9 +97,11 @@ SpanContext current_span();
 class ScopedSpan {
  public:
   explicit ScopedSpan(const char* name);
-  /// Same, but the span is anchored at an earlier \p start_us (queue-wait
-  /// style: the work began when it was enqueued, not when a worker picked
-  /// it up).
+  /// Timed span: same, and its duration (seconds) is observed into
+  /// \p timing on destruction whether or not the span is recording.
+  ScopedSpan(const char* name, Histogram& timing);
+  /// Untimed, anchored at an earlier \p start_us (queue-wait style: the
+  /// work began when it was enqueued, not when a worker picked it up).
   ScopedSpan(const char* name, std::int64_t start_us);
   ~ScopedSpan();
 
@@ -104,14 +116,21 @@ class ScopedSpan {
   /// the record's detail field.  No-op when not recording.
   void note(const char* detail);
 
+  /// Seconds since a timed span opened (one extra clock read; 0 for an
+  /// untimed span).
+  double elapsed_seconds() const;
+
  private:
   void open(const char* name, std::int64_t start_us);
+  void close(std::int64_t end_us);
 
   SpanContext context_;
   SpanContext saved_ambient_;
   std::string detail_;
   const char* name_ = nullptr;
   std::int64_t start_us_ = 0;
+  Histogram* timing_ = nullptr;
+  std::chrono::steady_clock::time_point timing_start_;
   bool active_ = false;
 };
 

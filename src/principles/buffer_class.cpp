@@ -15,9 +15,8 @@ BufferClass classify_buffer(const TensorOp& op, BufferSize buffer_size) {
   } else if (buffer_size * 4 > dmin * dmin) {
     cls = BufferClass::kSmall;
   }
-  MetricsRegistry::global()
-      .counter(std::string("principles/buffer_class/") + to_string(cls))
-      .add();
+  static CounterFamily<4> classes("principles/buffer_class/");
+  classes.at(static_cast<std::size_t>(cls), to_string(cls)).add();
   return cls;
 }
 

@@ -6,8 +6,8 @@
 
 #include "common/check.hpp"
 #include "common/math_util.hpp"
+#include "obs/metrics.hpp"
 #include "obs/span.hpp"
-#include "obs/timer.hpp"
 
 namespace fusecu {
 
@@ -344,13 +344,11 @@ NraKind optimal_regime(const TensorOp& op, BufferSize bs) {
 }
 
 IntraOptResult optimize_intra(const TensorOp& op, BufferSize bs) {
-  ScopedTimer timer("optimize_intra");
-  ScopedSpan span("optimize/intra");
+  ScopedSpan span("optimize/intra", FCU_HISTOGRAM("time/optimize/intra"));
   const MatmulShape s = flatten_matmul(op);
   const IntraWinner best = closed_form_winner(s, bs);
-  MetricsRegistry& reg = MetricsRegistry::global();
-  reg.counter("principles/optimize_intra/calls").add();
-  reg.counter("principles/optimize_intra/candidates").add(best.candidates);
+  FCU_COUNTER("principles/optimize_intra/calls").add();
+  FCU_COUNTER("principles/optimize_intra/candidates").add(best.candidates);
   const int nra = winner_nra(op, s, best);
 
   IntraOptResult result;
@@ -361,10 +359,9 @@ IntraOptResult optimize_intra(const TensorOp& op, BufferSize bs) {
   result.rule = render_rule(op, best.construction);
   result.buffer_class = classify_buffer(op, bs);
   result.nra = static_cast<NraKind>(nra);
-  static const char* const kWinnerCounters[] = {
-      nullptr, "principles/optimize_intra/winner_nra_1", "principles/optimize_intra/winner_nra_2",
-      "principles/optimize_intra/winner_nra_3"};
-  reg.counter(kWinnerCounters[nra]).add();
+  static const char* const kNraNames[] = {nullptr, "1", "2", "3"};
+  static CounterFamily<4> winners("principles/optimize_intra/winner_nra_");
+  winners.at(static_cast<std::size_t>(nra), kNraNames[nra]).add();
   span.note(result.rule.c_str());
   return result;
 }

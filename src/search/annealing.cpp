@@ -5,7 +5,8 @@
 #include "common/check.hpp"
 #include "common/math_util.hpp"
 #include "common/rng.hpp"
-#include "obs/timer.hpp"
+#include "obs/metrics.hpp"
+#include "obs/span.hpp"
 
 namespace fusecu {
 
@@ -14,7 +15,7 @@ std::optional<IntraSearchResult> sa_intra(const TensorOp& op, BufferSize bs,
   FCU_CHECK(op.num_dims() == 3, "sa_intra currently targets 3-dim operators");
   FCU_CHECK(params.iterations >= 1 && params.cooling > 0.0 && params.cooling < 1.0,
             "invalid annealing parameters");
-  ScopedTimer timer("sa_intra");
+  ScopedSpan span("sa_intra", FCU_HISTOGRAM("time/sa_intra"));
   std::int64_t evaluations = 0;
   std::int64_t accepted = 0;
   Rng rng(seed);
@@ -79,14 +80,13 @@ std::optional<IntraSearchResult> sa_intra(const TensorOp& op, BufferSize bs,
     temperature *= params.cooling;
   }
 
-  MetricsRegistry& reg = MetricsRegistry::global();
-  reg.counter("search/sa_intra/calls").add();
-  reg.counter("search/sa_intra/iterations").add(params.iterations);
-  reg.counter("search/sa_intra/accepted_moves").add(accepted);
-  reg.counter("search/sa_intra/evaluations").add(evaluations);
-  const double elapsed = timer.elapsed_seconds();
+  FCU_COUNTER("search/sa_intra/calls").add();
+  FCU_COUNTER("search/sa_intra/iterations").add(params.iterations);
+  FCU_COUNTER("search/sa_intra/accepted_moves").add(accepted);
+  FCU_COUNTER("search/sa_intra/evaluations").add(evaluations);
+  const double elapsed = span.elapsed_seconds();
   if (elapsed > 0.0) {
-    reg.gauge("search/sa_intra/evaluations_per_sec")
+    FCU_GAUGE("search/sa_intra/evaluations_per_sec")
         .set(static_cast<double>(evaluations) / elapsed);
   }
   Dataflow df = decode(best);

@@ -4,7 +4,8 @@
 
 #include "common/check.hpp"
 #include "common/math_util.hpp"
-#include "obs/timer.hpp"
+#include "obs/metrics.hpp"
+#include "obs/span.hpp"
 
 namespace fusecu {
 
@@ -31,7 +32,7 @@ DatOptimizer::DatOptimizer(DatParams params) : params_(params) {}
 
 std::optional<IntraSearchResult> DatOptimizer::optimize_intra(const TensorOp& op,
                                                               BufferSize bs) const {
-  ScopedTimer timer("dat_optimize_intra");
+  ScopedSpan span("dat_optimize_intra", FCU_HISTOGRAM("time/dat_optimize_intra"));
   std::optional<IntraSearchResult> best = ga_intra(op, bs, params_.ga, params_.seed);
   if (params_.exhaustive_refinement && intra_space_size(op) <= params_.exhaustive_space_limit) {
     std::optional<IntraSearchResult> exact = exhaustive_intra(op, bs);
@@ -42,7 +43,7 @@ std::optional<IntraSearchResult> DatOptimizer::optimize_intra(const TensorOp& op
 
 std::optional<FusedSearchResult> DatOptimizer::optimize_pair(const FusedPair& pair,
                                                              BufferSize bs) const {
-  ScopedTimer timer("dat_optimize_pair");
+  ScopedSpan span("dat_optimize_pair", FCU_HISTOGRAM("time/dat_optimize_pair"));
   std::optional<FusedSearchResult> best = ga_fused(pair, bs, params_.ga, params_.seed);
   if (params_.exhaustive_refinement && fused_space_size(pair) <= params_.exhaustive_space_limit) {
     std::optional<FusedSearchResult> exact = exhaustive_fused(pair, bs);
@@ -54,7 +55,7 @@ std::optional<FusedSearchResult> DatOptimizer::optimize_pair(const FusedPair& pa
 FusionPlan DatOptimizer::plan_chain(const OperatorGraph& graph, BufferSize bs) const {
   FCU_CHECK(graph.num_ops() >= 1, "empty chain");
   FCU_CHECK(graph.is_linear_chain(), "DAT planner requires a linear operator chain");
-  ScopedTimer timer("dat_plan_chain");
+  ScopedSpan span("dat_plan_chain", FCU_HISTOGRAM("time/dat_plan_chain"));
 
   const int n = graph.num_ops();
   constexpr AccessCount kInf = std::numeric_limits<AccessCount>::max() / 4;

@@ -8,7 +8,8 @@
 
 #include "common/check.hpp"
 #include "common/math_util.hpp"
-#include "obs/timer.hpp"
+#include "obs/metrics.hpp"
+#include "obs/span.hpp"
 
 namespace fusecu {
 
@@ -16,10 +17,6 @@ namespace {
 
 constexpr std::array<std::array<int, 3>, 6> kOrders3 = {
     {{0, 1, 2}, {0, 2, 1}, {1, 0, 2}, {1, 2, 0}, {2, 0, 1}, {2, 1, 0}}};
-
-Counter& pruned_evals_counter() {
-  return MetricsRegistry::global().counter("search/exhaustive_pruned_evals");
-}
 
 /// A 3-dim operator in the flat form nest_access() prices, held on the
 /// stack: its extents and one dimension mask per tensor, built from
@@ -138,7 +135,7 @@ std::optional<Dataflow> exhaustive_side(const TensorOp& op, BufferSize budget,
 std::optional<IntraSearchResult> exhaustive_intra(const TensorOp& op, BufferSize bs,
                                                   ExhaustiveMode mode) {
   FCU_CHECK(op.num_dims() == 3, "exhaustive_intra currently targets 3-dim operators");
-  ScopedTimer timer("exhaustive_intra");
+  ScopedSpan span("exhaustive_intra", FCU_HISTOGRAM("time/exhaustive_intra"));
   const bool prune = mode == ExhaustiveMode::kPruned;
   std::int64_t evaluations = 0;
   std::int64_t visited = 0;  // inner-loop tuples actually reached
@@ -204,13 +201,12 @@ std::optional<IntraSearchResult> exhaustive_intra(const TensorOp& op, BufferSize
       }
     }
   }
-  MetricsRegistry& reg = MetricsRegistry::global();
-  reg.counter("search/exhaustive_intra/calls").add();
-  reg.counter("search/exhaustive_intra/evaluations").add(evaluations);
-  if (prune) pruned_evals_counter().add(tuples_total - visited);
-  const double elapsed = timer.elapsed_seconds();
+  FCU_COUNTER("search/exhaustive_intra/calls").add();
+  FCU_COUNTER("search/exhaustive_intra/evaluations").add(evaluations);
+  if (prune) FCU_COUNTER("search/exhaustive_pruned_evals").add(tuples_total - visited);
+  const double elapsed = span.elapsed_seconds();
   if (elapsed > 0.0) {
-    reg.gauge("search/exhaustive_intra/evaluations_per_sec")
+    FCU_GAUGE("search/exhaustive_intra/evaluations_per_sec")
         .set(static_cast<double>(evaluations) / elapsed);
   }
   if (!found) return std::nullopt;
@@ -224,7 +220,7 @@ std::optional<IntraSearchResult> exhaustive_intra(const TensorOp& op, BufferSize
 
 std::optional<FusedSearchResult> exhaustive_fused(const FusedPair& pair, BufferSize bs,
                                                   ExhaustiveMode mode) {
-  ScopedTimer timer("exhaustive_fused");
+  ScopedSpan span("exhaustive_fused", FCU_HISTOGRAM("time/exhaustive_fused"));
   const bool prune = mode == ExhaustiveMode::kPruned;
   std::int64_t evaluations = 0;
   std::int64_t visited = 0;
@@ -250,10 +246,9 @@ std::optional<FusedSearchResult> exhaustive_fused(const FusedPair& pair, BufferS
   };
   auto at_floor = [&]() { return prune && best && best->access.total <= floor; };
   auto finish = [&]() {
-    MetricsRegistry& reg = MetricsRegistry::global();
-    reg.counter("search/exhaustive_fused/calls").add();
-    reg.counter("search/exhaustive_fused/evaluations").add(evaluations);
-    if (prune) pruned_evals_counter().add(tuples_total - visited);
+    FCU_COUNTER("search/exhaustive_fused/calls").add();
+    FCU_COUNTER("search/exhaustive_fused/evaluations").add(evaluations);
+    if (prune) FCU_COUNTER("search/exhaustive_pruned_evals").add(tuples_total - visited);
   };
 
   PhasedFusedDataflow df;

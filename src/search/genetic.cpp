@@ -5,7 +5,8 @@
 
 #include "common/check.hpp"
 #include "common/math_util.hpp"
-#include "obs/timer.hpp"
+#include "obs/metrics.hpp"
+#include "obs/span.hpp"
 
 namespace fusecu {
 
@@ -107,7 +108,7 @@ Genome run_ga(const std::vector<int>& cardinality, FitnessFn fitness, const GaPa
 std::optional<IntraSearchResult> ga_intra(const TensorOp& op, BufferSize bs,
                                           const GaParams& params, std::uint64_t seed) {
   FCU_CHECK(op.num_dims() == 3, "ga_intra currently targets 3-dim operators");
-  ScopedTimer timer("ga_intra");
+  ScopedSpan span("ga_intra", FCU_HISTOGRAM("time/ga_intra"));
   std::int64_t evaluations = 0;
   Rng rng(seed);
   std::vector<std::vector<Index>> cands;
@@ -132,13 +133,12 @@ std::optional<IntraSearchResult> ga_intra(const TensorOp& op, BufferSize bs,
   };
 
   Genome best = run_ga(cardinality, fitness, params, rng);
-  MetricsRegistry& reg = MetricsRegistry::global();
-  reg.counter("search/ga_intra/calls").add();
-  reg.counter("search/ga_intra/generations").add(params.generations);
-  reg.counter("search/ga_intra/evaluations").add(evaluations);
-  const double elapsed = timer.elapsed_seconds();
+  FCU_COUNTER("search/ga_intra/calls").add();
+  FCU_COUNTER("search/ga_intra/generations").add(params.generations);
+  FCU_COUNTER("search/ga_intra/evaluations").add(evaluations);
+  const double elapsed = span.elapsed_seconds();
   if (elapsed > 0.0) {
-    reg.gauge("search/ga_intra/evaluations_per_sec")
+    FCU_GAUGE("search/ga_intra/evaluations_per_sec")
         .set(static_cast<double>(evaluations) / elapsed);
   }
   if (fitness(best) >= kInfeasible) return std::nullopt;
@@ -148,7 +148,7 @@ std::optional<IntraSearchResult> ga_intra(const TensorOp& op, BufferSize bs,
 
 std::optional<FusedSearchResult> ga_fused(const FusedPair& pair, BufferSize bs,
                                           const GaParams& params, std::uint64_t seed) {
-  ScopedTimer timer("ga_fused");
+  ScopedSpan span("ga_fused", FCU_HISTOGRAM("time/ga_fused"));
   Rng rng(seed);
   const std::vector<Index> cm = tile_candidates(pair.m());
   const std::vector<Index> ck = tile_candidates(pair.k());
@@ -221,8 +221,8 @@ std::optional<FusedSearchResult> ga_fused(const FusedPair& pair, BufferSize bs,
       }
     }
   }
-  MetricsRegistry::global().counter("search/ga_fused/calls").add();
-  MetricsRegistry::global().counter("search/ga_fused/generations").add(params.generations);
+  FCU_COUNTER("search/ga_fused/calls").add();
+  FCU_COUNTER("search/ga_fused/generations").add(params.generations);
   return best;
 }
 

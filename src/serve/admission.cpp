@@ -26,7 +26,7 @@ std::int64_t AdmissionController::retry_after_ms() const {
 
 void AdmissionController::record(std::int64_t delay_us, std::int64_t now_us) {
   if (!enabled()) return;
-  MetricsRegistry::global().histogram("serve/queue_delay_us").observe(static_cast<double>(delay_us));
+  FCU_HISTOGRAM("serve/queue_delay_us").observe(static_cast<double>(delay_us));
 
   const std::int64_t target_us = config_.target_delay_ms * 1000;
   const std::int64_t interval_us = interval_ms_ * 1000;
@@ -88,7 +88,7 @@ void AdmissionController::record(std::int64_t delay_us, std::int64_t now_us) {
   }
 
   if (entered) {
-    MetricsRegistry::global().counter("serve/brownout_entries").add(1);
+    FCU_COUNTER("serve/brownout_entries").add(1);
     log_warn("serve", "brownout: standing queue delay above target, shedding cold requests",
              {{"min_delay_us", std::to_string(standing_us)},
               {"target_ms", std::to_string(config_.target_delay_ms)}});

@@ -8,12 +8,20 @@
 namespace fusecu {
 
 StatsReporter::StatsReporter(PlanService& service, double interval_s, std::ostream& os)
-    : service_(service), interval_s_(interval_s), os_(os) {
-  MetricsRegistry& reg = MetricsRegistry::global();
-  prev_requests_ = reg.counter("serve/requests").value();
-  prev_errors_ = reg.counter("serve/request_errors").value();
-  prev_responses_ = reg.counter("net/responses").value();
-  prev_shed_ = reg.counter("net/shed").value();
+    : service_(service),
+      interval_s_(interval_s),
+      os_(os),
+      requests_(MetricsRegistry::global().counter("serve/requests")),
+      request_errors_(MetricsRegistry::global().counter("serve/request_errors")),
+      responses_(MetricsRegistry::global().counter("net/responses")),
+      shed_(MetricsRegistry::global().counter("net/shed")),
+      latency_matmul_us_(MetricsRegistry::global().histogram("serve/latency_us/matmul")),
+      latency_fused_us_(MetricsRegistry::global().histogram("serve/latency_us/fused_pair")),
+      queue_delay_us_(MetricsRegistry::global().histogram("serve/queue_delay_us")) {
+  prev_requests_ = requests_.value();
+  prev_errors_ = request_errors_.value();
+  prev_responses_ = responses_.value();
+  prev_shed_ = shed_.value();
   prev_cache_ = service_.stats().combined();
   period_start_ = std::chrono::steady_clock::now();
   thread_ = std::thread([this] { run(); });
@@ -41,9 +49,8 @@ void StatsReporter::run() {
 
 void StatsReporter::emit(bool only_if_active) {
   std::lock_guard<std::mutex> emit_lock(emit_mu_);
-  MetricsRegistry& reg = MetricsRegistry::global();
-  const std::int64_t now_requests = reg.counter("serve/requests").value();
-  const std::int64_t now_errors = reg.counter("serve/request_errors").value();
+  const std::int64_t now_requests = requests_.value();
+  const std::int64_t now_errors = request_errors_.value();
   const CacheStats now_cache = service_.stats().combined();
   const auto now = std::chrono::steady_clock::now();
   const double elapsed_s =
@@ -63,18 +70,18 @@ void StatsReporter::emit(bool only_if_active) {
   // Shed rate over the period: sheds / all responses written (served +
   // shed), from the TCP layer's counters — 0.0 on the stdin path, where
   // nothing is ever shed.
-  const std::int64_t d_responses = reg.counter("net/responses").value() - prev_responses_;
-  const std::int64_t now_shed = reg.counter("net/shed").value();
+  const std::int64_t d_responses = responses_.value() - prev_responses_;
+  const std::int64_t now_shed = shed_.value();
   const std::int64_t d_shed = now_shed - prev_shed_;
   const double shed_rate =
       d_responses > 0 ? static_cast<double>(d_shed) / static_cast<double>(d_responses) : 0.0;
   Histogram merged;
-  merged.merge(reg.histogram("serve/latency_us/matmul"));
-  merged.merge(reg.histogram("serve/latency_us/fused_pair"));
+  merged.merge(latency_matmul_us_);
+  merged.merge(latency_fused_us_);
   const HistogramSnapshot lat = merged.snapshot();
   // Queue delay (enqueue → pool dequeue) is the admission controller's
   // signal; cumulative, like the latency percentiles.
-  const HistogramSnapshot qdelay = reg.histogram("serve/queue_delay_us").snapshot();
+  const HistogramSnapshot qdelay = queue_delay_us_.snapshot();
   os_ << "stats: qps=" << qps << " hit_rate=" << hit_rate << " shed_rate=" << shed_rate
       << " p50_us=" << lat.p50 << " p95_us=" << lat.p95 << " p99_us=" << lat.p99
       << " qdelay_p95_us=" << qdelay.p95 << " requests=" << now_requests

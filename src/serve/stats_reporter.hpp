@@ -41,6 +41,8 @@
 
 namespace fusecu {
 
+class Counter;
+class Histogram;
 class PlanService;
 
 class StatsReporter {
@@ -62,6 +64,15 @@ class StatsReporter {
   PlanService& service_;
   double interval_s_;
   std::ostream& os_;
+
+  /// The global metrics each line reads, resolved once.
+  Counter& requests_;
+  Counter& request_errors_;
+  Counter& responses_;  ///< net/responses
+  Counter& shed_;       ///< net/shed
+  Histogram& latency_matmul_us_;
+  Histogram& latency_fused_us_;
+  Histogram& queue_delay_us_;
 
   /// Serializes emit() (see the single-writer rule above); guards the
   /// prev_* deltas, period_start_ and the output stream.

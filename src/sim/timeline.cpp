@@ -153,8 +153,8 @@ TimelineResult simulate_timeline(const TensorOp& op, const Dataflow& df, const A
     if (pos < 0) break;
   }
   TimelineResult result = pipe.finish();
-  MetricsRegistry::global().counter("sim/timeline/runs").add();
-  MetricsRegistry::global().counter("sim/timeline/iterations").add(result.iterations);
+  FCU_COUNTER("sim/timeline/runs").add();
+  FCU_COUNTER("sim/timeline/iterations").add(result.iterations);
   return result;
 }
 
@@ -193,8 +193,8 @@ TimelineResult simulate_fused_timeline(const FusedPair& pair, const PhasedFusedD
     }
   }
   TimelineResult result = pipe.finish();
-  MetricsRegistry::global().counter("sim/fused_timeline/runs").add();
-  MetricsRegistry::global().counter("sim/fused_timeline/iterations").add(result.iterations);
+  FCU_COUNTER("sim/fused_timeline/runs").add();
+  FCU_COUNTER("sim/fused_timeline/iterations").add(result.iterations);
   return result;
 }
 

@@ -39,16 +39,16 @@ TEST(FusecuEval, MetricsAndTraceOutputsAreValid) {
   JsonValuePtr metrics = parse_json(slurp(metrics_path));
   const auto& histograms = metrics->get("histograms")->as_object();
   int time_histograms = 0;
-  bool saw_optimizer_phase = false;
   for (const auto& [name, h] : histograms) {
     if (name.rfind("time/", 0) != 0) continue;
     ++time_histograms;
-    if (name.find("optimize_intra") != std::string::npos) saw_optimizer_phase = true;
     EXPECT_GE(h->get("count")->as_number(), 1.0) << name;
     EXPECT_GE(h->get("p99")->as_number(), h->get("p50")->as_number()) << name;
   }
   EXPECT_GE(time_histograms, 2);
-  EXPECT_TRUE(saw_optimizer_phase) << "expected a time/*optimize_intra* histogram";
+  for (const char* phase : {"time/optimize/intra_for_arch", "time/plan_chain_for_arch"}) {
+    EXPECT_TRUE(histograms.count(phase)) << "expected a " << phase << " histogram";
+  }
   EXPECT_GE(metrics->get("counters")->get("eval/evaluations")->as_number(), 1.0);
 
   // Trace: valid JSON array with duration events and >= 3 counter tracks.

@@ -5,7 +5,6 @@
 
 #include "common/json_parse.hpp"
 #include "obs/metrics.hpp"
-#include "obs/timer.hpp"
 
 namespace fusecu {
 namespace {
@@ -112,8 +111,6 @@ TEST(MetricsRegistry, ReturnsStableReferences) {
   reg.histogram("h").observe(1.0);
   EXPECT_EQ(reg.counter_names(), std::vector<std::string>{"x"});
   EXPECT_EQ(reg.histogram_names(), std::vector<std::string>{"h"});
-  reg.clear();
-  EXPECT_TRUE(reg.counter_names().empty());
 }
 
 TEST(MetricsRegistry, JsonExportParsesAndRoundTrips) {
@@ -164,56 +161,6 @@ TEST(MetricsRegistry, JsonExportCarriesTimestampAndTailQuantile) {
   ASSERT_NE(hist, nullptr);
   EXPECT_DOUBLE_EQ(hist->get("sum")->as_number(), 500500.0);
   EXPECT_NEAR(hist->get("p99.9")->as_number(), 999.0, 100.0);
-}
-
-TEST(MetricsRegistry, ClearBumpsEpoch) {
-  MetricsRegistry reg;
-  const std::uint64_t before = reg.clear_epoch();
-  reg.counter("x").add(1);
-  reg.clear();
-  EXPECT_EQ(reg.clear_epoch(), before + 1);
-}
-
-TEST(ScopedTimer, RecordsIntoRegistry) {
-  MetricsRegistry reg;
-  {
-    ScopedTimer t(reg, "phase");
-    EXPECT_EQ(t.path(), "phase");
-    EXPECT_GE(t.elapsed_seconds(), 0.0);
-  }
-  HistogramSnapshot s = reg.histogram("time/phase").snapshot();
-  EXPECT_EQ(s.count, 1);
-  EXPECT_GE(s.sum, 0.0);
-}
-
-TEST(ScopedTimer, NestingBuildsHierarchicalPaths) {
-  MetricsRegistry reg;
-  EXPECT_EQ(ScopedTimer::current_path(), "");
-  {
-    ScopedTimer outer(reg, "plan");
-    EXPECT_EQ(ScopedTimer::current_path(), "plan");
-    {
-      ScopedTimer inner(reg, "optimize");
-      EXPECT_EQ(inner.path(), "plan/optimize");
-      EXPECT_EQ(ScopedTimer::current_path(), "plan/optimize");
-    }
-    EXPECT_EQ(ScopedTimer::current_path(), "plan");
-  }
-  EXPECT_EQ(ScopedTimer::current_path(), "");
-  EXPECT_EQ(reg.histogram("time/plan").count(), 1);
-  EXPECT_EQ(reg.histogram("time/plan/optimize").count(), 1);
-}
-
-TEST(ScopedTimer, StacksArePerThread) {
-  MetricsRegistry reg;
-  ScopedTimer outer(reg, "main_thread");
-  std::string other_path;
-  std::thread([&] {
-    ScopedTimer t(reg, "worker");
-    other_path = t.path();
-  }).join();
-  // The worker thread does not inherit this thread's stack.
-  EXPECT_EQ(other_path, "worker");
 }
 
 }  // namespace

@@ -5,8 +5,9 @@
 #include <vector>
 
 #include "common/json_parse.hpp"
+#include "obs/metrics.hpp"
 #include "obs/obs_session.hpp"
-#include "obs/timer.hpp"
+#include "obs/span.hpp"
 
 namespace fusecu {
 namespace {
@@ -74,7 +75,10 @@ TEST(ObsSession, FlushWritesValidMetricsAndTraceJson) {
     ObsSession obs(opts);
     ASSERT_TRUE(obs.trace_enabled());
     ASSERT_NE(obs.trace(), nullptr);
-    { ScopedTimer t("session_phase"); }
+    {
+      ScopedSpan span("session_phase",
+                      MetricsRegistry::global().histogram("time/session_phase"));
+    }
     MetricsRegistry::global().counter("obs_session_test/events").add(2);
     obs.recorder().set_track_name(0, "DMA");
     obs.recorder().record({"load#0", "dma", 0, 0.0, 8.0});

@@ -1,10 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <cmath>
 #include <map>
 #include <mutex>
 #include <thread>
 #include <vector>
 
+#include "obs/flight_recorder.hpp"
+#include "obs/metrics.hpp"
 #include "obs/span.hpp"
 
 namespace fusecu {
@@ -44,6 +48,44 @@ TEST(Span, InertWithoutSink) {
   ScopedSpan span("noop");
   EXPECT_FALSE(span.recording());
   EXPECT_FALSE(current_span().valid());  // an inert span never becomes ambient
+}
+
+TEST(Span, TimedSpanObservesWithoutASink) {
+  ASSERT_FALSE(span_recording_enabled());
+  ASSERT_FALSE(FlightRecorder::global().armed());
+  MetricsRegistry reg;
+  Histogram& timing = reg.histogram("time/phase");
+  {
+    ScopedSpan span("phase", timing);
+    EXPECT_FALSE(span.recording());
+    EXPECT_FALSE(current_span().valid());
+    EXPECT_GE(span.elapsed_seconds(), 0.0);
+  }
+  const HistogramSnapshot s = reg.histogram("time/phase").snapshot();
+  EXPECT_EQ(s.count, 1);
+  EXPECT_GE(s.sum, 0.0);
+}
+
+TEST(Span, TimedSpanRecordAndHistogramShareOneClock) {
+  CollectingSink sink;
+  SinkScope scope(&sink);
+  std::vector<Histogram> timings(20);
+  for (std::size_t i = 0; i < timings.size(); ++i) {
+    ScopedSpan span("timed", timings[i]);
+    ASSERT_TRUE(span.recording());
+    std::this_thread::sleep_for(std::chrono::microseconds(50 * i));
+  }
+  const std::vector<SpanRecord> spans = sink.spans();
+  ASSERT_EQ(spans.size(), timings.size());
+  for (std::size_t i = 0; i < timings.size(); ++i) {
+    const HistogramSnapshot s = timings[i].snapshot();
+    ASSERT_EQ(s.count, 1);
+    // The record's microseconds are the same two clock reads, each
+    // truncated to the span clock's resolution.
+    EXPECT_LT(std::abs(static_cast<double>(spans[i].duration_us) - s.sum * 1e6), 1.0)
+        << "span " << i << ": record " << spans[i].duration_us << " us, histogram " << s.sum
+        << " s";
+  }
 }
 
 TEST(Span, RootThenChildNesting) {
