@@ -31,12 +31,12 @@
 ///
 /// --retry-sheds makes the generator a well-behaved overload client: an
 /// ok=false "overloaded" response is retried instead of being dropped,
-/// honoring the server's `retry_after_ms` brownout hint with capped
-/// exponential backoff (hint << attempt, capped at 1 s) plus deterministic
-/// per-connection jitter (<= 25%, seeded by the connection index — runs are
-/// reproducible).  After 5 attempts the shed is accepted as final.  The
-/// summary gains shed_retried= and sheds_with_hint= so the brownout
-/// contract (every shed carries a hint) is visible from the client side.
+/// with capped exponential backoff (base << attempt, capped at 1 s) plus
+/// deterministic per-connection jitter (<= 25%, seeded by the connection
+/// index — runs are reproducible).  The base is the shed's optional
+/// `retry_after_ms` hint, or 1 ms when the shed carries none (fusecu_serve
+/// sends none).  After 5 attempts the shed is accepted as final.  The
+/// summary gains shed_retried= and sheds_with_hint=.
 ///
 /// Output: one merged summary line with exact latency percentiles (sorted
 /// send-to-response times, not histogram buckets), preceded by one line
@@ -98,7 +98,7 @@ struct ConnResult {
   std::int64_t lost = 0;
   std::vector<std::int64_t> latencies_us;
   /// ok=true responses only: the *served* tail, not diluted by fast sheds
-  /// (the metric the brownout A/B in EXPERIMENTS.md gates on).
+  /// (the metric the overload probe in EXPERIMENTS.md gates on).
   std::vector<std::int64_t> ok_latencies_us;
   std::string failure;  ///< non-empty = connection-level failure
 };
@@ -146,7 +146,7 @@ std::string make_request(int conn, std::int64_t seq, int distinct) {
   // enough that the pool is never the bottleneck under --qps 0.  The base
   // family has 6*6*6 = 216 combinations; past that, `--distinct N` perturbs
   // m so the family really holds N distinct shapes — a sustained cold
-  // (cache-missing) flood for the brownout A/B in EXPERIMENTS.md.  Values
+  // (cache-missing) flood for the overload probe in EXPERIMENTS.md.  Values
   // of --distinct up to 216 produce exactly the historical shapes.
   static const int kSizes[] = {128, 192, 256, 320, 384, 512};
   const std::int64_t v = distinct > 0 ? (seq % distinct) : seq;
@@ -189,8 +189,9 @@ std::int64_t extract_int_field(const std::string& line, const std::string& key) 
 }
 
 /// Backoff before retry `attempt` of a shed whose response hinted
-/// \p retry_after_ms: capped exponential (hint << (attempt-1), <= 1 s) plus
-/// deterministic per-connection jitter of up to 25%.
+/// \p retry_after_ms (<= 0: no hint, 1 ms base): capped exponential
+/// (base << (attempt-1), <= 1 s) plus deterministic per-connection jitter
+/// of up to 25%.
 std::int64_t backoff_us(ConnState& conn, std::int64_t retry_after_ms, int attempt) {
   const std::int64_t base_ms = retry_after_ms > 0 ? retry_after_ms : 1;
   const int shift = std::min(attempt - 1, 10);

@@ -3,20 +3,19 @@
 ///
 ///   fusecu_serve [--input FILE] [--threads N] [--cache-mb MB] [--shards N]
 ///                [--listen HOST:PORT] [--reactors N] [--accept MODE]
-///                [--max-conns N] [--queue-depth N]
-///                [--request-timeout-ms MS] [--idle-timeout-ms MS]
-///                [--watchdog-ms MS] [--target-delay-ms MS]
-///                [--max-line-bytes BYTES] [--port-file FILE]
+///                [--max-conns N] [--queue-depth N] [--idle-timeout-ms MS]
+///                [--watchdog-ms MS] [--max-line-bytes BYTES] [--port-file FILE]
 ///                [--fault-plan FILE]
 ///                [--stats] [--stats-interval SEC] [--stats-out FILE]
 ///                [--metrics-out m.json] [--trace-out t.json]
 ///                [--log-out l.jsonl] [--log-level LEVEL] [--flight-out f.json]
 ///
 /// Reads one JSON planning request per line (stdin by default), answers one
-/// JSON response per request line on stdout, in request order.  Requests are
-/// planned concurrently on a worker pool; canonicalized repeats are served
-/// from the sharded plan cache and identical in-flight requests are
-/// deduplicated.  See src/serve/plan_request.hpp for the wire format.
+/// JSON response per request line on stdout, in request order.  Cache
+/// misses are planned concurrently on a --threads worker pool;
+/// canonicalized repeats are served from the sharded plan cache and
+/// identical in-flight requests are deduplicated.  See
+/// src/serve/plan_request.hpp for the wire format.
 ///
 /// A malformed line never kills the stream: it produces an ok=false response
 /// whose error message names the input, line and expected token.  Lines
@@ -31,29 +30,23 @@
 /// --reactors N sharded event loops (src/net/server.hpp; default = hardware
 /// threads, at least 1; reactor 0 runs on the main thread) with SO_REUSEPORT
 /// kernel accept distribution when available (--accept auto|reuseport|handoff):
-/// pipelined requests per connection answered in order, plan-cache hits
-/// answered by the reactor itself, a bounded per-reactor admission queue
-/// for cache misses (--queue-depth) in front of the worker pool with
-/// ok=false "overloaded" shedding past the high-water mark, per-request
-/// deadlines (--request-timeout-ms),
-/// idle-connection timeouts (--idle-timeout-ms) and SIGINT/SIGTERM graceful
-/// drain (stop accepting, finish in-flight, flush stats/metrics/trace; a
-/// second signal hard-stops).  Port 0 picks a free port; the bound address
-/// is printed to stderr and written to --port-file when given.
+/// pipelined requests per connection answered in order, each request
+/// answered in the loop turn that read it — a plan-cache hit from the
+/// cache, a miss planned by the reactor itself — a per-reactor planning
+/// budget of --queue-depth misses per loop turn with ok=false "overloaded"
+/// shedding past it, idle-connection timeouts (--idle-timeout-ms) and
+/// SIGINT/SIGTERM graceful drain (stop accepting, flush every answer,
+/// flush stats/metrics/trace; a second signal hard-stops).  --threads sizes
+/// the worker pool of the stdin path; a TCP server starts no pool thread.
+/// Port 0 picks a free port; the bound address is printed to stderr and
+/// written to --port-file when given.
 ///
 /// --watchdog-ms MS (0 = off) arms supervision: a watchdog thread samples
-/// per-reactor and per-pool-worker heartbeats and reports a source whose
-/// heartbeat misses the budget (`net/watchdog/stalls`, structured log,
-/// flight-recorder dump), and any request unanswered 2x the budget after
-/// admission is cancelled with an in-order ok=false "timed_out" response.
-/// --target-delay-ms MS (0 = off) replaces the fixed-depth-only shed with
-/// CoDel-style adaptive admission of cache misses: when the standing
-/// (window-minimum) pool-queue delay exceeds the target for an interval the
-/// server enters brownout — misses are shed with a retry_after_ms hint
-/// while plan-cache hits keep being served — and recovers with hysteresis
-/// once the standing delay halves.
+/// each reactor's loop heartbeat and reports a loop that misses the budget
+/// (`net/watchdog/stalls`, structured log, flight-recorder dump) — a plan
+/// that hangs stalls its reactor and is reported this way.
 ///
-///   $ fusecu_serve --listen 127.0.0.1:7411 --threads 8 --queue-depth 256 &
+///   $ fusecu_serve --listen 127.0.0.1:7411 --reactors 4 --queue-depth 256 &
 ///   $ printf '%s\n' '{"id":"q","op":"matmul",...}' | nc 127.0.0.1 7411
 ///
 /// --fault-plan FILE arms a deterministic fault-injection schedule (a
@@ -61,7 +54,12 @@
 /// repro's "plan"/"shrunk_plan" member is one) before serving:
 /// short reads/writes, EINTR, connection resets, deferred accepts, spurious
 /// wakeups, clock skew, pool stalls, worker hangs and reactor stalls fire
-/// at their scheduled sites.
+/// at their scheduled sites (pool stalls and worker hangs at the top of a
+/// miss's plan, wherever it runs).
+///
+/// Out-of-range numbers are usage errors: a count flag below 1 or a
+/// timeout below 0 prints "error: --X must be at least N, got V" and the
+/// usage text, and exits 2.
 /// Debug/ops tooling only — never enable in production.
 ///
 /// --stats prints cache hit/miss/eviction totals to stderr on exit.
@@ -94,16 +92,17 @@ namespace {
 const char* const kUsage =
     "usage: fusecu_serve [--input FILE] [--threads N] [--cache-mb MB] [--shards N]\n"
     "                    [--listen HOST:PORT] [--reactors N] [--accept auto|reuseport|handoff]\n"
-    "                    [--max-conns N] [--queue-depth N]\n"
-    "                    [--request-timeout-ms MS] [--idle-timeout-ms MS]\n"
-    "                    [--watchdog-ms MS] [--target-delay-ms MS]\n"
-    "                    [--max-line-bytes BYTES] [--port-file FILE] [--fault-plan FILE]\n"
+    "                    [--max-conns N] [--queue-depth N] [--idle-timeout-ms MS]\n"
+    "                    [--watchdog-ms MS] [--max-line-bytes BYTES] [--port-file FILE]\n"
+    "                    [--fault-plan FILE]\n"
     "                    [--stats] [--stats-interval SEC] [--stats-out FILE]\n"
     "                    [--metrics-out FILE] [--trace-out FILE] [--log-out FILE]\n"
     "                    [--log-level LEVEL] [--flight-out FILE]\n"
     "Reads JSONL planning requests (stdin by default) and answers one JSON line each.\n"
-    "With --listen, plan-cache hits are answered at once; --queue-depth (misses in\n"
-    "flight per reactor) and --target-delay-ms (brownout) govern cache misses only.\n";
+    "With --listen, each reactor answers hits from the cache and plans misses itself;\n"
+    "--queue-depth caps the misses a reactor plans per loop turn and sheds the rest.\n"
+    "--threads, --cache-mb, --shards, --reactors, --max-conns, --queue-depth and\n"
+    "--max-line-bytes must be at least 1; --idle-timeout-ms and --watchdog-ms at least 0.\n";
 
 /// Signal-handler target: handlers may only do async-signal-safe work, and
 /// NetServer::request_drain (atomic bump + pipe write) qualifies.
@@ -134,19 +133,36 @@ int main(int argc, char** argv) {
     ArgParser args({"--stats"},
                    {"--input", "--threads", "--cache-mb", "--shards", "--stats-interval",
                     "--stats-out", "--listen", "--reactors", "--accept", "--max-conns",
-                    "--queue-depth", "--request-timeout-ms", "--idle-timeout-ms",
-                    "--watchdog-ms", "--target-delay-ms",
+                    "--queue-depth", "--idle-timeout-ms", "--watchdog-ms",
                     "--max-line-bytes", "--port-file", "--fault-plan"});
     args.parse_or_exit(argc, argv, kUsage);
     const int hw = static_cast<int>(std::thread::hardware_concurrency());
     const Index reactors = args.option_int("--reactors", std::max(1, hw));
-    if (reactors < 1) {
-      std::cerr << "error: --reactors must be at least 1, got " << reactors << "\n" << kUsage;
+    const Index threads = args.option_int("--threads", 4);
+    const Index cache_mb = args.option_int("--cache-mb", 64);
+    const Index shards = args.option_int("--shards", 8);
+    const Index max_conns = args.option_int("--max-conns", 256);
+    const Index queue_depth = args.option_int("--queue-depth", 128);
+    const std::int64_t max_line_bytes = args.option_bytes("--max-line-bytes", 1 << 20);
+    const Index idle_timeout_ms = args.option_int("--idle-timeout-ms", 60'000);
+    const Index watchdog_ms = args.option_int("--watchdog-ms", 0);
+    const auto at_least = [](const char* flag, std::int64_t value, std::int64_t min) {
+      if (value >= min) return true;
+      std::cerr << "error: " << flag << " must be at least " << min << ", got " << value << "\n"
+                << kUsage;
+      return false;
+    };
+    if (!at_least("--reactors", reactors, 1) || !at_least("--threads", threads, 1) ||
+        !at_least("--cache-mb", cache_mb, 1) || !at_least("--shards", shards, 1) ||
+        !at_least("--max-conns", max_conns, 1) || !at_least("--queue-depth", queue_depth, 1) ||
+        !at_least("--max-line-bytes", max_line_bytes, 1) ||
+        !at_least("--idle-timeout-ms", idle_timeout_ms, 0) ||
+        !at_least("--watchdog-ms", watchdog_ms, 0)) {
       return 2;
     }
 
-    // Armed before the service exists so pool-stall events cover the whole
-    // serving lifetime; disarmed implicitly at process exit.
+    // Armed before the service exists so pool-stall and worker-hang events
+    // cover the whole serving lifetime; disarmed implicitly at process exit.
     if (auto fault_path = args.option("--fault-plan")) {
       std::ifstream fault_file(*fault_path);
       if (!fault_file) {
@@ -162,12 +178,10 @@ int main(int argc, char** argv) {
     }
 
     ServeOptions options;
-    options.threads = static_cast<int>(args.option_int("--threads", 4));
-    options.cache_bytes =
-        static_cast<std::size_t>(args.option_int("--cache-mb", 64)) * 1024 * 1024;
-    options.shards = static_cast<int>(args.option_int("--shards", 8));
-    options.max_line_bytes =
-        static_cast<std::size_t>(args.option_bytes("--max-line-bytes", 1 << 20));
+    options.threads = static_cast<int>(threads);
+    options.cache_bytes = static_cast<std::size_t>(cache_mb) * 1024 * 1024;
+    options.shards = static_cast<int>(shards);
+    options.max_line_bytes = static_cast<std::size_t>(max_line_bytes);
     PlanService service(options);
 
     std::unique_ptr<std::ofstream> stats_file;
@@ -200,12 +214,10 @@ int main(int argc, char** argv) {
       NetServerOptions net;
       net.host = hp->host.empty() ? "127.0.0.1" : hp->host;
       net.port = hp->port;
-      net.max_conns = static_cast<int>(args.option_int("--max-conns", 256));
-      net.queue_depth = static_cast<int>(args.option_int("--queue-depth", 128));
-      net.request_timeout_ms = args.option_int("--request-timeout-ms", 0);
-      net.idle_timeout_ms = args.option_int("--idle-timeout-ms", 60'000);
-      net.watchdog_ms = args.option_int("--watchdog-ms", 0);
-      net.target_delay_ms = args.option_int("--target-delay-ms", 0);
+      net.max_conns = static_cast<int>(max_conns);
+      net.queue_depth = static_cast<int>(queue_depth);
+      net.idle_timeout_ms = idle_timeout_ms;
+      net.watchdog_ms = watchdog_ms;
       net.max_line_bytes = options.max_line_bytes;
       net.reactors = static_cast<int>(reactors);
       if (auto accept_mode = args.option("--accept")) {
@@ -242,9 +254,7 @@ int main(int argc, char** argv) {
       served = net_stats.responses;
       std::cerr << "drained: " << net_stats.responses << " responses over "
                 << net_stats.accepted << " connections; shed " << net_stats.shed
-                << ", parse errors " << net_stats.parse_errors << ", deadline expired "
-                << net_stats.deadline_expired << ", watchdog cancelled "
-                << net_stats.timed_out << "\n";
+                << ", parse errors " << net_stats.parse_errors << "\n";
     } else if (auto path = args.option("--input")) {
       std::ifstream in(*path);
       if (!in) {

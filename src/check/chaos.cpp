@@ -35,12 +35,10 @@ struct ConnScript {
   std::vector<std::string> ids;
 };
 
-/// One trial's workload: pool size, admission depth, adaptive-admission
-/// target and per-connection scripts — a pure function of the trial seed.
+/// One trial's workload: planning budget and per-connection scripts — a
+/// pure function of the trial seed.
 struct TrialScript {
-  int threads = 2;
   int queue_depth = 64;
-  std::int64_t target_delay_ms = 0;  ///< CoDel target; 0 = fixed-depth only
   std::vector<ConnScript> conns;
 };
 
@@ -49,16 +47,10 @@ TrialScript script_for(std::uint64_t seed) {
   // seed through the same engine.
   Rng rng(seed ^ 0xc4a05f0c9d1e2b37ull);
   TrialScript script;
-  script.threads = static_cast<int>(rng.uniform(1, 3));
-  // Small depths force shed coverage behind in-flight work; 64 exercises
-  // the steady state.
+  // Small budgets force sheds when a turn reads several pipelined misses;
+  // 64 exercises the steady state.
   static constexpr int kDepths[] = {2, 4, 8, 64};
   script.queue_depth = kDepths[rng.pick(4)];
-  // Half the trials run with fixed-depth shedding only, the rest arm
-  // CoDel-style adaptive admission with a tight target so injected pool
-  // stalls and hangs can push the standing delay into brownout.
-  static constexpr std::int64_t kTargets[] = {0, 0, 5, 20};
-  script.target_delay_ms = kTargets[rng.pick(4)];
   const int conns = static_cast<int>(rng.uniform(2, 4));
   // Global request index: every request gets a distinct min dimension, so no
   // two requests share a transpose class or cache key.  Every response is
@@ -209,25 +201,24 @@ ChaosTrialReport run_chaos_trial(std::uint64_t trial_seed, const fault::FaultPla
   const TrialScript script = script_for(trial_seed);
   std::vector<ClientResult> results(script.conns.size());
   NetServer::Stats stats;
+  std::int64_t served_requests = 0;  ///< this trial's delta of serve/requests
+  std::int64_t stalls = 0;           ///< reactor stalls the watchdog reported
   bool drain_stuck = false;
   {
-    // Armed first, disarmed last: pool tasks abandoned by a hard stop may
-    // still be draining while the service shuts down.
+    // Armed first, disarmed last: the whole serving lifetime runs under
+    // the plan.
     fault::ScopedFaultPlan armed(plan, opts.bug);
-    ServeOptions serve_opts;
-    serve_opts.threads = script.threads;
-    PlanService service(serve_opts);
+    Counter& requests_counter = MetricsRegistry::global().counter("serve/requests");
+    const std::int64_t requests_before = requests_counter.value();
+    PlanService service;
     NetServerOptions net_opts;
     net_opts.host = "127.0.0.1";
     net_opts.port = 0;
     net_opts.queue_depth = script.queue_depth;
     net_opts.reactors = opts.reactors;
-    net_opts.request_timeout_ms = 0;
-    // Supervision and adaptive admission are part of the surface under
-    // chaos: the watchdog cancels requests hung past 2x the budget, the
-    // admission controller may brown out under injected stalls.
+    // Supervision is part of the surface under chaos: the watchdog reports
+    // a reactor stalled by an injected stall or a hung plan.
     net_opts.watchdog_ms = opts.server_watchdog_ms;
-    net_opts.target_delay_ms = script.target_delay_ms;
     // Far above the watchdog plus any accumulated injected skew (<= 3 s per
     // event), so clock jumps can never idle-close a live connection.
     net_opts.idle_timeout_ms = 600'000;
@@ -257,9 +248,11 @@ ChaosTrialReport run_chaos_trial(std::uint64_t trial_seed, const fault::FaultPla
     }
     loop.join();
     stats = server.stats();
+    served_requests = requests_counter.value() - requests_before;
+    stalls = server.supervisor().stalls_detected();
   }
 
-  report.checks_run = 6;
+  report.checks_run = 7;
 
   // 1. Graceful drain: the loop returned inside the watchdog and closed
   // every connection it accepted.
@@ -349,69 +342,64 @@ ChaosTrialReport run_chaos_trial(std::uint64_t trial_seed, const fault::FaultPla
                                         "\" differs from the serve_stream reference: got " + line +
                                         ", want " + it->second});
         }
-      } else if (line.find("overloaded") == std::string::npos &&
-                 line.find("timed_out") == std::string::npos) {
+      } else if (line.find("overloaded") == std::string::npos) {
         report.violations.push_back(
-            {"net/unexpected_error",
-             tag + " non-ok response is neither an overload shed nor a watchdog cancellation: " +
-                 line});
+            {"net/unexpected_error", tag + " non-ok response is not an overload shed: " + line});
       }
     }
   }
 
-  // 6. Watchdog & admission accounting.  (a) When nothing cut a connection
-  // short, every shed and every watchdog cancellation the server counted
-  // must have reached a client as exactly one in-order response — together
-  // with checks 2/3 this proves brownout never sheds an already-admitted
-  // request (a revoked admission would surface as an extra or missing
-  // line and skew the counters).  (b) The watchdog fires deterministically
-  // per plan: if a worker hang fired, nothing in the plan can kill the hung
-  // request's connection or stall its reactor, and every hang in the plan
-  // outlasts the 2x hang-guard deadline, then at least one request must
-  // have been cancelled.
+  // 6. Shed accounting and the watchdog.  These apply when nothing cut a
+  // connection short and the drain did not get stuck.  (a) Every shed the
+  // server counted reached a client as exactly one in-order response.
+  // (b) The watchdog fires deterministically per plan: a worker hang stalls
+  // the reactor planning the miss it hit, so a fired hang of at least twice
+  // the budget (detection lags the budget by up to one sample period) must
+  // have been reported as a stall.
+  const bool whole = !drain_stuck && cut_conns == 0 && plan.reset_events() == 0;
   std::int64_t client_shed = 0;
-  std::int64_t client_timed_out = 0;
   for (const ClientResult& got : results) {
     for (const std::string& line : got.lines) {
-      if (is_ok_response(line)) continue;
-      if (line.find("overloaded") != std::string::npos) ++client_shed;
-      if (line.find("timed_out") != std::string::npos) ++client_timed_out;
+      if (!is_ok_response(line) && line.find("overloaded") != std::string::npos) ++client_shed;
     }
   }
-  if (!drain_stuck && cut_conns == 0 && plan.reset_events() == 0) {
-    if (client_shed != stats.shed) {
-      report.violations.push_back(
-          {"net/shed_accounting", "clients read " + std::to_string(client_shed) +
-                                      " overload sheds but the server counted " +
-                                      std::to_string(stats.shed)});
-    }
-    if (client_timed_out != stats.timed_out) {
-      report.violations.push_back(
-          {"net/cancel_accounting", "clients read " + std::to_string(client_timed_out) +
-                                        " watchdog cancellations but the server counted " +
-                                        std::to_string(stats.timed_out)});
-    }
+  if (whole && client_shed != stats.shed) {
+    report.violations.push_back(
+        {"net/shed_accounting", "clients read " + std::to_string(client_shed) +
+                                    " overload sheds but the server counted " +
+                                    std::to_string(stats.shed)});
   }
-  if (opts.server_watchdog_ms > 0 && plan.reset_events() == 0) {
+  if (whole && opts.server_watchdog_ms > 0) {
+    const std::uint64_t stall_us = static_cast<std::uint64_t>(2 * opts.server_watchdog_ms) * 1000;
     bool has_hang = false;
-    bool all_hangs_cross_guard = true;
-    bool has_loop_stall = false;
-    const std::uint64_t guard_us =
-        static_cast<std::uint64_t>(2 * opts.server_watchdog_ms) * 1000;
+    bool all_hangs_long = true;
     for (const fault::FaultEvent& e : plan.events) {
-      if (e.kind == fault::Kind::kWorkerHang) {
-        has_hang = true;
-        if (e.arg < guard_us) all_hangs_cross_guard = false;
-      }
-      if (e.kind == fault::Kind::kReactorStall) has_loop_stall = true;
+      if (e.kind != fault::Kind::kWorkerHang) continue;
+      has_hang = true;
+      if (e.arg < stall_us) all_hangs_long = false;
     }
-    if (has_hang && all_hangs_cross_guard && !has_loop_stall &&
-        fault::fired_count(fault::Kind::kWorkerHang) > 0 && stats.timed_out == 0) {
+    if (has_hang && all_hangs_long && fault::fired_count(fault::Kind::kWorkerHang) > 0 &&
+        stalls == 0) {
       report.violations.push_back(
-          {"net/watchdog_missed",
-           "a worker hang of >= " + std::to_string(guard_us) +
-               " us fired on an uncut connection but no request was cancelled by the watchdog"});
+          {"net/watchdog_missed", "a worker hang of >= " + std::to_string(stall_us) +
+                                      " us fired on an uncut connection but the watchdog "
+                                      "reported no reactor stall"});
     }
+  }
+
+  // 7. The request ledger, on the same whole trials: every response the
+  // server wrote was a counted request or a shed, and every decoded request
+  // line got exactly one response.
+  if (whole && served_requests + stats.shed != stats.responses) {
+    report.violations.push_back(
+        {"net/ledger", "serve/requests " + std::to_string(served_requests) + " + shed " +
+                           std::to_string(stats.shed) + " != responses " +
+                           std::to_string(stats.responses)});
+  }
+  if (whole && stats.requests != stats.responses) {
+    report.violations.push_back(
+        {"net/ledger", "decoded " + std::to_string(stats.requests) + " request lines but wrote " +
+                           std::to_string(stats.responses) + " responses"});
   }
   return report;
 }

@@ -34,8 +34,8 @@
 ///
 /// Threading.  arm()/disarm() must not race with an armed server: arm
 /// before starting the event loop (or while it is quiescent), disarm after
-/// it stopped.  The site hooks themselves are thread-safe (loop thread +
-/// pool workers).
+/// it stopped.  The site hooks themselves are thread-safe (reactor threads
+/// + pool workers).
 
 namespace fusecu {
 class JsonValue;
@@ -57,8 +57,8 @@ enum class Kind {
   kAcceptEmfile, ///< one accept reports EMFILE (fd exhaustion)
   kSpuriousWake, ///< one poller wait returns no events without blocking
   kClockSkew,    ///< the loop clock jumps forward `arg` ms (permanently)
-  kPoolStall,    ///< one pool task sleeps `arg` microseconds before planning
-  kWorkerHang,   ///< one pool task hangs `arg` microseconds (watchdog-scale)
+  kPoolStall,    ///< one plan sleeps `arg` microseconds before it starts
+  kWorkerHang,   ///< one plan hangs `arg` microseconds (watchdog-scale)
   kReactorStall, ///< one reactor loop turn stalls `arg` microseconds
 };
 inline constexpr int kNumKinds = 13;
@@ -102,7 +102,7 @@ struct FaultPlan {
 /// for the optimizer oracles).  Never set in production runs.
 enum class TestBug {
   kNone,
-  kReorderResponses,  ///< NetServer flushes done slots out of request order
+  kReorderResponses,  ///< NetServer flushes done slots back to front, out of request order
 };
 
 /// Injected outcome for one socket read/write.

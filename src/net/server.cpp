@@ -19,8 +19,6 @@ NetServer::NetServer(PlanService& service, NetServerOptions options)
                                 std::to_string(options_.reactors));
   }
   const int n = std::min(options_.reactors, 256);
-  admission_ = std::make_unique<AdmissionController>(
-      AdmissionConfig{.target_delay_ms = options_.target_delay_ms});
 
   // Bind listeners.  REUSEPORT wants one socket per reactor on the same
   // address; all of them must bind or none do (a partial set would skew
@@ -79,10 +77,8 @@ NetServer::NetServer(PlanService& service, NetServerOptions options)
       cfg.conn_limit = reuseport_ ? per_reactor_limit : options_.max_conns;
       cfg.max_conns_total = options_.max_conns;
       cfg.queue_depth = options_.queue_depth;
-      cfg.request_timeout_ms = options_.request_timeout_ms;
       cfg.idle_timeout_ms = options_.idle_timeout_ms;
       cfg.watchdog_ms = options_.watchdog_ms;
-      cfg.admission = admission_.get();
       cfg.max_line_bytes = options_.max_line_bytes;
       cfg.write_high_water = options_.write_high_water;
       cfg.epoch = epoch;
@@ -107,20 +103,13 @@ NetServer::NetServer(PlanService& service, NetServerOptions options)
   drain_fds_.reserve(reactors_.size());
   for (auto& reactor : reactors_) drain_fds_.push_back(reactor->drain_fd());
 
-  // Supervisor sources: every reactor loop (eligible only while run() is
-  // live) and every pool worker (eligible only while busy in a task).  The
-  // heartbeat atomics live in the reactors and the pool, both of which
-  // outlive the supervisor thread (stopped in run() before reactors are
-  // destroyed).
+  // Supervisor sources: every reactor loop, eligible only while run() is
+  // live.  The heartbeat atomics live in the reactors, which outlive the
+  // supervisor thread (stopped in run() before reactors are destroyed).
   std::vector<SupervisorSource> sources;
   for (std::size_t i = 0; i < reactors_.size(); ++i) {
     sources.push_back({"reactor." + std::to_string(i), &reactors_[i]->loop_epoch(),
                        &reactors_[i]->loop_live()});
-  }
-  const auto& heartbeats = service_.pool().heartbeats();
-  for (std::size_t i = 0; i < heartbeats.size(); ++i) {
-    sources.push_back({"pool." + std::to_string(i), &heartbeats[i]->epoch,
-                       &heartbeats[i]->busy});
   }
   supervisor_ = std::make_unique<Supervisor>(std::move(sources), options_.watchdog_ms);
 

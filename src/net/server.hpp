@@ -9,23 +9,21 @@
 #include "net/reactor.hpp"
 #include "net/socket.hpp"
 #include "net/supervisor.hpp"
-#include "serve/admission.hpp"
 #include "serve/plan_service.hpp"
 
 /// \file server.hpp
 /// TCP serving layer for the plan service: N sharded single-threaded event
 /// loops (net/reactor.hpp) speaking the same length-delimited JSONL
-/// protocol as the stdin path, in front of the PlanService worker pool.
+/// protocol as the stdin path.
 ///
-/// Threading model.  Each reactor thread owns its connections, poller,
-/// timer wheel and deadline queue.  It decodes every line it reads, probes
-/// the plan cache once and answers a hit itself; only a cache miss is
-/// planned (and serialized) on the PlanService pool, and its response line
-/// crosses back to the owning reactor via a mutex-guarded completion queue
-/// plus a wakeup pipe (pool workers never touch connection state).  `request_drain()` is
-/// the only other entry point and is async-signal-safe (an atomic bump plus
-/// one write(2) per reactor drain pipe), so it can be called straight from
-/// SIGINT/SIGTERM handlers.
+/// Threading model.  Each reactor thread owns its connections, poller and
+/// timer wheel.  It decodes every line it reads, probes the plan cache once,
+/// answers a hit itself and plans a miss in place, so every request is
+/// answered in the loop turn that read it; TCP parallelism comes from the
+/// reactor count.  The PlanService worker pool is not used.
+/// `request_drain()` is the only other entry point and is async-signal-safe
+/// (an atomic bump plus one write(2) per reactor drain pipe), so it can be
+/// called straight from SIGINT/SIGTERM handlers.
 ///
 /// Accept distribution.  With `reactors >= 2` the server prefers
 /// SO_REUSEPORT: every reactor binds its own listening socket to the same
@@ -37,64 +35,41 @@
 /// always runs on the thread that calls run(); reactors 1..N-1 get their
 /// own threads.
 ///
-/// Backpressure and admission control.  Admission governs cache misses
-/// only: a hit is answered from the cache before admission is consulted,
-/// so it is never shed.  In-flight misses (submitted to the pool, not yet
-/// completed) are bounded **per reactor** by `queue_depth`:
+/// Overload.  `queue_depth` is a per-reactor, per-loop-turn planning
+/// budget for cache misses: once a reactor has planned `queue_depth`
+/// misses in one turn, every further miss decoded in that turn is *shed*
+/// (an immediate ok=false "overloaded" response in its response slot) and
+/// the reactor reads no more bytes until the next turn, so the kernel's TCP
+/// flow control pushes back on clients.  A hit is answered from the cache
+/// and is never shed, and the clients of one reactor that together keep
+/// at most `queue_depth` requests outstanding are never shed.  A connection whose unwritten responses
+/// pass `write_high_water` (a slow or stalled reader) also has its reads
+/// deferred, bounding per-connection memory.
 ///
-///   * at the high-water mark (`inflight >= queue_depth`) a reactor stops
-///     reading its connections — deferred reads let the kernel's TCP flow
-///     control push back on clients;
-///   * misses that were already decoded when the mark was crossed are
-///     *shed*: an immediate `ok=false` "overloaded" response in their
-///     response slot, never queued to the pool;
-///   * reads resume at the low-water mark (queue_depth / 2).
-///
-/// The pool-facing bound of the whole server is therefore
-/// `reactors * queue_depth` — callers that want a fixed global bound
-/// should divide their depth by the reactor count.  A connection whose
-/// unwritten responses pass `write_high_water` (a slow or stalled reader)
-/// also has its reads deferred, bounding per-connection memory.
-///
-/// Adaptive admission and brownout.  With `target_delay_ms > 0` a shared
-/// AdmissionController watches the standing (continuously above-target) queue
-/// delay of admitted misses; past the target for a full interval the
-/// server enters *brownout*: cache misses are shed with a `retry_after_ms`
-/// backoff hint while plan-cache hits keep being served, and the state
-/// clears with hysteresis once the standing delay halves.  A reactor with
-/// no miss in flight still admits one, so the delay signal never goes
-/// stale.  See serve/admission.hpp and DESIGN.md §7.
-///
-/// Supervision.  With `watchdog_ms > 0` a Supervisor thread samples
-/// per-reactor loop heartbeats and per-pool-worker task heartbeats; a
-/// source whose epoch stands still past the budget while eligible is
-/// *stalled* (`net/watchdog/stalls`, structured log, flight-recorder
-/// dump).  Each admitted request also arms a hang-guard entry: at 2x the
-/// budget an unanswered request is cancelled with an in-order ok=false
-/// "timed_out" response so a hung pool worker can never leak a
-/// connection's response slot.  See net/supervisor.hpp.
+/// Supervision.  With `watchdog_ms > 0` a Supervisor thread samples each
+/// reactor's loop heartbeat; a loop whose epoch stands still past the
+/// budget while it runs is *stalled* (`net/watchdog/stalls`, structured
+/// log, flight-recorder dump).  A plan that hangs stalls its reactor and is
+/// reported this way.  See net/supervisor.hpp.
 ///
 /// Ordering.  Each connection keeps a ring of response slots in request
-/// order; a response (hit, planned, shed, parse error, or deadline-expired)
-/// is written only when every earlier slot on that connection has been
-/// written, so pipelined clients get responses exactly in request order.
-/// Each loop turn flushes every connection with new responses once:
-/// contiguous completed slots leave in a single writev (see
+/// order; a response (hit, planned, shed, or parse error) is written only
+/// when every earlier slot on that connection has been written, so
+/// pipelined clients get responses exactly in request order.  Each loop
+/// turn flushes every connection with new responses once: contiguous
+/// completed slots leave in a single writev (see
 /// Reactor::kWritevBatchSlots).
 ///
-/// Deadlines ride a per-reactor FIFO ring; idle connections ride the timer
-/// wheel.  A request that misses `request_timeout_ms` is answered with an
-/// ok=false deadline error in order (the pool result, arriving later, is
-/// discarded); a connection with no traffic and nothing pending for
-/// `idle_timeout_ms` is closed.
+/// Idle connections ride the timer wheel: a connection with no traffic and
+/// nothing pending for `idle_timeout_ms` is closed.
 ///
 /// Graceful drain: after request_drain() every reactor stops accepting,
-/// stops reading, answers everything already submitted or decoded, flushes
-/// each connection's outbound bytes, then its loop exits; run() joins all
+/// stops reading, flushes each connection's outbound bytes (every decoded
+/// request is already answered), then its loop exits; run() joins all
 /// reactor threads, so returning from run() is the cross-reactor barrier —
 /// no connection on any reactor is left with unwritten responses.  A
 /// second request_drain() (e.g. a second Ctrl-C) hard-stops: connections
-/// are torn down immediately and still-running pool work is abandoned.
+/// are torn down immediately.
 
 namespace fusecu {
 
@@ -102,11 +77,9 @@ struct NetServerOptions {
   std::string host = "127.0.0.1";
   std::uint16_t port = 0;  ///< 0 binds a free port (see NetServer::port())
   int max_conns = 256;     ///< accept pauses at this many live connections
-  int queue_depth = 128;   ///< per-reactor high-water mark of misses in flight
-  std::int64_t request_timeout_ms = 0;    ///< 0 = no per-request deadline
+  int queue_depth = 128;   ///< misses each reactor plans per loop turn
   std::int64_t idle_timeout_ms = 60'000;  ///< 0 = never close idle conns
   std::int64_t watchdog_ms = 0;           ///< heartbeat budget; 0 = no supervision
-  std::int64_t target_delay_ms = 0;       ///< CoDel target for misses; 0 = fixed-depth shed only
   std::size_t max_line_bytes = 1 << 20;   ///< shared with ServeOptions
   std::size_t write_high_water = 1 << 20; ///< slow-reader read deferral
 
@@ -160,9 +133,6 @@ class NetServer {
   /// on (kAuto resolves at bind time).
   const char* accept_mode_used() const { return reuseport_ ? "reuseport" : "handoff"; }
 
-  /// The shared adaptive-admission controller (never null; disabled when
-  /// target_delay_ms == 0).
-  const AdmissionController& admission() const { return *admission_; }
   /// The watchdog (never null; inert when watchdog_ms == 0).  Tests read
   /// stalls_detected() through this.
   const Supervisor& supervisor() const { return *supervisor_; }
@@ -176,7 +146,6 @@ class NetServer {
   std::atomic<int> total_conns_{0};
   std::atomic<int> drain_requests_{0};
 
-  std::unique_ptr<AdmissionController> admission_;
   std::unique_ptr<Supervisor> supervisor_;
   std::vector<std::unique_ptr<Reactor>> reactors_;
   /// Reactor drain-pipe write ends, fixed after construction so the signal

@@ -53,11 +53,16 @@ void Supervisor::run() {
   Counter& stalls_counter = MetricsRegistry::global().counter("net/watchdog/stalls");
   while (!stop_.load(std::memory_order_relaxed)) {
     // Short chunks keep shutdown prompt without a cv handshake per source.
+    // A stuck source is charged the time that really passed, so a
+    // descheduled supervisor never undercounts a stall.
+    const auto sample_start = std::chrono::steady_clock::now();
     std::int64_t slept = 0;
     while (slept < sample_ms_ && !stop_.load(std::memory_order_relaxed)) {
       const std::int64_t chunk = std::min<std::int64_t>(sample_ms_ - slept, 10);
       std::this_thread::sleep_for(std::chrono::milliseconds(chunk));
-      slept += chunk;
+      slept = std::chrono::duration_cast<std::chrono::milliseconds>(
+                  std::chrono::steady_clock::now() - sample_start)
+                  .count();
     }
     if (stop_.load(std::memory_order_relaxed)) break;
 

@@ -7,27 +7,23 @@
 #include <vector>
 
 /// \file supervisor.hpp
-/// Watchdog thread proving liveness of reactors and pool workers.
+/// Watchdog thread proving liveness of the reactor loops.
 ///
-/// Every supervised thread publishes a heartbeat: a relaxed atomic epoch
-/// counter it bumps each loop turn (reactors) or around each job (pool
-/// workers), plus an optional eligibility flag (`busy`) that gates
-/// detection — an idle pool worker's epoch legitimately stands still, a
-/// drained reactor sets its live flag false before exiting.  The Supervisor
-/// samples every source a few times per budget and classifies a source
-/// whose epoch has not advanced for `watchdog_ms` while eligible as
-/// *stalled*: it bumps `net/watchdog/stalls`, emits a structured warn log,
-/// and — once per stall episode — writes an async-signal-safe flight
-/// recorder dump to the crash fd (the same path the SIGSEGV handler uses),
-/// so a wedged-but-alive process leaves the same forensics as a crashed
-/// one.  When the epoch advances again the episode ends and the source
-/// re-arms.
+/// Every supervised loop publishes a heartbeat: a relaxed atomic epoch
+/// counter it bumps each loop turn, plus an optional eligibility flag
+/// (`busy`) that gates detection — a drained reactor sets its live flag
+/// false before exiting.  The Supervisor samples every source a few times
+/// per budget and classifies a source whose epoch has not advanced for
+/// `watchdog_ms` while eligible as *stalled*: it bumps
+/// `net/watchdog/stalls`, emits a structured warn log, and — once per
+/// stall episode — writes an async-signal-safe flight recorder dump to the
+/// crash fd (the same path the SIGSEGV handler uses), so a wedged-but-alive
+/// process leaves the same forensics as a crashed one.  When the epoch
+/// advances again the episode ends and the source re-arms.
 ///
-/// Detection is observational only: the Supervisor never cancels work
-/// itself.  Request-level cancellation lives in the reactor's hang guard
-/// (reactor.cpp), which answers a hung request's ordered slot with
-/// `ok=false "timed_out"` on the loop thread — the only thread allowed to
-/// touch connection state.
+/// Reactors plan cache misses in place, so a plan that hangs stalls its
+/// reactor and is reported here.  Detection is observational only: the
+/// Supervisor never cancels work.
 ///
 /// Sampling period: max(10, min(250, watchdog_ms / 4)) ms, so a stall is
 /// seen within ~1.25 budgets at worst.  The thread is started by
@@ -38,7 +34,7 @@ namespace fusecu {
 /// One supervised heartbeat.  `epoch` must outlive the Supervisor; `busy`
 /// may be nullptr, meaning the source is always eligible for detection.
 struct SupervisorSource {
-  std::string name;  ///< e.g. "reactor.0", "pool.2" (logged on stall)
+  std::string name;  ///< e.g. "reactor.0" (logged on stall)
   const std::atomic<std::uint64_t>* epoch = nullptr;
   const std::atomic<bool>* busy = nullptr;
 };

@@ -345,21 +345,6 @@ PlanResponse error_response(const std::string& id, const std::string& message) {
   return r;
 }
 
-std::string overload_response_json(const std::string& id, const std::string& message,
-                                   std::int64_t retry_after_ms) {
-  std::ostringstream os;
-  {
-    JsonWriter w(os);
-    w.begin_object();
-    w.field("id", id);
-    w.field("ok", false);
-    w.field("error", message);
-    w.field("retry_after_ms", retry_after_ms);
-    w.end_object();
-  }
-  return os.str();
-}
-
 std::string oversized_line_message(const std::string& source, int lineno,
                                    std::size_t max_line_bytes) {
   return ParseError::format(source, lineno, 1,

@@ -110,13 +110,6 @@ struct PlanResponse {
 /// Error response preserving the request id (empty when unknown).
 PlanResponse error_response(const std::string& id, const std::string& message);
 
-/// Serialized overload-shed response carrying a client backoff hint:
-/// {"id":...,"ok":false,"error":<message>,"retry_after_ms":N}.  Used by the
-/// reactors when adaptive admission is armed; serve_loadgen honors the hint
-/// with capped exponential backoff.  No trailing newline.
-std::string overload_response_json(const std::string& id, const std::string& message,
-                                   std::int64_t retry_after_ms);
-
 /// ParseError-style message for a request line that crossed the
 /// --max-line-bytes cap, e.g. "<stdin>:7:1: expected a request line of at
 /// most 1048576 bytes (--max-line-bytes)".  Shared by the stdin stream and

@@ -21,10 +21,11 @@ namespace fusecu {
 
 namespace {
 
-/// Fault seam for the worker pool (common/fault.hpp): a scheduled
-/// kPoolStall event makes this task sleep briefly before planning,
-/// modeling a stalled pool / pathologically slow plan.  Runs at the top of
-/// every pooled request; disarmed cost is a single relaxed load.
+/// Fault seam for planning (common/fault.hpp): a scheduled kPoolStall or
+/// kWorkerHang event makes this plan sleep before it starts, modeling a
+/// pathologically slow or hung plan.  Runs at the top of every finish_line
+/// (on the reactor for TCP, on a pool worker for serve_stream) and every
+/// plan_batch task; disarmed cost is a single relaxed load.
 void maybe_inject_pool_stall() {
   if (!fault::armed()) return;
   if (const std::uint64_t stall_us = fault::on_pool_task()) {
@@ -299,7 +300,7 @@ void PlanService::count(const PlanRequest& request, const Served& served,
 }
 
 PlanService::Served PlanService::serve(const PlanRequest& request) {
-  // Root the span tree here only for direct calls; pooled requests open the
+  // Root the span tree here only for direct calls; plan_batch opens the
   // request root inside the pool task (anchored at enqueue time, with a
   // queue_wait child), and this call inherits it as ambient.
   std::optional<ScopedSpan> root;
@@ -372,10 +373,14 @@ std::vector<PlanResponse> PlanService::plan_batch(const std::vector<PlanRequest>
 
 void PlanService::open_request_root(std::optional<ScopedSpan>& root, const PlanRequest& request,
                                     std::int64_t enqueue_us) {
-  // Pool workers run the whole pool-side request on one thread, so opening
-  // the root here (anchored at enqueue time) makes every span below it —
-  // including the closed-form optimize spans — part of one connected tree.
+  // The planning half of a request runs on one thread, so opening the root
+  // here makes every span below it — including the closed-form optimize
+  // spans — part of one connected tree.
   if (!span_recording_enabled()) return;
+  if (enqueue_us == kNotQueued) {
+    root.emplace(root_name(request));
+    return;
+  }
   // Recording may have been armed after the request was enqueued; fall
   // back to "now" rather than anchoring at the clock origin.
   const std::int64_t anchor_us = enqueue_us > 0 ? enqueue_us : span_clock_us();

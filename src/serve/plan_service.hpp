@@ -33,9 +33,10 @@
 /// Request lines take the core in two steps.  begin_line runs on the thread
 /// that read the line — a net/ reactor, or serve_stream's reader — and
 /// decodes, keys and probes: a hit or a malformed line is answered right
-/// there.  Only a miss reaches the pool, where finish_line plans it without
-/// decoding or probing again.  Both front ends call the same two steps, so
-/// TCP and stdin answers are byte-identical.
+/// there.  finish_line plans a miss without decoding or probing again: a
+/// reactor calls it in place, in the loop turn that read the line, and
+/// serve_stream hands it to the pool.  Both front ends call the same two
+/// steps, so TCP and stdin answers are byte-identical.
 ///
 /// A service caches only what is asked of it: the free optimizers (and
 /// plan_chain, evaluate_model and everything else layered on them) never
@@ -116,13 +117,17 @@ class PlanService {
   LineOutcome begin_line(const std::string& line, const std::string& source, int lineno,
                          KeyedRequest& keyed, std::string& response);
 
-  /// Step 2, on a pool worker: inject a scheduled pool stall, open the
-  /// request span root anchored at \p enqueue_us, plan the request
+  /// Step 2, on a reactor or a pool worker: inject a scheduled pool stall
+  /// or worker hang, open the request span root, plan the request
   /// begin_line() missed (single flight, the post-flight recheck, the
   /// closed form, insert) and write its response line into \p response.
-  /// Never decodes or probes again; planning failures come back as
-  /// ok=false lines.
+  /// \p enqueue_us is when the miss was queued for a pool worker (span
+  /// clock; 0 when recording was off then): the root is anchored there
+  /// with a queue_wait child.  kNotQueued marks a miss planned on the
+  /// thread that read it, which records no queue_wait.  Never decodes or
+  /// probes again; planning failures come back as ok=false lines.
   void finish_line(const KeyedRequest& keyed, std::int64_t enqueue_us, std::string& response);
+  static constexpr std::int64_t kNotQueued = -1;
 
   /// The response to a line longer than \p max_line_bytes, counted as a
   /// failed request: ok=false with oversized_line_message().
@@ -252,9 +257,10 @@ class PlanService {
   static void response_line(const std::string& id, const Served& served, std::string& line);
 
   /// Opens the "request/<class>" span root anchored at \p enqueue_us (span
-  /// clock) plus a queue_wait child — called at the top of a pool task so
-  /// the pool-side tree of a request lives on the worker thread.  No-op
-  /// (root stays empty) when span recording is off.
+  /// clock) plus a queue_wait child, or at "now" with no queue_wait for
+  /// kNotQueued — called at the top of the planning half so its tree lives
+  /// on the planning thread.  No-op (root stays empty) when span recording
+  /// is off.
   void open_request_root(std::optional<ScopedSpan>& root, const PlanRequest& request,
                          std::int64_t enqueue_us);
   /// plan() under a pool-side request root.

@@ -16,8 +16,7 @@ StatsReporter::StatsReporter(PlanService& service, double interval_s, std::ostre
       responses_(MetricsRegistry::global().counter("net/responses")),
       shed_(MetricsRegistry::global().counter("net/shed")),
       latency_matmul_us_(MetricsRegistry::global().histogram("serve/latency_us/matmul")),
-      latency_fused_us_(MetricsRegistry::global().histogram("serve/latency_us/fused_pair")),
-      queue_delay_us_(MetricsRegistry::global().histogram("serve/queue_delay_us")) {
+      latency_fused_us_(MetricsRegistry::global().histogram("serve/latency_us/fused_pair")) {
   prev_requests_ = requests_.value();
   prev_errors_ = request_errors_.value();
   prev_responses_ = responses_.value();
@@ -79,12 +78,9 @@ void StatsReporter::emit(bool only_if_active) {
   merged.merge(latency_matmul_us_);
   merged.merge(latency_fused_us_);
   const HistogramSnapshot lat = merged.snapshot();
-  // Queue delay (enqueue → pool dequeue) is the admission controller's
-  // signal; cumulative, like the latency percentiles.
-  const HistogramSnapshot qdelay = queue_delay_us_.snapshot();
   os_ << "stats: qps=" << qps << " hit_rate=" << hit_rate << " shed_rate=" << shed_rate
       << " p50_us=" << lat.p50 << " p95_us=" << lat.p95 << " p99_us=" << lat.p99
-      << " qdelay_p95_us=" << qdelay.p95 << " requests=" << now_requests
+      << " requests=" << now_requests
       << " errors=" << now_errors << " entries=" << now_cache.entries << "\n"
       << std::flush;
   prev_requests_ = now_requests;

@@ -14,16 +14,14 @@
 /// TCP), one line per period:
 ///
 ///   stats: qps=120.0 hit_rate=0.83 shed_rate=0 p50_us=42 p95_us=310
-///          p99_us=900 qdelay_p95_us=12 requests=1200 errors=0 entries=57
+///          p99_us=900 requests=1200 errors=0 entries=57
 ///
 /// qps / hit_rate / shed_rate are deltas over the period (measured wall
 /// time, so a late-firing tick does not inflate qps; shed_rate is
 /// sheds over all TCP responses written, 0 on the stdin path); the latency
 /// percentiles come from merging the per-class request histograms
 /// (Histogram::merge is exact bucket-by-bucket), so they are cumulative
-/// over the process lifetime, and qdelay_p95_us is the cumulative p95 of
-/// the pool queue delay the admission controller watches
-/// (serve/queue_delay_us).
+/// over the process lifetime.
 ///
 /// Shutdown flushes the tail: the destructor emits the final partial
 /// period as one last stats line whenever that window saw any requests or
@@ -72,7 +70,6 @@ class StatsReporter {
   Counter& shed_;       ///< net/shed
   Histogram& latency_matmul_us_;
   Histogram& latency_fused_us_;
-  Histogram& queue_delay_us_;
 
   /// Serializes emit() (see the single-writer rule above); guards the
   /// prev_* deltas, period_start_ and the output stream.

@@ -31,7 +31,7 @@ TEST(Chaos, HealthyServerSurvivesSeededFaultTrials) {
   const ChaosResult result = run_chaos(opts, &progress);
   EXPECT_EQ(result.trials_run, 3);
   EXPECT_EQ(result.failed_trials, 0) << progress.str();
-  EXPECT_EQ(result.checks_run, 3 * 6);
+  EXPECT_EQ(result.checks_run, 3 * 7);
   EXPECT_TRUE(result.ok());
 }
 
@@ -144,7 +144,7 @@ TEST(Chaos, ReplayRunsTheShrunkPlanOnTheHealthyServer) {
   failure.shrunk.invariant = "net/response_order";
   const ChaosTrialReport report = replay_chaos_repro(failure);
   EXPECT_TRUE(report.ok()) << report.violations.front().detail;
-  EXPECT_EQ(report.checks_run, 6);
+  EXPECT_EQ(report.checks_run, 7);
 }
 
 TEST(Chaos, ShrinkerPreservesTheFailingInvariantNotJustAnyFailure) {

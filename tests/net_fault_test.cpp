@@ -56,8 +56,9 @@ TEST(FaultPlan, GenerateIsAPureFunctionOfTheSeed) {
           EXPECT_GE(e.arg, 1u);
           break;
         case fault::Kind::kWorkerHang:
-          // Watchdog-scale: always crosses a 2 x 40 ms hang-guard deadline,
-          // which is what makes the chaos watchdog invariant plan-decidable.
+          // Watchdog-scale: always at least twice the chaos trials' 40 ms
+          // watchdog, which is what makes the chaos watchdog invariant
+          // plan-decidable.
           EXPECT_GE(e.arg, 100'000u);
           EXPECT_LE(e.arg, 300'000u);
           break;

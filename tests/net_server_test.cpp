@@ -26,12 +26,13 @@
 /// background thread, real sockets through the loopback).  The contracts
 /// under test are the hostile-input ones from the issue — truncated line at
 /// close, interleaved pipelined requests, oversized line, slow reader — plus
-/// overload shedding, per-request deadlines, graceful drain, and
+/// overload shedding past the per-turn planning budget, graceful drain, and
 /// byte-identity of the socket path with serve_stream on the same request
 /// stream.
 ///
-/// The serving contracts are parameterized over the reactor count (1 and
-/// 2): sharding must be invisible to every client.
+/// The serving contracts are parameterized over the reactor count (1, 2
+/// and 4, every reactor planning its own misses): sharding must be
+/// invisible to every client.
 /// So are the request ledger (one cache probe per well-formed request, every
 /// response a request or a shed) and write batching (one flush per
 /// connection per loop turn).
@@ -182,7 +183,7 @@ class NetServerAt : public ::testing::TestWithParam<int> {
   }
 };
 
-INSTANTIATE_TEST_SUITE_P(Reactors, NetServerAt, ::testing::Values(1, 2),
+INSTANTIATE_TEST_SUITE_P(Reactors, NetServerAt, ::testing::Values(1, 2, 4),
                          [](const ::testing::TestParamInfo<int>& info) {
                            return "reactors" + std::to_string(info.param);
                          });
@@ -191,8 +192,8 @@ TEST_P(NetServerAt, RoundTripMatchesServeStreamByteForByte) {
   // Mixed stream with repeats: every response must match the stdin path on
   // an identically configured fresh service byte for byte, except for the
   // "cached" flag — which copy of a repeated shape leads its single flight
-  // is up to the pool's scheduling.  Either way, each distinct shape misses
-  // exactly once.
+  // is up to the stdin path's pool scheduling.  Either way, each distinct
+  // shape misses exactly once.
   constexpr int kDistinctShapes = 3;
   std::string stream;
   for (int i = 0; i < 8; ++i) stream += make_req("q" + std::to_string(i), 256 + 64 * (i % 3), 192, 320);
@@ -343,7 +344,7 @@ TEST_P(NetServerAt, SlowReaderIsBackpressuredNotDisconnected) {
 
 TEST_P(NetServerAt, OverloadShedsWithExplicitResponsesInOrder) {
   NetServerOptions net = options();
-  net.queue_depth = 1;  // admit one request at a time; bursts shed
+  net.queue_depth = 1;  // plan one miss per loop turn; a burst read in one turn sheds
   TestServer ts(ServeOptions{.threads = 1}, net);
   Client client(ts.server.port());
   ASSERT_TRUE(client.connected());
@@ -372,7 +373,7 @@ TEST_P(NetServerAt, OverloadShedsWithExplicitResponsesInOrder) {
   EXPECT_GE(shed, 1) << "a burst past queue_depth=1 must shed";
   EXPECT_TRUE(client.read_eof());
 
-  // Reads resumed after the queue drained: a fresh request is admitted.
+  // The next turn has a fresh budget: a lone request is planned.
   Client after(ts.server.port());
   ASSERT_TRUE(after.connected());
   after.send_all(make_req("recovered", 64, 64, 64));
@@ -387,11 +388,9 @@ TEST_P(NetServerAt, ShedAndParseErrorResponsesCarryTheParsersId) {
   // The reactor decodes every line once, and a shed response is labelled
   // with that decode's id: the last of duplicate "id" members, keys and
   // values unescaped.  A line the parser rejects is answered with id ""
-  // even when an "id" member follows the error.  With queue_depth=1 behind
-  // a stalled first miss, every later miss in the burst is shed.
-  fault::FaultPlan plan;
-  plan.events.push_back({fault::Kind::kPoolStall, 0, 50'000});
-  fault::ScopedFaultPlan armed(plan);
+  // even when an "id" member follows the error.  With queue_depth=1 the
+  // burst's first miss spends the turn's budget, so every later miss in the
+  // burst (one send, read in one turn) is shed.
   NetServerOptions net = options();
   net.queue_depth = 1;
   TestServer ts(ServeOptions{.threads = 1}, net);
@@ -417,7 +416,7 @@ TEST_P(NetServerAt, ShedAndParseErrorResponsesCarryTheParsersId) {
       {line_with(307, R"("x":[1,,2],"id":"a")"), "", false},
       {line_with(308, R"("x":{"y"},"id":"a")"), "", false},
   };
-  std::string burst = line_with(300, R"("id":"head")") + "\n";  // admitted, stalled
+  std::string burst = line_with(300, R"("id":"head")") + "\n";  // planned
   for (const Case& c : cases) burst += c.line + "\n";
   client.send_all(burst);
 
@@ -458,7 +457,7 @@ TEST_P(NetServerAt, LedgerReconcilesAMixedPipelinedBurst) {
 
   Client client(ts.server.port());
   ASSERT_TRUE(client.connected());
-  for (int i = 0; i < 3; ++i) {  // one at a time: queue_depth=2 would shed a third
+  for (int i = 0; i < 3; ++i) {  // one at a time: a turn reading all three would shed one
     client.send_all(make_req("warm" + std::to_string(i), 96 + i, 64, 64));
     const auto line = client.read_line();
     ASSERT_TRUE(line.has_value());
@@ -508,7 +507,7 @@ TEST_P(NetServerAt, AllHitBurstLeavesInBatchedWrites) {
   MetricsRegistry& reg = MetricsRegistry::global();
   const auto total = [&](const char* name) {
     std::int64_t sum = 0;
-    for (int r = 0; r < 2; ++r) {
+    for (int r = 0; r < GetParam(); ++r) {
       sum += reg.counter("net/reactor." + std::to_string(r) + "/" + name).value();
     }
     return sum;
@@ -539,40 +538,6 @@ TEST_P(NetServerAt, AllHitBurstLeavesInBatchedWrites) {
       << slots << " responses in " << writes << " writes";
 }
 
-TEST_P(NetServerAt, DeadlineExpiryAnswersInOrderWithoutLosingSlots) {
-  NetServerOptions net = options();
-  net.request_timeout_ms = 1;
-  net.queue_depth = 8192;  // admit the whole burst; the deadline, not
-                           // admission, is under test
-  TestServer ts(ServeOptions{.threads = 1}, net);
-  Client client(ts.server.port());
-  ASSERT_TRUE(client.connected());
-
-  // A single worker thread and a burst of distinct (cache-missing) shapes:
-  // the tail of the queue cannot finish within 1ms, so deadlines fire while
-  // the pool grinds.  Every slot must still produce exactly one in-order
-  // response — planned or "deadline exceeded".
-  const int kBurst = 1500;
-  std::string burst;
-  for (int i = 0; i < kBurst; ++i) {
-    burst += make_req("d" + std::to_string(i), 200 + (i % 700), 100 + (i / 7) % 500, 160);
-  }
-  client.send_all(burst);
-  client.half_close();
-
-  std::vector<std::string> lines = client.read_lines(kBurst, 60'000);
-  ASSERT_EQ(lines.size(), static_cast<std::size_t>(kBurst));
-  int expired = 0;
-  for (int i = 0; i < kBurst; ++i) {
-    const std::string& line = lines[static_cast<std::size_t>(i)];
-    EXPECT_EQ(id_of(line), "d" + std::to_string(i));
-    if (line.find("deadline exceeded") != std::string::npos) ++expired;
-  }
-  ts.stop();
-  EXPECT_GE(expired, 1) << "a 1ms deadline over a 1-thread burst must expire some requests";
-  EXPECT_EQ(ts.server.stats().deadline_expired, expired);
-}
-
 TEST_P(NetServerAt, GracefulDrainFinishesInFlightThenCloses) {
   TestServer ts(ServeOptions{.threads = 2}, options());
   Client client(ts.server.port());
@@ -598,11 +563,11 @@ TEST_P(NetServerAt, GracefulDrainFinishesInFlightThenCloses) {
 }
 
 TEST_P(NetServerAt, GracefulDrainDuringShedStormAnswersDecodedPrefixInOrder) {
-  // Satellite of PR 10: a drain request landing in the middle of an active
-  // shed storm (queue_depth=1, several pipelined clients, single worker)
-  // must still answer every decoded request exactly once — shed or served,
-  // strictly in per-connection order — and close every connection, on every
-  // reactor topology.
+  // A drain request landing in the middle of an active shed storm
+  // (queue_depth=1, several pipelined clients) must still answer every
+  // decoded request exactly once — shed or served, strictly in
+  // per-connection order — and close every connection, on every reactor
+  // topology.
   NetServerOptions net = options();
   net.queue_depth = 1;
   TestServer ts(ServeOptions{.threads = 1}, net);
@@ -620,8 +585,8 @@ TEST_P(NetServerAt, GracefulDrainDuringShedStormAnswersDecodedPrefixInOrder) {
     clients.back()->send_all(burst);
   }
   // One response per client proves its burst is decoded — and with depth 1
-  // the sheds behind it are already slotted — so the storm is live when the
-  // drain lands.
+  // the sheds read in the same turn are already slotted — so the storm is
+  // live when the drain lands.
   for (auto& client : clients) ASSERT_TRUE(client->read_line().has_value());
   ts.server.request_drain();
   ts.loop.join();
@@ -698,6 +663,40 @@ TEST_P(NetServerAt, IdleTimeoutClosesQuietConnections) {
   EXPECT_TRUE(client.read_eof(10'000)) << "a quiet connection is closed at idle_timeout_ms";
   ts.stop();
   EXPECT_EQ(ts.server.stats().idle_closed, 1);
+}
+
+// --- The per-turn planning budget -------------------------------------------
+
+TEST(NetServerTurnBudget, CachedShapeWithReorderedFieldsIsServedAfterTheBudgetIsSpent) {
+  // The budget asks the plan cache, not the request bytes: a cached shape
+  // with its members in another order is the same key, so it is a hit and
+  // is answered even after the turn's budget is spent.
+  NetServerOptions net = loopback_options();
+  net.reactors = 1;
+  net.queue_depth = 1;
+  TestServer ts(ServeOptions{.threads = 1}, net);
+  Client client(ts.server.port());
+  ASSERT_TRUE(client.connected());
+  client.send_all(make_req("warm", 64, 64, 64));
+  const auto warm = client.read_line();
+  ASSERT_TRUE(warm.has_value());
+  ASSERT_NE(warm->find("\"ok\":true"), std::string::npos) << *warm;
+
+  // One send, read in one turn: the first miss spends the budget.
+  client.send_all(make_req("miss-0", 72, 64, 64) + make_req("miss-1", 80, 64, 64) +
+                  R"({"buffer":"512KB","l":64,"k":64,"m":64,"op":"matmul","id":"reordered"})"
+                  "\n");
+  const std::vector<std::string> lines = client.read_lines(3);
+  ASSERT_EQ(lines.size(), 3u);
+  EXPECT_EQ(id_of(lines[0]), "miss-0");
+  EXPECT_NE(lines[0].find("\"ok\":true"), std::string::npos) << lines[0];
+  EXPECT_EQ(id_of(lines[1]), "miss-1");
+  EXPECT_NE(lines[1].find("overloaded"), std::string::npos) << lines[1];
+  EXPECT_EQ(id_of(lines[2]), "reordered");
+  EXPECT_NE(lines[2].find("\"ok\":true"), std::string::npos) << lines[2];
+  EXPECT_NE(lines[2].find("\"cached\":true"), std::string::npos) << lines[2];
+  ts.stop();
+  EXPECT_EQ(ts.server.stats().shed, 1);
 }
 
 // --- Multi-reactor topology -----------------------------------------------
@@ -815,19 +814,11 @@ TEST(NetServerReactors, GracefulDrainBarriersAcrossReactors) {
 // --- Writev coalescing ----------------------------------------------------
 
 TEST(NetServerReactors, PipelinedBurstCoalescesResponsesIntoFewWritevs) {
-  // Head-of-line blocking on purpose: the burst opens with a cache miss
-  // that a kPoolStall fault holds on its worker for 50 ms, and the 63 warm
-  // cache hits behind it are answered by the reactor in microseconds.
-  // Their slots fill behind the stalled head, so nothing can flush until
-  // the stall ends — then the whole backlog is writable at once and must
-  // leave in gathered writev batches, ceil(64/16) syscalls instead of 64
-  // single writes.  Order must survive the batching.
-  fault::FaultPlan plan;
-  // Invocation 0 is the cache-warming request below; invocation 1 is the
-  // burst's head, the only burst request that reaches the pool.
-  plan.events.push_back({fault::Kind::kPoolStall, 1, 50'000});
-  fault::ScopedFaultPlan armed(plan);
-
+  // The burst opens with a cache miss, planned in place, and 63 warm cache
+  // hits follow it.  The reactor reads the whole burst in one turn, so all
+  // 64 slots are done when the turn's flush runs: the backlog must leave
+  // in gathered writev batches, ceil(64/16) syscalls instead of 64 single
+  // writes.  Order must survive the batching.
   NetServerOptions net = loopback_options();
   net.reactors = 1;  // counters land on net/reactor.0/*
   net.queue_depth = 256;
@@ -853,7 +844,7 @@ TEST(NetServerReactors, PipelinedBurstCoalescesResponsesIntoFewWritevs) {
   for (int i = 0; i < kBurst; ++i) {
     char id[8];
     std::snprintf(id, sizeof(id), "c%02d", i);
-    // The stalled miss, then warm hits that finish in microseconds.
+    // One miss, then warm hits.
     burst += i == 0 ? make_req(id, 96, 64, 96) : make_req(id, 64, 64, 64);
   }
   client.send_all(burst);

@@ -491,12 +491,10 @@ TEST(ThreadPool, NoWorkerBeforeFirstJob) {
   ThreadPool pool(3);
   EXPECT_EQ(live_threads(), before) << "construction must not spawn workers";
   EXPECT_EQ(pool.size(), 3);
-  EXPECT_EQ(pool.heartbeats().size(), 3u);
 
   EXPECT_EQ(pool.submit([] { return 7; }).get(), 7);
   EXPECT_EQ(live_threads(), before + 3) << "the first job starts every configured worker";
   EXPECT_EQ(pool.size(), 3);
-  EXPECT_EQ(pool.heartbeats().size(), 3u);
 
   EXPECT_EQ(pool.submit([] { return 8; }).get(), 8);
   EXPECT_EQ(live_threads(), before + 3) << "later jobs reuse the running workers";

@@ -185,6 +185,31 @@ TEST(ServeSpans, DirectPlanRootsItsOwnTraceWithoutQueueWait) {
   EXPECT_FALSE(has_span(trace, "queue_wait")) << "unpooled plan() never waited on a queue";
 }
 
+TEST(ServeSpans, MissPlannedInPlaceRecordsNoQueueWait) {
+  // A reactor plans a miss on the thread that read it: the planning half's
+  // tree has the optimizer but no queue_wait, since it waited in no queue.
+  CollectingSink sink;
+  SinkScope scope(&sink);
+  PlanService service(ServeOptions{.threads = 2});
+  KeyedRequest keyed;
+  std::string response;
+  const std::string line =
+      R"({"id":"inline","op":"matmul","m":40,"k":16,"l":24,"buffer_elems":512})";
+  ASSERT_EQ(service.begin_line(line, "<test>", 1, keyed, response), LineOutcome::kMiss);
+  service.finish_line(keyed, PlanService::kNotQueued, response);
+  EXPECT_NE(response.find("\"ok\":true"), std::string::npos) << response;
+
+  const std::map<std::uint64_t, Trace> traces = group_traces(sink.drain());
+  ASSERT_EQ(traces.size(), 2u) << "one tree for the probe, one for the plan";
+  int planned = 0;
+  for (const auto& [id, trace] : traces) {
+    expect_connected(trace);
+    EXPECT_FALSE(has_span(trace, "queue_wait")) << trace.root->name;
+    planned += has_optimize_span(trace) ? 1 : 0;
+  }
+  EXPECT_EQ(planned, 1);
+}
+
 TEST(ServeSpans, RecordingOffMeansNoSpansAndRequestsStillPlan) {
   ASSERT_FALSE(span_recording_enabled());
   ServeOptions options;

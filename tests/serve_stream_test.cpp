@@ -3,6 +3,7 @@
 
 #include <cstdlib>
 #include <fstream>
+#include <initializer_list>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -129,11 +130,28 @@ TEST(ServeStream, BinaryPrintsUsageOnHelpAndUnknownOption) {
   EXPECT_NE(bogus_text.find("usage: fusecu_serve"), std::string::npos) << bogus_text;
   EXPECT_EQ(bogus_text.find("FCU_CHECK"), std::string::npos) << bogus_text;
 
-  for (const char* count : {"0", "-1"}) {
-    const auto [code, text] = run(std::string("--reactors ") + count);
-    EXPECT_EQ(code, 2) << count;
-    EXPECT_NE(text.find("--reactors must be at least 1"), std::string::npos) << text;
+  struct OutOfRange {
+    const char* args;
+    const char* message;
+  };
+  for (const OutOfRange& c : std::initializer_list<OutOfRange>{
+           {"--reactors 0", "--reactors must be at least 1, got 0"},
+           {"--reactors -1", "--reactors must be at least 1, got -1"},
+           {"--threads 0", "--threads must be at least 1, got 0"},
+           {"--threads -5", "--threads must be at least 1, got -5"},
+           {"--cache-mb -1", "--cache-mb must be at least 1, got -1"},
+           {"--shards 0", "--shards must be at least 1, got 0"},
+           {"--max-conns 0", "--max-conns must be at least 1, got 0"},
+           {"--queue-depth 0", "--queue-depth must be at least 1, got 0"},
+           {"--max-line-bytes 0", "--max-line-bytes must be at least 1, got 0"},
+           {"--idle-timeout-ms -1", "--idle-timeout-ms must be at least 0, got -1"},
+           {"--watchdog-ms -1", "--watchdog-ms must be at least 0, got -1"},
+       }) {
+    const auto [code, text] = run(c.args);
+    EXPECT_EQ(code, 2) << c.args;
+    EXPECT_NE(text.find(std::string("error: ") + c.message), std::string::npos) << text;
     EXPECT_NE(text.find("usage: fusecu_serve"), std::string::npos) << text;
+    EXPECT_EQ(text.find("FCU_CHECK"), std::string::npos) << text;
   }
 }
 
