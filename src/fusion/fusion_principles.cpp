@@ -1,6 +1,9 @@
 #include "fusion/fusion_principles.hpp"
 
+#include <algorithm>
 #include <array>
+#include <cmath>
+#include <limits>
 #include <utility>
 
 #include "common/check.hpp"
@@ -19,13 +22,14 @@ struct FusedConstruction {
   bool resident = false;
   PhasedFusedDataflow phased;
   FlatNest side1, side2;
+  int rank = 0;  ///< position in for_each_fused_construction()'s order: the tie-break
 };
 
-/// Clamp-and-emit helper: emits the phased candidate (both loop orders)
-/// when its footprint fits the buffer.
+/// Clamp-and-emit helper: emits the phased candidate (both loop orders, at
+/// ranks \p rank and rank + 1) when its footprint fits the buffer.
 template <typename Emit>
 void emit_phased(Emit& emit, const FusedPair& pair, BufferSize bs, Index t_m, Index t_k,
-                 Index t_l, Index t_n) {
+                 Index t_l, Index t_n, int rank) {
   FusedConstruction c;
   PhasedFusedDataflow& df = c.phased;
   df.t_m = clamp_index(t_m, 1, pair.m());
@@ -37,6 +41,7 @@ void emit_phased(Emit& emit, const FusedPair& pair, BufferSize bs, Index t_m, In
   if (footprint > bs) return;
   for (bool l_outer : {false, true}) {
     df.l_outer = l_outer;
+    c.rank = rank + (l_outer ? 1 : 0);
     emit(c);
   }
 }
@@ -110,69 +115,133 @@ std::optional<FlatNest> best_side_nest(const std::array<Index, 3>& extent, Buffe
   return best;
 }
 
-/// Emit the phased family for one (T_K, T_N) choice: closed-form two-tile
-/// sweeps over (T_M, T_L) under both loop orders' weight models, plus the
-/// four untile/unit boundary probes.  Footprint for fixed c = T_K + T_N is
-/// T_M T_L + c (T_M + T_L), so every probe is a one-division closed form.
-template <typename Emit>
-void emit_phased_family(Emit& emit, const FusedPair& pair, BufferSize bs, Index t_k,
-                        Index t_n) {
-  const Index m = pair.m(), k = pair.k(), l = pair.l(), n = pair.n();
-  const Index c = t_k + t_n;
+/// One (T_K, T_N) corner of the phased family.  Trips of K and N never
+/// appear as MA multipliers, so T_K in {1, K} and T_N in {1, N} dominate
+/// every interior choice (same cost, strictly larger footprint); each corner
+/// reduces to a closed-form two-tile problem over (T_M, T_L).  T_K = T_N = 1
+/// recovers the paper's tile fusion (4a), the untile-L/M boundaries its
+/// Two-NRA patterns (4b/c), and untiled K or N with an untiled intermediate
+/// dimension its operand-resident Three-NRA form (4d).
+struct PhasedCorner {
+  Index t_k = 1, t_n = 1;
+  int rank = 0;  ///< rank of the corner's first construction
+};
 
-  // Interior weights: trips of K and N never multiply any tensor's MA, so
-  // with T_M, T_L both interior the cost is w_M * n_M + w_L * n_L + const.
-  // A tiled K keeps the producer reduction effective (A re-read per L step /
-  // B per M step); a tiled N keeps the consumer free loop effective (E
-  // partial-sum spill per L step / D re-read per M step).
-  const bool k_eff = t_k < k;
-  const bool n_eff = t_n < n;
-  const double wa = static_cast<double>(m * k), wb = static_cast<double>(k * l);
-  const double wd = static_cast<double>(l * n), we = static_cast<double>(m * n);
-  const double m_outer_wm = wb + wd, m_outer_wl = (k_eff ? wa : 0.0) + (n_eff ? we : 0.0);
-  const double l_outer_wm = (k_eff ? wb : 0.0) + (n_eff ? wd : 0.0), l_outer_wl = wa + we;
+/// Ranks per corner: the sweep's pairs from two TilePairs, two loop orders
+/// each, then five boundary probes, two loop orders each.
+constexpr int kSweepRanks = 4 * TilePairs::kCapacity;
+constexpr int kCornerRanks = kSweepRanks + 10;
 
-  const std::array<std::pair<double, double>, 2> weight_models = {
-      {{m_outer_wm, m_outer_wl}, {l_outer_wm, l_outer_wl}}};
-  for (const auto& [wm, wl] : weight_models) {
-    for (const auto& [t_m, t_l] : two_tile_candidates(m, l, wm, wl, c, c, bs)) {
-      emit_phased(emit, pair, bs, t_m, t_k, t_l, t_n);
+/// The corners in ascending (T_K, T_N) order, once each when K or N is 1.
+struct PhasedCorners {
+  std::array<PhasedCorner, 4> at{};
+  int size = 0;
+};
+
+PhasedCorners phased_corners(const FusedPair& pair) {
+  PhasedCorners out;
+  const std::array<Index, 2> k_corners = {1, pair.k()};
+  const std::array<Index, 2> n_corners = {1, pair.n()};
+  for (std::size_t i = 0; i < (pair.k() > 1 ? 2u : 1u); ++i) {
+    for (std::size_t j = 0; j < (pair.n() > 1 ? 2u : 1u); ++j) {
+      out.at[static_cast<std::size_t>(out.size)] = {k_corners[i], n_corners[j],
+                                                    out.size * kCornerRanks};
+      ++out.size;
     }
   }
-  // Boundary probes (clamped and footprint-checked by emit_phased):
-  emit_phased(emit, pair, bs, (bs - c * l) / (l + c), t_k, l, t_n);  // untile L
-  emit_phased(emit, pair, bs, m, t_k, (bs - c * m) / (m + c), t_n);  // untile M
-  emit_phased(emit, pair, bs, m, t_k, l, t_n);                       // untile both
-  emit_phased(emit, pair, bs, (bs - c) / (1 + c), t_k, 1, t_n);      // unit L
-  emit_phased(emit, pair, bs, 1, t_k, (bs - c) / (1 + c), t_n);      // unit M
+  return out;
 }
 
-/// Every principled fused construction for (pair, bs), in the order the
-/// optimizer's first-wins argmin depends on.
+/// A corner's cost under one loop order while T_M and T_L are both
+/// interior: konst + w_m * n_M + w_l * n_L.
+struct PhasedWeights {
+  double konst = 0, w_m = 0, w_l = 0;
+};
+
+/// The (M outer, L outer) weight models.  Trips of K and N never multiply
+/// any tensor's MA; a tiled K keeps the producer reduction effective (A
+/// re-read per L step / B per M step), a tiled N keeps the consumer free
+/// loop effective (E partial-sum spill per L step / D re-read per M step).
+/// An untiled one leaves its tensor read once, in konst.
+std::array<PhasedWeights, 2> phased_weights(const FusedPair& pair, const PhasedCorner& corner) {
+  const Index m = pair.m(), k = pair.k(), l = pair.l(), n = pair.n();
+  const bool k_eff = corner.t_k < k;
+  const bool n_eff = corner.t_n < n;
+  const double wa = static_cast<double>(m * k), wb = static_cast<double>(k * l);
+  const double wd = static_cast<double>(l * n), we = static_cast<double>(m * n);
+  return {{{(k_eff ? 0.0 : wa) + (n_eff ? 0.0 : we), wb + wd,
+            (k_eff ? wa : 0.0) + (n_eff ? we : 0.0)},
+           {(k_eff ? 0.0 : wb) + (n_eff ? 0.0 : wd), (k_eff ? wb : 0.0) + (n_eff ? wd : 0.0),
+            wa + we}}};
+}
+
+/// The corner's closed-form two-tile sweeps over (T_M, T_L), one per loop
+/// order's weight model, each pair once (a later twin prices the same and
+/// never wins the rank tie-break).  Footprint for fixed c = T_K + T_N is
+/// T_M T_L + c (T_M + T_L).
 template <typename Emit>
-void for_each_fused_construction(const FusedPair& pair, BufferSize bs, Emit&& emit) {
-  const Index k = pair.k(), n = pair.n();
-
-  // --- Phased fusion (Fig. 4a-d).  Trips of K and N never appear as MA
-  // multipliers, so T_K in {1, K} and T_N in {1, N} dominate every interior
-  // choice (same cost, strictly larger footprint); each of the four corner
-  // combinations reduces to a closed-form two-tile problem over (T_M, T_L).
-  // T_K = T_N = 1 recovers the paper's tile fusion (4a), the untile-L/M
-  // boundaries its Two-NRA patterns (4b/c), and untiled K or N with an
-  // untiled intermediate dimension its operand-resident Three-NRA form (4d).
-  // Corners run in ascending (T_K, T_N) order, once each when K or N is 1.
-  const std::array<Index, 2> k_corners = {1, k};
-  const std::array<Index, 2> n_corners = {1, n};
-  for (std::size_t i = 0; i < (k > 1 ? 2u : 1u); ++i) {
-    for (std::size_t j = 0; j < (n > 1 ? 2u : 1u); ++j) {
-      emit_phased_family(emit, pair, bs, k_corners[i], n_corners[j]);
-    }
+void emit_phased_sweep(Emit& emit, const FusedPair& pair, BufferSize bs,
+                       const PhasedCorner& corner) {
+  const Index c = corner.t_k + corner.t_n;
+  const std::array<PhasedWeights, 2> weights = phased_weights(pair, corner);
+  const TilePairs first =
+      two_tile_candidates(pair.m(), pair.l(), weights[0].w_m, weights[0].w_l, c, c, bs);
+  int rank = corner.rank;
+  for (const auto& [t_m, t_l] : first) {
+    emit_phased(emit, pair, bs, t_m, corner.t_k, t_l, corner.t_n, rank);
+    rank += 2;
   }
+  for (const auto& [t_m, t_l] :
+       two_tile_candidates(pair.m(), pair.l(), weights[1].w_m, weights[1].w_l, c, c, bs)) {
+    if (first.contains(t_m, t_l)) continue;
+    emit_phased(emit, pair, bs, t_m, corner.t_k, t_l, corner.t_n, rank);
+    rank += 2;
+  }
+}
 
-  // --- Three-NRA resident intermediate (Fig. 4e): the whole of C on-chip,
-  // each op's external tensors scheduled independently in the remaining
-  // budget (the footprint charges only the larger side, since the ops run
-  // sequentially around the shared resident C).
+/// The corner's five untile/unit boundary probes (clamped and
+/// footprint-checked by emit_phased).
+template <typename Emit>
+void emit_phased_probes(Emit& emit, const FusedPair& pair, BufferSize bs,
+                        const PhasedCorner& corner) {
+  const Index m = pair.m(), l = pair.l(), t_k = corner.t_k, t_n = corner.t_n;
+  const Index c = t_k + t_n;
+  const int rank = corner.rank + kSweepRanks;
+  emit_phased(emit, pair, bs, (bs - c * l) / (l + c), t_k, l, t_n, rank);      // untile L
+  emit_phased(emit, pair, bs, m, t_k, (bs - c * m) / (m + c), t_n, rank + 2);  // untile M
+  emit_phased(emit, pair, bs, m, t_k, l, t_n, rank + 4);                       // untile both
+  emit_phased(emit, pair, bs, (bs - c) / (1 + c), t_k, 1, t_n, rank + 6);      // unit L
+  emit_phased(emit, pair, bs, 1, t_k, (bs - c) / (1 + c), t_n, rank + 8);      // unit M
+}
+
+/// Admissible floor of the corner's sweep given its cheapest probe
+/// (DESIGN.md §6c, "Pruned closed forms").  A sweep pair with T_M = M or
+/// T_L = L costs at least the untile-M or untile-L probe of the same loop
+/// order: the probe's other tile is the largest that fits, and the phased
+/// cost never rises with a tile.  A pair with both tiles interior costs
+/// konst + w_m n_M + w_l n_L under its loop order, with n_M >= M / T_M,
+/// n_L >= L / T_L, both >= 1, and T_M T_L <= P = (sqrt(c^2 + bs) - c)^2;
+/// AM-GM bounds that by konst + 2 sqrt(w_m w_l M L / P).  bs is clamped
+/// at 0 (a negative buffer admits nothing) so the floor is never NaN.
+double phased_sweep_floor(const FusedPair& pair, BufferSize bs, const PhasedCorner& corner,
+                          AccessCount cheapest_probe) {
+  const double c = static_cast<double>(corner.t_k + corner.t_n);
+  const double root = std::sqrt(c * c + std::max(0.0, static_cast<double>(bs))) - c;
+  const double ml = static_cast<double>(pair.m() * pair.l());
+  double floor = static_cast<double>(cheapest_probe);
+  for (const PhasedWeights& w : phased_weights(pair, corner)) {
+    const double amgm = 2.0 * std::sqrt(w.w_m * w.w_l * ml / (root * root));
+    floor = std::min(floor, w.konst + std::max(w.w_m + w.w_l, amgm));
+  }
+  return floor;
+}
+
+/// Fig. 4e: the whole of C on-chip, each op's external tensors scheduled
+/// independently in the remaining budget (the footprint charges only the
+/// larger side, since the ops run sequentially around the shared resident
+/// C).  Ranked after every corner.
+template <typename Emit>
+void emit_resident(Emit& emit, const FusedPair& pair, BufferSize bs) {
   const BufferSize residual = bs - pair.intermediate_size();
   const std::optional<FlatNest> side1 =
       best_side_nest({pair.m(), pair.k(), pair.l()}, residual, mm::kTensorC);
@@ -182,8 +251,22 @@ void for_each_fused_construction(const FusedPair& pair, BufferSize bs, Emit&& em
     c.resident = true;
     c.side1 = *side1;
     c.side2 = *side2;
+    c.rank = 4 * kCornerRanks;
     emit(c);
   }
+}
+
+/// Every principled fused construction for (pair, bs), in rank order: per
+/// corner its sweep then its probes (Fig. 4a-d), then the resident form.
+template <typename Emit>
+void for_each_fused_construction(const FusedPair& pair, BufferSize bs, Emit&& emit) {
+  const PhasedCorners corners = phased_corners(pair);
+  for (int i = 0; i < corners.size; ++i) {
+    const PhasedCorner& corner = corners.at[static_cast<std::size_t>(i)];
+    emit_phased_sweep(emit, pair, bs, corner);
+    emit_phased_probes(emit, pair, bs, corner);
+  }
+  emit_resident(emit, pair, bs);
 }
 
 FusedCandidate to_candidate(const FusedPair& pair, const FusedConstruction& c) {
@@ -197,6 +280,22 @@ FusedCandidate to_candidate(const FusedPair& pair, const FusedConstruction& c) {
 }
 
 }  // namespace
+
+namespace detail {
+
+double phased_corner_floor(const FusedPair& pair, BufferSize bs, Index t_k, Index t_n) {
+  FCU_CHECK((t_k == 1 || t_k == pair.k()) && (t_n == 1 || t_n == pair.n()),
+            "a phased corner has T_K in {1, K} and T_N in {1, N}");
+  const PhasedCorner corner{t_k, t_n, 0};
+  AccessCount cheapest = std::numeric_limits<AccessCount>::max();
+  auto probe = [&](const FusedConstruction& c) {
+    cheapest = std::min(cheapest, evaluate_phased(pair, c.phased).total);
+  };
+  emit_phased_probes(probe, pair, bs, corner);
+  return phased_sweep_floor(pair, bs, corner, cheapest);
+}
+
+}  // namespace detail
 
 bool same_nra_regime(const FusedPair& pair, BufferSize bs) {
   return optimal_regime(pair.op1(), bs) == optimal_regime(pair.op2(), bs);
@@ -214,15 +313,41 @@ std::optional<FusedOptResult> optimize_fused_pair(const FusedPair& pair, BufferS
   FCU_COUNTER("principles/optimize_fused_pair/calls").add();
   std::optional<FusedConstruction> best;
   FusedAccess best_access;
-  for_each_fused_construction(pair, bs, [&](const FusedConstruction& c) {
+  int priced = 0;
+  // The argmin of for_each_fused_construction() by (total, rank), so the
+  // pricing order is free: every probe and the resident form first, then
+  // the corners' sweeps cheapest floor first, stopping at the first floor
+  // strictly above the incumbent.
+  auto price = [&](const FusedConstruction& c) {
     const FusedAccess a = c.resident ? evaluate_resident(pair, c.side1, c.side2)
                                      : evaluate_phased(pair, c.phased);
-    if (a.buffer_footprint > bs) return;
-    if (!best || a.total < best_access.total) {
+    ++priced;
+    if (a.buffer_footprint > bs) return std::numeric_limits<AccessCount>::max();
+    if (!best || a.total < best_access.total ||
+        (a.total == best_access.total && c.rank < best->rank)) {
       best = c;
       best_access = a;
     }
-  });
+    return a.total;
+  };
+  const PhasedCorners corners = phased_corners(pair);
+  std::array<std::pair<double, int>, 4> sweeps;  // entries past corners.size sort last
+  sweeps.fill({std::numeric_limits<double>::infinity(), 4});
+  for (int i = 0; i < corners.size; ++i) {
+    const PhasedCorner& corner = corners.at[static_cast<std::size_t>(i)];
+    AccessCount cheapest = std::numeric_limits<AccessCount>::max();
+    auto probe = [&](const FusedConstruction& c) { cheapest = std::min(cheapest, price(c)); };
+    emit_phased_probes(probe, pair, bs, corner);
+    sweeps[static_cast<std::size_t>(i)] = {phased_sweep_floor(pair, bs, corner, cheapest), i};
+  }
+  emit_resident(price, pair, bs);
+  std::sort(sweeps.begin(), sweeps.end());
+  for (int i = 0; i < corners.size; ++i) {
+    const auto& [floor, corner] = sweeps[static_cast<std::size_t>(i)];
+    if (best && floor_exceeds(floor, best_access.total)) break;
+    emit_phased_sweep(price, pair, bs, corners.at[static_cast<std::size_t>(corner)]);
+  }
+  FCU_COUNTER("principles/optimize_fused_pair/candidates").add(priced);
 
   std::optional<FusedOptResult> result;
   if (best) {
@@ -245,8 +370,10 @@ AccessCount unfused_pair_access(const FusedPair& pair, BufferSize bs) {
 
 FusionDecision decide_fusion(const FusedPair& pair, BufferSize bs) {
   FusionDecision d;
-  d.unfused_ma = unfused_pair_access(pair, bs);
-  d.principle4_predicts = same_nra_regime(pair, bs);
+  const IntraOptResult r1 = optimize_intra(pair.op1(), bs);
+  const IntraOptResult r2 = optimize_intra(pair.op2(), bs);
+  d.unfused_ma = r1.access.total + r2.access.total;
+  d.principle4_predicts = r1.nra == r2.nra;
   d.fused = optimize_fused_pair(pair, bs);
   d.fusable = d.fused.has_value();
   if (d.fused) {

@@ -45,13 +45,28 @@ struct FusedOptResult {
 /// Principle 4's fusability-and-profitability predicate.
 bool same_nra_regime(const FusedPair& pair, BufferSize bs);
 
-/// All principled fused candidates for (pair, bs); constant-size set.
+/// All principled fused candidates for (pair, bs), each distinct
+/// construction once, in the order optimize_fused_pair() breaks ties by;
+/// constant-size set.
 std::vector<FusedCandidate> fused_principle_candidates(const FusedPair& pair, BufferSize bs);
 
-/// Best fused dataflow by construction; nullopt when no candidate fits the
-/// buffer (e.g. BS too small to co-locate both ops' minimal tiles).
-/// A pure function of (pair, bs); the serving layer calls it on a cache miss.
+/// Best fused dataflow by construction: the first candidate of least total
+/// among fused_principle_candidates() that fit.  A corner's two-tile sweep
+/// whose admissible floor lies strictly above the best construction already
+/// priced is skipped unpriced; the plan is the same.  nullopt when no
+/// candidate fits the buffer (e.g. BS too small to co-locate both ops'
+/// minimal tiles).  A pure function of (pair, bs); the serving layer calls
+/// it on a cache miss.
 std::optional<FusedOptResult> optimize_fused_pair(const FusedPair& pair, BufferSize bs);
+
+namespace detail {
+
+/// The floor optimize_fused_pair() prunes the phased corner (\p t_k,
+/// \p t_n) by, T_K in {1, K} and T_N in {1, N}: no phased candidate of that
+/// corner prices below it.  Exposed for the soundness tests.
+double phased_corner_floor(const FusedPair& pair, BufferSize bs, Index t_k, Index t_n);
+
+}  // namespace detail
 
 /// The fuse-or-not decision for a pair, comparing the best fused dataflow
 /// against independently optimized unfused ops (which pay the intermediate's

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <tuple>
 
 #include "common/check.hpp"
 #include "common/math_util.hpp"
@@ -51,38 +52,74 @@ struct IntraConstruction {
   NraKind intended = NraKind::kSingle;
   int arg0 = -1;
   int arg1 = -1;
+  int rank = 0;  ///< position in for_each_principle_candidate()'s order: the last tie-break
 };
+
+/// Rank stride between families: none emits more than TilePairs::kCapacity.
+constexpr int kFamilyRanks = TilePairs::kCapacity;
+
+/// Principle 1's cost terms for stationary tensor t over its dims d1, d2:
+/// MA = |t| + |X2| * n1 + |X1| * n2, where n_i is the trip count of d_i and
+/// X_i is the non-stationary tensor sharing d_i (its other dim is t's
+/// omitted dim, unit-tiled).
+struct SingleNraTerms {
+  int d1 = 0, d2 = 0;
+  Index size_x1 = 0, size_x2 = 0;
+};
+
+SingleNraTerms single_nra_terms(const MatmulShape& s, int t) {
+  const auto st = static_cast<std::size_t>(t);
+  SingleNraTerms terms{s.dims[st][0], s.dims[st][1]};
+  for (std::size_t x = 0; x < 3; ++x) {
+    if (x == st) continue;
+    if (s.mask[x] & (1u << terms.d1)) terms.size_x1 = s.size[x];
+    if (s.mask[x] & (1u << terms.d2)) terms.size_x2 = s.size[x];
+  }
+  return terms;
+}
 
 /// Principle 1 for stationary tensor \p t: every integer refinement of the
 /// two-tile closed form over t's dims, third dim unit-tiled.
 template <typename Emit>
 void for_each_single_nra(const MatmulShape& s, BufferSize bs, int t, Emit&& emit) {
   if (bs < 3) return;  // cannot even hold one element per tensor
-  const auto st = static_cast<std::size_t>(t);
-  const int d1 = s.dims[st][0];
-  const int d2 = s.dims[st][1];
-
-  // MA = |stationary| + |X2| * n1 + |X1| * n2, where n_i is the trip count
-  // of dimension d_i and X_i is the non-stationary tensor sharing d_i.
-  Index size_x1 = 0, size_x2 = 0;
-  for (std::size_t x = 0; x < 3; ++x) {
-    if (x == st) continue;
-    if (s.mask[x] & (1u << d1)) size_x1 = s.size[x];
-    if (s.mask[x] & (1u << d2)) size_x2 = s.size[x];
-  }
-
+  const SingleNraTerms terms = single_nra_terms(s, t);
   IntraConstruction c;
-  c.order = {d1, d2, s.other[st]};
+  c.order = {terms.d1, terms.d2, s.other[static_cast<std::size_t>(t)]};
   c.intended = NraKind::kSingle;
   c.arg0 = t;
+  c.rank = t * kFamilyRanks;
+  const auto d1 = static_cast<std::size_t>(terms.d1);
+  const auto d2 = static_cast<std::size_t>(terms.d2);
   for (const auto& [t1, t2] :
-       two_tile_candidates(s.extent[static_cast<std::size_t>(d1)],
-                           s.extent[static_cast<std::size_t>(d2)], static_cast<double>(size_x2),
-                           static_cast<double>(size_x1), 1, 1, bs)) {
-    c.tile[static_cast<std::size_t>(d1)] = t1;
-    c.tile[static_cast<std::size_t>(d2)] = t2;
+       two_tile_candidates(s.extent[d1], s.extent[d2], static_cast<double>(terms.size_x2),
+                           static_cast<double>(terms.size_x1), 1, 1, bs)) {
+    c.tile[d1] = t1;
+    c.tile[d2] = t2;
     emit(c);
+    ++c.rank;
   }
+}
+
+/// Admissible MA floor of for_each_single_nra(s, bs, t): no construction of
+/// the family prices below it (DESIGN.md §6c, "Pruned closed forms").
+/// n_i >= e_i / t_i and n_i >= 1, and every emitted pair satisfies
+/// t1 t2 + t1 + t2 <= bs, so t1 t2 <= P = (sqrt(1 + bs) - 1)^2; AM-GM over
+/// the two re-read terms then gives 2 sqrt(|X1| |X2| e1 e2 / P).  With the
+/// third extent 1 the re-reads vanish and only the ideal remains.  A
+/// buffer below 3 admits no construction; clamping it at 0 keeps the floor
+/// a number, so the floors always sort.
+double single_nra_floor(const MatmulShape& s, BufferSize bs, int t) {
+  const auto st = static_cast<std::size_t>(t);
+  const double resident = static_cast<double>(s.size[st]);
+  const SingleNraTerms terms = single_nra_terms(s, t);
+  const double x1 = static_cast<double>(terms.size_x1);
+  const double x2 = static_cast<double>(terms.size_x2);
+  if (s.extent[static_cast<std::size_t>(s.other[st])] == 1) return resident + x1 + x2;
+  const double e1 = static_cast<double>(s.extent[static_cast<std::size_t>(terms.d1)]);
+  const double e2 = static_cast<double>(s.extent[static_cast<std::size_t>(terms.d2)]);
+  const double root = std::sqrt(1.0 + std::max(0.0, static_cast<double>(bs))) - 1.0;
+  return resident + std::max(x1 + x2, 2.0 * std::sqrt(x1 * x2 * e1 * e2 / (root * root)));
 }
 
 /// Principle 2 for untiled dim \p u and maximized dim \p o.
@@ -102,6 +139,7 @@ void for_each_two_nra(const MatmulShape& s, BufferSize bs, int u, int o, Emit&& 
   c.intended = NraKind::kTwo;
   c.arg0 = u;
   c.arg1 = o;
+  c.rank = 3 * kFamilyRanks + 3 * u + o;
   emit(c);
 }
 
@@ -123,21 +161,28 @@ void for_each_three_nra(const MatmulShape& s, BufferSize bs, int t, Emit&& emit)
   c.tile[d3] = clamp_index((bs - e1 * e2) / (e1 + e2), 1, s.extent[d3]);
   c.intended = NraKind::kThree;
   c.arg0 = t;
+  c.rank = 4 * kFamilyRanks + t;
   emit(c);
 }
 
-/// The whole principled set, in the order the argmin's first-wins
-/// tie-break depends on: Principle 1 per tensor, Principle 2 per (U, O),
-/// Principle 3 per tensor.
+/// Principles 2 and 3: every (U, O) pair, then every resident tensor; at
+/// most 9 constructions.
 template <typename Emit>
-void for_each_principle_candidate(const MatmulShape& s, BufferSize bs, Emit&& emit) {
-  for (int t = 0; t < 3; ++t) for_each_single_nra(s, bs, t, emit);
+void for_each_multi_nra(const MatmulShape& s, BufferSize bs, Emit&& emit) {
   for (int u = 0; u < 3; ++u) {
     for (int o = 0; o < 3; ++o) {
       if (o != u) for_each_two_nra(s, bs, u, o, emit);
     }
   }
   for (int t = 0; t < 3; ++t) for_each_three_nra(s, bs, t, emit);
+}
+
+/// The whole principled set in rank order: Principle 1 per tensor, then
+/// Principles 2 and 3.
+template <typename Emit>
+void for_each_principle_candidate(const MatmulShape& s, BufferSize bs, Emit&& emit) {
+  for (int t = 0; t < 3; ++t) for_each_single_nra(s, bs, t, emit);
+  for_each_multi_nra(s, bs, emit);
 }
 
 std::string render_rule(const TensorOp& op, const IntraConstruction& c) {
@@ -163,7 +208,7 @@ PrincipleCandidate materialize(const TensorOp& op, const IntraConstruction& c) {
   return {to_dataflow(c), c.intended, render_rule(op, c)};
 }
 
-/// The minimum-MA construction (ties: smaller footprint, then first).
+/// The minimum-MA construction (ties: smaller footprint, then lower rank).
 struct IntraWinner {
   IntraConstruction construction;
   std::array<AccessCount, 3> per_tensor{};
@@ -172,9 +217,13 @@ struct IntraWinner {
   int candidates = 0;  ///< constructions priced
 };
 
+/// The argmin of for_each_principle_candidate() without pricing what cannot
+/// win: Principles 2 and 3 first, then the Principle 1 families in ascending
+/// floor order, stopping at the first floor strictly above the incumbent.
+/// Merging by (total, footprint, rank) makes the pricing order irrelevant.
 IntraWinner closed_form_winner(const MatmulShape& s, BufferSize bs) {
   IntraWinner best;
-  for_each_principle_candidate(s, bs, [&](const IntraConstruction& c) {
+  auto price = [&](const IntraConstruction& c) {
     std::array<AccessCount, 3> per_tensor{};
     const AccessCount total = nest_access(s.extent, c.order, c.tile, s.mask, per_tensor);
     Index footprint = 0;  // constructed tiles never exceed their extents
@@ -183,8 +232,9 @@ IntraWinner closed_form_winner(const MatmulShape& s, BufferSize bs) {
                    c.tile[static_cast<std::size_t>(dims[1])];
     }
     FCU_ASSERT_INTERNAL(footprint <= bs, "principle constructor emitted an infeasible dataflow");
-    const bool better = best.candidates == 0 || total < best.total ||
-                        (total == best.total && footprint < best.footprint);
+    const bool better = best.candidates == 0 ||
+                        std::tie(total, footprint, c.rank) <
+                            std::tie(best.total, best.footprint, best.construction.rank);
     ++best.candidates;
     if (better) {
       best.construction = c;
@@ -192,7 +242,17 @@ IntraWinner closed_form_winner(const MatmulShape& s, BufferSize bs) {
       best.total = total;
       best.footprint = footprint;
     }
-  });
+  };
+  for_each_multi_nra(s, bs, price);
+  std::array<std::pair<double, int>, 3> families{};
+  for (int t = 0; t < 3; ++t) {
+    families[static_cast<std::size_t>(t)] = {single_nra_floor(s, bs, t), t};
+  }
+  std::sort(families.begin(), families.end());
+  for (const auto& [floor, t] : families) {
+    if (best.candidates > 0 && floor_exceeds(floor, best.total)) break;
+    for_each_single_nra(s, bs, t, price);
+  }
   return best;
 }
 
@@ -226,6 +286,19 @@ class TripSeeds {
 }  // namespace
 
 void require_matmul_shape(const TensorOp& op) { (void)flatten_matmul(op); }
+
+bool floor_exceeds(double floor, AccessCount incumbent) {
+  return floor * (1.0 - 1e-9) > static_cast<double>(incumbent);
+}
+
+namespace detail {
+
+double single_nra_floor(const TensorOp& op, BufferSize bs, int stationary_tensor) {
+  FCU_CHECK(stationary_tensor >= 0 && stationary_tensor < 3, "tensor index out of range");
+  return fusecu::single_nra_floor(flatten_matmul(op), bs, stationary_tensor);
+}
+
+}  // namespace detail
 
 void TilePairs::insert(Index t1, Index t2) {
   const std::pair<Index, Index> p{t1, t2};

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <optional>
 #include <string>
@@ -27,6 +28,8 @@
 /// optimize_intra() constructs the constant-size candidate set across all
 /// regimes, keeps the feasible ones, and returns the minimum-MA dataflow —
 /// the communication lower bound for the operator under the buffer size.
+/// It prices a Principle 1 family only while the family's admissible floor
+/// can still beat or tie the best construction so far.
 /// These constructors are public so tests can verify each principle against
 /// exhaustive search independently.
 ///
@@ -82,7 +85,10 @@ std::optional<PrincipleCandidate> make_three_nra(const TensorOp& op, BufferSize 
 std::vector<PrincipleCandidate> principle_candidates(const TensorOp& op, BufferSize bs);
 
 /// One-shot optimal intra-operator dataflow: the argmin of
-/// principle_candidates() by total MA, then footprint, then first.  Throws
+/// principle_candidates() by total MA, then footprint, then first.  A
+/// Principle 1 family whose admissible floor lies strictly above the best
+/// construction already priced is skipped unpriced; the plan is the same.
+/// Throws
 /// std::invalid_argument when the buffer cannot hold even the minimal
 /// working set (one element of each tensor, i.e. bs < 3 for matmul).
 /// A pure function of (op, bs); the serving layer calls it on a cache miss.
@@ -107,6 +113,10 @@ class TilePairs {
   /// Insert in order; a pair already present is dropped.
   void insert(Index t1, Index t2);
 
+  bool contains(Index t1, Index t2) const {
+    return std::binary_search(begin(), end(), std::pair<Index, Index>{t1, t2});
+  }
+
  private:
   std::array<std::pair<Index, Index>, kCapacity> pairs_{};
   int size_ = 0;
@@ -127,6 +137,20 @@ class TilePairs {
 /// (at most 34 probes), not a search.
 TilePairs two_tile_candidates(Index e1, Index e2, double w1, double w2, Index c1, Index c2,
                               BufferSize bs);
+
+/// Whether an admissible floor, shaded down by a relative 1e-9 against
+/// floating-point error, lies strictly above \p incumbent: only then can
+/// nothing at or above the floor beat or tie the incumbent.
+bool floor_exceeds(double floor, AccessCount incumbent);
+
+namespace detail {
+
+/// The floor optimize_intra() prunes Principle 1 by: no candidate of
+/// make_single_nra(op, bs, stationary_tensor) prices below it.  Exposed for
+/// the soundness tests.
+double single_nra_floor(const TensorOp& op, BufferSize bs, int stationary_tensor);
+
+}  // namespace detail
 
 /// Closed-form MA expressions from the paper, used by tests to pin the cost
 /// model to Eq. 1 and Eq. 3.

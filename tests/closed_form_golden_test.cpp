@@ -1,0 +1,145 @@
+// Golden digests of the two closed-form planners.  Each test folds the plan
+// signature (rule string, regime tags, loop order, tiles, per-tensor and
+// total MA, footprint) of a fixed seeded population into one FNV-1a hash and
+// compares it with a constant recorded from the planners as they stood
+// before any pruning.  An optimizer change that alters any plan or rule
+// string fails here; an intended plan change must re-record the constant
+// and say why.
+//
+// The population is drawn with splitmix64 and plain modular reduction, not
+// std distributions, one draw per statement, so it is the same under every
+// standard library and compiler.
+
+#include <gtest/gtest.h>
+
+#include <array>
+#include <cstdint>
+#include <string>
+
+#include "check/conformance.hpp"
+#include "fusion/fusion_principles.hpp"
+#include "principles/principle_optimizer.hpp"
+#include "test_util.hpp"
+
+namespace fusecu {
+namespace {
+
+class SplitMix {
+ public:
+  explicit SplitMix(std::uint64_t seed) : state_(seed) {}
+
+  std::uint64_t next() {
+    std::uint64_t z = (state_ += 0x9e3779b97f4a7c15ull);
+    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
+    z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
+    return z ^ (z >> 31);
+  }
+
+  /// Uniform in [lo, hi] (modulo bias is irrelevant here).
+  Index uniform(Index lo, Index hi) {
+    return lo + static_cast<Index>(next() % static_cast<std::uint64_t>(hi - lo + 1));
+  }
+
+  /// Extent in [1, max]: unit 1/8 of the time, a power of two 1/4, else uniform.
+  Index extent(Index max) {
+    switch (next() % 8) {
+      case 0:
+        return 1;
+      case 1:
+      case 2: {
+        Index p = 1;
+        for (Index e = uniform(0, 8); e > 0 && 2 * p <= max; --e) p *= 2;
+        return p;
+      }
+      default:
+        return uniform(1, max);
+    }
+  }
+
+ private:
+  std::uint64_t state_;
+};
+
+class Fnv1a {
+ public:
+  void add(const std::string& line) {
+    for (unsigned char ch : line) mix(ch);
+    mix('\n');
+  }
+  std::uint64_t value() const { return hash_; }
+
+ private:
+  void mix(unsigned char ch) {
+    hash_ ^= ch;
+    hash_ *= 0x100000001b3ull;
+  }
+  std::uint64_t hash_ = 0xcbf29ce484222325ull;
+};
+
+// Recorded from the exhaustive-pricing planners (every construction priced).
+constexpr std::uint64_t kIntraDigest = 0xfae51653da9a10a6ull;
+constexpr std::uint64_t kFusedDigest = 0x205615de42e8a207ull;
+
+/// Canonical layout every fourth shape, otherwise one of three permuted
+/// layouts with A stored transposed; buffers from the tiny 3..64 range up to
+/// twice the ideal traffic.
+TEST(ClosedFormGolden, IntraPlansMatchTheDigest) {
+  constexpr std::array<std::array<int, 3>, 3> kPerms = {{{0, 1, 2}, {2, 0, 1}, {1, 2, 0}}};
+  SplitMix rng(20261018);
+  Fnv1a digest;
+  for (int i = 0; i < 40000; ++i) {
+    const Index m = rng.extent(256), k = rng.extent(256), l = rng.extent(256);
+    const TensorOp canonical = TensorOp::matmul("mm", m, k, l);
+    const TensorOp op = i % 4 == 0 ? canonical
+                                   : test_util::permuted_matmul(
+                                         canonical, kPerms[static_cast<std::size_t>(i % 4 - 1)]);
+    const Index dmin = op.min_extent();
+    const Index tmin = op.tensor_size(op.smallest_tensor());
+    BufferSize bs = 3;
+    switch (rng.next() % 4) {
+      case 0:
+        bs = rng.uniform(3, 64);
+        break;
+      case 1:
+        bs = rng.uniform(3, std::max<Index>(3, dmin * dmin));
+        break;
+      case 2:
+        bs = rng.uniform(std::max<Index>(3, dmin * dmin / 4), std::max<Index>(3, 2 * tmin));
+        break;
+      default:
+        bs = rng.uniform(3, std::max<Index>(3, 2 * op.ideal_min_access()));
+    }
+    digest.add(intra_plan_signature(optimize_intra(op, bs)));
+  }
+  EXPECT_EQ(digest.value(), kIntraDigest) << "got 0x" << std::hex << digest.value();
+}
+
+/// Buffers from too small to fuse at all up to the resident-intermediate band.
+TEST(ClosedFormGolden, FusedPlansMatchTheDigest) {
+  SplitMix rng(20261019);
+  Fnv1a digest;
+  for (int i = 0; i < 8000; ++i) {
+    const Index m = rng.extent(160), k = rng.extent(160), l = rng.extent(160),
+                n = rng.extent(160);
+    const FusedPair pair = FusedPair::make(m, k, l, n);
+    BufferSize bs = 3;
+    switch (rng.next() % 4) {
+      case 0:
+        bs = rng.uniform(3, 64);
+        break;
+      case 1:
+        bs = rng.uniform(3, 4096);
+        break;
+      case 2:
+        bs = rng.uniform(3, 64 * 1024);
+        break;
+      default:
+        bs = pair.intermediate_size() + rng.uniform(1, 8192);
+    }
+    digest.add(fused_plan_signature(optimize_fused_pair(pair, bs)));
+  }
+  EXPECT_EQ(digest.value(), kFusedDigest) << "got 0x" << std::hex << digest.value();
+}
+
+}  // namespace
+}  // namespace fusecu

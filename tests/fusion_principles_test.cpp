@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "common/rng.hpp"
 #include "fusion/fusion_principles.hpp"
 #include "search/exhaustive.hpp"
@@ -62,6 +64,8 @@ TEST(FusionPrinciples, UnfusedReferenceMatchesIntraOptima) {
 TEST(FusionPrinciples, NoCandidateWhenBufferAbsurdlySmall) {
   FusedPair p = attention_pair(256, 64);
   EXPECT_FALSE(optimize_fused_pair(p, 4).has_value());
+  EXPECT_FALSE(optimize_fused_pair(p, 0).has_value());
+  EXPECT_FALSE(optimize_fused_pair(p, -100).has_value());
   FusionDecision d = decide_fusion(p, 4);
   EXPECT_FALSE(d.fusable);
   EXPECT_FALSE(d.profitable);
@@ -126,15 +130,34 @@ INSTANTIATE_TEST_SUITE_P(Seeds, FusedOptimalityRandom,
                          ::testing::Values(201ull, 202ull, 203ull, 204ull, 205ull, 206ull,
                                            207ull, 208ull));
 
+/// A buffer for \p p from one of four bands: tiny (3..64), up to 4K, up to
+/// 64K, or the resident-intermediate band just above |C|.
+BufferSize mixed_fused_buffer(Rng& rng, const FusedPair& p) {
+  switch (rng.uniform(0, 3)) {
+    case 0:
+      return rng.uniform(3, 64);
+    case 1:
+      return rng.uniform(3, 4096);
+    case 2:
+      return rng.uniform(3, 64 * 1024);
+    default:
+      return p.intermediate_size() + rng.uniform(1, 8192);
+  }
+}
+
 // --- optimize_fused_pair is exactly the argmin of the public candidate
 // set: smallest total among those that fit, first on ties, with the
-// regime tags of the two ops' intra-operator optima.
+// regime tags of the two ops' intra-operator optima.  The optimizer skips
+// corner sweeps by their floors, so this is also the proof that skipping
+// never changes a plan or a rule string.
 TEST(FusionPrinciples, OptimizeFusedIsTheArgminOfTheCandidates) {
   Rng rng(303);
-  for (int trial = 0; trial < 200; ++trial) {
-    FusedPair p = FusedPair::make(rng.uniform(1, 300), rng.uniform(1, 300), rng.uniform(1, 300),
-                                  rng.uniform(1, 300));
-    const BufferSize bs = rng.uniform(3, 64 * 1024);
+  for (int trial = 0; trial < 6000; ++trial) {
+    const Index cap = trial % 2 ? 300 : 40;
+    const Index m = rng.uniform(1, cap), k = rng.uniform(1, cap), l = rng.uniform(1, cap),
+                n = rng.uniform(1, cap);
+    FusedPair p = FusedPair::make(m, k, l, n);
+    const BufferSize bs = mixed_fused_buffer(rng, p);
     const FusedCandidate* best = nullptr;
     FusedAccess best_access;
     const std::vector<FusedCandidate> candidates = fused_principle_candidates(p, bs);
@@ -149,20 +172,76 @@ TEST(FusionPrinciples, OptimizeFusedIsTheArgminOfTheCandidates) {
     auto r = optimize_fused_pair(p, bs);
     ASSERT_EQ(r.has_value(), best != nullptr) << "bs=" << bs;
     if (!r) continue;
-    EXPECT_EQ(r->access.total, best_access.total);
-    EXPECT_EQ(r->access.buffer_footprint, best_access.buffer_footprint);
-    EXPECT_EQ(r->chosen.rule, best->rule);
+    ASSERT_EQ(r->access.total, best_access.total);
+    ASSERT_EQ(r->access.buffer_footprint, best_access.buffer_footprint);
+    ASSERT_EQ(r->chosen.rule, best->rule);
     ASSERT_EQ(r->chosen.phased.has_value(), best->phased.has_value());
     if (r->chosen.phased) {
-      EXPECT_EQ(r->chosen.phased->to_string(), best->phased->to_string());
+      ASSERT_EQ(r->chosen.phased->to_string(), best->phased->to_string());
     } else {
-      EXPECT_EQ(r->chosen.resident->df1.to_string(p.op1()),
+      ASSERT_EQ(r->chosen.resident->df1.to_string(p.op1()),
                 best->resident->df1.to_string(p.op1()));
-      EXPECT_EQ(r->chosen.resident->df2.to_string(p.op2()),
+      ASSERT_EQ(r->chosen.resident->df2.to_string(p.op2()),
                 best->resident->df2.to_string(p.op2()));
     }
-    EXPECT_EQ(r->regime1, optimize_intra(p.op1(), bs).nra);
-    EXPECT_EQ(r->regime2, optimize_intra(p.op2(), bs).nra);
+    ASSERT_EQ(r->regime1, optimize_intra(p.op1(), bs).nra);
+    ASSERT_EQ(r->regime2, optimize_intra(p.op2(), bs).nra);
+  }
+}
+
+// --- The corner floors optimize_fused_pair() prunes by are admissible:
+// every phased candidate prices at or above its (T_K, T_N) corner's floor,
+// after the optimizer's 1e-9 shading.  Tiny buffers, unit extents and the
+// deep-tiny attention corner (EXPERIMENTS.md deviation 1) included.
+TEST(FusedFloors, EveryPhasedCandidatePricesAtOrAboveItsCornerFloor) {
+  Rng rng(404);
+  int checked = 0;
+  auto check = [&](const FusedPair& p, BufferSize bs) {
+    for (const FusedCandidate& c : fused_principle_candidates(p, bs)) {
+      if (!c.phased) continue;
+      const double floor = detail::phased_corner_floor(p, bs, c.phased->t_k, c.phased->t_n);
+      const AccessCount total = evaluate_phased(p, *c.phased).total;
+      ASSERT_FALSE(floor_exceeds(floor, total))
+          << "pair (" << p.m() << "," << p.k() << "," << p.l() << "," << p.n() << ") bs=" << bs
+          << " " << c.phased->to_string() << " prices " << total << " below its floor " << floor;
+      ++checked;
+    }
+  };
+  for (int trial = 0; trial < 4000; ++trial) {
+    const Index cap = trial % 2 ? 200 : 24;
+    const Index m = rng.uniform(1, cap), k = rng.uniform(1, cap), l = rng.uniform(1, cap),
+                n = rng.uniform(1, cap);
+    const FusedPair p = FusedPair::make(m, k, l, n);
+    check(p, mixed_fused_buffer(rng, p));
+  }
+  // Deep tiny: attention-shaped pairs at buffers well below D_min^2 / 4.
+  for (Index seq : {64, 256, 512}) {
+    for (Index head : {16, 64}) {
+      for (BufferSize bs : {BufferSize{12}, head * head / 16, head * head / 4}) {
+        check(attention_pair(seq, head), std::max<BufferSize>(3, bs));
+      }
+    }
+  }
+  EXPECT_GT(checked, 200000);
+}
+
+TEST(FusedFloors, CornerFloorRejectsANonCorner) {
+  const FusedPair p = FusedPair::make(8, 8, 8, 8);
+  EXPECT_THROW(detail::phased_corner_floor(p, 256, 2, 1), std::invalid_argument);
+}
+
+// --- decide_fusion takes Principle 4's predicate from the two intra plans
+// it already computes; it must agree with same_nra_regime().
+TEST(FusionPrinciples, DecisionPredicateMatchesSameRegime) {
+  Rng rng(505);
+  for (int trial = 0; trial < 500; ++trial) {
+    const Index m = rng.uniform(1, 200), k = rng.uniform(1, 200), l = rng.uniform(1, 200),
+                n = rng.uniform(1, 200);
+    const FusedPair p = FusedPair::make(m, k, l, n);
+    const BufferSize bs = mixed_fused_buffer(rng, p);
+    const FusionDecision d = decide_fusion(p, bs);
+    ASSERT_EQ(d.principle4_predicts, same_nra_regime(p, bs)) << "bs=" << bs;
+    ASSERT_EQ(d.unfused_ma, unfused_pair_access(p, bs)) << "bs=" << bs;
   }
 }
 

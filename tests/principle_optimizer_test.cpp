@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+
 #include "common/rng.hpp"
 #include "common/units.hpp"
+#include "obs/metrics.hpp"
 #include "principles/principle_optimizer.hpp"
 #include "search/exhaustive.hpp"
 #include "test_util.hpp"
@@ -115,6 +119,8 @@ TEST(PrincipleOptimizer, LargeBufferReachesIdealLowerBound) {
 TEST(PrincipleOptimizer, ThrowsWhenBufferCannotHoldWorkingSet) {
   TensorOp op = TensorOp::matmul("mm", 64, 64, 64);
   EXPECT_THROW(optimize_intra(op, 2), std::invalid_argument);
+  EXPECT_THROW(optimize_intra(op, 0), std::invalid_argument);
+  EXPECT_THROW(optimize_intra(op, -100), std::invalid_argument);
   EXPECT_NO_THROW(optimize_intra(op, 3));
 }
 
@@ -245,13 +251,30 @@ TEST(PrincipleOptimality, SmallShapesInEveryBufferBand) {
   }
 }
 
+/// A buffer for \p op drawn from the tiny 3..64 range half the time, else
+/// from the harness's regime-biased distribution.
+BufferSize mixed_buffer(Rng& rng, const TensorOp& op) {
+  return rng.chance(0.5) ? rng.uniform(3, 64) : std::max<BufferSize>(3, gen_buffer_size(rng, op));
+}
+
+/// Canonical layout for a third of the draws, else one of three permuted
+/// layouts with A stored transposed.
+TensorOp mixed_layout(Rng& rng, const TensorOp& op) {
+  constexpr std::array<std::array<int, 3>, 3> kPerms = {{{0, 1, 2}, {2, 0, 1}, {1, 2, 0}}};
+  const Index layout = rng.uniform(0, 3);
+  return layout == 3 ? op
+                     : test_util::permuted_matmul(op, kPerms[static_cast<std::size_t>(layout)]);
+}
+
 // --- optimize_intra is exactly the argmin of the public candidate set:
-// total, then footprint, then first in principle_candidates() order.
+// total, then footprint, then first in principle_candidates() order.  The
+// optimizer skips Principle 1 families by their floors, so this is also the
+// proof that skipping never changes a plan or a rule string.
 TEST(PrincipleCandidates, OptimizeIntraIsTheArgminOfTheCandidates) {
   Rng rng(77);
-  for (int trial = 0; trial < 300; ++trial) {
-    TensorOp op = test_util::random_matmul(rng, 200);
-    const BufferSize bs = gen_buffer_size(rng, op);
+  for (int trial = 0; trial < 20000; ++trial) {
+    const TensorOp op = mixed_layout(rng, test_util::random_matmul(rng, trial % 2 ? 200 : 40));
+    const BufferSize bs = mixed_buffer(rng, op);
     const PrincipleCandidate* best = nullptr;
     AccessBreakdown best_access;
     const std::vector<PrincipleCandidate> candidates = principle_candidates(op, bs);
@@ -265,14 +288,71 @@ TEST(PrincipleCandidates, OptimizeIntraIsTheArgminOfTheCandidates) {
     }
     ASSERT_NE(best, nullptr);
     IntraOptResult r = optimize_intra(op, bs);
-    EXPECT_EQ(r.dataflow.loop_order, best->dataflow.loop_order) << op.to_string() << " bs=" << bs;
-    EXPECT_EQ(r.dataflow.tile, best->dataflow.tile) << op.to_string() << " bs=" << bs;
-    EXPECT_EQ(r.access.per_tensor, best_access.per_tensor);
-    EXPECT_EQ(r.access.buffer_footprint, best_access.buffer_footprint);
-    EXPECT_EQ(r.rule, best->rule);
-    EXPECT_EQ(r.nra, static_cast<NraKind>(best_access.non_redundant_tensors(op)));
-    EXPECT_EQ(r.nra, optimal_regime(op, bs));
+    ASSERT_EQ(r.dataflow.loop_order, best->dataflow.loop_order) << op.to_string() << " bs=" << bs;
+    ASSERT_EQ(r.dataflow.tile, best->dataflow.tile) << op.to_string() << " bs=" << bs;
+    ASSERT_EQ(r.access.per_tensor, best_access.per_tensor);
+    ASSERT_EQ(r.access.buffer_footprint, best_access.buffer_footprint);
+    ASSERT_EQ(r.rule, best->rule);
+    ASSERT_EQ(r.nra, static_cast<NraKind>(best_access.non_redundant_tensors(op)));
+    ASSERT_EQ(r.nra, optimal_regime(op, bs));
   }
+}
+
+// --- The Principle 1 floors optimize_intra() prunes by are admissible:
+// every construction of a family prices at or above the family's floor,
+// after the same 1e-9 shading the optimizer applies.  Tiny buffers, unit
+// extents (where the floor falls back to the ideal) and permuted layouts
+// included.
+TEST(PrincipleFloors, EveryPrinciple1CandidatePricesAtOrAboveItsFamilyFloor) {
+  Rng rng(2026);
+  int checked = 0;
+  for (int trial = 0; trial < 20000; ++trial) {
+    const TensorOp op = mixed_layout(rng, test_util::random_matmul(rng, trial % 2 ? 300 : 24));
+    const BufferSize bs = mixed_buffer(rng, op);
+    for (int t = 0; t < 3; ++t) {
+      const double floor = detail::single_nra_floor(op, bs, t);
+      for (const PrincipleCandidate& c : make_single_nra(op, bs, t)) {
+        const AccessCount total = evaluate_access(op, c.dataflow).total;
+        ASSERT_FALSE(floor_exceeds(floor, total))
+            << op.to_string() << " bs=" << bs << " " << c.rule << " "
+            << c.dataflow.to_string(op) << " prices " << total << " below its floor " << floor;
+        ++checked;
+      }
+    }
+  }
+  EXPECT_GT(checked, 200000);
+}
+
+TEST(PrincipleFloors, UnitThirdExtentFallsBackToTheIdeal) {
+  // With K = 1 the stationary C's re-read partners A and B are each read
+  // once whatever the tiles, so the AM-GM term would not be admissible.
+  const TensorOp op = TensorOp::matmul("mm", 64, 1, 64);
+  EXPECT_EQ(detail::single_nra_floor(op, 16, mm::kTensorC),
+            static_cast<double>(op.ideal_min_access()));
+  for (const PrincipleCandidate& c : make_single_nra(op, 16, mm::kTensorC)) {
+    EXPECT_GE(evaluate_access(op, c.dataflow).total, op.ideal_min_access());
+  }
+}
+
+TEST(PrincipleFloors, FamiliesThatCannotWinAreNotPriced) {
+  // B (256 x 256) plus a row and column of A and C fits, so the ideal is
+  // reachable.  Stationary A or C re-reads a 2048-row tensor, which puts
+  // their floors strictly above the ideal: only B's family is priced.
+  const TensorOp op = TensorOp::matmul("mm", 2048, 256, 256);
+  const BufferSize bs = 256 * 256 + 512;
+  const double ideal = static_cast<double>(op.ideal_min_access());
+  EXPECT_TRUE(floor_exceeds(detail::single_nra_floor(op, bs, mm::kTensorA), op.ideal_min_access()));
+  EXPECT_TRUE(floor_exceeds(detail::single_nra_floor(op, bs, mm::kTensorC), op.ideal_min_access()));
+  EXPECT_EQ(detail::single_nra_floor(op, bs, mm::kTensorB), ideal);
+
+  Counter& priced = MetricsRegistry::global().counter("principles/optimize_intra/candidates");
+  const std::int64_t before = priced.value();
+  EXPECT_EQ(optimize_intra(op, bs).access.total, op.ideal_min_access());
+  const auto skipped = static_cast<std::int64_t>(make_single_nra(op, bs, mm::kTensorA).size() +
+                                                 make_single_nra(op, bs, mm::kTensorC).size());
+  EXPECT_GT(skipped, 0);
+  EXPECT_EQ(priced.value() - before,
+            static_cast<std::int64_t>(principle_candidates(op, bs).size()) - skipped);
 }
 
 // --- Buffer classification predicts the winning regime (Sec. III-A4),

@@ -148,23 +148,6 @@ std::optional<FusedSearchResult> reference_fused(const FusedPair& pair, BufferSi
   return best;
 }
 
-/// The matmul \p op with its dimensions declared in the order \p perm
-/// (perm[i] = which of M, K, L sits at position i) and A stored transposed:
-/// the same nest under a permuted layout.
-TensorOp permuted_matmul(const TensorOp& op, const std::array<int, 3>& perm) {
-  std::array<int, 3> pos{};  // canonical dim -> declared position
-  std::vector<Dim> dims;
-  for (int i = 0; i < 3; ++i) {
-    pos[static_cast<std::size_t>(perm[static_cast<std::size_t>(i)])] = i;
-    dims.push_back(op.dim(perm[static_cast<std::size_t>(i)]));
-  }
-  const int m = pos[mm::kDimM], k = pos[mm::kDimK], l = pos[mm::kDimL];
-  return TensorOp(op.name() + "_perm", dims,
-                  {{"A", {k, m}, TensorRole::kInput},
-                   {"B", {k, l}, TensorRole::kInput},
-                   {"C", {m, l}, TensorRole::kOutput}});
-}
-
 /// The workload's own buffer plus the four regime shift points: D_min^2/4,
 /// D_min^2/2, |Tensor_min| (Sec. III-A4) and the untiled Three-NRA set.
 std::vector<BufferSize> shift_point_buffers(const TensorOp& op, BufferSize own) {
@@ -184,7 +167,7 @@ TEST(SearchPrune, IntraMatchesNaiveReferenceInBothModes) {
   for (int i = 0; i < 400; ++i) {
     const Workload w = gen_workload_of(WorkloadKind::kIntra, rng, limits);
     const auto& perm = kPerms[static_cast<std::size_t>(i) % kPerms.size()];
-    const TensorOp op = permuted_matmul(w.intra_op(), perm);
+    const TensorOp op = test_util::permuted_matmul(w.intra_op(), perm);
     for (BufferSize bs : shift_point_buffers(op, w.bs)) {
       const std::string want = intra_sig(reference_intra(op, bs));
       ASSERT_EQ(intra_sig(exhaustive_intra(op, bs, ExhaustiveMode::kFull)), want)

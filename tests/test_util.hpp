@@ -1,6 +1,8 @@
 #pragma once
 
+#include <array>
 #include <cstdint>
+#include <vector>
 
 #include "check/gen.hpp"
 #include "fusion/fused_pair.hpp"
@@ -31,6 +33,23 @@ inline FusedPair random_pair(Rng& rng, Index max_extent = 96) {
   GenLimits limits;
   limits.max_extent = max_extent;
   return gen_fused_pair(rng, limits);
+}
+
+/// The matmul \p op with its dimensions declared in the order \p perm
+/// (perm[i] = which of M, K, L sits at position i) and A stored transposed:
+/// the same nest under a permuted layout.
+inline TensorOp permuted_matmul(const TensorOp& op, const std::array<int, 3>& perm) {
+  std::array<int, 3> pos{};  // canonical dim -> declared position
+  std::vector<Dim> dims;
+  for (int i = 0; i < 3; ++i) {
+    pos[static_cast<std::size_t>(perm[static_cast<std::size_t>(i)])] = i;
+    dims.push_back(op.dim(perm[static_cast<std::size_t>(i)]));
+  }
+  const int m = pos[mm::kDimM], k = pos[mm::kDimK], l = pos[mm::kDimL];
+  return TensorOp(op.name() + "_perm", dims,
+                  {{"A", {k, m}, TensorRole::kInput},
+                   {"B", {k, l}, TensorRole::kInput},
+                   {"C", {m, l}, TensorRole::kOutput}});
 }
 
 /// Random valid phased schedule for \p pair; the M/L tiles are additionally
