@@ -140,6 +140,11 @@ struct ConnState {
 /// At most this many re-sends per shed request; past it the shed is final.
 constexpr int kMaxShedRetries = 5;
 
+/// "c<conn>-<seq>", the id of request \p seq on connection \p conn.
+std::string request_id(int conn, std::int64_t seq) {
+  return std::string("c").append(std::to_string(conn)).append("-").append(std::to_string(seq));
+}
+
 std::string make_request(int conn, std::int64_t seq, int distinct) {
   // A small shape family keyed off the request index: repeats within
   // `distinct` variants exercise the plan cache, the sizes stay cheap
@@ -153,7 +158,7 @@ std::string make_request(int conn, std::int64_t seq, int distinct) {
   const int m = kSizes[v % 6] + static_cast<int>((v / 216) % 4096) * 4;
   const int k = kSizes[(v / 6) % 6];
   const int l = kSizes[(v / 36) % 6];
-  std::string line = "{\"id\":\"c" + std::to_string(conn) + "-" + std::to_string(seq) +
+  std::string line = "{\"id\":\"" + request_id(conn, seq) +
                      "\",\"op\":\"matmul\",\"m\":" + std::to_string(m) +
                      ",\"k\":" + std::to_string(k) + ",\"l\":" + std::to_string(l) +
                      ",\"buffer\":\"512KB\"}\n";
@@ -223,8 +228,7 @@ void schedule_due(ConnState& conn, std::int64_t now_us, Clock::time_point start,
             : 0;
     if (now_us < due_us) break;
     conn.outbuf += make_request(conn.index, conn.originals_sent, distinct);
-    conn.in_flight.push_back({"c" + std::to_string(conn.index) + "-" +
-                                  std::to_string(conn.originals_sent),
+    conn.in_flight.push_back({request_id(conn.index, conn.originals_sent),
                               conn.interval_us > 0.0 ? due_us : us_since(start)});
     ++conn.originals_sent;
     ++conn.result.sent;
@@ -245,7 +249,7 @@ void schedule_retries(ConnState& conn, std::int64_t now_us, Clock::time_point st
     conn.retries.erase(conn.retries.begin() + static_cast<std::ptrdiff_t>(i));
     conn.outbuf += make_request(conn.index, retry.seq, distinct);
     conn.in_flight.push_back(
-        {"c" + std::to_string(conn.index) + "-" + std::to_string(retry.seq), us_since(start)});
+        {request_id(conn.index, retry.seq), us_since(start)});
     ++conn.result.sent;
     ++conn.result.shed_retried;
   }

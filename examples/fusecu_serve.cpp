@@ -2,7 +2,7 @@
 /// JSONL planning server front-end for the concurrent plan service.
 ///
 ///   fusecu_serve [--input FILE] [--threads N] [--cache-mb MB] [--shards N]
-///                [--listen HOST:PORT] [--reactors N] [--accept MODE]
+///                [--listen HOST:PORT] [--reactors N]
 ///                [--max-conns N] [--queue-depth N] [--idle-timeout-ms MS]
 ///                [--watchdog-ms MS] [--max-line-bytes BYTES] [--port-file FILE]
 ///                [--fault-plan FILE]
@@ -28,8 +28,8 @@
 ///
 /// With --listen HOST:PORT the same JSONL protocol is served over TCP by
 /// --reactors N sharded event loops (src/net/server.hpp; default = hardware
-/// threads, at least 1; reactor 0 runs on the main thread) with SO_REUSEPORT
-/// kernel accept distribution when available (--accept auto|reuseport|handoff):
+/// threads, at least 1; reactor 0 runs on the main thread; it owns the
+/// listener and hands accepted connections round-robin to every reactor):
 /// pipelined requests per connection answered in order, each request
 /// answered in the loop turn that read it — a plan-cache hit from the
 /// cache, a miss planned by the reactor itself — a per-reactor planning
@@ -91,7 +91,7 @@ namespace {
 
 const char* const kUsage =
     "usage: fusecu_serve [--input FILE] [--threads N] [--cache-mb MB] [--shards N]\n"
-    "                    [--listen HOST:PORT] [--reactors N] [--accept auto|reuseport|handoff]\n"
+    "                    [--listen HOST:PORT] [--reactors N]\n"
     "                    [--max-conns N] [--queue-depth N] [--idle-timeout-ms MS]\n"
     "                    [--watchdog-ms MS] [--max-line-bytes BYTES] [--port-file FILE]\n"
     "                    [--fault-plan FILE]\n"
@@ -132,7 +132,7 @@ int main(int argc, char** argv) {
   try {
     ArgParser args({"--stats"},
                    {"--input", "--threads", "--cache-mb", "--shards", "--stats-interval",
-                    "--stats-out", "--listen", "--reactors", "--accept", "--max-conns",
+                    "--stats-out", "--listen", "--reactors", "--max-conns",
                     "--queue-depth", "--idle-timeout-ms", "--watchdog-ms",
                     "--max-line-bytes", "--port-file", "--fault-plan"});
     args.parse_or_exit(argc, argv, kUsage);
@@ -220,24 +220,10 @@ int main(int argc, char** argv) {
       net.watchdog_ms = watchdog_ms;
       net.max_line_bytes = options.max_line_bytes;
       net.reactors = static_cast<int>(reactors);
-      if (auto accept_mode = args.option("--accept")) {
-        if (*accept_mode == "auto") {
-          net.accept_mode = NetServerOptions::AcceptMode::kAuto;
-        } else if (*accept_mode == "reuseport") {
-          net.accept_mode = NetServerOptions::AcceptMode::kReusePort;
-        } else if (*accept_mode == "handoff") {
-          net.accept_mode = NetServerOptions::AcceptMode::kHandoff;
-        } else {
-          std::cerr << "error: --accept expects auto|reuseport|handoff, got \"" << *accept_mode
-                    << "\"\n";
-          return 1;
-        }
-      }
       NetServer server(service, net);
       std::cerr << "listening on " << server.bound().host << ":" << server.port() << " ("
                 << server.reactor_count() << " reactor"
-                << (server.reactor_count() == 1 ? "" : "s") << ", "
-                << server.accept_mode_used() << " accept)\n";
+                << (server.reactor_count() == 1 ? "" : "s") << ")\n";
       if (auto port_path = args.option("--port-file")) {
         std::ofstream port_file(*port_path);
         if (!port_file) {

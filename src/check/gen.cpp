@@ -19,6 +19,12 @@ Index largest_pow2_at_most(Index v) {
   return p;
 }
 
+/// \p prefix followed by the decimal \p i ("mm0", "X1").  Appends: GCC 12
+/// misreports `"literal" + std::to_string(i)` under -Wrestrict.
+std::string numbered(const char* prefix, int i) {
+  return std::string(prefix).append(std::to_string(i));
+}
+
 }  // namespace
 
 Index gen_extent(Rng& rng, Index max_extent) {
@@ -109,10 +115,10 @@ OperatorGraph ChainSpec::direct() const {
   OperatorGraph graph;
   std::string prev = "X0";
   for (int i = 0; i < num_ops(); ++i) {
-    const std::string out = "X" + std::to_string(i + 1);
-    graph.add_op(TensorOp::matmul("mm" + std::to_string(i), m, dims[static_cast<std::size_t>(i)],
+    const std::string out = numbered("X", i + 1);
+    graph.add_op(TensorOp::matmul(numbered("mm", i), m, dims[static_cast<std::size_t>(i)],
                                   dims[static_cast<std::size_t>(i) + 1], prev,
-                                  "W" + std::to_string(i), out));
+                                  numbered("W", i), out));
     prev = out;
   }
   return graph;
@@ -123,15 +129,15 @@ OperatorGraph ChainSpec::with_elementwise() const {
   OperatorGraph graph;
   std::string prev = "X0";
   for (int i = 0; i < num_ops(); ++i) {
-    const std::string out = "X" + std::to_string(i + 1);
-    graph.add_op(TensorOp::matmul("mm" + std::to_string(i), m, dims[static_cast<std::size_t>(i)],
+    const std::string out = numbered("X", i + 1);
+    graph.add_op(TensorOp::matmul(numbered("mm", i), m, dims[static_cast<std::size_t>(i)],
                                   dims[static_cast<std::size_t>(i) + 1], prev,
-                                  "W" + std::to_string(i), out));
+                                  numbered("W", i), out));
     prev = out;
     if (i + 1 < num_ops() && i < static_cast<int>(act_after.size()) &&
         act_after[static_cast<std::size_t>(i)]) {
       const std::string acted = out + "_act";
-      graph.add_op(TensorOp::elementwise("act" + std::to_string(i), m,
+      graph.add_op(TensorOp::elementwise(numbered("act", i), m,
                                          dims[static_cast<std::size_t>(i) + 1], out, acted));
       prev = acted;
     }

@@ -26,32 +26,6 @@ const char* const kKindNames[kNumKinds] = {
 enum class Site { kRead, kWrite, kAccept, kPoll, kClock, kPool, kLoop };
 inline constexpr int kNumSites = 7;
 
-Site site_of(Kind kind) {
-  switch (kind) {
-    case Kind::kShortRead:
-    case Kind::kReadEintr:
-    case Kind::kReadReset:
-      return Site::kRead;
-    case Kind::kShortWrite:
-    case Kind::kWriteEintr:
-    case Kind::kWriteReset:
-      return Site::kWrite;
-    case Kind::kAcceptDefer:
-    case Kind::kAcceptEmfile:
-      return Site::kAccept;
-    case Kind::kSpuriousWake:
-      return Site::kPoll;
-    case Kind::kClockSkew:
-      return Site::kClock;
-    case Kind::kPoolStall:
-    case Kind::kWorkerHang:
-      return Site::kPool;
-    case Kind::kReactorStall:
-      return Site::kLoop;
-  }
-  return Site::kRead;
-}
-
 bool is_byte_triggered(Kind kind) {
   return kind == Kind::kReadReset || kind == Kind::kWriteReset;
 }

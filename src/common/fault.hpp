@@ -11,12 +11,14 @@
 ///
 /// A FaultPlan is a small schedule of one-shot fault events, each bound to a
 /// *site class* (socket reads, socket writes, accept, the poller, the event
-/// loop's clock, the planning pool) and a *trigger*: either the Nth
-/// invocation of that site since arm(), or — for the connection-killing
-/// errors — a cumulative byte offset through that site.  The sites
-/// themselves are thin shims (net/socket.hpp sys_recv/sys_send/sys_accept,
-/// Poller::wait, NetServer::now_ms, PlanService's pool tasks) that consult
-/// this injector before touching the kernel.
+/// loop's clock, planning) and a *trigger*: either the Nth invocation of
+/// that site since arm(), or — for the connection-killing errors — a
+/// cumulative byte offset through that site.  The sites themselves are thin
+/// shims (net/socket.hpp sys_recv/sys_send/sys_accept, Poller::wait,
+/// Reactor::now_ms, the top of each plan in PlanService) that consult this
+/// injector before touching the kernel.  The planning site runs on the
+/// reactor for a TCP request (finish_line), and on a pool worker only for
+/// serve_stream and plan_batch.
 ///
 /// Determinism and replay.  A plan is a pure function of its seed
 /// (`FaultPlan::generate`), serializes to JSON, and round-trips through
@@ -34,8 +36,8 @@
 ///
 /// Threading.  arm()/disarm() must not race with an armed server: arm
 /// before starting the event loop (or while it is quiescent), disarm after
-/// it stopped.  The site hooks themselves are thread-safe (reactor threads
-/// + pool workers).
+/// it stopped.  The site hooks themselves are thread-safe (reactor threads,
+/// and pool workers under serve_stream and plan_batch).
 
 namespace fusecu {
 class JsonValue;

@@ -21,6 +21,8 @@ namespace {
 /// firehose client cannot starve the rest.
 constexpr std::size_t kReadChunk = 64 * 1024;
 constexpr std::size_t kReadBudget = 256 * 1024;
+/// Floor on the gap between two idle sweeps.
+constexpr std::int64_t kMinIdleCheckMs = 10;
 
 bool make_pipe(int fds[2]) {
   if (::pipe(fds) != 0) return false;
@@ -107,7 +109,6 @@ Reactor::Reactor(PlanService& service, const ReactorConfig& config)
 Reactor::~Reactor() {
   for (auto& [fd, conn] : conns_) close_fd(fd);
   conns_.clear();
-  conns_by_id_.clear();
   if (listener_fd_ >= 0) close_fd(listener_fd_);
   close_fd(wakeup_r_);
   close_fd(drain_r_);
@@ -119,8 +120,8 @@ void Reactor::set_peers(std::vector<Reactor*> peers) { peers_ = std::move(peers)
 
 std::int64_t Reactor::now_ms() const {
   // Injected clock skew shifts the loop's view of time forward (never
-  // backward), driving the timer wheel through multi-revolution jumps; a
-  // disarmed injector contributes one relaxed load and zero skew.
+  // backward), so idle deadlines come due early; a disarmed injector
+  // contributes one relaxed load and zero skew.
   const std::int64_t skew = fault::armed() ? fault::clock_skew_ms() : 0;
   return std::chrono::duration_cast<std::chrono::milliseconds>(
              std::chrono::steady_clock::now() - config_.epoch)
@@ -140,13 +141,12 @@ void Reactor::run() {
       if (stall_us > 0) std::this_thread::sleep_for(std::chrono::microseconds(stall_us));
     }
     const std::int64_t now = now_ms();
-    const std::int64_t timeout = wheel_.advance(now);
+    if (now >= next_idle_check_ms_) close_idle(now);
     // Under a watchdog the idle cap shrinks so the loop heartbeat always
     // beats well inside the missed-beat budget.
     const std::int64_t idle_cap =
         config_.watchdog_ms > 0 ? std::max<std::int64_t>(1, config_.watchdog_ms / 2) : 1000;
-    poller_.wait(events_, static_cast<int>(std::min<std::int64_t>(
-                              timeout < 0 ? idle_cap : timeout, idle_cap)));
+    poller_.wait(events_, static_cast<int>(std::min(idle_cap, next_idle_check_ms_ - now)));
     epoll_waits_.add();
     for (const PollEvent& ev : events_) {
       if (ev.fd == wakeup_r_) {
@@ -192,20 +192,8 @@ Reactor::Conn* Reactor::conn_by_fd(int fd) {
   return it == conns_.end() ? nullptr : it->second.get();
 }
 
-Reactor::Conn* Reactor::find_conn(std::uint64_t conn_id) {
-  auto it = conns_by_id_.find(conn_id);
-  return it == conns_by_id_.end() ? nullptr : it->second;
-}
-
 bool Reactor::accept_has_room() const {
-  if (config_.total_conns->load(std::memory_order_relaxed) >= config_.max_conns_total) {
-    return false;
-  }
-  if (config_.acceptor) return true;  // handoff: only the global cap applies
-  // REUSEPORT: each reactor also enforces its share of --max-conns (the
-  // kernel keeps hashing new connections to a paused listener's backlog;
-  // they wait there until this reactor has room again).
-  return static_cast<int>(conns_.size()) < config_.conn_limit;
+  return config_.total_conns->load(std::memory_order_relaxed) < config_.max_conns_total;
 }
 
 void Reactor::on_accept() {
@@ -221,18 +209,14 @@ void Reactor::on_accept() {
       }
       break;
     }
-    if (config_.acceptor && peers_.size() > 1) {
-      // Handoff mode: round-robin accepted fds across all reactors
-      // (including this one) through their inboxes.
-      Reactor* target = peers_[rr_next_];
-      rr_next_ = (rr_next_ + 1) % peers_.size();
-      if (target == this) {
-        adopt_conn(fd);
-      } else if (!target->inbox_.post(fd)) {
-        close_fd(fd);  // peer already shut down
-      }
-    } else {
+    // Round-robin accepted fds across all reactors (including this one)
+    // through their inboxes.
+    Reactor* target = peers_[rr_next_];
+    rr_next_ = (rr_next_ + 1) % peers_.size();
+    if (target == this) {
       adopt_conn(fd);
+    } else if (!target->inbox_.post(fd)) {
+      close_fd(fd);  // peer already shut down
     }
   }
   update_listener_interest();
@@ -246,17 +230,14 @@ void Reactor::adopt_conn(int fd) {
   set_tcp_nodelay(fd);
   auto conn = std::make_unique<Conn>(config_.max_line_bytes);
   conn->fd = fd;
-  conn->id = next_conn_id_++;
   conn->peer = peer_name(fd);
   conn->last_activity_ms = now_ms();
   if (config_.idle_timeout_ms > 0) {
-    const std::uint64_t conn_id = conn->id;
-    conn->idle_timer = wheel_.schedule(conn->last_activity_ms, config_.idle_timeout_ms,
-                                       [this, conn_id] { on_idle(conn_id); });
+    next_idle_check_ms_ =
+        std::min(next_idle_check_ms_, conn->last_activity_ms + config_.idle_timeout_ms);
   }
   poller_.add(fd, /*want_read=*/!draining_, /*want_write=*/false);
   Conn* raw = conn.get();
-  conns_by_id_[conn->id] = raw;
   conns_.emplace(fd, std::move(conn));
   config_.total_conns->fetch_add(1, std::memory_order_relaxed);
   stats_.accepted.fetch_add(1, std::memory_order_relaxed);
@@ -369,13 +350,15 @@ void Reactor::mark_done(Conn& conn, Pending& slot) {
   conn.queued_bytes += slot.json.size();
   if (conn.dirty) return;
   conn.dirty = true;
-  dirty_.push_back(conn.id);
+  dirty_.push_back(conn.fd);
 }
 
 void Reactor::flush_dirty() {
-  for (std::uint64_t id : dirty_) {
-    Conn* conn = find_conn(id);
-    if (conn == nullptr) continue;  // closed after it was marked
+  for (int fd : dirty_) {
+    // A connection closed after it was marked is gone, or its fd already
+    // belongs to a connection adopted since, which is not dirty.
+    Conn* conn = conn_by_fd(fd);
+    if (conn == nullptr || !conn->dirty) continue;
     conn->dirty = false;
     if (has_writable(*conn) && !try_write(*conn)) continue;  // died mid-write
     update_interest(*conn);
@@ -488,12 +471,10 @@ void Reactor::maybe_close(Conn& conn) {
 void Reactor::close_conn(Conn& conn, const char* reason) {
   poller_.remove(conn.fd);
   close_fd(conn.fd);
-  if (conn.idle_timer != 0) wheel_.cancel(conn.idle_timer);
   log_debug("net", "connection closed", {{"peer", conn.peer}, {"reason", reason}});
   stats_.closed.fetch_add(1, std::memory_order_relaxed);
   closed_counter_.add();
   config_.total_conns->fetch_sub(1, std::memory_order_relaxed);
-  conns_by_id_.erase(conn.id);
   conns_.erase(conn.fd);  // destroys conn; no member access past this line
   update_listener_interest();
 }
@@ -507,19 +488,21 @@ void Reactor::process_inbox() {
   for (int fd : handoff_scratch_) adopt_conn(fd);
 }
 
-void Reactor::on_idle(std::uint64_t conn_id) {
-  Conn* conn = find_conn(conn_id);
-  if (conn == nullptr) return;
-  conn->idle_timer = 0;
-  const std::int64_t idle_for = now_ms() - conn->last_activity_ms;
-  if (idle_for >= config_.idle_timeout_ms && conn->pending.empty()) {
-    stats_.idle_closed.fetch_add(1, std::memory_order_relaxed);
-    idle_closed_counter_.add();
-    close_conn(*conn, "idle timeout");
-    return;
+void Reactor::close_idle(std::int64_t now) {
+  std::int64_t next = std::numeric_limits<std::int64_t>::max();
+  for (auto it = conns_.begin(); it != conns_.end();) {
+    Conn& conn = *it->second;
+    ++it;  // close_conn erases conn's entry only
+    const std::int64_t deadline = conn.last_activity_ms + config_.idle_timeout_ms;
+    if (deadline <= now && conn.pending.empty()) {
+      stats_.idle_closed.fetch_add(1, std::memory_order_relaxed);
+      idle_closed_counter_.add();
+      close_conn(conn, "idle timeout");
+    } else {
+      next = std::min(next, deadline);
+    }
   }
-  const std::int64_t remaining = std::max<std::int64_t>(config_.idle_timeout_ms - idle_for, 1);
-  conn->idle_timer = wheel_.schedule(now_ms(), remaining, [this, conn_id] { on_idle(conn_id); });
+  next_idle_check_ms_ = conns_.empty() ? next : std::max(next, now + kMinIdleCheckMs);
 }
 
 void Reactor::begin_drain() {
@@ -533,15 +516,11 @@ void Reactor::begin_drain() {
     listener_fd_ = -1;
   }
   // Stop reading everywhere; close whatever has nothing left to say.
-  // Iterate over a snapshot: maybe_close erases from conns_.
-  std::vector<std::uint64_t> ids;
-  ids.reserve(conns_.size());
-  for (auto& [fd, conn] : conns_) ids.push_back(conn->id);
-  for (std::uint64_t id : ids) {
-    if (Conn* conn = find_conn(id)) {
-      update_interest(*conn);
-      maybe_close(*conn);
-    }
+  for (auto it = conns_.begin(); it != conns_.end();) {
+    Conn& conn = *it->second;
+    ++it;  // maybe_close erases conn's entry only
+    update_interest(conn);
+    maybe_close(conn);
   }
 }
 
@@ -549,12 +528,7 @@ void Reactor::hard_stop() {
   log_warn("net", "hard stop: closing connections with unwritten responses",
            {{"reactor", std::to_string(config_.index)},
             {"conns", std::to_string(conns_.size())}});
-  std::vector<std::uint64_t> ids;
-  ids.reserve(conns_.size());
-  for (auto& [fd, conn] : conns_) ids.push_back(conn->id);
-  for (std::uint64_t id : ids) {
-    if (Conn* conn = find_conn(id)) close_conn(*conn, "hard stop");
-  }
+  while (!conns_.empty()) close_conn(*conns_.begin()->second, "hard stop");
   done_ = true;
 }
 

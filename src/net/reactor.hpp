@@ -3,6 +3,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -12,14 +13,13 @@
 #include "common/ring_buffer.hpp"
 #include "net/poller.hpp"
 #include "net/socket.hpp"
-#include "net/timer_wheel.hpp"
 #include "obs/metrics.hpp"
 #include "serve/line_decoder.hpp"
 #include "serve/plan_service.hpp"
 
 /// \file reactor.hpp
 /// One shard of the TCP serving layer: a single-threaded event loop that
-/// owns its poller, timer wheel and connection table.  NetServer
+/// owns its poller and connection table.  NetServer
 /// (net/server.hpp) instantiates N of these — one per `--reactors` — and
 /// they never share mutable state except
 ///
@@ -27,18 +27,23 @@
 ///   * the plan service and its cache (single flight still orders reactors
 ///     that race on one shape),
 ///   * the server-wide live-connection count (an atomic, used by the
-///     accept paths to enforce --max-conns),
+///     acceptor to enforce --max-conns),
 ///   * the server-wide drain-request counter (an atomic bumped by
 ///     request_drain; each reactor also owns a drain pipe so the signal
 ///     handler can wake every loop),
-///   * in handoff accept mode, the fd-passing inbox of each peer reactor
-///     (mutex + wakeup pipe).
+///   * the fd-passing inbox of each reactor (mutex + wakeup pipe).
 ///
-/// Accept distribution: in REUSEPORT mode every reactor owns a listening
-/// socket bound to the same address and the kernel spreads incoming
-/// connections across them.  In handoff mode (the fallback, and the
-/// deterministic mode tests use) reactor 0 owns the single listener and
-/// round-robins accepted fds to all reactors through their inboxes.
+/// Accept distribution: reactor 0 owns the single listener and
+/// round-robins accepted fds to all reactors (itself included) through
+/// their inboxes.
+///
+/// Idle connections: a connection with nothing pending that has been
+/// silent for `idle_timeout_ms` is closed.  There is no timer per
+/// connection.  The reactor keeps one time, the next idle check; a turn
+/// that reaches it scans the connections once, closes the idle ones and
+/// sets the next check to the earliest surviving deadline (at least 10 ms
+/// ahead, so a connection whose responses are stuck unwritten past its
+/// deadline cannot make the sweep spin).
 ///
 /// Request path.  The reactor runs the whole line core on every line it
 /// reads: PlanService::begin_line decodes, keys and makes one counted cache
@@ -62,9 +67,9 @@
 /// keeping its capacity) and its response is written into the slot's
 /// recycled string.  Response slots live in capacity-preserving rings, and
 /// every scratch buffer (iovec gather list, handoff swap vector, decoded
-/// line, dirty list) is a reused member.  Paths that are *not* steady
-/// state — accept, close, overload shedding, malformed and oversized lines
-/// — may allocate.
+/// line, dirty list) is a reused member; the idle sweep only walks the
+/// connection table.  Paths that are *not* steady state — accept, close,
+/// overload shedding, malformed and oversized lines — may allocate.
 ///
 /// Write path: every response — a hit, a planned miss, a shed, a parse
 /// error, an oversized line — only fills its slot and puts its connection
@@ -104,10 +109,8 @@ struct NetStats {
 /// Per-reactor configuration, resolved by NetServer from NetServerOptions.
 struct ReactorConfig {
   int index = 0;
-  int listener_fd = -1;      ///< owned by the reactor; -1 = handoff receiver
-  bool acceptor = false;     ///< handoff mode: accept + round-robin to peers
-  int conn_limit = 256;      ///< local accept-pause threshold (reuseport)
-  int max_conns_total = 256; ///< global cap (handoff acceptor's threshold)
+  int listener_fd = -1;      ///< owned by the reactor; >= 0 only on the acceptor
+  int max_conns_total = 256; ///< global cap (the acceptor's pause threshold)
   int queue_depth = 128;     ///< misses planned per loop turn (the planning budget)
   std::int64_t idle_timeout_ms = 60'000;
   /// Watchdog budget (--watchdog-ms); > 0 keeps the loop heartbeat the
@@ -136,8 +139,8 @@ class Reactor {
   void set_peers(std::vector<Reactor*> peers);
 
   /// Event loop; returns once a requested drain completes on this reactor.
-  /// Each turn: due timers, poll, the events, the inbox, then one flush per
-  /// dirty connection.
+  /// Each turn: the idle sweep when due, poll, the events, the inbox, then
+  /// one flush per dirty connection.
   void run();
 
   /// Write end of this reactor's drain pipe (NetServer::request_drain
@@ -177,7 +180,6 @@ class Reactor {
 
   struct Conn {
     int fd = -1;
-    std::uint64_t id = 0;
     std::string peer;  ///< "host:port", the ParseError source label
     LineDecoder decoder;
     RingBuffer<Pending> pending;
@@ -186,7 +188,6 @@ class Reactor {
     bool read_eof = false;
     bool dirty = false;  ///< on dirty_: has a new response to flush this turn
     std::int64_t last_activity_ms = 0;
-    TimerWheel::TimerId idle_timer = 0;
 
     explicit Conn(std::size_t max_line_bytes) : decoder(max_line_bytes) {}
   };
@@ -219,18 +220,17 @@ class Reactor {
   void close_conn(Conn& conn, const char* reason);
   /// Adopt the fds handed off since the last turn.
   void process_inbox();
-  void on_idle(std::uint64_t conn_id);
+  /// Close every idle connection with nothing pending; set the next check.
+  void close_idle(std::int64_t now);
   void begin_drain();
   void hard_stop();
 
   Conn* conn_by_fd(int fd);
-  Conn* find_conn(std::uint64_t conn_id);
 
   PlanService& service_;
   ReactorConfig config_;
 
   Poller poller_;
-  TimerWheel wheel_;
 
   int listener_fd_ = -1;
   bool listener_paused_ = false;
@@ -242,8 +242,8 @@ class Reactor {
   std::size_t rr_next_ = 0;
 
   std::unordered_map<int, std::unique_ptr<Conn>> conns_;
-  std::unordered_map<std::uint64_t, Conn*> conns_by_id_;
-  std::uint64_t next_conn_id_ = 1;
+  /// now_ms() at which the next idle sweep runs; max() = none due.
+  std::int64_t next_idle_check_ms_ = std::numeric_limits<std::int64_t>::max();
 
   int planned_this_turn_ = 0;  ///< misses planned since the top of this turn
   bool draining_ = false;
@@ -261,8 +261,8 @@ class Reactor {
   std::vector<std::uint32_t> iov_slots_;
   std::vector<int> handoff_scratch_;
   LineDecoder::DecodedLine line_scratch_;
-  KeyedRequest keyed_scratch_;        ///< the line being served
-  std::vector<std::uint64_t> dirty_;  ///< connections with responses to flush this turn
+  KeyedRequest keyed_scratch_;  ///< the line being served
+  std::vector<int> dirty_;  ///< fds of connections with responses to flush this turn
 
   // Hot-path obs counters cached once (MetricsRegistry hands out stable
   // references).  Global counters are shared by all reactors; the

@@ -20,80 +20,31 @@ NetServer::NetServer(PlanService& service, NetServerOptions options)
   }
   const int n = std::min(options_.reactors, 256);
 
-  // Bind listeners.  REUSEPORT wants one socket per reactor on the same
-  // address; all of them must bind or none do (a partial set would skew
-  // the kernel's hash).  Port 0 resolves on the first bind and the rest
-  // reuse the resolved port.
   std::string error;
-  std::vector<int> listeners;
-  const bool try_reuseport =
-      options_.accept_mode == NetServerOptions::AcceptMode::kReusePort ||
-      (options_.accept_mode == NetServerOptions::AcceptMode::kAuto && n > 1);
-  if (try_reuseport) {
-    const int first = listen_tcp(options_.host, options_.port, error, /*reuseport=*/true);
-    if (first >= 0) {
-      listeners.push_back(first);
-      bound_ = local_host_port(first);
-      for (int i = 1; i < n; ++i) {
-        const int fd = listen_tcp(options_.host, bound_.port, error, /*reuseport=*/true);
-        if (fd < 0) break;
-        listeners.push_back(fd);
-      }
-      if (static_cast<int>(listeners.size()) != n) {
-        for (int fd : listeners) close_fd(fd);
-        listeners.clear();
-      }
-    }
-    if (listeners.empty() && options_.accept_mode == NetServerOptions::AcceptMode::kReusePort) {
-      throw std::runtime_error("cannot bind " + std::to_string(n) +
-                               " SO_REUSEPORT listeners on " + options_.host + ":" +
-                               std::to_string(options_.port) + ": " + error);
-    }
-    if (listeners.empty()) {
-      log_warn("net", "SO_REUSEPORT unavailable, falling back to fd handoff",
-               {{"error", error}});
-    }
+  const int listener = listen_tcp(options_.host, options_.port, error);
+  if (listener < 0) {
+    throw std::runtime_error("cannot listen on " + options_.host + ":" +
+                             std::to_string(options_.port) + ": " + error);
   }
-  reuseport_ = !listeners.empty();
-  if (!reuseport_) {
-    const int fd = listen_tcp(options_.host, options_.port, error, /*reuseport=*/false);
-    if (fd < 0) {
-      throw std::runtime_error("cannot listen on " + options_.host + ":" +
-                               std::to_string(options_.port) + ": " + error);
-    }
-    bound_ = local_host_port(fd);
-    listeners.push_back(fd);  // reactor 0 owns it and hands fds around
-  }
+  bound_ = local_host_port(listener);
 
+  // Reactor 0 owns the listener from its constructor on (it closes it even
+  // when that constructor throws) and hands accepted fds to the others.
   const auto epoch = std::chrono::steady_clock::now();
-  const int per_reactor_limit = std::max(1, (options_.max_conns + n - 1) / n);
-  try {
-    for (int i = 0; i < n; ++i) {
-      ReactorConfig cfg;
-      cfg.index = i;
-      cfg.listener_fd = reuseport_ ? listeners[static_cast<std::size_t>(i)]
-                                   : (i == 0 ? listeners[0] : -1);
-      cfg.acceptor = !reuseport_ && i == 0;
-      cfg.conn_limit = reuseport_ ? per_reactor_limit : options_.max_conns;
-      cfg.max_conns_total = options_.max_conns;
-      cfg.queue_depth = options_.queue_depth;
-      cfg.idle_timeout_ms = options_.idle_timeout_ms;
-      cfg.watchdog_ms = options_.watchdog_ms;
-      cfg.max_line_bytes = options_.max_line_bytes;
-      cfg.write_high_water = options_.write_high_water;
-      cfg.epoch = epoch;
-      cfg.total_conns = &total_conns_;
-      cfg.drain_requests = &drain_requests_;
-      reactors_.push_back(std::make_unique<Reactor>(service_, cfg));
-      // The reactor owns its listener fd from here on.
-    }
-  } catch (...) {
-    // A reactor constructor failure (pipes) leaves later listeners
-    // unconsumed; the constructed reactors close theirs in ~Reactor.
-    for (std::size_t i = reactors_.size() + (reuseport_ ? 0 : 1); i < listeners.size(); ++i) {
-      close_fd(listeners[i]);
-    }
-    throw;
+  for (int i = 0; i < n; ++i) {
+    ReactorConfig cfg;
+    cfg.index = i;
+    cfg.listener_fd = i == 0 ? listener : -1;
+    cfg.max_conns_total = options_.max_conns;
+    cfg.queue_depth = options_.queue_depth;
+    cfg.idle_timeout_ms = options_.idle_timeout_ms;
+    cfg.watchdog_ms = options_.watchdog_ms;
+    cfg.max_line_bytes = options_.max_line_bytes;
+    cfg.write_high_water = options_.write_high_water;
+    cfg.epoch = epoch;
+    cfg.total_conns = &total_conns_;
+    cfg.drain_requests = &drain_requests_;
+    reactors_.push_back(std::make_unique<Reactor>(service_, cfg));
   }
 
   std::vector<Reactor*> peers;
@@ -116,7 +67,6 @@ NetServer::NetServer(PlanService& service, NetServerOptions options)
   log_info("net", "listening",
            {{"addr", bound_.host + ":" + std::to_string(bound_.port)},
             {"reactors", std::to_string(n)},
-            {"accept", accept_mode_used()},
             {"max_conns", std::to_string(options_.max_conns)},
             {"queue_depth", std::to_string(options_.queue_depth)}});
 }

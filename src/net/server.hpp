@@ -16,8 +16,8 @@
 /// loops (net/reactor.hpp) speaking the same length-delimited JSONL
 /// protocol as the stdin path.
 ///
-/// Threading model.  Each reactor thread owns its connections, poller and
-/// timer wheel.  It decodes every line it reads, probes the plan cache once,
+/// Threading model.  Each reactor thread owns its connections and poller.
+/// It decodes every line it reads, probes the plan cache once,
 /// answers a hit itself and plans a miss in place, so every request is
 /// answered in the loop turn that read it; TCP parallelism comes from the
 /// reactor count.  The PlanService worker pool is not used.
@@ -25,15 +25,12 @@
 /// (an atomic bump plus one write(2) per reactor drain pipe), so it can be
 /// called straight from SIGINT/SIGTERM handlers.
 ///
-/// Accept distribution.  With `reactors >= 2` the server prefers
-/// SO_REUSEPORT: every reactor binds its own listening socket to the same
-/// address and the kernel spreads incoming connections across them with no
-/// user-space coordination.  Where that bind fails (or with
-/// `AcceptMode::kHandoff`), reactor 0 owns the single listener and
-/// round-robins accepted fds to the others through their inboxes — fully
-/// deterministic, which is what the distribution tests use.  Reactor 0
-/// always runs on the thread that calls run(); reactors 1..N-1 get their
-/// own threads.
+/// Accept distribution.  Reactor 0 owns the single listener and
+/// round-robins accepted fds to every reactor (itself included) through
+/// their inboxes, so connection k lands on reactor k mod N.  `max_conns`
+/// caps the live connections of all reactors together.  Reactor 0 always
+/// runs on the thread that calls run(); reactors 1..N-1 get their own
+/// threads.
 ///
 /// Overload.  `queue_depth` is a per-reactor, per-loop-turn planning
 /// budget for cache misses: once a reactor has planned `queue_depth`
@@ -60,8 +57,9 @@
 /// completed slots leave in a single writev (see
 /// Reactor::kWritevBatchSlots).
 ///
-/// Idle connections ride the timer wheel: a connection with no traffic and
-/// nothing pending for `idle_timeout_ms` is closed.
+/// Idle connections: a connection with no traffic and nothing pending for
+/// `idle_timeout_ms` is closed by its reactor's idle sweep (see
+/// net/reactor.hpp).
 ///
 /// Graceful drain: after request_drain() every reactor stops accepting,
 /// stops reading, flushes each connection's outbound bytes (every decoded
@@ -87,13 +85,6 @@ struct NetServerOptions {
   /// std::invalid_argument below that).  Reactor 0 runs on the run()
   /// caller's thread, the other N-1 on their own threads.
   int reactors = 1;
-
-  /// How accepted connections reach the reactors.  kAuto prefers
-  /// SO_REUSEPORT when there are 2+ reactors and falls back to handoff;
-  /// kReusePort requires it (the constructor throws when the bind fails);
-  /// kHandoff forces the single-listener round-robin path.
-  enum class AcceptMode { kAuto, kReusePort, kHandoff };
-  AcceptMode accept_mode = AcceptMode::kAuto;
 };
 
 class NetServer {
@@ -129,9 +120,6 @@ class NetServer {
   int reactor_count() const { return static_cast<int>(reactors_.size()); }
   /// One reactor's own counters (tests assert accept distribution here).
   Stats reactor_stats(int index) const;
-  /// "reuseport" or "handoff" — which accept path the constructor settled
-  /// on (kAuto resolves at bind time).
-  const char* accept_mode_used() const { return reuseport_ ? "reuseport" : "handoff"; }
 
   /// The watchdog (never null; inert when watchdog_ms == 0).  Tests read
   /// stalls_detected() through this.
@@ -141,7 +129,6 @@ class NetServer {
   PlanService& service_;
   NetServerOptions options_;
   HostPort bound_;
-  bool reuseport_ = false;
 
   std::atomic<int> total_conns_{0};
   std::atomic<int> drain_requests_{0};

@@ -87,8 +87,7 @@ HostPort name_of(const sockaddr_storage& addr) {
 
 }  // namespace
 
-int listen_tcp(const std::string& host, std::uint16_t port, std::string& error,
-               bool reuseport) {
+int listen_tcp(const std::string& host, std::uint16_t port, std::string& error) {
   Resolved r;
   if (!resolve(host, port, /*passive=*/true, r, error)) return -1;
   const int fd = ::socket(r.family, SOCK_STREAM, 0);
@@ -98,19 +97,6 @@ int listen_tcp(const std::string& host, std::uint16_t port, std::string& error,
   }
   const int one = 1;
   setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-  if (reuseport) {
-#ifdef SO_REUSEPORT
-    if (setsockopt(fd, SOL_SOCKET, SO_REUSEPORT, &one, sizeof(one)) != 0) {
-      error = errno_message("setsockopt(SO_REUSEPORT)");
-      close_fd(fd);
-      return -1;
-    }
-#else
-    error = "SO_REUSEPORT is not available on this platform";
-    close_fd(fd);
-    return -1;
-#endif
-  }
   if (::bind(fd, reinterpret_cast<sockaddr*>(&r.addr), r.len) != 0) {
     error = errno_message("bind");
     close_fd(fd);

@@ -28,14 +28,8 @@ std::optional<HostPort> parse_host_port(const std::string& text);
 
 /// Create a listening TCP socket on \p host:\p port (port 0 picks a free
 /// one), SO_REUSEADDR set, non-blocking, backlog 128.  Returns the fd, or
-/// -1 with \p error filled.  With \p reuseport set, SO_REUSEPORT is also
-/// required to stick (failure to set it is an error, not best-effort):
-/// multi-reactor servers bind one listener per reactor on the same port so
-/// the kernel distributes accepts across them, and a silent fallback to a
-/// single plain listener would instead make every later bind fail with
-/// EADDRINUSE.
-int listen_tcp(const std::string& host, std::uint16_t port, std::string& error,
-               bool reuseport = false);
+/// -1 with \p error filled.
+int listen_tcp(const std::string& host, std::uint16_t port, std::string& error);
 
 /// Blocking connect to \p host:\p port.  Returns the fd, or -1 with
 /// \p error filled.

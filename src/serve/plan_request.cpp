@@ -169,7 +169,7 @@ class RequestDecoder final : public JsonSink {
 
   Index index(Field f) const {
     const Member& v = members_[f];
-    const auto name = [f] { return "\"" + std::string(kFieldNames[f]) + "\""; };
+    const auto name = [f] { return std::string("\"").append(kFieldNames[f]).append("\""); };
     FCU_CHECK(v.present, "request is missing required field " + name());
     FCU_CHECK(v.kind == JsonValue::Kind::kNumber, "request field " + name() + " must be a number");
     const double d = v.number.value();

@@ -37,8 +37,8 @@
 /// Verified the only way that can't rot: a replaced global operator new
 /// counts allocations made by one registered thread while armed, and each
 /// armed window covers a full pipelined request burst on the loop thread —
-/// one of cached shapes, one of never-seen shapes.  The miss count is
-/// compared with PlanService::begin_line + finish_line run over the same
+/// whole bursts of cached shapes, repeated with pauses while idle checks
+/// run, and one of never-seen shapes.  The miss count is compared with PlanService::begin_line + finish_line run over the same
 /// lines on the test thread, against an identically warmed service.
 ///
 /// This test gets its own binary because replacing ::operator new is
@@ -226,7 +226,12 @@ TEST(NetAlloc, SteadyStateReactorThreadMakesZeroHeapAllocations) {
   // reactors=1 the whole hot path is on the thread registered with the
   // counting hook.
   options.reactors = 1;
-  options.idle_timeout_ms = 0;  // keep the timer wheel empty (cascades may allocate)
+  // Idle checks run at most one timeout apart, so the armed hit pass below,
+  // whose pauses alone add up to more than one timeout, sees at least one.
+  constexpr int kIdleTimeoutMs = 400;
+  constexpr int kArmedBursts = 6;
+  constexpr int kPauseMs = kIdleTimeoutMs / 4;
+  options.idle_timeout_ms = kIdleTimeoutMs;
   NetServer server(service, options);
   std::thread loop([&] {
     g_monitored.store(reinterpret_cast<unsigned long>(pthread_self()), std::memory_order_relaxed);
@@ -242,11 +247,17 @@ TEST(NetAlloc, SteadyStateReactorThreadMakesZeroHeapAllocations) {
     ASSERT_EQ(client.read_lines(kBurst), kBurst) << "warmup pass " << pass;
   }
 
-  // Armed pass 3: cache hits, answered on the reactor.
+  // Armed hit pass: whole bursts of cache hits, each read in one turn and
+  // flushed in two writev batches, answered on the reactor.  The pauses
+  // between bursts stay well under the idle timeout, so every idle check
+  // that runs in the pass finds the connection active.
   g_allocs.store(0, std::memory_order_relaxed);
   g_armed.store(true, std::memory_order_relaxed);
-  client.send_all(requests);
-  ASSERT_EQ(client.read_lines(kBurst), kBurst);
+  for (int i = 0; i < kArmedBursts; ++i) {
+    if (i > 0) std::this_thread::sleep_for(std::chrono::milliseconds(kPauseMs));
+    client.send_all(requests);
+    ASSERT_EQ(client.read_lines(kBurst), kBurst) << "armed burst " << i;
+  }
   g_armed.store(false, std::memory_order_relaxed);
 
   EXPECT_EQ(g_allocs.load(std::memory_order_relaxed), 0)
@@ -264,14 +275,17 @@ TEST(NetAlloc, SteadyStateReactorThreadMakesZeroHeapAllocations) {
 
   server.request_drain();
   loop.join();
-  EXPECT_EQ(server.stats().responses, 4 * kBurst);
+  EXPECT_EQ(server.stats().responses, (3 + kArmedBursts) * kBurst);
+  EXPECT_EQ(server.stats().idle_closed, 0);
   EXPECT_EQ(service.stats().combined().misses - misses_before, 1 + kBurst)
       << "the first warm request and every pass-4 request miss; the rest hit";
 
-  // The same four passes through the line core on this thread, against an
+  // The same passes through the line core on this thread, against an
   // identically warmed service.
   PlanService reference(ServeOptions{.threads = 2});
-  for (int pass = 0; pass < 3; ++pass) serve_lines(reference, warm_lines, keyed, response);
+  for (int pass = 0; pass < 2 + kArmedBursts; ++pass) {
+    serve_lines(reference, warm_lines, keyed, response);
+  }
   g_monitored.store(reinterpret_cast<unsigned long>(pthread_self()), std::memory_order_relaxed);
   g_allocs.store(0, std::memory_order_relaxed);
   g_armed.store(true, std::memory_order_relaxed);

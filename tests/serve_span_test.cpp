@@ -126,7 +126,9 @@ TEST(ServeSpans, OneConnectedTreePerPooledRequest) {
   PlanService service(options);
 
   std::vector<PlanRequest> batch;
-  for (int i = 0; i < 8; ++i) batch.push_back(matmul_request("m" + std::to_string(i), 32 + i));
+  for (int i = 0; i < 8; ++i) {
+    batch.push_back(matmul_request(std::string("m").append(std::to_string(i)), 32 + i));
+  }
   batch.push_back(fused_request("f0", 20));
 
   std::vector<PlanResponse> responses = service.plan_batch(batch);

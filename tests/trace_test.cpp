@@ -12,7 +12,7 @@ namespace {
 TEST(TraceRecorder, RecordsAndBounds) {
   TraceRecorder rec(3);
   for (int i = 0; i < 5; ++i) {
-    rec.record({"e" + std::to_string(i), "cat", 0, static_cast<double>(i), 1.0});
+    rec.record({std::string("e").append(std::to_string(i)), "cat", 0, static_cast<double>(i), 1.0});
   }
   EXPECT_EQ(rec.events().size(), 3u);
   EXPECT_EQ(rec.dropped(), 2u);

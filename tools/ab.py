@@ -21,8 +21,11 @@ the change tree's BENCHMARK.json, the median [quartiles] of each side, the
 pairs the change wins, the bound check (the change's median no worse than
 the base's by more than the metric's bound) and a verdict.  A difference
 counts as a gain or a loss only when the medians differ by more than the
-base's interquartile range; otherwise it reads "noise".  A table of every
-pair's values follows.
+base's interquartile range; otherwise it reads "noise".  A metric whose 2N
+values all lie within 0.5% of their common median reads "pinned", with "–"
+for wins: it is set by the harness (an open-loop send rate, say), and
+counting wins on it would count jitter.  A table of every pair's values
+follows.
 
 Exit status: 0 when every run reports correct true and failed 0, 1 when
 one does not, 2 on a usage or git error.  A bound that fails is reported in
@@ -41,6 +44,8 @@ import sys
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 AB_DIR = os.path.join(ROOT, ".bench_build", "ab")
 WORKLOADS = ("warm_hits", "cold_plans", "conformance")
+# A metric whose every value lies this close to the common median is pinned.
+PINNED_SPREAD = 0.005
 
 
 def log(*args):
@@ -115,14 +120,17 @@ def summarize(metric, base, change):
     worse_by = (c_med - b_med) if lower else (b_med - c_med)
     bound_ok = worse_by <= bound * abs(b_med)
     delta = (c_med - b_med) / b_med * 100 if b_med else 0.0
-    if abs(c_med - b_med) <= b_q3 - b_q1 or c_med == b_med:
+    all_med = statistics.median(base + change)
+    wins_cell = f"{wins}/{len(base)}" + (f" ({ties} ties)" if ties else "")
+    if all(abs(x - all_med) <= PINNED_SPREAD * abs(all_med) for x in base + change):
+        verdict, wins_cell = "pinned", "–"
+    elif abs(c_med - b_med) <= b_q3 - b_q1 or c_med == b_med:
         verdict = "noise"
     else:
         verdict = "loss" if worse_by > 0 else "gain"
-    tie_note = f" ({ties} ties)" if ties else ""
     row = (f"| {metric['name']} | {fmt(b_med)} [{fmt(b_q1)}, {fmt(b_q3)}] "
            f"| {fmt(c_med)} [{fmt(c_q1)}, {fmt(c_q3)}] | {delta:+.1f}% "
-           f"| {wins}/{len(base)}{tie_note} | {'ok' if bound_ok else 'FAIL'} "
+           f"| {wins_cell} | {'ok' if bound_ok else 'FAIL'} "
            f"(±{bound:.0%}) | {verdict} |")
     return row, bound_ok
 
