@@ -7,6 +7,7 @@
 #include <cstdio>
 #include <iostream>
 
+#include "common/cli.hpp"
 #include "common/math_util.hpp"
 #include "common/table.hpp"
 #include "sim/fidelity.hpp"
@@ -75,6 +76,7 @@ void run() {
 
 int main(int argc, char** argv) {
   fusecu::ObsSession obs(argc, argv);
+  fusecu::ArgParser({}, {}).parse_or_exit(argc, argv, "usage: ablation_fidelity\n");
   fusecu::run();
   return 0;
 }

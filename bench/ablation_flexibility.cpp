@@ -8,6 +8,7 @@
 #include <cstdio>
 #include <iostream>
 
+#include "common/cli.hpp"
 #include "common/math_util.hpp"
 #include "common/table.hpp"
 #include "common/units.hpp"
@@ -64,6 +65,7 @@ void buffer_sensitivity() {
 
 int main(int argc, char** argv) {
   fusecu::ObsSession obs(argc, argv);
+  fusecu::ArgParser({}, {}).parse_or_exit(argc, argv, "usage: ablation_flexibility\n");
   std::printf("=== Ablation: where FuseCU's gains come from ===\n\n");
   fusecu::waterfall();
   fusecu::buffer_sensitivity();

@@ -14,6 +14,7 @@
 #include <cstdio>
 #include <iostream>
 
+#include "common/cli.hpp"
 #include "common/table.hpp"
 #include "common/units.hpp"
 #include "fusion/fusion_principles.hpp"
@@ -123,6 +124,7 @@ void register_level_2n() {
 
 int main(int argc, char** argv) {
   fusecu::ObsSession obs(argc, argv);
+  fusecu::ArgParser({}, {}).parse_or_exit(argc, argv, "usage: ablation_fusion_profit\n");
   std::printf("=== Ablations: principles and fusion profitability ===\n\n");
   fusecu::shift_point_sweep();
   fusecu::principle4_accuracy();

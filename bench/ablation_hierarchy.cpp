@@ -9,6 +9,7 @@
 #include <cstdio>
 #include <iostream>
 
+#include "common/cli.hpp"
 #include "common/table.hpp"
 #include "common/units.hpp"
 #include "principles/two_level.hpp"
@@ -58,6 +59,7 @@ void run() {
 
 int main(int argc, char** argv) {
   fusecu::ObsSession obs(argc, argv);
+  fusecu::ArgParser({}, {}).parse_or_exit(argc, argv, "usage: ablation_hierarchy\n");
   fusecu::run();
   return 0;
 }

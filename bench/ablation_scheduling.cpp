@@ -9,6 +9,7 @@
 #include <cstdio>
 #include <iostream>
 
+#include "common/cli.hpp"
 #include "common/table.hpp"
 #include "sim/cu_scheduler.hpp"
 #include "sim/perf_model.hpp"
@@ -50,6 +51,7 @@ void run() {
 
 int main(int argc, char** argv) {
   fusecu::ObsSession obs(argc, argv);
+  fusecu::ArgParser({}, {}).parse_or_exit(argc, argv, "usage: ablation_scheduling\n");
   fusecu::run();
   return 0;
 }

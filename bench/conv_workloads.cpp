@@ -10,6 +10,7 @@
 #include <iostream>
 
 #include "arch/dataflow_space.hpp"
+#include "common/cli.hpp"
 #include "common/table.hpp"
 #include "common/units.hpp"
 #include "principles/principle_optimizer.hpp"
@@ -98,6 +99,7 @@ void direct_vs_im2col() {
 
 int main(int argc, char** argv) {
   fusecu::ObsSession obs(argc, argv);
+  fusecu::ArgParser({}, {}).parse_or_exit(argc, argv, "usage: conv_workloads\n");
   std::printf("=== Convolution workloads (extension) ===\n\n");
   fusecu::platform_comparison();
   fusecu::direct_vs_im2col();

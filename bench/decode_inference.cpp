@@ -10,6 +10,7 @@
 #include <cstdio>
 #include <iostream>
 
+#include "common/cli.hpp"
 #include "common/table.hpp"
 #include "workloads/model_eval.hpp"
 #include "obs/obs_session.hpp"
@@ -64,6 +65,7 @@ void run() {
 
 int main(int argc, char** argv) {
   fusecu::ObsSession obs(argc, argv);
+  fusecu::ArgParser({}, {}).parse_or_exit(argc, argv, "usage: decode_inference\n");
   fusecu::run();
   return 0;
 }

@@ -9,6 +9,7 @@
 #include <cstdio>
 #include <iostream>
 
+#include "common/cli.hpp"
 #include "common/math_util.hpp"
 #include "common/table.hpp"
 #include "workloads/model_eval.hpp"
@@ -50,6 +51,7 @@ void run() {
 
 int main(int argc, char** argv) {
   fusecu::ObsSession obs(argc, argv);
+  fusecu::ArgParser({}, {}).parse_or_exit(argc, argv, "usage: energy_comparison\n");
   fusecu::run();
   return 0;
 }

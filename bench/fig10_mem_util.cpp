@@ -12,6 +12,7 @@
 #include <iostream>
 #include <map>
 
+#include "common/cli.hpp"
 #include "common/math_util.hpp"
 #include "common/table.hpp"
 #include "common/units.hpp"
@@ -140,6 +141,7 @@ void run() {
 
 int main(int argc, char** argv) {
   fusecu::ObsSession obs(argc, argv);
+  fusecu::ArgParser({}, {}).parse_or_exit(argc, argv, "usage: fig10_mem_util\n");
   fusecu::run();
   return 0;
 }

@@ -8,6 +8,7 @@
 #include <cstdio>
 #include <iostream>
 
+#include "common/cli.hpp"
 #include "common/table.hpp"
 #include "workloads/model_eval.hpp"
 #include "obs/obs_session.hpp"
@@ -50,6 +51,7 @@ void run() {
 
 int main(int argc, char** argv) {
   fusecu::ObsSession obs(argc, argv);
+  fusecu::ArgParser({}, {}).parse_or_exit(argc, argv, "usage: fig11_llama_seqlen\n");
   fusecu::run();
   return 0;
 }

@@ -9,6 +9,7 @@
 #include <iostream>
 
 #include "arch/area_model.hpp"
+#include "common/cli.hpp"
 #include "common/table.hpp"
 #include "obs/obs_session.hpp"
 
@@ -49,6 +50,7 @@ void run() {
 
 int main(int argc, char** argv) {
   fusecu::ObsSession obs(argc, argv);
+  fusecu::ArgParser({}, {}).parse_or_exit(argc, argv, "usage: fig12_area\n");
   fusecu::run();
   return 0;
 }

@@ -8,6 +8,7 @@
 #include <cstdio>
 #include <iostream>
 
+#include "common/cli.hpp"
 #include "common/table.hpp"
 #include "common/units.hpp"
 #include "principles/principle_optimizer.hpp"
@@ -67,6 +68,7 @@ void run() {
 
 int main(int argc, char** argv) {
   fusecu::ObsSession obs(argc, argv);
+  fusecu::ArgParser({}, {}).parse_or_exit(argc, argv, "usage: locality_analysis\n");
   fusecu::run();
   return 0;
 }

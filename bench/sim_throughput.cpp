@@ -18,12 +18,14 @@
 #include <cstdio>
 #include <cstdlib>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "check/gen.hpp"
 #include "check/harness.hpp"
+#include "common/cli.hpp"
 #include "common/rng.hpp"
 #include "obs/obs_session.hpp"
 #include "search/exhaustive.hpp"
@@ -290,10 +292,13 @@ void bench_harness(ObsSession& obs, int trials) {
 
 int main(int argc, char** argv) {
   fusecu::ObsSession obs(argc, argv);
+  fusecu::ArgParser args({}, {"--trials"});
+  args.parse_or_exit(argc, argv, "usage: sim_throughput [--trials N]\n");
   int trials = 200;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--trials" && i + 1 < argc) trials = std::atoi(argv[++i]);
+  try {
+    trials = static_cast<int>(args.option_int("--trials", trials));
+  } catch (const std::invalid_argument& e) {
+    args.usage_error(e.what());
   }
   fusecu::bench_passes(obs);
   fusecu::bench_exhaustive(obs);

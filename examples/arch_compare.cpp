@@ -9,9 +9,9 @@
 /// Default: the DeBERTa-v2 attention pair (1024, 64, 1024, 64).
 
 #include <cstdio>
-#include <cstdlib>
 #include <iostream>
 
+#include "common/cli.hpp"
 #include "common/table.hpp"
 #include "common/units.hpp"
 #include "sim/perf_model.hpp"
@@ -21,22 +21,17 @@ using namespace fusecu;
 
 int main(int argc, char** argv) {
   fusecu::ObsSession obs(argc, argv);
-  Index m = 1024, k = 64, l = 1024, n = 64;
-  bool chain = true;
-  if (argc == 4 || argc == 5) {
-    m = std::atoll(argv[1]);
-    k = std::atoll(argv[2]);
-    l = std::atoll(argv[3]);
-    chain = argc == 5;
-    if (chain) n = std::atoll(argv[4]);
-    if (m < 1 || k < 1 || l < 1 || (chain && n < 1)) {
-      std::fprintf(stderr, "usage: %s [M K L [N]]\n", argv[0]);
-      return 1;
-    }
-  } else if (argc != 1) {
-    std::fprintf(stderr, "usage: %s [M K L [N]]\n", argv[0]);
-    return 1;
+  ArgParser args({}, {});
+  args.parse_or_exit(argc, argv, "usage: arch_compare [M K L [N]]\n");
+  const std::size_t given = args.positional().size();
+  if (given != 0 && given != 3 && given != 4) {
+    args.usage_error("expected 0, 3 or 4 extents, got " + std::to_string(given));
   }
+  const bool chain = given != 3;
+  const Index m = args.positional_int(0, "M", 1024, 1);
+  const Index k = args.positional_int(1, "K", 64, 1);
+  const Index l = args.positional_int(2, "L", 1024, 1);
+  const Index n = args.positional_int(3, "N", 64, 1);
 
   OperatorGraph graph;
   if (chain) {

@@ -10,6 +10,7 @@
 #include <cstdio>
 
 #include "arch/dataflow_space.hpp"
+#include "common/cli.hpp"
 #include "common/units.hpp"
 #include "sim/fusecu_quad.hpp"
 #include "workloads/transformer.hpp"
@@ -19,6 +20,7 @@ using namespace fusecu;
 
 int main(int argc, char** argv) {
   fusecu::ObsSession obs(argc, argv);
+  fusecu::ArgParser({}, {}).parse_or_exit(argc, argv, "usage: attention_fusion\n");
   // --- Plan: one BERT layer's attention chain on FuseCU vs UnfCU.
   ModelConfig bert = table2_models()[0];
   std::printf("model: %s (heads=%d, seq=%lld, hidden=%lld)\n\n", bert.name.c_str(), bert.heads,

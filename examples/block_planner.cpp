@@ -6,8 +6,9 @@
 /// Usage: block_planner [seq [hidden [heads]]]   (default 1024 768 12)
 
 #include <cstdio>
-#include <cstdlib>
+#include <stdexcept>
 
+#include "common/cli.hpp"
 #include "common/units.hpp"
 #include "fusion/graph_planner.hpp"
 #include "workloads/transformer.hpp"
@@ -17,12 +18,19 @@ using namespace fusecu;
 
 int main(int argc, char** argv) {
   fusecu::ObsSession obs(argc, argv);
+  ArgParser args({}, {});
+  args.parse_or_exit(argc, argv, "usage: block_planner [seq [hidden [heads]]]\n");
   ModelConfig model{"block", 12, 1024, 768};
-  if (argc > 1) model.seq = std::atoll(argv[1]);
-  if (argc > 2) model.hidden = std::atoll(argv[2]);
-  if (argc > 3) model.heads = std::atoi(argv[3]);
+  model.seq = args.positional_int(0, "seq", model.seq, 1);
+  model.hidden = args.positional_int(1, "hidden", model.hidden, 1);
+  model.heads = static_cast<int>(args.positional_int(2, "heads", model.heads, 1));
 
-  OperatorGraph block = transformer_block_graph(model);
+  OperatorGraph block;
+  try {
+    block = transformer_block_graph(model);
+  } catch (const std::invalid_argument& e) {
+    args.usage_error(e.what());
+  }
   std::printf("transformer block (per-head slice): seq=%lld hidden=%lld head_dim=%lld\n",
               static_cast<long long>(model.seq), static_cast<long long>(model.hidden),
               static_cast<long long>(model.head_dim()));

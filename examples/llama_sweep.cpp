@@ -10,7 +10,6 @@
 /// Usage: llama_sweep [max_seq] [--threads N]
 
 #include <cstdio>
-#include <cstdlib>
 #include <future>
 #include <vector>
 
@@ -31,14 +30,7 @@ int main(int argc, char** argv) {
         "usage: llama_sweep [max_seq >= 256] [--threads N]\n";
     ArgParser args({}, {"--threads"});
     args.parse_or_exit(argc, argv, usage);
-    Index max_seq = 16384;
-    if (!args.positional().empty()) {
-      max_seq = std::atoll(args.positional()[0].c_str());
-      if (max_seq < 256) {
-        std::fputs(usage, stderr);
-        return 2;
-      }
-    }
+    const Index max_seq = args.positional_int(0, "max_seq", 16384, 256);
 
     ThreadPool pool(static_cast<int>(args.option_int("--threads", 4)));
 

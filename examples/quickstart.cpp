@@ -9,6 +9,7 @@
 
 #include <cstdio>
 
+#include "common/cli.hpp"
 #include "common/units.hpp"
 #include "fusion/fusion_principles.hpp"
 #include "principles/principle_optimizer.hpp"
@@ -18,6 +19,7 @@ using namespace fusecu;
 
 int main(int argc, char** argv) {
   fusecu::ObsSession obs(argc, argv);
+  fusecu::ArgParser({}, {}).parse_or_exit(argc, argv, "usage: quickstart\n");
   // --- 1. The paper's running example: a BERT projection MM.
   TensorOp op = TensorOp::matmul("bert_mm", /*m=*/1024, /*k=*/768, /*l=*/768);
   std::printf("operator: %s\n", op.to_string().c_str());

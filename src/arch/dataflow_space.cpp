@@ -1,7 +1,6 @@
 #include "arch/dataflow_space.hpp"
 
 #include <algorithm>
-#include <limits>
 
 #include "common/check.hpp"
 #include "common/math_util.hpp"
@@ -278,8 +277,6 @@ ArchPlan plan_chain_for_arch(const OperatorGraph& graph, const ArchSpec& arch) {
   FCU_COUNTER("arch/plan_chain/ops").add(graph.num_ops());
 
   const int n = graph.num_ops();
-  constexpr AccessCount kInf = std::numeric_limits<AccessCount>::max() / 4;
-
   std::vector<ArchPlanStep> solo(static_cast<std::size_t>(n));
   for (int i = 0; i < n; ++i) {
     ArchIntraOpt r = optimize_intra_for_arch(graph.op(i), arch);
@@ -302,36 +299,17 @@ ArchPlan plan_chain_for_arch(const OperatorGraph& graph, const ArchSpec& arch) {
     }
   }
 
-  std::vector<AccessCount> dp(static_cast<std::size_t>(n) + 1, kInf);
-  std::vector<int> choice(static_cast<std::size_t>(n) + 1, 0);
-  dp[0] = 0;
-  for (int i = 1; i <= n; ++i) {
-    dp[static_cast<std::size_t>(i)] =
-        dp[static_cast<std::size_t>(i - 1)] + solo[static_cast<std::size_t>(i - 1)].access;
-    choice[static_cast<std::size_t>(i)] = 1;
-    if (i >= 2 && paired[static_cast<std::size_t>(i - 2)]) {
-      const AccessCount fused_total =
-          dp[static_cast<std::size_t>(i - 2)] + paired[static_cast<std::size_t>(i - 2)]->access;
-      if (fused_total < dp[static_cast<std::size_t>(i)]) {
-        dp[static_cast<std::size_t>(i)] = fused_total;
-        choice[static_cast<std::size_t>(i)] = 2;
-      }
-    }
-  }
-
+  auto group_cost = [&](int first, int len) -> std::optional<AccessCount> {
+    if (len == 1) return solo[static_cast<std::size_t>(first)].access;
+    const std::optional<ArchPlanStep>& pair = paired[static_cast<std::size_t>(first)];
+    return pair ? std::optional<AccessCount>(pair->access) : std::nullopt;
+  };
   ArchPlan plan;
-  plan.total_access = dp[static_cast<std::size_t>(n)];
-  std::vector<ArchPlanStep> reversed;
-  for (int i = n; i > 0;) {
-    if (choice[static_cast<std::size_t>(i)] == 2) {
-      reversed.push_back(*paired[static_cast<std::size_t>(i - 2)]);
-      i -= 2;
-    } else {
-      reversed.push_back(solo[static_cast<std::size_t>(i - 1)]);
-      i -= 1;
-    }
+  for (const ChainGroup& g : partition_chain(n, 2, group_cost)) {
+    plan.steps.push_back(g.len == 1 ? solo[static_cast<std::size_t>(g.first)]
+                                    : *paired[static_cast<std::size_t>(g.first)]);
+    plan.total_access += g.access;
   }
-  plan.steps.assign(reversed.rbegin(), reversed.rend());
   for (const ArchPlanStep& s : plan.steps) plan.total_macs += s.macs;
   FCU_COUNTER("arch/plan_chain/pairs_fused").add(plan.fused_pair_count());
   return plan;

@@ -1,6 +1,7 @@
 #include "common/cli.hpp"
 
 #include <algorithm>
+#include <cerrno>
 #include <cstdlib>
 #include <iostream>
 #include <stdexcept>
@@ -35,6 +36,7 @@ void ArgParser::parse(int argc, const char* const* argv) {
 }
 
 void ArgParser::parse_or_exit(int argc, const char* const* argv, const std::string& usage) {
+  usage_ = usage;
   for (int i = 1; i < argc; ++i) {
     if (std::string_view(argv[i]) == "--help") {
       std::cout << usage;
@@ -44,9 +46,26 @@ void ArgParser::parse_or_exit(int argc, const char* const* argv, const std::stri
   try {
     parse(argc, argv);
   } catch (const std::invalid_argument& e) {
-    std::cerr << "error: " << e.what() << "\n" << usage;
-    std::exit(2);
+    usage_error(e.what());
   }
+}
+
+void ArgParser::usage_error(const std::string& message) const {
+  std::cerr << "error: " << message << "\n" << usage_;
+  std::exit(2);
+}
+
+Index ArgParser::positional_int(std::size_t index, const std::string& name, Index default_value,
+                                Index min) const {
+  if (index >= positional_.size()) return default_value;
+  const std::string& text = positional_[index];
+  char* end = nullptr;
+  errno = 0;
+  const long long parsed = std::strtoll(text.c_str(), &end, 10);
+  if (text.empty() || *end != '\0' || errno == ERANGE || parsed < min) {
+    usage_error(name + " must be at least " + std::to_string(min));
+  }
+  return parsed;
 }
 
 bool ArgParser::has_flag(const std::string& name) const {

@@ -29,6 +29,16 @@ class ArgParser {
   /// value prints the error and \p usage to stderr and exits 2.
   void parse_or_exit(int argc, const char* const* argv, const std::string& usage);
 
+  /// Print `error: <message>` and the usage given to parse_or_exit to
+  /// stderr and exit 2: the same contract as an unknown option.
+  [[noreturn]] void usage_error(const std::string& message) const;
+
+  /// Positional argument \p index as an integer of at least \p min, or
+  /// \p default_value when absent.  Anything else is a usage_error naming
+  /// \p name ("<name> must be at least <min>").
+  Index positional_int(std::size_t index, const std::string& name, Index default_value,
+                       Index min) const;
+
   bool has_flag(const std::string& name) const;
   std::optional<std::string> option(const std::string& name) const;
 
@@ -53,6 +63,7 @@ class ArgParser {
   std::map<std::string, std::string> values_;
   std::vector<std::string> set_flags_;
   std::vector<std::string> positional_;
+  std::string usage_;
 };
 
 /// Parse "512KB"-style byte sizes (used by ArgParser::option_bytes).

@@ -1,7 +1,6 @@
 #include "fusion/chain_fusion.hpp"
 
 #include <algorithm>
-#include <limits>
 
 #include "common/check.hpp"
 
@@ -74,90 +73,6 @@ std::optional<ResidentChainResult> optimize_resident_chain(const OperatorGraph& 
   }
   result.total_access += graph.op(first + len - 1).tensor_size(mm::kTensorC);
   return result;
-}
-
-FusionPlan plan_chain_extended(const OperatorGraph& graph, BufferSize bs, PlannerPolicy policy,
-                               int max_group) {
-  FCU_CHECK(graph.num_ops() >= 1, "empty chain");
-  FCU_CHECK(graph.is_linear_chain(), "planner requires a linear operator chain");
-  FCU_CHECK(max_group >= 1, "max_group must be positive");
-
-  const int n = graph.num_ops();
-  constexpr AccessCount kInf = std::numeric_limits<AccessCount>::max() / 4;
-  if (policy == PlannerPolicy::kNoFusion) max_group = 1;
-
-  // group_cost[i][g]: MA of ops [i, i+g) as one group; kInf when illegal.
-  std::vector<std::vector<AccessCount>> group_cost(
-      static_cast<std::size_t>(n), std::vector<AccessCount>(static_cast<std::size_t>(max_group) + 1, kInf));
-  std::vector<std::vector<std::string>> group_rule(
-      static_cast<std::size_t>(n), std::vector<std::string>(static_cast<std::size_t>(max_group) + 1));
-
-  auto pairwise_same_regime = [&](int first, int len) {
-    for (int i = first; i + 1 < first + len; ++i) {
-      std::optional<FusedPair> pair = try_make_fused_pair(graph.op(i), graph.op(i + 1));
-      if (!pair || !same_nra_regime(*pair, bs)) return false;
-    }
-    return true;
-  };
-
-  for (int i = 0; i < n; ++i) {
-    group_cost[static_cast<std::size_t>(i)][1] = optimize_intra(graph.op(i), bs).access.total;
-    group_rule[static_cast<std::size_t>(i)][1] = "solo";
-    for (int g = 2; g <= max_group && i + g <= n; ++g) {
-      if (policy == PlannerPolicy::kPrinciple4 && !pairwise_same_regime(i, g)) continue;
-      AccessCount best = kInf;
-      std::string rule;
-      if (g == 2) {
-        std::optional<FusedPair> pair = try_make_fused_pair(graph.op(i), graph.op(i + 1));
-        if (pair) {
-          if (auto fused = optimize_fused_pair(*pair, bs)) {
-            best = fused->access.total;
-            rule = "fused " + fused->chosen.rule;
-          }
-        }
-      }
-      if (auto resident = optimize_resident_chain(graph, i, g, bs)) {
-        if (resident->total_access < best) {
-          best = resident->total_access;
-          rule = "resident-chain x" + std::to_string(g);
-        }
-      }
-      if (best < kInf) {
-        group_cost[static_cast<std::size_t>(i)][static_cast<std::size_t>(g)] = best;
-        group_rule[static_cast<std::size_t>(i)][static_cast<std::size_t>(g)] = rule;
-      }
-    }
-  }
-
-  std::vector<AccessCount> dp(static_cast<std::size_t>(n) + 1, kInf);
-  std::vector<int> choice(static_cast<std::size_t>(n) + 1, 0);
-  dp[0] = 0;
-  for (int i = 1; i <= n; ++i) {
-    for (int g = 1; g <= max_group && g <= i; ++g) {
-      const AccessCount c = group_cost[static_cast<std::size_t>(i - g)][static_cast<std::size_t>(g)];
-      if (c >= kInf) continue;
-      if (dp[static_cast<std::size_t>(i - g)] + c < dp[static_cast<std::size_t>(i)]) {
-        dp[static_cast<std::size_t>(i)] = dp[static_cast<std::size_t>(i - g)] + c;
-        choice[static_cast<std::size_t>(i)] = g;
-      }
-    }
-  }
-  FCU_ASSERT_INTERNAL(dp[static_cast<std::size_t>(n)] < kInf, "solo groups always legal");
-
-  FusionPlan plan;
-  plan.total_access = dp[static_cast<std::size_t>(n)];
-  std::vector<PlanStep> reversed;
-  for (int i = n; i > 0;) {
-    const int g = choice[static_cast<std::size_t>(i)];
-    PlanStep step;
-    for (int j = i - g; j < i; ++j) step.op_indices.push_back(j);
-    step.access = group_cost[static_cast<std::size_t>(i - g)][static_cast<std::size_t>(g)];
-    step.description = group_rule[static_cast<std::size_t>(i - g)][static_cast<std::size_t>(g)];
-    reversed.push_back(std::move(step));
-    i -= g;
-  }
-  plan.steps.assign(reversed.rbegin(), reversed.rend());
-  return plan;
 }
 
 }  // namespace fusecu

@@ -16,9 +16,9 @@
 ///
 /// The construction keeps each intermediate fully resident and streams the
 /// corresponding weight with unit tiles; the per-op dataflow realizing it
-/// is returned for inspection/execution.  plan_chain_extended() folds this
-/// into the partitioning DP, choosing between solo ops, fused pairs
-/// (phased or resident, Sec. III-B) and longer resident groups.
+/// is returned for inspection/execution.  plan_chain() with a group limit
+/// of three or more prices its longer groups this way, choosing between solo
+/// ops, fused pairs (phased or resident, Sec. III-B) and resident chains.
 
 namespace fusecu {
 
@@ -34,11 +34,5 @@ struct ResidentChainResult {
 /// output is the next op's first input).
 std::optional<ResidentChainResult> optimize_resident_chain(const OperatorGraph& graph, int first,
                                                            int len, BufferSize bs);
-
-/// Chain partitioning with groups of up to \p max_group ops: singletons and
-/// pairs as in plan_chain(), longer groups via resident fusion.  With
-/// max_group == 2 this degrades exactly to plan_chain(policy).
-FusionPlan plan_chain_extended(const OperatorGraph& graph, BufferSize bs, PlannerPolicy policy,
-                               int max_group = 4);
 
 }  // namespace fusecu

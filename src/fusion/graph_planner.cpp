@@ -158,7 +158,7 @@ GraphPlan plan_graph(const OperatorGraph& graph, BufferSize bs, PlannerPolicy po
     OperatorGraph rebuilt = rebuild_chain(graph, chains[c]);
     GraphPlanChain planned;
     planned.op_indices = chains[c];
-    planned.plan = plan_chain_extended(rebuilt, bs, policy, max_group);
+    planned.plan = plan_chain(rebuilt, bs, policy, max_group);
     result.total_access += planned.plan.total_access;
     result.chains.push_back(std::move(planned));
   }

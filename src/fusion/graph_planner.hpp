@@ -21,7 +21,7 @@
 ///    penalty of the workload model.
 ///  * **Chain decomposition.**  After absorption the matmul DAG splits into
 ///    maximal linear chains at fan-in/fan-out points; each chain is planned
-///    with plan_chain_extended and the costs add up.
+///    with plan_chain in groups of up to max_group ops and the costs add up.
 
 namespace fusecu {
 

@@ -1,7 +1,5 @@
 #include "search/dat_optimizer.hpp"
 
-#include <limits>
-
 #include "common/check.hpp"
 #include "common/math_util.hpp"
 #include "obs/metrics.hpp"
@@ -58,14 +56,12 @@ FusionPlan DatOptimizer::plan_chain(const OperatorGraph& graph, BufferSize bs) c
   ScopedSpan span("dat_plan_chain", FCU_HISTOGRAM("time/dat_plan_chain"));
 
   const int n = graph.num_ops();
-  constexpr AccessCount kInf = std::numeric_limits<AccessCount>::max() / 4;
-
-  std::vector<AccessCount> solo(static_cast<std::size_t>(n), kInf);
-  std::vector<AccessCount> paired(static_cast<std::size_t>(n), kInf);
+  std::vector<AccessCount> solo;
+  std::vector<std::optional<AccessCount>> paired(static_cast<std::size_t>(n));
   for (int i = 0; i < n; ++i) {
-    if (auto r = optimize_intra(graph.op(i), bs)) solo[static_cast<std::size_t>(i)] = r->access.total;
-    FCU_CHECK(solo[static_cast<std::size_t>(i)] < kInf,
-              "buffer too small for op " + graph.op(i).name());
+    std::optional<IntraSearchResult> r = optimize_intra(graph.op(i), bs);
+    FCU_CHECK(r.has_value(), "buffer too small for op " + graph.op(i).name());
+    solo.push_back(r->access.total);
   }
   for (int i = 0; i + 1 < n; ++i) {
     std::optional<FusedPair> pair = try_make_fused_pair(graph.op(i), graph.op(i + 1));
@@ -73,34 +69,16 @@ FusionPlan DatOptimizer::plan_chain(const OperatorGraph& graph, BufferSize bs) c
     if (auto r = optimize_pair(*pair, bs)) paired[static_cast<std::size_t>(i)] = r->access.total;
   }
 
-  std::vector<AccessCount> dp(static_cast<std::size_t>(n) + 1, kInf);
-  std::vector<int> choice(static_cast<std::size_t>(n) + 1, 0);
-  dp[0] = 0;
-  for (int i = 1; i <= n; ++i) {
-    dp[static_cast<std::size_t>(i)] = dp[static_cast<std::size_t>(i - 1)] + solo[static_cast<std::size_t>(i - 1)];
-    choice[static_cast<std::size_t>(i)] = 1;
-    if (i >= 2 && paired[static_cast<std::size_t>(i - 2)] < kInf) {
-      AccessCount fused_total = dp[static_cast<std::size_t>(i - 2)] + paired[static_cast<std::size_t>(i - 2)];
-      if (fused_total < dp[static_cast<std::size_t>(i)]) {
-        dp[static_cast<std::size_t>(i)] = fused_total;
-        choice[static_cast<std::size_t>(i)] = 2;
-      }
-    }
-  }
-
+  auto group_cost = [&](int first, int len) -> std::optional<AccessCount> {
+    return len == 1 ? solo[static_cast<std::size_t>(first)]
+                    : paired[static_cast<std::size_t>(first)];
+  };
   FusionPlan plan;
-  plan.total_access = dp[static_cast<std::size_t>(n)];
-  std::vector<PlanStep> reversed;
-  for (int i = n; i > 0;) {
-    if (choice[static_cast<std::size_t>(i)] == 2) {
-      reversed.push_back({{i - 2, i - 1}, paired[static_cast<std::size_t>(i - 2)], "searched fused"});
-      i -= 2;
-    } else {
-      reversed.push_back({{i - 1}, solo[static_cast<std::size_t>(i - 1)], "searched solo"});
-      i -= 1;
-    }
+  for (const ChainGroup& g : partition_chain(n, 2, group_cost)) {
+    plan.steps.push_back(
+        {g.op_indices(), g.access, g.len == 1 ? "searched solo" : "searched fused"});
+    plan.total_access += g.access;
   }
-  plan.steps.assign(reversed.rbegin(), reversed.rend());
   return plan;
 }
 

@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <map>
+
+#include "common/rng.hpp"
 #include "fusion/chain_fusion.hpp"
 
 namespace fusecu {
@@ -53,79 +57,146 @@ TEST(ResidentChain, SubsliceAndValidation) {
 
 TEST(PlanChainExtended, FusesWholeChainWithBigBuffer) {
   OperatorGraph g = three_mm_chain();
-  FusionPlan plan = plan_chain_extended(g, 16 * 1024, PlannerPolicy::kCostOnly, 4);
+  FusionPlan plan = plan_chain(g, 16 * 1024, PlannerPolicy::kCostOnly, 4);
   ASSERT_EQ(plan.steps.size(), 1u);
   EXPECT_EQ(plan.steps[0].op_indices, (std::vector<int>{0, 1, 2}));
+  EXPECT_EQ(plan.steps[0].description, "resident-chain x3");
   EXPECT_EQ(plan.total_access, optimize_resident_chain(g, 0, 3, 16 * 1024)->total_access);
 }
 
 TEST(PlanChainExtended, DegradesToPairsWhenChainDoesNotFit) {
   OperatorGraph g = three_mm_chain();
   // Enough for a fused pair but not for both intermediates at once.
-  FusionPlan tight = plan_chain_extended(g, 4200, PlannerPolicy::kCostOnly, 4);
+  FusionPlan tight = plan_chain(g, 4200, PlannerPolicy::kCostOnly, 4);
   for (const PlanStep& s : tight.steps) EXPECT_LE(s.op_indices.size(), 2u);
   // And never worse than the pairwise planner.
   FusionPlan pairwise = plan_chain(g, 4200, PlannerPolicy::kCostOnly);
   EXPECT_LE(tight.total_access, pairwise.total_access);
 }
 
+/// The default group limit is the paper's pairwise planner, and solo steps
+/// carry their intra-op rule at every limit.
 TEST(PlanChainExtended, MatchesPairwisePlannerAtMaxGroupTwo) {
   OperatorGraph g = three_mm_chain();
   for (BufferSize bs : {BufferSize{1024}, BufferSize{8 * 1024}, BufferSize{64 * 1024}}) {
-    FusionPlan extended = plan_chain_extended(g, bs, PlannerPolicy::kCostOnly, 2);
     FusionPlan pairwise = plan_chain(g, bs, PlannerPolicy::kCostOnly);
-    EXPECT_EQ(extended.total_access, pairwise.total_access) << "bs=" << bs;
+    FusionPlan explicit_two = plan_chain(g, bs, PlannerPolicy::kCostOnly, 2);
+    EXPECT_EQ(explicit_two.total_access, pairwise.total_access) << "bs=" << bs;
+    ASSERT_EQ(explicit_two.steps.size(), pairwise.steps.size()) << "bs=" << bs;
+    for (std::size_t i = 0; i < pairwise.steps.size(); ++i) {
+      EXPECT_LE(pairwise.steps[i].op_indices.size(), 2u);
+      EXPECT_EQ(explicit_two.steps[i].op_indices, pairwise.steps[i].op_indices);
+      EXPECT_EQ(explicit_two.steps[i].description, pairwise.steps[i].description);
+    }
+    for (const PlanStep& s : plan_chain(g, bs, PlannerPolicy::kCostOnly, 4).steps) {
+      if (s.op_indices.size() == 1) {
+        EXPECT_EQ(s.description, optimize_intra(g.op(s.op_indices[0]), bs).rule);
+      }
+    }
   }
 }
 
 TEST(PlanChainExtended, NoFusionPolicyYieldsSingletons) {
   OperatorGraph g = three_mm_chain();
-  FusionPlan plan = plan_chain_extended(g, 1 << 20, PlannerPolicy::kNoFusion, 4);
+  FusionPlan plan = plan_chain(g, 1 << 20, PlannerPolicy::kNoFusion, 4);
   EXPECT_EQ(plan.steps.size(), 3u);
   for (const PlanStep& s : plan.steps) EXPECT_EQ(s.op_indices.size(), 1u);
 }
 
+/// Random cost tables with small costs (many ties) and illegal groups: the
+/// partitioner must price each candidate group once, in order, and return
+/// the cheapest legal split; among the cheapest, the one whose group
+/// lengths read from the last op backwards are lexicographically smallest
+/// (the shortest group ending at each op).
 TEST(PlanChainExtended, DpIsOptimalAgainstBruteForcePartitions) {
-  // Exhaustively enumerate all partitions of a 4-op chain into contiguous
-  // groups of size <= 3 and verify the DP finds the cheapest.
-  OperatorGraph g = MatMulChainBuilder(32, {16, 24, 16, 24, 16}, "p").graph();
-  const BufferSize bs = 6 * 1024;
-
-  auto group_cost = [&](int first, int len) -> AccessCount {
-    constexpr AccessCount kInf = std::numeric_limits<AccessCount>::max() / 4;
-    if (len == 1) return optimize_intra(g.op(first), bs).access.total;
-    AccessCount best = kInf;
-    if (len == 2) {
-      auto pair = try_make_fused_pair(g.op(first), g.op(first + 1));
-      if (pair) {
-        if (auto fused = optimize_fused_pair(*pair, bs)) best = fused->access.total;
+  Rng rng(24);
+  for (int trial = 0; trial < 400; ++trial) {
+    const int n = static_cast<int>(rng.uniform(1, 7));
+    const int max_group = static_cast<int>(rng.uniform(1, 4));
+    std::map<std::pair<int, int>, std::optional<AccessCount>> table;
+    for (int first = 0; first < n; ++first) {
+      for (int len = 1; len <= max_group && first + len <= n; ++len) {
+        std::optional<AccessCount> c = rng.uniform(0, 6);
+        if (len > 1 && rng.chance(0.3)) c = std::nullopt;
+        table[{first, len}] = c;
       }
     }
-    if (auto resident = optimize_resident_chain(g, first, len, bs)) {
-      best = std::min(best, resident->total_access);
-    }
-    return best;
-  };
 
-  // Brute force over composition of 4 into parts of size 1..3.
-  AccessCount brute = std::numeric_limits<AccessCount>::max();
-  std::vector<std::vector<int>> partitions = {
-      {1, 1, 1, 1}, {2, 1, 1}, {1, 2, 1}, {1, 1, 2}, {2, 2}, {3, 1}, {1, 3}};
-  for (const auto& parts : partitions) {
+    std::vector<std::pair<int, int>> calls;
+    std::vector<ChainGroup> groups = partition_chain(n, max_group, [&](int first, int len) {
+      calls.push_back({first, len});
+      return table.at({first, len});
+    });
+
+    // Each candidate once, by last op and then by length.
+    std::vector<std::pair<int, int>> expected_calls;
+    for (int end = 1; end <= n; ++end) {
+      for (int len = 1; len <= std::min(max_group, end); ++len) {
+        expected_calls.push_back({end - len, len});
+      }
+    }
+    EXPECT_EQ(calls, expected_calls) << "trial " << trial;
+
+    // Brute force: every composition of n into legal parts.
+    std::optional<AccessCount> brute;
+    std::vector<int> brute_reversed_lengths;
+    std::vector<int> parts;
+    std::function<void(int, AccessCount)> visit = [&](int at, AccessCount total) {
+      if (at == n) {
+        std::vector<int> reversed(parts.rbegin(), parts.rend());
+        if (!brute || total < *brute || (total == *brute && reversed < brute_reversed_lengths)) {
+          brute = total;
+          brute_reversed_lengths = reversed;
+        }
+        return;
+      }
+      for (int len = 1; len <= max_group && at + len <= n; ++len) {
+        const std::optional<AccessCount>& c = table.at({at, len});
+        if (!c) continue;
+        parts.push_back(len);
+        visit(at + len, total + *c);
+        parts.pop_back();
+      }
+    };
+    visit(0, 0);
+
     AccessCount total = 0;
-    int at = 0;
-    bool legal = true;
-    for (int p : parts) {
-      AccessCount c = group_cost(at, p);
-      if (c >= std::numeric_limits<AccessCount>::max() / 4) legal = false;
-      total += c;
-      at += p;
+    std::vector<int> reversed_lengths;
+    int next = 0;
+    for (const ChainGroup& g : groups) {
+      EXPECT_EQ(g.first, next) << "trial " << trial;
+      EXPECT_EQ(g.access, *table.at({g.first, g.len})) << "trial " << trial;
+      next = g.first + g.len;
+      total += g.access;
+      reversed_lengths.insert(reversed_lengths.begin(), g.len);
     }
-    if (legal) brute = std::min(brute, total);
+    EXPECT_EQ(next, n) << "trial " << trial;
+    ASSERT_TRUE(brute.has_value());
+    EXPECT_EQ(total, *brute) << "trial " << trial;
+    EXPECT_EQ(reversed_lengths, brute_reversed_lengths) << "trial " << trial;
   }
+}
 
-  FusionPlan plan = plan_chain_extended(g, bs, PlannerPolicy::kCostOnly, 3);
-  EXPECT_EQ(plan.total_access, brute);
+/// Ties go to the shorter group: equal-cost solo ops beat their pair, and a
+/// pair beats an equal-cost group of three ending at the same op.
+TEST(PlanChainExtended, ShorterGroupWinsTies) {
+  auto lengths = [](int n, int max_group, std::map<std::pair<int, int>, AccessCount> table) {
+    std::vector<int> out;
+    for (const ChainGroup& g : partition_chain(n, max_group, [&](int first, int len) {
+           auto it = table.find({first, len});
+           return it == table.end() ? std::nullopt : std::optional<AccessCount>(it->second);
+         })) {
+      out.push_back(g.len);
+    }
+    return out;
+  };
+  EXPECT_EQ(lengths(2, 2, {{{0, 1}, 5}, {{1, 1}, 5}, {{0, 2}, 10}}), (std::vector<int>{1, 1}));
+  EXPECT_EQ(lengths(2, 2, {{{0, 1}, 5}, {{1, 1}, 5}, {{0, 2}, 9}}), (std::vector<int>{2}));
+  EXPECT_EQ(lengths(3, 3, {{{0, 1}, 2}, {{1, 1}, 9}, {{2, 1}, 9}, {{1, 2}, 4}, {{0, 3}, 6}}),
+            (std::vector<int>{1, 2}));
+  EXPECT_EQ(lengths(3, 3, {{{0, 1}, 2}, {{1, 1}, 9}, {{2, 1}, 9}, {{1, 2}, 4}, {{0, 3}, 5}}),
+            (std::vector<int>{3}));
+  EXPECT_THROW(lengths(2, 2, {{{0, 1}, 5}, {{0, 2}, 9}}), std::invalid_argument);
 }
 
 }  // namespace

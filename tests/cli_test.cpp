@@ -55,6 +55,24 @@ TEST(ArgParser, UnknownOrValuelessOptionPrintsUsageAndExitsTwo) {
               ::testing::ExitedWithCode(2), "option --o expects a value\nusage: prog");
 }
 
+TEST(ArgParser, PositionalIntDefaultsAndParses) {
+  ArgParser p({}, {});
+  const char* argv[] = {"prog", "12"};
+  p.parse_or_exit(2, argv, "usage: prog [seq [hidden]]\n");
+  EXPECT_EQ(p.positional_int(0, "seq", 7, 1), 12);
+  EXPECT_EQ(p.positional_int(1, "hidden", 7, 1), 7);
+}
+
+TEST(ArgParser, PositionalIntBelowMinimumOrMalformedPrintsUsageAndExitsTwo) {
+  ArgParser p({}, {});
+  const char* argv[] = {"prog", "0", "abc", "-3", "5x"};
+  p.parse_or_exit(5, argv, "usage: prog [seq [hidden]]\n");
+  for (std::size_t i = 0; i < 4; ++i) {
+    EXPECT_EXIT(p.positional_int(i, "seq", 7, 1), ::testing::ExitedWithCode(2),
+                "error: seq must be at least 1\nusage: prog");
+  }
+}
+
 TEST(ArgParser, OptionUint64) {
   ArgParser p({}, {"--seed"});
   const char* decimal[] = {"prog", "--seed", "12345"};

@@ -24,58 +24,6 @@
 namespace fusecu {
 namespace {
 
-class SplitMix {
- public:
-  explicit SplitMix(std::uint64_t seed) : state_(seed) {}
-
-  std::uint64_t next() {
-    std::uint64_t z = (state_ += 0x9e3779b97f4a7c15ull);
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-    return z ^ (z >> 31);
-  }
-
-  /// Uniform in [lo, hi] (modulo bias is irrelevant here).
-  Index uniform(Index lo, Index hi) {
-    return lo + static_cast<Index>(next() % static_cast<std::uint64_t>(hi - lo + 1));
-  }
-
-  /// Extent in [1, max]: unit 1/8 of the time, a power of two 1/4, else uniform.
-  Index extent(Index max) {
-    switch (next() % 8) {
-      case 0:
-        return 1;
-      case 1:
-      case 2: {
-        Index p = 1;
-        for (Index e = uniform(0, 8); e > 0 && 2 * p <= max; --e) p *= 2;
-        return p;
-      }
-      default:
-        return uniform(1, max);
-    }
-  }
-
- private:
-  std::uint64_t state_;
-};
-
-class Fnv1a {
- public:
-  void add(const std::string& line) {
-    for (unsigned char ch : line) mix(ch);
-    mix('\n');
-  }
-  std::uint64_t value() const { return hash_; }
-
- private:
-  void mix(unsigned char ch) {
-    hash_ ^= ch;
-    hash_ *= 0x100000001b3ull;
-  }
-  std::uint64_t hash_ = 0xcbf29ce484222325ull;
-};
-
 // Recorded from the exhaustive-pricing planners (every construction priced).
 constexpr std::uint64_t kIntraDigest = 0xfae51653da9a10a6ull;
 constexpr std::uint64_t kFusedDigest = 0x205615de42e8a207ull;
@@ -85,8 +33,8 @@ constexpr std::uint64_t kFusedDigest = 0x205615de42e8a207ull;
 /// twice the ideal traffic.
 TEST(ClosedFormGolden, IntraPlansMatchTheDigest) {
   constexpr std::array<std::array<int, 3>, 3> kPerms = {{{0, 1, 2}, {2, 0, 1}, {1, 2, 0}}};
-  SplitMix rng(20261018);
-  Fnv1a digest;
+  test_util::SplitMix rng(20261018);
+  test_util::Fnv1a digest;
   for (int i = 0; i < 40000; ++i) {
     const Index m = rng.extent(256), k = rng.extent(256), l = rng.extent(256);
     const TensorOp canonical = TensorOp::matmul("mm", m, k, l);
@@ -116,8 +64,8 @@ TEST(ClosedFormGolden, IntraPlansMatchTheDigest) {
 
 /// Buffers from too small to fuse at all up to the resident-intermediate band.
 TEST(ClosedFormGolden, FusedPlansMatchTheDigest) {
-  SplitMix rng(20261019);
-  Fnv1a digest;
+  test_util::SplitMix rng(20261019);
+  test_util::Fnv1a digest;
   for (int i = 0; i < 8000; ++i) {
     const Index m = rng.extent(160), k = rng.extent(160), l = rng.extent(160),
                 n = rng.extent(160);

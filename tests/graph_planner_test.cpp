@@ -33,7 +33,7 @@ TEST(GraphPlanner, PureMatmulChainMatchesChainPlanner) {
   OperatorGraph g = MatMulChainBuilder(128, {64, 128, 64}, "c").graph();
   const BufferSize bs = 16 * 1024;
   GraphPlan gp = plan_graph(g, bs, PlannerPolicy::kCostOnly);
-  FusionPlan cp = plan_chain_extended(g, bs, PlannerPolicy::kCostOnly);
+  FusionPlan cp = plan_chain(g, bs, PlannerPolicy::kCostOnly, 4);
   ASSERT_EQ(gp.chains.size(), 1u);
   EXPECT_EQ(gp.total_access, cp.total_access);
   EXPECT_EQ(gp.elementwise_access, 0);
@@ -53,7 +53,7 @@ TEST(GraphPlanner, PointwiseEpilogueIsFree) {
 
   const BufferSize bs = 16 * 1024;
   GraphPlan a = plan_graph(with_gelu, bs, PlannerPolicy::kCostOnly);
-  FusionPlan b = plan_chain_extended(direct, bs, PlannerPolicy::kCostOnly);
+  FusionPlan b = plan_chain(direct, bs, PlannerPolicy::kCostOnly, 4);
   EXPECT_EQ(a.total_access, b.total_access);
   EXPECT_EQ(a.absorbed_pointwise, 1);
   EXPECT_EQ(a.elementwise_access, 0);

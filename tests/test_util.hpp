@@ -2,6 +2,7 @@
 
 #include <array>
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "check/gen.hpp"
@@ -19,6 +20,63 @@
 /// prints everything needed to replay it (`Seeds/<suite>.<test>/<seed>`).
 
 namespace fusecu::test_util {
+
+/// splitmix64 draws with plain modular reduction, not std distributions, so
+/// a population drawn from it is the same under every standard library and
+/// compiler (the golden-digest tests depend on that).
+class SplitMix {
+ public:
+  explicit SplitMix(std::uint64_t seed) : state_(seed) {}
+
+  std::uint64_t next() {
+    std::uint64_t z = (state_ += 0x9e3779b97f4a7c15ull);
+    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
+    z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
+    return z ^ (z >> 31);
+  }
+
+  /// Uniform in [lo, hi] (modulo bias is irrelevant here).
+  Index uniform(Index lo, Index hi) {
+    return lo + static_cast<Index>(next() % static_cast<std::uint64_t>(hi - lo + 1));
+  }
+
+  /// Extent in [1, max]: unit 1/8 of the time, a power of two 1/4, else uniform.
+  Index extent(Index max) {
+    switch (next() % 8) {
+      case 0:
+        return 1;
+      case 1:
+      case 2: {
+        Index p = 1;
+        for (Index e = uniform(0, 8); e > 0 && 2 * p <= max; --e) p *= 2;
+        return p;
+      }
+      default:
+        return uniform(1, max);
+    }
+  }
+
+ private:
+  std::uint64_t state_;
+};
+
+/// 64-bit FNV-1a over newline-terminated lines: the digest the golden
+/// tests compare against recorded constants.
+class Fnv1a {
+ public:
+  void add(const std::string& line) {
+    for (unsigned char ch : line) mix(ch);
+    mix('\n');
+  }
+  std::uint64_t value() const { return hash_; }
+
+ private:
+  void mix(unsigned char ch) {
+    hash_ ^= ch;
+    hash_ *= 0x100000001b3ull;
+  }
+  std::uint64_t hash_ = 0xcbf29ce484222325ull;
+};
 
 /// Random matmul with extents capped at \p max_extent, drawn from the
 /// harness's size-biased extent distribution.

@@ -19,9 +19,15 @@ host's load falls on both sides alike.
 stdout is Markdown ready for EXPERIMENTS.md: for every end-to-end metric of
 the change tree's BENCHMARK.json, the median [quartiles] of each side, the
 pairs the change wins, the bound check (the change's median no worse than
-the base's by more than the metric's bound) and a verdict.  A difference
-counts as a gain or a loss only when the medians differ by more than the
-base's interquartile range; otherwise it reads "noise".  A metric whose 2N
+the base's by more than the metric's bound) and a verdict.  A worse median
+reads "loss" when the medians differ by more than the base's interquartile
+range, so a regression is never hidden.  A better median reads "gain" only
+when three things hold: the medians differ by more than the base's IQR, the
+change wins at least 90% of the pairs (a tie counts for neither side), and,
+with two or more pairs, the change's median is better in the first half of
+the pairs and in the second half too, so host drift that favours one side
+for part of the run cannot make a gain on its own.  Anything else reads
+"noise".  A metric whose 2N
 values all lie within 0.5% of their common median reads "pinned", with "–"
 for wins: it is set by the harness (an open-loop send rate, say), and
 counting wins on it would count jitter.  A table of every pair's values
@@ -46,6 +52,8 @@ AB_DIR = os.path.join(ROOT, ".bench_build", "ab")
 WORKLOADS = ("warm_hits", "cold_plans", "conformance")
 # A metric whose every value lies this close to the common median is pinned.
 PINNED_SPREAD = 0.005
+# Share of pairs the change must win for a gain.
+GAIN_WIN_SHARE = 0.9
 
 
 def log(*args):
@@ -111,10 +119,14 @@ def fmt(x):
 def summarize(metric, base, change):
     """One table row and whether the metric's bound holds."""
     lower = metric["better"] == "lower"
+
+    def better(c, b):
+        return c < b if lower else c > b
+
     b_med, c_med = statistics.median(base), statistics.median(change)
     b_q1, b_q3 = quartiles(base)
     c_q1, c_q3 = quartiles(change)
-    wins = sum((c < b) if lower else (c > b) for b, c in zip(base, change))
+    wins = sum(better(c, b) for b, c in zip(base, change))
     ties = sum(c == b for b, c in zip(base, change))
     bound = metric["bound"]
     worse_by = (c_med - b_med) if lower else (b_med - c_med)
@@ -126,8 +138,13 @@ def summarize(metric, base, change):
         verdict, wins_cell = "pinned", "–"
     elif abs(c_med - b_med) <= b_q3 - b_q1 or c_med == b_med:
         verdict = "noise"
+    elif worse_by > 0:
+        verdict = "loss"
     else:
-        verdict = "loss" if worse_by > 0 else "gain"
+        half = len(base) // 2
+        halves = [(base[:half], change[:half]), (base[half:], change[half:])] if half else []
+        both_halves = all(better(statistics.median(c), statistics.median(b)) for b, c in halves)
+        verdict = "gain" if wins >= GAIN_WIN_SHARE * len(base) and both_halves else "noise"
     row = (f"| {metric['name']} | {fmt(b_med)} [{fmt(b_q1)}, {fmt(b_q3)}] "
            f"| {fmt(c_med)} [{fmt(c_q1)}, {fmt(c_q3)}] | {delta:+.1f}% "
            f"| {wins_cell} | {'ok' if bound_ok else 'FAIL'} "
@@ -178,7 +195,8 @@ def main():
           f"{args.pairs} pairs of {seconds:g}-s runs, seeds {seeds[0]}–{seeds[-1]}, "
           "base first on odd pairs.  Median [quartiles]; \"wins\" = pairs where the "
           "change reads better; a gain or loss needs the medians to differ by more "
-          "than the base's IQR.")
+          "than the base's IQR, and a gain also needs 90% of the pairs won and a "
+          "better median in each half of the pairs.")
     print()
     print("| metric | base | change | Δ | wins | bound | verdict |")
     print("|---|---:|---:|---:|---:|---|---|")

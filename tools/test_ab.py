@@ -39,6 +39,36 @@ class SummarizeTest(unittest.TestCase):
         self.assertEqual(cells(row)[6], "gain")
         self.assertTrue(bound_ok)
 
+    def test_eight_of_ten_wins_is_noise(self):
+        base = [100.0, 104.0, 98.0, 101.0, 103.0, 99.0, 102.0, 100.0, 97.0, 101.0]
+        change = [80.0, 83.0, 79.0, 82.0, 81.0, 78.0, 84.0, 80.0, 104.0, 105.0]
+        row, _ = ab.summarize(CPU, base, change)
+        self.assertEqual(cells(row)[4], "8/10")
+        self.assertEqual(cells(row)[6], "noise")
+
+    def test_drift_that_favours_the_change_in_one_half_is_noise(self):
+        # Host drift favours the change in the first half of the pairs and
+        # not in the second: 9/10 wins and medians far apart, but the
+        # second half's change median (70) is worse than its base's (61).
+        base = [100.0, 101.0, 99.0, 100.0, 102.0, 60.0, 100.0, 60.5, 100.5, 61.0]
+        change = [50.0, 51.0, 49.0, 50.0, 52.0, 59.0, 99.0, 59.5, 99.5, 70.0]
+        row, _ = ab.summarize(CPU, base, change)
+        self.assertEqual(cells(row)[4], "9/10")
+        self.assertEqual(cells(row)[6], "noise")
+
+    def test_ties_count_for_neither_side(self):
+        base = [100.0, 104.0, 98.0, 101.0, 103.0, 99.0, 102.0, 100.0, 97.0, 101.0]
+        change = [80.0, 83.0, 79.0, 82.0, 81.0, 78.0, 84.0, 80.0, 97.0, 101.0]
+        row, _ = ab.summarize(CPU, base, change)
+        self.assertEqual(cells(row)[4], "8/10 (2 ties)")
+        self.assertEqual(cells(row)[6], "noise")
+
+    def test_a_loss_is_never_hidden_by_the_gain_rules(self):
+        base = [10.0, 10.1, 9.9, 10.0, 10.0, 10.1]
+        change = [9.0, 9.1, 14.0, 14.2, 13.9, 14.1]
+        row, _ = ab.summarize(CPU, base, change)
+        self.assertEqual(cells(row)[6], "loss")
+
     def test_moving_series_within_the_base_spread_is_noise(self):
         base = [100.0, 110.0, 90.0, 105.0, 95.0, 100.0]
         change = [101.0, 108.0, 93.0, 104.0, 97.0, 99.0]
