@@ -58,11 +58,13 @@ int run(int argc, char** argv) {
     std::fputs(kUsage, stderr);
     return 2;
   }
-  const Index m = std::atoll(op_first->c_str());
-  const Index k = std::atoll(args.positional()[0].c_str());
-  const Index l = std::atoll(args.positional()[1].c_str());
+  const Index m = args.option_int("--op", 0);
+  if (m < 1) args.usage_error("M must be at least 1");
+  const Index k = args.positional_int(0, "K", 0, 1);
+  const Index l = args.positional_int(1, "L", 0, 1);
   const std::int64_t buffer_bytes = args.option_bytes("--buffer", 512 * kKiB);
   const Index elem = args.option_int("--elem", 2);
+  if (elem < 1) args.usage_error("--elem must be at least 1");
   const BufferSize bs = buffer_bytes / elem;
 
   TensorOp op = TensorOp::matmul("cli", m, k, l);
@@ -125,8 +127,9 @@ int run(int argc, char** argv) {
     }
   }
 
-  if (auto fuse_n = args.option("--fuse")) {
-    const Index n = std::atoll(fuse_n->c_str());
+  if (args.option("--fuse")) {
+    const Index n = args.option_int("--fuse", 0);
+    if (n < 1) args.usage_error("--fuse must be at least 1");
     FusedPair pair = FusedPair::make(m, k, l, n);
     FusionDecision d = decide_fusion(pair, bs);
     std::printf("\n[fusion with D(%lld,%lld)] Principle 4 says: %s\n", static_cast<long long>(l),
@@ -153,8 +156,9 @@ int run(int argc, char** argv) {
                 recorder.events().size(), recorder.dropped());
   }
 
-  if (auto tl = args.option("--two-level")) {
-    const Index array_n = std::atoll(tl->c_str());
+  if (args.option("--two-level")) {
+    const Index array_n = args.option_int("--two-level", 0);
+    if (array_n < 1) args.usage_error("--two-level must be at least 1");
     TwoLevelResult two = optimize_two_level(op, bs, array_n * array_n);
     std::printf("\n[two-level, %lldx%lld array]\n", static_cast<long long>(array_n),
                 static_cast<long long>(array_n));

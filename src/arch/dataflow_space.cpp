@@ -1,6 +1,8 @@
 #include "arch/dataflow_space.hpp"
 
 #include <algorithm>
+#include <string>
+#include <string_view>
 
 #include "common/check.hpp"
 #include "common/math_util.hpp"
@@ -35,7 +37,12 @@ std::pair<Index, Index> spatial_tile_of(const TensorOp& op, const Dataflow& df) 
 
 struct Candidate {
   Dataflow df;
-  std::string rule;
+  /// The rule string is rule_head + rule_tail, joined for the winner only:
+  /// a losing candidate never builds its string.  Both views outlive the
+  /// candidate list (literals, stationarity names, the principled
+  /// candidates' rules and the "@<arch>" suffix held by the caller).
+  std::string_view rule_head;
+  std::string_view rule_tail;
   /// Explicit PE-resident tile; (0, 0) means "derive from the dataflow".
   Index spatial_rows = 0;
   Index spatial_cols = 0;
@@ -63,7 +70,7 @@ void add_fixed_array_candidates(std::vector<Candidate>& out, const TensorOp& op,
     stream.loop_order = {d1, d2, d3};
     stream.tile[static_cast<std::size_t>(d1)] = t1;
     stream.tile[static_cast<std::size_t>(d2)] = t2;
-    out.push_back({stream, std::string("fixed-array ") + to_string(s), t1, t2});
+    out.push_back({stream, "fixed-array ", to_string(s), t1, t2});
 
     // Staged variants: footprint = (t1 + t2) * T3 + t1 * t2.
     const BufferSize bs = arch.buffer_elements();
@@ -73,18 +80,21 @@ void add_fixed_array_candidates(std::vector<Candidate>& out, const TensorOp& op,
         Dataflow staged = stream;
         staged.loop_order = order;
         staged.tile[static_cast<std::size_t>(d3)] = t3;
-        out.push_back({staged, std::string("fixed-array-staged ") + to_string(s), t1, t2});
+        out.push_back({staged, "fixed-array-staged ", to_string(s), t1, t2});
       }
     }
   }
 }
 
-/// Flexible candidates: principle constructions legalized to the platform
-/// granularity, filtered so a Single-NRA stationary is PE-supportable.
+/// Flexible candidates: the \p principled constructions legalized to the
+/// platform granularity, filtered so a Single-NRA stationary is
+/// PE-supportable.  Each one's rule is its principle rule + \p at_arch.
 void add_flexible_candidates(std::vector<Candidate>& out, const TensorOp& op,
-                             const ArchSpec& arch) {
+                             const ArchSpec& arch,
+                             const std::vector<PrincipleCandidate>& principled,
+                             std::string_view at_arch) {
   const Index g = arch.tile_granularity();
-  for (const PrincipleCandidate& c : principle_candidates(op, arch.buffer_elements())) {
+  for (const PrincipleCandidate& c : principled) {
     Dataflow df = c.dataflow;
     for (int d = 0; d < op.num_dims(); ++d) {
       df.tile[static_cast<std::size_t>(d)] =
@@ -99,7 +109,7 @@ void add_flexible_candidates(std::vector<Candidate>& out, const TensorOp& op,
       }
       if (!supported) continue;
     }
-    out.push_back({df, c.rule + "@" + arch.name});
+    out.push_back({df, c.rule, at_arch});
   }
 }
 
@@ -114,7 +124,7 @@ void add_fallback_candidate(std::vector<Candidate>& out, const TensorOp& op,
   Dataflow df;
   df.tile.assign(3, 1);
   df.loop_order = {d1, d2, other_dim_of(op, resident)};
-  out.push_back({df, "fallback-minimal"});
+  out.push_back({df, "fallback-minimal", ""});
 }
 
 }  // namespace
@@ -145,34 +155,35 @@ ArchIntraOpt optimize_intra_for_arch(const TensorOp& op, const ArchSpec& arch) {
   FCU_CHECK(bs >= 3, "platform buffer cannot hold the minimal working set");
 
   std::vector<Candidate> candidates;
+  std::vector<PrincipleCandidate> principled;
+  const std::string at_arch = "@" + arch.name;
   if (arch.tiling_flex == TilingFlexibility::kLow) {
     add_fixed_array_candidates(candidates, op, arch);
   } else {
-    add_flexible_candidates(candidates, op, arch);
+    principled = principle_candidates(op, bs);
+    add_flexible_candidates(candidates, op, arch, principled, at_arch);
   }
   add_fallback_candidate(candidates, op, arch);
 
   ArchIntraOpt best;
-  bool have = false;
-  Index best_spatial_rows = 0, best_spatial_cols = 0;
+  const Candidate* winner = nullptr;
   for (const Candidate& c : candidates) {
     if (c.df.buffer_footprint(op) > bs) continue;
     AccessBreakdown b = evaluate_access(op, c.df);
-    if (!have || b.total < best.access.total) {
-      best.dataflow = c.df;
+    if (winner == nullptr || b.total < best.access.total) {
+      winner = &c;
       best.access = b;
-      best.rule = c.rule;
-      best_spatial_rows = c.spatial_rows;
-      best_spatial_cols = c.spatial_cols;
-      have = true;
     }
   }
-  FCU_ASSERT_INTERNAL(have, "fallback candidate must always fit");
+  FCU_ASSERT_INTERNAL(winner != nullptr, "fallback candidate must always fit");
   FCU_COUNTER("arch/optimize_intra/calls").add();
   FCU_COUNTER("arch/optimize_intra/candidates").add(static_cast<std::int64_t>(candidates.size()));
-  if (best_spatial_rows > 0 && best_spatial_cols > 0) {
-    best.spatial_rows = best_spatial_rows;
-    best.spatial_cols = best_spatial_cols;
+  best.dataflow = winner->df;
+  best.rule.reserve(winner->rule_head.size() + winner->rule_tail.size());
+  best.rule.append(winner->rule_head).append(winner->rule_tail);
+  if (winner->spatial_rows > 0 && winner->spatial_cols > 0) {
+    best.spatial_rows = winner->spatial_rows;
+    best.spatial_cols = winner->spatial_cols;
   } else {
     auto [r, cidx] = spatial_tile_of(op, best.dataflow);
     best.spatial_rows = r;
@@ -202,11 +213,12 @@ std::optional<ArchPlanStep> optimize_fused_for_arch(const FusedPair& pair, const
   const Index g = arch.tile_granularity();
   std::optional<FusedAccess> best;
   PhasedFusedDataflow best_df;
-  std::string best_rule;
+  const std::string* best_rule = nullptr;  // into candidates, copied for the winner only
   bool best_is_phased = true;
   ResidentFusedDataflow best_resident;
 
-  for (const FusedCandidate& c : fused_principle_candidates(pair, bs)) {
+  const std::vector<FusedCandidate> candidates = fused_principle_candidates(pair, bs);
+  for (const FusedCandidate& c : candidates) {
     if (c.phased) {
       PhasedFusedDataflow df = *c.phased;
       df.t_m = legalize_tile(df.t_m, pair.m(), g);
@@ -218,7 +230,7 @@ std::optional<ArchPlanStep> optimize_fused_for_arch(const FusedPair& pair, const
       if (!best || a.total < best->total) {
         best = a;
         best_df = df;
-        best_rule = c.rule;
+        best_rule = &c.rule;
         best_is_phased = true;
       }
     } else {
@@ -234,7 +246,7 @@ std::optional<ArchPlanStep> optimize_fused_for_arch(const FusedPair& pair, const
       if (!best || a.total < best->total) {
         best = a;
         best_resident = rf;
-        best_rule = c.rule;
+        best_rule = &c.rule;
         best_is_phased = false;
       }
     }
@@ -246,7 +258,7 @@ std::optional<ArchPlanStep> optimize_fused_for_arch(const FusedPair& pair, const
   step.fused = true;
   step.access = best->total;
   step.macs = pair.op1().macs() + pair.op2().macs();
-  step.rule = "fused " + best_rule + "@" + arch.name;
+  step.rule = "fused " + *best_rule + "@" + arch.name;
   if (best_is_phased) step.fused_phased = best_df;
   if (best_is_phased) {
     // PE-resident tile: the largest of the A / C / E tiles (tile fusion

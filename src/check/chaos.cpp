@@ -530,8 +530,8 @@ ChaosShrinkResult shrink_fault_plan(std::uint64_t trial_seed, const fault::Fault
 }
 
 std::string chaos_repro_to_json(const ChaosFailure& failure) {
-  std::ostringstream os;
-  JsonWriter w(os);
+  std::string out;
+  JsonWriter w(out);
   w.begin_object();
   w.field("schema", "fusecu_chaos_repro/1");
   w.field("tool", "fusecu_check --chaos-trials");
@@ -555,7 +555,7 @@ std::string chaos_repro_to_json(const ChaosFailure& failure) {
   w.raw_value(failure.shrunk.plan.to_json());
   w.field("shrunk_invariant", failure.shrunk.invariant);
   w.end_object();
-  return os.str();
+  return out;
 }
 
 ChaosFailure chaos_repro_from_json(const std::string& text, const std::string& source) {

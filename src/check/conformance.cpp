@@ -4,6 +4,7 @@
 #include <sstream>
 
 #include "arch/dataflow_space.hpp"
+#include "common/json_writer.hpp"
 #include "fusion/fusion_principles.hpp"
 #include "fusion/graph_planner.hpp"
 #include "obs/log.hpp"
@@ -68,15 +69,23 @@ class Checker {
   CheckReport* report_;
 };
 
-std::string dims_to_string(const std::vector<Index>& v) {
-  std::ostringstream os;
-  os << "[";
-  for (std::size_t i = 0; i < v.size(); ++i) {
-    if (i) os << ",";
-    os << v[i];
+/// "[a,b,c]" appended to \p out.
+template <typename Range>
+void append_dims(std::string& out, const Range& v) {
+  out.push_back('[');
+  bool first = true;
+  for (const auto x : v) {
+    if (!first) out.push_back(',');
+    first = false;
+    JsonWriter::append_int(out, x);
   }
-  os << "]";
-  return os.str();
+  out.push_back(']');
+}
+
+std::string dims_to_string(const std::vector<Index>& v) {
+  std::string out;
+  append_dims(out, v);
+  return out;
 }
 
 /// Random executable dataflow: tiles capped at the array edge so every
@@ -406,36 +415,54 @@ AccessCount fused_traffic_lower_bound(const FusedPair& pair) {
 }
 
 std::string intra_plan_signature(const IntraOptResult& r) {
-  std::ostringstream os;
-  os << "rule=" << r.rule << " nra=" << static_cast<int>(r.nra)
-     << " class=" << to_string(r.buffer_class) << " order=[";
-  for (std::size_t i = 0; i < r.dataflow.loop_order.size(); ++i) {
-    if (i) os << ",";
-    os << r.dataflow.loop_order[i];
-  }
-  os << "] tile=" << dims_to_string(r.dataflow.tile)
-     << " per_tensor=" << dims_to_string(r.access.per_tensor) << " total=" << r.access.total
-     << " footprint=" << r.access.buffer_footprint;
-  return os.str();
+  std::string out = "rule=";
+  out.append(r.rule).append(" nra=");
+  JsonWriter::append_int(out, static_cast<int>(r.nra));
+  out.append(" class=").append(to_string(r.buffer_class)).append(" order=");
+  append_dims(out, r.dataflow.loop_order);
+  out.append(" tile=");
+  append_dims(out, r.dataflow.tile);
+  out.append(" per_tensor=");
+  append_dims(out, r.access.per_tensor);
+  out.append(" total=");
+  JsonWriter::append_int(out, r.access.total);
+  out.append(" footprint=");
+  JsonWriter::append_int(out, r.access.buffer_footprint);
+  return out;
 }
 
 std::string fused_plan_signature(const std::optional<FusedOptResult>& r) {
   if (!r) return "unfusable";
-  std::ostringstream os;
-  os << "rule=" << r->chosen.rule << " r1=" << static_cast<int>(r->regime1)
-     << " r2=" << static_cast<int>(r->regime2) << " op1=" << r->access.op1_external
-     << " op2=" << r->access.op2_external << " total=" << r->access.total
-     << " footprint=" << r->access.buffer_footprint;
+  std::string out = "rule=";
+  out.append(r->chosen.rule).append(" r1=");
+  JsonWriter::append_int(out, static_cast<int>(r->regime1));
+  out.append(" r2=");
+  JsonWriter::append_int(out, static_cast<int>(r->regime2));
+  out.append(" op1=");
+  JsonWriter::append_int(out, r->access.op1_external);
+  out.append(" op2=");
+  JsonWriter::append_int(out, r->access.op2_external);
+  out.append(" total=");
+  JsonWriter::append_int(out, r->access.total);
+  out.append(" footprint=");
+  JsonWriter::append_int(out, r->access.buffer_footprint);
   if (r->chosen.phased) {
     const PhasedFusedDataflow& p = *r->chosen.phased;
-    os << " phased{" << p.t_m << "," << p.t_k << "," << p.t_l << "," << p.t_n << ","
-       << (p.l_outer ? "L" : "M") << "}";
+    out.append(" phased{");
+    for (const Index t : {p.t_m, p.t_k, p.t_l, p.t_n}) {
+      JsonWriter::append_int(out, t);
+      out.push_back(',');
+    }
+    out.append(p.l_outer ? "L}" : "M}");
   }
   if (r->chosen.resident) {
-    os << " resident{" << dims_to_string(r->chosen.resident->df1.tile) << ","
-       << dims_to_string(r->chosen.resident->df2.tile) << "}";
+    out.append(" resident{");
+    append_dims(out, r->chosen.resident->df1.tile);
+    out.push_back(',');
+    append_dims(out, r->chosen.resident->df2.tile);
+    out.push_back('}');
   }
-  return os.str();
+  return out;
 }
 
 CheckReport check_workload(const Workload& w, const CheckOptions& opts) {

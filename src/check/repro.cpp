@@ -1,6 +1,5 @@
 #include "check/repro.hpp"
 
-#include <sstream>
 
 #include "common/check.hpp"
 #include "common/json_parse.hpp"
@@ -91,9 +90,9 @@ Workload parse_workload(const JsonValuePtr& obj) {
 }  // namespace
 
 std::string repro_to_json(const Repro& repro) {
-  std::ostringstream os;
+  std::string out;
   {
-    JsonWriter jw(os);
+    JsonWriter jw(out);
     jw.begin_object();
     jw.field("schema", kSchemaVersion);
     jw.field("tool", repro.tool_version);
@@ -112,7 +111,7 @@ std::string repro_to_json(const Repro& repro) {
     jw.end_array();
     jw.end_object();
   }
-  return os.str();
+  return out;
 }
 
 Repro repro_from_json(const std::string& text, const std::string& source) {

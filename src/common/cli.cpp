@@ -37,6 +37,7 @@ void ArgParser::parse(int argc, const char* const* argv) {
 
 void ArgParser::parse_or_exit(int argc, const char* const* argv, const std::string& usage) {
   usage_ = usage;
+  exit_on_error_ = true;
   for (int i = 1; i < argc; ++i) {
     if (std::string_view(argv[i]) == "--help") {
       std::cout << usage;
@@ -78,12 +79,20 @@ std::optional<std::string> ArgParser::option(const std::string& name) const {
   return it->second;
 }
 
+void ArgParser::bad_value(const std::string& name, const std::string& expects,
+                          const std::string& text) const {
+  const std::string message = "option " + name + " expects " + expects + ", got \"" + text + "\"";
+  if (exit_on_error_) usage_error(message);
+  throw std::invalid_argument(message);
+}
+
 Index ArgParser::option_int(const std::string& name, Index default_value) const {
   auto v = option(name);
   if (!v) return default_value;
   char* end = nullptr;
+  errno = 0;
   const long long parsed = std::strtoll(v->c_str(), &end, 10);
-  FCU_CHECK(end && *end == '\0' && !v->empty(), "option " + name + " expects an integer");
+  if (v->empty() || *end != '\0' || errno == ERANGE) bad_value(name, "an integer", *v);
   return parsed;
 }
 
@@ -92,16 +101,22 @@ std::uint64_t ArgParser::option_uint64(const std::string& name,
   auto v = option(name);
   if (!v) return default_value;
   char* end = nullptr;
+  errno = 0;
   const unsigned long long parsed = std::strtoull(v->c_str(), &end, 0);
-  FCU_CHECK(end && *end == '\0' && !v->empty() && (*v)[0] != '-',
-            "option " + name + " expects a non-negative integer (decimal or 0x hex)");
+  if (v->empty() || *end != '\0' || errno == ERANGE || (*v)[0] == '-') {
+    bad_value(name, "a non-negative integer (decimal or 0x hex)", *v);
+  }
   return parsed;
 }
 
 std::int64_t ArgParser::option_bytes(const std::string& name, std::int64_t default_value) const {
   auto v = option(name);
   if (!v) return default_value;
-  return parse_bytes(*v);
+  try {
+    return parse_bytes(*v);
+  } catch (const std::invalid_argument&) {
+    bad_value(name, "a byte size such as 4096, 512KB or 8MB", *v);
+  }
 }
 
 std::int64_t parse_bytes(const std::string& text) {

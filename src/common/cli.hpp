@@ -42,6 +42,11 @@ class ArgParser {
   bool has_flag(const std::string& name) const;
   std::optional<std::string> option(const std::string& name) const;
 
+  // The typed option readers below reject a malformed value with
+  // `option --X expects <what>, got "<value>"`: after parse_or_exit() that is
+  // a usage_error (usage on stderr, exit 2); after parse() it is thrown as
+  // std::invalid_argument.
+
   /// Option parsed as integer, with default.
   Index option_int(const std::string& name, Index default_value) const;
 
@@ -58,12 +63,17 @@ class ArgParser {
   const std::vector<std::string>& positional() const { return positional_; }
 
  private:
+  /// The malformed-value error of the typed option readers.
+  [[noreturn]] void bad_value(const std::string& name, const std::string& expects,
+                              const std::string& text) const;
+
   std::vector<std::string> known_flags_;
   std::vector<std::string> known_options_;
   std::map<std::string, std::string> values_;
   std::vector<std::string> set_flags_;
   std::vector<std::string> positional_;
   std::string usage_;
+  bool exit_on_error_ = false;  ///< set by parse_or_exit()
 };
 
 /// Parse "512KB"-style byte sizes (used by ArgParser::option_bytes).

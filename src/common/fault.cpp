@@ -4,7 +4,6 @@
 #include <cerrno>
 #include <cstring>
 #include <mutex>
-#include <sstream>
 #include <stdexcept>
 
 #include "common/json_parse.hpp"
@@ -96,8 +95,8 @@ std::vector<int> FaultPlan::kind_counts() const {
 }
 
 std::string FaultPlan::to_json() const {
-  std::ostringstream os;
-  JsonWriter jw(os);
+  std::string out;
+  JsonWriter jw(out);
   jw.begin_object();
   jw.field("schema", "fusecu_fault_plan/1");
   // Seeds are full 64-bit splitmix64 outputs; a string survives the JSON
@@ -114,7 +113,7 @@ std::string FaultPlan::to_json() const {
   }
   jw.end_array();
   jw.end_object();
-  return os.str();
+  return out;
 }
 
 FaultPlan FaultPlan::from_json(const std::string& text, const std::string& source) {

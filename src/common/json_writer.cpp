@@ -1,5 +1,6 @@
 #include "common/json_writer.hpp"
 
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 
@@ -7,132 +8,128 @@
 
 namespace fusecu {
 
-JsonWriter::JsonWriter(std::ostream& os) : os_(os) {}
-
-JsonWriter::~JsonWriter() = default;
-
-std::string JsonWriter::escape(const std::string& raw) {
-  std::string out;
-  out.reserve(raw.size() + 2);
-  append_escaped(out, raw);
-  return out;
-}
-
 void JsonWriter::append_escaped(std::string& out, std::string_view raw) {
-  for (char c : raw) {
+  const char* run = raw.data();
+  const char* const end = raw.data() + raw.size();
+  for (const char* p = run; p != end; ++p) {
+    const unsigned char c = static_cast<unsigned char>(*p);
+    if (c >= 0x20 && c != '"' && c != '\\') continue;
+    out.append(run, p);
+    run = p + 1;
     switch (c) {
       case '"':
-        out += "\\\"";
+        out.append("\\\"");
         break;
       case '\\':
-        out += "\\\\";
+        out.append("\\\\");
         break;
       case '\n':
-        out += "\\n";
+        out.append("\\n");
         break;
       case '\t':
-        out += "\\t";
+        out.append("\\t");
         break;
       case '\r':
-        out += "\\r";
+        out.append("\\r");
         break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
+      default: {
+        constexpr char kHex[] = "0123456789abcdef";
+        const char u[6] = {'\\', 'u', '0', '0', kHex[c >> 4], kHex[c & 0xf]};
+        out.append(u, sizeof(u));
+      }
     }
   }
+  out.append(run, end);
+}
+
+void JsonWriter::append_int(std::string& out, std::int64_t v) {
+  char buf[24];
+  const std::to_chars_result r = std::to_chars(buf, buf + sizeof(buf), v);
+  out.append(buf, r.ptr);
 }
 
 void JsonWriter::before_value() {
-  FCU_CHECK(!root_written_ || !stack_.empty(), "only one root value allowed");
-  if (!stack_.empty()) {
-    if (stack_.back() == Scope::kObject) {
+  FCU_CHECK(!root_written_ || depth_ > 0, "only one root value allowed");
+  if (depth_ > 0) {
+    bool& first = first_in_scope_[static_cast<std::size_t>(depth_ - 1)];
+    if (scopes_[static_cast<std::size_t>(depth_ - 1)] == Scope::kObject) {
       FCU_CHECK(pending_key_, "object members need a key");
+    } else if (!first) {
+      out_.push_back(',');
     }
-    if (!first_in_scope_.back() && !pending_key_) os_ << ",";
-    first_in_scope_.back() = false;
+    first = false;
   }
   pending_key_ = false;
 }
 
-void JsonWriter::key(const std::string& name) {
-  FCU_CHECK(!stack_.empty() && stack_.back() == Scope::kObject, "key outside an object");
+void JsonWriter::key(std::string_view name) {
+  FCU_CHECK(depth_ > 0 && scopes_[static_cast<std::size_t>(depth_ - 1)] == Scope::kObject,
+            "key outside an object");
   FCU_CHECK(!pending_key_, "two keys in a row");
-  if (!first_in_scope_.back()) os_ << ",";
-  first_in_scope_.back() = false;
-  os_ << '"' << escape(name) << "\":";
+  bool& first = first_in_scope_[static_cast<std::size_t>(depth_ - 1)];
+  out_.append(first ? "\"" : ",\"");
+  first = false;
+  append_escaped(out_, name);
+  out_.append("\":");
   pending_key_ = true;
 }
 
-void JsonWriter::begin_object() {
+void JsonWriter::push(Scope scope, char open) {
+  FCU_CHECK(depth_ < kMaxDepth, "JSON nesting deeper than JsonWriter::kMaxDepth");
   before_value();
-  os_ << "{";
-  stack_.push_back(Scope::kObject);
-  first_in_scope_.push_back(true);
+  out_.push_back(open);
+  scopes_[static_cast<std::size_t>(depth_)] = scope;
+  first_in_scope_[static_cast<std::size_t>(depth_)] = true;
+  ++depth_;
 }
 
-void JsonWriter::end_object() {
-  FCU_CHECK(!stack_.empty() && stack_.back() == Scope::kObject, "no object to end");
+void JsonWriter::pop(Scope scope, char close) {
+  FCU_CHECK(depth_ > 0 && scopes_[static_cast<std::size_t>(depth_ - 1)] == scope,
+            scope == Scope::kObject ? "no object to end" : "no array to end");
   FCU_CHECK(!pending_key_, "dangling key");
-  os_ << "}";
-  stack_.pop_back();
-  first_in_scope_.pop_back();
-  if (stack_.empty()) root_written_ = true;
+  out_.push_back(close);
+  --depth_;
+  after_value();
 }
 
-void JsonWriter::begin_array() {
+void JsonWriter::begin_object() { push(Scope::kObject, '{'); }
+void JsonWriter::end_object() { pop(Scope::kObject, '}'); }
+void JsonWriter::begin_array() { push(Scope::kArray, '['); }
+void JsonWriter::end_array() { pop(Scope::kArray, ']'); }
+
+void JsonWriter::value(std::string_view v) {
   before_value();
-  os_ << "[";
-  stack_.push_back(Scope::kArray);
-  first_in_scope_.push_back(true);
+  out_.push_back('"');
+  append_escaped(out_, v);
+  out_.push_back('"');
+  after_value();
 }
-
-void JsonWriter::end_array() {
-  FCU_CHECK(!stack_.empty() && stack_.back() == Scope::kArray, "no array to end");
-  os_ << "]";
-  stack_.pop_back();
-  first_in_scope_.pop_back();
-  if (stack_.empty()) root_written_ = true;
-}
-
-void JsonWriter::value(const std::string& v) {
-  before_value();
-  os_ << '"' << escape(v) << '"';
-  if (stack_.empty()) root_written_ = true;
-}
-
-void JsonWriter::value(const char* v) { value(std::string(v)); }
 
 void JsonWriter::value(double v) {
-  before_value();
   FCU_CHECK(std::isfinite(v), "JSON cannot represent non-finite numbers");
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.10g", v);
-  os_ << buf;
-  if (stack_.empty()) root_written_ = true;
+  before_value();
+  char buf[32];
+  const int n = std::snprintf(buf, sizeof(buf), "%.10g", v);
+  out_.append(buf, static_cast<std::size_t>(n));
+  after_value();
 }
 
 void JsonWriter::value(std::int64_t v) {
   before_value();
-  os_ << v;
-  if (stack_.empty()) root_written_ = true;
-}
-
-void JsonWriter::raw_value(const std::string& json) {
-  before_value();
-  os_ << json;
-  if (stack_.empty()) root_written_ = true;
+  append_int(out_, v);
+  after_value();
 }
 
 void JsonWriter::value(bool v) {
   before_value();
-  os_ << (v ? "true" : "false");
-  if (stack_.empty()) root_written_ = true;
+  out_.append(v ? "true" : "false");
+  after_value();
+}
+
+void JsonWriter::raw_value(std::string_view json) {
+  before_value();
+  out_.append(json);
+  after_value();
 }
 
 }  // namespace fusecu

@@ -312,31 +312,30 @@ void Reactor::handle_line(Conn& conn, const LineDecoder::DecodedLine& line) {
   if (line.text.find_first_not_of(" \t\r") == std::string::npos) return;
   stats_.requests.fetch_add(1, std::memory_order_relaxed);
   Pending& slot = push_slot(conn);
-  switch (service_.begin_line(line.text, conn.peer, conn.lineno, keyed_scratch_, slot.json)) {
+  const bool may_plan = !budget_spent();
+  switch (service_.answer_line(line.text, conn.peer, conn.lineno, keyed_scratch_, slot.json,
+                               may_plan)) {
     case LineOutcome::kMalformed:
       stats_.parse_errors.fetch_add(1, std::memory_order_relaxed);
       parse_errors_counter_.add();
-      mark_done(conn, slot);
-      return;
+      break;
     case LineOutcome::kHit:
-      mark_done(conn, slot);
-      return;
+      break;
     case LineOutcome::kMiss:
-      if (budget_spent()) {
+      if (may_plan) {
+        ++planned_this_turn_;
+      } else {
         // The response still occupies its ordered slot.
         stats_.shed.fetch_add(1, std::memory_order_relaxed);
         shed_counter_.add();
-        slot.json = error_response(keyed_scratch_.request.id,
-                                   "overloaded: planning budget spent (queue-depth " +
-                                       std::to_string(config_.queue_depth) + ")")
-                        .to_json();
-      } else {
-        ++planned_this_turn_;
-        service_.finish_line(keyed_scratch_, PlanService::kNotQueued, slot.json);
+        slot.json.clear();
+        append_error_response(slot.json, keyed_scratch_.request.id,
+                              "overloaded: planning budget spent (queue-depth " +
+                                  std::to_string(config_.queue_depth) + ")");
       }
-      mark_done(conn, slot);
-      return;
+      break;
   }
+  mark_done(conn, slot);
 }
 
 Reactor::Pending& Reactor::push_slot(Conn& conn) {

@@ -46,10 +46,10 @@
 /// deadline cannot make the sweep spin).
 ///
 /// Request path.  The reactor runs the whole line core on every line it
-/// reads: PlanService::begin_line decodes, keys and makes one counted cache
-/// probe, and on a miss PlanService::finish_line plans the request in
-/// place.  Every response slot is therefore done in the loop turn that read
-/// its line.
+/// reads: PlanService::answer_line decodes, keys and makes one counted
+/// cache probe, and on a miss plans the request in place, all under one
+/// span root.  Every response slot is therefore done in the loop turn that
+/// read its line.
 ///
 /// Per-turn planning budget.  A reactor plans at most `queue_depth`
 /// misses per loop turn.  A further miss decoded in the same turn is shed

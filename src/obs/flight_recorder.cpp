@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstring>
-#include <sstream>
 
 #ifndef _WIN32
 #include <fcntl.h>
@@ -238,7 +237,8 @@ void FlightRecorder::dump_json(std::ostream& os) const {
   std::sort(events.begin(), events.end(),
             [](const FlightEvent& a, const FlightEvent& b) { return a.seq < b.seq; });
 
-  JsonWriter w(os);
+  std::string out;
+  JsonWriter w(out);
   w.begin_object();
   w.field("exported_at", rfc3339_utc_now());
   w.field("armed", armed());
@@ -275,13 +275,12 @@ void FlightRecorder::dump_json(std::ostream& os) const {
   }
   w.end_array();
   w.key("metrics");
-  std::ostringstream metrics;
-  MetricsRegistry::global().write_json(metrics);
-  std::string metrics_json = metrics.str();
-  while (!metrics_json.empty() && metrics_json.back() == '\n') metrics_json.pop_back();
-  w.raw_value(metrics_json);
+  std::string metrics;
+  MetricsRegistry::global().append_json(metrics);
+  w.raw_value(metrics);
   w.end_object();
-  os << '\n';
+  out.push_back('\n');
+  os << out;
 }
 
 void FlightRecorder::refresh_metrics_index() {

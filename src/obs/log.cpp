@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cinttypes>
 #include <cstdio>
-#include <sstream>
 
 #include "common/json_writer.hpp"
 #include "common/timeutil.hpp"
@@ -92,24 +91,26 @@ void Logger::log(LogLevel level, const char* component, std::string_view message
 
   // Build the full line outside the lock; emit it in one write so lines
   // from concurrent workers never interleave mid-line.
-  std::ostringstream line;
-  line << "{\"time\":\"" << rfc3339_utc_now() << "\",\"ts_us\":" << ts_us << ",\"level\":\""
-       << log_level_name(level) << "\",\"component\":\"" << JsonWriter::escape(component)
-       << "\",\"thread\":" << obs_thread_index();
+  std::string line;
+  JsonWriter w(line);
+  w.begin_object();
+  w.field("time", rfc3339_utc_now());
+  w.field("ts_us", ts_us);
+  w.field("level", log_level_name(level));
+  w.field("component", component);
+  w.field("thread", obs_thread_index());
   if (span.valid()) {
-    line << ",\"trace\":\"" << hex_id(span.trace_id) << "\",\"span\":\"" << hex_id(span.span_id)
-         << "\"";
+    w.field("trace", hex_id(span.trace_id));
+    w.field("span", hex_id(span.span_id));
   }
-  line << ",\"msg\":\"" << JsonWriter::escape(msg) << "\"";
-  for (const LogField& field : fields) {
-    line << ",\"" << JsonWriter::escape(field.key) << "\":\"" << JsonWriter::escape(field.value)
-         << "\"";
-  }
-  line << "}\n";
+  w.field("msg", msg);
+  for (const LogField& field : fields) w.field(field.key, field.value);
+  w.end_object();
+  line.push_back('\n');
 
   std::lock_guard<std::mutex> lock(mu_);
   if (sink_) {
-    *sink_ << line.str();
+    *sink_ << line;
     sink_->flush();
   }
 }

@@ -173,9 +173,10 @@ void write_histogram_fields(JsonWriter& w, const HistogramSnapshot& s) {
 
 }  // namespace
 
-void MetricsRegistry::write_json(std::ostream& os, std::optional<std::time_t> exported_at) const {
+void MetricsRegistry::append_json(std::string& out,
+                                  std::optional<std::time_t> exported_at) const {
   std::lock_guard<std::mutex> lock(mu_);
-  JsonWriter w(os);
+  JsonWriter w(out);
   w.begin_object();
   w.field("exported_at", rfc3339_utc(exported_at.value_or(std::time(nullptr))));
   w.key("counters");
@@ -196,7 +197,13 @@ void MetricsRegistry::write_json(std::ostream& os, std::optional<std::time_t> ex
   }
   w.end_object();
   w.end_object();
-  os << '\n';
+}
+
+void MetricsRegistry::write_json(std::ostream& os, std::optional<std::time_t> exported_at) const {
+  std::string out;
+  append_json(out, exported_at);
+  out.push_back('\n');
+  os << out;
 }
 
 void MetricsRegistry::write_csv(std::ostream& os, std::optional<std::time_t> exported_at) const {

@@ -115,8 +115,10 @@ class MetricsRegistry {
   std::vector<std::string> histogram_names() const;
 
   /// One JSON object: {"exported_at":"RFC3339","counters":{...},
-  /// "gauges":{...},"histograms":{...}}.  \p exported_at overrides the
-  /// wall-clock stamp (tests pin it for byte-stable artifacts).
+  /// "gauges":{...},"histograms":{...}}, appended to \p out.  \p exported_at
+  /// overrides the wall-clock stamp (tests pin it for byte-stable artifacts).
+  void append_json(std::string& out, std::optional<std::time_t> exported_at = std::nullopt) const;
+  /// append_json() plus a newline, written to \p os at once.
   void write_json(std::ostream& os, std::optional<std::time_t> exported_at = std::nullopt) const;
   /// Flat CSV: kind,name,count,sum,min,max,mean,p50,p95,p99,p99.9 (value in
   /// `sum` for counters/gauges), preceded by a "# exported_at <RFC3339>"

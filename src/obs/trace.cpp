@@ -52,7 +52,17 @@ void TraceRecorder::set_track_name(Index track, std::string name) {
 }
 
 void write_chrome_trace(std::ostream& os, const TraceRecorder& recorder) {
-  JsonWriter w(os);
+  // A full evaluation trace runs to tens of MB, so the rendered text is
+  // handed to the stream in chunks of about kChunkBytes, each written once.
+  constexpr std::size_t kChunkBytes = 1 << 20;
+  std::string out;
+  out.reserve(kChunkBytes + 4096);
+  const auto spill = [&] {
+    if (out.size() < kChunkBytes) return;
+    os << out;
+    out.clear();
+  };
+  JsonWriter w(out);
   w.begin_array();
   for (const auto& [track, name] : recorder.track_names()) {
     w.begin_object();
@@ -65,6 +75,7 @@ void write_chrome_trace(std::ostream& os, const TraceRecorder& recorder) {
     w.field("name", name);
     w.end_object();
     w.end_object();
+    spill();
   }
   for (const TraceEvent& e : recorder.events()) {
     w.begin_object();
@@ -76,6 +87,7 @@ void write_chrome_trace(std::ostream& os, const TraceRecorder& recorder) {
     w.field("pid", 0);
     w.field("tid", static_cast<std::int64_t>(e.track));
     w.end_object();
+    spill();
   }
   // Name each span track once so Perfetto labels the request lanes.
   std::set<int> span_threads;
@@ -91,6 +103,7 @@ void write_chrome_trace(std::ostream& os, const TraceRecorder& recorder) {
     w.field("name", "requests (thread " + std::to_string(thread) + ")");
     w.end_object();
     w.end_object();
+    spill();
   }
   for (const SpanRecord& s : recorder.spans()) {
     w.begin_object();
@@ -109,6 +122,7 @@ void write_chrome_trace(std::ostream& os, const TraceRecorder& recorder) {
     if (!s.detail.empty()) w.field("detail", s.detail);
     w.end_object();
     w.end_object();
+    spill();
   }
   for (const CounterSample& s : recorder.counter_samples()) {
     w.begin_object();
@@ -121,6 +135,7 @@ void write_chrome_trace(std::ostream& os, const TraceRecorder& recorder) {
     w.field("value", s.value);
     w.end_object();
     w.end_object();
+    spill();
   }
   if (recorder.dropped() > 0 || recorder.dropped_counters() > 0 ||
       recorder.dropped_spans() > 0) {
@@ -137,9 +152,11 @@ void write_chrome_trace(std::ostream& os, const TraceRecorder& recorder) {
     w.field("dropped_spans", static_cast<std::int64_t>(recorder.dropped_spans()));
     w.end_object();
     w.end_object();
+    spill();
   }
   w.end_array();
-  os << '\n';
+  out.push_back('\n');
+  os << out;
 }
 
 }  // namespace fusecu

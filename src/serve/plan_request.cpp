@@ -1,7 +1,6 @@
 #include "serve/plan_request.hpp"
 
 #include <cmath>
-#include <sstream>
 #include <string_view>
 
 #include "common/check.hpp"
@@ -280,61 +279,122 @@ PlanRequest parse_plan_request(const std::string& line, const std::string& sourc
 
 namespace {
 
-void write_intra(JsonWriter& w, const IntraOptResult& r) {
-  w.field("rule", r.rule);
-  w.field("nra", static_cast<int>(r.nra));
-  w.field("buffer_class", to_string(r.buffer_class));
-  w.field("total_access", static_cast<std::int64_t>(r.access.total));
-  w.key("per_tensor");
-  w.begin_array();
-  for (AccessCount a : r.access.per_tensor) w.value(static_cast<std::int64_t>(a));
-  w.end_array();
-  w.field("buffer_footprint", static_cast<std::int64_t>(r.access.buffer_footprint));
-  w.key("loop_order");
-  w.begin_array();
-  for (int d : r.dataflow.loop_order) w.value(d);
-  w.end_array();
-  w.key("tile");
-  w.begin_array();
-  for (Index t : r.dataflow.tile) w.value(static_cast<std::int64_t>(t));
-  w.end_array();
+// An ok body is a run of members between the id and "cached" members of
+// one object, a fragment no JsonWriter scope can express, so it is appended
+// directly with JsonWriter's escaping and integer formatting.  Every member
+// name is a plain literal and needs no escaping.
+
+/// `,"name":` — every body member follows another member.
+void append_key(std::string& out, std::string_view name) {
+  out.push_back(',');
+  out.push_back('"');
+  out.append(name);
+  out.append("\":");
 }
 
-void write_fused(JsonWriter& w, bool fusable, const std::optional<FusedOptResult>& r) {
-  w.field("fusable", fusable);
-  if (!fusable || !r) return;
-  w.field("rule", r->chosen.rule);
-  w.field("total_access", static_cast<std::int64_t>(r->access.total));
-  w.field("op1_external", static_cast<std::int64_t>(r->access.op1_external));
-  w.field("op2_external", static_cast<std::int64_t>(r->access.op2_external));
-  w.field("buffer_footprint", static_cast<std::int64_t>(r->access.buffer_footprint));
-  w.field("regime1", static_cast<int>(r->regime1));
-  w.field("regime2", static_cast<int>(r->regime2));
+void append_int_field(std::string& out, std::string_view name, std::int64_t v) {
+  append_key(out, name);
+  JsonWriter::append_int(out, v);
 }
+
+void append_string_field(std::string& out, std::string_view name, std::string_view v) {
+  append_key(out, name);
+  out.push_back('"');
+  JsonWriter::append_escaped(out, v);
+  out.push_back('"');
+}
+
+template <typename Range>
+void append_int_array(std::string& out, std::string_view name, const Range& values) {
+  append_key(out, name);
+  out.push_back('[');
+  bool first = true;
+  for (const auto v : values) {
+    if (!first) out.push_back(',');
+    first = false;
+    JsonWriter::append_int(out, static_cast<std::int64_t>(v));
+  }
+  out.push_back(']');
+}
+
+/// `{"id":"<escaped id>"`, the bytes in front of every response's body.
+void append_id_prefix(std::string& out, std::string_view id) {
+  out.append("{\"id\":\"");
+  JsonWriter::append_escaped(out, id);
+  out.push_back('"');
+}
+
+void append_cached_tail(std::string& out, bool cached) {
+  out.append(cached ? "\"cached\":true}" : "\"cached\":false}");
+}
+
+constexpr std::string_view kOkMatmul = ",\"ok\":true,\"kind\":\"matmul\"";
+constexpr std::string_view kOkFused = ",\"ok\":true,\"kind\":\"fused_pair\"";
 
 }  // namespace
 
-std::string PlanResponse::to_json() const {
-  std::ostringstream os;
-  {
-    JsonWriter w(os);
-    w.begin_object();
-    w.field("id", id);
-    w.field("ok", ok);
-    if (!ok) {
-      w.field("error", error);
-    } else {
-      w.field("kind", kind == PlanRequest::Kind::kMatmul ? "matmul" : "fused_pair");
-      if (kind == PlanRequest::Kind::kMatmul && intra) {
-        write_intra(w, *intra);
-      } else if (kind == PlanRequest::Kind::kFusedPair) {
-        write_fused(w, fusable, fused);
-      }
-      w.field("cached", cached);
-    }
-    w.end_object();
+void append_ok_body(std::string& out, const IntraOptResult& plan) {
+  out.append(kOkMatmul);
+  append_string_field(out, "rule", plan.rule);
+  append_int_field(out, "nra", static_cast<int>(plan.nra));
+  append_string_field(out, "buffer_class", to_string(plan.buffer_class));
+  append_int_field(out, "total_access", plan.access.total);
+  append_int_array(out, "per_tensor", plan.access.per_tensor);
+  append_int_field(out, "buffer_footprint", plan.access.buffer_footprint);
+  append_int_array(out, "loop_order", plan.dataflow.loop_order);
+  append_int_array(out, "tile", plan.dataflow.tile);
+  out.push_back(',');
+}
+
+void append_ok_body(std::string& out, const FusedOptResult* plan) {
+  out.append(kOkFused);
+  append_key(out, "fusable");
+  out.append(plan != nullptr ? "true" : "false");
+  if (plan != nullptr) {
+    append_string_field(out, "rule", plan->chosen.rule);
+    append_int_field(out, "total_access", plan->access.total);
+    append_int_field(out, "op1_external", plan->access.op1_external);
+    append_int_field(out, "op2_external", plan->access.op2_external);
+    append_int_field(out, "buffer_footprint", plan->access.buffer_footprint);
+    append_int_field(out, "regime1", static_cast<int>(plan->regime1));
+    append_int_field(out, "regime2", static_cast<int>(plan->regime2));
   }
-  return os.str();
+  out.push_back(',');
+}
+
+void append_ok_response(std::string& out, std::string_view id, std::string_view body,
+                        bool cached) {
+  append_id_prefix(out, id);
+  out.append(body);
+  append_cached_tail(out, cached);
+}
+
+void append_error_response(std::string& out, std::string_view id, std::string_view message) {
+  JsonWriter w(out);
+  w.begin_object();
+  w.field("id", id);
+  w.field("ok", false);
+  w.field("error", message);
+  w.end_object();
+}
+
+std::string PlanResponse::to_json() const {
+  std::string out;
+  out.reserve(256);  // a typical response, id included, in one allocation
+  if (!ok) {
+    append_error_response(out, id, error);
+    return out;
+  }
+  append_id_prefix(out, id);
+  if (kind == PlanRequest::Kind::kFusedPair) {
+    append_ok_body(out, fusable && fused ? &*fused : nullptr);
+  } else if (intra) {
+    append_ok_body(out, *intra);
+  } else {
+    out.append(kOkMatmul).push_back(',');
+  }
+  append_cached_tail(out, cached);
+  return out;
 }
 
 PlanResponse error_response(const std::string& id, const std::string& message) {

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "fusion/fusion_principles.hpp"
@@ -32,7 +33,7 @@
 /// must be shared-weight (the projection case) — they fold exactly into the
 /// 3-dim view the principles optimize; per-slice weights are rejected.
 ///
-/// Response line (see write_json on PlanResponse):
+/// Response line (see PlanResponse::to_json):
 ///
 ///   {"id":"r1","ok":true,"kind":"matmul","rule":"P2(untile=K)","nra":2,
 ///    "buffer_class":"Medium","total_access":2359296,
@@ -103,9 +104,28 @@ struct PlanResponse {
   std::optional<FusedOptResult> fused;
   bool fusable = false;
 
-  /// One JSON object, no trailing newline (the caller owns framing).
+  /// One JSON object, no trailing newline (the caller owns framing): the
+  /// escaped id, append_ok_body() and the "cached" tail, or
+  /// append_error_response() when !ok.  A fused payload is rendered only
+  /// when fusable is set.
   std::string to_json() const;
 };
+
+/// The body of an ok response, appended to \p out: every byte after its
+/// `{"id":"..."` prefix up to, not including, its "cached" member
+/// (`,"ok":true,"kind":"matmul",...,"tile":[...],`).  PlanResponse::to_json
+/// and the plan cache's stored bodies are both rendered here.
+void append_ok_body(std::string& out, const IntraOptResult& plan);
+/// The fused-pair body; nullptr renders "fusable":false.
+void append_ok_body(std::string& out, const FusedOptResult* plan);
+
+/// An ok response line around a body from append_ok_body(), appended to
+/// \p out: `{"id":"<escaped id>"` + body + `"cached":<cached>}`.
+void append_ok_response(std::string& out, std::string_view id, std::string_view body,
+                        bool cached);
+
+/// `{"id":...,"ok":false,"error":...}` appended to \p out.
+void append_error_response(std::string& out, std::string_view id, std::string_view message);
 
 /// Error response preserving the request id (empty when unknown).
 PlanResponse error_response(const std::string& id, const std::string& message);

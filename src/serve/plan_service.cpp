@@ -5,7 +5,6 @@
 #include <future>
 #include <istream>
 #include <ostream>
-#include <string_view>
 #include <thread>
 #include <utility>
 
@@ -111,37 +110,27 @@ void PlanService::end_flight(const std::string& key) {
 
 namespace {
 
-/// The {"id":"" prefix and "cached":false} tail of an ok response rendered
-/// with an empty id; the body is everything between them.
-constexpr std::string_view kEmptyIdPrefix = "{\"id\":\"\"";
-constexpr std::string_view kMissTail = "\"cached\":false}";
-constexpr std::string_view kHitTail = "\"cached\":true}";
-
-std::string body_of(const PlanResponse& response) {
-  const std::string line = response.to_json();
-  return line.substr(kEmptyIdPrefix.size(),
-                     line.size() - kEmptyIdPrefix.size() - kMissTail.size());
+/// \p plan's response body at its exact size: the cache charges an entry
+/// by body.size(), so the stored string carries no growth slack.  The body
+/// is rendered into a per-thread scratch string and copied out once.
+template <typename Plan>
+std::string exact_body(const Plan& plan) {
+  thread_local std::string scratch;
+  scratch.clear();
+  append_ok_body(scratch, plan);
+  return scratch;
 }
 
 }  // namespace
 
 PlanService::IntraAnswer PlanService::render(IntraOptResult plan) {
-  PlanResponse response;
-  response.ok = true;
-  response.kind = PlanRequest::Kind::kMatmul;
-  response.intra = std::move(plan);
-  std::string body = body_of(response);
-  return IntraAnswer{*std::move(response.intra), std::move(body)};
+  std::string body = exact_body(plan);
+  return IntraAnswer{std::move(plan), std::move(body)};
 }
 
 PlanService::FusedAnswer PlanService::render(std::optional<FusedOptResult> plan) {
-  PlanResponse response;
-  response.ok = true;
-  response.kind = PlanRequest::Kind::kFusedPair;
-  response.fusable = plan.has_value();
-  response.fused = std::move(plan);
-  std::string body = body_of(response);
-  return FusedAnswer{std::move(response.fused), std::move(body)};
+  std::string body = exact_body(plan ? &*plan : nullptr);
+  return FusedAnswer{std::move(plan), std::move(body)};
 }
 
 template <typename Answer, std::size_t N>
@@ -338,18 +327,16 @@ PlanResponse PlanService::to_response(const PlanRequest& request, const Served& 
 }
 
 void PlanService::response_line(const std::string& id, const Served& served, std::string& line) {
+  line.clear();
   if (!served.ok()) {
-    line = error_response(id, served.error).to_json();
+    append_error_response(line, id, served.error);
     return;
   }
   const std::string& body = served.intra ? served.intra->body : served.fused->body;
-  const std::string_view tail = served.cached ? kHitTail : kMissTail;
-  line.clear();
-  // +1: room for the caller's newline framing without a reallocation.
-  line.reserve(kEmptyIdPrefix.size() + id.size() + body.size() + tail.size() + 1);
-  line.append("{\"id\":\"");
-  JsonWriter::append_escaped(line, id);
-  line.append("\"").append(body).append(tail);
+  // The {"id":"" prefix and "cached":false} tail around the body, +1 for
+  // the caller's newline framing, so a fresh line allocates once.
+  line.reserve(id.size() + body.size() + 24);
+  append_ok_response(line, id, body, served.cached);
 }
 
 PlanResponse PlanService::plan(const PlanRequest& request) {
@@ -395,28 +382,24 @@ PlanResponse PlanService::plan_enqueued(const PlanRequest& request, std::int64_t
   return plan(request);
 }
 
-LineOutcome PlanService::begin_line(const std::string& line, const std::string& source,
-                                    int lineno, KeyedRequest& keyed, std::string& response) {
+LineOutcome PlanService::probe_line(const std::string& line, const std::string& source,
+                                    int lineno, std::int64_t enqueue_us, KeyedRequest& keyed,
+                                    std::string& response, std::optional<ScopedSpan>& root) {
   try {
     decode_plan_request(line, keyed.request, source, lineno);
   } catch (const std::exception& e) {
     requests_.add();
     request_errors_.add();
     log_warn("serve", "malformed request line", {{"source", source}, {"error", e.what()}});
-    response = error_response("", e.what()).to_json();
+    response.clear();
+    append_error_response(response, "", e.what());
     return LineOutcome::kMalformed;
   }
-  // The reading thread's half of the request's spans: a hit's whole tree,
-  // or a miss's canonicalize and cache_lookup (the pool roots the rest).
-  std::optional<ScopedSpan> root;
-  if (span_recording_enabled() && !current_span().valid()) root.emplace(root_name(keyed.request));
+  if (!current_span().valid()) open_request_root(root, keyed.request, enqueue_us);
   const auto start = std::chrono::steady_clock::now();
   spell_key(keyed);
   const Served served = probe(keyed);
-  if (!served.ok()) {
-    if (root) root->note("miss");
-    return LineOutcome::kMiss;
-  }
+  if (!served.ok()) return LineOutcome::kMiss;
   count(keyed.request, served, start);
   if (root) root->note("ok cached");
   ScopedSpan serialize("serialize");
@@ -424,11 +407,9 @@ LineOutcome PlanService::begin_line(const std::string& line, const std::string& 
   return LineOutcome::kHit;
 }
 
-void PlanService::finish_line(const KeyedRequest& keyed, std::int64_t enqueue_us,
-                              std::string& response) {
+void PlanService::plan_line(const KeyedRequest& keyed, std::optional<ScopedSpan>& root,
+                            std::string& response) {
   maybe_inject_pool_stall();
-  std::optional<ScopedSpan> root;
-  open_request_root(root, keyed.request, enqueue_us);
   const auto start = std::chrono::steady_clock::now();
   Served served;
   try {
@@ -442,22 +423,52 @@ void PlanService::finish_line(const KeyedRequest& keyed, std::int64_t enqueue_us
   response_line(keyed.request.id, served, response);
 }
 
+LineOutcome PlanService::begin_line(const std::string& line, const std::string& source,
+                                    int lineno, KeyedRequest& keyed, std::string& response) {
+  return answer_line(line, source, lineno, keyed, response, /*plan_miss=*/false);
+}
+
+LineOutcome PlanService::answer_line(const std::string& line, const std::string& source,
+                                     int lineno, KeyedRequest& keyed, std::string& response,
+                                     bool plan_miss) {
+  std::optional<ScopedSpan> root;
+  const LineOutcome outcome =
+      probe_line(line, source, lineno, kNotQueued, keyed, response, root);
+  if (outcome != LineOutcome::kMiss) return outcome;
+  if (plan_miss) {
+    plan_line(keyed, root, response);
+  } else if (root) {
+    root->note("miss");
+  }
+  return outcome;
+}
+
+void PlanService::finish_line(const KeyedRequest& keyed, std::int64_t enqueue_us,
+                              std::string& response) {
+  std::optional<ScopedSpan> root;
+  open_request_root(root, keyed.request, enqueue_us);
+  plan_line(keyed, root, response);
+}
+
 void PlanService::reject_oversized_line(const std::string& source, int lineno,
                                         std::size_t max_line_bytes, std::string& response) {
   requests_.add();
   request_errors_.add();
   log_warn("serve", "oversized request line",
            {{"source", source}, {"line", std::to_string(lineno)}});
-  response = error_response("", oversized_line_message(source, lineno, max_line_bytes)).to_json();
+  response.clear();
+  append_error_response(response, "", oversized_line_message(source, lineno, max_line_bytes));
 }
 
 std::string PlanService::plan_line_json(const std::string& line, const std::string& source,
                                         int lineno, std::int64_t enqueue_us, bool* parse_error) {
   KeyedRequest keyed;
   std::string response;
-  const LineOutcome outcome = begin_line(line, source, lineno, keyed, response);
+  std::optional<ScopedSpan> root;
+  const LineOutcome outcome =
+      probe_line(line, source, lineno, enqueue_us, keyed, response, root);
   if (parse_error != nullptr) *parse_error = outcome == LineOutcome::kMalformed;
-  if (outcome == LineOutcome::kMiss) finish_line(keyed, enqueue_us, response);
+  if (outcome == LineOutcome::kMiss) plan_line(keyed, root, response);
   return response;
 }
 

@@ -30,13 +30,14 @@
 /// rendered when the plan was inserted.  A miss single-flights on the same
 /// key and calls optimize_intra / optimize_fused_pair directly.
 ///
-/// Request lines take the core in two steps.  begin_line runs on the thread
+/// Request lines take the core in two steps.  The first runs on the thread
 /// that read the line — a net/ reactor, or serve_stream's reader — and
 /// decodes, keys and probes: a hit or a malformed line is answered right
-/// there.  finish_line plans a miss without decoding or probing again: a
-/// reactor calls it in place, in the loop turn that read the line, and
-/// serve_stream hands it to the pool.  Both front ends call the same two
-/// steps, so TCP and stdin answers are byte-identical.
+/// there.  The second plans a miss without decoding or probing again: a
+/// reactor runs both in place with answer_line, in the loop turn that read
+/// the line and under one span root, and serve_stream splits them into
+/// begin_line and a pool task's finish_line.  Both front ends run the same
+/// two steps, so TCP and stdin answers are byte-identical.
 ///
 /// A service caches only what is asked of it: the free optimizers (and
 /// plan_chain, evaluate_model and everything else layered on them) never
@@ -117,17 +118,25 @@ class PlanService {
   LineOutcome begin_line(const std::string& line, const std::string& source, int lineno,
                          KeyedRequest& keyed, std::string& response);
 
-  /// Step 2, on a reactor or a pool worker: inject a scheduled pool stall
-  /// or worker hang, open the request span root, plan the request
-  /// begin_line() missed (single flight, the post-flight recheck, the
-  /// closed form, insert) and write its response line into \p response.
-  /// \p enqueue_us is when the miss was queued for a pool worker (span
-  /// clock; 0 when recording was off then): the root is anchored there
-  /// with a queue_wait child.  kNotQueued marks a miss planned on the
-  /// thread that read it, which records no queue_wait.  Never decodes or
-  /// probes again; planning failures come back as ok=false lines.
+  /// Step 2, on a pool worker: inject a scheduled pool stall or worker
+  /// hang, open the request span root, plan the request begin_line()
+  /// missed (single flight, the post-flight recheck, the closed form,
+  /// insert) and write its response line into \p response.  \p enqueue_us
+  /// is when the miss was queued (span clock; 0 when recording was off
+  /// then): the root is anchored there with a queue_wait child.  kNotQueued
+  /// records no queue_wait.  Never decodes or probes again; planning
+  /// failures come back as ok=false lines.
   void finish_line(const KeyedRequest& keyed, std::int64_t enqueue_us, std::string& response);
   static constexpr std::int64_t kNotQueued = -1;
+
+  /// Both steps in place, on the thread that read \p line (a net/ reactor):
+  /// begin_line(), then, for a miss when \p plan_miss, finish_line()'s
+  /// planning.  The request gets one span root, so a miss's canonicalize,
+  /// cache_lookup, optimize and serialize spans form one tree, as a hit's
+  /// do.  Returns begin_line()'s outcome; a miss with !\p plan_miss is left
+  /// unanswered, as begin_line() leaves it.
+  LineOutcome answer_line(const std::string& line, const std::string& source, int lineno,
+                          KeyedRequest& keyed, std::string& response, bool plan_miss);
 
   /// The response to a line longer than \p max_line_bytes, counted as a
   /// failed request: ok=false with oversized_line_message().
@@ -135,8 +144,9 @@ class PlanService {
                              std::string& response);
 
   /// One request line, from raw line to serialized response, on the
-  /// calling thread: begin_line(), then finish_line() on a miss.  A parse
-  /// failure returns an ok=false line and sets *\p parse_error.
+  /// calling thread: answer_line() with its root anchored at \p enqueue_us
+  /// as finish_line() anchors it.  A parse failure returns an ok=false line
+  /// and sets *\p parse_error.
   std::string plan_line_json(const std::string& line, const std::string& source, int lineno,
                              std::int64_t enqueue_us, bool* parse_error);
 
@@ -169,7 +179,8 @@ class PlanService {
  private:
   /// A cached answer: the typed plan plus its rendered response body — every
   /// byte after the `{"id":"..."` prefix up to, not including, the "cached"
-  /// field.  Rendered once, at insert, by PlanResponse::to_json itself.
+  /// field.  Rendered once, at insert, by append_ok_body(), and stored at
+  /// its exact size.
   template <typename Plan>
   struct Rendered {
     Plan plan;
@@ -255,6 +266,17 @@ class PlanService {
   /// capacity reused): the escaped id spliced in front of the rendered
   /// body, byte-identical to to_response(...).to_json().
   static void response_line(const std::string& id, const Served& served, std::string& line);
+
+  /// The line core's first half: decode, open the request root (anchored
+  /// as open_request_root() anchors it, unless a span is already ambient),
+  /// key, probe, and answer a hit or a malformed line into \p response.
+  LineOutcome probe_line(const std::string& line, const std::string& source, int lineno,
+                         std::int64_t enqueue_us, KeyedRequest& keyed, std::string& response,
+                         std::optional<ScopedSpan>& root);
+  /// The second half, under \p root: inject a scheduled stall, plan the
+  /// miss, count it, note the root and render the response line.
+  void plan_line(const KeyedRequest& keyed, std::optional<ScopedSpan>& root,
+                 std::string& response);
 
   /// Opens the "request/<class>" span root anchored at \p enqueue_us (span
   /// clock) plus a queue_wait child, or at "now" with no queue_wait for

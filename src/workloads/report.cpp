@@ -15,7 +15,8 @@ void write_evaluation_csv(std::ostream& os, const std::vector<ModelEval>& evals)
 }
 
 void write_evaluation_json(std::ostream& os, const std::vector<ModelEval>& evals) {
-  JsonWriter w(os);
+  std::string out;
+  JsonWriter w(out);
   w.begin_array();
   for (const ModelEval& e : evals) {
     w.begin_object();
@@ -31,7 +32,8 @@ void write_evaluation_json(std::ostream& os, const std::vector<ModelEval>& evals
     w.end_object();
   }
   w.end_array();
-  os << '\n';
+  out.push_back('\n');
+  os << out;
 }
 
 }  // namespace fusecu

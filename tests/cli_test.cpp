@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <stdexcept>
+#include <string>
+
 #include "common/cli.hpp"
 #include "common/units.hpp"
 
@@ -94,6 +98,38 @@ TEST(ArgParser, OptionUint64) {
     const char* argv[] = {"prog", "--seed", bad};
     r.parse(3, argv);
     EXPECT_THROW(r.option_uint64("--seed", 0), std::invalid_argument) << bad;
+  }
+}
+
+TEST(ArgParser, MalformedOptionValuePrintsUsageAndExitsTwo) {
+  ArgParser p({}, {"--n", "--seed", "--buffer"});
+  const char* argv[] = {"prog", "--n", "abc", "--seed", "x", "--buffer", "12XB"};
+  p.parse_or_exit(7, argv, "usage: prog [--n N] [--seed S] [--buffer SIZE]\n");
+  EXPECT_EXIT(p.option_int("--n", 0), ::testing::ExitedWithCode(2),
+              "^error: option --n expects an integer, got \"abc\"\nusage: prog");
+  EXPECT_EXIT(p.option_uint64("--seed", 0), ::testing::ExitedWithCode(2),
+              "^error: option --seed expects a non-negative integer \\(decimal or 0x hex\\), "
+              "got \"x\"\nusage: prog");
+  EXPECT_EXIT(p.option_bytes("--buffer", 0), ::testing::ExitedWithCode(2),
+              "^error: option --buffer expects a byte size such as 4096, 512KB or 8MB, got "
+              "\"12XB\"\nusage: prog");
+}
+
+TEST(ArgParser, MalformedOptionValueAfterPlainParseThrowsWithoutCheckText) {
+  ArgParser p({}, {"--n", "--buffer"});
+  const char* argv[] = {"prog", "--n", "99999999999999999999", "--buffer", "abc"};
+  p.parse(5, argv);
+  for (const auto& read : {std::function<void()>([&] { p.option_int("--n", 0); }),
+                           std::function<void()>([&] { p.option_bytes("--buffer", 0); })}) {
+    try {
+      read();
+      ADD_FAILURE() << "a malformed value was accepted";
+    } catch (const std::invalid_argument& e) {
+      const std::string what = e.what();
+      EXPECT_EQ(what.rfind("option --", 0), 0u) << what;
+      EXPECT_EQ(what.find("FCU_CHECK"), std::string::npos) << what;
+      EXPECT_EQ(what.find(".cpp"), std::string::npos) << what;
+    }
   }
 }
 

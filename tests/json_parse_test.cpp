@@ -1,6 +1,6 @@
 #include <gtest/gtest.h>
 
-#include <sstream>
+#include <string>
 
 #include "common/json_parse.hpp"
 #include "common/json_writer.hpp"
@@ -44,9 +44,9 @@ TEST(JsonParse, RejectsMalformedInput) {
 }
 
 TEST(JsonParse, RoundTripsJsonWriterOutput) {
-  std::ostringstream os;
+  std::string out;
   {
-    JsonWriter w(os);
+    JsonWriter w(out);
     w.begin_object();
     w.field("name", "op \"q\"\\path");
     w.field("value", 2.5);
@@ -58,7 +58,7 @@ TEST(JsonParse, RoundTripsJsonWriterOutput) {
     w.end_array();
     w.end_object();
   }
-  JsonValuePtr v = parse_json(os.str());
+  JsonValuePtr v = parse_json(out);
   EXPECT_EQ(v->get("name")->as_string(), "op \"q\"\\path");
   EXPECT_DOUBLE_EQ(v->get("value")->as_number(), 2.5);
   EXPECT_TRUE(v->get("flag")->as_bool());

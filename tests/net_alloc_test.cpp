@@ -38,8 +38,9 @@
 /// counts allocations made by one registered thread while armed, and each
 /// armed window covers a full pipelined request burst on the loop thread —
 /// whole bursts of cached shapes, repeated with pauses while idle checks
-/// run, and one of never-seen shapes.  The miss count is compared with PlanService::begin_line + finish_line run over the same
-/// lines on the test thread, against an identically warmed service.
+/// run, and one of never-seen shapes.  The miss count is compared with
+/// PlanService::answer_line run over the same lines on the test thread,
+/// against an identically warmed service.
 ///
 /// This test gets its own binary because replacing ::operator new is
 /// process-global; keep it out of the TSan job (the sanitizer interposes
@@ -186,16 +187,14 @@ TEST(NetAlloc, CountingHookObservesAllocationsOnTheMonitoredThread) {
 }
 
 /// Runs \p lines through the line core on the calling thread, as a reactor
-/// does: begin_line, then finish_line on a miss, into a reused request and
-/// response.
+/// does: answer_line, planning every miss in place, into a reused request
+/// and response.
 void serve_lines(PlanService& service, const std::vector<std::string>& lines,
                  KeyedRequest& keyed, std::string& response) {
   static const std::string source = "<core>";
   for (std::size_t i = 0; i < lines.size(); ++i) {
     const int lineno = static_cast<int>(i) + 1;
-    if (service.begin_line(lines[i], source, lineno, keyed, response) == LineOutcome::kMiss) {
-      service.finish_line(keyed, PlanService::kNotQueued, response);
-    }
+    service.answer_line(lines[i], source, lineno, keyed, response, /*plan_miss=*/true);
   }
 }
 

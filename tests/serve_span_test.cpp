@@ -212,6 +212,44 @@ TEST(ServeSpans, MissPlannedInPlaceRecordsNoQueueWait) {
   EXPECT_EQ(planned, 1);
 }
 
+TEST(ServeSpans, OneRootPerMissedLineAnsweredInPlace) {
+  // answer_line, as a reactor calls it, and plan_line_json: a miss's
+  // canonicalize, cache_lookup, optimize and serialize spans hang off one
+  // root, as a hit's do.
+  CollectingSink sink;
+  SinkScope scope(&sink);
+  PlanService service(ServeOptions{.threads = 2});
+  KeyedRequest keyed;
+  std::string response;
+  constexpr int kLines = 6;
+  for (int i = 0; i < kLines; ++i) {
+    const std::string m = std::to_string(40 + i);
+    const std::string line =
+        i % 3 == 2
+            ? R"({"id":"f","op":"fused_pair","m":)" + m + R"(,"k":16,"l":24,"n":12,"buffer_elems":2048})"
+            : R"({"id":"i","op":"matmul","m":)" + m + R"(,"k":16,"l":24,"buffer_elems":512})";
+    if (i % 2 == 0) {
+      ASSERT_EQ(service.answer_line(line, "<test>", i + 1, keyed, response, /*plan_miss=*/true),
+                LineOutcome::kMiss);
+    } else {
+      response = service.plan_line_json(line, "<test>", i + 1, PlanService::kNotQueued, nullptr);
+    }
+    EXPECT_NE(response.find("\"ok\":true"), std::string::npos) << response;
+  }
+
+  const std::map<std::uint64_t, Trace> traces = group_traces(sink.drain());
+  ASSERT_EQ(traces.size(), static_cast<std::size_t>(kLines)) << "one root per missed line";
+  for (const auto& [id, trace] : traces) {
+    expect_connected(trace);
+    EXPECT_EQ(trace.root->detail, "ok") << trace.root->name;
+    for (const char* child : {"canonicalize", "cache_lookup", "serialize"}) {
+      EXPECT_TRUE(has_span(trace, child)) << trace.root->name << " lacks " << child;
+    }
+    EXPECT_TRUE(has_optimize_span(trace)) << trace.root->name;
+    EXPECT_FALSE(has_span(trace, "queue_wait")) << trace.root->name;
+  }
+}
+
 TEST(ServeSpans, RecordingOffMeansNoSpansAndRequestsStillPlan) {
   ASSERT_FALSE(span_recording_enabled());
   ServeOptions options;

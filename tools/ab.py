@@ -2,7 +2,7 @@
 """A/B one perfbench workload between two revisions, in alternating pairs.
 
     python3 tools/ab.py --base REV [--change REV] --workload W --pairs N
-                        [--seconds S] [--first-seed N]
+                        [--seconds S] [--first-seed N] [--record]
 
 Each revision runs its own perfbench/run.py from its own tree, so each side
 builds and measures exactly the code of that revision.  A revision given as
@@ -33,6 +33,13 @@ for wins: it is set by the harness (an open-loop send rate, say), and
 counting wins on it would count jitter.  A table of every pair's values
 follows.
 
+--record appends one stamped entry per side to BENCH_<workload>.json at the
+repository root, next to BENCHMARK.json (created when missing): the time, the
+side and its revision, the git sha, build type, compiler and nproc that
+run.py reported, whether the tree had uncommitted edits, the pairs, run
+length and seeds, and the median and quartiles of every end-to-end metric.
+The file is the workload's A/B trajectory, newest entries last.
+
 Exit status: 0 when every run reports correct true and failed 0, 1 when
 one does not, 2 on a usage or git error.  A bound that fails is reported in
 its row and on stderr but does not change the status: one short pair of
@@ -40,6 +47,7 @@ identical code can differ by more than a bound on a busy host.
 """
 
 import argparse
+import datetime
 import json
 import math
 import os
@@ -80,7 +88,10 @@ def tree_for(rev):
 
 
 def run_side(tree, workload, seed, seconds):
-    """One perfbench run; returns (metric values, problem or None)."""
+    """One perfbench run; returns (metric values, provenance, problem or None).
+
+    The provenance is run.py's second-to-last stdout line (git sha, build
+    type, compiler, nproc, seed), or {} when it is missing."""
     cmd = [sys.executable, os.path.join(tree, "perfbench", "run.py"), "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds)]
     proc = subprocess.run(cmd, cwd=tree, stdout=subprocess.PIPE, text=True)
@@ -88,12 +99,16 @@ def run_side(tree, workload, seed, seconds):
     try:
         result = json.loads(lines[-1])
     except (IndexError, ValueError):
-        return {}, f"run.py exited {proc.returncode} without a result line"
+        return {}, {}, f"run.py exited {proc.returncode} without a result line"
+    try:
+        provenance = json.loads(lines[-2])
+    except (IndexError, ValueError):
+        provenance = {}
     values = {name: m["value"] for name, m in result.get("metrics", {}).items()}
     if result.get("correct") is not True or result.get("failed", 1) != 0:
-        return values, (f"correct={result.get('correct')} failed={result.get('failed')} "
-                        f"(exit {proc.returncode})")
-    return values, None
+        return values, provenance, (f"correct={result.get('correct')} "
+                                    f"failed={result.get('failed')} (exit {proc.returncode})")
+    return values, provenance, None
 
 
 def quartiles(xs):
@@ -152,6 +167,46 @@ def summarize(metric, base, change):
     return row, bound_ok
 
 
+def side_entry(side, label, provenance, dirty, metrics, values, seconds, seeds, now):
+    """One BENCH_<workload>.json entry: a side's environment and, for every
+    end-to-end metric, the median and quartiles of its runs."""
+    figures = {}
+    for m in metrics:
+        xs = values[m["name"]]
+        if not xs or any(math.isnan(x) for x in xs):
+            continue
+        q1, q3 = quartiles(xs)
+        figures[m["name"]] = {"unit": m["unit"], "median": statistics.median(xs),
+                              "q1": q1, "q3": q3}
+    return {"recorded_at": now.strftime("%Y-%m-%dT%H:%M:%SZ"), "side": side, "rev": label,
+            "git_sha": provenance.get("git_sha", "unknown"), "dirty": dirty,
+            "build_type": provenance.get("build_type", ""),
+            "compiler": provenance.get("compiler", ""), "nproc": provenance.get("nproc"),
+            "pairs": len(seeds), "seconds": seconds, "seeds": [seeds[0], seeds[-1]],
+            "metrics": figures}
+
+
+def record(path, workload, entries):
+    """Append \p entries to the trajectory file at \p path."""
+    doc = {"workload": workload, "entries": []}
+    if os.path.exists(path):
+        with open(path) as f:
+            doc = json.load(f)
+        if doc.get("workload") != workload:
+            raise RuntimeError(f"{path} records {doc.get('workload')!r}, not {workload!r}")
+    doc["entries"].extend(entries)
+    with open(path, "w") as f:
+        json.dump(doc, f, indent=2)
+        f.write("\n")
+
+
+def dirty(tree):
+    """True when \p tree has uncommitted edits to tracked files."""
+    proc = subprocess.run(["git", "-C", tree, "status", "--porcelain", "--untracked-files=no"],
+                          capture_output=True, text=True)
+    return proc.returncode != 0 or bool(proc.stdout.strip())
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--base", required=True, help="git rev of the base side")
@@ -160,6 +215,8 @@ def main():
     parser.add_argument("--pairs", required=True, type=int)
     parser.add_argument("--seconds", type=float, help="per run (default: BENCHMARK.json)")
     parser.add_argument("--first-seed", type=int, default=11)
+    parser.add_argument("--record", action="store_true",
+                        help="append one entry per side to BENCH_<workload>.json")
     args = parser.parse_args()
     if args.pairs < 1 or (args.seconds is not None and args.seconds <= 0) or args.first_seed < 0:
         parser.error("--pairs must be >= 1, --seconds > 0 and --first-seed >= 0")
@@ -178,6 +235,7 @@ def main():
     values = {"base": {m["name"]: [] for m in metrics},
               "change": {m["name"]: [] for m in metrics}}
     trees = {"base": base_tree, "change": change_tree}
+    provenance = {"base": {}, "change": {}}
     problems = []
     seeds = []
     for i in range(1, args.pairs + 1):
@@ -185,7 +243,8 @@ def main():
         seeds.append(seed)
         for side in (("base", "change") if i % 2 else ("change", "base")):
             log(f"ab: pair {i}/{args.pairs} seed {seed} {side}")
-            got, problem = run_side(trees[side], args.workload, seed, seconds)
+            got, stamp, problem = run_side(trees[side], args.workload, seed, seconds)
+            provenance[side] = provenance[side] or stamp
             if problem:
                 problems.append(f"pair {i} seed {seed} {side}: {problem}")
             for m in metrics:
@@ -216,6 +275,19 @@ def main():
         cells = [f"{fmt(values['base'][m['name']][i])}/{fmt(values['change'][m['name']][i])}"
                  for m in metrics]
         print(f"| {i + 1} | {seed} | " + " | ".join(cells) + " |")
+    if args.record:
+        now = datetime.datetime.now(datetime.timezone.utc)
+        labels = {"base": base_label, "change": change_label}
+        entries = [side_entry(side, labels[side], provenance[side], dirty(trees[side]), metrics,
+                              values[side], seconds, seeds, now)
+                   for side in ("base", "change")]
+        path = os.path.join(ROOT, f"BENCH_{args.workload}.json")
+        try:
+            record(path, args.workload, entries)
+        except (OSError, ValueError, RuntimeError) as e:
+            log("ab: cannot record:", e)
+            return 2
+        log(f"ab: recorded {len(entries)} entries in {path}")
     for problem in problems:
         log("ab: FAIL:", problem)
     if not bounds_ok:

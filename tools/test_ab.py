@@ -1,11 +1,14 @@
 #!/usr/bin/env python3
-"""Unit tests for tools/ab.py's per-metric summary row.
+"""Unit tests for tools/ab.py's per-metric summary row and its --record file.
 
     python3 tools/test_ab.py
 """
 
+import datetime
+import json
 import os
 import sys
+import tempfile
 import unittest
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
@@ -83,6 +86,55 @@ class SummarizeTest(unittest.TestCase):
         self.assertEqual(cells(row)[6], "loss")
         self.assertFalse(bound_ok)
         self.assertTrue(cells(row)[5].startswith("FAIL"))
+
+
+METRICS = [dict(CPU, unit="us"), dict(TRIALS, unit="1/s")]
+STAMP = {"git_sha": "abc123", "build_type": "Release", "compiler": "c++ 12.2.0", "nproc": 4,
+         "seed": 11}
+NOW = datetime.datetime(2026, 10, 18, 9, 30, tzinfo=datetime.timezone.utc)
+
+
+class RecordTest(unittest.TestCase):
+    def entry(self, side, cpu):
+        values = {"server_cpu_us_per_req": cpu, "trials_per_s": [100.0] * len(cpu)}
+        return ab.side_entry(side, "HEAD (abc123)", STAMP, False, METRICS, values, 20.0,
+                             [11, 12, 13, 14, 15], NOW)
+
+    def test_entry_carries_environment_and_quartiles(self):
+        e = self.entry("base", [10.0, 12.0, 11.0, 13.0, 14.0])
+        self.assertEqual(e["recorded_at"], "2026-10-18T09:30:00Z")
+        self.assertEqual((e["side"], e["git_sha"], e["build_type"], e["nproc"]),
+                         ("base", "abc123", "Release", 4))
+        self.assertEqual(e["compiler"], "c++ 12.2.0")
+        self.assertEqual((e["pairs"], e["seconds"], e["seeds"]), (5, 20.0, [11, 15]))
+        cpu = e["metrics"]["server_cpu_us_per_req"]
+        self.assertEqual((cpu["median"], cpu["q1"], cpu["q3"], cpu["unit"]),
+                         (12.0, 11.0, 13.0, "us"))
+
+    def test_metric_with_a_missing_run_is_left_out(self):
+        e = self.entry("change", [10.0, float("nan"), 11.0, 13.0, 14.0])
+        self.assertNotIn("server_cpu_us_per_req", e["metrics"])
+        self.assertIn("trials_per_s", e["metrics"])
+
+    def test_record_appends_to_the_trajectory(self):
+        with tempfile.TemporaryDirectory() as d:
+            path = os.path.join(d, "BENCH_cold_plans.json")
+            first = [self.entry("base", [10.0] * 5), self.entry("change", [8.0] * 5)]
+            ab.record(path, "cold_plans", first)
+            ab.record(path, "cold_plans", [self.entry("change", [7.0] * 5)])
+            with open(path) as f:
+                doc = json.load(f)
+            self.assertEqual(doc["workload"], "cold_plans")
+            self.assertEqual([e["side"] for e in doc["entries"]], ["base", "change", "change"])
+            self.assertEqual(doc["entries"][2]["metrics"]["server_cpu_us_per_req"]["median"],
+                             7.0)
+
+    def test_record_refuses_another_workloads_file(self):
+        with tempfile.TemporaryDirectory() as d:
+            path = os.path.join(d, "BENCH_cold_plans.json")
+            ab.record(path, "cold_plans", [self.entry("base", [10.0] * 5)])
+            with self.assertRaises(RuntimeError):
+                ab.record(path, "warm_hits", [self.entry("base", [10.0] * 5)])
 
 
 if __name__ == "__main__":
