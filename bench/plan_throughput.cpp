@@ -1,13 +1,12 @@
 /// \file plan_throughput.cpp
 /// Planning-service throughput: requests/sec for a 64-request mixed matmul
-/// batch, comparing
+/// batch on the calling thread, comparing
 ///
-///   * serial-cold   — optimize_intra per request, no cache, one thread
-///                     (the pre-service baseline every tool used to pay);
-///   * pooled-warm/T — PlanService::plan_batch on T worker threads with the
-///                     sharded cache warm (the steady state of a server);
-///   * pooled-warm obs-armed — the same warm batch with the flight recorder
-///                     armed.
+///   * serial-cold     — optimize_intra per request, no cache (the
+///                       pre-service baseline every tool used to pay);
+///   * warm            — PlanService::plan per request with the sharded
+///                       cache warm (the steady state of a server);
+///   * warm obs-armed  — the same warm batch with the flight recorder armed.
 ///
 /// The batch mixes 16 distinct transformer-derived shapes x 4 repeats, so
 /// even the cold pass has intra-batch repetition — exactly the workload the
@@ -65,58 +64,31 @@ void BM_SerialCold(benchmark::State& state) {
 }
 BENCHMARK(BM_SerialCold);
 
-void BM_PooledWarm(benchmark::State& state) {
-  ServeOptions options;
-  options.threads = static_cast<int>(state.range(0));
-  PlanService service(options);
+/// Every request of the warm batch through plan() on the calling thread.
+void plan_warm_batch(benchmark::State& state) {
+  PlanService service;
   const std::vector<PlanRequest> batch = mixed_batch();
-  service.plan_batch(batch);  // warm the cache
+  for (const PlanRequest& request : batch) service.plan(request);  // warm the cache
   for (auto _ : state) {
-    std::vector<PlanResponse> responses = service.plan_batch(batch);
-    benchmark::DoNotOptimize(responses.data());
+    for (const PlanRequest& request : batch) {
+      benchmark::DoNotOptimize(service.plan(request).cached);
+    }
   }
   state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(batch.size()));
 }
-BENCHMARK(BM_PooledWarm)->Arg(1)->Arg(2)->Arg(4)->Arg(8)->UseRealTime();
+
+void BM_Warm(benchmark::State& state) { plan_warm_batch(state); }
+BENCHMARK(BM_Warm);
 
 /// Same warm batch with everything armed: spans recorded into the flight
 /// recorder rings, logger mirroring at info.  Bounds what --flight-out
 /// costs a live server (retention only; no I/O on the hot path).
-void BM_PooledWarmObsArmed(benchmark::State& state) {
+void BM_WarmObsArmed(benchmark::State& state) {
   FlightRecorder::global().arm();
-  ServeOptions options;
-  options.threads = static_cast<int>(state.range(0));
-  PlanService service(options);
-  const std::vector<PlanRequest> batch = mixed_batch();
-  service.plan_batch(batch);  // warm the cache
-  for (auto _ : state) {
-    std::vector<PlanResponse> responses = service.plan_batch(batch);
-    benchmark::DoNotOptimize(responses.data());
-  }
-  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(batch.size()));
+  plan_warm_batch(state);
   FlightRecorder::global().disarm();
 }
-BENCHMARK(BM_PooledWarmObsArmed)->Arg(4)->UseRealTime();
-
-/// Cold batch through the pool (cache cleared by rebuilding the service):
-/// what parallelism alone buys before the cache kicks in.
-void BM_PooledCold(benchmark::State& state) {
-  const std::vector<PlanRequest> batch = mixed_batch();
-  for (auto _ : state) {
-    state.PauseTiming();
-    ServeOptions options;
-    options.threads = static_cast<int>(state.range(0));
-    auto service = std::make_unique<PlanService>(options);
-    state.ResumeTiming();
-    std::vector<PlanResponse> responses = service->plan_batch(batch);
-    benchmark::DoNotOptimize(responses.data());
-    state.PauseTiming();
-    service.reset();
-    state.ResumeTiming();
-  }
-  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(batch.size()));
-}
-BENCHMARK(BM_PooledCold)->Arg(4)->Arg(8)->UseRealTime();
+BENCHMARK(BM_WarmObsArmed);
 
 }  // namespace
 }  // namespace fusecu

@@ -1,5 +1,5 @@
 /// \file fusecu_serve.cpp
-/// JSONL planning server front-end for the concurrent plan service.
+/// JSONL planning server front-end for the plan service.
 ///
 ///   fusecu_serve [--input FILE] [--threads N] [--cache-mb MB] [--shards N]
 ///                [--listen HOST:PORT] [--reactors N]
@@ -11,11 +11,12 @@
 ///                [--log-out l.jsonl] [--log-level LEVEL] [--flight-out f.json]
 ///
 /// Reads one JSON planning request per line (stdin by default), answers one
-/// JSON response per request line on stdout, in request order.  Cache
-/// misses are planned concurrently on a --threads worker pool;
-/// canonicalized repeats are served from the sharded plan cache and
-/// identical in-flight requests are deduplicated.  See
-/// src/serve/plan_request.hpp for the wire format.
+/// JSON response per request line on stdout, in request order.  Each line
+/// is answered as it arrives: a cache miss is planned on the reading
+/// thread, canonicalized repeats are served from the sharded plan cache,
+/// and an answer is flushed whenever no more input is waiting, so a client
+/// that keeps stdin open reads each answer before it writes the next line.
+/// See src/serve/plan_request.hpp for the wire format.
 ///
 /// A malformed line never kills the stream: it produces an ok=false response
 /// whose error message names the input, line and expected token.  Lines
@@ -36,8 +37,9 @@
 /// budget of --queue-depth misses per loop turn with ok=false "overloaded"
 /// shedding past it, idle-connection timeouts (--idle-timeout-ms) and
 /// SIGINT/SIGTERM graceful drain (stop accepting, flush every answer,
-/// flush stats/metrics/trace; a second signal hard-stops).  --threads sizes
-/// the worker pool of the stdin path; a TCP server starts no pool thread.
+/// flush stats/metrics/trace; a second signal hard-stops).  --threads is
+/// accepted and range-checked but sizes nothing: TCP scales over
+/// --reactors, and stdin is answered on one thread.
 /// Port 0 picks a free port; the bound address is printed to stderr and
 /// written to --port-file when given.
 ///
@@ -55,14 +57,15 @@
 /// short reads/writes, EINTR, connection resets, deferred accepts, spurious
 /// wakeups, clock skew, pool stalls, worker hangs and reactor stalls fire
 /// at their scheduled sites (pool stalls and worker hangs at the top of a
-/// miss's plan, wherever it runs).
+/// miss's plan, on the thread that read its line).
 ///
 /// Out-of-range numbers are usage errors: a count flag below 1 or a
 /// timeout below 0 prints "error: --X must be at least N, got V" and the
 /// usage text, and exits 2.
 /// Debug/ops tooling only — never enable in production.
 ///
-/// --stats prints cache hit/miss/eviction totals to stderr on exit.
+/// --stats prints cache hit/miss/eviction and duplicate-plan totals to
+/// stderr on exit.
 /// --stats-interval SEC emits one stats line per period while serving —
 /// qps and cache hit rate over the period, latency p50/p95/p99 cumulative —
 /// to stderr, or to --stats-out FILE when given; the final partial period
@@ -98,9 +101,10 @@ const char* const kUsage =
     "                    [--stats] [--stats-interval SEC] [--stats-out FILE]\n"
     "                    [--metrics-out FILE] [--trace-out FILE] [--log-out FILE]\n"
     "                    [--log-level LEVEL] [--flight-out FILE]\n"
-    "Reads JSONL planning requests (stdin by default) and answers one JSON line each.\n"
-    "With --listen, each reactor answers hits from the cache and plans misses itself;\n"
-    "--queue-depth caps the misses a reactor plans per loop turn and sheds the rest.\n"
+    "Reads JSONL planning requests (stdin by default) and answers one JSON line each,\n"
+    "as it arrives.  With --listen, each reactor answers hits from the cache and plans\n"
+    "misses itself; --queue-depth caps the misses a reactor plans per loop turn and\n"
+    "sheds the rest.  --threads sizes nothing (kept for compatibility).\n"
     "--threads, --cache-mb, --shards, --reactors, --max-conns, --queue-depth and\n"
     "--max-line-bytes must be at least 1; --idle-timeout-ms and --watchdog-ms at least 0.\n";
 
@@ -128,6 +132,10 @@ void install_stop_handlers() {
 }  // namespace
 
 int main(int argc, char** argv) {
+  // std::cin gets its own buffer, so serve_stream can take the bytes already
+  // read without blocking for more; serve_stream flushes std::cout itself.
+  std::ios::sync_with_stdio(false);
+  std::cin.tie(nullptr);
   ObsSession obs(argc, argv);
   try {
     ArgParser args({"--stats"},
@@ -161,7 +169,7 @@ int main(int argc, char** argv) {
       return 2;
     }
 
-    // Armed before the service exists so pool-stall and worker-hang events
+    // Armed before the service exists so plan-stall and worker-hang events
     // cover the whole serving lifetime; disarmed implicitly at process exit.
     if (auto fault_path = args.option("--fault-plan")) {
       std::ifstream fault_file(*fault_path);
@@ -258,7 +266,7 @@ int main(int argc, char** argv) {
       const CacheStats all = stats.combined();
       std::cerr << "served " << served << " requests; cache hits " << all.hits << ", misses "
                 << all.misses << ", evictions " << all.evictions << ", entries " << all.entries
-                << "; single-flight shared " << stats.single_flight_shared << "\n";
+                << "; duplicate plans " << stats.duplicate_plans << "\n";
     }
     return 0;
   } catch (const std::exception& e) {

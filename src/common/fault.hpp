@@ -16,9 +16,9 @@
 /// cumulative byte offset through that site.  The sites themselves are thin
 /// shims (net/socket.hpp sys_recv/sys_send/sys_accept, Poller::wait,
 /// Reactor::now_ms, the top of each plan in PlanService) that consult this
-/// injector before touching the kernel.  The planning site runs on the
-/// reactor for a TCP request (finish_line), and on a pool worker only for
-/// serve_stream and plan_batch.
+/// injector before touching the kernel.  The planning site runs at the top
+/// of every miss's plan, on the thread that read the request line: a
+/// reactor for TCP, serve_stream's caller for stdin.
 ///
 /// Determinism and replay.  A plan is a pure function of its seed
 /// (`FaultPlan::generate`), serializes to JSON, and round-trips through
@@ -30,14 +30,13 @@
 ///
 /// Cost when disarmed.  Every site hook begins with a single relaxed load
 /// of a global atomic flag and returns immediately — the same discipline as
-/// the obs/span.hpp instrumentation, guarded by the same plan_throughput
-/// warm-path CI benchmark (<= 5%).  All heavier state (the plan, per-site
+/// the obs/span.hpp instrumentation.  All heavier state (the plan, per-site
 /// counters, a mutex) is only touched while a plan is armed.
 ///
 /// Threading.  arm()/disarm() must not race with an armed server: arm
 /// before starting the event loop (or while it is quiescent), disarm after
-/// it stopped.  The site hooks themselves are thread-safe (reactor threads,
-/// and pool workers under serve_stream and plan_batch).
+/// it stopped.  The site hooks themselves are thread-safe (every reactor
+/// thread calls them).
 
 namespace fusecu {
 class JsonValue;

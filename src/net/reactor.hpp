@@ -24,8 +24,8 @@
 /// they never share mutable state except
 ///
 ///   * the process-global metrics counters (atomics),
-///   * the plan service and its cache (single flight still orders reactors
-///     that race on one shape),
+///   * the plan service and its cache (reactors that race on one shape both
+///     plan it; the second insert counts one serve/duplicate_plans),
 ///   * the server-wide live-connection count (an atomic, used by the
 ///     acceptor to enforce --max-conns),
 ///   * the server-wide drain-request counter (an atomic bumped by

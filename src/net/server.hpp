@@ -20,7 +20,7 @@
 /// It decodes every line it reads, probes the plan cache once,
 /// answers a hit itself and plans a miss in place, so every request is
 /// answered in the loop turn that read it; TCP parallelism comes from the
-/// reactor count.  The PlanService worker pool is not used.
+/// reactor count.
 /// `request_drain()` is the only other entry point and is async-signal-safe
 /// (an atomic bump plus one write(2) per reactor drain pipe), so it can be
 /// called straight from SIGINT/SIGTERM handlers.

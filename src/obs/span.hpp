@@ -7,9 +7,9 @@
 /// \file span.hpp
 /// Request-scoped span tracing: a 64-bit (trace id, span id, parent) context
 /// threaded through the planning service, the optimizers and the simulator
-/// fast path, so one JSONL request can be followed end to end — queue wait,
-/// canonicalize, cache lookup, single-flight join, optimize, serialize — as
-/// a properly nested tree.
+/// fast path, so one JSONL request can be followed end to end —
+/// canonicalize, cache lookup, optimize, serialize — as a properly nested
+/// tree.
 ///
 /// The design is the usual tracing-context one: each thread carries an
 /// *ambient* current span; `ScopedSpan` opens a child of the ambient span
@@ -135,7 +135,7 @@ class ScopedSpan {
 };
 
 /// Emit one already-measured span as a child of the ambient span (used for
-/// waits whose start predates the current scope, e.g. single-flight joins).
+/// waits whose start predates the current scope).
 /// No-op when recording is disabled.
 void record_span(const char* name, std::int64_t start_us, std::int64_t end_us,
                  const char* detail = nullptr);

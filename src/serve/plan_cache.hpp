@@ -96,19 +96,6 @@ class ShardedLruCache {
     return found;
   }
 
-  /// find() without counting a hit or a miss and without refreshing
-  /// recency: for a second look at a key whose request already made its
-  /// one counted probe.
-  template <typename Pick>
-  auto peek(const std::string& key, Pick&& pick) {
-    Shard& shard = shard_for(key);
-    std::lock_guard<std::mutex> lock(shard.mu);
-    auto it = shard.index.find(key);
-    decltype(pick(std::declval<const Value&>())) found{};
-    if (it != shard.index.end()) found = pick(static_cast<const Value&>(it->second->value));
-    return found;
-  }
-
   /// Copy of the cached value (a find() that picks the whole value).
   std::optional<Value> get(const std::string& key) {
     return find(key, [](const Value& v) { return std::optional<Value>(v); });

@@ -1,10 +1,11 @@
 #include "serve/plan_service.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <exception>
-#include <future>
 #include <istream>
 #include <ostream>
+#include <streambuf>
 #include <thread>
 #include <utility>
 
@@ -22,10 +23,10 @@ namespace {
 
 /// Fault seam for planning (common/fault.hpp): a scheduled kPoolStall or
 /// kWorkerHang event makes this plan sleep before it starts, modeling a
-/// pathologically slow or hung plan.  Runs at the top of every finish_line
-/// (on the reactor for TCP, on a pool worker for serve_stream) and every
-/// plan_batch task; disarmed cost is a single relaxed load.
-void maybe_inject_pool_stall() {
+/// pathologically slow or hung plan.  Runs at the top of every line's
+/// planning half, on the thread that read the line (a reactor for TCP,
+/// serve_stream's caller for stdin); disarmed cost is a single relaxed load.
+void maybe_inject_plan_stall() {
   if (!fault::armed()) return;
   if (const std::uint64_t stall_us = fault::on_pool_task()) {
     std::this_thread::sleep_for(std::chrono::microseconds(stall_us));
@@ -66,47 +67,13 @@ PlanService::PlanService(ServeOptions options)
                                                          "serve/cache/intra")),
       fused_cache_(cache_options<decltype(fused_cache_)>(options_, options_.cache_bytes / 4,
                                                          "serve/cache/fused")),
-      pool_(options_.threads),
-      shared_flights_(MetricsRegistry::global().counter("serve/single_flight/shared")),
+      duplicate_plans_(MetricsRegistry::global().counter("serve/duplicate_plans")),
       requests_(MetricsRegistry::global().counter("serve/requests")),
       request_errors_(MetricsRegistry::global().counter("serve/request_errors")),
       latency_matmul_us_(MetricsRegistry::global().histogram("serve/latency_us/matmul")),
       latency_fused_us_(MetricsRegistry::global().histogram("serve/latency_us/fused_pair")),
       latency_hit_us_(MetricsRegistry::global().histogram("serve/latency_us/hit")),
       latency_miss_us_(MetricsRegistry::global().histogram("serve/latency_us/miss")) {}
-
-bool PlanService::begin_flight(const std::string& key) {
-  std::shared_ptr<Flight> flight;
-  {
-    std::lock_guard<std::mutex> lock(flights_mu_);
-    auto it = flights_.find(key);
-    if (it == flights_.end()) {
-      flights_.emplace(key, std::make_shared<Flight>());
-      return true;
-    }
-    flight = it->second;
-  }
-  shared_flights_.add();
-  std::unique_lock<std::mutex> lock(flight->mu);
-  flight->cv.wait(lock, [&]() { return flight->done; });
-  return false;
-}
-
-void PlanService::end_flight(const std::string& key) {
-  std::shared_ptr<Flight> flight;
-  {
-    std::lock_guard<std::mutex> lock(flights_mu_);
-    auto it = flights_.find(key);
-    if (it == flights_.end()) return;
-    flight = it->second;
-    flights_.erase(it);
-  }
-  {
-    std::lock_guard<std::mutex> lock(flight->mu);
-    flight->done = true;
-  }
-  flight->cv.notify_all();
-}
 
 namespace {
 
@@ -151,41 +118,14 @@ std::shared_ptr<const Answer> PlanService::insert(SlotCache<Answer, N>& cache,
   // An entry's allocations (shared block, plan vectors and strings, body,
   // allocator rounding) measure about twice the plan-plus-body estimate.
   const std::size_t cost = 2 * (approx_bytes(answer->plan) + answer->body.size());
-  cache.upsert(key, [&](auto& entry, bool) { entry[slot] = answer; }, cost);
+  cache.upsert(
+      key,
+      [&](auto& entry, bool) {
+        if (entry[slot]) duplicate_plans_.add();
+        entry[slot] = answer;
+      },
+      cost);
   return answer;
-}
-
-template <typename Answer, std::size_t N, typename ClosedForm>
-std::shared_ptr<const Answer> PlanService::plan_after_miss(SlotCache<Answer, N>& cache,
-                                                           const std::string& key,
-                                                           std::size_t slot,
-                                                           ClosedForm&& closed_form,
-                                                           bool* cached) {
-  const std::string flight_key = N == 1 ? key : key + (slot == 0 ? "#0" : "#1");
-  const bool recording = span_recording_enabled();
-  const std::int64_t flight_start_us = recording ? span_clock_us() : 0;
-  const bool leader = begin_flight(flight_key);
-  if (!leader && recording) {
-    record_span("single_flight_join", flight_start_us, span_clock_us(), "joined");
-  }
-  // A leader that finished this exact computation — the one we waited on,
-  // or one that inserted and ended its flight between our probe and
-  // begin_flight — left its answer in the cache.  It is missing only if it
-  // was evicted or the leader threw; then compute (idempotent).
-  if (auto answer = cache.peek(key, [slot](const auto& entry) { return entry[slot]; })) {
-    if (leader) end_flight(flight_key);
-    *cached = true;
-    return answer;
-  }
-  *cached = false;
-  try {
-    auto answer = insert(cache, key, slot, closed_form());
-    if (leader) end_flight(flight_key);
-    return answer;
-  } catch (...) {
-    if (leader) end_flight(flight_key);
-    throw;
-  }
 }
 
 template <typename Answer, std::size_t N, typename ClosedForm>
@@ -196,7 +136,8 @@ std::shared_ptr<const Answer> PlanService::lookup_or_plan(SlotCache<Answer, N>& 
                                                           bool* cached) {
   *cached = true;
   if (auto hit = probe(cache, key, slot)) return hit;
-  return plan_after_miss(cache, key, slot, std::forward<ClosedForm>(closed_form), cached);
+  *cached = false;
+  return insert(cache, key, slot, closed_form());
 }
 
 IntraPlanned PlanService::plan_intra(const TensorOp& op, BufferSize bs) {
@@ -227,8 +168,14 @@ FusedPlanned PlanService::plan_fused(const FusedPair& pair, BufferSize bs) {
 
 namespace {
 
-const char* root_name(const PlanRequest& request) {
-  return request.kind == PlanRequest::Kind::kMatmul ? "request/matmul" : "request/fused_pair";
+/// Open \p request's "request/<class>" span root, unless span recording is
+/// off or a span is already ambient (the caller's tree then holds the
+/// request's spans).  Opened on the thread that plans, so every span below
+/// it, the closed-form optimize spans included, joins one connected tree.
+void open_request_root(std::optional<ScopedSpan>& root, const PlanRequest& request) {
+  if (!span_recording_enabled() || current_span().valid()) return;
+  root.emplace(request.kind == PlanRequest::Kind::kMatmul ? "request/matmul"
+                                                          : "request/fused_pair");
 }
 
 /// Spell \p keyed's key in a canonicalize span.
@@ -257,16 +204,15 @@ PlanService::Served PlanService::plan_missed(const KeyedRequest& keyed) {
   Served served;
   // Out of the cache's scope means malformed: the closed form throws.
   if (request.kind == PlanRequest::Kind::kMatmul) {
-    const auto closed_form = [&] { return optimize_intra(request.to_op(), bs); };
+    IntraOptResult plan = optimize_intra(request.to_op(), bs);
     served.intra = keyed.key.empty()
-                       ? std::make_shared<const IntraAnswer>(render(closed_form()))
-                       : plan_after_miss(intra_cache_, keyed.key, keyed.swapped ? 1 : 0,
-                                         closed_form, &served.cached);
+                       ? std::make_shared<const IntraAnswer>(render(std::move(plan)))
+                       : insert(intra_cache_, keyed.key, keyed.swapped ? 1 : 0, std::move(plan));
   } else {
-    const auto closed_form = [&] { return optimize_fused_pair(request.to_pair(), bs); };
+    std::optional<FusedOptResult> plan = optimize_fused_pair(request.to_pair(), bs);
     served.fused = keyed.key.empty()
-                       ? std::make_shared<const FusedAnswer>(render(closed_form()))
-                       : plan_after_miss(fused_cache_, keyed.key, 0, closed_form, &served.cached);
+                       ? std::make_shared<const FusedAnswer>(render(std::move(plan)))
+                       : insert(fused_cache_, keyed.key, 0, std::move(plan));
   }
   return served;
 }
@@ -289,11 +235,8 @@ void PlanService::count(const PlanRequest& request, const Served& served,
 }
 
 PlanService::Served PlanService::serve(const PlanRequest& request) {
-  // Root the span tree here only for direct calls; plan_batch opens the
-  // request root inside the pool task (anchored at enqueue time, with a
-  // queue_wait child), and this call inherits it as ambient.
   std::optional<ScopedSpan> root;
-  if (span_recording_enabled() && !current_span().valid()) root.emplace(root_name(request));
+  open_request_root(root, request);
   const auto start = std::chrono::steady_clock::now();
   KeyedRequest keyed;
   keyed.request = request;
@@ -343,48 +286,9 @@ PlanResponse PlanService::plan(const PlanRequest& request) {
   return to_response(request, serve(request));
 }
 
-std::vector<PlanResponse> PlanService::plan_batch(const std::vector<PlanRequest>& requests) {
-  std::vector<std::future<PlanResponse>> futures;
-  futures.reserve(requests.size());
-  for (const PlanRequest& request : requests) {
-    const std::int64_t enqueue_us = span_recording_enabled() ? span_clock_us() : 0;
-    futures.push_back(pool_.submit([this, request, enqueue_us]() {
-      return plan_enqueued(request, enqueue_us);
-    }));
-  }
-  std::vector<PlanResponse> responses;
-  responses.reserve(requests.size());
-  for (std::future<PlanResponse>& f : futures) responses.push_back(f.get());
-  return responses;
-}
-
-void PlanService::open_request_root(std::optional<ScopedSpan>& root, const PlanRequest& request,
-                                    std::int64_t enqueue_us) {
-  // The planning half of a request runs on one thread, so opening the root
-  // here makes every span below it — including the closed-form optimize
-  // spans — part of one connected tree.
-  if (!span_recording_enabled()) return;
-  if (enqueue_us == kNotQueued) {
-    root.emplace(root_name(request));
-    return;
-  }
-  // Recording may have been armed after the request was enqueued; fall
-  // back to "now" rather than anchoring at the clock origin.
-  const std::int64_t anchor_us = enqueue_us > 0 ? enqueue_us : span_clock_us();
-  root.emplace(root_name(request), anchor_us);
-  record_span("queue_wait", anchor_us, span_clock_us());
-}
-
-PlanResponse PlanService::plan_enqueued(const PlanRequest& request, std::int64_t enqueue_us) {
-  maybe_inject_pool_stall();
-  std::optional<ScopedSpan> root;
-  open_request_root(root, request, enqueue_us);
-  return plan(request);
-}
-
 LineOutcome PlanService::probe_line(const std::string& line, const std::string& source,
-                                    int lineno, std::int64_t enqueue_us, KeyedRequest& keyed,
-                                    std::string& response, std::optional<ScopedSpan>& root) {
+                                    int lineno, KeyedRequest& keyed, std::string& response,
+                                    std::optional<ScopedSpan>& root) {
   try {
     decode_plan_request(line, keyed.request, source, lineno);
   } catch (const std::exception& e) {
@@ -395,7 +299,7 @@ LineOutcome PlanService::probe_line(const std::string& line, const std::string& 
     append_error_response(response, "", e.what());
     return LineOutcome::kMalformed;
   }
-  if (!current_span().valid()) open_request_root(root, keyed.request, enqueue_us);
+  open_request_root(root, keyed.request);
   const auto start = std::chrono::steady_clock::now();
   spell_key(keyed);
   const Served served = probe(keyed);
@@ -409,7 +313,7 @@ LineOutcome PlanService::probe_line(const std::string& line, const std::string& 
 
 void PlanService::plan_line(const KeyedRequest& keyed, std::optional<ScopedSpan>& root,
                             std::string& response) {
-  maybe_inject_pool_stall();
+  maybe_inject_plan_stall();
   const auto start = std::chrono::steady_clock::now();
   Served served;
   try {
@@ -418,22 +322,16 @@ void PlanService::plan_line(const KeyedRequest& keyed, std::optional<ScopedSpan>
     served = failed(keyed.request, e);
   }
   count(keyed.request, served, start);
-  if (root) root->note(served.ok() ? (served.cached ? "ok cached" : "ok") : "error");
+  if (root) root->note(served.ok() ? "ok" : "error");
   ScopedSpan serialize("serialize");
   response_line(keyed.request.id, served, response);
-}
-
-LineOutcome PlanService::begin_line(const std::string& line, const std::string& source,
-                                    int lineno, KeyedRequest& keyed, std::string& response) {
-  return answer_line(line, source, lineno, keyed, response, /*plan_miss=*/false);
 }
 
 LineOutcome PlanService::answer_line(const std::string& line, const std::string& source,
                                      int lineno, KeyedRequest& keyed, std::string& response,
                                      bool plan_miss) {
   std::optional<ScopedSpan> root;
-  const LineOutcome outcome =
-      probe_line(line, source, lineno, kNotQueued, keyed, response, root);
+  const LineOutcome outcome = probe_line(line, source, lineno, keyed, response, root);
   if (outcome != LineOutcome::kMiss) return outcome;
   if (plan_miss) {
     plan_line(keyed, root, response);
@@ -441,13 +339,6 @@ LineOutcome PlanService::answer_line(const std::string& line, const std::string&
     root->note("miss");
   }
   return outcome;
-}
-
-void PlanService::finish_line(const KeyedRequest& keyed, std::int64_t enqueue_us,
-                              std::string& response) {
-  std::optional<ScopedSpan> root;
-  open_request_root(root, keyed.request, enqueue_us);
-  plan_line(keyed, root, response);
 }
 
 void PlanService::reject_oversized_line(const std::string& source, int lineno,
@@ -461,66 +352,59 @@ void PlanService::reject_oversized_line(const std::string& source, int lineno,
 }
 
 std::string PlanService::plan_line_json(const std::string& line, const std::string& source,
-                                        int lineno, std::int64_t enqueue_us, bool* parse_error) {
+                                        int lineno, std::int64_t /*enqueue_us*/,
+                                        bool* parse_error) {
   KeyedRequest keyed;
   std::string response;
-  std::optional<ScopedSpan> root;
   const LineOutcome outcome =
-      probe_line(line, source, lineno, enqueue_us, keyed, response, root);
+      answer_line(line, source, lineno, keyed, response, /*plan_miss=*/true);
   if (parse_error != nullptr) *parse_error = outcome == LineOutcome::kMalformed;
-  if (outcome == LineOutcome::kMiss) plan_line(keyed, root, response);
   return response;
 }
 
 int PlanService::serve_stream(std::istream& in, std::ostream& out, const std::string& source) {
-  // Lines are decoded and probed here, in input order, so a hit is answered
-  // at once and an earlier miss reaches the pool (and leads the single
-  // flight of a repeated shape) first.
-  struct Slot {
-    std::string immediate;
-    std::future<std::string> pending;
-  };
-  std::vector<Slot> slots;
   LineDecoder decoder(options_.max_line_bytes);
+  KeyedRequest keyed;
+  std::string response;
   int lineno = 0;
+  int answered = 0;
   const auto handle_line = [&](const LineDecoder::DecodedLine& line) {
     ++lineno;
-    Slot slot;
     if (line.oversized) {
-      reject_oversized_line(source, lineno, options_.max_line_bytes, slot.immediate);
-      slots.push_back(std::move(slot));
+      reject_oversized_line(source, lineno, options_.max_line_bytes, response);
+    } else if (line.text.find_first_not_of(" \t\r") == std::string::npos) {
       return;
+    } else {
+      answer_line(line.text, source, lineno, keyed, response, /*plan_miss=*/true);
     }
-    if (line.text.find_first_not_of(" \t\r") == std::string::npos) return;
-    KeyedRequest keyed;
-    if (begin_line(line.text, source, lineno, keyed, slot.immediate) == LineOutcome::kMiss) {
-      const std::int64_t enqueue_us = span_recording_enabled() ? span_clock_us() : 0;
-      slot.pending = pool_.submit([this, keyed = std::move(keyed), enqueue_us]() {
-        std::string response;
-        finish_line(keyed, enqueue_us, response);
-        return response;
-      });
-    }
-    slots.push_back(std::move(slot));
+    response.push_back('\n');
+    out.write(response.data(), static_cast<std::streamsize>(response.size()));
+    ++answered;
   };
-  char chunk[64 * 1024];
+  // A read of a whole chunk would block until the chunk fills or the input
+  // ends, keeping a client that holds the stream open from answers it is
+  // owed.  So block for one byte (sgetc), then take only the bytes already
+  // available, at least that one.
+  std::streambuf& buf = *in.rdbuf();
+  constexpr std::streamsize kChunk = 64 * 1024;
+  char chunk[kChunk];
   LineDecoder::DecodedLine line;
-  while (in.read(chunk, sizeof(chunk)), in.gcount() > 0) {
-    decoder.feed(chunk, static_cast<std::size_t>(in.gcount()));
+  while (buf.sgetc() != std::streambuf::traits_type::eof()) {
+    const std::streamsize want = std::clamp<std::streamsize>(buf.in_avail(), 1, kChunk);
+    decoder.feed(chunk, static_cast<std::size_t>(buf.sgetn(chunk, want)));
     while (decoder.next(line)) handle_line(line);
+    if (buf.in_avail() <= 0) out.flush();
   }
   if (decoder.finish(line)) handle_line(line);
-  for (Slot& slot : slots) {
-    out << (slot.pending.valid() ? slot.pending.get() : slot.immediate) << '\n';
-  }
-  return static_cast<int>(slots.size());
+  out.flush();
+  return answered;
 }
 
 PlanService::Stats PlanService::stats() const {
   Stats s;
   s.intra = intra_cache_.stats();
   s.fused = fused_cache_.stats();
-  s.single_flight_shared = shared_flights_.value();
+  s.duplicate_plans = duplicate_plans_.value();
   return s;
 }
 

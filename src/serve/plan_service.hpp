@@ -2,55 +2,48 @@
 
 #include <array>
 #include <chrono>
-#include <condition_variable>
 #include <cstdint>
 #include <exception>
 #include <iosfwd>
-#include <map>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <string>
 #include <thread>
-#include <vector>
 
 #include "obs/span.hpp"
 #include "serve/canonical.hpp"
 #include "serve/plan_cache.hpp"
 #include "serve/plan_request.hpp"
-#include "serve/thread_pool.hpp"
 
 /// \file plan_service.hpp
-/// Concurrent planning front-end: thread-pool batch planner + sharded plan
-/// cache + canonicalization in front of the closed-form optimizers.
+/// Planning front-end: a sharded plan cache and canonicalization in front
+/// of the closed-form optimizers.
 ///
-/// Every request — typed, JSONL stream or TCP line — goes through one core:
-/// its canonical key is spelled once from the request's fields, the cache is
-/// probed once (one hit or one miss), and a hit splices the response bytes
-/// rendered when the plan was inserted.  A miss single-flights on the same
-/// key and calls optimize_intra / optimize_fused_pair directly.
+/// Every request — typed, JSONL stream or TCP line — goes through one core
+/// on the thread that asked: its canonical key is spelled once from the
+/// request's fields, the cache is probed once (one hit or one miss), and a
+/// hit splices the response bytes rendered when the plan was inserted.  A
+/// miss calls optimize_intra / optimize_fused_pair directly and inserts the
+/// plan.  A request line takes the core through answer_line(), whether a
+/// net/ reactor or serve_stream() read it, so TCP and stdin answers are
+/// byte-identical.
 ///
-/// Request lines take the core in two steps.  The first runs on the thread
-/// that read the line — a net/ reactor, or serve_stream's reader — and
-/// decodes, keys and probes: a hit or a malformed line is answered right
-/// there.  The second plans a miss without decoding or probing again: a
-/// reactor runs both in place with answer_line, in the loop turn that read
-/// the line and under one span root, and serve_stream splits them into
-/// begin_line and a pool task's finish_line.  Both front ends run the same
-/// two steps, so TCP and stdin answers are byte-identical.
+/// A plan is a deterministic closed form costing microseconds, so the
+/// service neither queues misses nor makes identical concurrent misses
+/// wait on one leader: two threads that miss the same key both plan it,
+/// and the second insert (counted in serve/duplicate_plans) stores the
+/// same bytes again.
 ///
 /// A service caches only what is asked of it: the free optimizers (and
 /// plan_chain, evaluate_model and everything else layered on them) never
 /// consult a service.  Any number of services may be alive at once, each
 /// with its own cache.
-///
-/// Identical concurrent requests are single-flighted: the first thread in
-/// computes, the rest wait on its completion and then read the cached plan,
-/// so a batch of N equal requests costs one optimization.
 
 namespace fusecu {
 
 struct ServeOptions {
+  /// Sizes nothing: every request is answered on the thread that read it.
+  /// Kept so that callers which set it still compile.
   int threads = static_cast<int>(std::thread::hardware_concurrency());
   std::size_t cache_bytes = 64ull * 1024 * 1024;
   int shards = 8;
@@ -60,21 +53,22 @@ struct ServeOptions {
   std::size_t max_line_bytes = 1 << 20;
 };
 
-/// A decoded request and its canonical cache key: what the first step of the
-/// line core hands the second.  Reusable: decoding and key spelling
-/// overwrite it in place, and spelling reserves the key to the longest key
-/// a request can spell, so neither string reallocates across requests.
+/// A decoded request and its canonical cache key: what the probing half of
+/// the line core hands the planning half.  Reusable: decoding and key
+/// spelling overwrite it in place, and spelling reserves the key to the
+/// longest key a request can spell, so neither string reallocates across
+/// requests.
 struct KeyedRequest {
   PlanRequest request;
   std::string key;       ///< canonical key; empty when out of the cache's scope
   bool swapped = false;  ///< intra orientation slot (see canonical.hpp)
 };
 
-/// What the first step of the line core did with a line.
+/// What answer_line() found a line to be.
 enum class LineOutcome {
   kHit,        ///< answered from the plan cache
   kMalformed,  ///< answered with a parse-error response
-  kMiss,       ///< decoded and keyed, not answered: finish_line() plans it
+  kMiss,       ///< decoded and keyed; planned and answered only when asked to
 };
 
 /// A typed intra-op answer: the plan plus whether the cache served it.
@@ -99,42 +93,24 @@ class PlanService {
   /// Plan one request; never throws — failures come back as ok=false.
   PlanResponse plan(const PlanRequest& request);
 
-  /// Plan a batch on the worker pool; responses in request order.
-  std::vector<PlanResponse> plan_batch(const std::vector<PlanRequest>& requests);
-
-  /// Read JSONL requests from \p in, write one JSONL response per input line
-  /// to \p out (blank lines are skipped).  Malformed lines produce
-  /// ok=false responses carrying "<source>:<line>: ..." messages; the
-  /// stream never aborts.  Returns the number of responses written.
+  /// Read JSONL requests from \p in and answer each non-blank line, in
+  /// input order, with answer_line() on this thread.  A line's response is
+  /// written to \p out before more input is read, and \p out is flushed
+  /// whenever no more input is buffered, so a client that keeps \p in open
+  /// gets each answer as soon as its line is complete.  Malformed lines
+  /// produce ok=false responses carrying "<source>:<line>: ..." messages;
+  /// the stream never aborts.  Returns the number of responses written.
   int serve_stream(std::istream& in, std::ostream& out, const std::string& source = "<stdin>");
 
-  /// Step 1 of the line core, on the thread that read \p line: decode it
-  /// into \p keyed, spell its key once and make the request's one counted
-  /// cache probe.  A hit, or a line that does not decode, is answered on
-  /// the spot: its response line (no trailing newline) replaces
-  /// \p response.  A miss leaves \p response untouched and \p keyed ready
-  /// for finish_line().  A steady-state hit allocates nothing: \p keyed and
-  /// \p response keep their capacity.
-  LineOutcome begin_line(const std::string& line, const std::string& source, int lineno,
-                         KeyedRequest& keyed, std::string& response);
-
-  /// Step 2, on a pool worker: inject a scheduled pool stall or worker
-  /// hang, open the request span root, plan the request begin_line()
-  /// missed (single flight, the post-flight recheck, the closed form,
-  /// insert) and write its response line into \p response.  \p enqueue_us
-  /// is when the miss was queued (span clock; 0 when recording was off
-  /// then): the root is anchored there with a queue_wait child.  kNotQueued
-  /// records no queue_wait.  Never decodes or probes again; planning
-  /// failures come back as ok=false lines.
-  void finish_line(const KeyedRequest& keyed, std::int64_t enqueue_us, std::string& response);
-  static constexpr std::int64_t kNotQueued = -1;
-
-  /// Both steps in place, on the thread that read \p line (a net/ reactor):
-  /// begin_line(), then, for a miss when \p plan_miss, finish_line()'s
-  /// planning.  The request gets one span root, so a miss's canonicalize,
-  /// cache_lookup, optimize and serialize spans form one tree, as a hit's
-  /// do.  Returns begin_line()'s outcome; a miss with !\p plan_miss is left
-  /// unanswered, as begin_line() leaves it.
+  /// The line core, on the thread that read \p line: decode it into
+  /// \p keyed, spell its key once and make the request's one counted cache
+  /// probe.  A hit, or a line that does not decode, is answered on the
+  /// spot; a miss is planned and answered when \p plan_miss (a reactor
+  /// whose planning budget is spent passes false and sheds it).  The
+  /// response line (no trailing newline) replaces \p response.  The request
+  /// gets one span root, so a miss's canonicalize, cache_lookup, optimize
+  /// and serialize spans form one tree, as a hit's do.  A steady-state hit
+  /// allocates nothing: \p keyed and \p response keep their capacity.
   LineOutcome answer_line(const std::string& line, const std::string& source, int lineno,
                           KeyedRequest& keyed, std::string& response, bool plan_miss);
 
@@ -144,29 +120,28 @@ class PlanService {
                              std::string& response);
 
   /// One request line, from raw line to serialized response, on the
-  /// calling thread: answer_line() with its root anchored at \p enqueue_us
-  /// as finish_line() anchors it.  A parse failure returns an ok=false line
-  /// and sets *\p parse_error.
+  /// calling thread: answer_line() planning any miss.  \p enqueue_us is
+  /// unused.  A parse failure returns an ok=false line and sets
+  /// *\p parse_error.
   std::string plan_line_json(const std::string& line, const std::string& source, int lineno,
                              std::int64_t enqueue_us, bool* parse_error);
 
-  /// Typed API used by the examples/benchmarks: single-flighted, cached
-  /// intra-op planning.  Byte-identical to optimize_intra(op, bs).
+  /// Typed API used by the examples/benchmarks: cached intra-op planning.
+  /// Byte-identical to optimize_intra(op, bs).
   IntraPlanned plan_intra(const TensorOp& op, BufferSize bs);
 
   /// Typed fused-pair planning, same guarantees.
   FusedPlanned plan_fused(const FusedPair& pair, BufferSize bs);
 
-  ThreadPool& pool() { return pool_; }
   const ServeOptions& options() const { return options_; }
 
-  /// Cache and single-flight statistics.  Hit, miss, insertion, eviction
-  /// and shared-flight counts are process totals per metric prefix, shared
-  /// by every live service; entries and bytes are this service's own.
+  /// Cache statistics.  Hit, miss, insertion, eviction and duplicate-plan
+  /// counts are process totals per metric prefix, shared by every live
+  /// service; entries and bytes are this service's own.
   struct Stats {
     CacheStats intra;
     CacheStats fused;
-    std::int64_t single_flight_shared = 0;  ///< requests that waited on a leader
+    std::int64_t duplicate_plans = 0;  ///< inserts that found their slot filled
 
     CacheStats combined() const {
       CacheStats all = intra;
@@ -205,18 +180,6 @@ class PlanService {
     bool ok() const { return intra || fused; }
   };
 
-  /// In-flight computation other threads can wait on.
-  struct Flight {
-    std::mutex mu;
-    std::condition_variable cv;
-    bool done = false;
-  };
-
-  /// True when this thread is the leader for \p key (must call end_flight);
-  /// false after having waited for an existing leader to finish.
-  bool begin_flight(const std::string& key);
-  void end_flight(const std::string& key);
-
   static IntraAnswer render(IntraOptResult plan);
   static FusedAnswer render(std::optional<FusedOptResult> plan);
 
@@ -225,19 +188,12 @@ class PlanService {
   template <typename Answer, std::size_t N>
   std::shared_ptr<const Answer> probe(SlotCache<Answer, N>& cache, const std::string& key,
                                       std::size_t slot);
-  /// Render \p plan and store it in \p key's orientation \p slot.
+  /// Render \p plan and store it in \p key's orientation \p slot, counting
+  /// a duplicate plan when another thread filled the slot first.
   template <typename Answer, std::size_t N, typename Plan>
   std::shared_ptr<const Answer> insert(SlotCache<Answer, N>& cache, const std::string& key,
                                        std::size_t slot, Plan plan);
-  /// What follows a missed probe: single-flight on the key, take the answer
-  /// a finished leader left in the cache (an uncounted peek), else call
-  /// \p closed_form and insert its plan.  *\p cached is false only for the
-  /// request that ran the closed form.
-  template <typename Answer, std::size_t N, typename ClosedForm>
-  std::shared_ptr<const Answer> plan_after_miss(SlotCache<Answer, N>& cache,
-                                                const std::string& key, std::size_t slot,
-                                                ClosedForm&& closed_form, bool* cached);
-  /// probe(), then plan_after_miss() on a miss.
+  /// probe(), then the closed form and insert() on a miss.
   template <typename Answer, std::size_t N, typename ClosedForm>
   std::shared_ptr<const Answer> lookup_or_plan(SlotCache<Answer, N>& cache,
                                                const std::string& key, std::size_t slot,
@@ -245,8 +201,8 @@ class PlanService {
 
   /// The request core's two halves.  probe(keyed) is the one counted probe
   /// (nothing when the request is out of the cache's scope);
-  /// plan_missed(keyed) is plan_after_miss() for the request, or the bare
-  /// closed form when it has no key.  plan_missed throws what the closed
+  /// plan_missed(keyed) runs the closed form and inserts its plan, or only
+  /// runs it when the request has no key.  plan_missed throws what the closed
   /// form throws.
   Served probe(const KeyedRequest& keyed);
   Served plan_missed(const KeyedRequest& keyed);
@@ -267,35 +223,21 @@ class PlanService {
   /// body, byte-identical to to_response(...).to_json().
   static void response_line(const std::string& id, const Served& served, std::string& line);
 
-  /// The line core's first half: decode, open the request root (anchored
-  /// as open_request_root() anchors it, unless a span is already ambient),
-  /// key, probe, and answer a hit or a malformed line into \p response.
+  /// The line core's first half: decode, open the request root (unless a
+  /// span is already ambient), key, probe, and answer a hit or a malformed
+  /// line into \p response.
   LineOutcome probe_line(const std::string& line, const std::string& source, int lineno,
-                         std::int64_t enqueue_us, KeyedRequest& keyed, std::string& response,
+                         KeyedRequest& keyed, std::string& response,
                          std::optional<ScopedSpan>& root);
   /// The second half, under \p root: inject a scheduled stall, plan the
   /// miss, count it, note the root and render the response line.
   void plan_line(const KeyedRequest& keyed, std::optional<ScopedSpan>& root,
                  std::string& response);
 
-  /// Opens the "request/<class>" span root anchored at \p enqueue_us (span
-  /// clock) plus a queue_wait child, or at "now" with no queue_wait for
-  /// kNotQueued — called at the top of the planning half so its tree lives
-  /// on the planning thread.  No-op (root stays empty) when span recording
-  /// is off.
-  void open_request_root(std::optional<ScopedSpan>& root, const PlanRequest& request,
-                         std::int64_t enqueue_us);
-  /// plan() under a pool-side request root.
-  PlanResponse plan_enqueued(const PlanRequest& request, std::int64_t enqueue_us);
-
   ServeOptions options_;
   SlotCache<IntraAnswer, 2> intra_cache_;
   SlotCache<FusedAnswer, 1> fused_cache_;
-  ThreadPool pool_;
-
-  std::mutex flights_mu_;
-  std::map<std::string, std::shared_ptr<Flight>> flights_;
-  Counter& shared_flights_;
+  Counter& duplicate_plans_;
 
   // Request observability (obs/span.hpp drives the span trees; these are
   // the always-on latency histograms by request class plus the counters

@@ -28,8 +28,8 @@
 /// errors, so short runs (or the burst between the last tick and exit) are
 /// reported instead of silently dropped.  An idle tail emits nothing.
 ///
-/// Concurrency.  The *producers* may be many — every reactor shard and
-/// every pool worker bumps the global counters (atomics), and one stats
+/// Concurrency.  The *producers* may be many — every reactor shard bumps
+/// the global counters (atomics), and one stats
 /// line aggregates them all.  The *writer* is single: only the ticker
 /// thread and the destructor (strictly after joining the ticker) call
 /// emit().  That single-writer rule is what keeps the prev_* delta state

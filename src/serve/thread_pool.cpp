@@ -4,7 +4,11 @@
 
 namespace fusecu {
 
-ThreadPool::ThreadPool(int threads) : size_(std::max(1, threads)) {}
+ThreadPool::ThreadPool(int threads) {
+  const int n = std::max(1, threads);
+  workers_.reserve(static_cast<std::size_t>(n));
+  for (int i = 0; i < n; ++i) workers_.emplace_back([this]() { worker_loop(); });
+}
 
 ThreadPool::~ThreadPool() {
   {
@@ -13,11 +17,6 @@ ThreadPool::~ThreadPool() {
   }
   cv_.notify_all();
   for (std::thread& t : workers_) t.join();
-}
-
-void ThreadPool::spawn_workers() {
-  workers_.reserve(static_cast<std::size_t>(size_));
-  for (int i = 0; i < size_; ++i) workers_.emplace_back([this]() { worker_loop(); });
 }
 
 void ThreadPool::worker_loop() {

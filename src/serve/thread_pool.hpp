@@ -13,37 +13,27 @@
 #include "common/ring_buffer.hpp"
 
 /// \file thread_pool.hpp
-/// Fixed-size worker pool for the plan service's batch and stream paths
-/// (plan_batch, serve_stream) and for the tools that fan work out over it
-/// (run_conformance --jobs, llama_sweep).  The TCP server does not use it:
-/// its reactors plan cache misses themselves.
+/// Fixed-size worker pool for the tools that fan whole jobs out over it
+/// (run_conformance --jobs, llama_sweep).  The plan service does not use
+/// it: every request is answered on the thread that read it, and a TCP
+/// server scales over its reactors.
 ///
-/// Deliberately minimal: a locked FIFO feeding N long-lived workers.
-/// Planning jobs are CPU-bound and coarse (microseconds to milliseconds
-/// each), so queue contention is negligible and work stealing would be
-/// over-engineering.
-///
-/// The workers start on the first queued job, not at construction: a pool
-/// whose owner never queues anything (a PlanService used only through its
-/// typed plan_intra / plan_fused calls, or behind a TCP server) never
-/// creates a thread.  Every later job finds the full set of workers
-/// running.
+/// Deliberately minimal: a locked FIFO feeding N long-lived workers,
+/// started at construction.  The jobs are CPU-bound and coarse
+/// (milliseconds each), so queue contention is negligible and work
+/// stealing would be over-engineering.
 
 namespace fusecu {
 
 class ThreadPool {
  public:
-  /// \p threads is clamped to >= 1.  Starts no thread: the workers are
-  /// spawned by the first submit().
+  /// Starts max(1, \p threads) workers.
   explicit ThreadPool(int threads);
-  /// Drains nothing: pending jobs still run, then the started workers exit.
+  /// Drains nothing: pending jobs still run, then the workers exit.
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
-
-  /// The configured worker count, whether or not the workers started yet.
-  int size() const { return size_; }
 
   /// Enqueue \p fn; the future carries its return value or exception.
   template <typename Fn>
@@ -53,7 +43,6 @@ class ThreadPool {
     std::future<Result> future = task->get_future();
     {
       std::lock_guard<std::mutex> lock(mu_);
-      if (workers_.empty()) spawn_workers();
       queue_.push_slot() = [task]() { (*task)(); };
     }
     cv_.notify_one();
@@ -61,16 +50,13 @@ class ThreadPool {
   }
 
  private:
-  /// Starts size_ workers.  Caller holds mu_ and has seen no worker running.
-  void spawn_workers();
   void worker_loop();
 
-  const int size_;
   std::mutex mu_;
   std::condition_variable cv_;
   RingBuffer<std::function<void()>> queue_;
   bool stopping_ = false;
-  std::vector<std::thread> workers_;  ///< guarded by mu_; empty until the first job
+  std::vector<std::thread> workers_;
 };
 
 }  // namespace fusecu

@@ -31,8 +31,7 @@
 ///     splice the response into its slot, write;
 ///   * makes exactly the allocations of planning itself on a cache miss:
 ///     read, decode, key, probe, plan, write.  Planning inserts into the
-///     cache and the single-flight table, so it allocates; the reactor
-///     adds nothing of its own to that.
+///     cache, so it allocates; the reactor adds nothing of its own to that.
 ///
 /// Verified the only way that can't rot: a replaced global operator new
 /// counts allocations made by one registered thread while armed, and each

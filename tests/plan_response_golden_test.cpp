@@ -85,9 +85,9 @@ void digest_answers(test_util::Fnv1a& digest, PlanService& service, PlanResponse
   direct.cached = true;
   digest.add(direct.to_json());
   bool parse_error = true;
-  digest.add(service.plan_line_json(line, "<golden>", 1, PlanService::kNotQueued, &parse_error));
+  digest.add(service.plan_line_json(line, "<golden>", 1, 0, &parse_error));
   EXPECT_FALSE(parse_error) << line;
-  digest.add(service.plan_line_json(line, "<golden>", 1, PlanService::kNotQueued, &parse_error));
+  digest.add(service.plan_line_json(line, "<golden>", 1, 0, &parse_error));
 }
 
 /// Both orientation slots of each transpose class: (m, k, l) and (l, k, m)
@@ -178,8 +178,8 @@ TEST(PlanResponseGolden, ErrorResponsesMatchTheDigest) {
                                   ",\"k\":4,\"l\":4,\"buffer_elems\":64}";
     const std::string bad_json = "{\"id\":" + quoted(id) + ",\"m\":" + message;
     for (const std::string& line : {bad_op, bad_field, bad_json}) {
-      digest.add(without_check_location(
-          service.plan_line_json(line, "<golden>", i + 1, PlanService::kNotQueued, nullptr)));
+      digest.add(
+          without_check_location(service.plan_line_json(line, "<golden>", i + 1, 0, nullptr)));
     }
     std::string oversized;
     service.reject_oversized_line("<golden>", i + 1, 1024, oversized);

@@ -4,6 +4,7 @@
 #include <map>
 #include <mutex>
 #include <set>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -51,18 +52,6 @@ PlanRequest matmul_request(const std::string& id, Index m) {
   r.k = 16;
   r.l = 24;
   r.buffer_elems = 512;
-  return r;
-}
-
-PlanRequest fused_request(const std::string& id, Index m) {
-  PlanRequest r;
-  r.id = id;
-  r.kind = PlanRequest::Kind::kFusedPair;
-  r.m = m;
-  r.k = 16;
-  r.l = 24;
-  r.n = 12;
-  r.buffer_elems = 2048;
   return r;
 }
 
@@ -117,51 +106,51 @@ bool has_optimize_span(const Trace& trace) {
   });
 }
 
-TEST(ServeSpans, OneConnectedTreePerPooledRequest) {
+TEST(ServeSpans, OneConnectedTreePerStreamedLine) {
+  // serve_stream answers each line on the calling thread: one connected tree
+  // per line, the optimizer under a miss's root and never under a hit's.
   CollectingSink sink;
   SinkScope scope(&sink);
+  PlanService service(ServeOptions{.threads = 4});
 
-  ServeOptions options;
-  options.threads = 4;
-  PlanService service(options);
-
-  std::vector<PlanRequest> batch;
+  std::string cold_lines;
   for (int i = 0; i < 8; ++i) {
-    batch.push_back(matmul_request(std::string("m").append(std::to_string(i)), 32 + i));
+    cold_lines += R"({"id":"m","op":"matmul","m":)" + std::to_string(32 + i) +
+                  R"(,"k":16,"l":24,"buffer_elems":512})" + "\n";
   }
-  batch.push_back(fused_request("f0", 20));
+  cold_lines += R"({"id":"f0","op":"fused_pair","m":20,"k":16,"l":24,"n":12,"buffer_elems":2048})"
+                "\n";
+  constexpr std::size_t kLines = 9;
 
-  std::vector<PlanResponse> responses = service.plan_batch(batch);
-  ASSERT_EQ(responses.size(), batch.size());
-  for (const PlanResponse& r : responses) EXPECT_TRUE(r.ok) << r.id << ": " << r.error;
+  std::istringstream cold_in(cold_lines);
+  std::ostringstream cold_out;
+  ASSERT_EQ(service.serve_stream(cold_in, cold_out, "<test>"), static_cast<int>(kLines));
+  EXPECT_EQ(cold_out.str().find("\"ok\":false"), std::string::npos) << cold_out.str();
 
   const std::map<std::uint64_t, Trace> cold = group_traces(sink.drain());
-  ASSERT_EQ(cold.size(), batch.size()) << "exactly one trace per request";
-
+  ASSERT_EQ(cold.size(), kLines) << "exactly one trace per line";
   int matmul_roots = 0, fused_roots = 0;
   for (const auto& [id, trace] : cold) {
     expect_connected(trace);
     const std::string& root = trace.root->name;
     if (root == "request/matmul") ++matmul_roots;
     if (root == "request/fused_pair") ++fused_roots;
-    // Pooled requests record their time on the queue and the cold path
-    // runs the optimizer: both must hang off this request's own root.
-    EXPECT_TRUE(has_span(trace, "queue_wait")) << root;
     EXPECT_TRUE(has_span(trace, "cache_lookup")) << root;
     EXPECT_TRUE(has_optimize_span(trace)) << root << " (cold request must optimize)";
   }
   EXPECT_EQ(matmul_roots, 8);
   EXPECT_EQ(fused_roots, 1);
 
-  // Same batch again: every request is now a cache hit, and a hit's span
-  // tree must NOT contain an optimize child.
-  responses = service.plan_batch(batch);
-  for (const PlanResponse& r : responses) EXPECT_TRUE(r.ok) << r.id << ": " << r.error;
-
+  // The same lines again: every one is a cache hit, and a hit's span tree
+  // must NOT contain an optimize child.
+  std::istringstream warm_in(cold_lines);
+  std::ostringstream warm_out;
+  ASSERT_EQ(service.serve_stream(warm_in, warm_out, "<test>"), static_cast<int>(kLines));
   const std::map<std::uint64_t, Trace> warm = group_traces(sink.drain());
-  ASSERT_EQ(warm.size(), batch.size());
+  ASSERT_EQ(warm.size(), kLines);
   for (const auto& [id, trace] : warm) {
     expect_connected(trace);
+    EXPECT_EQ(trace.root->detail, "ok cached") << trace.root->name;
     EXPECT_FALSE(has_optimize_span(trace))
         << trace.root->name << " hit the cache but still shows an optimize span";
     EXPECT_TRUE(has_span(trace, "cache_lookup"));
@@ -184,32 +173,10 @@ TEST(ServeSpans, DirectPlanRootsItsOwnTraceWithoutQueueWait) {
   const Trace& trace = traces.begin()->second;
   expect_connected(trace);
   EXPECT_EQ(trace.root->name, "request/matmul");
-  EXPECT_FALSE(has_span(trace, "queue_wait")) << "unpooled plan() never waited on a queue";
-}
-
-TEST(ServeSpans, MissPlannedInPlaceRecordsNoQueueWait) {
-  // A reactor plans a miss on the thread that read it: the planning half's
-  // tree has the optimizer but no queue_wait, since it waited in no queue.
-  CollectingSink sink;
-  SinkScope scope(&sink);
-  PlanService service(ServeOptions{.threads = 2});
-  KeyedRequest keyed;
-  std::string response;
-  const std::string line =
-      R"({"id":"inline","op":"matmul","m":40,"k":16,"l":24,"buffer_elems":512})";
-  ASSERT_EQ(service.begin_line(line, "<test>", 1, keyed, response), LineOutcome::kMiss);
-  service.finish_line(keyed, PlanService::kNotQueued, response);
-  EXPECT_NE(response.find("\"ok\":true"), std::string::npos) << response;
-
-  const std::map<std::uint64_t, Trace> traces = group_traces(sink.drain());
-  ASSERT_EQ(traces.size(), 2u) << "one tree for the probe, one for the plan";
-  int planned = 0;
-  for (const auto& [id, trace] : traces) {
-    expect_connected(trace);
-    EXPECT_FALSE(has_span(trace, "queue_wait")) << trace.root->name;
-    planned += has_optimize_span(trace) ? 1 : 0;
+  for (const char* child : {"canonicalize", "cache_lookup"}) {
+    EXPECT_TRUE(has_span(trace, child)) << "lacks " << child;
   }
-  EXPECT_EQ(planned, 1);
+  EXPECT_TRUE(has_optimize_span(trace));
 }
 
 TEST(ServeSpans, OneRootPerMissedLineAnsweredInPlace) {
@@ -232,7 +199,7 @@ TEST(ServeSpans, OneRootPerMissedLineAnsweredInPlace) {
       ASSERT_EQ(service.answer_line(line, "<test>", i + 1, keyed, response, /*plan_miss=*/true),
                 LineOutcome::kMiss);
     } else {
-      response = service.plan_line_json(line, "<test>", i + 1, PlanService::kNotQueued, nullptr);
+      response = service.plan_line_json(line, "<test>", i + 1, 0, nullptr);
     }
     EXPECT_NE(response.find("\"ok\":true"), std::string::npos) << response;
   }
@@ -246,7 +213,6 @@ TEST(ServeSpans, OneRootPerMissedLineAnsweredInPlace) {
       EXPECT_TRUE(has_span(trace, child)) << trace.root->name << " lacks " << child;
     }
     EXPECT_TRUE(has_optimize_span(trace)) << trace.root->name;
-    EXPECT_FALSE(has_span(trace, "queue_wait")) << trace.root->name;
   }
 }
 

@@ -1,9 +1,14 @@
 #include <gtest/gtest.h>
+#include <poll.h>
 #include <sys/wait.h>
+#include <unistd.h>
 
+#include <chrono>
+#include <csignal>
 #include <cstdlib>
 #include <fstream>
 #include <initializer_list>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -68,12 +73,11 @@ std::vector<JsonValuePtr> check_responses(const std::vector<std::string>& lines)
   EXPECT_FALSE(docs[0]->get("rule")->as_string().empty());
   EXPECT_EQ(docs[0]->get("per_tensor")->as_array().size(), 3u);
 
-  // r2 repeats r1 exactly.  Whichever of the two reaches a pool worker
-  // first leads the single flight and misses; the other hits.  The plans
-  // are byte-identical.
+  // r2 repeats r1 exactly.  Lines are answered in order, so r1 misses and
+  // r2 hits the plan r1 inserted: byte-identical plan bytes.
   EXPECT_EQ(docs[1]->get("id")->as_string(), "r2");
-  EXPECT_NE(docs[0]->get("cached")->as_bool(), docs[1]->get("cached")->as_bool())
-      << "exactly one of r1/r2 must miss\n" << lines[0] << "\n" << lines[1];
+  EXPECT_FALSE(docs[0]->get("cached")->as_bool()) << lines[0];
+  EXPECT_TRUE(docs[1]->get("cached")->as_bool()) << lines[1];
   EXPECT_EQ(plan_bytes(lines[1]), plan_bytes(lines[0]));
 
   EXPECT_EQ(docs[2]->get("id")->as_string(), "r3");
@@ -171,6 +175,111 @@ TEST(ServeStream, BinaryEndToEnd) {
   const std::vector<JsonValuePtr> docs = check_responses(read_lines(replies));
   ASSERT_EQ(docs.size(), 6u);
   EXPECT_NE(docs[4]->get("error")->as_string().find(":6:"), std::string::npos);
+}
+
+/// fusecu_serve on a pair of pipes: the test writes its stdin and reads its
+/// stdout.  Killed and reaped on destruction if it is still running.
+class LiveServe {
+ public:
+  LiveServe() {
+    int to_child[2];
+    int from_child[2];
+    if (pipe(to_child) != 0 || pipe(from_child) != 0) return;
+    pid_ = fork();
+    if (pid_ == 0) {
+      dup2(to_child[0], STDIN_FILENO);
+      dup2(from_child[1], STDOUT_FILENO);
+      for (int fd : {to_child[0], to_child[1], from_child[0], from_child[1]}) close(fd);
+      execl(FUSECU_SERVE_BIN, FUSECU_SERVE_BIN, "--threads", "2", static_cast<char*>(nullptr));
+      _exit(127);
+    }
+    close(to_child[0]);
+    close(from_child[1]);
+    in_ = to_child[1];
+    out_ = from_child[0];
+  }
+
+  ~LiveServe() {
+    close_stdin();
+    if (out_ >= 0) close(out_);
+    if (pid_ > 0) {
+      kill(pid_, SIGKILL);
+      waitpid(pid_, nullptr, 0);
+    }
+  }
+
+  bool started() const { return pid_ > 0 && in_ >= 0 && out_ >= 0; }
+
+  bool write_line(const std::string& line) {
+    const std::string framed = line + "\n";
+    return write(in_, framed.data(), framed.size()) == static_cast<ssize_t>(framed.size());
+  }
+
+  /// The next stdout line, or nullopt if none completes within \p timeout.
+  std::optional<std::string> read_line(std::chrono::milliseconds timeout) {
+    const auto deadline = std::chrono::steady_clock::now() + timeout;
+    while (true) {
+      const std::size_t nl = buf_.find('\n');
+      if (nl != std::string::npos) {
+        std::string line = buf_.substr(0, nl);
+        buf_.erase(0, nl + 1);
+        return line;
+      }
+      const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
+          deadline - std::chrono::steady_clock::now());
+      if (left.count() <= 0) return std::nullopt;
+      pollfd pfd{out_, POLLIN, 0};
+      if (poll(&pfd, 1, static_cast<int>(left.count())) <= 0) continue;
+      char chunk[4096];
+      const ssize_t n = read(out_, chunk, sizeof(chunk));
+      if (n <= 0) return std::nullopt;
+      buf_.append(chunk, static_cast<std::size_t>(n));
+    }
+  }
+
+  void close_stdin() {
+    if (in_ >= 0) close(in_);
+    in_ = -1;
+  }
+
+  /// Exit status after stdin closed; -1 if it did not exit cleanly.
+  int wait_exit() {
+    int status = 0;
+    if (waitpid(pid_, &status, 0) != pid_) return -1;
+    pid_ = -1;
+    return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+  }
+
+ private:
+  pid_t pid_ = -1;
+  int in_ = -1;
+  int out_ = -1;
+  std::string buf_;
+};
+
+TEST(ServeStream, BinaryAnswersEachLineWhileStdinStaysOpen) {
+  // A client that keeps stdin open must read each answer before it writes
+  // the next line: nothing may wait for EOF.
+  std::signal(SIGPIPE, SIG_IGN);  // a dead server fails the writes, not the test process
+  LiveServe serve;
+  ASSERT_TRUE(serve.started());
+  constexpr std::chrono::seconds kTimeout(5);
+
+  ASSERT_TRUE(serve.write_line(
+      R"({"id":"first","op":"matmul","m":384,"k":256,"l":320,"buffer":"512KB"})"));
+  const std::optional<std::string> first = serve.read_line(kTimeout);
+  ASSERT_TRUE(first.has_value()) << "no answer to the first line while stdin is open";
+  EXPECT_EQ(first->rfind(R"({"id":"first","ok":true)", 0), 0u) << *first;
+
+  ASSERT_TRUE(serve.write_line(
+      R"({"id":"second","op":"fused_pair","m":512,"k":64,"l":512,"n":64,"buffer":"512KB"})"));
+  const std::optional<std::string> second = serve.read_line(kTimeout);
+  ASSERT_TRUE(second.has_value()) << "no answer to the second line while stdin is open";
+  EXPECT_EQ(second->rfind(R"({"id":"second","ok":true)", 0), 0u) << *second;
+
+  serve.close_stdin();
+  EXPECT_FALSE(serve.read_line(kTimeout).has_value()) << "no answer without a request";
+  EXPECT_EQ(serve.wait_exit(), 0);
 }
 
 }  // namespace

@@ -117,7 +117,7 @@ TEST(StatsReporter, PeriodicTicksEmitWhileServing) {
 
 TEST(StatsReporter, MultiProducerTrafficAggregatesIntoWellFormedLines) {
   // The reactor refactor made the producer side many-threaded: every shard
-  // and every pool worker bumps the global atomics concurrently.  The
+  // bumps the global atomics concurrently.  The
   // writer stays single (ticker thread, then the destructor strictly after
   // the join — enforced with emit_mu_), so under concurrent producers every
   // emitted line must still be whole, and the cumulative requests= field on
