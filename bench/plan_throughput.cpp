@@ -6,7 +6,11 @@
 ///                       pre-service baseline every tool used to pay);
 ///   * warm            — PlanService::plan per request with the sharded
 ///                       cache warm (the steady state of a server);
-///   * warm obs-armed  — the same warm batch with the flight recorder armed.
+///   * warm obs-armed  — the same warm batch with the flight recorder armed;
+///   * cold evicting   — PlanService::plan on a never-repeating stream at
+///                       the default 64 MB budget, after a fill past the
+///                       point where the cache starts evicting, so every
+///                       request is a miss that plans, inserts and evicts.
 ///
 /// The batch mixes 16 distinct transformer-derived shapes x 4 repeats, so
 /// even the cold pass has intra-batch repetition — exactly the workload the
@@ -15,6 +19,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <cstdint>
 #include <vector>
 
 #include "obs/flight_recorder.hpp"
@@ -89,6 +94,34 @@ void BM_WarmObsArmed(benchmark::State& state) {
   FlightRecorder::global().disarm();
 }
 BENCHMARK(BM_WarmObsArmed);
+
+/// Request \p i of a never-repeating stream: no two requests share a shape,
+/// and none is another's transpose (m < l always), so each one misses.
+PlanRequest cold_request(std::int64_t i) {
+  PlanRequest request;
+  request.m = 64 + i % 1024;
+  request.k = 64 + (i / 1024) % 1024;
+  request.l = 2048 + i / (1024 * 1024);
+  request.buffer_elems = kBs;
+  return request;
+}
+
+/// The cold stream through plan() on a cache that already evicts.  The
+/// service, filled once, and the stream's position persist across
+/// google-benchmark's repeated runs of this function.
+void BM_ColdEvicting(benchmark::State& state) {
+  static PlanService service;
+  static std::int64_t next = 0;
+  if (next == 0) {
+    const std::int64_t evictions = service.stats().combined().evictions;
+    while (service.stats().combined().evictions == evictions) service.plan(cold_request(next++));
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(service.plan(cold_request(next++)).cached);
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_ColdEvicting);
 
 }  // namespace
 }  // namespace fusecu

@@ -83,12 +83,12 @@ int obs_thread_index() {
 
 SpanContext current_span() { return t_current_span; }
 
-void ScopedSpan::open(const char* name, std::int64_t start_us) {
+void ScopedSpan::open(const char* name) {
   context_ = child_of_ambient();
   saved_ambient_ = t_current_span;
   t_current_span = context_;
   name_ = name;
-  start_us_ = start_us;
+  start_us_ = timing_ != nullptr ? span_us(timing_start_) : span_clock_us();
   active_ = true;
 }
 
@@ -105,16 +105,12 @@ void ScopedSpan::close(std::int64_t end_us) {
 }
 
 ScopedSpan::ScopedSpan(const char* name) {
-  if (span_recording_enabled()) open(name, span_clock_us());
+  if (span_recording_enabled()) open(name);
 }
 
 ScopedSpan::ScopedSpan(const char* name, Histogram& timing)
     : timing_(&timing), timing_start_(span_now()) {
-  if (span_recording_enabled()) open(name, span_us(timing_start_));
-}
-
-ScopedSpan::ScopedSpan(const char* name, std::int64_t start_us) {
-  if (span_recording_enabled()) open(name, start_us);
+  if (span_recording_enabled()) open(name);
 }
 
 ScopedSpan::~ScopedSpan() {
@@ -134,19 +130,6 @@ void ScopedSpan::note(const char* detail) {
 double ScopedSpan::elapsed_seconds() const {
   if (timing_ == nullptr) return 0.0;
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - timing_start_).count();
-}
-
-void record_span(const char* name, std::int64_t start_us, std::int64_t end_us,
-                 const char* detail) {
-  if (!span_recording_enabled()) return;
-  SpanRecord record;
-  record.name = name;
-  if (detail != nullptr) record.detail = detail;
-  record.context = child_of_ambient();
-  record.thread_index = obs_thread_index();
-  record.start_us = start_us;
-  record.duration_us = end_us - start_us;
-  dispatch(std::move(record));
 }
 
 }  // namespace fusecu

@@ -100,9 +100,6 @@ class ScopedSpan {
   /// Timed span: same, and its duration (seconds) is observed into
   /// \p timing on destruction whether or not the span is recording.
   ScopedSpan(const char* name, Histogram& timing);
-  /// Untimed, anchored at an earlier \p start_us (queue-wait style: the
-  /// work began when it was enqueued, not when a worker picked it up).
-  ScopedSpan(const char* name, std::int64_t start_us);
   ~ScopedSpan();
 
   ScopedSpan(const ScopedSpan&) = delete;
@@ -121,7 +118,7 @@ class ScopedSpan {
   double elapsed_seconds() const;
 
  private:
-  void open(const char* name, std::int64_t start_us);
+  void open(const char* name);
   void close(std::int64_t end_us);
 
   SpanContext context_;
@@ -133,11 +130,5 @@ class ScopedSpan {
   std::chrono::steady_clock::time_point timing_start_;
   bool active_ = false;
 };
-
-/// Emit one already-measured span as a child of the ambient span (used for
-/// waits whose start predates the current scope).
-/// No-op when recording is disabled.
-void record_span(const char* name, std::int64_t start_us, std::int64_t end_us,
-                 const char* detail = nullptr);
 
 }  // namespace fusecu

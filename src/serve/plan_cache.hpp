@@ -1,13 +1,13 @@
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
-#include <list>
-#include <memory>
+#include <cstdint>
+#include <functional>
 #include <mutex>
 #include <optional>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -19,13 +19,33 @@
 ///
 /// Planning a transformer layer issues hundreds of optimize_* calls, most of
 /// them repeats (every decoder layer shares the projection shapes).  The
-/// cache makes repeats O(key hash) under concurrency: keys are distributed
-/// across N independent shards, each with its own mutex, LRU list and byte
-/// budget, so threads planning different shapes never contend.
+/// cache makes repeats one hash and a short probe under concurrency: keys
+/// are distributed across N independent shards, each with its own mutex,
+/// LRU order and byte budget, so threads planning different shapes never
+/// contend.
 ///
-/// Accounting is by caller-declared entry cost (bytes); when a shard
-/// overflows its budget (capacity_bytes / shards) it evicts from the
-/// least-recently-used end.  Hits, misses, insertions and evictions are
+/// Layout.  A shard is flat: its entries live in one slab vector, and the
+/// LRU order is a doubly linked list of uint32 slab indices stored in the
+/// entries themselves, so an entry costs no node of its own.  Evicted
+/// entries go on a free list and are reused by later inserts.  The index
+/// is an open-addressed table of (tag, entry index) slots probed linearly;
+/// it doubles when half full and deletes by backward shift, so it never
+/// holds tombstones.  A slot's tag is the low 32 bits of the key's hash:
+/// it names the slot's home, so moving slots on a delete or a doubling
+/// never reads an entry, and the key bytes are compared only when a tag
+/// matches.  An empty shard allocates nothing until its first insert.
+///
+/// One hash per call.  Each find/upsert hashes its key once; the shard
+/// comes from the hash's high 32 bits and the home slot from its low bits.
+/// An entry stores its hash, so evicting the LRU tail finds the victim's
+/// slot from that hash and the victim's index: no re-hash, no key compare.
+///
+/// Cost rule.  Accounting is by caller-declared cost (bytes): an entry is
+/// charged its key, its bookkeeping (sizeof(Entry)) and the cost upsert's
+/// mutate returns for the whole stored value — for a multi-slot value,
+/// every filled slot.  When a shard overflows its budget
+/// (capacity_bytes / shards) it evicts from the least-recently-used end,
+/// but never its last entry.  Hits, misses, insertions and evictions are
 /// reported through the obs metrics registry under `<metric_prefix>/...`.
 
 namespace fusecu {
@@ -82,16 +102,17 @@ class ShardedLruCache {
   /// under the shard mutex, so it must be quick and must only read.
   template <typename Pick>
   auto find(const std::string& key, Pick&& pick) {
-    Shard& shard = shard_for(key);
+    const std::uint64_t hash = hash_of(key);
+    Shard& shard = shard_for(hash);
     std::lock_guard<std::mutex> lock(shard.mu);
-    auto it = shard.index.find(key);
+    const std::uint32_t at = shard.lookup(key, hash);
     decltype(pick(std::declval<const Value&>())) found{};
-    if (it != shard.index.end()) found = pick(static_cast<const Value&>(it->second->value));
+    if (at != kNil) found = pick(static_cast<const Value&>(shard.entries[at].value));
     if (!found) {
       misses_.add();
       return found;
     }
-    shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
+    shard.touch(at);
     hits_.add();
     return found;
   }
@@ -103,37 +124,38 @@ class ShardedLruCache {
 
   /// Insert or overwrite; evicts LRU entries until the shard fits.
   void put(const std::string& key, Value value, std::size_t cost_bytes) {
-    upsert(
-        key, [&](Value& stored, bool) { stored = std::move(value); }, cost_bytes);
+    upsert(key, [&](Value& stored, bool) {
+      stored = std::move(value);
+      return cost_bytes;
+    });
   }
 
   /// Find-or-create \p key under the shard lock and apply \p mutate to the
   /// stored value (second argument: true when the entry already existed).
-  /// This is how multi-slot entries (one plan per transpose orientation) are
-  /// extended without a lost-update window between get() and put().
+  /// \p mutate returns the cost in bytes of the whole value it leaves
+  /// stored, which replaces the entry's previous charge.  This is how
+  /// multi-slot entries (one plan per transpose orientation) are extended
+  /// without a lost-update window between get() and put().
   template <typename Fn>
-  void upsert(const std::string& key, Fn&& mutate, std::size_t cost_bytes) {
-    Shard& shard = shard_for(key);
+  void upsert(const std::string& key, Fn&& mutate) {
+    const std::uint64_t hash = hash_of(key);
+    Shard& shard = shard_for(hash);
     std::lock_guard<std::mutex> lock(shard.mu);
-    auto it = shard.index.find(key);
-    if (it != shard.index.end()) {
-      shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-      shard.bytes -= it->second->cost;
-      mutate(it->second->value, true);
-      it->second->cost = entry_cost(key, cost_bytes);
-      shard.bytes += it->second->cost;
+    std::uint32_t at = shard.lookup(key, hash);
+    const bool existed = at != kNil;
+    if (existed) {
+      shard.touch(at);
+      shard.bytes -= shard.entries[at].cost;
     } else {
-      shard.lru.push_front(Entry{key, Value{}, entry_cost(key, cost_bytes)});
-      mutate(shard.lru.front().value, false);
-      shard.index.emplace(shard.lru.front().key, shard.lru.begin());
-      shard.bytes += shard.lru.front().cost;
+      at = shard.insert(key, hash);
       insertions_.add();
     }
-    while (shard.bytes > shard_capacity_ && shard.lru.size() > 1) {
-      const Entry& victim = shard.lru.back();
-      shard.bytes -= victim.cost;
-      shard.index.erase(victim.key);
-      shard.lru.pop_back();
+    Entry& entry = shard.entries[at];
+    entry.cost = static_cast<std::size_t>(mutate(entry.value, existed)) + key.size() +
+                 sizeof(Entry);
+    shard.bytes += entry.cost;
+    while (shard.bytes > shard_capacity_ && shard.live > 1) {
+      shard.evict_tail();
       evictions_.add();
     }
   }
@@ -148,7 +170,7 @@ class ShardedLruCache {
     s.evictions = evictions_.value();
     for (const Shard& shard : shards_) {
       std::lock_guard<std::mutex> lock(shard.mu);
-      s.entries += shard.lru.size();
+      s.entries += shard.live;
       s.bytes += shard.bytes;
     }
     return s;
@@ -158,30 +180,145 @@ class ShardedLruCache {
   std::size_t capacity_bytes() const { return options_.capacity_bytes; }
 
  private:
-  struct Entry {
-    std::string key;
-    Value value;
+  static constexpr std::uint32_t kNil = UINT32_MAX;
+
+  /// Cache-line aligned, with what an eviction reads (the hash, the
+  /// links, the cost and the value) in its first line; a lookup reads the
+  /// key only on a tag match.
+  struct alignas(64) Entry {
+    std::uint64_t hash = 0;
+    std::uint32_t prev = kNil;  ///< toward the most recently used end
+    std::uint32_t next = kNil;  ///< toward the LRU end; the free list's link
     std::size_t cost = 0;
+    Value value{};
+    std::string key;
+  };
+
+  /// One index slot: the low 32 bits of the key's hash and the entry's
+  /// slab index (kNil when the slot is empty).
+  struct Slot {
+    std::uint32_t tag = 0;
+    std::uint32_t entry = kNil;
   };
 
   struct Shard {
     mutable std::mutex mu;
-    std::list<Entry> lru;  ///< front = most recently used
-    /// Keys view the list nodes' own key strings (list nodes never move),
-    /// so each key is stored once.
-    std::unordered_map<std::string_view, typename std::list<Entry>::iterator> index;
+    std::vector<Entry> entries;      ///< the slab: live and free entries
+    std::vector<Slot> table;         ///< power-of-two size, at most half full
+    std::uint32_t head = kNil;       ///< most recently used
+    std::uint32_t tail = kNil;       ///< least recently used
+    std::uint32_t free_head = kNil;  ///< free list, linked through next
+    std::size_t live = 0;
     std::size_t bytes = 0;
+
+    std::size_t mask() const { return table.size() - 1; }
+
+    /// The entry holding \p key, or kNil.
+    std::uint32_t lookup(const std::string& key, std::uint64_t hash) const {
+      if (table.empty()) return kNil;
+      const auto tag = static_cast<std::uint32_t>(hash);
+      for (std::size_t i = tag & mask();; i = (i + 1) & mask()) {
+        const Slot& slot = table[i];
+        if (slot.entry == kNil) return kNil;
+        if (slot.tag == tag && entries[slot.entry].key == key) return slot.entry;
+      }
+    }
+
+    /// Place (tag, entry) in its first free slot from its home.
+    void place(Slot slot) {
+      std::size_t i = slot.tag & mask();
+      while (table[i].entry != kNil) i = (i + 1) & mask();
+      table[i] = slot;
+    }
+
+    /// A new most-recently-used entry for \p key, indexed; its value is
+    /// default-constructed and its cost is the caller's to set.
+    std::uint32_t insert(const std::string& key, std::uint64_t hash) {
+      if (2 * (live + 1) > table.size()) grow();
+      std::uint32_t at = free_head;
+      if (at != kNil) {
+        free_head = entries[at].next;
+      } else {
+        FCU_CHECK(entries.size() < kNil, "cache shard entry count overflows uint32");
+        at = static_cast<std::uint32_t>(entries.size());
+        entries.emplace_back();
+      }
+      Entry& entry = entries[at];
+      entry.key.assign(key);
+      entry.hash = hash;
+      link_front(at);
+      place(Slot{static_cast<std::uint32_t>(hash), at});
+      ++live;
+      return at;
+    }
+
+    /// Double the table and re-place every slot.  First use allocates 16
+    /// slots and room for the 8 entries they index.
+    void grow() {
+      if (table.empty()) entries.reserve(8);
+      std::vector<Slot> old(std::max<std::size_t>(16, 2 * table.size()));
+      old.swap(table);
+      for (const Slot& slot : old) {
+        if (slot.entry != kNil) place(slot);
+      }
+    }
+
+    void link_front(std::uint32_t at) {
+      Entry& entry = entries[at];
+      entry.prev = kNil;
+      entry.next = head;
+      if (head != kNil) entries[head].prev = at;
+      head = at;
+      if (tail == kNil) tail = at;
+    }
+
+    void unlink(std::uint32_t at) {
+      Entry& entry = entries[at];
+      (entry.prev != kNil ? entries[entry.prev].next : head) = entry.next;
+      (entry.next != kNil ? entries[entry.next].prev : tail) = entry.prev;
+    }
+
+    /// Make \p at the most recently used entry.
+    void touch(std::uint32_t at) {
+      if (at == head) return;
+      unlink(at);
+      link_front(at);
+    }
+
+    /// Drop the least recently used entry: find its slot from its stored
+    /// hash and index, close the gap by backward shift, release its value
+    /// and its key's buffer, and put it on the free list.  (A key buffer
+    /// kept for reuse would pin a small block amid the victim's freed plan
+    /// memory, and the heap would fragment around it.)
+    void evict_tail() {
+      const std::uint32_t at = tail;
+      Entry& victim = entries[at];
+      std::size_t i = static_cast<std::uint32_t>(victim.hash) & mask();
+      while (table[i].entry != at) i = (i + 1) & mask();
+      for (std::size_t j = (i + 1) & mask(); table[j].entry != kNil; j = (j + 1) & mask()) {
+        // table[j] may fill the hole at i unless its home lies in (i, j].
+        const std::size_t home = table[j].tag & mask();
+        if (((j - home) & mask()) >= ((j - i) & mask())) {
+          table[i] = table[j];
+          i = j;
+        }
+      }
+      table[i] = Slot{};
+      unlink(at);
+      bytes -= victim.cost;
+      victim.value = Value{};
+      std::string().swap(victim.key);
+      victim.next = free_head;
+      free_head = at;
+      --live;
+    }
   };
 
-  /// Every entry is charged at least its key plus bookkeeping, so a
-  /// zero-cost caller still triggers eviction eventually.
-  static std::size_t entry_cost(const std::string& key, std::size_t cost_bytes) {
-    return cost_bytes + key.size() + sizeof(Entry);
+  static std::uint64_t hash_of(const std::string& key) {
+    return std::hash<std::string_view>{}(key);
   }
 
-  Shard& shard_for(const std::string& key) {
-    return shards_[std::hash<std::string>{}(key) % shards_.size()];
-  }
+  Shard& shard_for(std::uint64_t hash) { return shards_[(hash >> 32) % shards_.size()]; }
 
   Options options_;
   std::size_t shard_capacity_ = 0;

@@ -49,6 +49,14 @@ std::size_t approx_bytes(const std::optional<FusedOptResult>& r) {
   return n;
 }
 
+/// What one cached answer costs: its allocations (shared block, plan
+/// vectors and strings, body, allocator rounding) measure about twice the
+/// plan-plus-body estimate.
+template <typename Answer>
+std::size_t answer_cost(const Answer& answer) {
+  return 2 * (approx_bytes(answer.plan) + answer.body.size());
+}
+
 template <typename Cache>
 typename Cache::Options cache_options(const ServeOptions& o, std::size_t capacity,
                                       const std::string& prefix) {
@@ -115,16 +123,16 @@ std::shared_ptr<const Answer> PlanService::insert(SlotCache<Answer, N>& cache,
                                                   const std::string& key, std::size_t slot,
                                                   Plan plan) {
   auto answer = std::make_shared<const Answer>(render(std::move(plan)));
-  // An entry's allocations (shared block, plan vectors and strings, body,
-  // allocator rounding) measure about twice the plan-plus-body estimate.
-  const std::size_t cost = 2 * (approx_bytes(answer->plan) + answer->body.size());
-  cache.upsert(
-      key,
-      [&](auto& entry, bool) {
-        if (entry[slot]) duplicate_plans_.add();
-        entry[slot] = answer;
-      },
-      cost);
+  cache.upsert(key, [&](auto& entry, bool) {
+    if (entry[slot]) duplicate_plans_.add();
+    entry[slot] = answer;
+    // The entry is charged for every orientation it holds.
+    std::size_t cost = 0;
+    for (const auto& filled : entry) {
+      if (filled) cost += answer_cost(*filled);
+    }
+    return cost;
+  });
   return answer;
 }
 

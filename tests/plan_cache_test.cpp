@@ -1,10 +1,16 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <random>
 #include <string>
 #include <thread>
+#include <unordered_map>
 #include <vector>
 
+#include "reference_lru_cache.hpp"
 #include "serve/plan_cache.hpp"
+#include "serve/plan_service.hpp"
 
 namespace fusecu {
 namespace {
@@ -86,22 +92,25 @@ TEST(ShardedLruCache, KeepsAtLeastOneEntryWhenOversized) {
 TEST(ShardedLruCache, UpsertExtendsInPlace) {
   ShardedLruCache<int> cache(options_for("test/cache/upsert", 2, 1 << 20));
   bool existed_first = true;
-  cache.upsert(
-      "k", [&](int& v, bool existed) { existed_first = existed; v = 1; }, 8);
+  cache.upsert("k", [&](int& v, bool existed) {
+    existed_first = existed;
+    v = 1;
+    return std::size_t{8};
+  });
   EXPECT_FALSE(existed_first);
 
   bool existed_second = false;
-  cache.upsert(
-      "k",
-      [&](int& v, bool existed) {
-        existed_second = existed;
-        EXPECT_EQ(v, 1) << "upsert must see the previously stored value";
-        v = 2;
-      },
-      8);
+  cache.upsert("k", [&](int& v, bool existed) {
+    existed_second = existed;
+    EXPECT_EQ(v, 1) << "upsert must see the previously stored value";
+    v = 2;
+    return std::size_t{16};
+  });
   EXPECT_TRUE(existed_second);
   EXPECT_EQ(cache.get("k"), std::optional<int>(2));
   EXPECT_EQ(cache.stats().insertions, 1) << "in-place extension is not a new insertion";
+  EXPECT_EQ(cache.stats().bytes, overhead("k") + 16)
+      << "the cost mutate returns replaces the entry's previous charge";
 }
 
 TEST(ShardedLruCache, ConcurrentMixedTrafficStaysConsistent) {
@@ -130,6 +139,169 @@ TEST(ShardedLruCache, ConcurrentMixedTrafficStaysConsistent) {
   CacheStats s = cache.stats();
   EXPECT_EQ(s.hits + s.misses, kThreads * kIters);
   EXPECT_GE(s.entries, 1u);
+}
+
+/// One seeded random sequence of get/find/put/upsert driven through the
+/// flat cache and the list+map reference model: every operation must give
+/// the same hit or miss, value and existed flag, and the same stats(), so
+/// the two evict the same entries in the same order.
+/// \p oversized_per_mille of the writes cost twice a whole shard, and
+/// the run must reach \p min_peak_entries live entries at some point.
+void run_differential(int shards, std::size_t capacity, int key_count, int oversized_per_mille,
+                      std::size_t min_peak_entries, std::uint64_t seed) {
+  SCOPED_TRACE("shards=" + std::to_string(shards) + " capacity=" + std::to_string(capacity) +
+               " keys=" + std::to_string(key_count));
+  const std::string prefix = "test/cache/differential/" + std::to_string(shards) + "/" +
+                             std::to_string(capacity) + "/" + std::to_string(key_count);
+  ShardedLruCache<int> flat(options_for(prefix, shards, capacity));
+  ReferenceLruCache<int> model(shards, capacity, overhead(""));
+
+  std::vector<std::string> keys;
+  for (int i = 0; i < key_count; ++i) {
+    // Short keys stay in the string's inline buffer; long ones allocate.
+    keys.push_back(i % 3 == 0 ? std::string(40, 'x') + std::to_string(i) : "k" + std::to_string(i));
+  }
+  // Mixed costs, with an occasional entry larger than a whole shard.
+  const std::size_t oversized = 2 * capacity / static_cast<std::size_t>(shards);
+  const std::size_t costs[] = {0, 16, 64, 200, 700};
+  std::mt19937_64 rng(seed);
+  const auto pick_cost = [&] {
+    if (static_cast<int>(rng() % 1000) < oversized_per_mille) return oversized;
+    return costs[rng() % 5];
+  };
+  // find() answers only even values, so an odd entry is a present key that
+  // misses and keeps its recency.
+  const auto even = [](const int& v) { return v % 2 == 0 ? std::optional<int>(v) : std::nullopt; };
+
+  constexpr int kOps = 30000;
+  std::size_t peak_entries = 0;
+  for (int op = 0; op < kOps; ++op) {
+    const std::string& key = keys[rng() % keys.size()];
+    const std::uint64_t kind = rng() % 100;
+    if (kind < 35) {
+      ASSERT_EQ(flat.get(key), model.get(key)) << "op " << op << " get " << key;
+    } else if (kind < 45) {
+      ASSERT_EQ(flat.find(key, even), model.find(key, even)) << "op " << op << " find " << key;
+    } else if (kind < 75) {
+      const int value = static_cast<int>(rng() % 1000);
+      const std::size_t cost = pick_cost();
+      flat.put(key, value, cost);
+      model.put(key, value, cost);
+    } else {
+      const int delta = static_cast<int>(rng() % 7);
+      const std::size_t cost = pick_cost();
+      int flat_seen = -1;
+      int model_seen = -1;
+      bool flat_existed = false;
+      bool model_existed = false;
+      flat.upsert(key, [&](int& v, bool existed) {
+        flat_seen = v;
+        flat_existed = existed;
+        v = v * 3 + delta;
+        return cost;
+      });
+      model.upsert(key, [&](int& v, bool existed) {
+        model_seen = v;
+        model_existed = existed;
+        v = v * 3 + delta;
+        return cost;
+      });
+      ASSERT_EQ(flat_existed, model_existed) << "op " << op << " upsert " << key;
+      ASSERT_EQ(flat_seen, model_seen) << "op " << op << " upsert " << key;
+    }
+    const CacheStats a = flat.stats();
+    const CacheStats b = model.stats();
+    ASSERT_EQ(a.hits, b.hits) << "op " << op;
+    ASSERT_EQ(a.misses, b.misses) << "op " << op;
+    ASSERT_EQ(a.insertions, b.insertions) << "op " << op;
+    ASSERT_EQ(a.evictions, b.evictions) << "op " << op;
+    ASSERT_EQ(a.entries, b.entries) << "op " << op;
+    ASSERT_EQ(a.bytes, b.bytes) << "op " << op;
+    peak_entries = std::max(peak_entries, a.entries);
+  }
+  EXPECT_GE(peak_entries, min_peak_entries);
+  EXPECT_GT(flat.stats().evictions, 0);
+  // Every key, in one sweep, is where the model says it is.
+  for (const std::string& key : keys) ASSERT_EQ(flat.get(key), model.get(key)) << key;
+}
+
+TEST(ShardedLruCache, MatchesReferenceModelUnderEviction) {
+  // A few dozen entries per shard: constant eviction, small tables, and
+  // 2% of writes larger than a shard, which empty it down to themselves.
+  for (const int shards : {1, 2, 8}) {
+    run_differential(shards, static_cast<std::size_t>(shards) * 6000, 300, 20,
+                     static_cast<std::size_t>(shards) * 15, 12);
+  }
+}
+
+TEST(ShardedLruCache, MatchesReferenceModelAcrossTableGrowth) {
+  // Hundreds of live entries per shard: repeated doublings, long probe runs
+  // and backward-shift deletes across the table's wrap-around.
+  for (const int shards : {1, 2, 8}) {
+    run_differential(shards, static_cast<std::size_t>(shards) * 150000, 4000, 1,
+                     static_cast<std::size_t>(shards) * 300, 13);
+  }
+}
+
+TEST(ShardedLruCache, KeysWhoseTagsCollideStayDistinct) {
+  // Two keys whose hashes share their low 32 bits get the same tag and the
+  // same home slot, so only a key compare tells them apart.  Find such a
+  // pair by the birthday bound (about 80k keys for 32 bits).
+  std::unordered_map<std::uint32_t, std::string> by_tag;
+  std::string first;
+  std::string second;
+  for (int i = 0; i < 1000000 && second.empty(); ++i) {
+    std::string key = "collide" + std::to_string(i);
+    const auto tag = static_cast<std::uint32_t>(std::hash<std::string_view>{}(key));
+    auto [it, fresh] = by_tag.emplace(tag, key);
+    if (!fresh) {
+      first = it->second;
+      second = std::move(key);
+    }
+  }
+  if (second.empty()) GTEST_SKIP() << "no 32-bit tag collision among the keys tried";
+
+  ShardedLruCache<int> cache(options_for("test/cache/collide", 1, 1 << 20));
+  cache.put(first, 1, 8);
+  EXPECT_EQ(cache.get(second), std::nullopt) << first << " and " << second;
+  cache.put(second, 2, 8);
+  EXPECT_EQ(cache.get(first), std::optional<int>(1));
+  EXPECT_EQ(cache.get(second), std::optional<int>(2));
+  EXPECT_EQ(cache.stats().entries, 2u);
+}
+
+PlanRequest matmul(Index m, Index k, Index l) {
+  PlanRequest request;
+  request.id = "r";
+  request.m = m;
+  request.k = k;
+  request.l = l;
+  request.buffer_elems = 512 * 1024 / 2;
+  return request;
+}
+
+TEST(PlanCacheCost, EntryHoldingBothOrientationsIsChargedForBoth) {
+  // (384,256,320) and its transpose share one intra entry, one plan per
+  // orientation slot; the entry must be charged for both plans.
+  PlanService service;
+  ASSERT_TRUE(service.plan(matmul(384, 256, 320)).ok);
+  const CacheStats one = service.stats().intra;
+  ASSERT_TRUE(service.plan(matmul(320, 256, 384)).ok);
+  const CacheStats both = service.stats().intra;
+  ASSERT_EQ(one.entries, 1u);
+  ASSERT_EQ(both.entries, 1u);
+  // The two orientations' plans cost about the same, and the key and
+  // bookkeeping are a small part of one charge.
+  EXPECT_GT(both.bytes, one.bytes + one.bytes / 2)
+      << "one entry / " << one.bytes << " bytes grew to " << both.bytes << " bytes";
+
+  // An unrelated shape adds its own charge and leaves the first entry's.
+  ASSERT_TRUE(service.plan(matmul(1024, 768, 768)).ok);
+  const CacheStats three = service.stats().intra;
+  ASSERT_EQ(three.entries, 2u);
+  PlanService alone;
+  ASSERT_TRUE(alone.plan(matmul(1024, 768, 768)).ok);
+  EXPECT_EQ(three.bytes, both.bytes + alone.stats().intra.bytes);
 }
 
 }  // namespace

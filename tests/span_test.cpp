@@ -122,24 +122,6 @@ TEST(Span, RootThenChildNesting) {
   EXPECT_EQ(child_ctx.span_id, spans[0].context.span_id);
 }
 
-TEST(Span, AnchoredStartAndManualRecord) {
-  CollectingSink sink;
-  SinkScope scope(&sink);
-  const std::int64_t enqueue_us = span_clock_us();
-  {
-    ScopedSpan root("request/fused_pair", enqueue_us);
-    record_span("queue_wait", enqueue_us, span_clock_us(), "pool");
-  }
-  const std::vector<SpanRecord> spans = sink.spans();
-  ASSERT_EQ(spans.size(), 2u);
-  EXPECT_EQ(spans[0].name, "queue_wait");
-  EXPECT_EQ(spans[0].detail, "pool");
-  EXPECT_EQ(spans[0].start_us, enqueue_us);
-  EXPECT_EQ(spans[1].start_us, enqueue_us);  // the anchored root
-  EXPECT_EQ(spans[0].context.parent_span_id, spans[1].context.span_id);
-  EXPECT_GE(spans[1].duration_us, spans[0].duration_us);
-}
-
 TEST(Span, SeparateRootsGetSeparateTraces) {
   CollectingSink sink;
   SinkScope scope(&sink);
