@@ -1,31 +1,44 @@
 #include "tensor/tensor_op.hpp"
 
 #include <algorithm>
-#include <set>
 #include <sstream>
 
 #include "common/check.hpp"
 
 namespace fusecu {
 
+namespace {
+
+/// Whether one of the first \p count entries of \p items is named \p name.
+/// An op has a handful of dims and tensors, so a scan beats a set and
+/// allocates nothing.
+template <typename T>
+bool named_before(const std::vector<T>& items, std::size_t count, const std::string& name) {
+  return std::any_of(items.begin(), items.begin() + static_cast<std::ptrdiff_t>(count),
+                     [&](const T& item) { return item.name == name; });
+}
+
+}  // namespace
+
 TensorOp::TensorOp(std::string name, std::vector<Dim> dims, std::vector<TensorDecl> tensors)
     : name_(std::move(name)), dims_(std::move(dims)), tensors_(std::move(tensors)) {
   FCU_CHECK(!dims_.empty(), "operator needs at least one dimension");
-  std::set<std::string> dim_names;
-  for (const Dim& d : dims_) {
+  for (std::size_t i = 0; i < dims_.size(); ++i) {
+    const Dim& d = dims_[i];
     FCU_CHECK(d.extent >= 1, "dimension extent must be positive: " + d.name);
-    FCU_CHECK(dim_names.insert(d.name).second, "duplicate dimension name: " + d.name);
+    FCU_CHECK(!named_before(dims_, i, d.name), "duplicate dimension name: " + d.name);
   }
   FCU_CHECK(!tensors_.empty(), "operator needs at least one tensor");
-  std::set<std::string> tensor_names;
   for (int t = 0; t < num_tensors(); ++t) {
-    const TensorDecl& decl = tensors_[static_cast<std::size_t>(t)];
-    FCU_CHECK(tensor_names.insert(decl.name).second, "duplicate tensor name: " + decl.name);
+    const auto at = static_cast<std::size_t>(t);
+    const TensorDecl& decl = tensors_[at];
+    FCU_CHECK(!named_before(tensors_, at, decl.name), "duplicate tensor name: " + decl.name);
     FCU_CHECK(!decl.dims.empty(), "tensor must index at least one dimension: " + decl.name);
-    std::set<int> seen;
-    for (int d : decl.dims) {
+    for (auto it = decl.dims.begin(); it != decl.dims.end(); ++it) {
+      const int d = *it;
       FCU_CHECK(d >= 0 && d < num_dims(), "tensor dim index out of range: " + decl.name);
-      FCU_CHECK(seen.insert(d).second, "tensor repeats a dimension: " + decl.name);
+      FCU_CHECK(std::find(decl.dims.begin(), it, d) == it,
+                "tensor repeats a dimension: " + decl.name);
     }
     if (decl.role == TensorRole::kOutput) {
       FCU_CHECK(output_index_ == -1, "operator must have exactly one output");

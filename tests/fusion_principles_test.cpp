@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 
 #include "common/rng.hpp"
 #include "fusion/fusion_principles.hpp"
@@ -219,6 +220,55 @@ TEST(FusedFloors, EveryPhasedCandidatePricesAtOrAboveItsCornerFloor) {
     for (Index head : {16, 64}) {
       for (BufferSize bs : {BufferSize{12}, head * head / 16, head * head / 4}) {
         check(attention_pair(seq, head), std::max<BufferSize>(3, bs));
+      }
+    }
+  }
+  EXPECT_GT(checked, 200000);
+}
+
+// --- optimize_fused_pair() prices each phased probe from its trip counts,
+// not with evaluate_phased(): that flat price must equal evaluate_phased()
+// on every phased construction fused_principle_candidates() emits, and on
+// every tiling of small pairs (T_K and T_N anywhere, not only at corners).
+TEST(FlatPricing, PhasedProbePriceMatchesTheAccessModel) {
+  Rng rng(2812);
+  int checked = 0;
+  auto check = [&](const FusedPair& p, const PhasedFusedDataflow& df) {
+    const std::array<AccessCount, 2> flat = detail::phased_probe_totals(p, df);
+    ASSERT_EQ(flat[df.l_outer ? 1 : 0], evaluate_phased(p, df).total)
+        << "pair (" << p.m() << "," << p.k() << "," << p.l() << "," << p.n() << ") "
+        << df.to_string();
+    ++checked;
+  };
+  for (int trial = 0; trial < 4000; ++trial) {
+    const Index cap = trial % 2 ? 200 : 8;
+    const Index m = rng.uniform(1, cap), k = rng.uniform(1, cap), l = rng.uniform(1, cap),
+                n = rng.uniform(1, cap);
+    const FusedPair p = FusedPair::make(m, k, l, n);
+    const BufferSize bs = rng.chance(0.25) ? rng.uniform(3, 64) : mixed_fused_buffer(rng, p);
+    for (const FusedCandidate& c : fused_principle_candidates(p, bs)) {
+      if (c.phased) check(p, *c.phased);
+    }
+  }
+  for (Index m = 1; m <= 3; ++m) {
+    for (Index k = 1; k <= 3; ++k) {
+      for (Index l = 1; l <= 3; ++l) {
+        for (Index n = 1; n <= 3; ++n) {
+          const FusedPair p = FusedPair::make(m, k, l, n);
+          PhasedFusedDataflow df;
+          for (df.t_m = 1; df.t_m <= m; ++df.t_m) {
+            for (df.t_k = 1; df.t_k <= k; ++df.t_k) {
+              for (df.t_l = 1; df.t_l <= l; ++df.t_l) {
+                for (df.t_n = 1; df.t_n <= n; ++df.t_n) {
+                  for (bool l_outer : {false, true}) {
+                    df.l_outer = l_outer;
+                    check(p, df);
+                  }
+                }
+              }
+            }
+          }
+        }
       }
     }
   }

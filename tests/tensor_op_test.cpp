@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 #include "tensor/tensor_op.hpp"
 
 namespace fusecu {
@@ -60,30 +63,68 @@ TEST(TensorOp, ToStringMentionsAllPieces) {
   EXPECT_NE(s.find("M:4"), std::string::npos);
 }
 
+/// The message of the std::invalid_argument that \p make throws, after the
+/// check's expression and location.
+template <typename Make>
+std::string rejection(Make make) {
+  try {
+    make();
+  } catch (const std::invalid_argument& e) {
+    const std::string what = e.what();
+    const std::string dash = " \xe2\x80\x94 ";  // " — "
+    const std::size_t at = what.find(dash);
+    return at == std::string::npos ? what : what.substr(at + dash.size());
+  }
+  ADD_FAILURE() << "construction was accepted";
+  return "";
+}
+
 TEST(TensorOp, RejectsInvalidConstructions) {
   // Non-positive extent.
-  EXPECT_THROW(TensorOp::matmul("bad", 0, 5, 6), std::invalid_argument);
+  EXPECT_EQ(rejection([] { TensorOp::matmul("bad", 0, 5, 6); }),
+            "dimension extent must be positive: M");
   // Two outputs.
-  EXPECT_THROW(TensorOp("bad", {{"M", 2}, {"K", 2}},
-                        {{"A", {0, 1}, TensorRole::kOutput}, {"B", {0, 1}, TensorRole::kOutput}}),
-               std::invalid_argument);
+  EXPECT_EQ(rejection([] {
+              TensorOp("bad", {{"M", 2}, {"K", 2}},
+                       {{"A", {0, 1}, TensorRole::kOutput}, {"B", {0, 1}, TensorRole::kOutput}});
+            }),
+            "operator must have exactly one output");
   // No output.
-  EXPECT_THROW(TensorOp("bad", {{"M", 2}, {"K", 2}},
-                        {{"A", {0, 1}, TensorRole::kInput}, {"B", {0, 1}, TensorRole::kInput}}),
-               std::invalid_argument);
+  EXPECT_EQ(rejection([] {
+              TensorOp("bad", {{"M", 2}, {"K", 2}},
+                       {{"A", {0, 1}, TensorRole::kInput}, {"B", {0, 1}, TensorRole::kInput}});
+            }),
+            "operator must have exactly one output");
   // Duplicate dim in one tensor.
-  EXPECT_THROW(TensorOp("bad", {{"M", 2}}, {{"A", {0, 0}, TensorRole::kOutput}}),
-               std::invalid_argument);
+  EXPECT_EQ(rejection([] { TensorOp("bad", {{"M", 2}}, {{"A", {0, 0}, TensorRole::kOutput}}); }),
+            "tensor repeats a dimension: A");
   // Out-of-range dim reference.
-  EXPECT_THROW(TensorOp("bad", {{"M", 2}}, {{"A", {1}, TensorRole::kOutput}}),
-               std::invalid_argument);
+  EXPECT_EQ(rejection([] { TensorOp("bad", {{"M", 2}}, {{"A", {1}, TensorRole::kOutput}}); }),
+            "tensor dim index out of range: A");
   // Duplicate tensor names.
-  EXPECT_THROW(TensorOp("bad", {{"M", 2}, {"K", 3}},
-                        {{"A", {0}, TensorRole::kInput}, {"A", {1}, TensorRole::kOutput}}),
-               std::invalid_argument);
+  EXPECT_EQ(rejection([] {
+              TensorOp("bad", {{"M", 2}, {"K", 3}},
+                       {{"A", {0}, TensorRole::kInput}, {"A", {1}, TensorRole::kOutput}});
+            }),
+            "duplicate tensor name: A");
   // Duplicate dim names.
-  EXPECT_THROW(TensorOp("bad", {{"M", 2}, {"M", 3}}, {{"A", {0, 1}, TensorRole::kOutput}}),
-               std::invalid_argument);
+  EXPECT_EQ(rejection([] {
+              TensorOp("bad", {{"M", 2}, {"M", 3}}, {{"A", {0, 1}, TensorRole::kOutput}});
+            }),
+            "duplicate dimension name: M");
+  // No dims, no tensors, a tensor indexing nothing.
+  EXPECT_EQ(rejection([] { TensorOp("bad", {}, {{"A", {0}, TensorRole::kOutput}}); }),
+            "operator needs at least one dimension");
+  EXPECT_EQ(rejection([] { TensorOp("bad", {{"M", 2}}, {}); }),
+            "operator needs at least one tensor");
+  EXPECT_EQ(rejection([] { TensorOp("bad", {{"M", 2}}, {{"A", {}, TensorRole::kOutput}}); }),
+            "tensor must index at least one dimension: A");
+  // The first violation in declaration order is the one reported.
+  EXPECT_EQ(rejection([] {
+              TensorOp("bad", {{"M", 2}, {"K", 0}, {"M", 3}},
+                       {{"A", {0, 1}, TensorRole::kOutput}});
+            }),
+            "dimension extent must be positive: K");
 }
 
 TEST(TensorOp, BatchedMatmulAndFolding) {
