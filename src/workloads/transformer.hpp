@@ -1,5 +1,8 @@
 #pragma once
 
+#include <algorithm>
+#include <array>
+#include <cstddef>
 #include <string>
 #include <vector>
 
@@ -49,6 +52,48 @@ struct ModelConfig {
 /// Table II, in row order: BERT, GPT-2, Blenderbot, XLM, DeBERTa-v2,
 /// LLaMA2 (seq 4096), ALBERT.
 std::vector<ModelConfig> table2_models();
+
+/// One layer's shapes as lower_layer() lowers it (batch folded into M, FFN
+/// expansion ffn_mult): the five matmuls as (m, k, l), i.e. the projection,
+/// attention S = QK^T and O = SV, FFN up and down, and the attention and FFN
+/// fused pairs as (m, k, l, n).
+struct LayerShapes {
+  std::array<std::array<Index, 3>, 5> matmuls{};
+  std::array<std::array<Index, 4>, 2> pairs{};
+};
+
+/// A layer of a uniformly drawn Table II model at a sequence length of
+/// 128..4096: the shapes a cold planning stream asks for.  \p rng is any
+/// generator with uniform(lo, hi); the seeded Table II populations (the
+/// closed-form golden digests, the cold-population benchmark) draw here.
+template <typename Rng>
+LayerShapes draw_table2_layer(Rng& rng) {
+  static const std::vector<ModelConfig> models = table2_models();
+  const ModelConfig& model =
+      models[static_cast<std::size_t>(rng.uniform(0, static_cast<Index>(models.size()) - 1))];
+  const Index seq = rng.uniform(128, 4096);
+  const Index rows = model.batch * seq, d = model.hidden, dh = model.head_dim();
+  const Index f = model.ffn_mult * d;
+  LayerShapes layer;
+  layer.matmuls = {{{rows, d, d}, {seq, dh, seq}, {seq, seq, dh}, {rows, d, f}, {rows, f, d}}};
+  layer.pairs = {{{seq, dh, seq, dh}, {rows, d, f, d}}};
+  return layer;
+}
+
+/// A buffer for the matmul (m, k, l) in one of the four buffer classes of
+/// Principles 1-3 (principles/buffer_class.hpp), chosen uniformly: from the
+/// minimal working set 3 up to D_min^2/4, D_min^2/2, |Tensor_min| or the
+/// full-fit point |A| + |B| + |C|.
+template <typename Rng>
+BufferSize draw_class_buffer(Rng& rng, Index m, Index k, Index l) {
+  const Index dmin = std::min({m, k, l});
+  const Index tmin = std::min({m * k, k * l, m * l});
+  const std::array<Index, 5> bounds = {3, dmin * dmin / 4, dmin * dmin / 2, tmin,
+                                       m * k + k * l + m * l};
+  const auto cls = static_cast<std::size_t>(rng.uniform(0, 3));
+  const Index lo = cls == 0 ? bounds[0] : bounds[cls] + 1;
+  return rng.uniform(lo, std::max(lo, bounds[cls + 1]));
+}
 
 /// LLaMA2 at an arbitrary sequence length (Fig. 11 sweeps 256..16K).
 ModelConfig llama2_at_seq(Index seq);
