@@ -5,7 +5,8 @@
 /// principle optimizer vs exhaustive grid search vs the DAT-style GA, on
 /// intra-operator and fused-pair problems — plus the plan-service cache,
 /// which beats even the one-shot construction on repeated shapes, and the
-/// closed forms' mean cost over a cold Table II population.
+/// closed forms' mean cost over a cold Table II population and the cost of
+/// their probe generator alone over the same population.
 ///
 /// --seed N sets the GA seed (default 42) for run-to-run reproducibility.
 
@@ -20,6 +21,7 @@
 #include "fusion/fusion_principles.hpp"
 #include "obs/obs_session.hpp"
 #include "principles/principle_optimizer.hpp"
+#include "principles/two_tile_probe.hpp"
 #include "search/dat_optimizer.hpp"
 #include "serve/plan_service.hpp"
 #include "workloads/transformer.hpp"
@@ -146,6 +148,29 @@ void BM_ClosedFormColdPopulation(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ClosedFormColdPopulation)->ArgName("fused")->Arg(0)->Arg(1);
+
+/// The probe generator alone: one iteration runs the three Principle 1
+/// sweeps of one cold matmul (stationary A over (M, K), B over (K, L) and
+/// C over (M, L), each weighted as price_single_nra weights it) with a
+/// visitor that only sums the probes.  The items rate is sweeps per second.
+void BM_TwoTileProbe(benchmark::State& state) {
+  const ColdPopulation& population = cold_population();
+  std::size_t i = 0;
+  for (auto _ : state) {
+    const auto& [op, bs] = population.intra[i++ % population.intra.size()];
+    const Index m = op.extent(mm::kDimM), k = op.extent(mm::kDimK), l = op.extent(mm::kDimL);
+    const auto mk = static_cast<double>(m * k), kl = static_cast<double>(k * l),
+               ml = static_cast<double>(m * l);
+    Index sum = 0;
+    auto add = [&](Index t1, Index n1, Index t2, Index n2) { sum += t1 + n1 + t2 + n2; };
+    for_each_two_tile_probe(m, k, kl, ml, 1, 1, bs, add);
+    for_each_two_tile_probe(k, l, ml, mk, 1, 1, bs, add);
+    for_each_two_tile_probe(m, l, kl, mk, 1, 1, bs, add);
+    benchmark::DoNotOptimize(sum);
+  }
+  state.SetItemsProcessed(3 * state.iterations());
+}
+BENCHMARK(BM_TwoTileProbe);
 
 /// The access-model evaluation itself (the inner loop of any search).
 void BM_AccessModelEvaluation(benchmark::State& state) {

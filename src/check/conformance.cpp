@@ -278,10 +278,12 @@ void check_intra_workload(Checker& c, const TensorOp& op, BufferSize bs) {
 // ---------------------------------------------------------------------------
 // Fused-pair checks.
 
-/// Serve path byte-identity for fused plans, on a private PlanService.
-void check_fused_serve(Checker& c, const FusedPair& pair, BufferSize bs) {
+/// Serve path byte-identity for fused plans, on a private PlanService,
+/// against \p direct_plan, the trial's own optimize_fused_pair result.
+void check_fused_serve(Checker& c, const FusedPair& pair, BufferSize bs,
+                       const std::optional<FusedOptResult>& direct_plan) {
   FCU_COUNTER("check/serve_checks").add();
-  const std::string direct = fused_plan_signature(optimize_fused_pair(pair, bs));
+  const std::string direct = fused_plan_signature(direct_plan);
   PlanService service(serve_check_options());
   FusedPlanned cold = service.plan_fused(pair, bs);
   c.expect_eq("serve/fused_byte_identity", fused_plan_signature(cold.result), direct,
@@ -354,7 +356,7 @@ void check_fused_workload(Checker& c, const FusedPair& pair, BufferSize bs) {
                   "fused execution differs from reference (A*B)*D");
   }
 
-  if (c.opts_.with_serve) check_fused_serve(c, pair, bs);
+  if (c.opts_.with_serve) check_fused_serve(c, pair, bs, fopt);
 }
 
 // ---------------------------------------------------------------------------

@@ -7,15 +7,6 @@
 
 namespace fusecu {
 
-Index isqrt(Index v) {
-  FCU_CHECK(v >= 0, "isqrt of negative value");
-  if (v < 2) return v;
-  auto r = static_cast<Index>(std::sqrt(static_cast<double>(v)));
-  while (r * r > v) --r;
-  while ((r + 1) * (r + 1) <= v) ++r;
-  return r;
-}
-
 std::vector<Index> divisors(Index v) {
   FCU_CHECK(v >= 1, "divisors of non-positive value");
   std::vector<Index> lo, hi;

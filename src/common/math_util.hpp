@@ -1,7 +1,9 @@
 #pragma once
 
+#include <cmath>
 #include <vector>
 
+#include "common/check.hpp"
 #include "common/types.hpp"
 
 /// \file math_util.hpp
@@ -24,7 +26,14 @@ constexpr Index clamp_index(Index v, Index lo, Index hi) {
 }
 
 /// Integer floor square root.
-Index isqrt(Index v);
+inline Index isqrt(Index v) {
+  FCU_CHECK(v >= 0, "isqrt of negative value");
+  if (v < 2) return v;
+  auto r = static_cast<Index>(std::sqrt(static_cast<double>(v)));
+  while (r * r > v) --r;
+  while ((r + 1) * (r + 1) <= v) ++r;
+  return r;
+}
 
 /// All positive divisors of \p v in ascending order.
 std::vector<Index> divisors(Index v);

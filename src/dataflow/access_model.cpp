@@ -5,7 +5,6 @@
 #include <cmath>
 
 #include "common/check.hpp"
-#include "common/math_util.hpp"
 
 namespace fusecu {
 
@@ -17,40 +16,6 @@ int AccessBreakdown::non_redundant_tensors(const TensorOp& op) const {
     if (per_tensor[static_cast<std::size_t>(t)] == op.tensor_size(t)) ++count;
   }
   return count;
-}
-
-AccessCount nest_access(std::span<const Index> extents, std::span<const int> loop_order,
-                        std::span<const Index> tiles, std::span<const std::uint32_t> dim_masks,
-                        std::span<AccessCount> per_tensor) {
-  const std::size_t n = loop_order.size();
-  std::uint32_t effective = 0;  // dims whose tile loop runs more than once
-  for (std::size_t d = 0; d < n; ++d) {
-    if (tiles[d] < extents[d]) effective |= 1u << d;
-  }
-
-  AccessCount total = 0;
-  for (std::size_t t = 0; t < dim_masks.size(); ++t) {
-    const std::uint32_t mask = dim_masks[t];
-    AccessCount accesses = 1;
-    for (std::size_t d = 0; d < n; ++d) {
-      if ((mask >> d) & 1u) accesses *= extents[d];
-    }
-    // An outer loop d (not indexing the tensor) multiplies accesses iff some
-    // effective loop of the tensor's dimension set sits inside it: every
-    // effective foreign loop outside the tensor's innermost effective loop.
-    std::size_t inner = n;
-    while (inner > 0 && !(mask & effective & (1u << loop_order[inner - 1]))) --inner;
-    for (std::size_t pos = 0; pos + 1 < inner; ++pos) {
-      const int d = loop_order[pos];
-      if (effective & ~mask & (1u << d)) {
-        const auto sd = static_cast<std::size_t>(d);
-        accesses *= ceil_div(extents[sd], tiles[sd]);
-      }
-    }
-    per_tensor[t] = accesses;
-    total += accesses;
-  }
-  return total;
 }
 
 AccessBreakdown evaluate_access(const TensorOp& op, const Dataflow& df) {
@@ -80,21 +45,11 @@ bool fits_buffer(const TensorOp& op, const Dataflow& df, BufferSize buffer_size)
 
 NraKind classify_nra(const TensorOp& op, const Dataflow& df) {
   const int count = evaluate_access(op, df).non_redundant_tensors(op);
-  switch (count) {
-    case 1:
-      return NraKind::kSingle;
-    case 2:
-      return NraKind::kTwo;
-    case 3:
-      return NraKind::kThree;
-    default:
-      // A nest where *no* tensor achieves single access (possible under
-      // pathological orders, e.g. the stationary dims interleaved with
-      // redundant loops) is strictly dominated; report it as Single so
-      // callers can still rank it, but it never wins under optimization.
-      FCU_CHECK(count == 0, "MM has exactly three tensors");
-      return NraKind::kSingle;
-  }
+  FCU_CHECK(count <= 3, "MM has exactly three tensors");
+  // A nest where *no* tensor is accessed once (e.g. the stationary dims
+  // interleaved with redundant loops) is strictly dominated; report it as
+  // Single so callers can still rank it, but it never wins.
+  return count == 0 ? NraKind::kSingle : static_cast<NraKind>(count);
 }
 
 int stationary_tensor(const TensorOp& op, const Dataflow& df) {

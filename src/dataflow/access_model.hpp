@@ -5,6 +5,7 @@
 #include <string>
 #include <vector>
 
+#include "common/math_util.hpp"
 #include "dataflow/dataflow.hpp"
 
 /// \file access_model.hpp
@@ -56,9 +57,40 @@ inline constexpr int kMaxNestDims = 32;
 /// mask) and returns their sum.  The nest is trusted: evaluate_access()
 /// validates it first, and the principle optimizers build theirs valid by
 /// construction.
-AccessCount nest_access(std::span<const Index> extents, std::span<const int> loop_order,
-                        std::span<const Index> tiles, std::span<const std::uint32_t> dim_masks,
-                        std::span<AccessCount> per_tensor);
+inline AccessCount nest_access(std::span<const Index> extents, std::span<const int> loop_order,
+                               std::span<const Index> tiles,
+                               std::span<const std::uint32_t> dim_masks,
+                               std::span<AccessCount> per_tensor) {
+  const std::size_t n = loop_order.size();
+  std::uint32_t effective = 0;  // dims whose tile loop runs more than once
+  for (std::size_t d = 0; d < n; ++d) {
+    if (tiles[d] < extents[d]) effective |= 1u << d;
+  }
+
+  AccessCount total = 0;
+  for (std::size_t t = 0; t < dim_masks.size(); ++t) {
+    const std::uint32_t mask = dim_masks[t];
+    AccessCount accesses = 1;
+    for (std::size_t d = 0; d < n; ++d) {
+      if ((mask >> d) & 1u) accesses *= extents[d];
+    }
+    // An outer loop d (not indexing the tensor) multiplies accesses iff some
+    // effective loop of the tensor's dimension set sits inside it: every
+    // effective foreign loop outside the tensor's innermost effective loop.
+    std::size_t inner = n;
+    while (inner > 0 && !(mask & effective & (1u << loop_order[inner - 1]))) --inner;
+    for (std::size_t pos = 0; pos + 1 < inner; ++pos) {
+      const int d = loop_order[pos];
+      if (effective & ~mask & (1u << d)) {
+        const auto sd = static_cast<std::size_t>(d);
+        accesses *= ceil_div(extents[sd], tiles[sd]);
+      }
+    }
+    per_tensor[t] = accesses;
+    total += accesses;
+  }
+  return total;
+}
 
 /// True when the dataflow's live tiles fit into \p buffer_size elements.
 bool fits_buffer(const TensorOp& op, const Dataflow& df, BufferSize buffer_size);

@@ -21,8 +21,10 @@
 /// maximized in the remaining budget, and trip counts of d2 — the same d1
 /// seeds, plus d2's own +-2 neighbourhood of the symmetric seed and of the
 /// weighted seed's complement bs / t1* — with t1 maximized.  Seeding only
-/// from d1 misses optima that sit on a breakpoint of d2.  At most 34 probes,
-/// not a search.
+/// from d1 misses optima that sit on a breakpoint of d2.  Each side's seeds
+/// are walked as merged trip-count intervals (at most 3 for d1, 5 for d2) in
+/// ascending order, no seed tracked or looked up: at most 34 probes, not a
+/// search.
 ///
 /// Each probe arrives with its trip counts, so a caller prices it from
 /// those alone; two_tile_candidates() (principle_optimizer.hpp) collects the
@@ -32,22 +34,42 @@ namespace fusecu {
 
 namespace detail {
 
-/// Duplicate-free trip-count seeds, held inline: at most 1, 2 and two
-/// 5-wide neighbourhoods for d1 (12); d1's seeds plus two more for d2 (22).
-class TripSeeds {
- public:
-  void insert(Index n) {
-    if (std::find(begin(), end(), n) != end()) return;
-    FCU_ASSERT_INTERNAL(size_ < static_cast<int>(seeds_.size()), "too many trip-count seeds");
-    seeds_[static_cast<std::size_t>(size_++)] = n;
-  }
-  const Index* begin() const { return seeds_.data(); }
-  const Index* end() const { return seeds_.data() + size_; }
-
- private:
-  std::array<Index, 22> seeds_{};
-  int size_ = 0;
+/// The trip counts lo, lo + 1, ..., hi.
+struct TripRun {
+  Index lo = 1;
+  Index hi = 1;
 };
+
+/// The +-2 neighbourhood in [1, e] of the trip count of tile \p t over extent \p e.
+inline TripRun trip_neighbourhood(Index e, Index t) {
+  const Index n = ceil_div(e, clamp_index(t, 1, e));
+  return {std::max<Index>(1, n - 2), std::min(e, n + 2)};
+}
+
+/// Calls probe(t, n) once per distinct tile t = ceil(e / n) over the trip
+/// counts n of \p runs, walked as their merged intervals in ascending order,
+/// with n = ceil(e / t).  A seed is its tile's own trip count exactly when
+/// t (n - 1) < e; otherwise seed n - 1, if walked, has the same tile.
+template <std::size_t N, typename Probe>
+void for_each_seeded_tile(Index e, std::array<TripRun, N> runs, Probe&& probe) {
+  for (std::size_t i = 1; i < N; ++i) {  // insertion sort by lo
+    for (auto j = i; j > 0 && runs[j].lo < runs[j - 1].lo; --j) std::swap(runs[j], runs[j - 1]);
+  }
+  Index last = 0;  // the largest trip count walked so far
+  for (const TripRun& run : runs) {
+    for (Index n = std::max(run.lo, last + 1); n <= run.hi; last = n++) {
+      const Index t = ceil_div(e, n);
+      const bool own = t * (n - 1) < e;
+      if (own || last != n - 1) probe(t, own ? n : ceil_div(e, t));
+    }
+  }
+}
+
+/// (tile, trips) of the largest tile of extent \p e within \p room, snapped down.
+inline std::pair<Index, Index> fill_room(Index e, Index room) {
+  const Index n = room >= e ? 1 : ceil_div(e, room);
+  return {n == 1 ? e : ceil_div(e, n), n};
+}
 
 }  // namespace detail
 
@@ -81,10 +103,11 @@ class SeenTilePairs {
 
 /// Calls visit(t1, n1, t2, n2) for every feasible probe of the two-tile
 /// sweep over (e1, e2), weights (w1, w2), footprint coefficients (c1, c2)
-/// and buffer bs, in probe order; the same pair can arrive more than once.
-/// Each tile is the smallest with its trip count (MA is unchanged and the
-/// freed buffer can only help feasibility), and n_i = ceil(e_i / t_i).  The
-/// probed side needs no re-snap: for t = ceil(e/n), ceil(e / ceil(e/t)) = t.
+/// and buffer bs, ascending by the probed side's trip count, d1's probes
+/// first; the same pair can arrive more than once.  Each tile is the
+/// smallest with its trip count (MA is unchanged and the freed buffer can
+/// only help feasibility), and n_i = ceil(e_i / t_i).  The other side's
+/// tile never exceeds its room, so every probe fits.
 template <typename Visit>
 void for_each_two_tile_probe(Index e1, Index e2, double w1, double w2, Index c1, Index c2,
                              BufferSize bs, Visit&& visit) {
@@ -97,48 +120,38 @@ void for_each_two_tile_probe(Index e1, Index e2, double w1, double w2, Index c1,
   // condition of  w1 e1/t1 + w2 e2/t2  under t1 t2 = bs).
   const Index t_sym =
       std::max<Index>(1, (isqrt((c1 + c2) * (c1 + c2) + 4 * bs) - (c1 + c2)) / 2);
-  Index t_weighted = t_sym;
   const double a = w1 * static_cast<double>(e1);
   const double b = w2 * static_cast<double>(e2);
-  if (a > 0 && b > 0) {
-    t_weighted =
-        clamp_index(static_cast<Index>(std::sqrt(static_cast<double>(bs) * a / b)), 1, e1);
-  }
+  const Index t_weighted =
+      a > 0 && b > 0
+          ? clamp_index(static_cast<Index>(std::sqrt(static_cast<double>(bs) * a / b)), 1, e1)
+          : t_sym;
 
-  detail::TripSeeds n1_seeds;
-  n1_seeds.insert(1);
-  n1_seeds.insert(2);
-  for (Index t_seed : {t_sym, t_weighted}) {
-    const Index n = ceil_div(e1, clamp_index(t_seed, 1, e1));
-    for (Index delta = -2; delta <= 2; ++delta) n1_seeds.insert(clamp_index(n + delta, 1, e1));
-  }
-
-  // Probe each seeded trip count on d1, maximizing t2 in its complement
-  // (bs - c1 t1) / (t1 + c2); then mirror the roles.
-  for (Index n : n1_seeds) {
-    const Index t1 = ceil_div(e1, n);
-    if (t1 * 1 + c1 * t1 + c2 > bs) continue;
-    const Index n2 = ceil_div(e2, clamp_index((bs - c1 * t1) / (t1 + c2), 1, e2));
-    const Index t2 = ceil_div(e2, n2);
-    if (t1 * t2 + c1 * t1 + c2 * t2 <= bs) visit(t1, ceil_div(e1, t1), t2, n2);
-  }
-  // The mirror probes d2's trip counts: d1's seeds reused, plus d2's own
-  // neighbourhood of the symmetric seed and of the weighted seed's
-  // complement bs / t_weighted — d2's breakpoints differ from d1's whenever
-  // the extents do, and the optimum can sit on either side's.
-  detail::TripSeeds n2_seeds;
-  for (Index n1 : n1_seeds) n2_seeds.insert(clamp_index(n1, 1, e2));
-  for (Index t_seed : {t_sym, bs / t_weighted}) {
-    const Index n = ceil_div(e2, clamp_index(t_seed, 1, e2));
-    for (Index delta = -2; delta <= 2; ++delta) n2_seeds.insert(clamp_index(n + delta, 1, e2));
-  }
-  for (Index n : n2_seeds) {
-    const Index t2 = ceil_div(e2, n);
-    if (1 * t2 + c1 + c2 * t2 > bs) continue;
-    const Index n1 = ceil_div(e1, clamp_index((bs - c2 * t2) / (t2 + c1), 1, e1));
-    const Index t1 = ceil_div(e1, n1);
-    if (t1 * t2 + c1 * t1 + c2 * t2 <= bs) visit(t1, n1, t2, ceil_div(e2, t2));
-  }
+  // Probe d1's seeds, maximizing t2 in its room (bs - c1 t1) / (t1 + c2),
+  // at least 1 once t1 itself fits; then mirror the roles.
+  const detail::TripRun sym1 = detail::trip_neighbourhood(e1, t_sym);
+  const detail::TripRun weighted1 = detail::trip_neighbourhood(e1, t_weighted);
+  const std::array<detail::TripRun, 3> runs1 = {{{1, std::min<Index>(2, e1)}, sym1, weighted1}};
+  detail::for_each_seeded_tile(e1, runs1, [&](Index t1, Index n1) {
+    if (t1 + c1 * t1 + c2 > bs) return;
+    const auto [t2, n2] = detail::fill_room(e2, (bs - c1 * t1) / (t1 + c2));
+    visit(t1, n1, t2, n2);
+  });
+  // The mirror probes d2's trip counts: d1's seeds clamped to e2 (1 and 2
+  // as seeded, not as clamped to e1), plus d2's own neighbourhood of the
+  // symmetric seed and of the weighted seed's complement bs / t_weighted —
+  // d2's breakpoints differ from d1's whenever the extents do, and the
+  // optimum can sit on either side's.
+  const std::array<detail::TripRun, 5> runs2 = {
+      {{1, std::min<Index>(2, e2)},
+       {std::min(sym1.lo, e2), std::min(sym1.hi, e2)},
+       {std::min(weighted1.lo, e2), std::min(weighted1.hi, e2)},
+       detail::trip_neighbourhood(e2, t_sym), detail::trip_neighbourhood(e2, bs / t_weighted)}};
+  detail::for_each_seeded_tile(e2, runs2, [&](Index t2, Index n2) {
+    if (t2 + c1 + c2 * t2 > bs) return;
+    const auto [t1, n1] = detail::fill_room(e1, (bs - c2 * t2) / (t2 + c1));
+    visit(t1, n1, t2, n2);
+  });
 }
 
 }  // namespace fusecu

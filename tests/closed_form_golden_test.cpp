@@ -20,6 +20,7 @@
 
 #include "check/conformance.hpp"
 #include "fusion/fusion_principles.hpp"
+#include "obs/metrics.hpp"
 #include "principles/principle_optimizer.hpp"
 #include "test_util.hpp"
 #include "workloads/transformer.hpp"
@@ -34,6 +35,10 @@ constexpr std::uint64_t kFusedDigest = 0x205615de42e8a207ull;
 // each probe from its trip counts.
 constexpr std::uint64_t kTable2IntraDigest = 0xf90edb2ad7267bb8ull;
 constexpr std::uint64_t kTable2FusedDigest = 0x7c8b34ae503e3bd9ull;
+// Recorded from the planners as they stood before the probe generator
+// walked merged trip-count intervals.
+constexpr std::int64_t kTable2IntraCandidates = 581474;
+constexpr std::int64_t kTable2FusedCandidates = 368108;
 
 constexpr std::array<std::array<int, 3>, 3> kPerms = {{{0, 1, 2}, {2, 0, 1}, {1, 2, 0}}};
 
@@ -99,10 +104,10 @@ TEST(ClosedFormGolden, FusedPlansMatchTheDigest) {
 
 /// Table II scale: the five matmuls of a layer at extents up to 65536,
 /// canonical every fourth plan and otherwise in a permuted layout, with a
-/// buffer from each of the four classes.
-TEST(ClosedFormGolden, Table2IntraPlansMatchTheDigest) {
+/// buffer from each of the four classes; calls plan(op, bs) for each.
+template <typename Plan>
+void for_each_table2_intra(Plan&& plan) {
   test_util::SplitMix rng(20261020);
-  test_util::Fnv1a digest;
   for (int i = 0; i < 24000; ++i) {
     const LayerShapes layer = draw_table2_layer(rng);
     const auto& [m, k, l] = layer.matmuls[static_cast<std::size_t>(rng.next() % 5)];
@@ -110,16 +115,16 @@ TEST(ClosedFormGolden, Table2IntraPlansMatchTheDigest) {
     const TensorOp op = i % 4 == 0 ? canonical
                                    : test_util::permuted_matmul(
                                          canonical, kPerms[static_cast<std::size_t>(i % 4 - 1)]);
-    digest.add(intra_plan_signature(optimize_intra(op, draw_class_buffer(rng, m, k, l))));
+    plan(op, draw_class_buffer(rng, m, k, l));
   }
-  EXPECT_EQ(digest.value(), kTable2IntraDigest) << "got 0x" << std::hex << digest.value();
 }
 
 /// Table II attention and FFN pairs, the buffer from the producer's four
-/// classes or, one time in five, the resident-intermediate band.
-TEST(ClosedFormGolden, Table2FusedPlansMatchTheDigest) {
+/// classes or, one time in five, the resident-intermediate band; calls
+/// plan(pair, bs) for each.
+template <typename Plan>
+void for_each_table2_fused(Plan&& plan) {
   test_util::SplitMix rng(20261021);
-  test_util::Fnv1a digest;
   for (int i = 0; i < 6000; ++i) {
     const LayerShapes layer = draw_table2_layer(rng);
     const auto& [m, k, l, n] = layer.pairs[static_cast<std::size_t>(rng.next() % 2)];
@@ -127,9 +132,41 @@ TEST(ClosedFormGolden, Table2FusedPlansMatchTheDigest) {
     const BufferSize bs = rng.next() % 5 == 0
                               ? pair.intermediate_size() + rng.uniform(1, m * k + k * l)
                               : draw_class_buffer(rng, m, k, l);
-    digest.add(fused_plan_signature(optimize_fused_pair(pair, bs)));
+    plan(pair, bs);
   }
+}
+
+TEST(ClosedFormGolden, Table2IntraPlansMatchTheDigest) {
+  test_util::Fnv1a digest;
+  for_each_table2_intra([&](const TensorOp& op, BufferSize bs) {
+    digest.add(intra_plan_signature(optimize_intra(op, bs)));
+  });
+  EXPECT_EQ(digest.value(), kTable2IntraDigest) << "got 0x" << std::hex << digest.value();
+}
+
+TEST(ClosedFormGolden, Table2FusedPlansMatchTheDigest) {
+  test_util::Fnv1a digest;
+  for_each_table2_fused([&](const FusedPair& pair, BufferSize bs) {
+    digest.add(fused_plan_signature(optimize_fused_pair(pair, bs)));
+  });
   EXPECT_EQ(digest.value(), kTable2FusedDigest) << "got 0x" << std::hex << digest.value();
+}
+
+/// What the closed forms price, not only what they return: the total of
+/// each optimizer's candidates counter over the two Table II populations.
+/// A generator or pruning change that prices one construction more or less
+/// fails here even when every plan stays the same.
+TEST(ClosedFormGolden, Table2PricedCandidatesMatchTheTotals) {
+  MetricsRegistry& metrics = MetricsRegistry::global();
+  Counter& intra = metrics.counter("principles/optimize_intra/candidates");
+  Counter& fused = metrics.counter("principles/optimize_fused_pair/candidates");
+  const std::int64_t intra_before = intra.value();
+  for_each_table2_intra([](const TensorOp& op, BufferSize bs) { (void)optimize_intra(op, bs); });
+  const std::int64_t fused_before = fused.value();
+  for_each_table2_fused(
+      [](const FusedPair& pair, BufferSize bs) { (void)optimize_fused_pair(pair, bs); });
+  EXPECT_EQ(intra.value() - intra_before, kTable2IntraCandidates);
+  EXPECT_EQ(fused.value() - fused_before, kTable2FusedCandidates);
 }
 
 }  // namespace
