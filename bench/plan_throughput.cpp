@@ -10,7 +10,11 @@
 ///   * cold evicting   — PlanService::plan on a never-repeating stream at
 ///                       the default 64 MB budget, after a fill past the
 ///                       point where the cache starts evicting, so every
-///                       request is a miss that plans, inserts and evicts.
+///                       request is a miss that plans, inserts and evicts;
+///   * cold evicting lines (matmul and fused) — the same kind of stream as
+///                       request lines through PlanService::answer_line, the
+///                       wire path: decode, key, probe, plan, insert, evict
+///                       and render the response line.
 ///
 /// The batch mixes 16 distinct transformer-derived shapes x 4 repeats, so
 /// even the cold pass has intra-batch repetition — exactly the workload the
@@ -20,6 +24,7 @@
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "obs/flight_recorder.hpp"
@@ -122,6 +127,88 @@ void BM_ColdEvicting(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_ColdEvicting);
+
+/// Request \p i of a never-repeating fused-pair stream, as cold_request()
+/// is for matmuls.
+PlanRequest cold_fused_request(std::int64_t i) {
+  PlanRequest request;
+  request.kind = PlanRequest::Kind::kFusedPair;
+  request.m = 64 + i % 1024;
+  request.k = 64 + (i / 1024) % 1024;
+  request.l = 256;
+  request.n = 256 + i / (1024 * 1024);
+  request.buffer_elems = kBs;
+  return request;
+}
+
+std::string request_line(std::int64_t i, const PlanRequest& r) {
+  std::string line = "{\"id\":\"c" + std::to_string(i) + "\",\"op\":\"" +
+                     (r.kind == PlanRequest::Kind::kMatmul ? "matmul" : "fused_pair") +
+                     "\",\"m\":" + std::to_string(r.m) + ",\"k\":" + std::to_string(r.k) +
+                     ",\"l\":" + std::to_string(r.l);
+  if (r.kind == PlanRequest::Kind::kFusedPair) line += ",\"n\":" + std::to_string(r.n);
+  return line + ",\"buffer_elems\":" + std::to_string(r.buffer_elems) + "}";
+}
+
+/// A cold stream of request lines through answer_line on a cache that
+/// already evicts, as a reactor answers them: into one reused request and
+/// response.  Lines are formatted in batches, outside the timing.
+class ColdLines {
+ public:
+  explicit ColdLines(PlanRequest (*request)(std::int64_t)) : request_(request) {
+    const std::int64_t evictions = service_.stats().combined().evictions;
+    while (service_.stats().combined().evictions == evictions) answer(next_line());
+  }
+
+  void run(benchmark::State& state) {
+    for (auto _ : state) {
+      if (at_ == batch_.size()) {
+        state.PauseTiming();
+        refill();
+        state.ResumeTiming();
+      }
+      answer(batch_[at_++]);
+      benchmark::DoNotOptimize(response_.data());
+    }
+    state.SetItemsProcessed(state.iterations());
+  }
+
+ private:
+  void answer(const std::string& line) {
+    service_.answer_line(line, "<bench>", 1, keyed_, response_, /*plan_miss=*/true);
+  }
+  const std::string& next_line() {
+    line_ = request_line(next_, request_(next_));
+    ++next_;
+    return line_;
+  }
+  void refill() {
+    batch_.resize(4096);
+    for (std::string& line : batch_) line = next_line();
+    at_ = 0;
+  }
+
+  PlanRequest (*request_)(std::int64_t);
+  PlanService service_;
+  KeyedRequest keyed_;
+  std::string response_;
+  std::string line_;
+  std::vector<std::string> batch_;
+  std::size_t at_ = 0;
+  std::int64_t next_ = 0;
+};
+
+void BM_ColdEvictingLines(benchmark::State& state) {
+  static ColdLines lines(cold_request);
+  lines.run(state);
+}
+BENCHMARK(BM_ColdEvictingLines);
+
+void BM_ColdEvictingFusedLines(benchmark::State& state) {
+  static ColdLines lines(cold_fused_request);
+  lines.run(state);
+}
+BENCHMARK(BM_ColdEvictingFusedLines);
 
 }  // namespace
 }  // namespace fusecu

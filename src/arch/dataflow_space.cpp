@@ -235,11 +235,11 @@ std::optional<ArchPlanStep> optimize_fused_for_arch(const FusedPair& pair, const
       }
     } else {
       ResidentFusedDataflow rf = *c.resident;
-      for (int d = 0; d < 3; ++d) {
-        rf.df1.tile[static_cast<std::size_t>(d)] = legalize_tile(
-            rf.df1.tile[static_cast<std::size_t>(d)], pair.op1().extent(d), g);
-        rf.df2.tile[static_cast<std::size_t>(d)] = legalize_tile(
-            rf.df2.tile[static_cast<std::size_t>(d)], pair.op2().extent(d), g);
+      const std::array<Index, 3> extent1 = pair.op1_extents();
+      const std::array<Index, 3> extent2 = pair.op2_extents();
+      for (std::size_t d = 0; d < 3; ++d) {
+        rf.df1.tile[d] = legalize_tile(rf.df1.tile[d], extent1[d], g);
+        rf.df2.tile[d] = legalize_tile(rf.df2.tile[d], extent2[d], g);
       }
       FusedAccess a = evaluate_resident(pair, rf);
       if (a.buffer_footprint > bs) continue;
@@ -257,7 +257,7 @@ std::optional<ArchPlanStep> optimize_fused_for_arch(const FusedPair& pair, const
   step.op_indices = {first_op_index, first_op_index + 1};
   step.fused = true;
   step.access = best->total;
-  step.macs = pair.op1().macs() + pair.op2().macs();
+  step.macs = pair.m() * pair.k() * pair.l() + pair.m() * pair.l() * pair.n();
   step.rule = "fused " + *best_rule + "@" + arch.name;
   if (best_is_phased) step.fused_phased = best_df;
   if (best_is_phased) {

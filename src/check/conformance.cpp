@@ -489,7 +489,7 @@ CheckReport check_workload(const Workload& w, const CheckOptions& opts) {
       }
       case WorkloadKind::kFused: {
         FusedPair pair = w.fused_pair();
-        report.buffer_class = classify_buffer(pair.op1(), w.bs);
+        report.buffer_class = classify_buffer(matmul_shape(pair.m(), pair.k(), pair.l()), w.bs);
         check_fused_workload(c, pair, w.bs);
         break;
       }

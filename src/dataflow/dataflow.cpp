@@ -44,20 +44,21 @@ std::string Dataflow::to_string(const TensorOp& op) const {
   return os.str();
 }
 
-void validate_dataflow(const TensorOp& op, const Dataflow& df) {
-  const auto n = static_cast<std::size_t>(op.num_dims());
+void validate_dataflow(const TensorOp& op, const Dataflow& df) { validate_dataflow(op.dims(), df); }
+
+void validate_dataflow(std::span<const Dim> dims, const Dataflow& df) {
+  const std::size_t n = dims.size();
   FCU_CHECK(df.loop_order.size() == n, "loop order arity must match op dims");
   FCU_CHECK(df.tile.size() == n, "tile arity must match op dims");
   std::vector<bool> seen(n, false);
   for (int d : df.loop_order) {
-    FCU_CHECK(d >= 0 && d < op.num_dims(), "loop order references unknown dim");
+    FCU_CHECK(d >= 0 && static_cast<std::size_t>(d) < n, "loop order references unknown dim");
     FCU_CHECK(!seen[static_cast<std::size_t>(d)], "loop order repeats a dim");
     seen[static_cast<std::size_t>(d)] = true;
   }
-  for (int d = 0; d < op.num_dims(); ++d) {
-    Index t = df.tile[static_cast<std::size_t>(d)];
-    FCU_CHECK(t >= 1 && t <= op.extent(d),
-              "tile size out of range for dim " + op.dim(d).name);
+  for (std::size_t d = 0; d < n; ++d) {
+    const Index t = df.tile[d];
+    FCU_CHECK(t >= 1 && t <= dims[d].extent, "tile size out of range for dim " + dims[d].name);
   }
 }
 

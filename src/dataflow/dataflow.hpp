@@ -1,5 +1,6 @@
 #pragma once
 
+#include <span>
 #include <string>
 #include <vector>
 
@@ -48,6 +49,10 @@ struct Dataflow {
 /// loop_order is a permutation of the op's dimensions and every tile size is
 /// within [1, extent].
 void validate_dataflow(const TensorOp& op, const Dataflow& df);
+
+/// The same check against the dimensions alone, for a caller that holds
+/// an op's extents and names without the op.
+void validate_dataflow(std::span<const Dim> dims, const Dataflow& df);
 
 /// Build a dataflow from dimension *names*, e.g.
 ///   make_dataflow(op, {"M", "L", "K"}, {{"M", 512}, {"K", 768}, {"L", 1}}).

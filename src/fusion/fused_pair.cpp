@@ -9,14 +9,6 @@
 
 namespace fusecu {
 
-FusedPair::FusedPair(Index m, Index k, Index l, Index n)
-    : m_(m),
-      k_(k),
-      l_(l),
-      n_(n),
-      op1_(TensorOp::matmul("fused_op1", m, k, l, "A", "B", "C")),
-      op2_(TensorOp::matmul("fused_op2", m, l, n, "C", "D", "E")) {}
-
 FusedPair FusedPair::make(Index m, Index k, Index l, Index n) {
   FCU_CHECK(m >= 1 && k >= 1 && l >= 1 && n >= 1, "fused pair extents must be positive");
   return FusedPair(m, k, l, n);
@@ -58,6 +50,10 @@ FusedPair FusedPair::from_ops(const TensorOp& op1, const TensorOp& op2) {
   // op2 = Y(N, M) x C(M, L): transpose the whole pair -> (l, k, m, n).
   return make(l, k, m, n);
 }
+
+TensorOp FusedPair::op1() const { return TensorOp::matmul("fused_op1", m_, k_, l_, "A", "B", "C"); }
+
+TensorOp FusedPair::op2() const { return TensorOp::matmul("fused_op2", m_, l_, n_, "C", "D", "E"); }
 
 AccessCount FusedPair::ideal_min_access() const {
   return m_ * k_ + k_ * l_ + l_ * n_ + m_ * n_;
@@ -101,6 +97,14 @@ FusedAccess evaluate_phased(const FusedPair& pair, const PhasedFusedDataflow& df
   return out;
 }
 
+namespace {
+
+std::array<Dim, 3> matmul_dims(const std::array<Index, 3>& extent) {
+  return {{{"M", extent[0]}, {"K", extent[1]}, {"L", extent[2]}}};
+}
+
+}  // namespace
+
 Dataflow FlatNest::to_dataflow() const {
   Dataflow df;
   df.loop_order.assign(loop_order.begin(), loop_order.end());
@@ -109,8 +113,9 @@ Dataflow FlatNest::to_dataflow() const {
 }
 
 FusedAccess evaluate_resident(const FusedPair& pair, const ResidentFusedDataflow& df) {
-  validate_dataflow(pair.op1(), df.df1);
-  validate_dataflow(pair.op2(), df.df2);
+  // Both ops are TensorOp::matmul, whose dims are named M, K, L.
+  validate_dataflow(matmul_dims(pair.op1_extents()), df.df1);
+  validate_dataflow(matmul_dims(pair.op2_extents()), df.df2);
   auto flat = [](const Dataflow& d) {
     FlatNest nest;
     std::copy_n(d.loop_order.begin(), 3, nest.loop_order.begin());

@@ -44,8 +44,13 @@ class FusedPair {
   /// ops do not form the canonical fusable shape.
   static FusedPair from_ops(const TensorOp& op1, const TensorOp& op2);
 
-  const TensorOp& op1() const { return op1_; }
-  const TensorOp& op2() const { return op2_; }
+  /// The two ops, built on each call: a pair holds only its four extents,
+  /// and the closed forms read those.  Hoist an op out of a loop.
+  TensorOp op1() const;
+  TensorOp op2() const;
+  /// op1's extents over its dims (M, K, L) and op2's over its (M, L, N).
+  std::array<Index, 3> op1_extents() const { return {m_, k_, l_}; }
+  std::array<Index, 3> op2_extents() const { return {m_, l_, n_}; }
   Index m() const { return m_; }
   Index k() const { return k_; }
   Index l() const { return l_; }
@@ -58,9 +63,8 @@ class FusedPair {
   AccessCount ideal_min_access() const;
 
  private:
-  FusedPair(Index m, Index k, Index l, Index n);
+  FusedPair(Index m, Index k, Index l, Index n) : m_(m), k_(k), l_(l), n_(n) {}
   Index m_, k_, l_, n_;
-  TensorOp op1_, op2_;
 };
 
 /// Shared-tile phased fusion configuration.
@@ -101,7 +105,8 @@ struct FusedAccess {
 /// Price a phased configuration.  Validates tile ranges.
 FusedAccess evaluate_phased(const FusedPair& pair, const PhasedFusedDataflow& df);
 
-/// Price a resident configuration.  Validates both dataflows.
+/// Price a resident configuration.  Validates both dataflows against the
+/// pair's extents.
 FusedAccess evaluate_resident(const FusedPair& pair, const ResidentFusedDataflow& df);
 
 /// The same pricing for nests given inline; trusted (tiles within extents).

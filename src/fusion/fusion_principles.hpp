@@ -3,6 +3,7 @@
 #include <array>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "fusion/fused_pair.hpp"
@@ -42,6 +43,22 @@ struct FusedOptResult {
   NraKind regime2 = NraKind::kSingle;  ///< consumer's intra-op regime at BS
 };
 
+/// One fused-pair plan in one fixed-size record: the chosen phased or
+/// resident configuration, its access totals, its rule and both regime
+/// tags.  The closed form produces it; optimize_fused_pair() materializes it
+/// as a FusedOptResult; the plan cache stores it as it is.
+struct FusedPlanRecord {
+  bool resident = false;
+  PhasedFusedDataflow phased;  ///< the configuration when !resident
+  FlatNest side1, side2;       ///< op1's and op2's nests when resident
+  FusedAccess access;
+  /// "F3(resident-C)" or "F-phased(K=...,N=...)": a view of a string
+  /// literal, so the record stays valid wherever it is copied.
+  std::string_view rule;
+  NraKind regime1 = NraKind::kSingle;
+  NraKind regime2 = NraKind::kSingle;
+};
+
 /// Whether the two ops land in the same NRA regime at this buffer size —
 /// Principle 4's fusability-and-profitability predicate.
 bool same_nra_regime(const FusedPair& pair, BufferSize bs);
@@ -57,8 +74,17 @@ std::vector<FusedCandidate> fused_principle_candidates(const FusedPair& pair, Bu
 /// priced is skipped unpriced; the plan is the same.  nullopt when no
 /// candidate fits the buffer (e.g. BS too small to co-locate both ops'
 /// minimal tiles).  A pure function of (pair, bs); the serving layer calls
-/// it on a cache miss.
+/// it on a cache miss.  Flattens nothing: optimize_fused_record(), then
+/// materialize().
 std::optional<FusedOptResult> optimize_fused_pair(const FusedPair& pair, BufferSize bs);
+
+/// The core of optimize_fused_pair(): the same closed form, timer, span and
+/// counters, and a record in place of the result.  The serving layer calls
+/// it on a cache miss.
+std::optional<FusedPlanRecord> optimize_fused_record(const FusedPair& pair, BufferSize bs);
+
+/// The FusedOptResult a record stands for.
+FusedOptResult materialize(const FusedPlanRecord& record);
 
 namespace detail {
 

@@ -5,8 +5,10 @@
 namespace fusecu {
 
 BufferClass classify_buffer(const TensorOp& op, BufferSize buffer_size) {
-  const Index dmin = op.min_extent();
-  const Index tensor_min = op.tensor_size(op.smallest_tensor());
+  return classify_buffer(op.min_extent(), op.tensor_size(op.smallest_tensor()), buffer_size);
+}
+
+BufferClass classify_buffer(Index dmin, Index tensor_min, BufferSize buffer_size) {
   BufferClass cls = BufferClass::kTiny;
   if (buffer_size > tensor_min) {
     cls = BufferClass::kLarge;

@@ -28,6 +28,10 @@ enum class BufferClass { kTiny, kSmall, kMedium, kLarge };
 /// Classify \p buffer_size (elements) for operator \p op.
 BufferClass classify_buffer(const TensorOp& op, BufferSize buffer_size);
 
+/// The same from the two numbers it reads: the smallest loop extent and
+/// the smallest tensor's element count.
+BufferClass classify_buffer(Index d_min, Index tensor_min, BufferSize buffer_size);
+
 /// The shift-point range between Single- and Two-NRA: [D_min^2/4, D_min^2/2].
 struct ShiftRange {
   BufferSize low = 0;   ///< D_min^2 / 4

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <string_view>
 #include <tuple>
 
 #include "common/check.hpp"
@@ -14,44 +15,13 @@ namespace fusecu {
 
 namespace {
 
-/// A matmul-shaped op read once per call into fixed-size arrays, so the
-/// constructions below never walk TensorOp's vectors.
-struct MatmulShape {
-  std::array<Index, 3> extent{};
-  std::array<std::uint32_t, 3> mask{};       ///< per tensor: bit d set when dim d indexes it
-  std::array<std::array<int, 2>, 3> dims{};  ///< per tensor, in declared order
-  std::array<int, 3> other{};                ///< per tensor: the dim it omits
-  std::array<Index, 3> size{};               ///< per tensor element count
-};
-
-MatmulShape flatten_matmul(const TensorOp& op) {
-  FCU_CHECK(op.num_dims() == 3, "principle constructors expect three loop dimensions");
-  FCU_CHECK(op.num_tensors() == 3, "principle constructors expect three tensors");
-  MatmulShape s;
-  for (int d = 0; d < 3; ++d) s.extent[static_cast<std::size_t>(d)] = op.extent(d);
-  for (std::size_t t = 0; t < 3; ++t) {
-    const std::vector<int>& dims = op.tensor(static_cast<int>(t)).dims;
-    FCU_CHECK(dims.size() == 2, "each tensor must index two dimensions");
-    s.dims[t] = {dims[0], dims[1]};
-    s.mask[t] = (1u << dims[0]) | (1u << dims[1]);
-    s.other[t] = 3 - dims[0] - dims[1];  // TensorOp guarantees distinct dims in [0, 3)
-    s.size[t] = op.extent(dims[0]) * op.extent(dims[1]);
-  }
-  FCU_CHECK(s.mask[0] != s.mask[1] && s.mask[0] != s.mask[2] && s.mask[1] != s.mask[2],
-            "tensors must cover the three distinct dimension pairs");
-  return s;
-}
-
 /// One constructed candidate before pricing: loop order and tiles over the
-/// op's dims, the regime it targets, and its rule's arguments (Principles 1
-/// and 3: a tensor; Principle 2: the untiled dim, then the maximized dim).
-/// The rule string is rendered only for the candidates that leave here.
+/// op's dims and its rule (the regime it targets and its arguments).  The
+/// rule string is rendered only for the candidates that leave here.
 struct IntraConstruction {
   std::array<int, 3> order{};
   std::array<Index, 3> tile{1, 1, 1};
-  NraKind intended = NraKind::kSingle;
-  int arg0 = -1;
-  int arg1 = -1;
+  IntraRule rule;
   /// The family's position in for_each_principle_candidate()'s order:
   /// Principle 1 per tensor (0-2), Principle 2 per (U, O) (3 + 3U + O),
   /// Principle 3 per tensor (12-14).
@@ -103,8 +73,7 @@ IntraConstruction single_nra_construction(const MatmulShape& s, const SingleNraT
   c.order = {terms.d1, terms.d2, s.other[static_cast<std::size_t>(t)]};
   c.tile[static_cast<std::size_t>(terms.d1)] = t1;
   c.tile[static_cast<std::size_t>(terms.d2)] = t2;
-  c.intended = NraKind::kSingle;
-  c.arg0 = t;
+  c.rule = {NraKind::kSingle, t};
   c.rank = t;
   return c;
 }
@@ -160,9 +129,7 @@ void for_each_two_nra(const MatmulShape& s, BufferSize bs, int u, int o, Emit&& 
   c.tile[static_cast<std::size_t>(u)] = eu;
   c.tile[static_cast<std::size_t>(o)] =
       clamp_index((bs - eu) / (eu + 1), 1, s.extent[static_cast<std::size_t>(o)]);
-  c.intended = NraKind::kTwo;
-  c.arg0 = u;
-  c.arg1 = o;
+  c.rule = {NraKind::kTwo, u, o};
   c.rank = 3 + 3 * u + o;
   emit(c);
 }
@@ -183,8 +150,7 @@ void for_each_three_nra(const MatmulShape& s, BufferSize bs, int t, Emit&& emit)
   c.tile[d1] = e1;
   c.tile[d2] = e2;
   c.tile[d3] = clamp_index((bs - e1 * e2) / (e1 + e2), 1, s.extent[d3]);
-  c.intended = NraKind::kThree;
-  c.arg0 = t;
+  c.rule = {NraKind::kThree, t};
   c.rank = 12 + t;
   emit(c);
 }
@@ -209,27 +175,15 @@ void for_each_principle_candidate(const MatmulShape& s, BufferSize bs, Emit&& em
   for_each_multi_nra(s, bs, emit);
 }
 
-std::string render_rule(const TensorOp& op, const IntraConstruction& c) {
-  switch (c.intended) {
-    case NraKind::kSingle:
-      return "P1(stationary=" + op.tensor(c.arg0).name + ")";
-    case NraKind::kTwo:
-      return "P2(untile=" + op.dim(c.arg0).name + ",max=" + op.dim(c.arg1).name + ")";
-    case NraKind::kThree:
-      return "P3(resident=" + op.tensor(c.arg0).name + ")";
-  }
-  FCU_ASSERT_INTERNAL(false, "unknown NRA regime");
-}
-
-Dataflow to_dataflow(const IntraConstruction& c) {
+Dataflow to_dataflow(const std::array<int, 3>& order, const std::array<Index, 3>& tile) {
   Dataflow df;
-  df.loop_order.assign(c.order.begin(), c.order.end());
-  df.tile.assign(c.tile.begin(), c.tile.end());
+  df.loop_order.assign(order.begin(), order.end());
+  df.tile.assign(tile.begin(), tile.end());
   return df;
 }
 
-PrincipleCandidate materialize(const TensorOp& op, const IntraConstruction& c) {
-  return {to_dataflow(c), c.intended, render_rule(op, c)};
+PrincipleCandidate to_candidate(const TensorOp& op, const IntraConstruction& c) {
+  return {to_dataflow(c.order, c.tile), c.rule.family, rule_text(c.rule, labels_of(op)).str()};
 }
 
 /// A construction's place in the winner's order: total MA, footprint, then
@@ -313,9 +267,9 @@ IntraWinner closed_form_winner(const MatmulShape& s, BufferSize bs) {
 }
 
 /// NRA count of closed_form_winner()'s result, which must exist.
-int winner_nra(const TensorOp& op, const MatmulShape& s, const IntraWinner& best) {
-  FCU_CHECK(best.candidates > 0,
-            "buffer too small to hold the minimal working set of " + op.name());
+int winner_nra(const MatmulLabels& labels, const MatmulShape& s, const IntraWinner& best) {
+  FCU_CHECK(best.candidates > 0, "buffer too small to hold the minimal working set of " +
+                                     std::string(labels.name).append(labels.name_suffix));
   int nra = 0;
   for (std::size_t t = 0; t < 3; ++t) nra += best.per_tensor[t] == s.size[t] ? 1 : 0;
   FCU_ASSERT_INTERNAL(nra >= 1 && nra <= 3, "optimal dataflow must be 1/2/3-NRA");
@@ -323,6 +277,75 @@ int winner_nra(const TensorOp& op, const MatmulShape& s, const IntraWinner& best
 }
 
 }  // namespace
+
+MatmulShape flatten_matmul(const TensorOp& op) {
+  FCU_CHECK(op.num_dims() == 3, "principle constructors expect three loop dimensions");
+  FCU_CHECK(op.num_tensors() == 3, "principle constructors expect three tensors");
+  MatmulShape s;
+  for (int d = 0; d < 3; ++d) s.extent[static_cast<std::size_t>(d)] = op.extent(d);
+  for (std::size_t t = 0; t < 3; ++t) {
+    const std::vector<int>& dims = op.tensor(static_cast<int>(t)).dims;
+    FCU_CHECK(dims.size() == 2, "each tensor must index two dimensions");
+    s.dims[t] = {dims[0], dims[1]};
+    s.mask[t] = (1u << dims[0]) | (1u << dims[1]);
+    s.other[t] = 3 - dims[0] - dims[1];  // TensorOp guarantees distinct dims in [0, 3)
+    s.size[t] = op.extent(dims[0]) * op.extent(dims[1]);
+  }
+  FCU_CHECK(s.mask[0] != s.mask[1] && s.mask[0] != s.mask[2] && s.mask[1] != s.mask[2],
+            "tensors must cover the three distinct dimension pairs");
+  return s;
+}
+
+MatmulShape matmul_shape(Index m, Index k, Index l) {
+  MatmulShape s;
+  s.extent = {m, k, l};
+  s.mask = mm::kTensorMasks;
+  s.dims = {{{mm::kDimM, mm::kDimK}, {mm::kDimK, mm::kDimL}, {mm::kDimM, mm::kDimL}}};
+  s.other = {mm::kDimL, mm::kDimM, mm::kDimK};
+  s.size = {m * k, k * l, m * l};
+  return s;
+}
+
+BufferClass classify_buffer(const MatmulShape& shape, BufferSize bs) {
+  return classify_buffer(*std::min_element(shape.extent.begin(), shape.extent.end()),
+                         *std::min_element(shape.size.begin(), shape.size.end()), bs);
+}
+
+MatmulLabels labels_of(const TensorOp& op) {
+  MatmulLabels labels;
+  for (int i = 0; i < 3; ++i) {
+    labels.dims[static_cast<std::size_t>(i)] = op.dim(i).name;
+    labels.tensors[static_cast<std::size_t>(i)] = op.tensor(i).name;
+  }
+  labels.name = op.name();
+  return labels;
+}
+
+std::size_t RuleText::size() const {
+  std::size_t n = 0;
+  for (std::string_view piece : pieces) n += piece.size();
+  return n;
+}
+
+std::string RuleText::str() const {
+  std::string out;
+  out.reserve(size());
+  for (std::string_view piece : pieces) out.append(piece);
+  return out;
+}
+
+RuleText rule_text(const IntraRule& rule, const MatmulLabels& labels) {
+  const auto at = [](int i) { return static_cast<std::size_t>(i); };
+  switch (rule.family) {
+    case NraKind::kSingle:
+      return {{"P1(stationary=", labels.tensors[at(rule.arg0)], ")"}};
+    case NraKind::kTwo:
+      return {{"P2(untile=", labels.dims[at(rule.arg0)], ",max=", labels.dims[at(rule.arg1)], ")"}};
+    case NraKind::kThree:
+      return {{"P3(resident=", labels.tensors[at(rule.arg0)], ")"}};
+  }
+  FCU_ASSERT_INTERNAL(false, "unknown NRA regime");
+}
 
 void require_matmul_shape(const TensorOp& op) { (void)flatten_matmul(op); }
 
@@ -373,7 +396,7 @@ std::vector<PrincipleCandidate> make_single_nra(const TensorOp& op, BufferSize b
   FCU_CHECK(stationary_tensor >= 0 && stationary_tensor < 3, "tensor index out of range");
   std::vector<PrincipleCandidate> out;
   for_each_single_nra(s, bs, stationary_tensor,
-                      [&](const IntraConstruction& c) { out.push_back(materialize(op, c)); });
+                      [&](const IntraConstruction& c) { out.push_back(to_candidate(op, c)); });
   return out;
 }
 
@@ -385,7 +408,7 @@ std::optional<PrincipleCandidate> make_two_nra(const TensorOp& op, BufferSize bs
   FCU_CHECK(untiled_dim != maximized_dim, "untiled and maximized dims must differ");
   std::optional<PrincipleCandidate> out;
   for_each_two_nra(s, bs, untiled_dim, maximized_dim,
-                   [&](const IntraConstruction& c) { out = materialize(op, c); });
+                   [&](const IntraConstruction& c) { out = to_candidate(op, c); });
   return out;
 }
 
@@ -395,7 +418,7 @@ std::optional<PrincipleCandidate> make_three_nra(const TensorOp& op, BufferSize 
   FCU_CHECK(resident_tensor >= 0 && resident_tensor < 3, "tensor index out of range");
   std::optional<PrincipleCandidate> out;
   for_each_three_nra(s, bs, resident_tensor,
-                     [&](const IntraConstruction& c) { out = materialize(op, c); });
+                     [&](const IntraConstruction& c) { out = to_candidate(op, c); });
   return out;
 }
 
@@ -403,36 +426,59 @@ std::vector<PrincipleCandidate> principle_candidates(const TensorOp& op, BufferS
   const MatmulShape s = flatten_matmul(op);
   std::vector<PrincipleCandidate> out;
   for_each_principle_candidate(
-      s, bs, [&](const IntraConstruction& c) { out.push_back(materialize(op, c)); });
+      s, bs, [&](const IntraConstruction& c) { out.push_back(to_candidate(op, c)); });
   return out;
 }
 
-NraKind optimal_regime(const TensorOp& op, BufferSize bs) {
-  const MatmulShape s = flatten_matmul(op);
-  return static_cast<NraKind>(winner_nra(op, s, closed_form_winner(s, bs)));
+NraKind optimal_regime(const MatmulShape& shape, BufferSize bs, const MatmulLabels& labels) {
+  return static_cast<NraKind>(winner_nra(labels, shape, closed_form_winner(shape, bs)));
 }
 
-IntraOptResult optimize_intra(const TensorOp& op, BufferSize bs) {
+NraKind optimal_regime(const TensorOp& op, BufferSize bs) {
+  const MatmulShape shape = flatten_matmul(op);
+  return optimal_regime(shape, bs, labels_of(op));
+}
+
+IntraPlanRecord optimize_intra_record(const MatmulShape& shape, BufferSize bs,
+                                      const MatmulLabels& labels) {
   ScopedSpan span("optimize/intra", FCU_HISTOGRAM("time/optimize/intra"));
-  const MatmulShape s = flatten_matmul(op);
-  const IntraWinner best = closed_form_winner(s, bs);
+  const IntraWinner best = closed_form_winner(shape, bs);
   FCU_COUNTER("principles/optimize_intra/calls").add();
   FCU_COUNTER("principles/optimize_intra/candidates").add(best.candidates);
-  const int nra = winner_nra(op, s, best);
+  const int nra = winner_nra(labels, shape, best);
 
-  IntraOptResult result;
-  result.dataflow = to_dataflow(best.construction);
-  result.access.per_tensor.assign(best.per_tensor.begin(), best.per_tensor.end());
-  result.access.total = best.total();
-  result.access.buffer_footprint = best.footprint();
-  result.rule = render_rule(op, best.construction);
-  result.buffer_class = classify_buffer(op, bs);
-  result.nra = static_cast<NraKind>(nra);
+  IntraPlanRecord record;
+  record.loop_order = best.construction.order;
+  record.tile = best.construction.tile;
+  record.per_tensor = best.per_tensor;
+  record.total = best.total();
+  record.footprint = best.footprint();
+  record.rule = best.construction.rule;
+  record.buffer_class = classify_buffer(shape, bs);
+  record.nra = static_cast<NraKind>(nra);
   static const char* const kNraNames[] = {nullptr, "1", "2", "3"};
   static CounterFamily<4> winners("principles/optimize_intra/winner_nra_");
   winners.at(static_cast<std::size_t>(nra), kNraNames[nra]).add();
-  span.note(result.rule.c_str());
+  if (span.recording()) span.note(rule_text(record.rule, labels).str().c_str());
+  return record;
+}
+
+IntraOptResult materialize(const IntraPlanRecord& record, const MatmulLabels& labels) {
+  IntraOptResult result;
+  result.dataflow = to_dataflow(record.loop_order, record.tile);
+  result.access.per_tensor.assign(record.per_tensor.begin(), record.per_tensor.end());
+  result.access.total = record.total;
+  result.access.buffer_footprint = record.footprint;
+  result.nra = record.nra;
+  result.buffer_class = record.buffer_class;
+  result.rule = rule_text(record.rule, labels).str();
   return result;
+}
+
+IntraOptResult optimize_intra(const TensorOp& op, BufferSize bs) {
+  const MatmulShape shape = flatten_matmul(op);  // before labels_of(): throws on any other op
+  const MatmulLabels labels = labels_of(op);
+  return materialize(optimize_intra_record(shape, bs, labels), labels);
 }
 
 AccessCount eq1_output_stationary_access(Index m, Index k, Index l, Index t_m, Index t_l) {

@@ -45,10 +45,8 @@ class KeyText {
   std::string& text_;
 };
 
-/// Labels of the operators PlanRequest::to_op() / to_pair() build, in the
-/// order TensorOp spells them (dimensions, then tensors).
-constexpr std::array<std::string_view, 6> kMatmulLabels = {"M", "K", "L", "A", "B", "C"};
-constexpr std::array<std::string_view, 6> kFoldedLabels = {"M", "K", "L", "A", "W", "C"};
+/// Labels of FusedPair::op1() and op2(), in the order TensorOp spells them
+/// (dimensions, then tensors).
 constexpr std::array<std::string_view, 12> kFusedPairLabels = {"M", "K", "L", "A", "B", "C",
                                                                "M", "K", "L", "C", "D", "E"};
 
@@ -68,11 +66,11 @@ KeyText intra_key_head(Index m, Index k, Index l, BufferSize bs, std::string& ou
   return text;
 }
 
-KeyText fused_key_head(Index m, Index k, Index l, Index n, BufferSize bs, std::string& out) {
+void spell_fused_key(Index m, Index k, Index l, Index n, BufferSize bs, std::string& out) {
   KeyText text(out);
   text.put("f2|").num(bs).put('|');
   text.num(m).put(',').num(k).put(',').num(l).put(',').num(n).put('|');
-  return text;
+  for (std::string_view label : kFusedPairLabels) text.name(label);
 }
 
 }  // namespace
@@ -104,23 +102,22 @@ bool spell_request_key(const PlanRequest& request, std::string& key, bool& swapp
   if (request.m < 1 || request.k < 1 || request.l < 1) return false;
   if (request.kind == PlanRequest::Kind::kFusedPair) {
     if (request.n < 1) return false;
-    KeyText text =
-        fused_key_head(request.m, request.k, request.l, request.n, request.buffer_elems, key);
-    for (std::string_view label : kFusedPairLabels) text.name(label);
+    spell_fused_key(request.m, request.k, request.l, request.n, request.buffer_elems, key);
     return true;
   }
   if (request.buffer_elems < 3) return false;
-  const bool folded = request.batch > 1;
-  const Index m = folded ? request.batch * request.m : request.m;
+  const Index m = request.batch > 1 ? request.batch * request.m : request.m;
   KeyText text = intra_key_head(m, request.k, request.l, request.buffer_elems, key, swapped);
-  for (std::string_view label : folded ? kFoldedLabels : kMatmulLabels) text.name(label);
+  const MatmulLabels labels = request.labels();
+  for (std::string_view label : labels.dims) text.name(label);
+  for (std::string_view label : labels.tensors) text.name(label);
   return true;
 }
 
 std::string canonical_fused_key(const FusedPair& pair, BufferSize bs) {
   std::string key;
   key.reserve(96);
-  fused_key_head(pair.m(), pair.k(), pair.l(), pair.n(), bs, key).names(pair.op1()).names(pair.op2());
+  spell_fused_key(pair.m(), pair.k(), pair.l(), pair.n(), bs, key);
   return key;
 }
 

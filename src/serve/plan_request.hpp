@@ -62,6 +62,13 @@ struct PlanRequest {
   /// The operator this request describes (batch already folded).  Only
   /// valid for kMatmul.
   TensorOp to_op() const;
+  /// to_op()'s shape, without building the op; throws what to_op() throws.
+  MatmulShape shape() const;
+  /// to_op()'s labels from fixed name tables: dims M, K, L and tensors A,
+  /// B, C, or A, W, C when the batch is folded; named after the id (or
+  /// "request"), with ".folded" when the batch is folded.  Views of the id,
+  /// which must outlive them.
+  MatmulLabels labels() const;
   /// The fused pair this request describes.  Only valid for kFusedPair.
   FusedPair to_pair() const;
 };
@@ -114,10 +121,14 @@ struct PlanResponse {
 /// The body of an ok response, appended to \p out: every byte after its
 /// `{"id":"..."` prefix up to, not including, its "cached" member
 /// (`,"ok":true,"kind":"matmul",...,"tile":[...],`).  PlanResponse::to_json
-/// and the plan cache's stored bodies are both rendered here.
+/// renders the typed results and the plan cache renders its records, byte
+/// for byte alike.
 void append_ok_body(std::string& out, const IntraOptResult& plan);
+/// The same body from a plan record, its rule spelled in \p labels.
+void append_ok_body(std::string& out, const IntraPlanRecord& plan, const MatmulLabels& labels);
 /// The fused-pair body; nullptr renders "fusable":false.
 void append_ok_body(std::string& out, const FusedOptResult* plan);
+void append_ok_body(std::string& out, const FusedPlanRecord* plan);
 
 /// An ok response line around a body from append_ok_body(), appended to
 /// \p out: `{"id":"<escaped id>"` + body + `"cached":<cached>}`.

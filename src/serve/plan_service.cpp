@@ -33,28 +33,39 @@ void maybe_inject_plan_stall() {
   }
 }
 
-std::size_t approx_bytes(const IntraOptResult& r) {
-  return sizeof(IntraOptResult) + r.rule.size() +
-         r.dataflow.loop_order.size() * sizeof(int) + r.dataflow.tile.size() * sizeof(Index) +
-         r.access.per_tensor.size() * sizeof(AccessCount);
+/// What one cached answer is charged: what it cost while the cache held
+/// typed results (the result struct, its vectors and rule string, and the
+/// body), doubled, since those allocations (shared block, plan vectors and
+/// strings, body, allocator rounding) measured about twice that estimate.
+/// An answer is now one block of record and body, well under its charge,
+/// but the charge is kept: it leaves the cache's entries, evictions and
+/// "cached" flags as they were, and the bytes no longer allocated show as
+/// lower RSS.  Re-pricing it is a capacity policy of its own, to be
+/// measured on a workload with reuse.
+std::size_t answer_cost(const IntraPlanRecord& plan, const MatmulLabels& labels,
+                        std::size_t body_size) {
+  // The result's three loop indices, tiles and per-tensor counts.
+  const std::size_t typed = sizeof(IntraOptResult) + rule_text(plan.rule, labels).size() +
+                            3 * (sizeof(int) + sizeof(Index) + sizeof(AccessCount));
+  return 2 * (typed + body_size);
 }
 
-std::size_t approx_bytes(const std::optional<FusedOptResult>& r) {
-  if (!r) return sizeof(FusedOptResult);
-  std::size_t n = sizeof(FusedOptResult) + r->chosen.rule.size();
-  if (r->chosen.resident) {
-    n += (r->chosen.resident->df1.tile.size() + r->chosen.resident->df2.tile.size()) *
-         (sizeof(Index) + sizeof(int));
+std::size_t answer_cost(const std::optional<FusedPlanRecord>& plan, std::size_t body_size) {
+  std::size_t typed = sizeof(FusedOptResult);
+  if (plan) {
+    typed += plan->rule.size();
+    // A resident plan's two dataflows: three tiles and three loop indices each.
+    if (plan->resident) typed += 6 * (sizeof(Index) + sizeof(int));
   }
-  return n;
+  return 2 * (typed + body_size);
 }
 
-/// What one cached answer costs: its allocations (shared block, plan
-/// vectors and strings, body, allocator rounding) measure about twice the
-/// plan-plus-body estimate.
-template <typename Answer>
-std::size_t answer_cost(const Answer& answer) {
-  return 2 * (approx_bytes(answer.plan) + answer.body.size());
+/// A per-thread string the bodies are rendered into before they are copied
+/// into their blocks; it keeps its capacity, so rendering allocates nothing.
+std::string& body_scratch() {
+  thread_local std::string scratch;
+  scratch.clear();
+  return scratch;
 }
 
 template <typename Cache>
@@ -83,69 +94,54 @@ PlanService::PlanService(ServeOptions options)
       latency_hit_us_(MetricsRegistry::global().histogram("serve/latency_us/hit")),
       latency_miss_us_(MetricsRegistry::global().histogram("serve/latency_us/miss")) {}
 
-namespace {
-
-/// \p plan's response body at its exact size: the cache charges an entry
-/// by body.size(), so the stored string carries no growth slack.  The body
-/// is rendered into a per-thread scratch string and copied out once.
-template <typename Plan>
-std::string exact_body(const Plan& plan) {
-  thread_local std::string scratch;
-  scratch.clear();
-  append_ok_body(scratch, plan);
-  return scratch;
+PlanService::IntraAnswer PlanService::render(const IntraPlanRecord& plan,
+                                             const MatmulLabels& labels) {
+  std::string& body = body_scratch();
+  append_ok_body(body, plan, labels);
+  return IntraAnswer::make(plan, body, answer_cost(plan, labels, body.size()));
 }
 
-}  // namespace
-
-PlanService::IntraAnswer PlanService::render(IntraOptResult plan) {
-  std::string body = exact_body(plan);
-  return IntraAnswer{std::move(plan), std::move(body)};
+PlanService::FusedAnswer PlanService::render(const std::optional<FusedPlanRecord>& plan) {
+  std::string& body = body_scratch();
+  append_ok_body(body, plan ? &*plan : nullptr);
+  return FusedAnswer::make(plan, body, answer_cost(plan, body.size()));
 }
 
-PlanService::FusedAnswer PlanService::render(std::optional<FusedOptResult> plan) {
-  std::string body = exact_body(plan ? &*plan : nullptr);
-  return FusedAnswer{std::move(plan), std::move(body)};
-}
-
-template <typename Answer, std::size_t N>
-std::shared_ptr<const Answer> PlanService::probe(SlotCache<Answer, N>& cache,
+template <typename Record, std::size_t N>
+PlanService::Rendered<Record> PlanService::probe(SlotCache<Record, N>& cache,
                                                  const std::string& key, std::size_t slot) {
   ScopedSpan span("cache_lookup");
-  std::shared_ptr<const Answer> hit =
-      cache.find(key, [slot](const auto& entry) { return entry[slot]; });
+  Rendered<Record> hit = cache.find(key, [slot](const auto& entry) { return entry[slot]; });
   span.note(hit ? "hit" : "miss");
   return hit;
 }
 
-template <typename Answer, std::size_t N, typename Plan>
-std::shared_ptr<const Answer> PlanService::insert(SlotCache<Answer, N>& cache,
+template <typename Record, std::size_t N>
+PlanService::Rendered<Record> PlanService::insert(SlotCache<Record, N>& cache,
                                                   const std::string& key, std::size_t slot,
-                                                  Plan plan) {
-  auto answer = std::make_shared<const Answer>(render(std::move(plan)));
+                                                  Rendered<Record> answer) {
   cache.upsert(key, [&](auto& entry, bool) {
     if (entry[slot]) duplicate_plans_.add();
     entry[slot] = answer;
     // The entry is charged for every orientation it holds.
     std::size_t cost = 0;
     for (const auto& filled : entry) {
-      if (filled) cost += answer_cost(*filled);
+      if (filled) cost += filled.charge();
     }
     return cost;
   });
   return answer;
 }
 
-template <typename Answer, std::size_t N, typename ClosedForm>
-std::shared_ptr<const Answer> PlanService::lookup_or_plan(SlotCache<Answer, N>& cache,
+template <typename Record, std::size_t N, typename Plan>
+PlanService::Rendered<Record> PlanService::lookup_or_plan(SlotCache<Record, N>& cache,
                                                           const std::string& key,
-                                                          std::size_t slot,
-                                                          ClosedForm&& closed_form,
+                                                          std::size_t slot, Plan&& plan,
                                                           bool* cached) {
   *cached = true;
   if (auto hit = probe(cache, key, slot)) return hit;
   *cached = false;
-  return insert(cache, key, slot, closed_form());
+  return insert(cache, key, slot, plan());
 }
 
 IntraPlanned PlanService::plan_intra(const TensorOp& op, BufferSize bs) {
@@ -155,11 +151,13 @@ IntraPlanned PlanService::plan_intra(const TensorOp& op, BufferSize bs) {
     key = try_canonical_intra_key(op, bs);
   }
   if (!key) return IntraPlanned{optimize_intra(op, bs), false};
+  const MatmulLabels labels = labels_of(op);  // a key means the op is matmul-shaped
   bool cached = false;
   auto answer = lookup_or_plan(
       intra_cache_, key->text, key->swapped ? 1 : 0,
-      [&] { return optimize_intra(op, bs); }, &cached);
-  return IntraPlanned{answer->plan, cached};
+      [&] { return render(optimize_intra_record(flatten_matmul(op), bs, labels), labels); },
+      &cached);
+  return IntraPlanned{materialize(answer.record(), labels), cached};
 }
 
 FusedPlanned PlanService::plan_fused(const FusedPair& pair, BufferSize bs) {
@@ -170,8 +168,10 @@ FusedPlanned PlanService::plan_fused(const FusedPair& pair, BufferSize bs) {
   }
   bool cached = false;
   auto answer = lookup_or_plan(
-      fused_cache_, key, 0, [&] { return optimize_fused_pair(pair, bs); }, &cached);
-  return FusedPlanned{answer->plan, cached};
+      fused_cache_, key, 0, [&] { return render(optimize_fused_record(pair, bs)); }, &cached);
+  const std::optional<FusedPlanRecord>& plan = answer.record();
+  return FusedPlanned{plan ? std::optional<FusedOptResult>(materialize(*plan)) : std::nullopt,
+                      cached};
 }
 
 namespace {
@@ -210,17 +210,18 @@ PlanService::Served PlanService::plan_missed(const KeyedRequest& keyed) {
   const PlanRequest& request = keyed.request;
   const BufferSize bs = request.buffer_elems;
   Served served;
-  // Out of the cache's scope means malformed: the closed form throws.
+  // Out of the cache's scope means malformed: the closed form throws.  The
+  // closed forms run straight from the request's fields: no TensorOp.
   if (request.kind == PlanRequest::Kind::kMatmul) {
-    IntraOptResult plan = optimize_intra(request.to_op(), bs);
+    const MatmulLabels labels = request.labels();
+    IntraAnswer answer = render(optimize_intra_record(request.shape(), bs, labels), labels);
     served.intra = keyed.key.empty()
-                       ? std::make_shared<const IntraAnswer>(render(std::move(plan)))
-                       : insert(intra_cache_, keyed.key, keyed.swapped ? 1 : 0, std::move(plan));
+                       ? std::move(answer)
+                       : insert(intra_cache_, keyed.key, keyed.swapped ? 1 : 0, std::move(answer));
   } else {
-    std::optional<FusedOptResult> plan = optimize_fused_pair(request.to_pair(), bs);
-    served.fused = keyed.key.empty()
-                       ? std::make_shared<const FusedAnswer>(render(std::move(plan)))
-                       : insert(fused_cache_, keyed.key, 0, std::move(plan));
+    FusedAnswer answer = render(optimize_fused_record(request.to_pair(), bs));
+    served.fused = keyed.key.empty() ? std::move(answer)
+                                     : insert(fused_cache_, keyed.key, 0, std::move(answer));
   }
   return served;
 }
@@ -269,10 +270,10 @@ PlanResponse PlanService::to_response(const PlanRequest& request, const Served& 
   response.kind = request.kind;
   response.cached = served.cached;
   if (served.intra) {
-    response.intra = served.intra->plan;
-  } else {
-    response.fused = served.fused->plan;
-    response.fusable = response.fused.has_value();
+    response.intra = materialize(served.intra.record(), request.labels());
+  } else if (const std::optional<FusedPlanRecord>& plan = served.fused.record()) {
+    response.fused = materialize(*plan);
+    response.fusable = true;
   }
   return response;
 }
@@ -283,7 +284,7 @@ void PlanService::response_line(const std::string& id, const Served& served, std
     append_error_response(line, id, served.error);
     return;
   }
-  const std::string& body = served.intra ? served.intra->body : served.fused->body;
+  const std::string_view body = served.intra ? served.intra.body() : served.fused.body();
   // The {"id":"" prefix and "cached":false} tail around the body, +1 for
   // the caller's newline framing, so a fresh line allocates once.
   line.reserve(id.size() + body.size() + 24);

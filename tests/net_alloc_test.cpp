@@ -296,5 +296,64 @@ TEST(NetAlloc, SteadyStateReactorThreadMakesZeroHeapAllocations) {
       << "the reactor thread allocated on the steady-state miss path beyond planning";
 }
 
+/// \p n lines of never-repeating shapes from \p first: matmuls when
+/// \p fused is false, fused pairs otherwise.  Fixed-width ids and extents
+/// keep every line, key and response the same length.
+std::vector<std::string> cold_lines(int first, int n, bool fused) {
+  std::vector<std::string> lines;
+  for (int i = first; i < first + n; ++i) {
+    char line[160];
+    if (fused) {
+      std::snprintf(line, sizeof(line),
+                    "{\"id\":\"f%06d\",\"op\":\"fused_pair\",\"m\":%d,\"k\":%d,\"l\":64,"
+                    "\"n\":64,\"buffer_elems\":4096}",
+                    i, 1000 + i % 1000, 1000 + i / 1000);
+    } else {
+      std::snprintf(line, sizeof(line),
+                    "{\"id\":\"m%06d\",\"op\":\"matmul\",\"m\":%d,\"k\":%d,\"l\":9999,"
+                    "\"buffer_elems\":65536}",
+                    i, 1000 + i % 1000, 1000 + i / 1000);
+    }
+    lines.emplace_back(line);
+  }
+  return lines;
+}
+
+/// Mean allocations of one steady-state cold miss through answer_line, on
+/// a small cache that has been evicting for several times its capacity: a
+/// miss plans, renders its answer block, inserts it under a new key and
+/// evicts the least recently used entry.
+double allocations_per_cold_miss(bool fused) {
+  constexpr int kFill = 4000;
+  constexpr int kMeasured = 1000;
+  PlanService service(ServeOptions{.threads = 1, .cache_bytes = 256 * 1024});
+  KeyedRequest keyed;
+  std::string response;
+  serve_lines(service, cold_lines(0, kFill, fused), keyed, response);
+  const PlanService::Stats filled = service.stats();
+  EXPECT_GT((fused ? filled.fused : filled.intra).evictions, kFill / 2)
+      << "the cache must already evict";
+
+  const std::vector<std::string> measured = cold_lines(kFill, kMeasured, fused);
+  const std::int64_t misses = service.stats().combined().misses;
+  g_monitored.store(reinterpret_cast<unsigned long>(pthread_self()), std::memory_order_relaxed);
+  g_allocs.store(0, std::memory_order_relaxed);
+  g_armed.store(true, std::memory_order_relaxed);
+  serve_lines(service, measured, keyed, response);
+  g_armed.store(false, std::memory_order_relaxed);
+  EXPECT_EQ(service.stats().combined().misses - misses, kMeasured) << "every line misses";
+  return static_cast<double>(g_allocs.load(std::memory_order_relaxed)) / kMeasured;
+}
+
+TEST(NetAlloc, ColdMatmulMissMakesAtMostThreeAllocations) {
+  // The answer block and the entry's key; a TensorOp or a typed result on
+  // this path would cost more than the slack.
+  EXPECT_LE(allocations_per_cold_miss(/*fused=*/false), 3.0);
+}
+
+TEST(NetAlloc, ColdFusedMissMakesAtMostThreeAllocations) {
+  EXPECT_LE(allocations_per_cold_miss(/*fused=*/true), 3.0);
+}
+
 }  // namespace
 }  // namespace fusecu

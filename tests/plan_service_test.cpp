@@ -4,9 +4,13 @@
 #include <cstring>
 #include <filesystem>
 #include <map>
+#include <optional>
+#include <random>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "obs/metrics.hpp"
@@ -235,6 +239,184 @@ TEST(PlanService, BadRequestsBecomeErrorResponsesWithTheirId) {
   const std::string json = response.to_json();
   EXPECT_NE(json.find("\"ok\":false"), std::string::npos);
   EXPECT_NE(json.find("\"id\":\"oops\""), std::string::npos);
+}
+
+// --- Plan records --------------------------------------------------------
+//
+// The service stores each plan as a fixed-size record and renders both the
+// wire bytes and the typed results from it.  A seeded sweep of requests —
+// batched, both transpose orientations, buffers on both sides of the
+// full-fit clamp and below 3, unfusable pairs — must come back exactly as
+// the direct optimizers answer request.to_op() / to_pair(): on the wire as
+// append_ok_body of the direct result (an error as the direct optimizer's
+// message, past the FCU_CHECK location), and through plan_intra /
+// plan_fused and plan() field for field, on a miss and on a hit.
+
+/// \p text with its "FCU_CHECK failed: (...) at file:line — " prefix cut:
+/// the location is the check's, not part of the message.
+std::string without_check_location(std::string text) {
+  const std::size_t begin = text.find("FCU_CHECK failed: (");
+  if (begin == std::string::npos) return text;
+  const std::string_view dash = " \xe2\x80\x94 ";  // " — "
+  const std::size_t end = text.find(dash, begin);
+  EXPECT_NE(end, std::string::npos) << text;
+  return text.erase(begin, end + dash.size() - begin);
+}
+
+std::string wire_line(const PlanRequest& r) {
+  std::string line = "{\"id\":\"" + r.id + "\",\"op\":\"" +
+                     (r.kind == PlanRequest::Kind::kMatmul ? "matmul" : "fused_pair") +
+                     "\",\"m\":" + std::to_string(r.m) + ",\"k\":" + std::to_string(r.k) +
+                     ",\"l\":" + std::to_string(r.l);
+  if (r.kind == PlanRequest::Kind::kFusedPair) line += ",\"n\":" + std::to_string(r.n);
+  if (r.batch > 1) line += ",\"batch\":" + std::to_string(r.batch) + ",\"shared_weight\":true";
+  return line + ",\"buffer_elems\":" + std::to_string(r.buffer_elems) + "}";
+}
+
+/// The request sweep: seeded, drawn by modular reduction so it is the same
+/// under every standard library.
+std::vector<PlanRequest> record_sweep() {
+  std::mt19937_64 rng(20261020);
+  const auto draw = [&](Index lo, Index hi) {
+    return lo + static_cast<Index>(rng() % static_cast<std::uint64_t>(hi - lo + 1));
+  };
+  std::vector<PlanRequest> out;
+  for (int i = 0; i < 600; ++i) {
+    PlanRequest r;
+    r.id = "r";
+    r.id += std::to_string(i);
+    r.m = draw(1, 160);
+    r.k = draw(1, 160);
+    r.l = draw(1, 160);
+    BufferSize full = 0;  // every tensor resident at once
+    if (i % 2 == 0) {
+      if (draw(0, 2) == 0) r.batch = draw(2, 6);
+      if (r.m < r.l && draw(0, 1) == 1) std::swap(r.m, r.l);  // both orientations
+      const Index m = r.batch * r.m;
+      full = m * r.k + r.k * r.l + m * r.l;
+    } else {
+      r.kind = PlanRequest::Kind::kFusedPair;
+      r.n = draw(1, 160);
+      full = r.m * r.k + r.k * r.l + r.m * r.l + r.l * r.n + r.m * r.n;
+    }
+    switch (draw(0, 5)) {
+      case 0: r.buffer_elems = draw(1, 2); break;           // below the minimal working set
+      case 1: r.buffer_elems = draw(3, 64); break;
+      case 2: r.buffer_elems = draw(3, full); break;        // below the clamp
+      case 3: r.buffer_elems = full; break;                 // at it
+      case 4: r.buffer_elems = full + draw(1, full); break;  // above it
+      default: r.buffer_elems = r.m * r.l + draw(0, 4); break;  // the fused resident edge
+    }
+    out.push_back(r);
+  }
+  return out;
+}
+
+void expect_same(const IntraOptResult& got, const IntraOptResult& want) {
+  EXPECT_EQ(got.dataflow.loop_order, want.dataflow.loop_order);
+  EXPECT_EQ(got.dataflow.tile, want.dataflow.tile);
+  EXPECT_EQ(got.access.per_tensor, want.access.per_tensor);
+  EXPECT_EQ(got.access.total, want.access.total);
+  EXPECT_EQ(got.access.buffer_footprint, want.access.buffer_footprint);
+  EXPECT_EQ(got.nra, want.nra);
+  EXPECT_EQ(got.buffer_class, want.buffer_class);
+  EXPECT_EQ(got.rule, want.rule);
+}
+
+void expect_same(const std::optional<FusedOptResult>& got,
+                 const std::optional<FusedOptResult>& want) {
+  ASSERT_EQ(got.has_value(), want.has_value());
+  if (!want) return;
+  EXPECT_EQ(got->access.op1_external, want->access.op1_external);
+  EXPECT_EQ(got->access.op2_external, want->access.op2_external);
+  EXPECT_EQ(got->access.total, want->access.total);
+  EXPECT_EQ(got->access.buffer_footprint, want->access.buffer_footprint);
+  EXPECT_EQ(got->chosen.rule, want->chosen.rule);
+  EXPECT_EQ(got->regime1, want->regime1);
+  EXPECT_EQ(got->regime2, want->regime2);
+  ASSERT_EQ(got->chosen.phased.has_value(), want->chosen.phased.has_value());
+  ASSERT_EQ(got->chosen.resident.has_value(), want->chosen.resident.has_value());
+  if (want->chosen.phased) {
+    const PhasedFusedDataflow& a = *got->chosen.phased;
+    const PhasedFusedDataflow& b = *want->chosen.phased;
+    EXPECT_EQ(std::tie(a.t_m, a.t_k, a.t_l, a.t_n, a.l_outer),
+              std::tie(b.t_m, b.t_k, b.t_l, b.t_n, b.l_outer));
+  } else {
+    const ResidentFusedDataflow& a = *got->chosen.resident;
+    const ResidentFusedDataflow& b = *want->chosen.resident;
+    EXPECT_EQ(a.df1.loop_order, b.df1.loop_order);
+    EXPECT_EQ(a.df1.tile, b.df1.tile);
+    EXPECT_EQ(a.df2.loop_order, b.df2.loop_order);
+    EXPECT_EQ(a.df2.tile, b.df2.tile);
+  }
+}
+
+TEST(PlanService, PlanRecordsRoundTripToTheDirectOptimizers) {
+  PlanService wire(ServeOptions{.threads = 1});
+  PlanService typed(ServeOptions{.threads = 1});
+  int errors = 0, unfusable = 0, batched = 0, swapped = 0;
+  int lineno = 0;
+  for (const PlanRequest& r : record_sweep()) {
+    SCOPED_TRACE(wire_line(r));
+    // The direct answer and its ok line, or the direct optimizer's error.
+    std::string body;
+    std::string error;
+    std::optional<IntraOptResult> intra;
+    std::optional<FusedOptResult> fused;
+    if (r.kind == PlanRequest::Kind::kMatmul) {
+      batched += r.batch > 1 ? 1 : 0;
+      swapped += r.m > r.l ? 1 : 0;
+      try {
+        intra = optimize_intra(r.to_op(), r.buffer_elems);
+        append_ok_body(body, *intra);
+      } catch (const std::invalid_argument& e) {
+        error = e.what();
+        ++errors;
+      }
+    } else {
+      fused = optimize_fused_pair(r.to_pair(), r.buffer_elems);
+      unfusable += fused ? 0 : 1;
+      append_ok_body(body, fused ? &*fused : nullptr);
+    }
+
+    for (const bool hit : {false, true}) {
+      const std::string line = wire.plan_line_json(wire_line(r), "<sweep>", ++lineno, 0, nullptr);
+      const PlanResponse response = wire.plan(r);
+      if (!error.empty()) {
+        ASSERT_FALSE(response.ok);
+        EXPECT_EQ(without_check_location(response.error), without_check_location(error));
+        std::string want;
+        append_error_response(want, r.id, error);
+        EXPECT_EQ(without_check_location(line), without_check_location(want));
+        EXPECT_THROW(typed.plan_intra(r.to_op(), r.buffer_elems), std::invalid_argument);
+        continue;
+      }
+      std::string want;
+      append_ok_response(want, r.id, body, hit);
+      EXPECT_EQ(line, want);
+      ASSERT_TRUE(response.ok) << response.error;
+      EXPECT_TRUE(response.cached);  // the line before it planned or hit the same key
+      std::string typed_want;
+      append_ok_response(typed_want, r.id, body, true);
+      EXPECT_EQ(response.to_json(), typed_want);
+      if (intra) {
+        const IntraPlanned planned = typed.plan_intra(r.to_op(), r.buffer_elems);
+        EXPECT_EQ(planned.cached, hit);
+        expect_same(planned.result, *intra);
+        expect_same(*response.intra, *intra);
+      } else {
+        const FusedPlanned planned = typed.plan_fused(r.to_pair(), r.buffer_elems);
+        EXPECT_EQ(planned.cached, hit);
+        expect_same(planned.result, fused);
+        expect_same(response.fused, fused);
+      }
+    }
+  }
+  // The sweep reaches every case it is meant to.
+  EXPECT_GT(errors, 10);
+  EXPECT_GT(unfusable, 10);
+  EXPECT_GT(batched, 10);
+  EXPECT_GT(swapped, 10);
 }
 
 // --- Response splicing -----------------------------------------------------
