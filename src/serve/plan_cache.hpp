@@ -47,6 +47,15 @@
 /// (capacity_bytes / shards) it evicts from the least-recently-used end,
 /// but never its last entry.  Hits, misses, insertions and evictions are
 /// reported through the obs metrics registry under `<metric_prefix>/...`.
+///
+/// Values.  PlanService stores per-orientation arrays of counted references
+/// to answer blocks (one block per plan: its record and rendered body), so
+/// a hit's pick copies a reference and an eviction drops one.  Each
+/// reference carries its block's charge, so mutate re-prices an entry from
+/// its slots without reading a block.  The charges are those the entries
+/// had when they held typed results, and a reference is as large as the
+/// shared_ptr it replaced, so sizeof(Entry) and with it the number of
+/// entries a budget holds are unchanged.
 
 namespace fusecu {
 
