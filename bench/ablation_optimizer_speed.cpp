@@ -66,10 +66,16 @@ void BM_PlanServiceCachedLookup(benchmark::State& state) {
   ServeOptions options;
   options.threads = 1;
   PlanService service(options);
-  TensorOp op = bench_op();
-  service.plan_intra(op, kBs);  // warm the cache
+  const TensorOp op = bench_op();
+  PlanRequest request;
+  request.id = op.name();
+  request.m = op.extent(mm::kDimM);
+  request.k = op.extent(mm::kDimK);
+  request.l = op.extent(mm::kDimL);
+  request.buffer_elems = kBs;
+  service.plan(request);  // warm the cache
   for (auto _ : state) {
-    benchmark::DoNotOptimize(service.plan_intra(op, kBs).result.access.total);
+    benchmark::DoNotOptimize(service.plan(request).intra->access.total);
   }
 }
 BENCHMARK(BM_PlanServiceCachedLookup);

@@ -52,8 +52,8 @@ TrialScript script_for(std::uint64_t seed) {
   static constexpr int kDepths[] = {2, 4, 8, 64};
   script.queue_depth = kDepths[rng.pick(4)];
   const int conns = static_cast<int>(rng.uniform(2, 4));
-  // Global request index: every request gets a distinct min dimension, so no
-  // two requests share a transpose class or cache key.  Every response is
+  // Global request index: every request gets a distinct M, so no two
+  // requests share a cache key.  Every response is
   // then a deterministic cache miss ("cached":false) and byte-identity
   // against the reference stream is exact regardless of arrival order.
   int g = 0;

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <sstream>
+#include <stdexcept>
 
 #include "arch/dataflow_space.hpp"
 #include "common/json_writer.hpp"
@@ -119,26 +120,45 @@ ServeOptions serve_check_options() {
   return so;
 }
 
+/// \p request answered by \p service through plan(), the request core a
+/// served line takes: its key spelling, cache probe and record core.  An
+/// error answer throws, as the direct optimizer it is checked against would.
+PlanResponse plan_served(PlanService& service, const PlanRequest& request) {
+  PlanResponse response = service.plan(request);
+  if (!response.ok) throw std::runtime_error(response.error);
+  return response;
+}
+
+PlanRequest intra_request(const TensorOp& op, Index m, Index l, BufferSize bs) {
+  PlanRequest request;
+  request.id = op.name();
+  request.m = m;
+  request.k = op.extent(mm::kDimK);
+  request.l = l;
+  request.buffer_elems = bs;
+  return request;
+}
+
 /// Serve path: byte-identity of cached / canonicalized plans, on a private
 /// PlanService.
 void check_intra_serve(Checker& c, const TensorOp& op, BufferSize bs) {
   FCU_COUNTER("check/serve_checks").add();
+  const Index m = op.extent(mm::kDimM), l = op.extent(mm::kDimL);
   const std::string direct = intra_plan_signature(optimize_intra(op, bs));
-  TensorOp transposed = TensorOp::matmul("wl", op.extent(mm::kDimL), op.extent(mm::kDimK),
-                                         op.extent(mm::kDimM));
+  TensorOp transposed = TensorOp::matmul("wl", l, op.extent(mm::kDimK), m);
   const std::string direct_t = intra_plan_signature(optimize_intra(transposed, bs));
   PlanService service(serve_check_options());
-  IntraPlanned cold = service.plan_intra(op, bs);
+  const PlanResponse cold = plan_served(service, intra_request(op, m, l, bs));
   c.expect_true("serve/cold_uncached", !cold.cached, "first lookup claimed a cache hit");
-  c.expect_eq("serve/byte_identity", intra_plan_signature(cold.result), direct,
+  c.expect_eq("serve/byte_identity", intra_plan_signature(*cold.intra), direct,
               "served plan vs direct optimize_intra");
-  IntraPlanned warm = service.plan_intra(op, bs);
+  const PlanResponse warm = plan_served(service, intra_request(op, m, l, bs));
   c.expect_true("serve/warm_cached", warm.cached, "second lookup missed the cache");
-  c.expect_eq("serve/byte_identity", intra_plan_signature(warm.result), direct,
+  c.expect_eq("serve/byte_identity", intra_plan_signature(*warm.intra), direct,
               "cached plan vs direct optimize_intra");
-  IntraPlanned trans = service.plan_intra(transposed, bs);
-  c.expect_eq("serve/transpose_identity", intra_plan_signature(trans.result), direct_t,
-              "transpose-class plan vs direct optimize_intra of the transposed op");
+  const PlanResponse trans = plan_served(service, intra_request(op, l, m, bs));
+  c.expect_eq("serve/transpose_identity", intra_plan_signature(*trans.intra), direct_t,
+              "transposed request's plan vs direct optimize_intra of the transposed op");
 }
 
 void check_intra_workload(Checker& c, const TensorOp& op, BufferSize bs) {
@@ -285,12 +305,20 @@ void check_fused_serve(Checker& c, const FusedPair& pair, BufferSize bs,
   FCU_COUNTER("check/serve_checks").add();
   const std::string direct = fused_plan_signature(direct_plan);
   PlanService service(serve_check_options());
-  FusedPlanned cold = service.plan_fused(pair, bs);
-  c.expect_eq("serve/fused_byte_identity", fused_plan_signature(cold.result), direct,
+  PlanRequest request;
+  request.id = "pair";
+  request.kind = PlanRequest::Kind::kFusedPair;
+  request.m = pair.m();
+  request.k = pair.k();
+  request.l = pair.l();
+  request.n = pair.n();
+  request.buffer_elems = bs;
+  const PlanResponse cold = plan_served(service, request);
+  c.expect_eq("serve/fused_byte_identity", fused_plan_signature(cold.fused), direct,
               "served fused plan vs direct optimize_fused_pair");
-  FusedPlanned warm = service.plan_fused(pair, bs);
+  const PlanResponse warm = plan_served(service, request);
   c.expect_true("serve/warm_cached", warm.cached, "second fused lookup missed the cache");
-  c.expect_eq("serve/fused_byte_identity", fused_plan_signature(warm.result), direct,
+  c.expect_eq("serve/fused_byte_identity", fused_plan_signature(warm.fused), direct,
               "cached fused plan vs direct optimize_fused_pair");
 }
 

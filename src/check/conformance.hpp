@@ -23,9 +23,10 @@
 ///   3. the functional simulator (src/sim/tiled_executor) — executes a
 ///      schedule tile by tile and *counts* boundary traffic; the analytical
 ///      access model must agree exactly, per tensor;
-///   4. the serving path (src/serve) — cached, canonicalized planning must
-///      be byte-identical to direct optimization, across cache temperature
-///      and transpose orientation.
+///   4. the serving path (src/serve) — a request planned through
+///      PlanService::plan, which spells its key and runs the record core as
+///      a served line does, must be byte-identical to direct optimization,
+///      cold and cached, and so must its transposed request.
 ///
 /// All checks are sound (no false positives): each inequality is a theorem
 /// of the access model, each equality a documented contract.  A failure is

@@ -35,27 +35,24 @@
 /// never reads an entry, and the key bytes are compared only when a tag
 /// matches.  An empty shard allocates nothing until its first insert.
 ///
-/// One hash per call.  Each find/upsert hashes its key once; the shard
-/// comes from the hash's high 32 bits and the home slot from its low bits.
-/// An entry stores its hash, so evicting the LRU tail finds the victim's
-/// slot from that hash and the victim's index: no re-hash, no key compare.
+/// One hash per call.  Each get/put hashes its key once; the shard comes
+/// from the hash's high 32 bits and the home slot from its low bits.  An
+/// entry stores its hash, so evicting the LRU tail finds the victim's slot
+/// from that hash and the victim's index: no re-hash, no key compare.
 ///
 /// Cost rule.  Accounting is by caller-declared cost (bytes): an entry is
-/// charged its key, its bookkeeping (sizeof(Entry)) and the cost upsert's
-/// mutate returns for the whole stored value — for a multi-slot value,
-/// every filled slot.  When a shard overflows its budget
+/// charged its key, its bookkeeping (sizeof(Entry)) and the cost put
+/// declares for its value.  When a shard overflows its budget
 /// (capacity_bytes / shards) it evicts from the least-recently-used end,
 /// but never its last entry.  Hits, misses, insertions and evictions are
 /// reported through the obs metrics registry under `<metric_prefix>/...`.
 ///
-/// Values.  PlanService stores per-orientation arrays of counted references
-/// to answer blocks (one block per plan: its record and rendered body), so
-/// a hit's pick copies a reference and an eviction drops one.  Each
-/// reference carries its block's charge, so mutate re-prices an entry from
-/// its slots without reading a block.  The charges are those the entries
-/// had when they held typed results, and a reference is as large as the
-/// shared_ptr it replaced, so sizeof(Entry) and with it the number of
-/// entries a budget holds are unchanged.
+/// Values.  PlanService stores one counted reference to an answer block
+/// per entry (one block per plan: its record and rendered body), so a hit
+/// copies a reference and an eviction drops one.  The charges are those the
+/// entries had when they held typed results, and a reference is as large
+/// as the shared_ptr it replaced, so sizeof(Entry) and with it the number
+/// of entries a budget holds are unchanged.
 
 namespace fusecu {
 
@@ -102,51 +99,28 @@ class ShardedLruCache {
     shard_capacity_ = options_.capacity_bytes / static_cast<std::size_t>(options_.shards);
   }
 
-  /// The one counted probe.  Under the shard lock, \p pick reads the
-  /// stored value and returns what the caller needs from it (a pointer or
-  /// an optional).  A non-empty result counts one hit and refreshes the
-  /// entry's recency; an absent key, or an empty result — an entry that
-  /// exists but does not answer this request, such as a transpose class
-  /// whose other orientation is cached — counts one miss.  \p pick runs
-  /// under the shard mutex, so it must be quick and must only read.
-  template <typename Pick>
-  auto find(const std::string& key, Pick&& pick) {
+  /// The one counted probe: a copy of \p key's value, taken under the
+  /// shard lock, counting one hit and refreshing the entry's recency, or
+  /// nullopt counting one miss.
+  std::optional<Value> get(const std::string& key) {
     const std::uint64_t hash = hash_of(key);
     Shard& shard = shard_for(hash);
     std::lock_guard<std::mutex> lock(shard.mu);
     const std::uint32_t at = shard.lookup(key, hash);
-    decltype(pick(std::declval<const Value&>())) found{};
-    if (at != kNil) found = pick(static_cast<const Value&>(shard.entries[at].value));
-    if (!found) {
+    if (at == kNil) {
       misses_.add();
-      return found;
+      return std::nullopt;
     }
     shard.touch(at);
     hits_.add();
-    return found;
+    return shard.entries[at].value;
   }
 
-  /// Copy of the cached value (a find() that picks the whole value).
-  std::optional<Value> get(const std::string& key) {
-    return find(key, [](const Value& v) { return std::optional<Value>(v); });
-  }
-
-  /// Insert or overwrite; evicts LRU entries until the shard fits.
-  void put(const std::string& key, Value value, std::size_t cost_bytes) {
-    upsert(key, [&](Value& stored, bool) {
-      stored = std::move(value);
-      return cost_bytes;
-    });
-  }
-
-  /// Find-or-create \p key under the shard lock and apply \p mutate to the
-  /// stored value (second argument: true when the entry already existed).
-  /// \p mutate returns the cost in bytes of the whole value it leaves
-  /// stored, which replaces the entry's previous charge.  This is how
-  /// multi-slot entries (one plan per transpose orientation) are extended
-  /// without a lost-update window between get() and put().
-  template <typename Fn>
-  void upsert(const std::string& key, Fn&& mutate) {
+  /// Store \p value under \p key at \p cost_bytes, replacing the value and
+  /// charge of an entry already there, as the most recently used entry;
+  /// then evict LRU entries until the shard fits.  Returns true when the
+  /// key already existed.
+  bool put(const std::string& key, Value value, std::size_t cost_bytes) {
     const std::uint64_t hash = hash_of(key);
     Shard& shard = shard_for(hash);
     std::lock_guard<std::mutex> lock(shard.mu);
@@ -160,13 +134,14 @@ class ShardedLruCache {
       insertions_.add();
     }
     Entry& entry = shard.entries[at];
-    entry.cost = static_cast<std::size_t>(mutate(entry.value, existed)) + key.size() +
-                 sizeof(Entry);
+    entry.value = std::move(value);
+    entry.cost = cost_bytes + key.size() + sizeof(Entry);
     shard.bytes += entry.cost;
     while (shard.bytes > shard_capacity_ && shard.live > 1) {
       shard.evict_tail();
       evictions_.add();
     }
+    return existed;
   }
 
   /// Aggregate statistics across all shards (counters are process totals for

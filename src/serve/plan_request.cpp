@@ -1,5 +1,6 @@
 #include "serve/plan_request.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <string_view>
 
@@ -24,6 +25,15 @@ bool is_positive_index(double d) { return d >= 1 && d < kIndexLimit && d == std:
 std::int64_t buffer_bytes(double d) {
   return d >= 1 && d < kIndexLimit ? static_cast<std::int64_t>(d) : 0;
 }
+
+/// The largest product of a request's extents the planner may form: the
+/// closed forms sum a few such products (access totals up to 3 m k l, or
+/// 2 m l (k + n) for a fused pair; the full-fit sum; the two-tile probe's
+/// 4 bs + (c1 + c2)^2 with c up to k + n), and each sum must stay below 2^63.
+constexpr Index kPlanLimit = Index{1} << 59;
+
+/// a * b for a, b >= 1, or kPlanLimit + 1 once the product passes kPlanLimit.
+Index capped_mul(Index a, Index b) { return a > kPlanLimit / b ? kPlanLimit + 1 : a * b; }
 
 Index require_index(const JsonValue& doc, const std::string& field) {
   JsonValuePtr v = doc.get(field);
@@ -147,6 +157,7 @@ class RequestDecoder final : public JsonSink {
       FCU_CHECK(false, "request needs \"buffer\" (bytes) or \"buffer_elems\" (elements)");
     }
     FCU_CHECK(req.buffer_elems >= 1, "request buffer resolves to zero elements");
+    apply_plan_limits(req);
   }
 
  private:
@@ -227,6 +238,26 @@ FusedPair PlanRequest::to_pair() const {
   return FusedPair::make(m, k, l, n);
 }
 
+void apply_plan_limits(PlanRequest& req) {
+  if (req.m < 1 || req.k < 1 || req.l < 1) return;
+  if (req.kind == PlanRequest::Kind::kMatmul) {
+    const Index rows = req.batch > 1 ? capped_mul(req.batch, req.m) : req.m;
+    FCU_CHECK(capped_mul(capped_mul(rows, req.k), req.l) <= kPlanLimit,
+              "request extents are too large to plan: batch*m*k*l must be at most 2^59");
+    if (req.buffer_elems > kPlanLimit) {
+      req.buffer_elems = std::min(req.buffer_elems, rows * req.k + req.k * req.l + rows * req.l);
+    }
+    return;
+  }
+  if (req.n < 1) return;
+  const Index kn = std::min(req.k, kPlanLimit) + std::min(req.n, kPlanLimit);
+  FCU_CHECK(capped_mul(capped_mul(req.m, req.l), kn) <= kPlanLimit &&
+                capped_mul(kn, kn) <= kPlanLimit,
+            "request extents are too large to plan: m*l*(k+n) and (k+n)^2 must be at most 2^59");
+  FCU_CHECK(req.buffer_elems <= kPlanLimit,
+            "request buffer is too large to plan: a fused_pair takes at most 2^59 elements");
+}
+
 PlanRequest plan_request_from_json(const JsonValue& doc) {
   FCU_CHECK(doc.is_object(), "request must be a JSON object");
   PlanRequest req;
@@ -285,6 +316,7 @@ PlanRequest plan_request_from_json(const JsonValue& doc) {
     FCU_CHECK(false, "request needs \"buffer\" (bytes) or \"buffer_elems\" (elements)");
   }
   FCU_CHECK(req.buffer_elems >= 1, "request buffer resolves to zero elements");
+  apply_plan_limits(req);
   return req;
 }
 

@@ -32,6 +32,11 @@
 /// converted.  A repeated key keeps its last value.  Batched matmuls
 /// must be shared-weight (the projection case) — they fold exactly into the
 /// 3-dim view the principles optimize; per-slice weights are rejected.
+/// Every product the planner forms must fit in 64 bits: a matmul needs
+/// batch*m*k*l <= 2^59, and a buffer above 2^59 elements is planned at
+/// the full-fit point m*k + k*l + m*l (the plan is the same); a fused pair
+/// needs m*l*(k+n) <= 2^59, (k+n)^2 <= 2^59 and at most 2^59 buffer
+/// elements.  Anything past these limits is a field-rule error.
 ///
 /// Response line (see PlanResponse::to_json):
 ///
@@ -89,6 +94,17 @@ PlanRequest parse_plan_request(const std::string& line, const std::string& sourc
 /// success; on a throw its contents are unspecified.
 void decode_plan_request(const std::string& line, PlanRequest& out,
                          const std::string& source = "<request>", int lineno = 1);
+
+/// The rules on the planner's products (see the limits above), which both
+/// decoders apply once every field has passed its own rule and
+/// PlanService::plan applies to a typed request, so every request it
+/// accepts plans within Index.  Throws std::invalid_argument past a limit.
+/// A matmul buffer above 2^59 elements is set to the full-fit point, past
+/// which the plan no longer changes (DESIGN.md §5.8, "Request limits");
+/// smaller buffers are kept.  Extents below 1 are left to to_op() /
+/// shape() / to_pair(), which reject them, and a batch below 2 counts as 1,
+/// as to_op() counts it.
+void apply_plan_limits(PlanRequest& request);
 
 /// The reference decoder: the same field rules and messages over a
 /// parse_json tree.  No server path calls it; the differential test and the

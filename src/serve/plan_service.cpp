@@ -107,71 +107,21 @@ PlanService::FusedAnswer PlanService::render(const std::optional<FusedPlanRecord
   return FusedAnswer::make(plan, body, answer_cost(plan, body.size()));
 }
 
-template <typename Record, std::size_t N>
-PlanService::Rendered<Record> PlanService::probe(SlotCache<Record, N>& cache,
-                                                 const std::string& key, std::size_t slot) {
+template <typename Record>
+PlanService::Rendered<Record> PlanService::probe(AnswerCache<Record>& cache,
+                                                 const std::string& key) {
   ScopedSpan span("cache_lookup");
-  Rendered<Record> hit = cache.find(key, [slot](const auto& entry) { return entry[slot]; });
+  std::optional<Rendered<Record>> hit = cache.get(key);
   span.note(hit ? "hit" : "miss");
-  return hit;
+  return hit ? std::move(*hit) : Rendered<Record>();
 }
 
-template <typename Record, std::size_t N>
-PlanService::Rendered<Record> PlanService::insert(SlotCache<Record, N>& cache,
-                                                  const std::string& key, std::size_t slot,
+template <typename Record>
+PlanService::Rendered<Record> PlanService::insert(AnswerCache<Record>& cache,
+                                                  const std::string& key,
                                                   Rendered<Record> answer) {
-  cache.upsert(key, [&](auto& entry, bool) {
-    if (entry[slot]) duplicate_plans_.add();
-    entry[slot] = answer;
-    // The entry is charged for every orientation it holds.
-    std::size_t cost = 0;
-    for (const auto& filled : entry) {
-      if (filled) cost += filled.charge();
-    }
-    return cost;
-  });
+  if (cache.put(key, answer, answer.charge())) duplicate_plans_.add();
   return answer;
-}
-
-template <typename Record, std::size_t N, typename Plan>
-PlanService::Rendered<Record> PlanService::lookup_or_plan(SlotCache<Record, N>& cache,
-                                                          const std::string& key,
-                                                          std::size_t slot, Plan&& plan,
-                                                          bool* cached) {
-  *cached = true;
-  if (auto hit = probe(cache, key, slot)) return hit;
-  *cached = false;
-  return insert(cache, key, slot, plan());
-}
-
-IntraPlanned PlanService::plan_intra(const TensorOp& op, BufferSize bs) {
-  std::optional<CanonicalIntraKey> key;
-  {
-    ScopedSpan canon("canonicalize");
-    key = try_canonical_intra_key(op, bs);
-  }
-  if (!key) return IntraPlanned{optimize_intra(op, bs), false};
-  const MatmulLabels labels = labels_of(op);  // a key means the op is matmul-shaped
-  bool cached = false;
-  auto answer = lookup_or_plan(
-      intra_cache_, key->text, key->swapped ? 1 : 0,
-      [&] { return render(optimize_intra_record(flatten_matmul(op), bs, labels), labels); },
-      &cached);
-  return IntraPlanned{materialize(answer.record(), labels), cached};
-}
-
-FusedPlanned PlanService::plan_fused(const FusedPair& pair, BufferSize bs) {
-  std::string key;
-  {
-    ScopedSpan canon("canonicalize");
-    key = canonical_fused_key(pair, bs);
-  }
-  bool cached = false;
-  auto answer = lookup_or_plan(
-      fused_cache_, key, 0, [&] { return render(optimize_fused_record(pair, bs)); }, &cached);
-  const std::optional<FusedPlanRecord>& plan = answer.record();
-  return FusedPlanned{plan ? std::optional<FusedOptResult>(materialize(*plan)) : std::nullopt,
-                      cached};
 }
 
 namespace {
@@ -189,7 +139,7 @@ void open_request_root(std::optional<ScopedSpan>& root, const PlanRequest& reque
 /// Spell \p keyed's key in a canonicalize span.
 void spell_key(KeyedRequest& keyed) {
   ScopedSpan canon("canonicalize");
-  spell_request_key(keyed.request, keyed.key, keyed.swapped);
+  spell_request_key(keyed.request, keyed.key);
 }
 
 }  // namespace
@@ -198,9 +148,9 @@ PlanService::Served PlanService::probe(const KeyedRequest& keyed) {
   Served served;
   if (keyed.key.empty()) return served;
   if (keyed.request.kind == PlanRequest::Kind::kMatmul) {
-    served.intra = probe(intra_cache_, keyed.key, keyed.swapped ? 1 : 0);
+    served.intra = probe(intra_cache_, keyed.key);
   } else {
-    served.fused = probe(fused_cache_, keyed.key, 0);
+    served.fused = probe(fused_cache_, keyed.key);
   }
   served.cached = served.ok();
   return served;
@@ -215,13 +165,12 @@ PlanService::Served PlanService::plan_missed(const KeyedRequest& keyed) {
   if (request.kind == PlanRequest::Kind::kMatmul) {
     const MatmulLabels labels = request.labels();
     IntraAnswer answer = render(optimize_intra_record(request.shape(), bs, labels), labels);
-    served.intra = keyed.key.empty()
-                       ? std::move(answer)
-                       : insert(intra_cache_, keyed.key, keyed.swapped ? 1 : 0, std::move(answer));
+    served.intra =
+        keyed.key.empty() ? std::move(answer) : insert(intra_cache_, keyed.key, std::move(answer));
   } else {
     FusedAnswer answer = render(optimize_fused_record(request.to_pair(), bs));
-    served.fused = keyed.key.empty() ? std::move(answer)
-                                     : insert(fused_cache_, keyed.key, 0, std::move(answer));
+    served.fused =
+        keyed.key.empty() ? std::move(answer) : insert(fused_cache_, keyed.key, std::move(answer));
   }
   return served;
 }
@@ -249,9 +198,10 @@ PlanService::Served PlanService::serve(const PlanRequest& request) {
   const auto start = std::chrono::steady_clock::now();
   KeyedRequest keyed;
   keyed.request = request;
-  spell_key(keyed);
   Served served;
   try {
+    apply_plan_limits(keyed.request);  // the decoders' rule on the planner's products
+    spell_key(keyed);
     served = probe(keyed);
     if (!served.ok()) served = plan_missed(keyed);
   } catch (const std::exception& e) {

@@ -1,6 +1,5 @@
 #pragma once
 
-#include <array>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -24,17 +23,18 @@
 /// Planning front-end: a sharded plan cache and canonicalization in front
 /// of the closed-form optimizers.
 ///
-/// Every request — typed, JSONL stream or TCP line — goes through one core
-/// on the thread that asked: its canonical key is spelled once from the
-/// request's fields, the cache is probed once (one hit or one miss), and a
-/// hit splices the response bytes rendered when the plan was inserted.  A
-/// miss runs the closed forms' record cores (optimize_intra_record,
-/// optimize_fused_record) straight from the request's fields, building no
-/// TensorOp and no typed result, and inserts the plan record and its
-/// rendered body as one block.  The typed entry points (plan, plan_intra,
-/// plan_fused) materialize their results from the record.  A request line
-/// takes the core through answer_line(), whether a net/ reactor or
-/// serve_stream() read it, so TCP and stdin answers are byte-identical.
+/// Every request — typed PlanRequest, JSONL stream or TCP line — goes
+/// through one core on the thread that asked: its canonical key is spelled
+/// once from the request's fields, the cache is probed once (one hit or one
+/// miss), and a hit splices the response bytes rendered when the plan was
+/// inserted.  A miss runs the closed forms' record cores
+/// (optimize_intra_record, optimize_fused_record) straight from the
+/// request's fields, building no TensorOp and no typed result, and inserts
+/// the plan record and its rendered body as one block: one entry per key,
+/// one answer per entry.  plan(), the one typed entry point, materializes
+/// its result from the record.  A request line takes the core through
+/// answer_line(), whether a net/ reactor or serve_stream() read it, so TCP
+/// and stdin answers are byte-identical.
 ///
 /// A plan is a deterministic closed form costing microseconds, so the
 /// service neither queues misses nor makes identical concurrent misses
@@ -68,8 +68,7 @@ struct ServeOptions {
 /// requests.
 struct KeyedRequest {
   PlanRequest request;
-  std::string key;       ///< canonical key; empty when out of the cache's scope
-  bool swapped = false;  ///< intra orientation slot (see canonical.hpp)
+  std::string key;  ///< canonical key; empty when out of the cache's scope
 };
 
 /// What answer_line() found a line to be.
@@ -77,18 +76,6 @@ enum class LineOutcome {
   kHit,        ///< answered from the plan cache
   kMalformed,  ///< answered with a parse-error response
   kMiss,       ///< decoded and keyed; planned and answered only when asked to
-};
-
-/// A typed intra-op answer: the plan plus whether the cache served it.
-struct IntraPlanned {
-  IntraOptResult result;
-  bool cached = false;
-};
-
-/// A typed fused-pair answer; nullopt result means "not fusable at bs".
-struct FusedPlanned {
-  std::optional<FusedOptResult> result;
-  bool cached = false;
 };
 
 class PlanService {
@@ -134,13 +121,6 @@ class PlanService {
   std::string plan_line_json(const std::string& line, const std::string& source, int lineno,
                              std::int64_t enqueue_us, bool* parse_error);
 
-  /// Typed API used by the examples/benchmarks: cached intra-op planning.
-  /// Byte-identical to optimize_intra(op, bs).
-  IntraPlanned plan_intra(const TensorOp& op, BufferSize bs);
-
-  /// Typed fused-pair planning, same guarantees.
-  FusedPlanned plan_fused(const FusedPair& pair, BufferSize bs);
-
   const ServeOptions& options() const { return options_; }
 
   /// Cache statistics.  Hit, miss, insertion, eviction and duplicate-plan
@@ -149,7 +129,7 @@ class PlanService {
   struct Stats {
     CacheStats intra;
     CacheStats fused;
-    std::int64_t duplicate_plans = 0;  ///< inserts that found their slot filled
+    std::int64_t duplicate_plans = 0;  ///< inserts that found their key present
 
     CacheStats combined() const {
       CacheStats all = intra;
@@ -168,8 +148,7 @@ class PlanService {
   /// takes one under the shard lock and splices the body after releasing
   /// the lock, so an eviction meanwhile frees nothing it reads.  The
   /// reference also carries the charge the cache bills for the answer
-  /// (answer_cost in plan_service.cpp), so re-pricing an entry on insert
-  /// reads its slots and no block.
+  /// (answer_cost in plan_service.cpp) from render() to insert().
   template <typename Record>
   class Rendered {
     static_assert(std::is_trivially_destructible_v<Record>);
@@ -221,11 +200,9 @@ class PlanService {
   };
   using IntraAnswer = Rendered<IntraPlanRecord>;
   using FusedAnswer = Rendered<std::optional<FusedPlanRecord>>;
-  /// A cache whose entries hold N answer slots.  Intra entries hold one
-  /// transpose class (see canonical.hpp): slot[0] answers the m <= l
-  /// orientation, slot[1] the swapped one.  Fused entries hold one slot.
-  template <typename Record, std::size_t N>
-  using SlotCache = ShardedLruCache<std::array<Rendered<Record>, N>>;
+  /// A cache holding one answer per key.
+  template <typename Record>
+  using AnswerCache = ShardedLruCache<Rendered<Record>>;
 
   /// The core's answer to one request: exactly one of intra/fused is set on
   /// success, neither on failure.
@@ -242,20 +219,14 @@ class PlanService {
   static IntraAnswer render(const IntraPlanRecord& plan, const MatmulLabels& labels);
   static FusedAnswer render(const std::optional<FusedPlanRecord>& plan);
 
-  /// The one counted probe of \p key's orientation \p slot, in a
-  /// cache_lookup span.
-  template <typename Record, std::size_t N>
-  Rendered<Record> probe(SlotCache<Record, N>& cache, const std::string& key, std::size_t slot);
-  /// Store \p answer in \p key's orientation \p slot, counting a
-  /// duplicate plan when another thread filled the slot first.
-  template <typename Record, std::size_t N>
-  Rendered<Record> insert(SlotCache<Record, N>& cache, const std::string& key, std::size_t slot,
+  /// The one counted probe of \p key, in a cache_lookup span.
+  template <typename Record>
+  Rendered<Record> probe(AnswerCache<Record>& cache, const std::string& key);
+  /// Store \p answer under \p key, counting a duplicate plan when another
+  /// thread inserted the key first.
+  template <typename Record>
+  Rendered<Record> insert(AnswerCache<Record>& cache, const std::string& key,
                           Rendered<Record> answer);
-  /// probe(), then \p plan (the closed form, rendered) and insert() on a
-  /// miss.
-  template <typename Record, std::size_t N, typename Plan>
-  Rendered<Record> lookup_or_plan(SlotCache<Record, N>& cache, const std::string& key,
-                                  std::size_t slot, Plan&& plan, bool* cached);
 
   /// The request core's two halves.  probe(keyed) is the one counted probe
   /// (nothing when the request is out of the cache's scope);
@@ -293,8 +264,8 @@ class PlanService {
                  std::string& response);
 
   ServeOptions options_;
-  SlotCache<IntraPlanRecord, 2> intra_cache_;
-  SlotCache<std::optional<FusedPlanRecord>, 1> fused_cache_;
+  AnswerCache<IntraPlanRecord> intra_cache_;
+  AnswerCache<std::optional<FusedPlanRecord>> fused_cache_;
   Counter& duplicate_plans_;
 
   // Request observability (obs/span.hpp drives the span trees; these are

@@ -90,8 +90,8 @@ void digest_answers(test_util::Fnv1a& digest, PlanService& service, PlanResponse
   digest.add(service.plan_line_json(line, "<golden>", 1, 0, &parse_error));
 }
 
-/// Both orientation slots of each transpose class: (m, k, l) and (l, k, m)
-/// at the same buffer, every eighth a shared-weight batched matmul.
+/// Both orientations of each shape, (m, k, l) and (l, k, m), at the same
+/// buffer, every eighth a shared-weight batched matmul.
 TEST(PlanResponseGolden, IntraResponsesMatchTheDigest) {
   test_util::SplitMix rng(20261025);
   test_util::Fnv1a digest;

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <barrier>
+#include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <filesystem>
 #include <map>
@@ -57,6 +60,14 @@ PlanRequest matmul_request(const std::string& id, Index m, Index k, Index l,
   return r;
 }
 
+PlanRequest fused_request(const std::string& id, Index m, Index k, Index l, Index n,
+                          BufferSize bs = kBs) {
+  PlanRequest r = matmul_request(id, m, k, l, bs);
+  r.kind = PlanRequest::Kind::kFusedPair;
+  r.n = n;
+  return r;
+}
+
 TEST(PlanService, ByteIdenticalToDirectOptimizer) {
   TensorOp op = TensorOp::matmul("matmul", 2048, 512, 512);
   TensorOp opT = TensorOp::matmul("matmul", 512, 512, 2048);
@@ -68,22 +79,22 @@ TEST(PlanService, ByteIdenticalToDirectOptimizer) {
   options.threads = 2;
   PlanService service(options);
 
-  IntraPlanned first = service.plan_intra(op, kBs);
+  const PlanResponse first = service.plan(matmul_request("x", 2048, 512, 512));
   EXPECT_FALSE(first.cached);
-  IntraPlanned second = service.plan_intra(op, kBs);
+  const PlanResponse second = service.plan(matmul_request("x", 2048, 512, 512));
   EXPECT_TRUE(second.cached);
-  EXPECT_EQ(intra_json("x", first.result, false), intra_json("x", direct, false));
-  EXPECT_EQ(intra_json("x", second.result, false), intra_json("x", direct, false));
+  EXPECT_EQ(intra_json("x", *first.intra, false), intra_json("x", direct, false));
+  EXPECT_EQ(intra_json("x", *second.intra, false), intra_json("x", direct, false));
 
-  // The transposed orientation shares the cache key but owns its own slot:
-  // it is computed once (not derived from the other orientation's plan) and
-  // must match the direct optimizer byte-for-byte too.
-  IntraPlanned firstT = service.plan_intra(opT, kBs);
+  // The transposed orientation has a key of its own: it is planned once
+  // (never derived from the other orientation's plan) and must match the
+  // direct optimizer byte-for-byte too.
+  const PlanResponse firstT = service.plan(matmul_request("x", 512, 512, 2048));
   EXPECT_FALSE(firstT.cached);
-  IntraPlanned secondT = service.plan_intra(opT, kBs);
+  const PlanResponse secondT = service.plan(matmul_request("x", 512, 512, 2048));
   EXPECT_TRUE(secondT.cached);
-  EXPECT_EQ(intra_json("x", firstT.result, false), intra_json("x", directT, false));
-  EXPECT_EQ(intra_json("x", secondT.result, false), intra_json("x", directT, false));
+  EXPECT_EQ(intra_json("x", *firstT.intra, false), intra_json("x", directT, false));
+  EXPECT_EQ(intra_json("x", *secondT.intra, false), intra_json("x", directT, false));
 
   // Full response framing: the service's JSONL line equals one assembled
   // from the direct result.
@@ -166,24 +177,26 @@ TEST(PlanService, FusedPlansAndNegativeAnswersAreCached) {
   options.threads = 1;
   PlanService service(options);
 
-  FusedPair pair = FusedPair::make(1024, 64, 1024, 64);
-  FusedPlanned first = service.plan_fused(pair, kBs);
-  ASSERT_TRUE(first.result.has_value());
+  const PlanRequest pair = fused_request("pair", 1024, 64, 1024, 64);
+  const PlanResponse first = service.plan(pair);
+  ASSERT_TRUE(first.fused.has_value());
   EXPECT_FALSE(first.cached);
-  FusedPlanned second = service.plan_fused(pair, kBs);
-  ASSERT_TRUE(second.result.has_value());
+  const PlanResponse second = service.plan(pair);
+  ASSERT_TRUE(second.fused.has_value());
   EXPECT_TRUE(second.cached);
-  EXPECT_EQ(first.result->access.total, second.result->access.total);
-  EXPECT_EQ(first.result->chosen.rule, second.result->chosen.rule);
+  EXPECT_EQ(first.fused->access.total, second.fused->access.total);
+  EXPECT_EQ(first.fused->chosen.rule, second.fused->chosen.rule);
 
   // "Not fusable at this buffer" is a planning answer, not an error — the
   // second ask must come from the cache without re-running the optimizer.
   const BufferSize tiny = 4;  // no fused candidate fits 4 elements
   const std::int64_t calls_before = counter_value("principles/optimize_fused_pair/calls");
-  FusedPlanned miss = service.plan_fused(pair, tiny);
-  FusedPlanned cached_miss = service.plan_fused(pair, tiny);
-  EXPECT_FALSE(miss.result.has_value());
-  EXPECT_FALSE(cached_miss.result.has_value());
+  const PlanResponse miss = service.plan(fused_request("pair", 1024, 64, 1024, 64, tiny));
+  const PlanResponse cached_miss = service.plan(fused_request("pair", 1024, 64, 1024, 64, tiny));
+  ASSERT_TRUE(miss.ok) << miss.error;
+  ASSERT_TRUE(cached_miss.ok) << cached_miss.error;
+  EXPECT_FALSE(miss.fused.has_value());
+  EXPECT_FALSE(cached_miss.fused.has_value());
   EXPECT_TRUE(cached_miss.cached);
   EXPECT_EQ(counter_value("principles/optimize_fused_pair/calls") - calls_before, 1);
 }
@@ -193,8 +206,8 @@ TEST(PlanService, FusedMissesLeaveTheIntraCacheAlone) {
   // fused miss probes and fills only the fused tier.
   PlanService service(ServeOptions{.threads = 1});
   const CacheStats before = service.stats().intra;
-  FusedPlanned planned = service.plan_fused(FusedPair::make(512, 64, 512, 64), kBs);
-  ASSERT_TRUE(planned.result.has_value());
+  const PlanResponse planned = service.plan(fused_request("pair", 512, 64, 512, 64));
+  ASSERT_TRUE(planned.fused.has_value());
   EXPECT_FALSE(planned.cached);
   const CacheStats after = service.stats().intra;
   EXPECT_EQ(after.hits + after.misses, before.hits + before.misses);
@@ -204,29 +217,42 @@ TEST(PlanService, FusedMissesLeaveTheIntraCacheAlone) {
 TEST(PlanService, FreeOptimizersNeverConsultAService) {
   TensorOp op = TensorOp::matmul("m", 256, 128, 256);
   PlanService service(ServeOptions{.threads = 1});
-  (void)service.plan_intra(op, kBs);
-  ASSERT_TRUE(service.plan_intra(op, kBs).cached);
+  (void)service.plan(matmul_request("m", 256, 128, 256));
+  ASSERT_TRUE(service.plan(matmul_request("m", 256, 128, 256)).cached);
   const std::int64_t before = counter_value("principles/optimize_intra/calls");
   (void)optimize_intra(op, kBs);
   EXPECT_EQ(counter_value("principles/optimize_intra/calls") - before, 1)
       << "a live service must not answer a free optimize_intra call";
 }
 
-TEST(PlanService, OtherOrientationSlotCountsAsAMiss) {
-  // a and b share a transpose class, so they share a cache key; with only
-  // a's orientation slot filled, b's probe must count a miss, not a hit.
+TEST(PlanService, TransposedRequestIsItsOwnEntry) {
+  // a and b are each other's transpose.  Each is keyed in its own
+  // orientation, so b misses even with a cached, inserts one entry charged
+  // for b's answer alone, and then both orientations hit.
+  const PlanRequest a = matmul_request("a", 64, 32, 128, 1000);
+  const PlanRequest b = matmul_request("b", 128, 32, 64, 1000);
   PlanService service(ServeOptions{.threads = 1});
   const CacheStats before = service.stats().intra;
-  const PlanResponse a = service.plan(matmul_request("a", 64, 32, 128, 1000));
-  const PlanResponse b = service.plan(matmul_request("b", 128, 32, 64, 1000));
+  ASSERT_TRUE(service.plan(a).ok);
+  const CacheStats one = service.stats().intra;
+  const PlanResponse b_cold = service.plan(b);
+  const CacheStats both = service.stats().intra;
+  ASSERT_TRUE(b_cold.ok) << b_cold.error;
+  EXPECT_FALSE(b_cold.cached);
+  EXPECT_EQ(both.misses - before.misses, 2);
+  EXPECT_EQ(both.insertions - one.insertions, 1);
+  EXPECT_EQ(both.entries, 2u);
+
+  EXPECT_TRUE(service.plan(a).cached);
+  EXPECT_TRUE(service.plan(b).cached);
   const CacheStats after = service.stats().intra;
-  ASSERT_TRUE(a.ok) << a.error;
-  ASSERT_TRUE(b.ok) << b.error;
-  EXPECT_FALSE(a.cached);
-  EXPECT_FALSE(b.cached);
-  EXPECT_EQ(after.hits - before.hits, 0);
-  EXPECT_EQ(after.misses - before.misses, 2);
-  EXPECT_EQ(after.insertions - before.insertions, 1) << "both orientations share one entry";
+  EXPECT_EQ(after.hits - both.hits, 2);
+  EXPECT_EQ(after.insertions, both.insertions);
+
+  // b's entry costs what it costs in a cache that never saw a.
+  PlanService alone(ServeOptions{.threads = 1});
+  ASSERT_TRUE(alone.plan(b).ok);
+  EXPECT_EQ(both.bytes - one.bytes, alone.stats().intra.bytes);
 }
 
 TEST(PlanService, BadRequestsBecomeErrorResponsesWithTheirId) {
@@ -249,8 +275,8 @@ TEST(PlanService, BadRequestsBecomeErrorResponsesWithTheirId) {
 // full-fit clamp and below 3, unfusable pairs — must come back exactly as
 // the direct optimizers answer request.to_op() / to_pair(): on the wire as
 // append_ok_body of the direct result (an error as the direct optimizer's
-// message, past the FCU_CHECK location), and through plan_intra /
-// plan_fused and plan() field for field, on a miss and on a hit.
+// message, past the FCU_CHECK location), and through plan() field for
+// field, on a miss and on a hit.
 
 /// \p text with its "FCU_CHECK failed: (...) at file:line — " prefix cut:
 /// the location is the check's, not part of the message.
@@ -388,7 +414,9 @@ TEST(PlanService, PlanRecordsRoundTripToTheDirectOptimizers) {
         std::string want;
         append_error_response(want, r.id, error);
         EXPECT_EQ(without_check_location(line), without_check_location(want));
-        EXPECT_THROW(typed.plan_intra(r.to_op(), r.buffer_elems), std::invalid_argument);
+        const PlanResponse typed_error = typed.plan(r);
+        ASSERT_FALSE(typed_error.ok);
+        EXPECT_EQ(without_check_location(typed_error.error), without_check_location(error));
         continue;
       }
       std::string want;
@@ -399,15 +427,14 @@ TEST(PlanService, PlanRecordsRoundTripToTheDirectOptimizers) {
       std::string typed_want;
       append_ok_response(typed_want, r.id, body, true);
       EXPECT_EQ(response.to_json(), typed_want);
+      const PlanResponse planned = typed.plan(r);
+      ASSERT_TRUE(planned.ok) << planned.error;
+      EXPECT_EQ(planned.cached, hit);
       if (intra) {
-        const IntraPlanned planned = typed.plan_intra(r.to_op(), r.buffer_elems);
-        EXPECT_EQ(planned.cached, hit);
-        expect_same(planned.result, *intra);
+        expect_same(*planned.intra, *intra);
         expect_same(*response.intra, *intra);
       } else {
-        const FusedPlanned planned = typed.plan_fused(r.to_pair(), r.buffer_elems);
-        EXPECT_EQ(planned.cached, hit);
-        expect_same(planned.result, fused);
+        expect_same(planned.fused, fused);
         expect_same(response.fused, fused);
       }
     }
@@ -480,9 +507,9 @@ TEST(PlanService, SplicedHitWithEscapedIdMatchesFreshFullSerialization) {
 }
 
 TEST(PlanService, TransposedHitsSpliceFromTheirOwnOrientationSlot) {
-  // (m,k,l) and (l,k,m) land on the same canonical cache entry, which holds
-  // one answer slot per orientation; hits of either orientation must splice
-  // their own slot's bytes, never the sibling's.
+  // (m,k,l) and (l,k,m) have keys of their own, so each orientation's
+  // entry holds its own answer; hits of either orientation must splice
+  // their own bytes, never the sibling's.
   const std::string fwd = matmul_line("f", 384, 256, 320);
   const std::string swapped = matmul_line("f", 320, 256, 384);
   PlanService a(ServeOptions{.threads = 1});
@@ -621,6 +648,126 @@ TEST(PlanService, TwoServicesAliveAtOnce) {
             2 * static_cast<std::int64_t>(shapes.size()));
 }
 
+// --- Plan limits -----------------------------------------------------------
+//
+// Every request line either plans within Index or is refused by a field
+// rule.  An accepted line's answer is byte-equal to the direct optimizer's
+// on the decoded request, and no product of its extents and buffer
+// overflows on the way, which the sanitizer build checks.
+
+/// A value drawn log-uniformly from [1, 2^63 - 1], by bits of \p rng, so
+/// the draw is the same under every standard library.
+Index log_uniform(std::mt19937_64& rng) {
+  const double exponent = static_cast<double>(rng() >> 11) * 0x1.0p-53 * 63.0;
+  const double v = std::exp2(exponent);
+  return v < 0x1.0p63 ? std::max<Index>(1, static_cast<Index>(v)) : INT64_MAX;
+}
+
+TEST(PlanService, RequestLinesPlanWithinIndexOrAreRefused) {
+  constexpr Index kLimit = Index{1} << 59;
+  std::mt19937_64 rng(20261020);
+  std::vector<std::string> lines = {
+      // batch * m wraps to a positive Index.
+      R"({"id":"x","op":"matmul","m":5,"k":159,"l":30,"buffer_elems":5,)"
+      R"("batch":4611686018427387904,"shared_weight":true})",
+      // m * k * l wraps to 0.
+      R"({"id":"z","op":"matmul","m":4294967296,"k":4294967296,"l":4294967296,)"
+      R"("buffer_elems":1000})",
+  };
+  std::vector<Index> buffers = {5, 1000};
+  for (int i = 0; i < 9000; ++i) {
+    const auto field = [](const char* name, Index v) {
+      return ",\"" + std::string(name) + "\":" + std::to_string(v);
+    };
+    std::string line = "{\"id\":\"p" + std::to_string(i) + "\"";
+    if (i % 3 == 2) {
+      line += ",\"op\":\"fused_pair\"" + field("m", log_uniform(rng)) +
+              field("k", log_uniform(rng)) + field("l", log_uniform(rng)) +
+              field("n", log_uniform(rng));
+    } else {
+      line += ",\"op\":\"matmul\"" + field("m", log_uniform(rng)) + field("k", log_uniform(rng)) +
+              field("l", log_uniform(rng));
+      if (i % 2 == 0) line += field("batch", log_uniform(rng)) + ",\"shared_weight\":true";
+    }
+    buffers.push_back(log_uniform(rng));
+    lines.push_back(line + field("buffer_elems", buffers.back()) + "}");
+  }
+
+  PlanService service(ServeOptions{.threads = 1});
+  int refused = 0, matmuls = 0, batched = 0, clamped = 0, fused = 0;
+  for (std::size_t i = 0; i < lines.size(); ++i) {
+    const std::string& line = lines[i];
+    SCOPED_TRACE(line);
+    const std::string got =
+        service.plan_line_json(line, "<limits>", static_cast<int>(i) + 1, 0, nullptr);
+    PlanRequest r;
+    std::string want;
+    try {
+      r = parse_plan_request(line, "<limits>", static_cast<int>(i) + 1);
+    } catch (const std::invalid_argument& e) {
+      append_error_response(want, "", e.what());
+      EXPECT_EQ(got, want);
+      EXPECT_NE(want.find("too large to plan"), std::string::npos);
+      ++refused;
+      continue;
+    }
+    ASSERT_GE(i, 2u) << "the two wrapping lines must be refused";
+    std::string body;
+    try {
+      if (r.kind == PlanRequest::Kind::kMatmul) {
+        if (buffers[i] > kLimit) {  // planned at the full fit
+          const Index rows = r.batch * r.m;
+          const auto sent = static_cast<Index>(static_cast<double>(buffers[i]));  // as parsed
+          EXPECT_EQ(r.buffer_elems, std::min(sent, rows * r.k + r.k * r.l + rows * r.l));
+          ++clamped;
+        }
+        append_ok_body(body, optimize_intra(r.to_op(), r.buffer_elems));
+        ++matmuls;
+        batched += r.batch > 1 ? 1 : 0;
+      } else {
+        const std::optional<FusedOptResult> plan = optimize_fused_pair(r.to_pair(), r.buffer_elems);
+        append_ok_body(body, plan ? &*plan : nullptr);
+        ++fused;
+      }
+    } catch (const std::invalid_argument& e) {  // a buffer below the working set
+      append_error_response(want, r.id, e.what());
+      EXPECT_EQ(without_check_location(got), without_check_location(want));
+      continue;
+    }
+    append_ok_response(want, r.id, body, false);
+    EXPECT_EQ(uncached(got), want);
+  }
+  // The draw reaches every case it is meant to.
+  EXPECT_GT(refused, 1000);
+  EXPECT_GT(matmuls, 200);
+  EXPECT_GT(batched, 40);
+  EXPECT_GT(clamped, 10);
+  EXPECT_GT(fused, 60);
+}
+
+TEST(PlanService, TypedRequestsFollowThePlanLimits) {
+  // plan() applies the decoders' rule: a batch whose product with M wraps,
+  // extents whose product wraps to 0, and a fused (k+n)^2 past 2^59 are
+  // refused with the request's id.
+  PlanService service(ServeOptions{.threads = 1});
+  PlanRequest wraps = matmul_request("x", 5, 159, 30, 5);
+  wraps.batch = Index{1} << 62;
+  const Index huge = Index{1} << 32;
+  for (const PlanRequest& r : {wraps, matmul_request("z", huge, huge, huge, 1000),
+                               fused_request("f", 1, Index{1} << 29, 1, Index{1} << 29, 64)}) {
+    const PlanResponse response = service.plan(r);
+    EXPECT_FALSE(response.ok) << r.id;
+    EXPECT_EQ(response.id, r.id);
+    EXPECT_NE(response.error.find("too large to plan"), std::string::npos) << response.error;
+  }
+  // A matmul buffer past 2^59 plans as the full fit.
+  const PlanResponse fit = service.plan(matmul_request("h", 64, 32, 128, Index{1} << 62));
+  ASSERT_TRUE(fit.ok) << fit.error;
+  const BufferSize full = 64 * 32 + 32 * 128 + 64 * 128;
+  EXPECT_EQ(intra_json("h", *fit.intra, false),
+            intra_json("h", optimize_intra(TensorOp::matmul("h", 64, 32, 128), full), false));
+}
+
 /// Threads of this process, from the kernel's own list.
 int live_threads() {
   int n = 0;
@@ -633,8 +780,8 @@ int live_threads() {
 TEST(PlanService, TypedPlanningStartsNoThread) {
   const int before = live_threads();
   PlanService service(ServeOptions{.threads = 2});
-  service.plan_intra(TensorOp::matmul("typed", 384, 256, 320), kBs);
-  service.plan_fused(FusedPair::make(256, 64, 256, 64), kBs);
+  service.plan(matmul_request("typed", 384, 256, 320));
+  service.plan(fused_request("typed", 256, 64, 256, 64));
   EXPECT_EQ(live_threads(), before) << "typed planning runs on the caller's thread";
 }
 

@@ -32,34 +32,19 @@ class ReferenceLruCache {
         shard_capacity_(capacity_bytes / static_cast<std::size_t>(shards)),
         bookkeeping_(bookkeeping) {}
 
-  template <typename Pick>
-  auto find(const std::string& key, Pick&& pick) {
+  std::optional<Value> get(const std::string& key) {
     Shard& shard = shard_for(key);
     auto it = shard.index.find(key);
-    decltype(pick(std::declval<const Value&>())) found{};
-    if (it != shard.index.end()) found = pick(static_cast<const Value&>(it->second->value));
-    if (!found) {
+    if (it == shard.index.end()) {
       ++stats_.misses;
-      return found;
+      return std::nullopt;
     }
     shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
     ++stats_.hits;
-    return found;
+    return it->second->value;
   }
 
-  std::optional<Value> get(const std::string& key) {
-    return find(key, [](const Value& v) { return std::optional<Value>(v); });
-  }
-
-  void put(const std::string& key, Value value, std::size_t cost_bytes) {
-    upsert(key, [&](Value& stored, bool) {
-      stored = std::move(value);
-      return cost_bytes;
-    });
-  }
-
-  template <typename Fn>
-  void upsert(const std::string& key, Fn&& mutate) {
+  bool put(const std::string& key, Value value, std::size_t cost_bytes) {
     Shard& shard = shard_for(key);
     auto it = shard.index.find(key);
     const bool existed = it != shard.index.end();
@@ -72,7 +57,8 @@ class ReferenceLruCache {
       ++stats_.insertions;
     }
     Entry& entry = shard.lru.front();
-    entry.cost = static_cast<std::size_t>(mutate(entry.value, existed)) + key.size() + bookkeeping_;
+    entry.value = std::move(value);
+    entry.cost = cost_bytes + key.size() + bookkeeping_;
     shard.bytes += entry.cost;
     while (shard.bytes > shard_capacity_ && shard.lru.size() > 1) {
       const Entry& victim = shard.lru.back();
@@ -81,6 +67,7 @@ class ReferenceLruCache {
       shard.lru.pop_back();
       ++stats_.evictions;
     }
+    return existed;
   }
 
   CacheStats stats() const {

@@ -167,6 +167,60 @@ TEST(RequestDecode, NumbersAreRangeCheckedBeforeTheyAreCast) {
   }
 }
 
+TEST(RequestDecode, PlanLimitsAreFieldRules) {
+  // Every product the planner forms fits in 64 bits (plan_request.hpp).
+  const std::string kExtents = "request extents are too large to plan: ";
+  const std::string kMatmulRule = kExtents + "batch*m*k*l must be at most 2^59";
+  const std::string kFusedRule = kExtents + "m*l*(k+n) and (k+n)^2 must be at most 2^59";
+  const std::string kFusedBuffer =
+      "request buffer is too large to plan: a fused_pair takes at most 2^59 elements";
+  struct Row {
+    std::string line;
+    std::string error;  ///< empty: decodes
+    BufferSize buffer_elems = 0;
+  };
+  const std::vector<Row> rows = {
+      // batch*m*k*l at 2^59, and one step past it.
+      {R"({"m":1048576,"k":1048576,"l":524288,"buffer_elems":64})", "", 64},
+      {R"({"m":1048576,"k":1048576,"l":524289,"buffer_elems":64})", kMatmulRule},
+      {R"({"m":524288,"batch":2,"shared_weight":true,"k":1048576,"l":524288,"buffer_elems":64})",
+       "", 64},
+      {R"({"m":524288,"batch":4,"shared_weight":true,"k":1048576,"l":524288,"buffer_elems":64})",
+       kMatmulRule},
+      {R"({"m":5,"k":159,"l":30,"buffer_elems":5,"batch":4611686018427387904,"shared_weight":true})",
+       kMatmulRule},
+      {R"({"m":4294967296,"k":4294967296,"l":4294967296,"buffer_elems":1000})", kMatmulRule},
+      // A matmul buffer up to 2^59 is kept; past it, the full fit 48 plans.
+      {R"({"m":4,"k":4,"l":4,"buffer_elems":576460752303423488})", "", 576460752303423488},
+      {R"({"m":4,"k":4,"l":4,"buffer_elems":576460752303424512})", "", 48},
+      {R"({"m":4,"k":4,"l":4,"buffer":4611686018427387904,"elem_bytes":2})", "", 48},
+      // m*l*(k+n) and (k+n)^2 at and past 2^59, and the fused buffer.
+      {R"({"op":"fused_pair","m":536870912,"k":512,"l":1048576,"n":512,"buffer_elems":64})", "",
+       64},
+      {R"({"op":"fused_pair","m":1073741824,"k":512,"l":1048576,"n":512,"buffer_elems":64})",
+       kFusedRule},
+      {R"({"op":"fused_pair","m":1,"k":268435456,"l":1,"n":268435456,"buffer_elems":64})", "",
+       64},
+      {R"({"op":"fused_pair","m":1,"k":536870912,"l":1,"n":536870912,"buffer_elems":64})",
+       kFusedRule},
+      {R"({"op":"fused_pair","m":4,"k":4,"l":4,"n":4,"buffer_elems":576460752303423488})", "",
+       576460752303423488},
+      {R"({"op":"fused_pair","m":4,"k":4,"l":4,"n":4,"buffer_elems":576460752303424512})",
+       kFusedBuffer},
+  };
+  for (const Row& row : rows) {
+    const Outcome got = request_diff::decoded(row.line);
+    EXPECT_EQ(request_diff::mismatch(row.line), "") << row.line;
+    if (row.error.empty()) {
+      ASSERT_EQ(got.kind, Outcome::Kind::kOk) << row.line << ": " << got.message;
+      EXPECT_EQ(got.request.buffer_elems, row.buffer_elems) << row.line;
+    } else {
+      ASSERT_EQ(got.kind, Outcome::Kind::kInvalid) << row.line;
+      EXPECT_EQ(got.message, row.error) << row.line;
+    }
+  }
+}
+
 TEST(RequestDecode, ParseErrorsCarryTheStreamPosition) {
   const Outcome got = request_diff::decoded(R"({"id":"a","m":4,})", "<stdin>", 12);
   ASSERT_EQ(got.kind, Outcome::Kind::kParseError);

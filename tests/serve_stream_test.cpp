@@ -177,6 +177,43 @@ TEST(ServeStream, BinaryEndToEnd) {
   EXPECT_NE(docs[4]->get("error")->as_string().find(":6:"), std::string::npos);
 }
 
+TEST(ServeStream, BinaryRefusesLinesPastThePlanLimits) {
+  // batch * m wraps to a positive Index (it killed the server with SIGFPE),
+  // and m * k * l wraps to 0 (it was answered with a zero total).  Each is
+  // refused by a field rule, the server keeps going, and exits 0.
+  const std::string input_path = testing::TempDir() + "serve_limits.jsonl";
+  const std::string output_path = testing::TempDir() + "serve_limits_out.jsonl";
+  {
+    std::ofstream out(input_path);
+    out << R"({"id":"x","op":"matmul","m":5,"k":159,"l":30,"buffer_elems":5,)"
+           R"("batch":4611686018427387904,"shared_weight":true})"
+        << "\n"
+        << R"({"id":"z","op":"matmul","m":4294967296,"k":4294967296,"l":4294967296,)"
+           R"("buffer_elems":1000})"
+        << "\n"
+        << R"({"id":"good","op":"matmul","m":64,"k":64,"l":64,"buffer_elems":4096})"
+        << "\n";
+  }
+  const std::string cmd =
+      std::string(FUSECU_SERVE_BIN) + " --input " + input_path + " > " + output_path;
+  const int status = std::system(cmd.c_str());
+  ASSERT_TRUE(WIFEXITED(status)) << cmd;
+  ASSERT_EQ(WEXITSTATUS(status), 0) << cmd;
+
+  std::ifstream replies(output_path);
+  const std::vector<std::string> lines = read_lines(replies);
+  ASSERT_EQ(lines.size(), 3u);
+  for (int i = 0; i < 2; ++i) {
+    const JsonValuePtr doc = parse_json(lines[static_cast<std::size_t>(i)]);
+    EXPECT_FALSE(doc->get("ok")->as_bool()) << lines[static_cast<std::size_t>(i)];
+    EXPECT_NE(doc->get("error")->as_string().find("too large to plan"), std::string::npos)
+        << lines[static_cast<std::size_t>(i)];
+  }
+  const JsonValuePtr good = parse_json(lines[2]);
+  EXPECT_TRUE(good->get("ok")->as_bool()) << lines[2];
+  EXPECT_EQ(good->get("id")->as_string(), "good");
+}
+
 /// fusecu_serve on a pair of pipes: the test writes its stdin and reads its
 /// stdout.  Killed and reaped on destruction if it is still running.
 class LiveServe {
