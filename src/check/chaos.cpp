@@ -22,6 +22,7 @@
 #include "net/socket.hpp"
 #include "obs/log.hpp"
 #include "obs/metrics.hpp"
+#include "serve/canonical.hpp"
 #include "serve/plan_service.hpp"
 
 namespace fusecu {
@@ -193,6 +194,32 @@ bool is_ok_response(const std::string& line) {
   return line.find("\"ok\":true") != std::string::npos;
 }
 
+/// How many of \p script's request lines spell a cache key: on a trial that
+/// decoded every line, the lines that reached a cache probe.
+std::int64_t keyed_lines(const TrialScript& script) {
+  std::int64_t keyed = 0;
+  PlanRequest request;
+  std::string key;
+  for (const ConnScript& conn : script.conns) {
+    for (const std::string& line : conn.lines) {
+      decode_plan_request(line, request, "<chaos-script>");
+      if (spell_request_key(request, key)) ++keyed;
+    }
+  }
+  return keyed;
+}
+
+/// The intra + fused cache counters that moved from \p before to \p after.
+CacheStats cache_delta(const PlanService::Stats& before, const PlanService::Stats& after) {
+  const CacheStats b = before.combined();
+  const CacheStats a = after.combined();
+  CacheStats delta;
+  delta.hits = a.hits - b.hits;
+  delta.misses = a.misses - b.misses;
+  delta.insertions = a.insertions - b.insertions;
+  return delta;
+}
+
 }  // namespace
 
 ChaosTrialReport run_chaos_trial(std::uint64_t trial_seed, const fault::FaultPlan& plan,
@@ -202,6 +229,9 @@ ChaosTrialReport run_chaos_trial(std::uint64_t trial_seed, const fault::FaultPla
   std::vector<ClientResult> results(script.conns.size());
   NetServer::Stats stats;
   std::int64_t served_requests = 0;  ///< this trial's delta of serve/requests
+  std::int64_t failed_requests = 0;  ///< this trial's delta of serve/request_errors
+  CacheStats cache;                  ///< this trial's deltas of the cache counters
+  std::int64_t duplicate_plans = 0;  ///< this trial's delta of serve/duplicate_plans
   std::int64_t stalls = 0;           ///< reactor stalls the watchdog reported
   bool drain_stuck = false;
   {
@@ -210,7 +240,10 @@ ChaosTrialReport run_chaos_trial(std::uint64_t trial_seed, const fault::FaultPla
     fault::ScopedFaultPlan armed(plan, opts.bug);
     Counter& requests_counter = MetricsRegistry::global().counter("serve/requests");
     const std::int64_t requests_before = requests_counter.value();
+    Counter& errors_counter = MetricsRegistry::global().counter("serve/request_errors");
+    const std::int64_t errors_before = errors_counter.value();
     PlanService service;
+    const PlanService::Stats cache_before = service.stats();
     NetServerOptions net_opts;
     net_opts.host = "127.0.0.1";
     net_opts.port = 0;
@@ -249,10 +282,14 @@ ChaosTrialReport run_chaos_trial(std::uint64_t trial_seed, const fault::FaultPla
     loop.join();
     stats = server.stats();
     served_requests = requests_counter.value() - requests_before;
+    failed_requests = errors_counter.value() - errors_before;
+    const PlanService::Stats cache_after = service.stats();
+    cache = cache_delta(cache_before, cache_after);
+    duplicate_plans = cache_after.duplicate_plans - cache_before.duplicate_plans;
     stalls = server.supervisor().stalls_detected();
   }
 
-  report.checks_run = 7;
+  report.checks_run = 8;
 
   // 1. Graceful drain: the loop returned inside the watchdog and closed
   // every connection it accepted.
@@ -400,6 +437,30 @@ ChaosTrialReport run_chaos_trial(std::uint64_t trial_seed, const fault::FaultPla
     report.violations.push_back(
         {"net/ledger", "decoded " + std::to_string(stats.requests) + " request lines but wrote " +
                            std::to_string(stats.responses) + " responses"});
+  }
+
+  // 8. The cache ledger, on the same whole trials: every line that reached
+  // the probe with a key made one counted lookup, and every miss that was
+  // planned, neither shed nor failed, was stored once: an insertion, or a
+  // duplicate plan when another reactor stored its key first.  Every script
+  // line spells a key, so every shed is a miss, and a request error that is
+  // not a malformed or oversized line is a planned miss that failed.
+  if (whole) {
+    const std::int64_t keyed = keyed_lines(script);
+    if (cache.hits + cache.misses != keyed) {
+      report.violations.push_back(
+          {"serve/cache_ledger", "cache hits " + std::to_string(cache.hits) + " + misses " +
+                                     std::to_string(cache.misses) + " != keyed request lines " +
+                                     std::to_string(keyed)});
+    }
+    const std::int64_t failed = failed_requests - stats.parse_errors - stats.oversized_lines;
+    const std::int64_t planned = cache.misses - stats.shed - failed;
+    if (cache.insertions + duplicate_plans != planned) {
+      report.violations.push_back(
+          {"serve/cache_ledger", "cache insertions " + std::to_string(cache.insertions) +
+                                     " + duplicate plans " + std::to_string(duplicate_plans) +
+                                     " != planned misses " + std::to_string(planned)});
+    }
   }
   return report;
 }

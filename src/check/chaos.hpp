@@ -34,7 +34,11 @@
 ///     firing is deterministic per plan;
 ///   * the request ledger, on the same trials: the trial's serve/requests
 ///     plus the server's sheds equal its responses, and every decoded
-///     request line got exactly one response.
+///     request line got exactly one response;
+///   * the cache ledger, on the same trials: every request line made one
+///     counted cache lookup (intra + fused hits + misses), and every miss
+///     that was planned (not shed, not failed) was stored exactly once, as
+///     an insertion or a serve/duplicate_plans.
 ///
 /// Determinism. The per-trial seed, fault plan and client scripts are pure
 /// functions of (base seed, trial index) via the same splitmix64 derivation

@@ -40,21 +40,27 @@
 /// entry stores its hash, so evicting the LRU tail finds the victim's slot
 /// from that hash and the victim's index: no re-hash, no key compare.
 ///
+/// Values.  The cache owns no key: a value carries its own, as
+/// `std::string_view key() const`, and put() files it under that key.  An
+/// entry holds its hash, its links, its charge and its value, nothing else.
+/// PlanService stores one counted reference to an answer block per entry
+/// (one block per plan: its record, rendered body and key), so a hit copies
+/// a reference and an eviction drops one.
+///
 /// Cost rule.  Accounting is by caller-declared cost (bytes): an entry is
-/// charged its key, its bookkeeping (sizeof(Entry)) and the cost put
-/// declares for its value.  When a shard overflows its budget
+/// charged the cost put declares for its value, its key's size and a fixed
+/// kEntryCharge for its bookkeeping.  When a shard overflows its budget
 /// (capacity_bytes / shards) it evicts from the least-recently-used end,
 /// but never its last entry.  Hits, misses, insertions and evictions are
 /// reported through the obs metrics registry under `<metric_prefix>/...`.
-///
-/// Values.  PlanService stores one counted reference to an answer block
-/// per entry (one block per plan: its record and rendered body), so a hit
-/// copies a reference and an eviction drops one.  The charges are those the
-/// entries had when they held typed results, and a reference is as large
-/// as the shared_ptr it replaced, so sizeof(Entry) and with it the number
-/// of entries a budget holds are unchanged.
 
 namespace fusecu {
+
+/// The fixed part of an entry's charge.  It is the 128 bytes an entry took
+/// when it was a cache-line pair holding its own key string; an entry is
+/// smaller now, but the charge is kept, so a budget holds the same entries
+/// and evicts at the same points as it did then.
+inline constexpr std::size_t kEntryCharge = 128;
 
 /// Point-in-time cache statistics (shared across value-type instantiations).
 struct CacheStats {
@@ -76,6 +82,8 @@ struct CacheStats {
   }
 };
 
+/// \p Value is copyable, default-constructible, and names the key it is
+/// stored under with `std::string_view key() const`.
 template <typename Value>
 class ShardedLruCache {
  public:
@@ -102,7 +110,7 @@ class ShardedLruCache {
   /// The one counted probe: a copy of \p key's value, taken under the
   /// shard lock, counting one hit and refreshing the entry's recency, or
   /// nullopt counting one miss.
-  std::optional<Value> get(const std::string& key) {
+  std::optional<Value> get(std::string_view key) {
     const std::uint64_t hash = hash_of(key);
     Shard& shard = shard_for(hash);
     std::lock_guard<std::mutex> lock(shard.mu);
@@ -116,11 +124,12 @@ class ShardedLruCache {
     return shard.entries[at].value;
   }
 
-  /// Store \p value under \p key at \p cost_bytes, replacing the value and
+  /// Store \p value under its key at \p cost_bytes, replacing the value and
   /// charge of an entry already there, as the most recently used entry;
   /// then evict LRU entries until the shard fits.  Returns true when the
   /// key already existed.
-  bool put(const std::string& key, Value value, std::size_t cost_bytes) {
+  bool put(Value value, std::size_t cost_bytes) {
+    const std::string_view key = value.key();
     const std::uint64_t hash = hash_of(key);
     Shard& shard = shard_for(hash);
     std::lock_guard<std::mutex> lock(shard.mu);
@@ -130,12 +139,12 @@ class ShardedLruCache {
       shard.touch(at);
       shard.bytes -= shard.entries[at].cost;
     } else {
-      at = shard.insert(key, hash);
+      at = shard.insert(hash);
       insertions_.add();
     }
     Entry& entry = shard.entries[at];
+    entry.cost = cost_bytes + key.size() + kEntryCharge;  // key views value
     entry.value = std::move(value);
-    entry.cost = cost_bytes + key.size() + sizeof(Entry);
     shard.bytes += entry.cost;
     while (shard.bytes > shard_capacity_ && shard.live > 1) {
       shard.evict_tail();
@@ -166,18 +175,22 @@ class ShardedLruCache {
  private:
   static constexpr std::uint32_t kNil = UINT32_MAX;
 
-  /// Cache-line aligned, with what an eviction reads (the hash, the
-  /// links, the cost and the value) in its first line; a lookup reads the
-  /// key only on a tag match.
-  struct alignas(64) Entry {
+  /// What an eviction reads (the hash, the links, the cost) and the value;
+  /// a lookup reads the value's key only on a tag match.
+  struct Entry {
     std::uint64_t hash = 0;
     std::uint32_t prev = kNil;  ///< toward the most recently used end
     std::uint32_t next = kNil;  ///< toward the LRU end; the free list's link
     std::size_t cost = 0;
     Value value{};
-    std::string key;
   };
 
+ public:
+  /// The bytes one entry takes in its shard's slab (its charge is fixed
+  /// at kEntryCharge, whatever this is).
+  static constexpr std::size_t kEntryBytes = sizeof(Entry);
+
+ private:
   /// One index slot: the low 32 bits of the key's hash and the entry's
   /// slab index (kNil when the slot is empty).
   struct Slot {
@@ -198,13 +211,13 @@ class ShardedLruCache {
     std::size_t mask() const { return table.size() - 1; }
 
     /// The entry holding \p key, or kNil.
-    std::uint32_t lookup(const std::string& key, std::uint64_t hash) const {
+    std::uint32_t lookup(std::string_view key, std::uint64_t hash) const {
       if (table.empty()) return kNil;
       const auto tag = static_cast<std::uint32_t>(hash);
       for (std::size_t i = tag & mask();; i = (i + 1) & mask()) {
         const Slot& slot = table[i];
         if (slot.entry == kNil) return kNil;
-        if (slot.tag == tag && entries[slot.entry].key == key) return slot.entry;
+        if (slot.tag == tag && entries[slot.entry].value.key() == key) return slot.entry;
       }
     }
 
@@ -215,9 +228,9 @@ class ShardedLruCache {
       table[i] = slot;
     }
 
-    /// A new most-recently-used entry for \p key, indexed; its value is
-    /// default-constructed and its cost is the caller's to set.
-    std::uint32_t insert(const std::string& key, std::uint64_t hash) {
+    /// A new most-recently-used entry indexed under \p hash; its value and
+    /// cost are the caller's to set, before the shard lock is released.
+    std::uint32_t insert(std::uint64_t hash) {
       if (2 * (live + 1) > table.size()) grow();
       std::uint32_t at = free_head;
       if (at != kNil) {
@@ -227,9 +240,7 @@ class ShardedLruCache {
         at = static_cast<std::uint32_t>(entries.size());
         entries.emplace_back();
       }
-      Entry& entry = entries[at];
-      entry.key.assign(key);
-      entry.hash = hash;
+      entries[at].hash = hash;
       link_front(at);
       place(Slot{static_cast<std::uint32_t>(hash), at});
       ++live;
@@ -271,9 +282,7 @@ class ShardedLruCache {
 
     /// Drop the least recently used entry: find its slot from its stored
     /// hash and index, close the gap by backward shift, release its value
-    /// and its key's buffer, and put it on the free list.  (A key buffer
-    /// kept for reuse would pin a small block amid the victim's freed plan
-    /// memory, and the heap would fragment around it.)
+    /// (and with it its key) and put it on the free list.
     void evict_tail() {
       const std::uint32_t at = tail;
       Entry& victim = entries[at];
@@ -291,14 +300,13 @@ class ShardedLruCache {
       unlink(at);
       bytes -= victim.cost;
       victim.value = Value{};
-      std::string().swap(victim.key);
       victim.next = free_head;
       free_head = at;
       --live;
     }
   };
 
-  static std::uint64_t hash_of(const std::string& key) {
+  static std::uint64_t hash_of(std::string_view key) {
     return std::hash<std::string_view>{}(key);
   }
 

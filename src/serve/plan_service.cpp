@@ -37,7 +37,7 @@ void maybe_inject_plan_stall() {
 /// typed results (the result struct, its vectors and rule string, and the
 /// body), doubled, since those allocations (shared block, plan vectors and
 /// strings, body, allocator rounding) measured about twice that estimate.
-/// An answer is now one block of record and body, well under its charge,
+/// An answer is now one block of record, body and key, well under its charge,
 /// but the charge is kept: it leaves the cache's entries, evictions and
 /// "cached" flags as they were, and the bytes no longer allocated show as
 /// lower RSS.  Re-pricing it is a capacity policy of its own, to be
@@ -95,16 +95,17 @@ PlanService::PlanService(ServeOptions options)
       latency_miss_us_(MetricsRegistry::global().histogram("serve/latency_us/miss")) {}
 
 PlanService::IntraAnswer PlanService::render(const IntraPlanRecord& plan,
-                                             const MatmulLabels& labels) {
+                                             const MatmulLabels& labels, std::string_view key) {
   std::string& body = body_scratch();
   append_ok_body(body, plan, labels);
-  return IntraAnswer::make(plan, body, answer_cost(plan, labels, body.size()));
+  return IntraAnswer::make(plan, body, key);
 }
 
-PlanService::FusedAnswer PlanService::render(const std::optional<FusedPlanRecord>& plan) {
+PlanService::FusedAnswer PlanService::render(const std::optional<FusedPlanRecord>& plan,
+                                             std::string_view key) {
   std::string& body = body_scratch();
   append_ok_body(body, plan ? &*plan : nullptr);
-  return FusedAnswer::make(plan, body, answer_cost(plan, body.size()));
+  return FusedAnswer::make(plan, body, key);
 }
 
 template <typename Record>
@@ -118,9 +119,8 @@ PlanService::Rendered<Record> PlanService::probe(AnswerCache<Record>& cache,
 
 template <typename Record>
 PlanService::Rendered<Record> PlanService::insert(AnswerCache<Record>& cache,
-                                                  const std::string& key,
-                                                  Rendered<Record> answer) {
-  if (cache.put(key, answer, answer.charge())) duplicate_plans_.add();
+                                                  Rendered<Record> answer, std::size_t charge) {
+  if (!answer.key().empty() && cache.put(answer, charge)) duplicate_plans_.add();
   return answer;
 }
 
@@ -164,13 +164,14 @@ PlanService::Served PlanService::plan_missed(const KeyedRequest& keyed) {
   // closed forms run straight from the request's fields: no TensorOp.
   if (request.kind == PlanRequest::Kind::kMatmul) {
     const MatmulLabels labels = request.labels();
-    IntraAnswer answer = render(optimize_intra_record(request.shape(), bs, labels), labels);
-    served.intra =
-        keyed.key.empty() ? std::move(answer) : insert(intra_cache_, keyed.key, std::move(answer));
+    IntraAnswer answer =
+        render(optimize_intra_record(request.shape(), bs, labels), labels, keyed.key);
+    const std::size_t charge = answer_cost(answer.record(), labels, answer.body().size());
+    served.intra = insert(intra_cache_, std::move(answer), charge);
   } else {
-    FusedAnswer answer = render(optimize_fused_record(request.to_pair(), bs));
-    served.fused =
-        keyed.key.empty() ? std::move(answer) : insert(fused_cache_, keyed.key, std::move(answer));
+    FusedAnswer answer = render(optimize_fused_record(request.to_pair(), bs), keyed.key);
+    const std::size_t charge = answer_cost(answer.record(), answer.body().size());
+    served.fused = insert(fused_cache_, std::move(answer), charge);
   }
   return served;
 }

@@ -141,28 +141,26 @@ class PlanService {
 
  private:
   /// A cached answer in one heap block: a reference count, the plan record
-  /// and, behind them at its exact size, the rendered response body (every
-  /// byte after the `{"id":"..."` prefix up to, not including, the "cached"
-  /// field).  Rendered once, at insert, by append_ok_body().  A Rendered is
-  /// a counted reference to its block, and the last one frees it: a hit
-  /// takes one under the shard lock and splices the body after releasing
-  /// the lock, so an eviction meanwhile frees nothing it reads.  The
-  /// reference also carries the charge the cache bills for the answer
-  /// (answer_cost in plan_service.cpp) from render() to insert().
+  /// and, behind them at their exact sizes, the rendered response body
+  /// (every byte after the `{"id":"..."` prefix up to, not including, the
+  /// "cached" field) and the request's canonical key, which the cache files
+  /// the answer under.  Rendered once, at insert, by append_ok_body(), so a
+  /// cold miss allocates this block and nothing else.  A Rendered is a
+  /// counted reference to its block, and the last one frees it: a hit takes
+  /// one under the shard lock and splices the body after releasing the
+  /// lock, so an eviction meanwhile frees nothing it reads.
   template <typename Record>
   class Rendered {
     static_assert(std::is_trivially_destructible_v<Record>);
 
    public:
     Rendered() = default;
-    Rendered(const Rendered& other) noexcept : block_(other.block_), charge_(other.charge_) {
+    Rendered(const Rendered& other) noexcept : block_(other.block_) {
       if (block_ != nullptr) block_->refs.fetch_add(1, std::memory_order_relaxed);
     }
-    Rendered(Rendered&& other) noexcept
-        : block_(std::exchange(other.block_, nullptr)), charge_(other.charge_) {}
+    Rendered(Rendered&& other) noexcept : block_(std::exchange(other.block_, nullptr)) {}
     Rendered& operator=(Rendered other) noexcept {
       std::swap(block_, other.block_);
-      std::swap(charge_, other.charge_);
       return *this;
     }
     ~Rendered() {
@@ -171,38 +169,45 @@ class PlanService {
       }
     }
 
-    /// One allocation holding \p record and a copy of \p body.
-    static Rendered make(const Record& record, std::string_view body, std::size_t charge) {
-      void* raw = ::operator new(sizeof(Block) + body.size());
-      auto* block = new (raw) Block{{1}, body.size(), record};
-      std::memcpy(reinterpret_cast<char*>(block + 1), body.data(), body.size());
-      return Rendered(block, charge);
+    /// One allocation holding \p record, a copy of \p body and a copy of
+    /// \p key (at most kMaxRequestKeyBytes).
+    static Rendered make(const Record& record, std::string_view body, std::string_view key) {
+      void* raw = ::operator new(sizeof(Block) + body.size() + key.size());
+      auto* block = new (raw) Block{{1}, static_cast<std::uint32_t>(key.size()), body.size(), record};
+      std::memcpy(block->bytes(), body.data(), body.size());
+      std::memcpy(block->bytes() + body.size(), key.data(), key.size());
+      return Rendered(block);
     }
 
     explicit operator bool() const { return block_ != nullptr; }
     const Record& record() const { return block_->record; }
-    std::string_view body() const {
-      return {reinterpret_cast<const char*>(block_ + 1), block_->body_size};
+    std::string_view body() const { return {block_->bytes(), block_->body_size}; }
+    std::string_view key() const {
+      return {block_->bytes() + block_->body_size, block_->key_size};
     }
-    std::size_t charge() const { return charge_; }
 
    private:
-    /// The block's header; the body's bytes follow it.
+    /// The block's header; the body's bytes follow it, then the key's.
     struct Block {
       std::atomic<std::uint32_t> refs;
+      std::uint32_t key_size;
       std::size_t body_size;
       Record record;
+
+      char* bytes() { return reinterpret_cast<char*>(this + 1); }
     };
 
-    Rendered(Block* block, std::size_t charge) : block_(block), charge_(charge) {}
+    explicit Rendered(Block* block) : block_(block) {}
     Block* block_ = nullptr;
-    std::size_t charge_ = 0;
   };
   using IntraAnswer = Rendered<IntraPlanRecord>;
   using FusedAnswer = Rendered<std::optional<FusedPlanRecord>>;
   /// A cache holding one answer per key.
   template <typename Record>
   using AnswerCache = ShardedLruCache<Rendered<Record>>;
+  static_assert(AnswerCache<IntraPlanRecord>::kEntryBytes <= 32 &&
+                    AnswerCache<std::optional<FusedPlanRecord>>::kEntryBytes <= 32,
+                "a cache entry is its hash, links, charge and one block reference");
 
   /// The core's answer to one request: exactly one of intra/fused is set on
   /// success, neither on failure.
@@ -215,18 +220,20 @@ class PlanService {
     bool ok() const { return intra || fused; }
   };
 
-  /// \p plan's answer block, its body rendered with \p labels.
-  static IntraAnswer render(const IntraPlanRecord& plan, const MatmulLabels& labels);
-  static FusedAnswer render(const std::optional<FusedPlanRecord>& plan);
+  /// \p plan's answer block under \p key, its body rendered with \p labels.
+  static IntraAnswer render(const IntraPlanRecord& plan, const MatmulLabels& labels,
+                            std::string_view key);
+  static FusedAnswer render(const std::optional<FusedPlanRecord>& plan, std::string_view key);
 
   /// The one counted probe of \p key, in a cache_lookup span.
   template <typename Record>
   Rendered<Record> probe(AnswerCache<Record>& cache, const std::string& key);
-  /// Store \p answer under \p key, counting a duplicate plan when another
-  /// thread inserted the key first.
+  /// Store \p answer under its key at \p charge, counting a duplicate plan
+  /// when another thread inserted the key first; an answer with no key
+  /// (a request out of the cache's scope) is only returned.
   template <typename Record>
-  Rendered<Record> insert(AnswerCache<Record>& cache, const std::string& key,
-                          Rendered<Record> answer);
+  Rendered<Record> insert(AnswerCache<Record>& cache, Rendered<Record> answer,
+                          std::size_t charge);
 
   /// The request core's two halves.  probe(keyed) is the one counted probe
   /// (nothing when the request is out of the cache's scope);

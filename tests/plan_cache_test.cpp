@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <optional>
 #include <random>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <unordered_map>
 #include <vector>
@@ -14,33 +16,53 @@
 namespace fusecu {
 namespace {
 
+/// The cache's test value: an int carrying the key it is stored under, as
+/// every cached value does.
+struct Keyed {
+  std::string name;
+  int value = 0;
+
+  std::string_view key() const { return name; }
+};
+
+using Cache = ShardedLruCache<Keyed>;
+
 /// Each test uses a distinct metric prefix so the global-registry counters
 /// the cache reports through start at zero for that test.
-ShardedLruCache<int>::Options options_for(const std::string& prefix, int shards,
-                                          std::size_t capacity) {
-  ShardedLruCache<int>::Options o;
+Cache::Options options_for(const std::string& prefix, int shards, std::size_t capacity) {
+  Cache::Options o;
   o.shards = shards;
   o.capacity_bytes = capacity;
   o.metric_prefix = prefix;
   return o;
 }
 
+/// The int \p cache holds under \p key (one counted get), checking that the
+/// value found carries that key.
+template <typename AnyCache>
+std::optional<int> get(AnyCache& cache, const std::string& key) {
+  const std::optional<Keyed> found = cache.get(key);
+  if (!found) return std::nullopt;
+  EXPECT_EQ(found->key(), key);
+  return found->value;
+}
+
 /// Bookkeeping overhead charged per entry on top of the caller's cost; the
 /// tests size capacities relative to it so eviction points are exact.
 std::size_t overhead(const std::string& key) {
-  ShardedLruCache<int> probe(options_for("test/cache/probe/" + key, 1, 1));
-  probe.put(key, 0, 0);
+  Cache probe(options_for("test/cache/probe/" + key, 1, 1));
+  probe.put({key, 0}, 0);
   return probe.stats().bytes;
 }
 
 TEST(ShardedLruCache, HitMissAndRecency) {
-  ShardedLruCache<int> cache(options_for("test/cache/hitmiss", 4, 1 << 20));
-  EXPECT_EQ(cache.get("a"), std::nullopt);
-  cache.put("a", 1, 8);
-  cache.put("b", 2, 8);
-  EXPECT_EQ(cache.get("a"), std::optional<int>(1));
-  EXPECT_EQ(cache.get("b"), std::optional<int>(2));
-  EXPECT_EQ(cache.get("c"), std::nullopt);
+  Cache cache(options_for("test/cache/hitmiss", 4, 1 << 20));
+  EXPECT_EQ(get(cache, "a"), std::nullopt);
+  cache.put({"a", 1}, 8);
+  cache.put({"b", 2}, 8);
+  EXPECT_EQ(get(cache, "a"), std::optional<int>(1));
+  EXPECT_EQ(get(cache, "b"), std::optional<int>(2));
+  EXPECT_EQ(get(cache, "c"), std::nullopt);
 
   CacheStats s = cache.stats();
   EXPECT_EQ(s.hits, 2);
@@ -54,45 +76,60 @@ TEST(ShardedLruCache, EvictsLeastRecentlyUsedFirst) {
   // One shard so the whole budget is a single LRU list.  Capacity fits
   // exactly three entries of cost 100 (plus fixed per-entry overhead).
   const std::size_t per_entry = 100 + overhead("a");
-  ShardedLruCache<int> cache(options_for("test/cache/evict", 1, 3 * per_entry));
-  cache.put("a", 1, 100);
-  cache.put("b", 2, 100);
-  cache.put("c", 3, 100);
+  Cache cache(options_for("test/cache/evict", 1, 3 * per_entry));
+  cache.put({"a", 1}, 100);
+  cache.put({"b", 2}, 100);
+  cache.put({"c", 3}, 100);
   EXPECT_EQ(cache.stats().entries, 3u);
 
   // Touch "a": recency order is now a, c, b — "b" is the LRU victim.
-  EXPECT_TRUE(cache.get("a").has_value());
-  cache.put("d", 4, 100);
-  EXPECT_EQ(cache.get("b"), std::nullopt) << "LRU entry should have been evicted";
-  EXPECT_TRUE(cache.get("a").has_value());
-  EXPECT_TRUE(cache.get("c").has_value());
-  EXPECT_TRUE(cache.get("d").has_value());
+  EXPECT_TRUE(get(cache, "a").has_value());
+  cache.put({"d", 4}, 100);
+  EXPECT_EQ(get(cache, "b"), std::nullopt) << "LRU entry should have been evicted";
+  EXPECT_TRUE(get(cache, "a").has_value());
+  EXPECT_TRUE(get(cache, "c").has_value());
+  EXPECT_TRUE(get(cache, "d").has_value());
   EXPECT_EQ(cache.stats().evictions, 1);
 
   // Inserting two more evicts in strict recency order: c, then a.
-  cache.put("e", 5, 100);
-  cache.put("f", 6, 100);
-  EXPECT_EQ(cache.get("c"), std::nullopt);
-  EXPECT_EQ(cache.get("a"), std::nullopt);
-  EXPECT_TRUE(cache.get("d").has_value());
+  cache.put({"e", 5}, 100);
+  cache.put({"f", 6}, 100);
+  EXPECT_EQ(get(cache, "c"), std::nullopt);
+  EXPECT_EQ(get(cache, "a"), std::nullopt);
+  EXPECT_TRUE(get(cache, "d").has_value());
   EXPECT_EQ(cache.stats().evictions, 3);
 }
 
 TEST(ShardedLruCache, KeepsAtLeastOneEntryWhenOversized) {
-  ShardedLruCache<int> cache(options_for("test/cache/oversize", 1, 16));
-  cache.put("huge", 7, 1 << 20);  // cost far beyond capacity
-  EXPECT_EQ(cache.get("huge"), std::optional<int>(7))
+  Cache cache(options_for("test/cache/oversize", 1, 16));
+  cache.put({"huge", 7}, 1 << 20);  // cost far beyond capacity
+  EXPECT_EQ(get(cache, "huge"), std::optional<int>(7))
       << "a single oversized entry must survive (never evict below one entry)";
-  cache.put("huge2", 8, 1 << 20);
-  EXPECT_EQ(cache.get("huge"), std::nullopt);
-  EXPECT_EQ(cache.get("huge2"), std::optional<int>(8));
+  cache.put({"huge2", 8}, 1 << 20);
+  EXPECT_EQ(get(cache, "huge"), std::nullopt);
+  EXPECT_EQ(get(cache, "huge2"), std::optional<int>(8));
+}
+
+TEST(ShardedLruCache, EntryChargeIsKeyPlusFixedBookkeeping) {
+  // An entry is billed its declared cost, its key and a fixed 128 bytes,
+  // whatever its slab entry takes, so a budget holds the same entries
+  // whenever the entry's layout changes.  A change of the charge itself
+  // moves every eviction point and must show here first.
+  for (const std::string& key : {std::string(), std::string("a"), std::string(40, 'x'),
+                                 std::string(151, 'f')}) {
+    EXPECT_EQ(overhead(key), key.size() + 128) << key;
+  }
+  Cache cache(options_for("test/cache/charge", 1, 1 << 20));
+  cache.put({"key", 1}, 1000);
+  cache.put({"key", 2}, 10);  // a replaced value is billed its new cost
+  EXPECT_EQ(cache.stats().bytes, 10u + 3 + 128);
 }
 
 TEST(ShardedLruCache, ConcurrentMixedTrafficStaysConsistent) {
   // Hammer a small cache from several threads; the assertion is internal
   // consistency (every successful get returns the value put under that key),
   // and under TSan this is the data-race check for the shard locking.
-  ShardedLruCache<int> cache(options_for("test/cache/hammer", 4, 4096));
+  Cache cache(options_for("test/cache/hammer", 4, 4096));
   constexpr int kThreads = 4;
   constexpr int kIters = 2000;
   std::vector<std::thread> threads;
@@ -101,10 +138,10 @@ TEST(ShardedLruCache, ConcurrentMixedTrafficStaysConsistent) {
       for (int i = 0; i < kIters; ++i) {
         const int slot = (t * 7 + i) % 13;
         const std::string key = "key" + std::to_string(slot);
-        if (std::optional<int> v = cache.get(key)) {
+        if (std::optional<int> v = get(cache, key)) {
           ASSERT_EQ(*v, slot * 11);
         } else {
-          cache.put(key, slot * 11, 64);
+          cache.put({key, slot * 11}, 64);
         }
       }
     });
@@ -128,8 +165,8 @@ void run_differential(int shards, std::size_t capacity, int key_count, int overs
                " keys=" + std::to_string(key_count));
   const std::string prefix = "test/cache/differential/" + std::to_string(shards) + "/" +
                              std::to_string(capacity) + "/" + std::to_string(key_count);
-  ShardedLruCache<int> flat(options_for(prefix, shards, capacity));
-  ReferenceLruCache<int> model(shards, capacity, overhead(""));
+  Cache flat(options_for(prefix, shards, capacity));
+  ReferenceLruCache<Keyed> model(shards, capacity, overhead(""));
 
   std::vector<std::string> keys;
   for (int i = 0; i < key_count; ++i) {
@@ -149,11 +186,11 @@ void run_differential(int shards, std::size_t capacity, int key_count, int overs
   for (int op = 0; op < kOps; ++op) {
     const std::string& key = keys[rng() % keys.size()];
     if (rng() % 100 < 45) {
-      ASSERT_EQ(flat.get(key), model.get(key)) << "op " << op << " get " << key;
+      ASSERT_EQ(get(flat, key), get(model, key)) << "op " << op << " get " << key;
     } else {
       const int value = static_cast<int>(rng() % 1000);
       const std::size_t cost = pick_cost();
-      ASSERT_EQ(flat.put(key, value, cost), model.put(key, value, cost))
+      ASSERT_EQ(flat.put({key, value}, cost), model.put({key, value}, cost))
           << "op " << op << " put " << key;
     }
     const CacheStats a = flat.stats();
@@ -169,7 +206,7 @@ void run_differential(int shards, std::size_t capacity, int key_count, int overs
   EXPECT_GE(peak_entries, min_peak_entries);
   EXPECT_GT(flat.stats().evictions, 0);
   // Every key, in one sweep, is where the model says it is.
-  for (const std::string& key : keys) ASSERT_EQ(flat.get(key), model.get(key)) << key;
+  for (const std::string& key : keys) ASSERT_EQ(get(flat, key), get(model, key)) << key;
 }
 
 TEST(ShardedLruCache, MatchesReferenceModelUnderEviction) {
@@ -192,7 +229,8 @@ TEST(ShardedLruCache, MatchesReferenceModelAcrossTableGrowth) {
 
 TEST(ShardedLruCache, KeysWhoseTagsCollideStayDistinct) {
   // Two keys whose hashes share their low 32 bits get the same tag and the
-  // same home slot, so only a key compare tells them apart.  Find such a
+  // same home slot, so only comparing the keys the values carry tells them
+  // apart.  Find such a
   // pair by the birthday bound (about 80k keys for 32 bits).
   std::unordered_map<std::uint32_t, std::string> by_tag;
   std::string first;
@@ -208,12 +246,12 @@ TEST(ShardedLruCache, KeysWhoseTagsCollideStayDistinct) {
   }
   if (second.empty()) GTEST_SKIP() << "no 32-bit tag collision among the keys tried";
 
-  ShardedLruCache<int> cache(options_for("test/cache/collide", 1, 1 << 20));
-  cache.put(first, 1, 8);
-  EXPECT_EQ(cache.get(second), std::nullopt) << first << " and " << second;
-  cache.put(second, 2, 8);
-  EXPECT_EQ(cache.get(first), std::optional<int>(1));
-  EXPECT_EQ(cache.get(second), std::optional<int>(2));
+  Cache cache(options_for("test/cache/collide", 1, 1 << 20));
+  cache.put({first, 1}, 8);
+  EXPECT_EQ(get(cache, second), std::nullopt) << first << " and " << second;
+  cache.put({second, 2}, 8);
+  EXPECT_EQ(get(cache, first), std::optional<int>(1));
+  EXPECT_EQ(get(cache, second), std::optional<int>(2));
   EXPECT_EQ(cache.stats().entries, 2u);
 }
 

@@ -17,8 +17,10 @@
 /// Reference model of ShardedLruCache for differential tests: the same
 /// semantics built the obvious way, one std::list in recency order plus an
 /// std::unordered_map index per shard, single-threaded and with its own
-/// counters.  It shards keys by the rule the flat cache documents (the high
-/// 32 bits of the key's std::hash, modulo the shard count) and charges each
+/// counters.  Like the flat cache it files each value under the key the
+/// value carries (`key()`), though it keeps a copy of that key for its
+/// index.  It shards keys by the rule the flat cache documents (the high 32
+/// bits of the key's std::hash, modulo the shard count) and charges each
 /// entry its value cost, its key and a fixed \p bookkeeping, so it evicts
 /// the same entries in the same order.
 
@@ -32,7 +34,7 @@ class ReferenceLruCache {
         shard_capacity_(capacity_bytes / static_cast<std::size_t>(shards)),
         bookkeeping_(bookkeeping) {}
 
-  std::optional<Value> get(const std::string& key) {
+  std::optional<Value> get(std::string_view key) {
     Shard& shard = shard_for(key);
     auto it = shard.index.find(key);
     if (it == shard.index.end()) {
@@ -44,7 +46,8 @@ class ReferenceLruCache {
     return it->second->value;
   }
 
-  bool put(const std::string& key, Value value, std::size_t cost_bytes) {
+  bool put(Value value, std::size_t cost_bytes) {
+    const std::string key(value.key());
     Shard& shard = shard_for(key);
     auto it = shard.index.find(key);
     const bool existed = it != shard.index.end();
@@ -92,7 +95,7 @@ class ReferenceLruCache {
     std::size_t bytes = 0;
   };
 
-  Shard& shard_for(const std::string& key) {
+  Shard& shard_for(std::string_view key) {
     const std::uint64_t hash = std::hash<std::string_view>{}(key);
     return shards_[(hash >> 32) % shards_.size()];
   }
