@@ -230,8 +230,8 @@ TEST(ShardedLruCache, MatchesReferenceModelAcrossTableGrowth) {
 TEST(ShardedLruCache, KeysWhoseTagsCollideStayDistinct) {
   // Two keys whose hashes share their low 32 bits get the same tag and the
   // same home slot, so only comparing the keys the values carry tells them
-  // apart.  Find such a
-  // pair by the birthday bound (about 80k keys for 32 bits).
+  // apart.  Find such a pair by the birthday bound (about 80k keys for 32
+  // bits).
   std::unordered_map<std::uint32_t, std::string> by_tag;
   std::string first;
   std::string second;
