@@ -173,7 +173,8 @@ class PlanService {
     /// \p key (at most kMaxRequestKeyBytes).
     static Rendered make(const Record& record, std::string_view body, std::string_view key) {
       void* raw = ::operator new(sizeof(Block) + body.size() + key.size());
-      auto* block = new (raw) Block{{1}, static_cast<std::uint32_t>(key.size()), body.size(), record};
+      auto* block =
+          new (raw) Block{{1}, static_cast<std::uint32_t>(key.size()), body.size(), record};
       std::memcpy(block->bytes(), body.data(), body.size());
       std::memcpy(block->bytes() + body.size(), key.data(), key.size());
       return Rendered(block);
